@@ -226,20 +226,34 @@ impl CanonicalForests {
     /// borrows the generator's buffers.)
     #[allow(clippy::should_implement_trait)] // lending: items borrow self
     pub fn next(&mut self) -> Option<ForestClass<'_>> {
-        let changed_pos = if !self.started {
-            self.started = true;
-            1 // every position is fresh
-        } else {
-            // On the terminal sequence (all forest roots) `successor` keeps
-            // returning `None`, so an exhausted stream stays exhausted.
-            self.successor()?
-        };
+        let changed_pos = self.advance()?;
         self.refresh_parents(changed_pos);
         Some(ForestClass {
             parents: &self.parents,
             orbit: forest_orbit_size(&self.levels),
             changed_from: changed_pos - 1,
         })
+    }
+
+    /// Shape-only advance for the count-only passes: steps to the next
+    /// canonical super-tree level sequence (virtual root at level 0) without
+    /// rebuilding the parent vector or computing the orbit size, which those
+    /// passes never read.
+    fn next_shape(&mut self) -> Option<&[usize]> {
+        self.advance()?;
+        Some(&self.levels)
+    }
+
+    /// Steps the level sequence: returns the first changed position (`1`
+    /// for the first shape), or `None` once the stream is exhausted.
+    fn advance(&mut self) -> Option<usize> {
+        if !self.started {
+            self.started = true;
+            return Some(1); // every position is fresh
+        }
+        // On the terminal sequence (all forest roots) `successor` keeps
+        // returning `None`, so an exhausted stream stays exhausted.
+        self.successor()
     }
 
     /// Beyer–Hedetniemi successor: returns the first sequence position that
@@ -416,20 +430,32 @@ pub enum ClassedCount {
     ExceedsCap,
     /// The deadline passed mid-count.
     DeadlineExpired,
-    /// The partition is too wide for the counting representation (its dense
-    /// exponent space `Π_c (|class c| + 1)` exceeds
-    /// [`COUNT_DENSE_LIMIT`]): callers fall back to bounded generation.
+    /// The partition is too wide for the counting representation (its
+    /// exponent space `Π_c (|class c| + 1)` exceeds [`COUNT_DENSE_LIMIT`],
+    /// or `n` outgrows the byte-packed level slices the memo is keyed by):
+    /// callers fall back to bounded generation.
     Intractable,
 }
 
-/// Largest dense generating-function length ([`ClassedCount::Intractable`]
-/// beyond it): the exponent space is `Π_c (|class c| + 1)`, exponential in
+/// Largest exponent space `Π_c (|class c| + 1)` the colour counter accepts
+/// ([`ClassedCount::Intractable`] beyond it).  The space is exponential in
 /// the number of classes, so partitions with many near-singleton classes
 /// (one duplicated weight, the rest distinct) would pay more for counting
 /// than the generation it guards.  1024 covers every symmetric regime worth
 /// collapsing (e.g. four classes of four at `n = 16` is 625) while keeping
 /// the worst polynomial product near a microsecond-millisecond scale.
 pub const COUNT_DENSE_LIMIT: usize = 1 << 10;
+
+/// `true` when the colour counter can represent `classes`: an exponent
+/// space within [`COUNT_DENSE_LIMIT`] and levels that fit a byte.
+fn countable(classes: &WeightClasses) -> bool {
+    let space = classes
+        .sizes()
+        .iter()
+        .try_fold(1usize, |acc, &s| acc.checked_mul(s + 1))
+        .unwrap_or(usize::MAX);
+    space <= COUNT_DENSE_LIMIT && classes.n() < u8::MAX as usize
+}
 
 /// The number of coloured-forest classes of `classes`'s partition — the
 /// length of the [`classed_forest_representatives`] list — without
@@ -448,8 +474,8 @@ pub fn classed_class_count(classes: &WeightClasses, cap: u128) -> Option<u128> {
 /// once per shape.
 ///
 /// The count is **O(shapes)**, not O(colourings): per canonical shape the
-/// number of canonical colourings is read off a generating function over
-/// colour-count vectors — for every subtree, `gf[v]` counts its colourings
+/// number of canonical colourings is read off the colour counter's graded
+/// generating functions — for every subtree, `gf[v]` counts its colourings
 /// using `v_c` nodes of class `c`, and a run of `k` identical sibling
 /// subtrees contributes the size-`k` multiset construction `MSET_k(gf)`
 /// (canonical colourings order identical siblings non-increasingly, i.e.
@@ -457,7 +483,10 @@ pub fn classed_class_count(classes: &WeightClasses, cap: u128) -> Option<u128> {
 /// `k · h_k = Σ_{i=1..k} p_i · h_{k-i}` with `p_i = gf(x^i)` the power sum.
 /// Subtree GFs are memoised across shapes (identical subtrees recur
 /// massively in the Beyer–Hedetniemi stream), so the whole pass costs a few
-/// small polynomial products per shape.
+/// small polynomial products per shape.  Its memory is the counter's memo
+/// alone — one degree slice per distinct subtree of fewer than `n` nodes
+/// (at most `Σ_{m<n} A000081(m)` entries) plus a few dozen multiset runs,
+/// 1.15 MiB for a 7 + 6 partition at `n = 13` — and no shape is stored.
 pub fn classed_class_count_within(
     classes: &WeightClasses,
     cap: u128,
@@ -465,22 +494,17 @@ pub fn classed_class_count_within(
 ) -> ClassedCount {
     let n = classes.n();
     assert!(n >= 1, "classed counting needs at least one node");
-    let dense_len = classes
-        .sizes()
-        .iter()
-        .try_fold(1usize, |acc, &s| acc.checked_mul(s + 1))
-        .unwrap_or(usize::MAX);
-    if dense_len > COUNT_DENSE_LIMIT {
+    if !countable(classes) {
         return ClassedCount::Intractable;
     }
     let mut counter = ColourCounter::new(classes);
     let mut stream = CanonicalForests::new(n);
     let mut total: u128 = 0;
-    while stream.next().is_some() {
+    while let Some(levels) = stream.next_shape() {
         if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
             return ClassedCount::DeadlineExpired;
         }
-        total = total.saturating_add(counter.forest_colorings(&stream.levels));
+        total = total.saturating_add(counter.forest_colorings(levels));
         if total > cap {
             return ClassedCount::ExceedsCap;
         }
@@ -597,6 +621,24 @@ impl ShapeBounder {
         bound
     }
 
+    /// The smallest [`ShapeBounder::shape_bound`] over every canonical
+    /// forest shape on the application's services: an admissible floor on
+    /// every forest plan of the instance.  A streaming `total_cmp` minimum,
+    /// so it is bit-identical to the head bound of a cold
+    /// [`bound_ordered_shape_plan`] scan while storing no shape — O(shapes)
+    /// time, O(n) memory.
+    pub fn forest_floor(&self) -> f64 {
+        let mut stream = CanonicalForests::new(self.anc_floor.len() - 1);
+        let mut floor: Option<f64> = None;
+        while let Some(levels) = stream.next_shape() {
+            let bound = self.shape_bound(levels);
+            if floor.is_none_or(|f| bound.total_cmp(&f).is_lt()) {
+                floor = Some(bound);
+            }
+        }
+        floor.expect("every n >= 1 has at least one shape")
+    }
+
     /// Critical-path latency floor of the shape: Algorithm 1's one-port
     /// chain recurrence run over the super-tree with **every** node floored
     /// to the globally cheapest weights — leaf `1 + c_lo + σ_lo`, internal
@@ -642,28 +684,80 @@ impl ShapeBounder {
     }
 }
 
-/// One shape of the lazy bound-ordered classed enumeration: everything
-/// needed to (re)start the shape's colouring walk on demand — the packed
-/// level sequence **is** the resumable cursor, no representative is held.
-#[derive(Clone, Debug)]
+/// One shape of the lazy bound-ordered classed enumeration: a compact
+/// record of everything needed to (re)start the shape's colouring walk on
+/// demand.  Its level code — the resumable cursor — lives in the owning
+/// [`ShapeList`]'s arena at the record's ordinal, so no representative and
+/// no per-shape allocation is held.
+#[derive(Clone, Copy, Debug)]
 pub struct ShapePlan {
-    /// Packed super-tree level sequence (one byte per node, virtual root
-    /// included as level 0), decoded on demand.
-    pub levels: Box<[u8]>,
-    /// Position of the shape in canonical enumeration order.
+    /// Admissible lower bound on every representative of this shape
+    /// ([`ShapeBounder::shape_bound`]; `0` when no bounder was supplied).
+    pub bound: f64,
+    /// Position of the shape in canonical enumeration order; also indexes
+    /// its level code in [`ShapeList`].
     pub ordinal: u64,
     /// Number of canonical colourings (coloured orbits) of this shape, `0`
     /// when the counting pass is intractable for the partition.
     pub colorings: u128,
-    /// Admissible lower bound on every representative of this shape
-    /// ([`ShapeBounder::shape_bound`]; `0` when no bounder was supplied).
-    pub bound: f64,
 }
 
-impl ShapePlan {
-    /// The decoded super-tree level sequence.
-    pub fn decode_levels(&self) -> Vec<usize> {
-        self.levels.iter().map(|&l| l as usize).collect()
+/// The bound-ordered shape plan in flat form: [`ShapePlan`] records sorted
+/// by `(bound, ordinal)`, plus one contiguous arena holding the level code
+/// of every streamed shape in canonical order.  A shape costs
+/// `size_of::<ShapePlan>() + n` bytes (46 at `n = 14`); dereferences to the
+/// sorted record slice.
+#[derive(Clone, Debug, Default)]
+pub struct ShapeList {
+    /// Real nodes per shape, hence bytes per level code.
+    n: usize,
+    /// Level codes by ordinal: shape `o`'s 1-based preorder node levels
+    /// (the level half of a [`pack_level_code`] code) are
+    /// `codes[o * n..][..n]`; the virtual root is implicit.
+    codes: Vec<u8>,
+    /// The surviving shapes, sorted by `(bound, ordinal)`.
+    shapes: Vec<ShapePlan>,
+}
+
+impl ShapeList {
+    /// The level code of `shape`: one byte per real node, its 1-based level
+    /// in preorder.
+    pub fn levels(&self, shape: &ShapePlan) -> &[u8] {
+        let at = shape.ordinal as usize * self.n;
+        &self.codes[at..at + self.n]
+    }
+
+    /// Decodes `shape` into `out` as the super-tree level sequence
+    /// [`walk_canonical_colorings`] takes (virtual root at level 0 first),
+    /// reusing `out`'s allocation.
+    pub fn decode_into(&self, shape: &ShapePlan, out: &mut Vec<usize>) {
+        out.clear();
+        out.push(0);
+        out.extend(self.levels(shape).iter().map(|&l| l as usize));
+    }
+
+    /// [`ShapeList::decode_into`] into a fresh vector.
+    pub fn decode_levels(&self, shape: &ShapePlan) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.n + 1);
+        self.decode_into(shape, &mut out);
+        out
+    }
+}
+
+impl std::ops::Deref for ShapeList {
+    type Target = [ShapePlan];
+
+    fn deref(&self) -> &[ShapePlan] {
+        &self.shapes
+    }
+}
+
+impl<'a> IntoIterator for &'a ShapeList {
+    type Item = &'a ShapePlan;
+    type IntoIter = std::slice::Iter<'a, ShapePlan>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.shapes.iter()
     }
 }
 
@@ -673,7 +767,7 @@ pub enum ShapeScan {
     /// All surviving shapes of the space, sorted by `(bound, ordinal)`.
     Planned {
         /// The shapes, bound-sorted (ties in canonical order).
-        shapes: Vec<ShapePlan>,
+        shapes: ShapeList,
         /// Total coloured-orbit count when the counting pass is tractable
         /// for the partition (`None` beyond [`COUNT_DENSE_LIMIT`]), cutoff
         /// casualties included — the count describes the *space*, not the
@@ -681,13 +775,20 @@ pub enum ShapeScan {
         orbits: Option<u128>,
         /// Number of shapes whose admissible bound already cleared the
         /// caller's cutoff at emission time: certified hopeless without ever
-        /// being stored, sorted or expanded.
+        /// being given a record, sorted or expanded.
         pruned: u64,
     },
     /// The deadline passed mid-scan; callers degrade like an interrupted
     /// search (heuristic fallback, flagged non-exhaustive).
     DeadlineExpired,
 }
+
+/// Largest shape count a [`bound_ordered_shape_plan`] scan reserves up
+/// front — the default exhaustive budget's 2 000 000 (every `n <= 17`).
+/// Larger spaces grow on demand, so a deadline-bounded caller passing an
+/// unplannable `n` (`forest_classes(30)` is about 10¹²) runs into its
+/// deadline instead of a refused multi-terabyte reservation.
+const PLAN_RESERVE_LIMIT: u128 = 2_000_000;
 
 /// The count-only prelude of the lazy classed enumeration: streams every
 /// canonical shape once, counts its canonical colourings off the memoised
@@ -697,17 +798,21 @@ pub enum ShapeScan {
 /// first shape whose bound clears the incumbent — the sort order makes that
 /// a certificate for every remaining shape.
 ///
-/// Memory is O(shapes) (A000081: 32 973 at `n = 13`) against the coloured
-/// space's potentially tens of millions of representatives.
+/// Memory is the flat [`ShapeList`] — `size_of::<ShapePlan>() + n` bytes
+/// per shape (A000081: 32 973 shapes at `n = 13`, 87 811 at `n = 14`),
+/// reserved exactly on cold scans — plus, on non-uniform partitions, the
+/// colour counter's memo; never the coloured space's potentially tens of
+/// millions of representatives.  The sort is in place (`(bound, ordinal)`
+/// is unique, so an unstable sort gives the one order).
 ///
 /// `cutoff` threads a warm incumbent's prune threshold into the prelude
 /// (Bounded-Dijkstra-style cutoff reuse): a shape whose admissible bound
 /// strictly exceeds it is certified hopeless at emission — counted into
-/// `orbits` and `pruned` but never stored, so warm re-solves terminate the
-/// generator's *storage* as soon as the floor clears the incumbent.
-/// `f64::INFINITY` keeps every shape (the cold-search behaviour); ordinals
-/// always index the full canonical stream, so winner tie-breaks are
-/// unchanged by the cutoff.
+/// `orbits` and `pruned` and given no record (its `n`-byte level code stays
+/// in the ordinal-indexed arena), so warm re-solves never sort or expand
+/// it.  `f64::INFINITY` keeps every shape (the cold-search behaviour);
+/// ordinals always index the full canonical stream, so winner tie-breaks
+/// are unchanged by the cutoff.
 pub fn bound_ordered_shape_plan(
     classes: &WeightClasses,
     bounder: Option<&ShapeBounder>,
@@ -720,22 +825,28 @@ pub fn bound_ordered_shape_plan(
         n < u8::MAX as usize,
         "packed level codes hold byte-sized levels"
     );
-    let dense_len = classes
-        .sizes()
-        .iter()
-        .try_fold(1usize, |acc, &s| acc.checked_mul(s + 1))
-        .unwrap_or(usize::MAX);
     // Uniform partitions have exactly one canonical colouring per shape, so
     // the generating-function pass would only recompute the constant 1.
     let uniform = classes.is_uniform();
-    let mut counter =
-        (!uniform && dense_len <= COUNT_DENSE_LIMIT).then(|| ColourCounter::new(classes));
+    let mut counter = (!uniform && countable(classes)).then(|| ColourCounter::new(classes));
+    let mut plan = ShapeList {
+        n,
+        ..ShapeList::default()
+    };
+    let total = forest_classes(n);
+    if total <= PLAN_RESERVE_LIMIT {
+        let total = total as usize;
+        plan.codes.reserve_exact(total * n);
+        // A cold scan keeps every shape; a warm one keeps an unknown subset.
+        if cutoff.is_nan() || cutoff == f64::INFINITY {
+            plan.shapes.reserve_exact(total);
+        }
+    }
     let mut stream = CanonicalForests::new(n);
-    let mut shapes: Vec<ShapePlan> = Vec::new();
     let mut orbits: u128 = 0;
     let mut ordinal: u64 = 0;
     let mut pruned: u64 = 0;
-    while stream.next().is_some() {
+    while let Some(levels) = stream.next_shape() {
         if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
             return ShapeScan::DeadlineExpired;
         }
@@ -744,28 +855,27 @@ pub fn bound_ordered_shape_plan(
         } else {
             counter
                 .as_mut()
-                .map(|c| c.forest_colorings(&stream.levels))
+                .map(|c| c.forest_colorings(levels))
                 .unwrap_or(0)
         };
         orbits = orbits.saturating_add(colorings);
-        let bound = bounder
-            .map(|b| b.shape_bound(&stream.levels))
-            .unwrap_or(0.0);
+        let bound = bounder.map(|b| b.shape_bound(levels)).unwrap_or(0.0);
+        plan.codes.extend(levels[1..].iter().map(|&l| l as u8));
         if bound > cutoff {
             pruned += 1;
         } else {
-            shapes.push(ShapePlan {
-                levels: stream.levels.iter().map(|&l| l as u8).collect(),
+            plan.shapes.push(ShapePlan {
+                bound,
                 ordinal,
                 colorings,
-                bound,
             });
         }
         ordinal += 1;
     }
-    shapes.sort_by(|a, b| a.bound.total_cmp(&b.bound).then(a.ordinal.cmp(&b.ordinal)));
+    plan.shapes
+        .sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.ordinal.cmp(&b.ordinal)));
     ShapeScan::Planned {
-        shapes,
+        shapes: plan,
         orbits: (uniform || counter.is_some()).then_some(orbits),
         pruned,
     }
@@ -821,119 +931,306 @@ pub fn unpack_level_code(code: &[u8]) -> (Vec<Option<ServiceId>>, Vec<usize>) {
     (parents, code[n..].iter().map(|&t| t as usize).collect())
 }
 
-/// Memoised per-shape counter of canonical colourings: generating functions
-/// over colour-count vectors, represented densely over the mixed-radix
-/// exponent space `Π_c (|class c| + 1)` (truncating products — an exponent
-/// beyond its class size can never reach the full-budget coefficient).
+/// Memoised per-shape counter of canonical colourings, over **graded**
+/// generating functions.
+///
+/// Every GF it builds is homogeneous: a subtree of `m` nodes has non-zero
+/// coefficients only at colour-count vectors `v` with `Σ_c v_c = m`, and
+/// truncation keeps only `v_c <= |class c|` (an exponent beyond its class
+/// size can never reach the full-budget coefficient).  So each GF is stored
+/// as its one degree slice — at most 7 `u128` coefficients for a 7 + 6
+/// partition, against the 56 of the whole exponent space — and a product of
+/// degrees `a` and `b` lands in slice `a + b`.
+///
+/// Memory is the two memos, keyed by byte-packed normalised level slices
+/// (root at relative level 0):
+///
+/// * `trees`: one entry per distinct subtree of fewer than `n` nodes met in
+///   the stream — at most `Σ_{m<n} A000081(m)` (7 813 at `n = 13`), each a
+///   `m`-byte key plus one degree slice; an `n`-node tree is a whole shape,
+///   never met twice, so it is not stored;
+/// * `msets`: `MSET_k` of runs with `k >= 2` only (`MSET_1` is the tree GF
+///   itself), whose subtrees have at most `n / 2` nodes — a few dozen
+///   entries.
+///
+/// Memo hits are served in place: the lookup key is written into a reused
+/// buffer and the stored slice is multiplied straight into the running
+/// product, so a hit neither clones nor allocates.
 struct ColourCounter {
-    /// Class sizes (the exponent bound per dimension).
-    sizes: Vec<usize>,
-    /// Mixed-radix strides: `index(v) = Σ_c v_c · strides[c]`.
+    grades: Grades,
+    /// Tree GF per normalised level slice.
+    trees: std::collections::HashMap<Box<[u8]>, Box<[u128]>>,
+    /// `MSET_k` of a tree GF, keyed by the tree's slice followed by `k`.
+    msets: std::collections::HashMap<Box<[u8]>, Box<[u128]>>,
+    /// Lookup-key scratch.
+    key: Vec<u8>,
+    /// Ping-pong buffers of the per-shape root product.
+    product: Vec<u128>,
+    spare: Vec<u128>,
+    /// Node count of the partition.
+    n: usize,
+}
+
+/// The bounded colour-count vectors `0 <= v_c <= |class c|`, graded by
+/// degree `Σ_c v_c`.  A vector's *index* is its mixed-radix number
+/// `Σ_c v_c · strides[c]`; indexes of in-bounds vectors add without carry,
+/// and any carry strictly lowers the digit sum (every class holds at least
+/// one node), so `a + b` (or `i · a`) is the index of the in-bounds sum
+/// exactly when its degree is the sum of the degrees.
+struct Grades {
+    /// Mixed-radix strides of the index.
     strides: Vec<usize>,
-    /// Dense length `Π_c (sizes[c] + 1)`.
-    len: usize,
-    /// Decoded exponent vector per dense index.
-    vectors: Vec<Vec<usize>>,
-    /// Subtree GF per normalised level slice (root at relative level 0).
-    tree_memo: std::collections::HashMap<Vec<usize>, Vec<u128>>,
-    /// `MSET_k` of a subtree GF per (normalised slice, k).
-    mset_memo: std::collections::HashMap<(Vec<usize>, usize), Vec<u128>>,
+    /// Degree of every index.
+    degree: Vec<u16>,
+    /// Position of every index within its degree slice.
+    rank: Vec<u16>,
+    /// Indexes grouped by degree, ascending within a degree.
+    order: Vec<u16>,
+    /// `order[start[d]..start[d + 1]]` is the degree-`d` slice.
+    start: Vec<usize>,
+}
+
+impl Grades {
+    fn new(sizes: &[usize]) -> Self {
+        debug_assert!(sizes.iter().all(|&s| s >= 1), "classes are non-empty");
+        let mut strides = Vec::with_capacity(sizes.len());
+        let mut len = 1usize;
+        for &s in sizes {
+            strides.push(len);
+            len *= s + 1;
+        }
+        let degree: Vec<u16> = (0..len)
+            .map(|index| {
+                let mut rest = index;
+                let mut sum = 0;
+                for &s in sizes {
+                    sum += rest % (s + 1);
+                    rest /= s + 1;
+                }
+                sum as u16
+            })
+            .collect();
+        let n: usize = sizes.iter().sum();
+        let mut start = vec![0usize; n + 2];
+        for &d in &degree {
+            start[d as usize + 1] += 1;
+        }
+        for d in 0..=n {
+            start[d + 1] += start[d];
+        }
+        let mut order = vec![0u16; len];
+        let mut rank = vec![0u16; len];
+        let mut filled = start.clone();
+        for (index, &d) in degree.iter().enumerate() {
+            let at = filled[d as usize];
+            order[at] = index as u16;
+            rank[index] = (at - start[d as usize]) as u16;
+            filled[d as usize] += 1;
+        }
+        Grades {
+            strides,
+            degree,
+            rank,
+            order,
+            start,
+        }
+    }
+
+    /// The indexes of the degree-`d` slice, in coefficient order.
+    fn slice(&self, d: usize) -> &[u16] {
+        &self.order[self.start[d]..self.start[d + 1]]
+    }
+
+    /// Position of index `index` in the degree-`d` slice, or `None` when
+    /// the index carried out of bounds on its way there.
+    fn rank_at(&self, index: usize, d: usize) -> Option<usize> {
+        let degree = *self.degree.get(index)?;
+        (degree as usize == d).then(|| self.rank[index] as usize)
+    }
+
+    /// `out = a · b` for slices of degrees `da` and `db`, truncating.
+    fn mul_into(&self, a: &[u128], da: usize, b: &[u128], db: usize, out: &mut Vec<u128>) {
+        let d = da + db;
+        out.clear();
+        out.resize(self.slice(d).len(), 0);
+        for (&ia, &ca) in self.slice(da).iter().zip(a) {
+            if ca == 0 {
+                continue;
+            }
+            for (&ib, &cb) in self.slice(db).iter().zip(b) {
+                if cb == 0 {
+                    continue;
+                }
+                if let Some(r) = self.rank_at(ia as usize + ib as usize, d) {
+                    out[r] = out[r].saturating_add(ca.saturating_mul(cb));
+                }
+            }
+        }
+    }
+
+    /// The power sum `f(x^i)` of a degree-`d` slice (degree `i · d`).
+    fn power(&self, f: &[u128], d: usize, i: usize) -> Vec<u128> {
+        let mut out = vec![0u128; self.slice(i * d).len()];
+        for (&index, &c) in self.slice(d).iter().zip(f) {
+            if let Some(r) = self.rank_at(i * index as usize, i * d) {
+                out[r] = out[r].saturating_add(c);
+            }
+        }
+        out
+    }
 }
 
 impl ColourCounter {
     fn new(classes: &WeightClasses) -> Self {
-        let sizes = classes.sizes().to_vec();
-        let mut strides = Vec::with_capacity(sizes.len());
-        let mut len = 1usize;
-        for &s in &sizes {
-            strides.push(len);
-            len *= s + 1;
-        }
-        let mut vectors = Vec::with_capacity(len);
-        for i in 0..len {
-            let mut v = Vec::with_capacity(sizes.len());
-            let mut rest = i;
-            for &s in &sizes {
-                v.push(rest % (s + 1));
-                rest /= s + 1;
-            }
-            vectors.push(v);
-        }
         ColourCounter {
-            sizes,
-            strides,
-            len,
-            vectors,
-            tree_memo: std::collections::HashMap::new(),
-            mset_memo: std::collections::HashMap::new(),
+            grades: Grades::new(classes.sizes()),
+            trees: std::collections::HashMap::new(),
+            msets: std::collections::HashMap::new(),
+            key: Vec::new(),
+            product: Vec::new(),
+            spare: Vec::new(),
+            n: classes.n(),
         }
     }
 
-    /// The multiplicative identity (`x^0`).
-    fn one(&self) -> Vec<u128> {
-        let mut p = vec![0u128; self.len];
-        p[0] = 1;
-        p
+    /// Number of canonical colourings of one forest shape (super-tree level
+    /// sequence, virtual root at level 0 carrying no colour): the root-run
+    /// product's degree-`n` slice, whose one vector is the full budget.
+    fn forest_colorings(&mut self, levels: &[usize]) -> u128 {
+        let mut product = std::mem::take(&mut self.product);
+        let mut spare = std::mem::take(&mut self.spare);
+        self.children_product(levels, &mut product, &mut spare);
+        debug_assert_eq!(product.len(), 1, "the degree-n slice is one vector");
+        let count = product[0];
+        self.product = product;
+        self.spare = spare;
+        count
     }
 
-    /// Truncating product: exponent overflow in any class dimension drops
-    /// the term (it can never contribute to the full-budget coefficient).
-    fn mul(&self, a: &[u128], b: &[u128]) -> Vec<u128> {
-        let mut out = vec![0u128; self.len];
-        for (ia, &ca) in a.iter().enumerate() {
-            if ca == 0 {
+    /// Product over the child runs of the node at `levels[0]` (children are
+    /// the positions one level below it; canonical sequences keep identical
+    /// sibling subtrees adjacent, so runs suffice), into `product` — a slice
+    /// of degree `levels.len() - 1`.
+    fn children_product(
+        &mut self,
+        levels: &[usize],
+        product: &mut Vec<u128>,
+        spare: &mut Vec<u128>,
+    ) {
+        let child_level = levels[0] + 1;
+        product.clear();
+        product.push(1); // x^0
+        let mut degree = 0;
+        let mut run: Option<(usize, usize)> = None;
+        let mut run_len = 0;
+        let mut child = 1;
+        while child < levels.len() {
+            debug_assert_eq!(levels[child], child_level);
+            let mut next = child + 1;
+            while next < levels.len() && levels[next] > child_level {
+                next += 1;
+            }
+            if run.is_some_and(|(b, e)| levels[b..e] == levels[child..next]) {
+                run_len += 1;
+            } else {
+                if let Some((b, e)) = run {
+                    self.mul_run(&levels[b..e], run_len, product, &mut degree, spare);
+                }
+                run = Some((child, next));
+                run_len = 1;
+            }
+            child = next;
+        }
+        if let Some((b, e)) = run {
+            self.mul_run(&levels[b..e], run_len, product, &mut degree, spare);
+        }
+    }
+
+    /// Multiplies `product` (degree `*degree`) by `MSET_k` of the subtree
+    /// spanning `member`, memoised.
+    fn mul_run(
+        &mut self,
+        member: &[usize],
+        k: usize,
+        product: &mut Vec<u128>,
+        degree: &mut usize,
+        spare: &mut Vec<u128>,
+    ) {
+        let run_degree = k * member.len();
+        self.fill_key(member, k);
+        let memo = if k == 1 { &self.trees } else { &self.msets };
+        if let Some(gf) = memo.get(self.key.as_slice()) {
+            self.grades
+                .mul_into(product, *degree, gf, run_degree, spare);
+        } else {
+            let key: Box<[u8]> = self.key.as_slice().into();
+            let gf = if k == 1 {
+                self.tree_gf(member)
+            } else {
+                self.mset_gf(member, k)
+            };
+            self.grades
+                .mul_into(product, *degree, &gf, run_degree, spare);
+            if k >= 2 {
+                self.msets.insert(key, gf);
+            } else if member.len() < self.n {
+                self.trees.insert(key, gf);
+            }
+        }
+        std::mem::swap(product, spare);
+        *degree += run_degree;
+    }
+
+    /// Writes the memo key of `k` copies of `member`: its normalised level
+    /// slice, followed by `k` for multiset runs.
+    fn fill_key(&mut self, member: &[usize], k: usize) {
+        self.key.clear();
+        self.key
+            .extend(member.iter().map(|&l| (l - member[0]) as u8));
+        if k >= 2 {
+            self.key.push(k as u8);
+        }
+    }
+
+    /// GF of the subtree spanning `member`: the product over its child runs,
+    /// shifted by the root's own colour choice (each class with remaining
+    /// budget).
+    fn tree_gf(&mut self, member: &[usize]) -> Box<[u128]> {
+        let m = member.len();
+        let (mut below, mut spare) = (Vec::new(), Vec::new());
+        self.children_product(member, &mut below, &mut spare);
+        let mut out = vec![0u128; self.grades.slice(m).len()];
+        for (&index, &coeff) in self.grades.slice(m - 1).iter().zip(&below) {
+            if coeff == 0 {
                 continue;
             }
-            let va = &self.vectors[ia];
-            for (ib, &cb) in b.iter().enumerate() {
-                if cb == 0 {
-                    continue;
-                }
-                let vb = &self.vectors[ib];
-                // In-bounds digit sums never carry, so indexes just add.
-                if va
-                    .iter()
-                    .zip(vb)
-                    .zip(&self.sizes)
-                    .all(|((&x, &y), &s)| x + y <= s)
-                {
-                    out[ia + ib] = out[ia + ib].saturating_add(ca.saturating_mul(cb));
+            for &stride in &self.grades.strides {
+                if let Some(r) = self.grades.rank_at(index as usize + stride, m) {
+                    out[r] = out[r].saturating_add(coeff);
                 }
             }
         }
-        out
+        out.into_boxed_slice()
     }
 
-    /// The power sum `f(x^i)`: exponents scaled by `i`, truncating.
-    fn power(&self, f: &[u128], i: usize) -> Vec<u128> {
-        let mut out = vec![0u128; self.len];
-        for (idx, &c) in f.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let v = &self.vectors[idx];
-            if v.iter().zip(&self.sizes).all(|(&x, &s)| x * i <= s) {
-                out[idx * i] = out[idx * i].saturating_add(c);
-            }
-        }
-        out
-    }
-
-    /// `MSET_k(f)`: the GF counting multisets of `k` colourings drawn from
-    /// the colouring family `f` counts — one multiset per canonical
-    /// assignment of a run of `k` identical sibling subtrees.
-    fn mset(&mut self, slice: &[usize], k: usize) -> Vec<u128> {
-        if let Some(g) = self.mset_memo.get(&(slice.to_vec(), k)) {
-            return g.clone();
-        }
-        let f = self.tree_gf(slice);
-        let powers: Vec<Vec<u128>> = (1..=k).map(|i| self.power(&f, i)).collect();
-        let mut h: Vec<Vec<u128>> = vec![self.one()];
+    /// `MSET_k(f)` of the subtree spanning `member` (`k >= 2`): the GF
+    /// counting multisets of `k` colourings drawn from the family `f`
+    /// counts — one multiset per canonical assignment of a run of `k`
+    /// identical sibling subtrees.
+    fn mset_gf(&mut self, member: &[usize], k: usize) -> Box<[u128]> {
+        let m = member.len();
+        // f = 1 · MSET_1, through the tree memo.
+        let (mut f, mut spare, mut degree) = (vec![1], Vec::new(), 0);
+        self.mul_run(member, 1, &mut f, &mut degree, &mut spare);
+        let powers: Vec<Vec<u128>> = (1..=k).map(|i| self.grades.power(&f, m, i)).collect();
+        let mut h: Vec<Vec<u128>> = vec![vec![1]];
+        let mut term = Vec::new();
         for j in 1..=k {
-            let mut acc = vec![0u128; self.len];
+            let mut acc = vec![0u128; self.grades.slice(j * m).len()];
             for i in 1..=j {
-                let term = self.mul(&powers[i - 1], &h[j - i]);
-                for (slot, t) in acc.iter_mut().zip(term) {
+                self.grades
+                    .mul_into(&powers[i - 1], i * m, &h[j - i], (j - i) * m, &mut term);
+                for (slot, &t) in acc.iter_mut().zip(&term) {
                     *slot = slot.saturating_add(t);
                 }
             }
@@ -946,86 +1243,7 @@ impl ColourCounter {
             }
             h.push(acc);
         }
-        let result = h.pop().expect("k >= 0");
-        self.mset_memo.insert((slice.to_vec(), k), result.clone());
-        result
-    }
-
-    /// GF of one subtree (normalised level slice, root at relative level 0):
-    /// the product over its child runs of their `MSET_k`, shifted by the
-    /// root's own colour choice.
-    fn tree_gf(&mut self, slice: &[usize]) -> Vec<u128> {
-        if let Some(g) = self.tree_memo.get(slice) {
-            return g.clone();
-        }
-        let product = self.children_product(slice);
-        // The root takes each colour with remaining budget: shift by `e_c`.
-        let mut out = vec![0u128; self.len];
-        for (c, &stride) in self.strides.iter().enumerate() {
-            if self.sizes[c] == 0 {
-                continue;
-            }
-            for (idx, &coeff) in product.iter().enumerate() {
-                if coeff != 0 && self.vectors[idx][c] < self.sizes[c] {
-                    out[idx + stride] = out[idx + stride].saturating_add(coeff);
-                }
-            }
-        }
-        self.tree_memo.insert(slice.to_vec(), out.clone());
-        out
-    }
-
-    /// Product over the child runs of the node at `slice[0]` (children are
-    /// the positions at relative level `slice[0] + 1`; canonical sequences
-    /// keep identical sibling subtrees adjacent, so runs suffice).
-    fn children_product(&mut self, slice: &[usize]) -> Vec<u128> {
-        let root_level = slice[0];
-        // Sibling spans as normalised slices, in order.
-        let mut result = self.one();
-        let mut child = 1;
-        let mut run_slice: Option<Vec<usize>> = None;
-        let mut run_len = 0usize;
-        while child < slice.len() {
-            debug_assert_eq!(slice[child], root_level + 1);
-            let mut next = child + 1;
-            while next < slice.len() && slice[next] > root_level + 1 {
-                next += 1;
-            }
-            let normalised: Vec<usize> = slice[child..next]
-                .iter()
-                .map(|&l| l - root_level - 1)
-                .collect();
-            if run_slice.as_deref() == Some(&normalised) {
-                run_len += 1;
-            } else {
-                if let Some(prev) = run_slice.take() {
-                    let run_gf = self.mset(&prev, run_len);
-                    result = self.mul(&result, &run_gf);
-                }
-                run_slice = Some(normalised);
-                run_len = 1;
-            }
-            child = next;
-        }
-        if let Some(prev) = run_slice.take() {
-            let run_gf = self.mset(&prev, run_len);
-            result = self.mul(&result, &run_gf);
-        }
-        result
-    }
-
-    /// Number of canonical colourings of one forest shape (super-tree level
-    /// sequence, virtual root at level 0 carrying no colour): the
-    /// full-budget coefficient of the root-run product.
-    fn forest_colorings(&mut self, levels: &[usize]) -> u128 {
-        let gf = self.children_product(levels);
-        let full: usize = self
-            .sizes
-            .iter()
-            .zip(&self.strides)
-            .map(|(&s, &stride)| s * stride)
-            .sum();
-        gf[full]
+        h.pop().expect("k >= 1").into_boxed_slice()
     }
 }
 
@@ -1749,7 +1967,7 @@ mod tests {
                 assert!(!seen[shape.ordinal as usize], "{sizes:?}: dup ordinal");
                 seen[shape.ordinal as usize] = true;
                 assert_eq!(
-                    shape.decode_levels(),
+                    shapes.decode_levels(shape),
                     streamed[shape.ordinal as usize],
                     "{sizes:?}: packed levels at ordinal {}",
                     shape.ordinal
@@ -1826,7 +2044,7 @@ mod tests {
                 let code = pack_level_code(&rep.parents, &rep.classes);
                 let shape = shapes
                     .iter()
-                    .find(|s| s.levels[1..] == code[..classes.n()])
+                    .find(|s| shapes.levels(s) == &code[..classes.n()])
                     .expect("every representative's shape is planned");
                 let graph = rep.member_graph(&classes).unwrap();
                 let value = crate::metrics::PlanMetrics::compute(&app, &graph)
@@ -1879,7 +2097,7 @@ mod tests {
             let code = pack_level_code(&rep.parents, &rep.classes);
             let shape = shapes
                 .iter()
-                .find(|s| s.levels[1..] == code[..classes.n()])
+                .find(|s| shapes.levels(s) == &code[..classes.n()])
                 .expect("planned shape");
             let graph = rep.member_graph(&classes).unwrap();
             let value = optimal_tree_latency(&app, &graph);
@@ -2048,6 +2266,35 @@ mod tests {
                 Some(forest_classes(n)),
                 "uniform n={n}"
             );
+        }
+    }
+
+    /// Coloured-class counts at sizes the materialised oracle cannot reach,
+    /// pinned to the values of the original dense-exponent counter, with
+    /// the per-shape colourings of the shape plan summing to the same total.
+    #[test]
+    fn count_only_pass_is_pinned_beyond_the_materialised_oracle() {
+        for (sizes, pinned) in [
+            (vec![7usize, 6], 26_393_378u128),
+            (vec![6, 6], 5_597_060),
+            (vec![4, 4, 4], 170_877_725),
+            (vec![5, 4, 3], 138_988_908),
+            (vec![10, 3], 5_377_756),
+        ] {
+            let classes = WeightClasses::of(&classed_app(&sizes));
+            assert_eq!(
+                classed_class_count(&classes, u128::MAX),
+                Some(pinned),
+                "{sizes:?}: count"
+            );
+            let ShapeScan::Planned { shapes, orbits, .. } =
+                bound_ordered_shape_plan(&classes, None, f64::INFINITY, None)
+            else {
+                panic!("{sizes:?}: no deadline was set");
+            };
+            assert_eq!(orbits, Some(pinned), "{sizes:?}: plan total");
+            let per_shape: u128 = shapes.iter().map(|s| s.colorings).sum();
+            assert_eq!(per_shape, pinned, "{sizes:?}: Σ shape colourings");
         }
     }
 

@@ -51,7 +51,7 @@ pub use canonical::{
     classed_forest_representatives, classed_forest_representatives_within, forest_classes,
     labelled_forests, pack_level_code, unpack_level_code, walk_canonical_colorings,
     CanonicalForests, ClassedCount, ClassedGeneration, ClassedRepresentative, ColoringVisitor,
-    ForestClass, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
+    ForestClass, ShapeBounder, ShapeList, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
     COUNT_DENSE_LIMIT,
 };
 pub use error::{CoreError, CoreResult};

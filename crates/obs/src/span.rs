@@ -55,7 +55,7 @@ impl SpanTimer {
     #[inline]
     pub fn start_sampled(&self) -> Option<SpanGuard> {
         let ordinal = self.calls.inc_ordinal();
-        if ordinal % SAMPLE_EVERY != 0 {
+        if !ordinal.is_multiple_of(SAMPLE_EVERY) {
             return None;
         }
         Some(SpanGuard {

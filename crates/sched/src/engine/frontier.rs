@@ -637,8 +637,9 @@ where
 /// admissible bound ([`ShapeBounder`]) and sorts the shapes bound-ascending;
 /// the expansion loop then walks the canonical colourings of each shape on
 /// demand ([`walk_canonical_colorings`]), pruning colour prefixes against
-/// the shared incumbent, so memory holds the O(shapes) plan plus at most
-/// one representative per worker — never the coloured space.  Because the
+/// the shared incumbent, so memory holds the flat O(shapes) plan (and,
+/// while it is built, the colour counter's memo) plus at most one
+/// representative per worker — never the coloured space.  Because the
 /// shape order is bound-ascending, the first shape whose bound clears the
 /// incumbent certifies every remaining shape prunable and ends the search
 /// in one step.
@@ -649,8 +650,9 @@ where
 /// so complete runs are bit-identical to the depth-first scan of the
 /// materialised stream, serial or parallel.  `frontier_cap` bounds the
 /// number of shapes expanded per batch (hence the resident representative
-/// count); the packed level sequence in each [`ShapePlan`] is the resumable
-/// cursor, so throttling never re-materialises anything.
+/// count); each shape's level code in the flat [`fsw_core::ShapeList`] is
+/// the resumable cursor, decoded into one reused buffer per worker, so
+/// throttling never re-materialises anything.
 pub fn streamed_canonical_search<F>(
     app: &Application,
     classes: &WeightClasses,
@@ -769,6 +771,7 @@ where
                 expanded: 0,
                 local: None,
             };
+            let mut levels = Vec::with_capacity(classes.n() + 1);
             for shape in chunk {
                 // Re-check against the live incumbent: shapes admitted when
                 // the batch was cut may have become hopeless since.
@@ -787,7 +790,8 @@ where
                 }
                 walker.shape_ordinal = shape.ordinal;
                 walker.reached = 0;
-                if !walk_canonical_colorings(&shape.decode_levels(), classes, &mut walker) {
+                plan.decode_into(shape, &mut levels);
+                if !walk_canonical_colorings(&levels, classes, &mut walker) {
                     break; // deadline interrupted mid-walk
                 }
             }

@@ -15,12 +15,13 @@
 //!   (OVERLAP / lower-bound MINPERIOD, forest-phase MINLATENCY via exact
 //!   Algorithm 1), the budget-capped worst-case ordering-search size on
 //!   orchestrated paths;
-//! * an optional **admissible value floor**: the head bound of the
-//!   bound-ordered shape plan ([`fsw_core::bound_ordered_shape_plan`] +
-//!   [`ShapeBounder`]) — every candidate plan belongs to some shape and
-//!   costs at least its shape bound, so the smallest shape bound lower
-//!   bounds the instance optimum.  Rejected callers learn what they are
-//!   missing; degraded answers ship with a certified gap.
+//! * an optional **admissible value floor**: the smallest shape bound
+//!   ([`ShapeBounder::forest_floor`], the head bound of the bound-ordered
+//!   shape plan, streamed without building the plan) — every candidate
+//!   plan belongs to some shape and costs at least its shape bound, so the
+//!   smallest shape bound lower bounds the instance optimum.  Rejected
+//!   callers learn what they are missing; degraded answers ship with a
+//!   certified gap.
 //!
 //! The product of the first two is the **estimated cost** — the number of
 //! candidate evaluations an exhaustive solve would pay — and the
@@ -37,8 +38,8 @@
 use std::time::{Duration, Instant};
 
 use fsw_core::{
-    bound_ordered_shape_plan, classed_class_count_within, Application, ClassedCount, CommModel,
-    ShapeBounder, ShapeObjective, ShapeScan, WeightClasses,
+    classed_class_count_within, Application, ClassedCount, CommModel, ShapeBounder, ShapeObjective,
+    WeightClasses,
 };
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::minperiod::PeriodEvaluation;
@@ -241,31 +242,20 @@ impl AdmissionPolicy {
         }
     }
 
-    /// Certifies an admissible lower bound for `(app, model, objective)`
-    /// within the pricing budget — the degraded-response path uses this to
-    /// attach a floor to solves that were admitted without one.
+    /// Certifies an admissible lower bound for `(app, model, objective)` —
+    /// the degraded-response path uses this to attach a floor to solves
+    /// that were admitted without one.  Every candidate costs at least its
+    /// shape's bound, so the smallest shape bound
+    /// ([`ShapeBounder::forest_floor`], the head of the bound-ordered shape
+    /// plan, streamed without building it) floors the whole forest space
+    /// (constrained plans are a subset of it, so the floor holds for them
+    /// too).  `None` when the DAG phase could beat it or when the shape
+    /// space exceeds 2 000 shapes (`n > 10`) — the structural gate that
+    /// bounds this pass instead of a wall-clock deadline, keeping the floor
+    /// deterministic.
     pub fn certified_floor(
         &self,
         app: &Application,
-        model: CommModel,
-        objective: Objective,
-        budget: &SearchBudget,
-    ) -> Option<f64> {
-        self.value_floor(app, &WeightClasses::of(app), model, objective, budget)
-    }
-
-    /// Admissible instance-wide lower bound from the bound-ordered shape
-    /// plan: the plan is sorted by shape bound and every candidate costs at
-    /// least its shape's bound, so the head bound floors the whole forest
-    /// space (constrained plans are a subset of it, so the floor holds for
-    /// them too).  `None` when the DAG phase could beat it or when the
-    /// shape space exceeds [`FLOOR_SHAPE_LIMIT`] — the structural gate that
-    /// bounds this pass instead of a wall-clock deadline, keeping the floor
-    /// deterministic.
-    fn value_floor(
-        &self,
-        app: &Application,
-        classes: &WeightClasses,
         model: CommModel,
         objective: Objective,
         budget: &SearchBudget,
@@ -279,11 +269,7 @@ impl AdmissionPolicy {
         if fsw_core::forest_classes(n) > FLOOR_SHAPE_LIMIT {
             return None;
         }
-        let bounder = ShapeBounder::new(app, shape_objective);
-        match bound_ordered_shape_plan(classes, Some(&bounder), f64::INFINITY, None) {
-            ShapeScan::Planned { shapes, .. } => shapes.first().map(|shape| shape.bound),
-            ShapeScan::DeadlineExpired => None,
-        }
+        Some(ShapeBounder::new(app, shape_objective).forest_floor())
     }
 }
 
@@ -468,5 +454,60 @@ mod tests {
             ordering_weight(6, CommModel::Overlap, Objective::MinPeriod, &b),
             1
         );
+    }
+
+    #[test]
+    fn the_streamed_floor_is_the_shape_plan_head_bit_for_bit() {
+        use fsw_core::{bound_ordered_shape_plan, ShapeScan};
+        // No DAG phase, so MINLATENCY prices its forest floor at every n.
+        let b = SearchBudget {
+            dag_enumeration_max_n: 0,
+            ..budget()
+        };
+        let policy = AdmissionPolicy::for_budget(&b);
+        // Distinct weights stop at n = 8: at n = 10 each plan's colour count
+        // runs over 2^10 exponent vectors, seconds in a debug build.
+        let mut apps = Vec::new();
+        for n in [1usize, 4, 7, 8, 10] {
+            let uniform = vec![(2.0, 0.7); n];
+            let tiered: Vec<(f64, f64)> = (0..n)
+                .map(|k| if k < n / 2 { (1.5, 0.6) } else { (3.0, 1.2) })
+                .collect();
+            apps.push(Application::independent(&uniform));
+            apps.push(Application::independent(&tiered));
+            if n <= 8 {
+                let distinct: Vec<(f64, f64)> = (0..n)
+                    .map(|k| (1.0 + 0.5 * k as f64, 0.4 + 0.15 * k as f64))
+                    .collect();
+                apps.push(Application::independent(&distinct));
+            }
+        }
+        for app in &apps {
+            let classes = WeightClasses::of(app);
+            for model in [CommModel::Overlap, CommModel::InOrder, CommModel::OutOrder] {
+                for objective in [Objective::MinPeriod, Objective::MinLatency] {
+                    let shape_objective = match objective {
+                        Objective::MinPeriod => ShapeObjective::Period(model),
+                        Objective::MinLatency => ShapeObjective::Latency,
+                    };
+                    let bounder = ShapeBounder::new(app, shape_objective);
+                    let ShapeScan::Planned { shapes, .. } =
+                        bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
+                    else {
+                        panic!("no deadline was set");
+                    };
+                    let floor = policy
+                        .certified_floor(app, model, objective, &b)
+                        .expect("n <= 10 is inside the floor gate");
+                    assert_eq!(
+                        floor.to_bits(),
+                        shapes[0].bound.to_bits(),
+                        "n={} {:?} {model} {objective}",
+                        app.n(),
+                        classes.sizes()
+                    );
+                }
+            }
+        }
     }
 }

@@ -593,7 +593,7 @@ fn lazy_stream_covers_the_materialised_classed_space() {
         for shape in &shapes {
             planned_orbits += shape.colorings;
             assert!(walk_canonical_colorings(
-                &shape.decode_levels(),
+                &shapes.decode_levels(shape),
                 &classes,
                 &mut collector
             ));
@@ -707,7 +707,7 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
         let mut collector = CollectAll::new(&classes);
         for shape in &shapes {
             assert!(walk_canonical_colorings(
-                &shape.decode_levels(),
+                &shapes.decode_levels(shape),
                 &classes,
                 &mut collector
             ));
