@@ -1253,7 +1253,7 @@ fn async_overload_rows(
 /// E16 — a million-request overload trace through the async front end with
 /// injected worker-stall / slow-shard / ingress-burst faults, replayed at
 /// 1, 2 and 4 workers (decision digests must match bit-for-bit).  See
-/// [`async_overload_rows`] for the asserted contracts.
+/// `async_overload_rows` for the asserted contracts.
 pub fn e16_async_overload() -> Vec<ExperimentRow> {
     async_overload_rows(
         32,
@@ -1560,7 +1560,7 @@ fn observed_overload_rows(
 /// registry snapshot bit-equal to the exact serve tallies, sketch-decoded
 /// per-tenant rates inside the count-min bound, < 5% wall overhead, and
 /// decision digests bit-identical to the uninstrumented replay at 1, 2
-/// and 4 workers.  See [`observed_overload_rows`].
+/// and 4 workers.  See `observed_overload_rows`.
 pub fn e17_observability() -> Vec<ExperimentRow> {
     observed_overload_rows(
         32,

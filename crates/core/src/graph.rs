@@ -1,7 +1,7 @@
 //! Execution graphs.
 //!
 //! An execution graph `EG = (C, E)` is a DAG over the services of an
-//! [`Application`](crate::Application).  It contains the application's
+//! [`Application`].  It contains the application's
 //! precedence constraints (in its transitive closure) plus any extra edges the
 //! scheduler decided to add so that upstream selectivities shrink downstream
 //! data.  Entry nodes implicitly receive data from an *input node* and exit

@@ -51,8 +51,8 @@ pub use canonical::{
     classed_forest_representatives, classed_forest_representatives_within, forest_classes,
     labelled_forests, pack_level_code, unpack_level_code, walk_canonical_colorings,
     CanonicalForests, ClassedCount, ClassedGeneration, ClassedRepresentative, ColoringVisitor,
-    ForestClass, ShapeBounder, ShapeList, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
-    COUNT_DENSE_LIMIT,
+    ForestClass, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
+    COUNT_DENSE_LIMIT, SHAPE_CODE_MAX_N,
 };
 pub use error::{CoreError, CoreResult};
 pub use fingerprint::{AppFingerprint, CanonicalApplication};

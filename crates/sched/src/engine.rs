@@ -363,7 +363,9 @@ impl CanonicalSpace {
     /// from above, so declining a borderline space is the worst case).
     pub fn exhaustively_coverable(app: &Application, cap: usize) -> bool {
         let n = app.n();
-        if n == 0 || app.has_constraints() {
+        // Beyond the widest shape key the streamed walk refuses the space
+        // (and `n^n` saturates past any cap), so the search degrades.
+        if n == 0 || n > fsw_core::SHAPE_CODE_MAX_N || app.has_constraints() {
             return false;
         }
         let cap = cap as u128;

@@ -5,7 +5,7 @@
 //! stumble on a good candidate, and everything visited before that point is
 //! evaluated against a weak bound.  This module flips the exploration
 //! around: a **priority frontier** of partial forests ordered by their
-//! admissible [`PartialForestMetrics`](fsw_core::PartialForestMetrics) bound
+//! admissible [`PartialForestMetrics`] bound
 //! (a binary heap with deterministic tie-breaking by enumeration rank)
 //! always expands the most promising prefix next, so the incumbent drops to
 //! the optimum almost immediately — and because the heap is bound-ordered,
@@ -536,7 +536,9 @@ struct StreamWalker<'a, F> {
     used: Vec<usize>,
     parents: Vec<Option<ServiceId>>,
     weights: Vec<ServiceId>,
-    shape_ordinal: u64,
+    /// [`ShapePlan::rank`] of the shape being walked: the high half of
+    /// every global index.
+    shape_rank: u64,
     /// Completions reached so far within the current shape: pruned
     /// colourings are strictly worse than the incumbent so they never tie
     /// for the minimum, and reached completions keep their relative walk
@@ -589,7 +591,7 @@ where
             // workers, and the cross-worker merge still minimises
             // `(value, idx)`.)
             if let Some((bv, bi, _)) = self.local.as_ref() {
-                let floor = ((self.shape_ordinal as u128) << 64) | self.reached as u128;
+                let floor = ((self.shape_rank as u128) << 64) | self.reached as u128;
                 if bound >= *bv && floor > *bi {
                     self.metrics.pop();
                     return false;
@@ -614,7 +616,7 @@ where
             self.interrupted = true;
             return false;
         }
-        let idx = ((self.shape_ordinal as u128) << 64) | self.reached as u128;
+        let idx = ((self.shape_rank as u128) << 64) | self.reached as u128;
         self.reached += 1;
         self.expanded += 1;
         let graph = CanonicalRep::labelled_graph(&self.parents, &self.weights);
@@ -645,14 +647,15 @@ where
 /// in one step.
 ///
 /// The winner is the `(value, global index)` lexicographic minimum, where
-/// the global index orders candidates by `(canonical shape ordinal, walk
-/// order within the shape)` — exactly the materialised enumeration order —
-/// so complete runs are bit-identical to the depth-first scan of the
-/// materialised stream, serial or parallel.  `frontier_cap` bounds the
+/// the global index orders candidates by `(shape rank, walk order within
+/// the shape)` — the rank ([`ShapePlan::rank`]) increases along the
+/// canonical shape stream, so this is exactly the materialised enumeration
+/// order — and complete runs are bit-identical to the depth-first scan of
+/// the materialised stream, serial or parallel.  `frontier_cap` bounds the
 /// number of shapes expanded per batch (hence the resident representative
-/// count); each shape's level code in the flat [`fsw_core::ShapeList`] is
-/// the resumable cursor, decoded into one reused buffer per worker, so
-/// throttling never re-materialises anything.
+/// count); each record's 64-bit parenthesis key is the resumable cursor,
+/// decoded into one reused buffer per worker, so throttling never
+/// re-materialises anything.
 pub fn streamed_canonical_search<F>(
     app: &Application,
     classes: &WeightClasses,
@@ -714,7 +717,7 @@ where
     let plan = match bound_ordered_shape_plan(classes, bounder.as_ref(), cutoff, exec.deadline) {
         // Nothing evaluated yet: degrade to the fallback like any
         // interrupted search.
-        ShapeScan::DeadlineExpired => return (None, stats),
+        ShapeScan::DeadlineExpired | ShapeScan::TooWide => return (None, stats),
         ShapeScan::Planned {
             shapes,
             orbits,
@@ -734,7 +737,7 @@ where
     let incumbent = Incumbent::seeded(incumbent_seed);
     let threads = exec.effective_threads();
     let batch_len = (threads * 2).max(1).min(frontier_cap.max(1));
-    let weight_of = |s: &ShapePlan| u64::try_from(s.colorings.max(1)).unwrap_or(u64::MAX);
+    let weight_of = |s: &ShapePlan| s.colorings.max(1);
     let mut best: Option<(f64, u128, ExecutionGraph)> = None;
     let mut complete = true;
     let mut at = 0;
@@ -764,7 +767,7 @@ where
                 used: vec![0; pool.len()],
                 parents: Vec::with_capacity(classes.n()),
                 weights: Vec::with_capacity(classes.n()),
-                shape_ordinal: 0,
+                shape_rank: 0,
                 reached: 0,
                 ticks: 0,
                 interrupted: false,
@@ -780,17 +783,17 @@ where
                 }
                 // Shape-level tie dominance (the same rule the walker
                 // applies per colour prefix): every completion of a
-                // later-ordinal shape is canonically later than the local
+                // later-ranked shape is canonically later than the local
                 // best, so a bound reaching its value certifies the whole
                 // shape a lexicographic loser.
                 if walker.local.as_ref().is_some_and(|(bv, bi, _)| {
-                    shape.bound >= *bv && ((shape.ordinal as u128) << 64) > *bi
+                    shape.bound >= *bv && ((shape.rank() as u128) << 64) > *bi
                 }) {
                     continue;
                 }
-                walker.shape_ordinal = shape.ordinal;
+                walker.shape_rank = shape.rank();
                 walker.reached = 0;
-                plan.decode_into(shape, &mut levels);
+                shape.decode_into(&mut levels);
                 if !walk_canonical_colorings(&levels, classes, &mut walker) {
                     break; // deadline interrupted mid-walk
                 }

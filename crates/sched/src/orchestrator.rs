@@ -165,7 +165,7 @@ pub struct SearchBudget {
     /// How the exhaustive plan searches walk their candidate space
     /// (depth-first branch-and-bound vs best-first over the partial bound).
     /// Both return bit-identical solutions; see
-    /// [`SearchStrategy`](crate::engine::SearchStrategy).
+    /// [`SearchStrategy`].
     pub search_strategy: SearchStrategy,
 }
 
@@ -402,9 +402,9 @@ pub fn solve_warm(
 /// plan search, `solve.orchestrate` — scheduling the winning graph, plus
 /// the engine-stage spans `engine.shape_stream` / `engine.expand` /
 /// `engine.certify` inside the streamed walk) and publishes the plan
-/// search's [`StreamStats`] into `engine.stream.*` instruments.  The
-/// solve itself is untouched — instrumented and plain runs return
-/// bit-identical solutions and stats.
+/// search's [`StreamStats`](crate::engine::frontier::StreamStats) into
+/// `engine.stream.*` instruments.  The solve itself is untouched —
+/// instrumented and plain runs return bit-identical solutions and stats.
 pub fn solve_warm_observed(
     problem: &Problem<'_>,
     budget: &SearchBudget,

@@ -29,18 +29,17 @@
 //! Since the hardening pass, the service also **prices every request
 //! before solving it** ([`admission`]): an O(shapes) structural cost
 //! estimate decides Admit / AdmitWithDeadline / Reject before any
-//! enumeration starts, responses are a three-way
-//! [`ServeOutcome`](service::ServeOutcome) (`Exact` / `Degraded` /
-//! `Rejected`), solver panics are caught and quarantined instead of
-//! poisoning the queue, and a deterministic fault hook
+//! enumeration starts, responses are a three-way [`ServeOutcome`]
+//! (`Exact` / `Degraded` / `Rejected`), solver panics are caught and
+//! quarantined instead of poisoning the queue, and a deterministic fault hook
 //! ([`PlanService::with_fault_injection`](service::PlanService::with_fault_injection))
 //! makes all of it testable under replay.
 //!
 //! Since the async pass, an optional **event-loop front end**
 //! ([`frontend::AsyncFrontend`]) sits above `serve_batch`: callers get a
-//! [`Ticket`](frontend::Ticket) from a bounded per-tenant ingress queue
-//! instead of blocking on a batch, the live backlog feeds back into the
-//! admission thresholds (adaptive load shedding with hysteresis),
+//! [`Ticket`] from a bounded per-tenant ingress queue instead of blocking
+//! on a batch, the live backlog feeds back into the admission thresholds
+//! (adaptive load shedding with hysteresis),
 //! deadlines propagate to dequeue-time cancellation, and worker
 //! heartbeats time out stalled solves into the quarantine — all decisions
 //! on one loop thread in logical ticks, so replays are deterministic

@@ -343,6 +343,8 @@ pub enum InjectedFault {
 ///   hill climbing) and no `time_limit` may be set (an interrupted
 ///   enumeration returns a best-so-far that depends on the walk order,
 ///   hence on labels, and on the wall clock).
+///
+/// [`CanonicalSpace::exhaustively_coverable`]: fsw_sched::engine::CanonicalSpace::exhaustively_coverable
 pub fn permutation_collapse_allowed(
     app: &Application,
     model: CommModel,

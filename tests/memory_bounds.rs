@@ -6,11 +6,12 @@
 //! point while one prelude call runs; the result stays alive until the
 //! window closes, so the peak includes what the call returns.
 //!
-//! Every bound is `bytes per stored shape × A000081(n + 1)` plus a stated
-//! allowance: a stored shape is one `ShapePlan` record plus its `n`-byte
-//! level code in the plan's arena, and the allowance covers the colour
-//! counter's memo on the tiered partition (the uniform one never builds
-//! it) and the per-shape scratch of the stream and the bounder.
+//! A cold plan's bound is `size_of::<ShapePlan>() × A000081(n + 1)` — a
+//! stored shape is its 24-byte record and nothing else — plus a stated
+//! allowance covering the colour counter's memo on the tiered partition
+//! (the uniform one never builds it) and the per-shape scratch of the
+//! stream and the bounder.  A warm plan's bound counts its survivors only:
+//! a shape pruned by the cutoff costs nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,15 +83,14 @@ static ALLOC: CountingAlloc = CountingAlloc {
     peak: AtomicUsize::new(0),
 };
 
-/// Peak live heap bytes above the starting point while `f` runs and its
-/// result is alive.
-fn peak_bytes<T>(f: impl FnOnce() -> T) -> usize {
+/// Peak live heap bytes above the starting point while `f` runs, with its
+/// result (alive until the peak is read, so the peak includes it).
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let base = ALLOC.live.load(Ordering::Relaxed);
     ALLOC.peak.store(base, Ordering::Relaxed);
     let kept = f();
     let peak = ALLOC.peak.load(Ordering::Relaxed);
-    drop(kept);
-    peak - base
+    (peak - base, kept)
 }
 
 /// Allowance for the per-shape scratch of the stream and the bounder.
@@ -102,21 +102,28 @@ const SCRATCH_ALLOWANCE: usize = 64 << 10;
 /// slot, plus a few dozen multiset runs (about 1.1 MiB measured).
 const COUNTER_ALLOWANCE: usize = 3 << 19;
 
-fn plan_peak(app: &Application) -> usize {
+/// Peak bytes of `app`'s INORDER period shape plan under `cutoff`, and the
+/// shapes it kept.
+fn plan_peak(app: &Application, cutoff: f64) -> (usize, Vec<ShapePlan>) {
     let classes = WeightClasses::of(app);
     let bounder = ShapeBounder::new(app, ShapeObjective::Period(CommModel::InOrder));
-    peak_bytes(|| {
-        let scan = bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None);
-        let ShapeScan::Planned { shapes, .. } = &scan else {
-            panic!("no deadline was set");
-        };
-        assert_eq!(shapes.len() as u128, forest_classes(app.n()));
-        scan
-    })
+    let (peak, scan) =
+        peak_bytes(|| bound_ordered_shape_plan(&classes, Some(&bounder), cutoff, None));
+    let ShapeScan::Planned { shapes, .. } = scan else {
+        panic!("no deadline was set");
+    };
+    (peak, shapes)
 }
 
+/// Bound of a cold plan: one record per shape of the space.
 fn plan_bound(n: usize, allowance: usize) -> usize {
-    (std::mem::size_of::<ShapePlan>() + n) * forest_classes(n) as usize + allowance
+    std::mem::size_of::<ShapePlan>() * forest_classes(n) as usize + allowance
+}
+
+/// Bound of a warm plan keeping `survivors` shapes: its records grow by
+/// doubling, and old and new blocks coexist while one grows.
+fn warm_plan_bound(survivors: usize) -> usize {
+    3 * std::mem::size_of::<ShapePlan>() * survivors + SCRATCH_ALLOWANCE
 }
 
 #[test]
@@ -128,20 +135,38 @@ fn shape_prelude_peak_heap_stays_within_its_bounds() {
     };
     let uniform = Application::independent(&[(2.0, 0.7); 14]);
     let tiered_classes = WeightClasses::of(&tiered);
+    let (tiered_peak, tiered_plan) = plan_peak(&tiered, f64::INFINITY);
+    assert_eq!(tiered_plan.len() as u128, forest_classes(13));
+    let (uniform_peak, uniform_plan) = plan_peak(&uniform, f64::INFINITY);
+    assert_eq!(uniform_plan.len() as u128, forest_classes(14));
+    // Warm scan at the cold plan's first-quartile bound (3.7).
+    let cutoff = uniform_plan[uniform_plan.len() / 4].bound;
+    let (warm_peak, warm_plan) = plan_peak(&uniform, cutoff);
+    let survivors = warm_plan.len();
+    assert!(warm_plan.iter().all(|s| s.bound <= cutoff));
+    println!(
+        "warm cutoff {cutoff} keeps {survivors} of {} shapes",
+        forest_classes(14)
+    );
     let cases = [
         (
             "7+6 shape plan",
-            plan_peak(&tiered),
+            tiered_peak,
             plan_bound(13, SCRATCH_ALLOWANCE + COUNTER_ALLOWANCE),
         ),
         (
             "uniform n=14 shape plan",
-            plan_peak(&uniform),
+            uniform_peak,
             plan_bound(14, SCRATCH_ALLOWANCE),
         ),
         (
+            "uniform n=14 warm shape plan",
+            warm_peak,
+            warm_plan_bound(survivors),
+        ),
+        (
             "7+6 colour count",
-            peak_bytes(|| classed_class_count(&tiered_classes, u128::MAX)),
+            peak_bytes(|| classed_class_count(&tiered_classes, u128::MAX)).0,
             SCRATCH_ALLOWANCE + COUNTER_ALLOWANCE,
         ),
     ];

@@ -590,13 +590,11 @@ fn lazy_stream_covers_the_materialised_classed_space() {
         }
         let mut collector = CollectAll::new(&classes);
         let mut planned_orbits = 0u128;
+        let mut levels = Vec::new();
         for shape in &shapes {
-            planned_orbits += shape.colorings;
-            assert!(walk_canonical_colorings(
-                &shapes.decode_levels(shape),
-                &classes,
-                &mut collector
-            ));
+            planned_orbits += u128::from(shape.colorings);
+            shape.decode_into(&mut levels);
+            assert!(walk_canonical_colorings(&levels, &classes, &mut collector));
         }
         let mut streamed = collector.reps;
         let reps = CanonicalSpace::classed_representatives(&app, 2_000_000).unwrap();
@@ -705,12 +703,10 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
             "n={n}: uniform shapes are their own colouring"
         );
         let mut collector = CollectAll::new(&classes);
+        let mut levels = Vec::new();
         for shape in &shapes {
-            assert!(walk_canonical_colorings(
-                &shapes.decode_levels(shape),
-                &classes,
-                &mut collector
-            ));
+            shape.decode_into(&mut levels);
+            assert!(walk_canonical_colorings(&levels, &classes, &mut collector));
         }
         let mut streamed = collector.reps;
         let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> =

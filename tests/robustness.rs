@@ -10,7 +10,10 @@
 //!   by request ordinal, not by scheduling accidents;
 //! * a panicking cold-solve leader rejects its in-flight followers through
 //!   the public API (nobody hangs), quarantines the fingerprint with
-//!   exponential backoff, and recovers once the fault clears.
+//!   exponential backoff, and recovers once the fault clears;
+//! * a plan space whose shapes are wider than the 64-bit shape key is
+//!   refused up front, so an unbounded budget degrades instead of
+//!   streaming without end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,7 +21,10 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fsw::core::CommModel;
+use fsw::core::{
+    bound_ordered_shape_plan, Application, CommModel, ShapeScan, WeightClasses, SHAPE_CODE_MAX_N,
+};
+use fsw::sched::engine::CanonicalSpace;
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::serve::{
     AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService, RejectReason,
@@ -68,6 +74,35 @@ fn minlatency_dag_phase_honours_a_short_deadline() {
         "an interrupted DAG enumeration must not claim exhaustiveness"
     );
     assert!(solution.value.is_finite(), "the incumbent is still a plan");
+}
+
+#[test]
+fn shapes_wider_than_the_key_degrade_instead_of_streaming_without_end() {
+    // n = 33 has about 2.2e13 forest shapes, far beyond any budget, yet an
+    // unbounded `max_graphs` admits the shape count and no deadline stops
+    // the scan: only the key-width refusal keeps the solve finite.
+    let n = SHAPE_CODE_MAX_N + 1;
+    let app = Application::independent(&vec![(2.0, 0.7); n]);
+    assert!(matches!(
+        bound_ordered_shape_plan(&WeightClasses::of(&app), None, f64::INFINITY, None),
+        ShapeScan::TooWide
+    ));
+    assert!(!CanonicalSpace::exhaustively_coverable(&app, usize::MAX));
+    let budget = SearchBudget {
+        max_graphs: usize::MAX,
+        time_limit: None,
+        ..SearchBudget::default()
+    };
+    let solution = solve(
+        &Problem::new(&app, CommModel::Overlap, Objective::MinPeriod),
+        &budget,
+    )
+    .unwrap();
+    assert!(
+        !solution.exhaustive,
+        "a refused shape scan must not claim exhaustiveness"
+    );
+    assert!(solution.value.is_finite(), "the fallback is still a plan");
 }
 
 #[test]
