@@ -38,8 +38,8 @@ use fsw_sched::tree::tree_latency;
 use fsw_sched::CommOrderings;
 use fsw_serve::{FrontendConfig, PlanRequest, PlanService, ServeSource};
 use fsw_sim::{
-    replay_oplist, replay_trace, replay_trace_async, simulate_inorder, AsyncDisposition,
-    Disposition, FaultPlan, FrontendReplayConfig, FrontendReport, ServeReplayConfig,
+    replay_oplist, replay_trace, replay_trace_async, simulate_inorder, Disposition, FaultPlan,
+    FrontendReplayConfig, FrontendReport, ServeReplayConfig,
 };
 use fsw_workloads::streaming::{serving_trace, ArrivalTrace, TraceConfig};
 use fsw_workloads::{
@@ -829,17 +829,17 @@ pub fn e14_serving() -> Vec<ExperimentRow> {
         ExperimentRow::new(
             "cold solves (fingerprint leaders)",
             None,
-            report.service.cold as f64,
+            report.stats.dispatches as f64,
         ),
         ExperimentRow::new(
             "store hits across batches",
             None,
-            report.service.store_hits as f64,
+            report.stats.store_hits as f64,
         ),
         ExperimentRow::new(
             "in-flight dedup hits",
             None,
-            report.service.dedup_hits as f64,
+            report.stats.dedup_joins as f64,
         ),
         ExperimentRow::new(
             "online re-plans after service-set mutations",
@@ -935,14 +935,11 @@ pub fn e15_overload() -> Vec<ExperimentRow> {
     );
     let (exact, degraded, rejected) = report.mix();
     assert!(exact > 0 && degraded > 0 && rejected > 0, "degenerate mix");
-    assert_eq!(report.service.panics, 1, "exactly one injected panic fires");
-    assert_eq!(report.service.recovered, 1, "the quarantined key recovers");
+    assert_eq!(report.stats.panics, 1, "exactly one injected panic fires");
+    assert_eq!(report.stats.recovered, 1, "the quarantined key recovers");
+    assert!(report.stats.quarantine_rejects > 0, "no backoff exercised");
     assert!(
-        report.service.quarantine_rejects > 0,
-        "no backoff exercised"
-    );
-    assert!(
-        report.service.admission_rejects as f64 >= 0.1 * report.requests() as f64,
+        report.stats.admission_rejects as f64 >= 0.1 * report.requests() as f64,
         "jumbo tenants are 1/8 of the request cycle; admission must reject them all"
     );
     for outcome in &report.outcomes {
@@ -975,22 +972,22 @@ pub fn e15_overload() -> Vec<ExperimentRow> {
         ExperimentRow::new(
             "admission rejections (priced before any solve)",
             None,
-            report.service.admission_rejects as f64,
+            report.stats.admission_rejects as f64,
         ),
         ExperimentRow::new(
             "quarantine rejections (backoff after the injected panic)",
             None,
-            report.service.quarantine_rejects as f64,
+            report.stats.quarantine_rejects as f64,
         ),
         ExperimentRow::new(
             "solver panics caught by the pool (must equal injected = 1)",
             Some(1.0),
-            report.service.panics as f64,
+            report.stats.panics as f64,
         ),
         ExperimentRow::new(
             "quarantined fingerprints recovered after backoff",
             Some(1.0),
-            report.service.recovered as f64,
+            report.stats.recovered as f64,
         ),
         ExperimentRow::new(
             "p50 request latency, microseconds",
@@ -1072,7 +1069,7 @@ fn overload_scenario(
         stall_timeout,
     };
     let faults = FaultPlan::new()
-        .stall_worker_at(0, stall_timeout * 10)
+        .slow_at(0, stall_timeout * 10)
         .slow_shard_at(100, Duration::from_millis(1))
         .burst_at(burst_ordinal, burst_extra);
     (trace, frontend, faults)
@@ -1133,27 +1130,24 @@ fn async_overload_rows(
         "every ticket must resolve to a ServeOutcome — a missing completion is a hang"
     );
     assert_eq!(
-        report.frontend.submitted, report.frontend.completed,
+        report.stats.submitted, report.stats.completed,
         "tickets left outstanding after the drain"
     );
     assert!(
-        report.frontend.peak_tenant_queue <= frontend.queue_capacity,
+        report.stats.peak_tenant_queue <= frontend.queue_capacity,
         "per-tenant queue memory exceeded its configured bound"
     );
     assert_eq!(
         report.store_non_exhaustive, 0,
         "a non-exhaustive plan entered the store"
     );
-    assert_eq!(
-        report.frontend.stalls, 1,
-        "exactly one injected stall fires"
-    );
+    assert_eq!(report.stats.stalls, 1, "exactly one injected stall fires");
     assert!(
-        report.frontend.quarantine_rejects > 0,
+        report.stats.quarantine_rejects > 0,
         "the stalled fingerprint must back off through the quarantine"
     );
     assert_eq!(
-        report.frontend.recovered, 1,
+        report.stats.recovered, 1,
         "the stalled fingerprint recovers after the backoff"
     );
     // The shed-rate curve: zero at steady state, sharply up in the burst
@@ -1175,15 +1169,15 @@ fn async_overload_rows(
     );
     assert_eq!(calm_rate, 0.0, "shed rate must return to baseline");
     assert!(
-        report.frontend.peak_shed_level > 0,
+        report.stats.peak_shed_level > 0,
         "the backlog must tighten the admission thresholds"
     );
     assert_eq!(
-        report.frontend.shed_level, 0,
+        report.stats.shed_level, 0,
         "hysteresis must relax once the backlog drains"
     );
     assert!(
-        report.frontend.deadline_cancels > 0,
+        report.stats.deadline_cancels > 0,
         "the burst tail must be cancelled at dequeue"
     );
     let (exact, degraded, rejected) = report.mix();
@@ -1203,37 +1197,37 @@ fn async_overload_rows(
         ExperimentRow::new(
             "ingress sheds: bounded tenant queue full at submit",
             None,
-            report.frontend.queue_full_sheds as f64,
+            report.stats.queue_full_sheds as f64,
         ),
         ExperimentRow::new(
             "backpressure sheds at backlog-scaled thresholds",
             None,
-            report.frontend.backpressure_sheds as f64,
+            report.stats.backpressure_sheds as f64,
         ),
         ExperimentRow::new(
             "deadline cancellations at dequeue (burst tail)",
             None,
-            report.frontend.deadline_cancels as f64,
+            report.stats.deadline_cancels as f64,
         ),
         ExperimentRow::new(
             "peak shed level (adaptive hysteresis, cap 8)",
             Some(8.0),
-            report.frontend.peak_shed_level as f64,
+            report.stats.peak_shed_level as f64,
         ),
         ExperimentRow::new(
             "peak per-tenant queue depth (bound = 64)",
             Some(64.0),
-            report.frontend.peak_tenant_queue as f64,
+            report.stats.peak_tenant_queue as f64,
         ),
         ExperimentRow::new(
             "worker stalls timed out by the watchdog (must equal injected = 1)",
             Some(1.0),
-            report.frontend.stalls as f64,
+            report.stats.stalls as f64,
         ),
         ExperimentRow::new(
             "stalled fingerprints recovered through the quarantine",
             Some(1.0),
-            report.frontend.recovered as f64,
+            report.stats.recovered as f64,
         ),
         ExperimentRow::new(
             "worker counts with bit-identical decision digests",
@@ -1289,11 +1283,10 @@ pub fn e16s_smoke() -> Vec<ExperimentRow> {
 /// 1. **non-interference** — the instrumented decision digest is
 ///    bit-identical to a registry-disabled replay of the same timeline,
 ///    and stays bit-identical across every worker count;
-/// 2. **exactness** — every registry counter that mirrors a serve-layer
-///    tally (frontend decisions, store hits/misses/evictions, outcome
-///    mix, shed transitions) equals the exact counter, and the
-///    logical-tick latency histogram reproduces the replay's nearest-rank
-///    percentiles;
+/// 2. **exactness** — the registry counters of ingress, completions and
+///    every reject and degrade kind equal the tallies recomputed from the
+///    replay's per-ticket outcomes, and the logical-tick latency histogram
+///    reproduces the replay's nearest-rank percentiles;
 /// 3. **sketch accuracy** — per-tenant request/shed/degrade tallies
 ///    decoded from the traffic sketches never undercount, peeled tenants
 ///    are exact, and every overestimate respects the count-min bound
@@ -1379,38 +1372,47 @@ fn observed_overload_rows(
         );
     }
 
-    // 2. Exactness: snapshot counters == the serve layer's own tallies.
+    // 2. Exactness: the service counts every event once, in the registry;
+    // each count equals the tally recomputed from the per-ticket outcomes.
     let snap = registry.snapshot();
-    let fs = &report.frontend;
-    let serve = &report.serve_stats;
-    let (_, degraded, _) = report.mix();
+    let tickets = report.requests() as u64;
+    let tally = |wanted: fn(Disposition) -> bool| {
+        report
+            .outcomes
+            .iter()
+            .filter(|outcome| wanted(outcome.disposition))
+            .count() as u64
+    };
     let exact_counters: Vec<(&str, u64)> = vec![
-        ("frontend.ingress", fs.submitted as u64),
-        ("frontend.completions", fs.completed as u64),
-        ("frontend.queue_full_sheds", fs.queue_full_sheds as u64),
-        ("frontend.backpressure_sheds", fs.backpressure_sheds as u64),
-        ("frontend.admission_rejects", fs.admission_rejects as u64),
-        ("frontend.quarantine_rejects", fs.quarantine_rejects as u64),
-        ("frontend.deadline_cancels", serve.deadline_cancels as u64),
-        ("frontend.deadline_degrades", fs.deadline_degrades as u64),
-        ("frontend.store_hits", fs.store_hits as u64),
-        ("frontend.dedup_joins", fs.dedup_joins as u64),
-        ("frontend.dispatches", fs.dispatches as u64),
-        ("frontend.degraded", degraded as u64),
-        ("frontend.panics", fs.panics as u64),
-        ("frontend.stalls", fs.stalls as u64),
-        ("frontend.recovered", fs.recovered as u64),
-        ("frontend.shed_raises", serve.shed_raises as u64),
-        ("frontend.shed_lowers", serve.shed_lowers as u64),
-        ("store.hits", serve.store.hits as u64),
-        ("store.misses", serve.store.misses as u64),
-        ("store.evictions", serve.store.evictions as u64),
+        ("frontend.ingress", tickets),
+        ("frontend.completions", tickets),
+        (
+            "frontend.queue_full_sheds",
+            tally(|d| d == Disposition::QueueFull),
+        ),
+        (
+            "frontend.backpressure_sheds",
+            tally(|d| matches!(d, Disposition::Shed { .. })),
+        ),
+        (
+            "frontend.admission_rejects",
+            tally(|d| d == Disposition::AdmissionCost),
+        ),
+        (
+            "frontend.quarantine_rejects",
+            tally(|d| d == Disposition::Quarantined),
+        ),
+        (
+            "frontend.deadline_cancels",
+            tally(|d| d == Disposition::DeadlineExpired),
+        ),
+        ("frontend.degraded", tally(|d| d == Disposition::Degraded)),
     ];
     for (name, want) in &exact_counters {
         assert_eq!(
             snap.counter(name),
             Some(*want),
-            "registry counter {name} diverges from the exact tally"
+            "registry counter {name} diverges from the ticket outcomes"
         );
     }
     assert_eq!(
@@ -1431,7 +1433,7 @@ fn observed_overload_rows(
     let latency = snap
         .histogram("frontend.latency_ticks")
         .expect("latency histogram missing from the snapshot");
-    assert_eq!(latency.count, fs.completed as u64);
+    assert_eq!(latency.count, tickets);
     assert_eq!(latency.p50, baseline.latency_tick_percentile(50.0));
     assert_eq!(latency.p99, baseline.latency_tick_percentile(99.0));
     assert_eq!(latency.max, baseline.latency_tick_percentile(100.0));
@@ -1446,7 +1448,7 @@ fn observed_overload_rows(
         if outcome.is_shed() {
             *exact_sheds.entry(tenant).or_default() += 1;
         }
-        if outcome.disposition == AsyncDisposition::Degraded {
+        if outcome.disposition == Disposition::Degraded {
             *exact_degrades.entry(tenant).or_default() += 1;
         }
     }
@@ -1514,7 +1516,7 @@ fn observed_overload_rows(
             report.requests() as f64,
         ),
         ExperimentRow::new(
-            "registry counters bit-equal to the exact serve tallies",
+            "registry counters equal to tallies recomputed from the ticket outcomes",
             Some(exact_counters.len() as f64),
             exact_counters.len() as f64,
         ),
@@ -1557,7 +1559,7 @@ fn observed_overload_rows(
 }
 
 /// E17 — the E16 overload replay with the unified observability layer on:
-/// registry snapshot bit-equal to the exact serve tallies, sketch-decoded
+/// registry counters equal to the per-ticket outcome tallies, sketch-decoded
 /// per-tenant rates inside the count-min bound, < 5% wall overhead, and
 /// decision digests bit-identical to the uninstrumented replay at 1, 2
 /// and 4 workers.  See `observed_overload_rows`.

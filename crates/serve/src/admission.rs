@@ -25,15 +25,17 @@
 //!
 //! The product of the first two is the **estimated cost** — the number of
 //! candidate evaluations an exhaustive solve would pay — and the
-//! [`AdmissionPolicy`] turns it into one of three decisions: [`Admit`]
+//! [`AdmissionPolicy`] turns it into one of four decisions: [`Admit`]
 //! (solve exactly), [`AdmitWithDeadline`] (worth trying under a degrade
-//! deadline; the response may come back `Degraded`), or [`Reject`] (the
-//! exact answer is out of reach; the caller gets the estimate and the
-//! floor, and the solve pool is never touched).
+//! deadline; the response may come back `Degraded`), [`Reject`] (the exact
+//! answer is out of reach; the caller gets the estimate and the floor, and
+//! the solve pool is never touched) or [`Shed`] (admissible at baseline,
+//! but over the thresholds a serving loop's backlog has tightened).
 //!
 //! [`Admit`]: AdmissionDecision::Admit
 //! [`AdmitWithDeadline`]: AdmissionDecision::AdmitWithDeadline
 //! [`Reject`]: AdmissionDecision::Reject
+//! [`Shed`]: AdmissionDecision::Shed
 
 use std::time::{Duration, Instant};
 
@@ -45,13 +47,14 @@ use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::minperiod::PeriodEvaluation;
 use fsw_sched::orchestrator::{Objective, SearchBudget};
 
-/// Largest shape count (`A000081` forest classes) for which pricing
-/// attempts the bound-ordered value floor: `n = 10` (1 842 shapes) is in,
-/// `n = 11` (4 766) is out.  The floor pass runs **without a wall-clock
-/// deadline** — its cost is bounded structurally by this limit instead, so
-/// the floor (and everything downstream of it: degraded gaps, replay
-/// digests) is a pure function of the instance, never of machine load.
-const FLOOR_SHAPE_LIMIT: u128 = 2_000;
+/// Largest `n` for which pricing attempts the bound-ordered value floor:
+/// the last size whose shape space (`A000081(n + 1)` forest classes) stays
+/// within 2 000 shapes — `n = 10` (1 842 shapes) is in, `n = 11` (4 766) is
+/// out.  The floor pass runs **without a wall-clock deadline** — its cost
+/// is bounded structurally by this limit instead, so the floor (and
+/// everything downstream of it: degraded gaps, replay digests) is a pure
+/// function of the instance, never of machine load.
+const FLOOR_MAX_N: usize = 10;
 
 /// The structural price of one request, computed before any enumeration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -82,7 +85,11 @@ pub struct CostEstimate {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AdmissionDecision {
     /// Cheap enough to solve exactly under the service budget.
-    Admit,
+    Admit {
+        /// The price, without a floor (`None` from an open policy, which
+        /// never prices).
+        estimate: Option<CostEstimate>,
+    },
     /// Too big for an exact promise, small enough to try: solve under
     /// `time_limit` and degrade to the best incumbent if it fires.
     AdmitWithDeadline {
@@ -94,6 +101,14 @@ pub enum AdmissionDecision {
     /// The exact answer is out of reach; the solve pool is never touched.
     Reject {
         /// The price that rejected the request, floor included.
+        estimate: CostEstimate,
+    },
+    /// Within the baseline thresholds, but over the ones halved `level`
+    /// times by a serving loop's backlog: shed without a solve.
+    Shed {
+        /// The shed level in force at the decision (≥ 1).
+        level: u32,
+        /// The price that shed the request, floor included.
         estimate: CostEstimate,
     },
 }
@@ -145,9 +160,8 @@ impl AdmissionPolicy {
         self.admit_cost == u128::MAX
     }
 
-    /// Prices `app` and decides.  O(shapes) worst case, bounded by
-    /// `pricing_budget`; open policies return [`AdmissionDecision::Admit`]
-    /// without pricing at all.
+    /// Prices `app` and decides at baseline thresholds (shed level 0; see
+    /// [`Self::decide_at`]).
     pub fn decide(
         &self,
         app: &Application,
@@ -155,24 +169,47 @@ impl AdmissionPolicy {
         objective: Objective,
         budget: &SearchBudget,
     ) -> AdmissionDecision {
+        self.decide_at(app, model, objective, budget, 0)
+    }
+
+    /// Prices `app` and decides with both thresholds halved `level` times
+    /// (a serving loop's backpressure; levels above 127 act as 127).
+    /// O(shapes) worst case, bounded by `pricing_budget`; open policies
+    /// admit without pricing at all.  A request over the tightened reject
+    /// threshold is [`Reject`](AdmissionDecision::Reject)ed when it is also
+    /// over the baseline one, and [`Shed`](AdmissionDecision::Shed)
+    /// otherwise.
+    pub fn decide_at(
+        &self,
+        app: &Application,
+        model: CommModel,
+        objective: Objective,
+        budget: &SearchBudget,
+        level: u32,
+    ) -> AdmissionDecision {
         if self.is_open() {
-            return AdmissionDecision::Admit;
+            return AdmissionDecision::Admit { estimate: None };
         }
+        let level = level.min(127);
         let mut estimate = self.estimate(app, model, objective, budget);
-        if estimate.cost <= self.admit_cost {
-            return AdmissionDecision::Admit;
+        if estimate.cost <= self.admit_cost >> level {
+            return AdmissionDecision::Admit {
+                estimate: Some(estimate),
+            };
         }
         // The floor is only priced when the caller will see it — the
         // degrade band (it becomes the response's certified gap) and the
-        // reject band (feedback on what is out of reach).  It is O(shapes)
-        // like the rest of the pricing, but with a larger constant, so the
-        // admit fast path skips it.
+        // shed and reject bands (feedback on what is out of reach).  It is
+        // O(shapes) like the rest of the pricing, but with a larger
+        // constant, so the admit fast path skips it.
         estimate.value_floor = self.certified_floor(app, model, objective, budget);
-        if estimate.cost <= self.reject_cost {
+        if estimate.cost <= self.reject_cost >> level {
             AdmissionDecision::AdmitWithDeadline {
                 time_limit: self.degrade_time_limit,
                 estimate,
             }
+        } else if estimate.cost <= self.reject_cost {
+            AdmissionDecision::Shed { level, estimate }
         } else {
             AdmissionDecision::Reject { estimate }
         }
@@ -250,9 +287,9 @@ impl AdmissionPolicy {
     /// plan, streamed without building it) floors the whole forest space
     /// (constrained plans are a subset of it, so the floor holds for them
     /// too).  `None` when the DAG phase could beat it or when the shape
-    /// space exceeds 2 000 shapes (`n > 10`) — the structural gate that
-    /// bounds this pass instead of a wall-clock deadline, keeping the floor
-    /// deterministic.
+    /// space exceeds 2 000 shapes (`n > 10`, `FLOOR_MAX_N`) — the
+    /// structural gate that bounds this pass instead of a wall-clock
+    /// deadline, keeping the floor deterministic.
     pub fn certified_floor(
         &self,
         app: &Application,
@@ -266,7 +303,7 @@ impl AdmissionPolicy {
             Objective::MinLatency if n > budget.dag_enumeration_max_n => ShapeObjective::Latency,
             Objective::MinLatency => return None,
         };
-        if fsw_core::forest_classes(n) > FLOOR_SHAPE_LIMIT {
+        if n > FLOOR_MAX_N {
             return None;
         }
         Some(ShapeBounder::new(app, shape_objective).forest_floor())
@@ -327,9 +364,11 @@ mod tests {
             (CommModel::InOrder, Objective::MinPeriod),
             (CommModel::InOrder, Objective::MinLatency),
         ] {
-            assert_eq!(
-                policy.decide(&app, model, objective, &budget()),
-                AdmissionDecision::Admit,
+            assert!(
+                matches!(
+                    policy.decide(&app, model, objective, &budget()),
+                    AdmissionDecision::Admit { estimate: Some(_) }
+                ),
                 "{model} {objective}"
             );
         }
@@ -346,7 +385,9 @@ mod tests {
         assert!(estimate.plans_exact);
         assert_eq!(
             policy.decide(&app, CommModel::Overlap, Objective::MinPeriod, &budget()),
-            AdmissionDecision::Admit
+            AdmissionDecision::Admit {
+                estimate: Some(estimate)
+            }
         );
     }
 
@@ -421,7 +462,7 @@ mod tests {
         assert!(policy.is_open());
         assert_eq!(
             policy.decide(&app, CommModel::Overlap, Objective::MinPeriod, &budget()),
-            AdmissionDecision::Admit
+            AdmissionDecision::Admit { estimate: None }
         );
     }
 
@@ -454,6 +495,41 @@ mod tests {
             ordering_weight(6, CommModel::Overlap, Objective::MinPeriod, &b),
             1
         );
+    }
+
+    #[test]
+    fn the_floor_gate_is_the_last_n_within_two_thousand_shapes() {
+        assert!(fsw_core::forest_classes(FLOOR_MAX_N) <= 2_000);
+        assert!(fsw_core::forest_classes(FLOOR_MAX_N + 1) > 2_000);
+    }
+
+    #[test]
+    fn shed_levels_tighten_both_thresholds() {
+        // n = 6 all-distinct prices at 6^6 = 46 656 evaluations: admitted
+        // at baseline, degrade band once the admit cap (2M) halves below
+        // it, shed once the reject cap (128M) does — with the floor quoted.
+        let specs: Vec<(f64, f64)> = (0..6)
+            .map(|k| (1.0 + k as f64, 0.4 + 0.05 * k as f64))
+            .collect();
+        let app = Application::independent(&specs);
+        let b = budget();
+        let policy = AdmissionPolicy::for_budget(&b);
+        let at =
+            |level| policy.decide_at(&app, CommModel::Overlap, Objective::MinPeriod, &b, level);
+        assert!(matches!(at(0), AdmissionDecision::Admit { .. }));
+        assert!(matches!(at(6), AdmissionDecision::AdmitWithDeadline { .. }));
+        let AdmissionDecision::Shed { level, estimate } = at(12) else {
+            panic!("level 12 must shed, got {:?}", at(12));
+        };
+        assert_eq!(level, 12);
+        assert!(estimate.value_floor.is_some(), "sheds quote the floor");
+        // Over the baseline reject cap it is a rejection at any level.
+        let jumbo: Vec<(f64, f64)> = (0..24).map(|k| (1.0 + k as f64, 0.5)).collect();
+        let jumbo = Application::independent(&jumbo);
+        assert!(matches!(
+            policy.decide_at(&jumbo, CommModel::Overlap, Objective::MinPeriod, &b, 3),
+            AdmissionDecision::Reject { .. }
+        ));
     }
 
     #[test]

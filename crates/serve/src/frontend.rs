@@ -1,13 +1,10 @@
-//! The async serving front end: a deterministic event loop over bounded
-//! per-tenant ingress queues.
+//! The serving event loop: the one decision pipeline behind both front
+//! doors, plus [`AsyncFrontend`], its non-blocking door.
 //!
-//! [`PlanService::serve_batch`](crate::service::PlanService::serve_batch)
-//! is synchronous: callers block while a batch drains, queue depth is
-//! invisible to the admission policy, and one stalled worker stalls the
-//! fleet.  [`AsyncFrontend`] closes that gap with a small event-driven
-//! runtime (no async executor — the container is offline and the loop is
-//! deterministic by construction, the same replay-equals-live shape as
-//! event-driven backtesting engines):
+//! The loop is a deterministic event-driven runtime over bounded
+//! per-tenant ingress queues (no async executor — the container is offline
+//! and the loop is deterministic by construction, the same
+//! replay-equals-live shape as event-driven backtesting engines):
 //!
 //! * **bounded ingress** — [`submit`](AsyncFrontend::submit) never blocks:
 //!   it enqueues into the tenant's bounded queue and returns a [`Ticket`];
@@ -23,6 +20,10 @@
 //!   bookkeeping) happens on the loop thread in logical time, so outcomes
 //!   are **identical across worker-thread counts** — only wall latency
 //!   varies;
+//! * **one decision order** — each dequeued request passes the deadline
+//!   check, the dedup join, the store, the quarantine, admission at the
+//!   current shed level, the predicted-deadline degrade and dispatch, in
+//!   that order (the crate docs draw it);
 //! * **adaptive backpressure** — the backlog (queued requests) feeds back
 //!   into the [`AdmissionPolicy`](crate::admission::AdmissionPolicy)
 //!   thresholds: each shed level halves the admit/reject costs, levels
@@ -34,40 +35,47 @@
 //!   that shed it;
 //! * **deadline propagation** — a request may carry a deadline in ticks;
 //!   one that has already expired when dequeued is cancelled
-//!   ([`RejectReason::DeadlineExpired`]) instead of solved uselessly, and
-//!   one *predicted* to miss (dequeue tick + modelled solve latency past
-//!   the deadline) is degraded — solved under the admission policy's
-//!   degrade deadline rather than at full budget;
+//!   ([`RejectReason::DeadlineExpired`]) before any lookup, and one
+//!   *predicted* to miss (dequeue tick + modelled solve latency past the
+//!   deadline) is degraded — solved under the admission policy's degrade
+//!   deadline rather than at full budget;
 //! * **stall detection** — workers heartbeat by recording when they pick a
 //!   job up; the loop's completion wait times a started solve out after
 //!   [`stall_timeout`](FrontendConfig::stall_timeout), hands the
-//!   fingerprint to the existing panic quarantine, resolves the ticket
-//!   (and its dedup followers) as [`RejectReason::WorkerStall`], spawns a
-//!   replacement worker, and the abandoned solve's late result is
-//!   discarded — a wedged solve costs one worker, never the fleet.
+//!   fingerprint to the panic quarantine, resolves the ticket (and its
+//!   dedup joiners) as [`RejectReason::WorkerStall`], spawns a replacement
+//!   worker, and the abandoned solve's late result is discarded — a wedged
+//!   solve costs one worker, never the fleet.
 //!
+//! [`PlanService::serve_batch`] runs the same loop with fixed settings —
+//! one tenant, an unbounded queue, everything dequeued on the first tick,
+//! shed level 0, no deadlines, no watchdog — and waits for it to drain.
 //! The shared state — plan store, quarantine, retained evaluation caches,
-//! request ordinals — is the owning [`PlanService`]'s, so the sync batch
-//! path and the async path see one serving tier.  Completion events are
-//! applied in dispatch order (due ticks are monotone in dispatch order),
-//! which makes store and quarantine contents a pure function of the
-//! submission sequence: the fault-replay digests in `fsw_sim` assert
-//! byte-equality across 1/2/4 workers on exactly this property.
+//! counters, request ordinals — is the owning [`PlanService`]'s.
+//! Completion events are applied in dispatch order (due ticks are monotone
+//! in dispatch order), which makes store and quarantine contents a pure
+//! function of the submission sequence: the fault-replay digests in
+//! `fsw_sim` assert byte-equality across 1/2/4 workers on exactly this
+//! property.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fsw_core::{CommModel, CoreResult};
-use fsw_obs::{Counter, Gauge, LogHistogram, MetricsRegistry, SpanTimer, TrafficSketch};
+use fsw_obs::MetricsRegistry;
 use fsw_sched::engine::EvalCache;
 use fsw_sched::orchestrator::SearchBudget;
 
+use crate::admission::{AdmissionDecision, CostEstimate};
 use crate::service::{
     cold_solve, panic_message, InjectedFault, PlanRequest, PlanResponse, PlanService, Prepared,
-    RejectReason, Rejection, ServeOutcome, ServeSource, ServeStats,
+    RejectReason, Rejection, ServeOutcome, ServeSource,
 };
+use crate::stats::{Event, Instruments, ServeStats};
 use crate::store::{PlanKey, StoredPlan};
 
 /// Hard cap on the modelled solve latency, in ticks (keeps due ticks from
@@ -76,10 +84,6 @@ const MAX_LATENCY_TICKS: u64 = 8;
 /// Replacement workers the pool may spawn over its lifetime when stalls
 /// consume the original ones.
 const MAX_REPLACEMENT_WORKERS: usize = 16;
-/// Rows of the per-tenant traffic sketches (`tenant.*`).
-const TENANT_SKETCH_DEPTH: usize = 4;
-/// Counters per row of the per-tenant traffic sketches.
-const TENANT_SKETCH_WIDTH: usize = 64;
 
 /// Tuning of one [`AsyncFrontend`] (all thresholds in logical units; see
 /// the module docs for how each feeds the loop).
@@ -109,7 +113,7 @@ pub struct FrontendConfig {
     /// used.
     pub deadline_ticks: Option<u64>,
     /// Wall-clock watchdog: a solve still running this long after a worker
-    /// picked it up is declared stalled.
+    /// picked it up is declared stalled (`Duration::MAX`: never).
     pub stall_timeout: Duration,
 }
 
@@ -148,217 +152,82 @@ pub struct Completion {
     pub ticket: Ticket,
     /// The tenant that submitted it.
     pub tenant: usize,
-    /// The request's lifetime arrival ordinal (the fault-injection key,
-    /// shared with the owning service's sync path).
+    /// The request's lifetime arrival ordinal at the owning service (the
+    /// fault-injection key, shared by both front doors).
     pub ordinal: u64,
     /// Tick at which the request was submitted.
     pub submitted_tick: u64,
     /// Tick at which the ticket resolved (logical latency =
     /// `completed_tick - submitted_tick`).
     pub completed_tick: u64,
-    /// The outcome, same three-way contract as the sync path.
+    /// The outcome, same three-way contract on both front doors.
     pub outcome: ServeOutcome,
 }
 
-/// A deterministic async-layer fault injected by the replay harness,
-/// keyed by request ordinal (see
-/// [`AsyncFrontend::with_fault_injection`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontendFault {
-    /// The worker solving this request stalls for the duration before
-    /// doing any work — longer than the watchdog, it exercises stall
-    /// detection end to end.
-    StallWorker(Duration),
-    /// The store shard holding this request's fingerprint responds slowly:
-    /// the dequeue path sleeps before the lookup.  Wall-clock only — the
-    /// decision sequence (and hence the digest) is unaffected.
-    SlowShard(Duration),
-}
-
-/// Lifetime counters of one [`AsyncFrontend`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrontendStats {
-    /// Tickets issued (including those resolved at ingress).
-    pub submitted: usize,
-    /// Tickets resolved.
-    pub completed: usize,
-    /// Requests shed at ingress because the tenant queue was full.
-    pub queue_full_sheds: usize,
-    /// Requests shed by adaptive backpressure (admitted at baseline,
-    /// rejected at the tightened threshold).
-    pub backpressure_sheds: usize,
-    /// Requests rejected by the baseline admission policy.
-    pub admission_rejects: usize,
-    /// Requests rejected by the quarantine.
-    pub quarantine_rejects: usize,
-    /// Requests cancelled at dequeue because their deadline had expired.
-    pub deadline_cancels: usize,
-    /// Requests demoted to the degrade band because they were predicted to
-    /// miss their deadline at full budget.
-    pub deadline_degrades: usize,
-    /// Requests answered from the plan store at dequeue.
-    pub store_hits: usize,
-    /// Requests that joined an in-flight solve of their key.
-    pub dedup_joins: usize,
-    /// Cold solves dispatched to the worker pool.
-    pub dispatches: usize,
-    /// Degraded responses served.
-    pub degraded: usize,
-    /// Solver panics caught.
-    pub panics: usize,
-    /// Solves timed out by the stall watchdog.
-    pub stalls: usize,
-    /// Quarantined fingerprints that completed a retry successfully.
-    pub recovered: usize,
-    /// Current shed level.
-    pub shed_level: u32,
-    /// Highest shed level reached.
-    pub peak_shed_level: u32,
-    /// Shed-level **raises**: ticks on which the backpressure controller
-    /// actually stepped the level up (a tick already at
-    /// [`max_shed_level`](FrontendConfig::max_shed_level) does not count).
-    pub shed_raises: usize,
-    /// Shed-level **lowers**: ticks on which the controller stepped the
-    /// level back down.
-    pub shed_lowers: usize,
-    /// Largest backlog (total queued requests) observed at a tick end.
-    pub peak_backlog: usize,
-    /// Largest single-tenant queue depth observed (≤ the configured
-    /// capacity, by the ingress bound).
-    pub peak_tenant_queue: usize,
-}
-
-/// A ticket's identity while it waits: everything needed to resolve it.
-struct TicketInfo {
-    ticket: Ticket,
-    tenant: usize,
-    ordinal: u64,
-    submitted_tick: u64,
-    request: PlanRequest,
-    prep: Arc<Prepared>,
-}
-
-/// One request sitting in a tenant's ingress queue.
-struct QueuedRequest {
+/// A request's identity while it waits: everything needed to resolve it.
+/// `'r` lets the batch door borrow its caller's requests.
+struct TicketInfo<'r> {
     ticket: Ticket,
     tenant: usize,
     ordinal: u64,
     submitted_tick: u64,
     deadline_tick: Option<u64>,
-    request: PlanRequest,
+    request: Cow<'r, PlanRequest>,
+}
+
+/// A dequeued request, canonicalised and keyed.
+struct Decided<'r> {
+    info: TicketInfo<'r>,
+    prep: Arc<Prepared>,
 }
 
 /// One dispatched solve the loop is waiting on.
-struct PendingJob {
+struct PendingJob<'r> {
     job: u64,
-    key: PlanKey,
     due_tick: u64,
-    degrade_floor: Option<f64>,
-    leader: TicketInfo,
-    followers: Vec<TicketInfo>,
+    /// Admissible floor priced at admission (degrade band), if any.
+    floor: Option<f64>,
+    leader: Decided<'r>,
+    joiners: Vec<Decided<'r>>,
 }
 
 /// A unit of work handed to the pool.
 struct WorkItem {
     job: u64,
+    ordinal: u64,
     prep: Arc<Prepared>,
     model: CommModel,
     budget: SearchBudget,
     cache: Arc<EvalCache>,
     fault: Option<InjectedFault>,
-    /// Observability registry for the solve (cold-solve span + engine
-    /// stages), when the front end has one attached.
-    metrics: Option<Arc<MetricsRegistry>>,
+    instruments: Option<Instruments>,
 }
 
-/// Cached registry handles of one front end, resolved once at attachment
-/// ([`AsyncFrontend::with_metrics`]) and recorded through atomics on the
-/// hot paths.  The counters mirror [`FrontendStats`] one for one (same
-/// increment sites), so a snapshot is checkable against the exact stats.
-/// Wall-clock span durations are observability-only; the latency
-/// histogram records **logical ticks** — a pure function of the logical
-/// timeline, safe next to the replay digests.
-struct FrontendMetrics {
-    registry: Arc<MetricsRegistry>,
-    /// `frontend.tick` — one span per event-loop tick.
-    tick: SpanTimer,
-    /// `frontend.watchdog` — one span per blocking completion wait (the
-    /// stall watchdog's observation window).
-    watchdog: SpanTimer,
-    /// `admission.decide` — pricing span, same instruments as the sync
-    /// batch path when both are attached to one registry.  Duration
-    /// sampling ([`SpanTimer::start_sampled`]) keeps the per-request cost
-    /// to one atomic; the call count stays exact.
-    admission: SpanTimer,
-    ingress: Arc<Counter>,
-    completions: Arc<Counter>,
-    queue_full_sheds: Arc<Counter>,
-    backpressure_sheds: Arc<Counter>,
-    admission_rejects: Arc<Counter>,
-    quarantine_rejects: Arc<Counter>,
-    deadline_cancels: Arc<Counter>,
-    deadline_degrades: Arc<Counter>,
-    store_hits: Arc<Counter>,
-    dedup_joins: Arc<Counter>,
-    dispatches: Arc<Counter>,
-    degraded: Arc<Counter>,
-    panics: Arc<Counter>,
-    stalls: Arc<Counter>,
-    recovered: Arc<Counter>,
-    shed_raises: Arc<Counter>,
-    shed_lowers: Arc<Counter>,
-    /// `frontend.latency_ticks` — logical completion latency
-    /// (`completed_tick - submitted_tick`) of every resolved ticket.
-    latency_ticks: Arc<LogHistogram>,
-    backlog: Arc<Gauge>,
-    shed_level: Arc<Gauge>,
-    /// `tenant.requests` — per-tenant submission traffic (sketched).
-    tenant_requests: Arc<TrafficSketch>,
-    /// `tenant.sheds` — per-tenant shed traffic (queue-full + backpressure).
-    tenant_sheds: Arc<TrafficSketch>,
-    /// `tenant.degrades` — per-tenant degraded responses (sketched).
-    tenant_degrades: Arc<TrafficSketch>,
-}
-
-impl FrontendMetrics {
-    fn new(registry: Arc<MetricsRegistry>) -> Self {
-        FrontendMetrics {
-            tick: registry.span("frontend.tick"),
-            watchdog: registry.span("frontend.watchdog"),
-            admission: registry.span("admission.decide"),
-            ingress: registry.counter("frontend.ingress"),
-            completions: registry.counter("frontend.completions"),
-            queue_full_sheds: registry.counter("frontend.queue_full_sheds"),
-            backpressure_sheds: registry.counter("frontend.backpressure_sheds"),
-            admission_rejects: registry.counter("frontend.admission_rejects"),
-            quarantine_rejects: registry.counter("frontend.quarantine_rejects"),
-            deadline_cancels: registry.counter("frontend.deadline_cancels"),
-            deadline_degrades: registry.counter("frontend.deadline_degrades"),
-            store_hits: registry.counter("frontend.store_hits"),
-            dedup_joins: registry.counter("frontend.dedup_joins"),
-            dispatches: registry.counter("frontend.dispatches"),
-            degraded: registry.counter("frontend.degraded"),
-            panics: registry.counter("frontend.panics"),
-            stalls: registry.counter("frontend.stalls"),
-            recovered: registry.counter("frontend.recovered"),
-            shed_raises: registry.counter("frontend.shed_raises"),
-            shed_lowers: registry.counter("frontend.shed_lowers"),
-            latency_ticks: registry.histogram("frontend.latency_ticks"),
-            backlog: registry.gauge("frontend.backlog"),
-            shed_level: registry.gauge("frontend.shed_level"),
-            tenant_requests: registry.sketch(
-                "tenant.requests",
-                TENANT_SKETCH_DEPTH,
-                TENANT_SKETCH_WIDTH,
-            ),
-            tenant_sheds: registry.sketch("tenant.sheds", TENANT_SKETCH_DEPTH, TENANT_SKETCH_WIDTH),
-            tenant_degrades: registry.sketch(
-                "tenant.degrades",
-                TENANT_SKETCH_DEPTH,
-                TENANT_SKETCH_WIDTH,
-            ),
-            registry,
-        }
+impl WorkItem {
+    /// The job runner: applies the injected fault, then solves cold under
+    /// `catch_unwind`, so a panicking solve becomes an `Err` outcome
+    /// instead of taking the worker down.  An injected panic unwinds
+    /// without calling the panic hook, so no backtrace capture can stretch
+    /// it past the stall watchdog.
+    fn run(&self) -> Result<StoredPlan, String> {
+        catch_unwind(AssertUnwindSafe(|| {
+            match self.fault {
+                Some(InjectedFault::Panic) => std::panic::resume_unwind(Box::new(format!(
+                    "injected solver panic (request ordinal {})",
+                    self.ordinal
+                ))),
+                Some(InjectedFault::Slow(stall)) => std::thread::sleep(stall),
+                _ => {}
+            }
+            cold_solve(
+                &self.prep,
+                self.model,
+                &self.budget,
+                &self.cache,
+                self.instruments.as_ref(),
+            )
+        }))
+        .map_err(panic_message)
     }
 }
 
@@ -377,9 +246,12 @@ struct PoolQueue {
     shutdown: bool,
 }
 
-/// The fixed-size worker pool behind the loop (std threads; the loop is
-/// the only consumer of results, so ordering lives entirely on its side).
+/// The worker pool behind the loop (std threads; the loop is the only
+/// consumer of results, so ordering lives entirely on its side).  Workers
+/// are spawned on demand, one per dispatch up to `workers`, so a loop that
+/// never dispatches never spawns a thread.
 struct WorkerPool {
+    workers: usize,
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     replacements: usize,
@@ -387,24 +259,20 @@ struct WorkerPool {
 
 impl WorkerPool {
     fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                items: VecDeque::new(),
-                started: HashMap::new(),
-                results: HashMap::new(),
-                shutdown: false,
+        WorkerPool {
+            workers: workers.max(1),
+            shared: Arc::new(PoolShared {
+                queue: Mutex::new(PoolQueue {
+                    items: VecDeque::new(),
+                    started: HashMap::new(),
+                    results: HashMap::new(),
+                    shutdown: false,
+                }),
+                ready: Condvar::new(),
             }),
-            ready: Condvar::new(),
-        });
-        let mut pool = WorkerPool {
-            shared,
             handles: Vec::new(),
             replacements: 0,
-        };
-        for _ in 0..workers.max(1) {
-            pool.spawn_worker();
         }
-        pool
     }
 
     fn spawn_worker(&mut self) {
@@ -423,23 +291,7 @@ impl WorkerPool {
                     queue = shared.ready.wait(queue).unwrap_or_else(|p| p.into_inner());
                 }
             };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                match item.fault {
-                    Some(InjectedFault::Panic) => {
-                        panic!("injected solver panic (request ordinal unknown to worker)")
-                    }
-                    Some(InjectedFault::Slow(stall)) => std::thread::sleep(stall),
-                    _ => {}
-                }
-                cold_solve(
-                    &item.prep,
-                    item.model,
-                    &item.budget,
-                    &item.cache,
-                    item.metrics.as_ref(),
-                )
-            }))
-            .map_err(panic_message);
+            let result = item.run();
             let mut queue = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
             queue.started.remove(&item.job);
             queue.results.insert(item.job, result);
@@ -447,10 +299,15 @@ impl WorkerPool {
         }));
     }
 
-    fn submit(&self, item: WorkItem) {
-        let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-        queue.items.push_back(item);
+    fn submit(&mut self, item: WorkItem) {
+        {
+            let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+            queue.items.push_back(item);
+        }
         self.shared.ready.notify_all();
+        if self.handles.len() < self.workers + self.replacements {
+            self.spawn_worker();
+        }
     }
 
     /// Blocks until `job` finishes or its heartbeat exceeds
@@ -522,26 +379,27 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The deterministic event loop (see the module docs).  Single ownership:
-/// the loop itself is not `Sync` — submissions and ticks happen on one
-/// driver thread, parallelism lives in the worker pool behind it.
-pub struct AsyncFrontend {
-    service: Arc<PlanService>,
+/// The event loop's own state: queues, in-flight jobs, the shed level and
+/// the worker pool.  It holds no service — every step borrows the owning
+/// [`PlanService`], so the batch door can run a loop on `&self`.
+pub(crate) struct EventLoop<'r> {
     config: FrontendConfig,
-    fault_hook: Option<Box<dyn Fn(u64) -> Option<FrontendFault> + Send + Sync>>,
+    instruments: Option<Instruments>,
     tick: u64,
     next_ticket: u64,
     next_job: u64,
     last_due: u64,
     shed_level: u32,
+    /// Tickets issued and not yet resolved.
+    outstanding: usize,
     /// Per-tenant bounded ingress queues (BTreeMap: deterministic
     /// round-robin order over tenant ids).
-    queues: BTreeMap<usize, VecDeque<QueuedRequest>>,
+    queues: BTreeMap<usize, VecDeque<TicketInfo<'r>>>,
     /// Round-robin position: the next dequeue starts *after* this tenant.
     rr_after: Option<usize>,
     /// Dispatched jobs in dispatch order (due ticks are monotone, so the
     /// front is always the next completion to apply).
-    pending: VecDeque<PendingJob>,
+    pending: VecDeque<PendingJob<'r>>,
     /// Job id currently in flight per key (dedup joins attach here).
     in_flight: HashMap<PlanKey, u64>,
     /// Jobs abandoned by the stall watchdog whose late results must be
@@ -550,196 +408,101 @@ pub struct AsyncFrontend {
     /// Completions produced since the last `tick`/`drain` returned.
     ready: Vec<Completion>,
     pool: WorkerPool,
-    stats: FrontendStats,
-    /// Cached observability handles, when attached
-    /// ([`Self::with_metrics`]).
-    metrics: Option<FrontendMetrics>,
 }
 
-impl AsyncFrontend {
-    /// A front end over `service` (whose store, quarantine, caches and
-    /// budget are shared with the sync path) under `config`.
-    pub fn new(service: Arc<PlanService>, config: FrontendConfig) -> Self {
-        AsyncFrontend {
+impl<'r> EventLoop<'r> {
+    pub(crate) fn new(config: FrontendConfig, instruments: Option<Instruments>) -> Self {
+        EventLoop {
             pool: WorkerPool::new(config.workers),
-            service,
             config,
-            fault_hook: None,
+            instruments,
             tick: 0,
             next_ticket: 0,
             next_job: 0,
             last_due: 0,
             shed_level: 0,
+            outstanding: 0,
             queues: BTreeMap::new(),
             rr_after: None,
             pending: VecDeque::new(),
             in_flight: HashMap::new(),
             abandoned: HashSet::new(),
             ready: Vec::new(),
-            stats: FrontendStats::default(),
-            metrics: None,
         }
     }
 
-    /// Attaches an observability registry to the whole request path: the
-    /// tick loop records `frontend.*` counters/spans/gauges (mirroring
-    /// [`FrontendStats`] one for one), the logical-tick latency histogram
-    /// (`frontend.latency_ticks`), per-tenant traffic sketches
-    /// (`tenant.requests` / `tenant.sheds` / `tenant.degrades`), the
-    /// admission-pricing span, the owning service's store counters
-    /// (`store.*`), and every dispatched cold solve threads the registry
-    /// down to the engine stages.  Instrumentation is pure observability:
-    /// no decision, outcome, or replay digest depends on it.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.service.store().attach_metrics(&registry);
-        self.metrics = Some(FrontendMetrics::new(registry));
-        self
-    }
-
-    /// The attached observability registry, if any.
-    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref().map(|m| &m.registry)
-    }
-
-    /// Installs a deterministic async-layer fault hook keyed by request
-    /// ordinal (stalls and slow shards; solver-level faults — panics,
-    /// slowdowns, deadline blowouts — come from the owning service's own
-    /// [`with_fault_injection`](PlanService::with_fault_injection) hook,
-    /// keyed by the same ordinals).
-    pub fn with_fault_injection<F>(mut self, hook: F) -> Self
-    where
-        F: Fn(u64) -> Option<FrontendFault> + Send + Sync + 'static,
-    {
-        self.fault_hook = Some(Box::new(hook));
-        self
-    }
-
-    /// The current logical tick.
-    pub fn now(&self) -> u64 {
-        self.tick
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> FrontendStats {
-        self.stats
-    }
-
-    /// One tier-wide snapshot **through this front end**: the owning
-    /// service's [`ServeStats`] with the async-only fields filled in —
-    /// shed-level transition counts (`shed_raises` / `shed_lowers`) and
-    /// deadline-cancellation totals, which the service alone cannot see.
-    pub fn serve_stats(&self) -> ServeStats {
-        let mut stats = self.service.serve_stats();
-        stats.shed_raises = self.stats.shed_raises;
-        stats.shed_lowers = self.stats.shed_lowers;
-        stats.deadline_cancels = self.stats.deadline_cancels;
-        stats
-    }
-
-    /// Tickets not yet resolved (queued + in flight).
-    pub fn outstanding(&self) -> usize {
-        self.stats.submitted - self.stats.completed
-    }
-
-    /// Submits one request under the configured default deadline.  Never
-    /// blocks: the ticket resolves through [`tick`](Self::tick) (a full
-    /// tenant queue resolves it immediately as
-    /// [`RejectReason::QueueFull`]).  Validation errors fail the submit
-    /// itself — an invalid application never earns a ticket.
-    pub fn submit(&mut self, tenant: usize, request: PlanRequest) -> CoreResult<Ticket> {
-        let deadline = self.config.deadline_ticks;
-        self.submit_inner(tenant, request, deadline)
-    }
-
-    /// Submits one request with an explicit deadline `deadline_ticks`
-    /// ticks from now (overriding the configured default).
-    pub fn submit_with_deadline(
+    /// Enqueues one validated request (or sheds it at a full queue) and
+    /// claims its arrival ordinal.
+    pub(crate) fn submit(
         &mut self,
+        service: &PlanService,
         tenant: usize,
-        request: PlanRequest,
-        deadline_ticks: u64,
-    ) -> CoreResult<Ticket> {
-        self.submit_inner(tenant, request, Some(deadline_ticks))
-    }
-
-    fn submit_inner(
-        &mut self,
-        tenant: usize,
-        request: PlanRequest,
+        request: Cow<'r, PlanRequest>,
         deadline_ticks: Option<u64>,
-    ) -> CoreResult<Ticket> {
-        request.app.validate()?;
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        let ordinal = self.service.next_ordinals(1);
-        self.stats.submitted += 1;
-        if let Some(m) = &self.metrics {
-            m.ingress.inc();
-            m.tenant_requests.record(tenant as u64, 1);
-        }
-        let queue = self.queues.entry(tenant).or_default();
-        if queue.len() >= self.config.queue_capacity {
-            self.stats.queue_full_sheds += 1;
-            if let Some(m) = &self.metrics {
-                m.queue_full_sheds.inc();
-                m.completions.inc();
-                m.latency_ticks.record(0);
-                m.tenant_sheds.record(tenant as u64, 1);
-            }
-            self.ready.push(Completion {
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick: self.tick,
-                completed_tick: self.tick,
-                outcome: ServeOutcome::Rejected(Rejection {
-                    reason: RejectReason::QueueFull,
-                    estimate: None,
-                }),
-            });
-            self.stats.completed += 1;
-            return Ok(ticket);
-        }
-        queue.push_back(QueuedRequest {
-            ticket,
+    ) -> Ticket {
+        let info = TicketInfo {
+            ticket: Ticket(self.next_ticket),
             tenant,
-            ordinal,
+            ordinal: service.counters.next_ordinal(),
             submitted_tick: self.tick,
             deadline_tick: deadline_ticks.map(|d| self.tick + d),
             request,
-        });
-        self.stats.peak_tenant_queue = self.stats.peak_tenant_queue.max(queue.len());
-        Ok(ticket)
+        };
+        self.next_ticket += 1;
+        self.outstanding += 1;
+        if let Some(m) = &self.instruments {
+            m.tenant_requests.record(tenant as u64, 1);
+        }
+        let ticket = info.ticket;
+        let queue = self.queues.entry(tenant).or_default();
+        if queue.len() >= self.config.queue_capacity {
+            service.counters.inc(Event::QueueFullShed);
+            if let Some(m) = &self.instruments {
+                m.tenant_sheds.record(tenant as u64, 1);
+            }
+            self.reject(service, info, RejectReason::QueueFull, None);
+            return ticket;
+        }
+        queue.push_back(info);
+        service.counters.tenant_queue.set(queue.len() as u64);
+        ticket
     }
 
     /// Advances one logical tick: applies due completion events, dequeues
     /// up to `dispatch_per_tick` requests, updates the shed level, and
     /// returns every completion produced since the last call.
-    pub fn tick(&mut self) -> Vec<Completion> {
-        let _tick_span = self.metrics.as_ref().map(|m| m.tick.start());
+    pub(crate) fn tick(&mut self, service: &PlanService) -> Vec<Completion> {
+        let _tick_span = self.instruments.as_ref().map(|m| m.tick.start());
         self.tick += 1;
-        self.apply_due_completions();
-        self.dispatch_phase();
-        self.update_shed_level();
+        self.apply_due_completions(service);
+        let mut budget = self.config.dispatch_per_tick;
+        while budget > 0 {
+            let Some(queued) = self.next_queued() else {
+                break;
+            };
+            budget -= 1;
+            self.decide(service, queued);
+        }
+        self.update_shed_level(service);
         std::mem::take(&mut self.ready)
     }
 
     /// Ticks until every outstanding ticket has resolved, returning all
     /// completions produced along the way.
-    pub fn drain(&mut self) -> Vec<Completion> {
+    pub(crate) fn drain(&mut self, service: &PlanService) -> Vec<Completion> {
         let mut all = Vec::new();
-        while self.outstanding() > 0 || !self.ready.is_empty() {
-            all.extend(self.tick());
+        while self.outstanding > 0 || !self.ready.is_empty() {
+            all.extend(self.tick(service));
         }
         all
     }
 
     /// Applies every pending completion whose due tick has arrived, in
-    /// dispatch order.  Blocks on the worker's actual result (bounded by
-    /// the stall watchdog): parallelism is preserved — later jobs keep
-    /// solving while the loop waits — but store and quarantine effects
-    /// land in deterministic order.
-    fn apply_due_completions(&mut self) {
+    /// dispatch order: the settle path.  Blocks on the worker's actual
+    /// result (bounded by the stall watchdog): parallelism is preserved —
+    /// later jobs keep solving while the loop waits — but store and
+    /// quarantine effects land in deterministic order.
+    fn apply_due_completions(&mut self, service: &PlanService) {
         // Purge late results of previously abandoned jobs.
         self.abandoned.retain(|&job| !self.pool.discard(job));
         while self
@@ -748,90 +511,78 @@ impl AsyncFrontend {
             .is_some_and(|job| job.due_tick <= self.tick)
         {
             let job = self.pending.pop_front().expect("front checked");
-            self.in_flight.remove(&job.key);
+            let key = &job.leader.prep.key;
+            self.in_flight.remove(key);
             let waited = {
-                let _watchdog = self.metrics.as_ref().map(|m| m.watchdog.start());
+                let _watchdog = self.instruments.as_ref().map(|m| m.watchdog.start());
                 self.pool.wait(job.job, self.config.stall_timeout)
             };
-            match waited {
+            let reason = match waited {
                 Ok(Ok(plan)) => {
-                    if self.service.quarantine().record_success(&job.key) {
-                        self.stats.recovered += 1;
-                        if let Some(m) = &self.metrics {
-                            m.recovered.inc();
-                        }
+                    if service.quarantine.record_success(key) {
+                        service.counters.inc(Event::Recovered);
                     }
                     if plan.exhaustive {
-                        self.service.store().insert(job.key.clone(), plan.clone());
+                        service.store().insert(key.clone(), plan.clone());
                     } else {
-                        self.service
-                            .store()
-                            .record_attempt_cost(&job.key, plan.solve_micros);
+                        // A degraded attempt burnt real wall time but
+                        // stores nothing: remember the cost, so the
+                        // eventual exact re-solve's eviction weight
+                        // reflects the full recomputation price.
+                        service.store().record_attempt_cost(key, plan.solve_micros);
                     }
-                    self.resolve_solved(job, plan);
+                    // Degraded results admitted without a priced floor get
+                    // one certified now (the slow path affords it).
+                    let floor = if plan.exhaustive {
+                        None
+                    } else {
+                        job.floor.or_else(|| {
+                            let r = &job.leader.info.request;
+                            service.admission().certified_floor(
+                                &r.app,
+                                r.model,
+                                r.objective,
+                                service.budget(),
+                            )
+                        })
+                    };
+                    self.respond(service, job.leader, &plan, ServeSource::Cold, floor);
+                    for joiner in job.joiners {
+                        self.respond(service, joiner, &plan, ServeSource::Dedup, floor);
+                    }
+                    continue;
                 }
                 Ok(Err(message)) => {
-                    self.stats.panics += 1;
-                    if let Some(m) = &self.metrics {
-                        m.panics.inc();
-                    }
-                    self.service.quarantine().record_failure(&job.key);
-                    self.service.drop_cache(&job.key.fingerprint);
-                    self.resolve_rejected(
-                        job,
-                        RejectReason::SolverPanic {
-                            message: message.clone(),
-                        },
-                    );
+                    service.counters.inc(Event::Panic);
+                    RejectReason::SolverPanic { message }
                 }
                 Err(()) => {
-                    self.stats.stalls += 1;
-                    if let Some(m) = &self.metrics {
-                        m.stalls.inc();
-                    }
+                    service.counters.inc(Event::Stall);
                     self.abandoned.insert(job.job);
-                    self.service.quarantine().record_failure(&job.key);
-                    self.service.drop_cache(&job.key.fingerprint);
-                    self.resolve_rejected(job, RejectReason::WorkerStall);
+                    RejectReason::WorkerStall
                 }
+            };
+            // A failed solve quarantines its key and drops its retained
+            // cache (the unwound solve may have left it poisoned); the
+            // leader and every joiner see the failure — nobody hangs.
+            service.quarantine.record_failure(key);
+            service.drop_cache(&key.fingerprint);
+            for decided in std::iter::once(job.leader).chain(job.joiners) {
+                self.reject(service, decided.info, reason.clone(), None);
             }
         }
     }
 
-    fn resolve_solved(&mut self, job: PendingJob, plan: StoredPlan) {
-        // Degraded results admitted without a priced floor get one
-        // certified now (slow path; same post-hoc pass as the sync path).
-        let floor = if plan.exhaustive {
-            None
-        } else {
-            job.degrade_floor.or_else(|| {
-                let r = &job.leader.request;
-                self.service.admission().certified_floor(
-                    &r.app,
-                    r.model,
-                    r.objective,
-                    self.service.budget(),
-                )
-            })
-        };
-        let completed_tick = self.tick;
-        let leader = job.leader;
-        let followers = job.followers;
-        self.emit_response(leader, &plan, ServeSource::Cold, floor, completed_tick);
-        for follower in followers {
-            self.emit_response(follower, &plan, ServeSource::Dedup, floor, completed_tick);
-        }
-    }
-
-    fn emit_response(
+    /// Resolves `decided` with `plan`, relabelled into its tenant's ids.
+    fn respond(
         &mut self,
-        info: TicketInfo,
+        service: &PlanService,
+        decided: Decided<'r>,
         plan: &StoredPlan,
         source: ServeSource,
         floor: Option<f64>,
-        completed_tick: u64,
     ) {
-        let graph = info
+        let graph = decided
             .prep
             .canon
             .graph_to_tenant(&plan.graph)
@@ -846,10 +597,9 @@ impl AsyncFrontend {
         let outcome = if response.exhaustive {
             ServeOutcome::Exact(response)
         } else {
-            self.stats.degraded += 1;
-            if let Some(m) = &self.metrics {
-                m.degraded.inc();
-                m.tenant_degrades.record(info.tenant as u64, 1);
+            service.counters.inc(Event::Degraded);
+            if let Some(m) = &self.instruments {
+                m.tenant_degrades.record(decided.info.tenant as u64, 1);
             }
             let lower_bound = floor.unwrap_or(0.0);
             let gap = if lower_bound > 0.0 {
@@ -863,280 +613,191 @@ impl AsyncFrontend {
                 gap,
             }
         };
-        self.complete(info, completed_tick, outcome);
+        self.complete(service, decided.info, outcome);
     }
 
-    fn resolve_rejected(&mut self, job: PendingJob, reason: RejectReason) {
-        let completed_tick = self.tick;
-        let leader = job.leader;
-        let followers = job.followers;
+    fn reject(
+        &mut self,
+        service: &PlanService,
+        info: TicketInfo<'r>,
+        reason: RejectReason,
+        estimate: Option<CostEstimate>,
+    ) {
         self.complete(
-            leader,
-            completed_tick,
-            ServeOutcome::Rejected(Rejection {
-                reason: reason.clone(),
-                estimate: None,
-            }),
+            service,
+            info,
+            ServeOutcome::Rejected(Rejection { reason, estimate }),
         );
-        for follower in followers {
-            self.complete(
-                follower,
-                completed_tick,
-                ServeOutcome::Rejected(Rejection {
-                    reason: reason.clone(),
-                    estimate: None,
-                }),
-            );
-        }
     }
 
-    fn complete(&mut self, info: TicketInfo, completed_tick: u64, outcome: ServeOutcome) {
-        self.stats.completed += 1;
-        if let Some(m) = &self.metrics {
-            m.completions.inc();
-            m.latency_ticks.record(completed_tick - info.submitted_tick);
+    fn complete(&mut self, service: &PlanService, info: TicketInfo<'r>, outcome: ServeOutcome) {
+        service.counters.inc(Event::Completion);
+        self.outstanding -= 1;
+        if let Some(m) = &self.instruments {
+            m.latency_ticks.record(self.tick - info.submitted_tick);
         }
         self.ready.push(Completion {
             ticket: info.ticket,
             tenant: info.tenant,
             ordinal: info.ordinal,
             submitted_tick: info.submitted_tick,
-            completed_tick,
+            completed_tick: self.tick,
             outcome,
         });
     }
 
-    /// Dequeues up to `dispatch_per_tick` requests, one per tenant per
-    /// round-robin pass starting after the last tick's position.
-    fn dispatch_phase(&mut self) {
-        let mut budget = self.config.dispatch_per_tick;
-        while budget > 0 {
-            let Some(item) = self.next_queued() else {
-                break;
-            };
-            budget -= 1;
-            self.decide_one(item);
-        }
-    }
-
     /// The next queued request in round-robin tenant order, if any.
-    fn next_queued(&mut self) -> Option<QueuedRequest> {
-        let tenants: Vec<usize> = self
+    fn next_queued(&mut self) -> Option<TicketInfo<'r>> {
+        let after = self.rr_after.map_or(Bound::Unbounded, Bound::Excluded);
+        let wrapped = self.rr_after.map_or(Bound::Excluded(0), Bound::Included);
+        let tenant = self
             .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&t, _)| t)
-            .collect();
-        if tenants.is_empty() {
-            return None;
-        }
-        let start = match self.rr_after {
-            None => 0,
-            Some(after) => tenants.iter().position(|&t| t > after).unwrap_or(0),
-        };
-        let tenant = tenants[start];
+            .range((after, Bound::Unbounded))
+            .chain(self.queues.range((Bound::Unbounded, wrapped)))
+            .find(|(_, queue)| !queue.is_empty())
+            .map(|(&tenant, _)| tenant)?;
         self.rr_after = Some(tenant);
-        self.queues
-            .get_mut(&tenant)
-            .and_then(|queue| queue.pop_front())
+        self.queues.get_mut(&tenant).and_then(VecDeque::pop_front)
     }
 
-    /// The full dequeue decision pipeline for one request: deadline →
-    /// (slow-shard fault) → store → dedup → quarantine → backlog-scaled
-    /// admission → dispatch.
-    fn decide_one(&mut self, item: QueuedRequest) {
-        let QueuedRequest {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick,
-            deadline_tick,
-            request,
-        } = item;
+    /// The decision pipeline for one dequeued request: deadline → dedup
+    /// join → store → quarantine → admission at the current shed level →
+    /// predicted-deadline degrade → dispatch.
+    fn decide(&mut self, service: &PlanService, info: TicketInfo<'r>) {
         // 1. Cancellation: an expired deadline is not worth a lookup.
-        if deadline_tick.is_some_and(|deadline| self.tick > deadline) {
-            self.stats.deadline_cancels += 1;
-            if let Some(m) = &self.metrics {
-                m.deadline_cancels.inc();
-            }
-            self.reject_now(
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick,
-                RejectReason::DeadlineExpired,
-                None,
-            );
+        if info
+            .deadline_tick
+            .is_some_and(|deadline| self.tick > deadline)
+        {
+            service.counters.inc(Event::DeadlineCancel);
+            self.reject(service, info, RejectReason::DeadlineExpired, None);
             return;
         }
-        let prep = Arc::new(Prepared::of(&request, self.service.budget()));
-        let info = TicketInfo {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick,
-            request,
-            prep,
-        };
-        // 2. Injected slow shard: wall-clock stall before the lookup, no
-        // effect on any decision.
-        if let Some(FrontendFault::SlowShard(delay)) = self.frontend_fault(ordinal) {
+        let prep = Arc::new(Prepared::of(&info.request, service.budget()));
+        // 2. Dedup join: ride the in-flight solve of the same key.
+        if let Some(&job) = self.in_flight.get(&prep.key) {
+            service.counters.inc(Event::DedupJoin);
+            if let Some(pending) = self.pending.iter_mut().find(|p| p.job == job) {
+                pending.joiners.push(Decided { info, prep });
+            }
+            return;
+        }
+        // 3. Store hit: resolved this tick.  An injected slow shard stalls
+        // the lookup — wall clock only, no effect on any decision.
+        let fault = service.injected_fault(info.ordinal);
+        if let Some(InjectedFault::SlowShard(delay)) = fault {
             std::thread::sleep(delay);
         }
-        // 3. Store hit: resolved this tick.
-        if let Some(plan) = self.service.store().get(&info.prep.key) {
-            self.stats.store_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.store_hits.inc();
-            }
-            let completed_tick = self.tick;
-            self.emit_response(info, &plan, ServeSource::Store, None, completed_tick);
-            return;
-        }
-        // 4. Dedup join: ride the in-flight solve of the same key.
-        if let Some(&job) = self.in_flight.get(&info.prep.key) {
-            self.stats.dedup_joins += 1;
-            if let Some(m) = &self.metrics {
-                m.dedup_joins.inc();
-            }
-            if let Some(pending) = self.pending.iter_mut().find(|p| p.job == job) {
-                pending.followers.push(info);
-            }
-            return;
-        }
-        // 5. Quarantine gate.
-        if let Err(permanent) = self.service.quarantine().admit(&info.prep.key) {
-            self.stats.quarantine_rejects += 1;
-            if let Some(m) = &self.metrics {
-                m.quarantine_rejects.inc();
-            }
-            let TicketInfo {
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick,
-                ..
-            } = info;
-            self.reject_now(
-                ticket,
-                tenant,
-                ordinal,
-                submitted_tick,
-                RejectReason::Quarantined { permanent },
+        if let Some(plan) = service.store().get(&prep.key) {
+            service.counters.inc(Event::StoreHit);
+            self.respond(
+                service,
+                Decided { info, prep },
+                &plan,
+                ServeSource::Store,
                 None,
             );
             return;
         }
-        // 6. Admission under backlog-scaled thresholds.
-        let service = Arc::clone(&self.service);
+        // 4. Quarantine gate: every request of a quarantined key drains one
+        // backoff tick.
+        if let Err(permanent) = service.quarantine.admit(&prep.key) {
+            service.counters.inc(Event::QuarantineReject);
+            self.reject(service, info, RejectReason::Quarantined { permanent }, None);
+            return;
+        }
+        // 5. Admission at the current shed level.
         let policy = service.admission();
-        let mut time_limit: Option<Duration> = None;
-        let mut floor: Option<f64> = None;
-        let mut latency: u64 = 1;
-        if !policy.is_open() {
-            let estimate = {
-                let _pricing = self
-                    .metrics
-                    .as_ref()
-                    .and_then(|m| m.admission.start_sampled());
-                policy.estimate(
-                    &info.request.app,
-                    info.request.model,
-                    info.request.objective,
-                    service.budget(),
+        let decision = {
+            let _pricing = self
+                .instruments
+                .as_ref()
+                .and_then(|m| m.admission.start_sampled());
+            let r = &info.request;
+            policy.decide_at(
+                &r.app,
+                r.model,
+                r.objective,
+                service.budget(),
+                self.shed_level,
+            )
+        };
+        // The latency model: the price in ticks (1 when unpriced).
+        let ticks = |estimate: Option<&CostEstimate>| {
+            estimate.map_or(1, |e| {
+                1 + (e.cost / self.config.cost_per_tick.max(1)).min(u128::from(MAX_LATENCY_TICKS))
+                    as u64
+            })
+        };
+        let (mut time_limit, floor, latency) = match decision {
+            AdmissionDecision::Admit { estimate } => (None, None, ticks(estimate.as_ref())),
+            AdmissionDecision::AdmitWithDeadline {
+                time_limit,
+                estimate,
+            } => {
+                service.counters.inc(Event::DeadlineAdmit);
+                (
+                    Some(time_limit),
+                    estimate.value_floor,
+                    ticks(Some(&estimate)),
                 )
-            };
-            let level = self.shed_level.min(127);
-            let effective_admit = policy.admit_cost >> level;
-            let effective_reject = policy.reject_cost >> level;
-            latency = 1
-                + (estimate.cost / self.config.cost_per_tick.max(1))
-                    .min(u128::from(MAX_LATENCY_TICKS)) as u64;
-            if estimate.cost > effective_reject {
-                let (reason, estimate) = if estimate.cost > policy.reject_cost {
-                    self.stats.admission_rejects += 1;
-                    if let Some(m) = &self.metrics {
-                        m.admission_rejects.inc();
-                    }
-                    (RejectReason::AdmissionCost, Some(estimate))
-                } else {
-                    self.stats.backpressure_sheds += 1;
-                    if let Some(m) = &self.metrics {
-                        m.backpressure_sheds.inc();
-                        m.tenant_sheds.record(info.tenant as u64, 1);
-                    }
-                    (RejectReason::Shed { level }, Some(estimate))
-                };
-                let TicketInfo {
-                    ticket,
-                    tenant,
-                    ordinal,
-                    submitted_tick,
-                    ..
-                } = info;
-                self.reject_now(ticket, tenant, ordinal, submitted_tick, reason, estimate);
+            }
+            AdmissionDecision::Reject { estimate } => {
+                service.counters.inc(Event::AdmissionReject);
+                self.reject(service, info, RejectReason::AdmissionCost, Some(estimate));
                 return;
             }
-            if estimate.cost > effective_admit {
-                time_limit = Some(policy.degrade_time_limit);
-                floor = policy.certified_floor(
-                    &info.request.app,
-                    info.request.model,
-                    info.request.objective,
-                    service.budget(),
-                );
-            }
-        }
-        // 7. Deadline propagation: predicted to miss at full budget →
-        // degrade instead of solving uselessly.
-        if let Some(deadline) = deadline_tick {
-            if time_limit.is_none() && self.tick + latency > deadline {
-                self.stats.deadline_degrades += 1;
-                if let Some(m) = &self.metrics {
-                    m.deadline_degrades.inc();
+            AdmissionDecision::Shed { level, estimate } => {
+                service.counters.inc(Event::BackpressureShed);
+                if let Some(m) = &self.instruments {
+                    m.tenant_sheds.record(info.tenant as u64, 1);
                 }
+                self.reject(service, info, RejectReason::Shed { level }, Some(estimate));
+                return;
+            }
+        };
+        // 6. Deadline propagation: predicted to miss at full budget →
+        // degrade instead of solving uselessly.
+        if let Some(deadline) = info.deadline_tick {
+            if time_limit.is_none() && self.tick + latency > deadline {
+                service.counters.inc(Event::DeadlineDegrade);
                 time_limit = Some(policy.degrade_time_limit);
             }
         }
-        // 8. Dispatch.
-        self.dispatch(info, time_limit, floor, latency);
-    }
-
-    fn frontend_fault(&self, ordinal: u64) -> Option<FrontendFault> {
-        self.fault_hook.as_ref().and_then(|hook| hook(ordinal))
+        // 7. Dispatch.
+        self.dispatch(
+            service,
+            Decided { info, prep },
+            fault,
+            time_limit,
+            floor,
+            latency,
+        );
     }
 
     fn dispatch(
         &mut self,
-        info: TicketInfo,
+        service: &PlanService,
+        decided: Decided<'r>,
+        fault: Option<InjectedFault>,
         time_limit: Option<Duration>,
         floor: Option<f64>,
         latency: u64,
     ) {
         let job = self.next_job;
         self.next_job += 1;
-        self.stats.dispatches += 1;
-        if let Some(m) = &self.metrics {
-            m.dispatches.inc();
-        }
+        service.counters.inc(Event::Dispatch);
+        // Each solve runs serially: the fan-out is across requests.
         let mut budget = SearchBudget {
             threads: 1,
-            ..*self.service.budget()
+            ..*service.budget()
         };
         if let Some(limit) = time_limit {
             budget.time_limit = Some(budget.time_limit.map_or(limit, |own| own.min(limit)));
         }
-        let mut fault = self.service.injected_fault(info.ordinal);
         if fault == Some(InjectedFault::DeadlineBlowout) {
             budget.time_limit = Some(Duration::ZERO);
-            fault = None;
         }
-        if let Some(FrontendFault::StallWorker(stall)) = self.frontend_fault(info.ordinal) {
-            // A stall is a slowdown from the worker's point of view; the
-            // loop-side watchdog is what turns it into a WorkerStall.
-            fault = Some(InjectedFault::Slow(stall));
-        }
-        let cache = self.service.retained_cache(&info.prep.canon);
         // Due ticks are monotone in dispatch order (completion events are
         // applied FIFO), which is what makes the loop's store/quarantine
         // effects — and the fault-replay digests — thread-count
@@ -1145,76 +806,136 @@ impl AsyncFrontend {
         self.last_due = due_tick;
         self.pool.submit(WorkItem {
             job,
-            prep: Arc::clone(&info.prep),
-            model: info.request.model,
+            ordinal: decided.info.ordinal,
+            prep: Arc::clone(&decided.prep),
+            model: decided.info.request.model,
             budget,
-            cache,
+            cache: service.retained_cache(&decided.prep.canon),
             fault,
-            metrics: self.metrics.as_ref().map(|m| Arc::clone(&m.registry)),
+            instruments: self.instruments.clone(),
         });
-        self.in_flight.insert(info.prep.key.clone(), job);
+        self.in_flight.insert(decided.prep.key.clone(), job);
         self.pending.push_back(PendingJob {
             job,
-            key: info.prep.key.clone(),
             due_tick,
-            degrade_floor: floor,
-            leader: info,
-            followers: Vec::new(),
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)] // one flat completion record
-    fn reject_now(
-        &mut self,
-        ticket: Ticket,
-        tenant: usize,
-        ordinal: u64,
-        submitted_tick: u64,
-        reason: RejectReason,
-        estimate: Option<crate::admission::CostEstimate>,
-    ) {
-        self.stats.completed += 1;
-        if let Some(m) = &self.metrics {
-            m.completions.inc();
-            m.latency_ticks.record(self.tick - submitted_tick);
-        }
-        self.ready.push(Completion {
-            ticket,
-            tenant,
-            ordinal,
-            submitted_tick,
-            completed_tick: self.tick,
-            outcome: ServeOutcome::Rejected(Rejection { reason, estimate }),
+            floor,
+            leader: decided,
+            joiners: Vec::new(),
         });
     }
 
     /// One hysteresis step: the backlog after this tick's dispatches
     /// moves the shed level at most one notch.
-    fn update_shed_level(&mut self) {
+    fn update_shed_level(&mut self, service: &PlanService) {
         let backlog: usize = self.queues.values().map(VecDeque::len).sum();
-        self.stats.peak_backlog = self.stats.peak_backlog.max(backlog);
-        if backlog >= self.config.backlog_high {
-            let raised = (self.shed_level + 1).min(self.config.max_shed_level);
-            if raised != self.shed_level {
-                self.shed_level = raised;
-                self.stats.shed_raises += 1;
-                if let Some(m) = &self.metrics {
-                    m.shed_raises.inc();
-                }
-            }
-        } else if backlog <= self.config.backlog_low && self.shed_level > 0 {
-            self.shed_level -= 1;
-            self.stats.shed_lowers += 1;
-            if let Some(m) = &self.metrics {
-                m.shed_lowers.inc();
-            }
+        let counters = &service.counters;
+        counters.backlog.set(backlog as u64);
+        let level = if backlog >= self.config.backlog_high {
+            (self.shed_level + 1).min(self.config.max_shed_level)
+        } else if backlog <= self.config.backlog_low {
+            self.shed_level.saturating_sub(1)
+        } else {
+            self.shed_level
+        };
+        if level != self.shed_level {
+            counters.inc(if level > self.shed_level {
+                Event::ShedRaise
+            } else {
+                Event::ShedLower
+            });
+            self.shed_level = level;
+            counters.shed_level.set(u64::from(level));
         }
-        if let Some(m) = &self.metrics {
-            m.backlog.set(backlog as u64);
-            m.shed_level.set(u64::from(self.shed_level));
+    }
+}
+
+/// The non-blocking front door: a deterministic event loop over bounded
+/// per-tenant queues (see the module docs).  Single ownership: the loop
+/// itself is not `Sync` — submissions and ticks happen on one calling
+/// thread, parallelism lives in the worker pool behind it.
+pub struct AsyncFrontend {
+    service: Arc<PlanService>,
+    core: EventLoop<'static>,
+}
+
+impl AsyncFrontend {
+    /// A front end over `service` (whose store, quarantine, caches,
+    /// counters and budget are shared with the batch door) under `config`.
+    /// It records into the service's instruments, if it has any.
+    pub fn new(service: Arc<PlanService>, config: FrontendConfig) -> Self {
+        AsyncFrontend {
+            core: EventLoop::new(config, service.instruments.clone()),
+            service,
         }
-        self.stats.shed_level = self.shed_level;
-        self.stats.peak_shed_level = self.stats.peak_shed_level.max(self.shed_level);
+    }
+
+    /// Records the loop's spans (`frontend.tick`, `frontend.watchdog`,
+    /// `admission.decide`, `serve.cold_solve`), its logical-tick latency
+    /// histogram (`frontend.latency_ticks`) and the per-tenant traffic
+    /// sketches (`tenant.requests` / `tenant.sheds` / `tenant.degrades`)
+    /// into `registry`, and threads it down to the engine stages of every
+    /// dispatched solve.  The counters are the owning service's
+    /// ([`PlanService::with_metrics`]).  Instrumentation is pure
+    /// observability: no decision, outcome, or replay digest depends on it.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.core.instruments = Some(Instruments::resolve(registry));
+        self
+    }
+
+    /// The current logical tick.
+    pub fn now(&self) -> u64 {
+        self.core.tick
+    }
+
+    /// The owning service's counters, which both front doors count into.
+    pub fn stats(&self) -> ServeStats {
+        self.service.stats()
+    }
+
+    /// Tickets of this front end not yet resolved (queued + in flight).
+    pub fn outstanding(&self) -> usize {
+        self.core.outstanding
+    }
+
+    /// Submits one request under the configured default deadline.  Never
+    /// blocks: the ticket resolves through [`tick`](Self::tick) (a full
+    /// tenant queue resolves it immediately as
+    /// [`RejectReason::QueueFull`]).  Validation errors fail the submit
+    /// itself — an invalid application never earns a ticket.
+    pub fn submit(&mut self, tenant: usize, request: PlanRequest) -> CoreResult<Ticket> {
+        request.app.validate()?;
+        let deadline = self.core.config.deadline_ticks;
+        Ok(self
+            .core
+            .submit(&self.service, tenant, Cow::Owned(request), deadline))
+    }
+
+    /// Submits one request with an explicit deadline `deadline_ticks`
+    /// ticks from now (overriding the configured default).
+    pub fn submit_with_deadline(
+        &mut self,
+        tenant: usize,
+        request: PlanRequest,
+        deadline_ticks: u64,
+    ) -> CoreResult<Ticket> {
+        request.app.validate()?;
+        let deadline = Some(deadline_ticks);
+        Ok(self
+            .core
+            .submit(&self.service, tenant, Cow::Owned(request), deadline))
+    }
+
+    /// Advances one logical tick: applies due completion events, dequeues
+    /// up to `dispatch_per_tick` requests, updates the shed level, and
+    /// returns every completion produced since the last call.
+    pub fn tick(&mut self) -> Vec<Completion> {
+        self.core.tick(&self.service)
+    }
+
+    /// Ticks until every outstanding ticket has resolved, returning all
+    /// completions produced along the way.
+    pub fn drain(&mut self) -> Vec<Completion> {
+        self.core.drain(&self.service)
     }
 }
 
@@ -1320,11 +1041,12 @@ mod tests {
             stall_timeout: Duration::from_millis(40),
             ..FrontendConfig::default()
         };
-        let service = service();
-        let mut frontend =
-            AsyncFrontend::new(Arc::clone(&service), config).with_fault_injection(|ordinal| {
-                (ordinal == 0).then_some(FrontendFault::StallWorker(Duration::from_millis(400)))
-            });
+        let service = Arc::new(
+            PlanService::new(SearchBudget::default(), 64).with_fault_injection(|ordinal| {
+                (ordinal == 0).then_some(InjectedFault::Slow(Duration::from_millis(400)))
+            }),
+        );
+        let mut frontend = AsyncFrontend::new(Arc::clone(&service), config);
         let stalled = frontend.submit(0, small_request(0)).unwrap();
         let fine = frontend.submit(1, small_request(1)).unwrap();
         let completions = frontend.drain();
@@ -1337,7 +1059,7 @@ mod tests {
         assert!(by_ticket[&fine].outcome.is_exact());
         assert_eq!(frontend.stats().stalls, 1);
         // The stalled fingerprint is now in the shared quarantine: the
-        // sync path rejects it too.
+        // batch door rejects it too.
         let next = service.serve_one(&small_request(0)).unwrap();
         assert_eq!(
             next.rejection().map(|r| &r.reason),

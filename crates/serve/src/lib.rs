@@ -13,12 +13,17 @@
 //!   plans with *cost-aware eviction*: entries are weighed by the wall time
 //!   their solve cost, so a 0.2 s exhaustive result outlives a crowd of
 //!   millisecond tree solves;
-//! * **a batched request queue** ([`service::PlanService`]) — a batch is
-//!   canonicalised, answered from the store where possible, deduplicated
-//!   in flight (one solve per distinct fingerprint per batch) and the
-//!   remaining cold solves drain onto the `fsw_sched::par` thread pool,
-//!   each under its own [`SearchBudget`](fsw_sched::orchestrator::SearchBudget)
-//!   deadline;
+//! * **one serving pipeline** ([`frontend`]) — a deterministic event loop
+//!   that answers from the store where possible, deduplicates in flight
+//!   (one solve per distinct key), prices every request before solving it
+//!   ([`admission`]), and drains the remaining cold solves onto a worker
+//!   pool, each under its own
+//!   [`SearchBudget`](fsw_sched::orchestrator::SearchBudget) deadline.  It
+//!   has two front doors: the blocking
+//!   [`PlanService::serve_batch`](service::PlanService::serve_batch), which
+//!   submits a whole batch and drains it, and the non-blocking
+//!   [`AsyncFrontend`], which hands out [`Ticket`]s from bounded per-tenant
+//!   queues under adaptive backpressure;
 //! * **online re-planning** ([`online::TenantSession`]) — a tenant's
 //!   service set evolves (arrivals, departures, weight changes) and the
 //!   session re-plans *incrementally*: the previous plan is adapted to the
@@ -26,68 +31,39 @@
 //!   ([`fsw_sched::orchestrator::solve_warm`]), and a **plan-churn** metric
 //!   reports how many parent assignments moved, so stability is measurable.
 //!
-//! Since the hardening pass, the service also **prices every request
-//! before solving it** ([`admission`]): an O(shapes) structural cost
-//! estimate decides Admit / AdmitWithDeadline / Reject before any
-//! enumeration starts, responses are a three-way [`ServeOutcome`]
-//! (`Exact` / `Degraded` / `Rejected`), solver panics are caught and
-//! quarantined instead of poisoning the queue, and a deterministic fault hook
+//! Responses are a three-way [`ServeOutcome`] (`Exact` / `Degraded` /
+//! `Rejected`), solver panics are caught and quarantined instead of
+//! poisoning the queue, a deterministic fault hook
 //! ([`PlanService::with_fault_injection`](service::PlanService::with_fault_injection))
-//! makes all of it testable under replay.
-//!
-//! Since the async pass, an optional **event-loop front end**
-//! ([`frontend::AsyncFrontend`]) sits above `serve_batch`: callers get a
-//! [`Ticket`] from a bounded per-tenant ingress queue instead of blocking
-//! on a batch, the live backlog feeds back into the admission thresholds
-//! (adaptive load shedding with hysteresis),
-//! deadlines propagate to dequeue-time cancellation, and worker
-//! heartbeats time out stalled solves into the quarantine — all decisions
-//! on one loop thread in logical ticks, so replays are deterministic
-//! across worker counts.  The async request lifecycle:
+//! makes all of it testable under replay, and every serving event is
+//! counted once, in the service's counters ([`ServeStats`]).  All
+//! decisions happen on the loop thread in logical ticks, so replays are
+//! deterministic across worker counts.  The request lifecycle, on either
+//! door:
 //!
 //! ```text
-//!   submit(tenant, request) ──► ticket        (never blocks)
-//!        │ bounded tenant queue ──full──► Rejected{QueueFull}
+//!   submit(tenant, request) ──► ticket         (never blocks; serve_batch
+//!        │ bounded tenant queue ──full──► Rejected{QueueFull}   submits all)
 //!        ▼ dequeue (round-robin, ≤ dispatch_per_tick per tick)
 //!   deadline check ──expired──► Rejected{DeadlineExpired}
+//!        ▼ canonicalise + fingerprint          fsw_core::CanonicalApplication
+//!   dedup join ──key in flight──► rides that solve (Dedup)
 //!        ▼
-//!   store hit ──► Exact (same tick)
+//!   plan store ──hit──► relabel ──► Exact (same tick)
 //!        ▼ miss
-//!   quarantine ──► Rejected{Quarantined}
+//!   quarantine ──backoff/permanent──► Rejected{Quarantined}
 //!        ▼ clear
-//!   admission @ thresholds >> shed_level      (backlog feedback)
-//!        │        └─over scaled reject──► Rejected{Shed{level}}
-//!        ▼ admit / degrade-band / predicted-deadline-miss
-//!   dispatch ──► worker pool ──► completion event (due-tick order)
-//!        │                           │ heartbeat timeout
-//!        ▼                           ▼
-//!   Exact / Degraded            Rejected{WorkerStall} ─► quarantine
-//! ```
-//!
-//! The request lifecycle, end to end:
-//!
-//! ```text
-//!   request (app, model, objective)
-//!        │ canonicalise                  fsw_core::CanonicalApplication
-//!        ▼
-//!   fingerprint ──► plan store ──hit──────► relabel ──► Exact
-//!        │ miss                                ▲
-//!        ▼                                     │
-//!   quarantine gate ──backoff/permanent──► Rejected
-//!        │ clear                               │
-//!        ▼                                     │
-//!   admission pricing (O(shapes))              │
-//!        │    │            └─over reject_cost► Rejected{estimate}
-//!        │    └─degrade band: arm deadline     │
-//!        ▼                                     │
-//!   in-flight dedup (one leader per key)       │
-//!        │ leaders                             │
-//!        ▼                                     │
-//!   par::Exec pool ── catch_unwind ┬─ exhaustive ─► store insert ─► Exact
-//!     (solve_with_cache)           ├─ interrupted ─► Degraded{floor, gap}
-//!                                  └─ panic ─► quarantine ─► Rejected
-//!                                              (followers woken with the
-//!                                               leader's error — no hangs)
+//!   admission @ thresholds >> shed_level       O(shapes), backlog feedback
+//!        │   ├─over reject_cost──► Rejected{AdmissionCost, estimate}
+//!        │   └─over scaled reject──► Rejected{Shed{level}, estimate}
+//!        ▼ admit / degrade band / predicted deadline miss
+//!   dispatch ──► worker pool ── catch_unwind ──► completion (due-tick order)
+//!        ┌────────────────────────────────────────────┘
+//!        ├─ exhaustive ──► store insert ──► Exact (leader Cold, joiners Dedup)
+//!        ├─ interrupted ─► Degraded{lower_bound, gap}   (never cached)
+//!        ├─ panic ───────► quarantine ──► Rejected{SolverPanic}
+//!        └─ heartbeat timeout ──► quarantine ──► Rejected{WorkerStall}
+//!                       (joiners get the leader's outcome — no hangs)
 //! ```
 //!
 //! Every served **`Exact`** value is bit-identical to a cold solve of the
@@ -106,15 +82,15 @@ pub mod admission;
 pub mod frontend;
 pub mod online;
 pub mod service;
+pub mod stats;
 pub mod store;
 
 pub use admission::{AdmissionDecision, AdmissionPolicy, CostEstimate};
-pub use frontend::{
-    AsyncFrontend, Completion, FrontendConfig, FrontendFault, FrontendStats, Ticket,
-};
+pub use frontend::{AsyncFrontend, Completion, FrontendConfig, Ticket};
 pub use online::{ReplanOutcome, TenantEvent, TenantSession};
 pub use service::{
     permutation_collapse_allowed, solve_all, InjectedFault, PlanRequest, PlanResponse, PlanService,
-    RejectReason, Rejection, ServeOutcome, ServeSource, ServeStats, ServiceStats,
+    RejectReason, Rejection, ServeOutcome, ServeSource,
 };
+pub use stats::ServeStats;
 pub use store::{PlanKey, PlanStore, StoreStats, StoredPlan};

@@ -1,62 +1,52 @@
-//! The batched request queue: canonicalise → admit → store → dedup → pool.
+//! The planning service: the tier's shared state and its batch door.
 //!
-//! [`PlanService::serve_batch`] is the service's front door.  A batch of
-//! tenant requests is processed in five stages:
+//! [`PlanService`] owns what every request of the tier shares — the plan
+//! store, the panic quarantine, the retained evaluation caches, the
+//! admission policy, the fault hook and the counters — and
+//! [`PlanService::serve_batch`] is its blocking front door: it submits the
+//! whole batch to the event loop of [`crate::frontend`] under one tenant,
+//! dequeues it on the first tick and drains it.  Each request is decided in
+//! the one pipeline order the crate docs draw: **dedup join** (a request
+//! whose key is already being solved shares that solve's outcome,
+//! failures included — [`ServeSource::Dedup`]), **store** (the store only
+//! holds exhaustive plans, so a hit is always `Exact` —
+//! [`ServeSource::Store`]), **quarantine**, **admission** (priced in
+//! O(shapes) before any enumeration, [`crate::admission`]) and
+//! **dispatch** to the worker pool ([`ServeSource::Cold`]), where a
+//! panicking solve is caught and quarantined, exhaustive results enter the
+//! store, and interrupted ones come back
+//! [`Degraded`](ServeOutcome::Degraded) with an admissible lower bound and
+//! are never cached.
 //!
-//! 1. every request is **canonicalised** ([`fsw_core::CanonicalApplication`])
-//!    and keyed by its [`PlanKey`] — the permutation collapse engages only
-//!    when the solve path is provably label-invariant
-//!    ([`permutation_collapse_allowed`]), so an [`Exact`](ServeOutcome::Exact)
-//!    value is always bit-identical to a cold solve of the tenant's own
-//!    application;
-//! 2. keys already in the **plan store** are answered immediately
-//!    ([`ServeSource::Store`]) — the store only ever holds exhaustive
-//!    plans, so a hit is always `Exact`;
-//! 3. the remaining requests pass the **quarantine** (fingerprints that
-//!    panicked the solver are rejected during their backoff, permanently
-//!    after repeated failures) and the **admission policy**
-//!    ([`crate::admission`]): each distinct key is priced in O(shapes)
-//!    before any enumeration, and requests whose structural cost clears
-//!    the reject threshold never touch the solve pool;
-//! 4. admitted requests are **deduplicated in flight**: the first request
-//!    of each distinct missing key becomes its *leader*
-//!    ([`ServeSource::Cold`]), later ones become *followers*
-//!    ([`ServeSource::Dedup`]) and share the leader's outcome — including
-//!    a failure: followers of a panicked leader observe the error instead
-//!    of hanging;
-//! 5. the leaders drain onto the `fsw_sched::par` worker pool under
-//!    `catch_unwind` (a panicking solve is caught, reported as a
-//!    [`RejectReason::SolverPanic`] outcome and quarantined — it never
-//!    poisons the batch), each cold solve running under its own deadline
-//!    (the budget's, tightened by the admission policy's degrade deadline
-//!    in the [`AdmitWithDeadline`](crate::admission::AdmissionDecision)
-//!    band); **exhaustive** results are inserted into the store and fanned
-//!    back out as `Exact`, interrupted or budget-capped ones come back
-//!    [`Degraded`](ServeOutcome::Degraded) with an admissible lower bound
-//!    and are *never* cached.
-//!
-//! Responses carry the plan relabelled into the tenant's own service ids.
+//! Every request is canonicalised ([`fsw_core::CanonicalApplication`]) and
+//! keyed by its [`PlanKey`] — the permutation collapse engages only when
+//! the solve path is provably label-invariant
+//! ([`permutation_collapse_allowed`]), so an [`Exact`](ServeOutcome::Exact)
+//! value is always bit-identical to a cold solve of the tenant's own
+//! application.  Responses carry the plan relabelled into the tenant's own
+//! service ids.
 //!
 //! For robustness testing, [`PlanService::with_fault_injection`] installs a
 //! deterministic fault hook keyed by **request ordinal** (arrival order
-//! across the service's lifetime): injected panics, slowdowns and deadline
-//! blowouts fire on the same requests whatever the thread count, so fault
-//! replays are reproducible (`fsw_sim`'s `FaultPlan` drives this).
+//! across the service's lifetime, on either door), so fault replays are
+//! reproducible whatever the thread count (`fsw_sim`'s `FaultPlan` drives
+//! this).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fsw_core::{
     AppFingerprint, Application, CanonicalApplication, CommModel, CoreResult, ExecutionGraph,
 };
+use fsw_obs::MetricsRegistry;
 use fsw_sched::engine::EvalCache;
 use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
-use fsw_sched::par::par_chunks;
 
-use crate::admission::{AdmissionDecision, AdmissionPolicy, CostEstimate};
+use crate::admission::{AdmissionPolicy, CostEstimate};
+use crate::frontend::{EventLoop, FrontendConfig};
+use crate::stats::{Counters, Instruments, ServeStats};
 use crate::store::{PlanKey, PlanStore, StoredPlan};
 
 /// One tenant request: plan this application under this model/objective.
@@ -84,11 +74,11 @@ impl PlanRequest {
 /// Where a response came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeSource {
-    /// Solved cold in this batch (the leader of its fingerprint).
+    /// Solved cold for this request (the leader of its key's solve).
     Cold,
-    /// Answered from the plan store (an earlier batch solved it).
+    /// Answered from the plan store (an earlier solve stored it).
     Store,
-    /// Deduplicated in flight against a leader of the same batch.
+    /// Joined the in-flight solve of a leader with the same key.
     Dedup,
 }
 
@@ -121,14 +111,14 @@ pub enum RejectReason {
         /// `false` during a backoff window.
         permanent: bool,
     },
-    /// The solve for this fingerprint panicked in this batch (the request
-    /// was its leader, or a follower woken with the leader's error).
+    /// The solve for this fingerprint panicked (the request was its
+    /// leader, or a joiner woken with the leader's error).
     SolverPanic {
         /// The panic payload, when it carried a message.
         message: String,
     },
     /// The tenant's bounded ingress queue was full when the request
-    /// arrived (async front end only): shed at ingress, nothing queued.
+    /// arrived: shed at ingress, nothing queued.
     QueueFull,
     /// Shed by adaptive backpressure: the request would have been admitted
     /// at baseline thresholds, but the front end's backlog had tightened
@@ -137,8 +127,8 @@ pub enum RejectReason {
         /// The shed level in force at the decision (≥ 1).
         level: u32,
     },
-    /// The request's deadline had already expired when it was dequeued
-    /// (async front end): cancelled instead of solved uselessly.
+    /// The request's deadline had already expired when it was dequeued:
+    /// cancelled instead of solved uselessly.
     DeadlineExpired,
     /// The worker solving this fingerprint stalled past the watchdog and
     /// was timed out; the fingerprint goes to the quarantine.
@@ -151,7 +141,8 @@ pub enum RejectReason {
 pub struct Rejection {
     /// Why the request got no plan.
     pub reason: RejectReason,
-    /// The cost estimate that rejected it (admission rejections only).
+    /// The cost estimate, floor included, that rejected or shed it
+    /// (admission rejections and backpressure sheds).
     pub estimate: Option<CostEstimate>,
 }
 
@@ -173,7 +164,8 @@ pub enum ServeOutcome {
         /// (`∞` when the floor is trivial).
         gap: f64,
     },
-    /// No plan: rejected by admission, quarantine, or a solver panic.
+    /// No plan: shed, cancelled, or rejected by admission, quarantine, a
+    /// solver panic or a stall.
     Rejected(Rejection),
 }
 
@@ -227,92 +219,24 @@ impl ServeOutcome {
     }
 }
 
-/// Lifetime counters of a [`PlanService`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests received.
-    pub requests: usize,
-    /// Cold solves performed (fingerprint leaders).
-    pub cold: usize,
-    /// Requests answered from the plan store.
-    pub store_hits: usize,
-    /// Requests deduplicated in flight against a same-batch leader.
-    pub dedup_hits: usize,
-    /// Leaders admitted into the degrade band (solved under a deadline).
-    pub deadline_admits: usize,
-    /// Degraded responses served (leaders and followers).
-    pub degraded: usize,
-    /// Requests rejected by the admission policy.
-    pub admission_rejects: usize,
-    /// Requests rejected by the quarantine (backoff or permanent).
-    pub quarantine_rejects: usize,
-    /// Solver panics caught (one per failed leader).
-    pub panics: usize,
-    /// Quarantined fingerprints that completed a retry successfully.
-    pub recovered: usize,
-}
-
-impl ServiceStats {
-    /// Fraction of requests served without a cold solve (store + dedup).
-    pub fn served_ratio(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        (self.store_hits + self.dedup_hits) as f64 / self.requests as f64
-    }
-
-    /// Requests rejected for any reason (admission + quarantine; panic
-    /// rejections are counted by [`Self::panics`] per failed leader).
-    pub fn rejected(&self) -> usize {
-        self.admission_rejects + self.quarantine_rejects
-    }
-}
-
-/// One public snapshot of the whole serving tier: the request counters
-/// ([`ServiceStats`]), the store counters ([`crate::store::StoreStats`]),
-/// and the **quarantine occupancy** — how many fingerprints are currently
-/// held in backoff and how many are permanently banned.  Before this
-/// snapshot the quarantine and in-flight-dedup state were only observable
-/// indirectly (through which outcomes a replay produced); robustness
-/// harnesses assert on it directly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Request-path lifetime counters (includes `dedup_hits`, the
-    /// in-flight dedup counter, and `quarantine_rejects`).
-    pub service: ServiceStats,
-    /// Plan-store lifetime counters.
-    pub store: crate::store::StoreStats,
-    /// Fingerprints currently quarantined (in a backoff window or
-    /// permanent) — live occupancy, not a lifetime count.
-    pub quarantine_active: usize,
-    /// Fingerprints whose quarantine is permanent (failure budget spent).
-    pub quarantine_permanent: usize,
-    /// Shed-level **raises** over the tier's lifetime (each +1 step of the
-    /// async front end's backpressure controller).  `0` on the synchronous
-    /// batch path, which has no shed controller.
-    pub shed_raises: usize,
-    /// Shed-level **lowers** (each −1 recovery step of the controller).
-    /// `0` on the synchronous batch path.
-    pub shed_lowers: usize,
-    /// Requests cancelled because their deadline expired before dispatch
-    /// (async front end).  `0` on the synchronous batch path, which never
-    /// queues.
-    pub deadline_cancels: usize,
-}
-
-/// A deterministic fault injected into one cold solve (robustness
+/// A deterministic fault injected at one request ordinal (robustness
 /// harness; see [`PlanService::with_fault_injection`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InjectedFault {
     /// The solver panics before doing any work.
     Panic,
-    /// The solve is preceded by an artificial stall.
+    /// The solve is preceded by an artificial stall.  A stall longer than
+    /// the front end's watchdog is timed out as a
+    /// [`RejectReason::WorkerStall`].
     Slow(Duration),
     /// The solve runs under an already-expired deadline (`time_limit` of
     /// zero): the search degrades to its deterministic fallback
     /// immediately, modelling a deadline blowout without wall-clock
     /// dependence.
     DeadlineBlowout,
+    /// The store shard holding the request's fingerprint responds slowly:
+    /// the lookup sleeps first.  Wall clock only — no decision changes.
+    SlowShard(Duration),
 }
 
 /// `true` when the solve path for `(model, objective)` under `budget` is
@@ -388,41 +312,6 @@ impl Prepared {
         };
         Prepared { canon, key }
     }
-}
-
-/// How one request of a batch is answered.
-enum Assignment {
-    /// Answered from the store.
-    Hit(StoredPlan),
-    /// Leader of its key: `solved[slot]` is this request's cold solve.
-    Leader(usize),
-    /// Follower of the leader filling `solved[slot]` — outcomes included:
-    /// a follower of a panicked leader observes the same error.
-    Follower(usize),
-    /// Rejected before the pool (admission or quarantine).
-    Rejected(Rejection),
-}
-
-/// One admitted leader headed for the solve pool.
-struct LeaderTask {
-    /// Index of the leading request in the batch.
-    idx: usize,
-    /// The request's arrival ordinal (fault-injection key).
-    ordinal: u64,
-    /// Degrade deadline from the admission policy, if any.
-    time_limit: Option<Duration>,
-    /// Admissible value floor priced at admission, if any.
-    floor: Option<f64>,
-}
-
-/// The service's cached observability handles: the shared registry plus
-/// the span timers the hot paths record through (resolved once at
-/// attachment, so serving never takes the registry lock).
-pub(crate) struct ServiceMetrics {
-    pub(crate) registry: Arc<fsw_obs::MetricsRegistry>,
-    /// `admission.decide` — exact count of pricing decisions, durations
-    /// sampled 1-in-[`fsw_obs::span::SAMPLE_EVERY`] (per-request path).
-    pub(crate) admission: fsw_obs::SpanTimer,
 }
 
 /// How many solver panics a fingerprint may accumulate before its
@@ -504,7 +393,8 @@ impl Quarantine {
 }
 
 /// The multi-tenant planning service: one plan store, one search budget,
-/// one admission policy (see the module docs for the batch lifecycle).
+/// one admission policy, one set of counters (see the module docs for the
+/// request lifecycle).
 pub struct PlanService {
     budget: SearchBudget,
     admission: AdmissionPolicy,
@@ -523,30 +413,22 @@ pub struct PlanService {
     /// cleared wholesale (caches are pure memos, so dropping them costs
     /// recomputation, never correctness).
     cache_capacity: usize,
-    quarantine: Quarantine,
-    /// Observability registry plus pre-resolved span timers, when attached
-    /// ([`Self::with_metrics`]).
-    metrics: Option<ServiceMetrics>,
+    pub(crate) quarantine: Quarantine,
+    /// Every serving event of both front doors, counted once.
+    pub(crate) counters: Counters,
+    /// Spans, latency histogram and tenant sketches, when a registry is
+    /// attached ([`Self::with_metrics`]).
+    pub(crate) instruments: Option<Instruments>,
     /// Deterministic fault hook keyed by request ordinal (tests/harness).
     fault_hook: Option<Box<dyn Fn(u64) -> Option<InjectedFault> + Send + Sync>>,
-    /// Requests received; doubles as the arrival-ordinal counter.
-    requests: AtomicU64,
-    cold: AtomicUsize,
-    store_hits: AtomicUsize,
-    dedup_hits: AtomicUsize,
-    deadline_admits: AtomicUsize,
-    degraded: AtomicUsize,
-    admission_rejects: AtomicUsize,
-    quarantine_rejects: AtomicUsize,
-    panics: AtomicUsize,
-    recovered: AtomicUsize,
 }
 
 impl PlanService {
     /// A service answering under `budget`, caching at most `store_capacity`
     /// plans (and retaining at most `store_capacity` per-fingerprint
     /// evaluation caches), gated by the hardened default admission policy
-    /// ([`AdmissionPolicy::for_budget`]).
+    /// ([`AdmissionPolicy::for_budget`]).  Its counters live in a private
+    /// registry until [`Self::with_metrics`] moves them.
     pub fn new(budget: SearchBudget, store_capacity: usize) -> Self {
         PlanService {
             admission: AdmissionPolicy::for_budget(&budget),
@@ -555,18 +437,9 @@ impl PlanService {
             caches: Mutex::new(HashMap::new()),
             cache_capacity: store_capacity.max(1),
             quarantine: Quarantine::new(),
-            metrics: None,
+            counters: Counters::resolve(&MetricsRegistry::new()),
+            instruments: None,
             fault_hook: None,
-            requests: AtomicU64::new(0),
-            cold: AtomicUsize::new(0),
-            store_hits: AtomicUsize::new(0),
-            dedup_hits: AtomicUsize::new(0),
-            deadline_admits: AtomicUsize::new(0),
-            degraded: AtomicUsize::new(0),
-            admission_rejects: AtomicUsize::new(0),
-            quarantine_rejects: AtomicUsize::new(0),
-            panics: AtomicUsize::new(0),
-            recovered: AtomicUsize::new(0),
         }
     }
 
@@ -577,32 +450,28 @@ impl PlanService {
         self
     }
 
-    /// Attaches an observability registry: admission pricing records an
-    /// `admission.decide` span, the plan store mirrors its hit/miss/evict
-    /// counters (`store.*`), every cold solve records a `serve.cold_solve`
-    /// span and threads the registry down the solve pipeline (engine
-    /// stream/expand/certify stages).  All instruments are pure
-    /// observability — no served value or decision depends on them.
-    pub fn with_metrics(mut self, registry: Arc<fsw_obs::MetricsRegistry>) -> Self {
-        self.store.attach_metrics(&registry);
-        self.metrics = Some(ServiceMetrics {
-            admission: registry.span("admission.decide"),
-            registry,
-        });
+    /// Attaches an observability registry.  The service's counters move
+    /// into it (`frontend.*` and `store.*`, keeping what they counted so
+    /// far), and both front doors record their spans (`frontend.tick`,
+    /// `frontend.watchdog`, `admission.decide`, `serve.cold_solve`), the
+    /// logical-tick latency histogram and the per-tenant traffic sketches
+    /// into it; every cold solve threads it down to the engine stages.
+    /// All instruments are pure observability — no served value or
+    /// decision depends on them.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.counters = self.counters.moved_to(&registry);
+        self.store.count_into(&registry);
+        self.instruments = Some(Instruments::resolve(registry));
         self
     }
 
-    /// The attached observability registry, if any.
-    pub fn metrics_registry(&self) -> Option<&Arc<fsw_obs::MetricsRegistry>> {
-        self.metrics.as_ref().map(|m| &m.registry)
-    }
-
-    /// Installs a deterministic fault hook: before each cold solve the
-    /// hook is called with the **arrival ordinal** of the leading request
+    /// Installs a deterministic fault hook: the hook is called with the
+    /// **arrival ordinal** of each request that reaches the store lookup
     /// (0-based, counted across the service's lifetime), and any returned
-    /// [`InjectedFault`] is applied to that solve.  Ordinals are assigned
-    /// in submission order, so fault replays are independent of the worker
-    /// thread count.
+    /// [`InjectedFault`] applies to that request — to its lookup
+    /// ([`InjectedFault::SlowShard`]) or to the cold solve it leads.
+    /// Ordinals are assigned in submission order, so fault replays are
+    /// independent of the worker thread count.
     pub fn with_fault_injection<F>(mut self, hook: F) -> Self
     where
         F: Fn(u64) -> Option<InjectedFault> + Send + Sync + 'static,
@@ -615,13 +484,7 @@ impl PlanService {
     /// fingerprint resolves to, `None` when no cold solve has created one
     /// yet.  Tests assert cache retention across batches with this.
     pub fn eval_cache_stats(&self, request: &PlanRequest) -> Option<(usize, usize)> {
-        let collapse = permutation_collapse_allowed(
-            &request.app,
-            request.model,
-            request.objective,
-            &self.budget,
-        );
-        let canon = CanonicalApplication::with_collapse(&request.app, collapse);
+        let canon = Prepared::of(request, &self.budget).canon;
         self.caches
             .lock()
             .expect("cache mutex poisoned")
@@ -644,38 +507,17 @@ impl PlanService {
         &self.store
     }
 
-    /// One public snapshot of the whole tier: request counters, store
-    /// counters, and quarantine occupancy (see [`ServeStats`]).
-    pub fn serve_stats(&self) -> ServeStats {
-        let (quarantine_active, quarantine_permanent) = self.quarantine.counts();
-        ServeStats {
-            service: self.stats(),
-            store: self.store.stats(),
-            quarantine_active,
-            quarantine_permanent,
-            // The batch path has no shed controller and never queues, so
-            // the async-only counters are structurally zero here; the
-            // async front end's `serve_stats` fills them in.
-            shed_raises: 0,
-            shed_lowers: 0,
-            deadline_cancels: 0,
-        }
-    }
-
-    /// The shared panic quarantine (the async front end gates through the
-    /// same state machine as the batch path).
-    pub(crate) fn quarantine(&self) -> &Quarantine {
-        &self.quarantine
+    /// One snapshot of the whole tier: the counters of both front doors,
+    /// the store counters, and the quarantine occupancy (see
+    /// [`ServeStats`]).
+    pub fn stats(&self) -> ServeStats {
+        let (active, permanent) = self.quarantine.counts();
+        self.counters.view(self.store.stats(), active, permanent)
     }
 
     /// Applies the installed fault hook to one request ordinal.
     pub(crate) fn injected_fault(&self, ordinal: u64) -> Option<InjectedFault> {
         self.fault_hook.as_ref().and_then(|hook| hook(ordinal))
-    }
-
-    /// Claims the next `n` arrival ordinals (and counts the requests).
-    pub(crate) fn next_ordinals(&self, n: u64) -> u64 {
-        self.requests.fetch_add(n, Ordering::Relaxed)
     }
 
     /// The retained evaluation cache for `canon`'s fingerprint, creating
@@ -703,22 +545,6 @@ impl PlanService {
             .remove(fingerprint);
     }
 
-    /// Lifetime counters.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            requests: self.requests.load(Ordering::Relaxed) as usize,
-            cold: self.cold.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            deadline_admits: self.deadline_admits.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
-            quarantine_rejects: self.quarantine_rejects.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
-        }
-    }
-
     /// Serves one request (a batch of one).
     pub fn serve_one(&self, request: &PlanRequest) -> CoreResult<ServeOutcome> {
         Ok(self
@@ -727,290 +553,52 @@ impl PlanService {
             .expect("one request, one response"))
     }
 
-    /// Serves a batch: store lookups, quarantine + admission gates,
-    /// in-flight dedup, cold solves on the worker pool (see the module
-    /// docs).  Outcomes come back in request order; every
-    /// [`Exact`](ServeOutcome::Exact) value is bit-identical to a cold
-    /// solve of the tenant's own application under the service's budget.
+    /// Serves a batch: submits every request to a fresh event loop under
+    /// one tenant, drains it, and returns the outcomes in request order
+    /// (see the module docs).  Every [`Exact`](ServeOutcome::Exact) value
+    /// is bit-identical to a cold solve of the tenant's own application
+    /// under the service's budget.
     ///
-    /// Every application is **validated before anything is keyed or
-    /// solved**: an invalid tenant (NaN cost, negative selectivity, cyclic
-    /// constraints, …) fails the whole batch up front rather than poisoning
-    /// the fingerprint store with a garbage plan other tenants could then
-    /// be served.
+    /// Every application is **validated before anything is counted,
+    /// keyed or solved**: an invalid tenant (NaN cost, negative
+    /// selectivity, cyclic constraints, …) fails the whole batch up front
+    /// rather than poisoning the fingerprint store with a garbage plan
+    /// other tenants could then be served.
     pub fn serve_batch(&self, requests: &[PlanRequest]) -> CoreResult<Vec<ServeOutcome>> {
         for request in requests {
             request.app.validate()?;
         }
-        let base_ordinal = self
-            .requests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        // 1. Canonicalise and key.
-        let prepared: Vec<Prepared> = requests
-            .iter()
-            .map(|r| Prepared::of(r, &self.budget))
-            .collect();
-        // 2. + 3. + 4. Store lookups, quarantine + admission gates, and
-        // in-flight dedup (leader per missing admitted key).  Same-batch
-        // twins of a rejected key share the verdict without re-pricing or
-        // draining extra quarantine ticks.
-        let mut assignments: Vec<Assignment> = Vec::with_capacity(requests.len());
-        let mut leaders: Vec<LeaderTask> = Vec::new();
-        let mut in_flight: HashMap<&PlanKey, usize> = HashMap::new();
-        let mut rejected_keys: HashMap<&PlanKey, Rejection> = HashMap::new();
-        for (idx, prep) in prepared.iter().enumerate() {
-            if let Some(slot) = in_flight.get(&prep.key) {
-                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                assignments.push(Assignment::Follower(*slot));
-                continue;
-            }
-            if let Some(rejection) = rejected_keys.get(&prep.key) {
-                self.count_rejection(&rejection.reason);
-                assignments.push(Assignment::Rejected(rejection.clone()));
-                continue;
-            }
-            if let Some(plan) = self.store.get(&prep.key) {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                assignments.push(Assignment::Hit(plan));
-                continue;
-            }
-            if let Err(permanent) = self.quarantine.admit(&prep.key) {
-                let rejection = Rejection {
-                    reason: RejectReason::Quarantined { permanent },
-                    estimate: None,
-                };
-                self.count_rejection(&rejection.reason);
-                rejected_keys.insert(&prep.key, rejection.clone());
-                assignments.push(Assignment::Rejected(rejection));
-                continue;
-            }
-            let request = &requests[idx];
-            let decision = {
-                let _pricing = self
-                    .metrics
-                    .as_ref()
-                    .and_then(|m| m.admission.start_sampled());
-                self.admission
-                    .decide(&request.app, request.model, request.objective, &self.budget)
-            };
-            let (time_limit, floor) = match decision {
-                AdmissionDecision::Admit => (None, None),
-                AdmissionDecision::AdmitWithDeadline {
-                    time_limit,
-                    estimate,
-                } => {
-                    self.deadline_admits.fetch_add(1, Ordering::Relaxed);
-                    (Some(time_limit), estimate.value_floor)
-                }
-                AdmissionDecision::Reject { estimate } => {
-                    let rejection = Rejection {
-                        reason: RejectReason::AdmissionCost,
-                        estimate: Some(estimate),
-                    };
-                    self.count_rejection(&rejection.reason);
-                    rejected_keys.insert(&prep.key, rejection.clone());
-                    assignments.push(Assignment::Rejected(rejection));
-                    continue;
-                }
-            };
-            let slot = leaders.len();
-            leaders.push(LeaderTask {
-                idx,
-                ordinal: base_ordinal + idx as u64,
-                time_limit,
-                floor,
-            });
-            in_flight.insert(&prep.key, slot);
-            self.cold.fetch_add(1, Ordering::Relaxed);
-            assignments.push(Assignment::Leader(slot));
+        let mut batch = EventLoop::new(self.batch_config(), self.instruments.clone());
+        for request in requests {
+            batch.submit(self, 0, Cow::Borrowed(request), None);
         }
-        // 5. Drain the leaders onto the pool.  Each cold solve runs serial
-        // inside (the fan-out is across requests) under its own deadline,
-        // wrapped in `catch_unwind` so one panicking solve cannot take the
-        // batch (or the process) down with it.
-        let threads = match self.budget.threads {
-            0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
-            t => t,
-        };
-        // One evaluation cache per distinct fingerprint, **retained across
-        // batches**: the fingerprint determines the canonical application,
-        // so leaders of the same application — in this batch under other
-        // models/objectives, or in a later batch after the plan store
-        // evicted the fingerprint — share the memoised ordering searches,
-        // exactly like `solve_all`'s per-app sweep.  (`EvalCache` is `Sync`;
-        // the workers only read their `Arc`s.)
-        let caches: Vec<Arc<EvalCache>> = leaders
-            .iter()
-            .map(|task| self.retained_cache(&prepared[task.idx].canon))
-            .collect();
-        let solved: Vec<Result<StoredPlan, String>> =
-            par_chunks(threads, &leaders, |base, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(offset, task)| {
-                        let cache = &caches[base + offset];
-                        let fault = self.fault_hook.as_ref().and_then(|hook| hook(task.ordinal));
-                        let mut inner = SearchBudget {
-                            threads: 1,
-                            ..self.budget
-                        };
-                        if let Some(limit) = task.time_limit {
-                            inner.time_limit =
-                                Some(inner.time_limit.map_or(limit, |own| own.min(limit)));
-                        }
-                        if fault == Some(InjectedFault::DeadlineBlowout) {
-                            inner.time_limit = Some(Duration::ZERO);
-                        }
-                        catch_unwind(AssertUnwindSafe(|| {
-                            match fault {
-                                Some(InjectedFault::Panic) => {
-                                    panic!(
-                                        "injected solver panic (request ordinal {})",
-                                        task.ordinal
-                                    )
-                                }
-                                Some(InjectedFault::Slow(stall)) => std::thread::sleep(stall),
-                                _ => {}
-                            }
-                            cold_solve(
-                                &prepared[task.idx],
-                                requests[task.idx].model,
-                                &inner,
-                                cache,
-                                self.metrics_registry(),
-                            )
-                        }))
-                        .map_err(panic_message)
-                    })
-                    .collect::<Vec<_>>()
-            })
+        let mut completions = batch.drain(self);
+        completions.sort_unstable_by_key(|completion| completion.ticket);
+        Ok(completions
             .into_iter()
-            .flatten()
-            .collect();
-        // Bookkeeping in leader order (deterministic store and quarantine
-        // contents): only **exhaustive** plans enter the store; failures
-        // are quarantined and their retained caches dropped (the unwound
-        // solve may have left cache internals poisoned).
-        for (slot, task) in leaders.iter().enumerate() {
-            let key = &prepared[task.idx].key;
-            match &solved[slot] {
-                Ok(plan) => {
-                    if self.quarantine.record_success(key) {
-                        self.recovered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if plan.exhaustive {
-                        self.store.insert(key.clone(), plan.clone());
-                    } else {
-                        // A degraded attempt burnt real wall time but stores
-                        // nothing: remember the cost, so the eventual exact
-                        // re-solve's eviction weight reflects the *full*
-                        // recomputation price (degraded-then-exact upgrade).
-                        self.store.record_attempt_cost(key, plan.solve_micros);
-                    }
-                }
-                Err(_) => {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                    self.quarantine.record_failure(key);
-                    self.drop_cache(&key.fingerprint);
-                }
-            }
-        }
-        // Degraded leaders that were admitted without a priced floor (the
-        // plain-admit band, or an open policy) get one certified now — the
-        // degraded path is the slow path, so the bounded pricing pass is
-        // affordable here.
-        let floors: Vec<Option<f64>> = leaders
-            .iter()
-            .enumerate()
-            .map(|(slot, task)| {
-                if task.floor.is_some() {
-                    return task.floor;
-                }
-                match &solved[slot] {
-                    Ok(plan) if !plan.exhaustive => {
-                        let r = &requests[task.idx];
-                        self.admission
-                            .certified_floor(&r.app, r.model, r.objective, &self.budget)
-                    }
-                    _ => None,
-                }
-            })
-            .collect();
-        // Fan the answers back out, relabelled per tenant.
-        Ok(assignments
-            .into_iter()
-            .enumerate()
-            .map(|(idx, assignment)| {
-                let (plan, source, floor) = match assignment {
-                    Assignment::Rejected(rejection) => return ServeOutcome::Rejected(rejection),
-                    Assignment::Hit(plan) => (plan, ServeSource::Store, None),
-                    Assignment::Leader(slot) => match &solved[slot] {
-                        Ok(plan) => (plan.clone(), ServeSource::Cold, floors[slot]),
-                        Err(message) => {
-                            return ServeOutcome::Rejected(Rejection {
-                                reason: RejectReason::SolverPanic {
-                                    message: message.clone(),
-                                },
-                                estimate: None,
-                            })
-                        }
-                    },
-                    Assignment::Follower(slot) => match &solved[slot] {
-                        Ok(plan) => (plan.clone(), ServeSource::Dedup, floors[slot]),
-                        Err(message) => {
-                            return ServeOutcome::Rejected(Rejection {
-                                reason: RejectReason::SolverPanic {
-                                    message: message.clone(),
-                                },
-                                estimate: None,
-                            })
-                        }
-                    },
-                };
-                let graph = prepared[idx]
-                    .canon
-                    .graph_to_tenant(&plan.graph)
-                    .expect("canonical plans relabel cleanly");
-                let response = PlanResponse {
-                    value: plan.value,
-                    graph,
-                    exhaustive: plan.exhaustive,
-                    source,
-                    solve_micros: plan.solve_micros,
-                };
-                if response.exhaustive {
-                    ServeOutcome::Exact(response)
-                } else {
-                    self.degraded.fetch_add(1, Ordering::Relaxed);
-                    let lower_bound = floor.unwrap_or(0.0);
-                    let gap = if lower_bound > 0.0 {
-                        (response.value - lower_bound) / lower_bound
-                    } else {
-                        f64::INFINITY
-                    };
-                    ServeOutcome::Degraded {
-                        response,
-                        lower_bound,
-                        gap,
-                    }
-                }
-            })
+            .map(|completion| completion.outcome)
             .collect())
     }
 
-    fn count_rejection(&self, reason: &RejectReason) {
-        match reason {
-            RejectReason::AdmissionCost => {
-                self.admission_rejects.fetch_add(1, Ordering::Relaxed);
-            }
-            RejectReason::Quarantined { .. } => {
-                self.quarantine_rejects.fetch_add(1, Ordering::Relaxed);
-            }
-            // Panic rejections are counted per failed leader (`panics`);
-            // the remaining reasons are produced by the async front end,
-            // which keeps its own counters.
-            _ => {}
+    /// The batch loop's settings: an unbounded queue dequeued whole on the
+    /// first tick (so same-batch twins of a missing key join its solve),
+    /// shed level fixed at 0, no deadlines, every job due on the next tick,
+    /// no stall watchdog (a long exact solve is never a `WorkerStall`), and
+    /// `budget.threads` workers (0: the available parallelism).
+    fn batch_config(&self) -> FrontendConfig {
+        FrontendConfig {
+            workers: match self.budget.threads {
+                0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
+                t => t,
+            },
+            queue_capacity: usize::MAX,
+            dispatch_per_tick: usize::MAX,
+            backlog_high: usize::MAX,
+            backlog_low: 0,
+            max_shed_level: 0,
+            cost_per_tick: u128::MAX,
+            deadline_ticks: None,
+            stall_timeout: Duration::MAX,
         }
     }
 
@@ -1067,23 +655,28 @@ impl PlanService {
 }
 
 /// One cold solve over the canonical application, timed for the store.
-/// When a registry is attached it records a `serve.cold_solve` span and is
-/// threaded down the solve pipeline (`solve.search`/`solve.orchestrate`
+/// With instruments it records a `serve.cold_solve` span and threads the
+/// registry down the solve pipeline (`solve.search`/`solve.orchestrate`
 /// spans, engine stream/expand/certify stages).
 pub(crate) fn cold_solve(
     prep: &Prepared,
     model: CommModel,
     budget: &SearchBudget,
     cache: &EvalCache,
-    metrics: Option<&Arc<fsw_obs::MetricsRegistry>>,
+    instruments: Option<&Instruments>,
 ) -> StoredPlan {
     let problem = Problem::new(&prep.canon.app, model, prep.key.objective);
     let started = Instant::now();
-    let span = metrics.map(|r| r.span("serve.cold_solve"));
-    let guard = span.as_ref().map(|t| t.start());
-    let solution = solve_warm_observed(&problem, budget, cache, None, metrics)
-        .map(|(solution, _)| solution)
-        .expect("serving requests are validated applications");
+    let guard = instruments.map(|m| m.cold_solve.start());
+    let solution = solve_warm_observed(
+        &problem,
+        budget,
+        cache,
+        None,
+        instruments.map(|m| &m.registry),
+    )
+    .map(|(solution, _)| solution)
+    .expect("serving requests are validated applications");
     drop(guard);
     let solve_micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
     StoredPlan {
@@ -1189,7 +782,10 @@ mod tests {
         assert_eq!(again.expect_exact().source, ServeSource::Store);
         assert_eq!(again.expect_exact().value, cold.value);
         let stats = service.stats();
-        assert_eq!((stats.cold, stats.dedup_hits, stats.store_hits), (1, 2, 1));
+        assert_eq!(
+            (stats.dispatches, stats.dedup_joins, stats.store_hits),
+            (1, 2, 1)
+        );
     }
 
     #[test]
@@ -1277,7 +873,7 @@ mod tests {
         // Nothing was counted, solved or cached — the store cannot be
         // poisoned with a garbage plan other tenants could be served.
         let stats = service.stats();
-        assert_eq!((stats.requests, stats.cold), (0, 0));
+        assert_eq!((stats.submitted, stats.dispatches), (0, 0));
         assert_eq!(service.store().stats().len, 0);
     }
 
@@ -1388,7 +984,7 @@ mod tests {
         let estimate = rejection.estimate.expect("admission rejects carry a price");
         assert!(estimate.cost > service.admission().reject_cost);
         let stats = service.stats();
-        assert_eq!((stats.cold, stats.admission_rejects), (0, 1));
+        assert_eq!((stats.dispatches, stats.admission_rejects), (0, 1));
         assert_eq!(service.store().stats().len, 0, "no plan was stored");
     }
 
@@ -1425,7 +1021,7 @@ mod tests {
         assert_eq!(service.store().stats().len, 0);
         let again = service.serve_one(&request).unwrap();
         assert!(matches!(again, ServeOutcome::Degraded { .. }));
-        assert_eq!(service.stats().cold, 2);
+        assert_eq!(service.stats().dispatches, 2);
     }
 
     #[test]
@@ -1455,7 +1051,11 @@ mod tests {
             next.rejection().map(|r| &r.reason),
             Some(&RejectReason::Quarantined { permanent: false })
         );
-        assert_eq!(service.stats().cold, 1, "no second solve during backoff");
+        assert_eq!(
+            service.stats().dispatches,
+            1,
+            "no second solve during backoff"
+        );
         // Once the backoff window (2 requests after the first failure)
         // drains, a retry is allowed — the fault fired only on ordinal 0,
         // so the retry succeeds and the quarantine entry clears.
@@ -1495,13 +1095,13 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.panics, QUARANTINE_MAX_FAILURES as usize);
         // Once permanent, no further solve attempts happen.
-        let cold_before = service.stats().cold;
+        let cold_before = service.stats().dispatches;
         let outcome = service.serve_one(&request).unwrap();
         assert_eq!(
             outcome.rejection().map(|r| &r.reason),
             Some(&RejectReason::Quarantined { permanent: true })
         );
-        assert_eq!(service.stats().cold, cold_before);
+        assert_eq!(service.stats().dispatches, cold_before);
     }
 
     #[test]

@@ -26,9 +26,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fsw_core::{AppFingerprint, CommModel, ExecutionGraph};
+use fsw_obs::{Counter, MetricsRegistry};
 use fsw_sched::orchestrator::Objective;
 
 /// Number of fingerprint-prefix shards (power of two).
@@ -84,14 +85,6 @@ pub struct StoreStats {
 
 type Shard = RwLock<HashMap<PlanKey, Entry>>;
 
-/// Registry-backed mirrors of the store counters (`store.hits`,
-/// `store.misses`, `store.evictions`), attached at most once per store.
-struct StoreMetrics {
-    hits: std::sync::Arc<fsw_obs::Counter>,
-    misses: std::sync::Arc<fsw_obs::Counter>,
-    evictions: std::sync::Arc<fsw_obs::Counter>,
-}
-
 /// A bounded, concurrent, fingerprint-keyed plan cache (see the module
 /// docs for the eviction policy and sharding).
 pub struct PlanStore {
@@ -105,10 +98,12 @@ pub struct PlanStore {
     attempt_debt: Mutex<HashMap<PlanKey, u64>>,
     clock: AtomicU64,
     len: AtomicUsize,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
-    metrics: OnceLock<StoreMetrics>,
+    /// `store.hits`, `store.misses` and `store.evictions`: counted once,
+    /// in the registry the owning service resolved them from (standalone
+    /// counters for a store built with [`PlanStore::new`]).
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
 }
 
 impl PlanStore {
@@ -122,10 +117,9 @@ impl PlanStore {
             attempt_debt: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             len: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            metrics: OnceLock::new(),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
         }
     }
 
@@ -134,22 +128,22 @@ impl PlanStore {
         self.capacity
     }
 
-    /// Mirrors the store counters into `registry` as `store.hits`,
-    /// `store.misses` and `store.evictions`.  Idempotent: the first
-    /// attachment wins; later calls are no-ops (the store outlives any one
-    /// observer and the counters are monotone either way).
-    pub fn attach_metrics(&self, registry: &fsw_obs::MetricsRegistry) {
-        let _ = self.metrics.set(StoreMetrics {
-            hits: registry.counter("store.hits"),
-            misses: registry.counter("store.misses"),
-            evictions: registry.counter("store.evictions"),
-        });
+    /// Moves the store counters into `registry` (`store.hits`,
+    /// `store.misses`, `store.evictions`), carrying over what they counted.
+    pub(crate) fn count_into(&mut self, registry: &MetricsRegistry) {
+        for (counter, name) in [
+            (&mut self.hits, "store.hits"),
+            (&mut self.misses, "store.misses"),
+            (&mut self.evictions, "store.evictions"),
+        ] {
+            let moved = registry.counter(name);
+            moved.add(counter.get());
+            *counter = moved;
+        }
     }
 
     /// Which shard `key` lives in: the low bits of the fingerprint digest.
-    /// Public so the fault-injection layer can key "slow shard" faults the
-    /// same way the store routes lookups.
-    pub fn shard_index(key: &PlanKey) -> usize {
+    fn shard_index(key: &PlanKey) -> usize {
         (key.fingerprint.digest() as usize) & (STORE_SHARDS - 1)
     }
 
@@ -174,17 +168,11 @@ impl PlanStore {
         match shard.get(key) {
             Some(entry) => {
                 entry.last_used.store(now, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.hits.inc();
-                }
+                self.hits.inc();
                 Some(entry.plan.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.metrics.get() {
-                    m.misses.inc();
-                }
+                self.misses.inc();
                 None
             }
         }
@@ -282,10 +270,7 @@ impl PlanStore {
                 Some(entry) if entry.stamp == stamp => {
                     shard.remove(&key);
                     self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = self.metrics.get() {
-                        m.evictions.inc();
-                    }
+                    self.evictions.inc();
                     return true;
                 }
                 _ => continue, // refreshed or gone since the scan — rescan
@@ -312,9 +297,9 @@ impl PlanStore {
     /// Lifetime counters plus the current size.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get() as usize,
+            misses: self.misses.get() as usize,
+            evictions: self.evictions.get() as usize,
             len: self.len.load(Ordering::Relaxed),
         }
     }

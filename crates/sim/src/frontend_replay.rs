@@ -8,7 +8,8 @@
 //! cancel at dequeue, and stalled workers are timed out into the
 //! quarantine.  One trace step is one logical tick; the driver drains the
 //! loop after the timeline ends, so **every ticket resolves** to a
-//! [`ServeOutcome`] — the first overload contract of experiment E16.
+//! [`fsw_serve::ServeOutcome`] — the first overload contract of experiment
+//! E16.
 //!
 //! Tenant state is tracked as plain service lists mutated with the exact
 //! semantics of [`fsw_serve::TenantEvent`] (arrivals append, departures
@@ -17,13 +18,12 @@
 //! warm-start machinery is needed.
 //!
 //! Faults come from the same ordinal-keyed [`FaultPlan`] as the sync
-//! replay: solver-level faults flow through the service hook, async-layer
-//! faults (worker stalls, slow shards) through the front end's own hook,
-//! and **ingress bursts** are realised by this driver — at the scheduled
-//! ordinal it submits that many extra copies of the tenant's request in
-//! the same step.  All decisions land on the loop thread in logical ticks,
-//! so the [`FrontendReport::digest`] is identical whatever the worker
-//! count.
+//! replay, through the service's fault hook (a slowdown outlasting the
+//! watchdog is a worker stall), and **ingress bursts** are realised by
+//! the replay itself — at the scheduled ordinal it submits that many extra
+//! copies of the tenant's request in the same step.  All decisions land
+//! on the loop thread in logical ticks, so the [`FrontendReport::digest`]
+//! is identical whatever the worker count.
 //!
 //! [`TenantSession`]: fsw_serve::TenantSession
 
@@ -34,42 +34,10 @@ use std::time::{Duration, Instant};
 use fsw_core::{Application, CommModel, CoreError, CoreResult};
 use fsw_obs::{LogHistogram, MetricsRegistry};
 use fsw_sched::orchestrator::{Objective, SearchBudget};
-use fsw_serve::{
-    AsyncFrontend, Completion, FrontendConfig, FrontendStats, PlanRequest, PlanService,
-    RejectReason, ServeOutcome, ServeStats,
-};
+use fsw_serve::{AsyncFrontend, Completion, FrontendConfig, PlanRequest, PlanService, ServeStats};
 use fsw_workloads::streaming::{ArrivalTrace, TraceEventKind};
 
-use crate::serve_replay::FaultPlan;
-
-/// How an async request resolved — the ticket-level analogue of
-/// [`crate::Disposition`], refined by shed cause so overload contracts can
-/// tell ingress sheds from backpressure sheds from admission rejects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AsyncDisposition {
-    /// Exhaustive answer (store hit, dedup join, or cold solve).
-    Exact,
-    /// Best incumbent under a fired deadline, breached cap, or predicted
-    /// deadline miss.
-    Degraded,
-    /// Shed at ingress: the tenant's bounded queue was full.
-    QueueFull,
-    /// Shed at dequeue by adaptive backpressure at the recorded level.
-    Shed {
-        /// The shed level in force at the decision.
-        level: u32,
-    },
-    /// Priced above the *baseline* reject threshold by admission.
-    AdmissionCost,
-    /// The fingerprint was quarantined when the request was dequeued.
-    Quarantined,
-    /// The deadline had expired at dequeue: cancelled, never solved.
-    DeadlineExpired,
-    /// The worker solving this fingerprint stalled past the watchdog.
-    WorkerStall,
-    /// The solve panicked (leader or follower of the panicking key).
-    SolverPanic,
-}
+use crate::serve_replay::{Disposition, FaultPlan};
 
 /// One resolved ticket in the async replay.
 #[derive(Clone, Debug)]
@@ -86,7 +54,7 @@ pub struct AsyncRequestOutcome {
     /// rather than the trace timeline.
     pub burst_extra: bool,
     /// How the ticket resolved.
-    pub disposition: AsyncDisposition,
+    pub disposition: Disposition,
     /// The served objective value (`NaN` on the rejected paths).
     pub value: f64,
 }
@@ -99,20 +67,14 @@ impl AsyncRequestOutcome {
 
     /// `true` when the request got no plan (any rejected disposition).
     pub fn is_rejected(&self) -> bool {
-        !matches!(
-            self.disposition,
-            AsyncDisposition::Exact | AsyncDisposition::Degraded
-        )
+        !self.disposition.is_answered()
     }
 
     /// `true` when the request was shed by overload protection (ingress
     /// queue full or backpressure scaling) rather than priced out at
     /// baseline.
     pub fn is_shed(&self) -> bool {
-        matches!(
-            self.disposition,
-            AsyncDisposition::QueueFull | AsyncDisposition::Shed { .. }
-        )
+        self.disposition.is_shed()
     }
 }
 
@@ -127,11 +89,9 @@ pub struct FrontendReport {
     pub ticks: u64,
     /// Wall time of the whole replay (submissions + ticks + drain).
     pub serve_wall: Duration,
-    /// The front end's final counters.
-    pub frontend: FrontendStats,
-    /// The owning service's final snapshot (service + store + quarantine,
-    /// plus the async-only shed-transition and deadline-cancel totals).
-    pub serve_stats: ServeStats,
+    /// The owning service's final counters (store and quarantine
+    /// included).
+    pub stats: ServeStats,
     /// Plan-store entries holding a non-exhaustive plan at the end — the
     /// store-purity invariant says this is always `0`.
     pub store_non_exhaustive: usize,
@@ -155,8 +115,8 @@ impl FrontendReport {
         self.outcomes
             .iter()
             .fold((0, 0, 0), |(e, d, r), o| match o.disposition {
-                AsyncDisposition::Exact => (e + 1, d, r),
-                AsyncDisposition::Degraded => (e, d + 1, r),
+                Disposition::Exact => (e + 1, d, r),
+                Disposition::Degraded => (e, d + 1, r),
                 _ => (e, d, r + 1),
             })
     }
@@ -197,7 +157,7 @@ impl FrontendReport {
     /// value bits, latency ticks)` per ticket.  Every field is decided on
     /// the loop thread in logical time, so the digest is a pure function
     /// of the submission sequence.
-    pub fn digest(&self) -> Vec<(u64, usize, AsyncDisposition, u64, u64)> {
+    pub fn digest(&self) -> Vec<(u64, usize, Disposition, u64, u64)> {
         self.outcomes
             .iter()
             .map(|o| {
@@ -230,8 +190,9 @@ pub struct FrontendReplayConfig {
     /// Faults to inject, by request ordinal (empty = fault-free).
     pub faults: FaultPlan,
     /// Observability registry to thread through the whole request path
-    /// (front end, service, store, engine stages).  `None` replays with
-    /// instrumentation fully disabled — the overhead baseline.
+    /// (counters, spans, latency histogram, tenant sketches, engine
+    /// stages).  `None` replays without it — the overhead baseline, whose
+    /// counters live in the service's private registry.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -246,22 +207,6 @@ impl Default for FrontendReplayConfig {
             faults: FaultPlan::new(),
             metrics: None,
         }
-    }
-}
-
-fn disposition_of(outcome: &ServeOutcome) -> AsyncDisposition {
-    match outcome {
-        ServeOutcome::Exact(_) => AsyncDisposition::Exact,
-        ServeOutcome::Degraded { .. } => AsyncDisposition::Degraded,
-        ServeOutcome::Rejected(rejection) => match rejection.reason {
-            RejectReason::QueueFull => AsyncDisposition::QueueFull,
-            RejectReason::Shed { level } => AsyncDisposition::Shed { level },
-            RejectReason::AdmissionCost => AsyncDisposition::AdmissionCost,
-            RejectReason::Quarantined { .. } => AsyncDisposition::Quarantined,
-            RejectReason::DeadlineExpired => AsyncDisposition::DeadlineExpired,
-            RejectReason::WorkerStall => AsyncDisposition::WorkerStall,
-            RejectReason::SolverPanic { .. } => AsyncDisposition::SolverPanic,
-        },
     }
 }
 
@@ -284,13 +229,6 @@ pub fn replay_trace_async(
     }
     let service = Arc::new(service);
     let mut frontend = AsyncFrontend::new(Arc::clone(&service), config.frontend);
-    if !config.faults.is_empty() {
-        let faults = config.faults.clone();
-        frontend = frontend.with_fault_injection(move |ordinal| faults.frontend_at(ordinal));
-    }
-    if let Some(registry) = &config.metrics {
-        frontend = frontend.with_metrics(Arc::clone(registry));
-    }
     // Tenant service lists under `TenantEvent` mutation semantics: arrivals
     // append, departures shift later ids down, reweights are in place.
     let mut specs: Vec<Option<Vec<(f64, f64)>>> = vec![None; trace.tenants];
@@ -308,7 +246,7 @@ pub fn replay_trace_async(
             submitted_tick: completion.submitted_tick,
             completed_tick: completion.completed_tick,
             burst_extra: burst_tickets.contains(&completion.ordinal),
-            disposition: disposition_of(&completion.outcome),
+            disposition: Disposition::of(&completion.outcome),
             value: completion
                 .outcome
                 .response()
@@ -431,8 +369,7 @@ pub fn replay_trace_async(
         tenants: trace.tenants,
         ticks: frontend.now(),
         serve_wall,
-        frontend: frontend.stats(),
-        serve_stats: frontend.serve_stats(),
+        stats: frontend.stats(),
         store_non_exhaustive: service.store().non_exhaustive_len(),
         outcomes,
         latency_ticks,
@@ -476,7 +413,7 @@ mod tests {
         let trace = small_trace();
         let report = replay_trace_async(&trace, &config_with_workers(2)).unwrap();
         assert_eq!(report.requests(), trace.request_count());
-        assert_eq!(report.frontend.submitted, report.frontend.completed);
+        assert_eq!(report.stats.submitted, report.stats.completed);
         assert_eq!(report.store_non_exhaustive, 0, "store purity");
         let (exact, degraded, rejected) = report.mix();
         assert_eq!(exact, report.requests());
@@ -500,16 +437,16 @@ mod tests {
             let mut config = config_with_workers(workers);
             config.frontend.stall_timeout = Duration::from_millis(40);
             config.faults = FaultPlan::new()
-                .stall_worker_at(0, Duration::from_millis(400))
-                .stall_worker_at(1, Duration::from_millis(400))
-                .stall_worker_at(2, Duration::from_millis(400))
+                .slow_at(0, Duration::from_millis(400))
+                .slow_at(1, Duration::from_millis(400))
+                .slow_at(2, Duration::from_millis(400))
                 .panic_at(9)
                 .slow_shard_at(5, Duration::from_millis(1))
                 .burst_at(7, 4);
             replay_trace_async(&trace, &config).unwrap()
         };
         let base = faulted(1);
-        assert!(base.frontend.stalls > 0, "injected stall must fire");
+        assert!(base.stats.stalls > 0, "injected stall must fire");
         assert!(
             base.outcomes.iter().any(|o| o.burst_extra),
             "injected burst must fire"
@@ -529,8 +466,8 @@ mod tests {
         config.faults = FaultPlan::new().burst_at(2, 32);
         let report = replay_trace_async(&trace, &config).unwrap();
         assert_eq!(report.requests(), trace.request_count() + 32);
-        assert!(report.frontend.queue_full_sheds > 0, "burst must overflow");
-        assert!(report.frontend.peak_tenant_queue <= 4, "queue bound");
-        assert_eq!(report.frontend.submitted, report.frontend.completed);
+        assert!(report.stats.queue_full_sheds > 0, "burst must overflow");
+        assert!(report.stats.peak_tenant_queue <= 4, "queue bound");
+        assert_eq!(report.stats.submitted, report.stats.completed);
     }
 }

@@ -18,8 +18,8 @@
 //! * [`replay_trace_async`] — the same timeline through the event-loop
 //!   front end (`fsw_serve::AsyncFrontend`): bounded ingress queues,
 //!   adaptive backpressure, deadline cancellation and stall watchdogs,
-//!   with ordinal-keyed async faults (worker stalls, slow shards, ingress
-//!   bursts) and a worker-count-independent decision digest.
+//!   with the same ordinal-keyed faults plus ingress bursts, and a
+//!   worker-count-independent decision digest.
 //!
 //! ```
 //! use fsw_core::{Application, CommModel, ExecutionGraph};
@@ -43,7 +43,7 @@ pub mod replay;
 pub mod serve_replay;
 
 pub use frontend_replay::{
-    replay_trace_async, AsyncDisposition, AsyncRequestOutcome, FrontendReplayConfig, FrontendReport,
+    replay_trace_async, AsyncRequestOutcome, FrontendReplayConfig, FrontendReport,
 };
 pub use measure::SimReport;
 pub use oneport::simulate_inorder;

@@ -34,8 +34,8 @@ use fsw_core::{Application, CommModel, CoreError, CoreResult};
 use fsw_sched::engine::EvalCache;
 use fsw_sched::orchestrator::{solve_warm, Objective, Problem, SearchBudget};
 use fsw_serve::{
-    FrontendFault, InjectedFault, PlanRequest, PlanService, ServeOutcome, ServeSource,
-    ServiceStats, StoreStats, TenantSession,
+    InjectedFault, PlanRequest, PlanService, RejectReason, ServeOutcome, ServeSource, ServeStats,
+    TenantSession,
 };
 use fsw_workloads::streaming::{ArrivalTrace, TraceEventKind};
 
@@ -55,15 +55,65 @@ pub enum RequestPath {
     Rejected,
 }
 
-/// The quality tier of a request's answer.
+/// How a request resolved: its answer's quality tier, or why it got no
+/// plan (shed causes kept apart, so overload contracts can tell ingress
+/// sheds from backpressure sheds from admission rejects).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Disposition {
-    /// Exhaustive answer, bit-identical to a cold solve.
+    /// Exhaustive answer (store hit, dedup join, cold solve or re-plan),
+    /// bit-identical to a cold solve.
     Exact,
-    /// Best incumbent under a fired deadline or breached cap.
+    /// Best incumbent under a fired deadline, breached cap, or predicted
+    /// deadline miss.
     Degraded,
-    /// No plan at all.
-    Rejected,
+    /// Shed at ingress: the tenant's bounded queue was full.
+    QueueFull,
+    /// Shed at dequeue by adaptive backpressure at the recorded level.
+    Shed {
+        /// The shed level in force at the decision.
+        level: u32,
+    },
+    /// Priced above the *baseline* reject threshold by admission.
+    AdmissionCost,
+    /// The fingerprint was quarantined when the request was decided.
+    Quarantined,
+    /// The deadline had expired at dequeue: cancelled, never solved.
+    DeadlineExpired,
+    /// The worker solving this fingerprint stalled past the watchdog.
+    WorkerStall,
+    /// The solve panicked (leader or joiner of the panicking key).
+    SolverPanic,
+}
+
+impl Disposition {
+    /// The disposition of a served outcome.
+    pub fn of(outcome: &ServeOutcome) -> Self {
+        match outcome {
+            ServeOutcome::Exact(_) => Disposition::Exact,
+            ServeOutcome::Degraded { .. } => Disposition::Degraded,
+            ServeOutcome::Rejected(rejection) => match rejection.reason {
+                RejectReason::QueueFull => Disposition::QueueFull,
+                RejectReason::Shed { level } => Disposition::Shed { level },
+                RejectReason::AdmissionCost => Disposition::AdmissionCost,
+                RejectReason::Quarantined { .. } => Disposition::Quarantined,
+                RejectReason::DeadlineExpired => Disposition::DeadlineExpired,
+                RejectReason::WorkerStall => Disposition::WorkerStall,
+                RejectReason::SolverPanic { .. } => Disposition::SolverPanic,
+            },
+        }
+    }
+
+    /// `true` when the request got a plan (exact or degraded).
+    pub fn is_answered(self) -> bool {
+        matches!(self, Disposition::Exact | Disposition::Degraded)
+    }
+
+    /// `true` when the request was shed by overload protection (ingress
+    /// queue full or backpressure scaling) rather than priced out at
+    /// baseline.
+    pub fn is_shed(self) -> bool {
+        matches!(self, Disposition::QueueFull | Disposition::Shed { .. })
+    }
 }
 
 /// One request's outcome in the replay.
@@ -75,7 +125,7 @@ pub struct RequestOutcome {
     pub tenant: usize,
     /// How it was answered.
     pub path: RequestPath,
-    /// The answer's quality tier.
+    /// The answer's quality tier, or its reject reason.
     pub disposition: Disposition,
     /// The served objective value (`NaN` on the rejected path).
     pub value: f64,
@@ -111,10 +161,9 @@ pub struct TraceReport {
     /// Wall time spent *serving* (batches + re-plans; shadow solves and
     /// bookkeeping excluded).
     pub serve_wall: Duration,
-    /// The plan store's final counters.
-    pub store: StoreStats,
-    /// The service's final counters (replans are not service requests).
-    pub service: ServiceStats,
+    /// The service's final counters, store included (replans are not
+    /// service requests).
+    pub stats: ServeStats,
     /// Plan-store entries holding a non-exhaustive plan at the end of the
     /// replay — the store-purity invariant says this is always `0`.
     pub store_non_exhaustive: usize,
@@ -157,7 +206,7 @@ impl TraceReport {
             .fold((0, 0, 0), |(e, d, r), o| match o.disposition {
                 Disposition::Exact => (e + 1, d, r),
                 Disposition::Degraded => (e, d + 1, r),
-                Disposition::Rejected => (e, d, r + 1),
+                _ => (e, d, r + 1),
             })
     }
 
@@ -240,17 +289,15 @@ impl TraceReport {
 /// request leads a cold solve; ordinals answered from the store,
 /// deduplicated, or rejected before the pool leave their fault unused.
 ///
-/// Beyond the solver-level faults (panic / slow / deadline blowout), the
-/// plan carries **async-layer faults** for the event-loop front end
-/// ([`fsw_serve::AsyncFrontend`]): worker stalls and slow store shards
-/// ([`FrontendFault`], same ordinal keying), and **ingress bursts** — at
-/// the scheduled ordinal the replay driver injects that many extra
-/// synthetic requests, modelling an arrival spike.  All of them stay
-/// keyed by ordinal, so replay digests remain thread-count independent.
+/// Beyond the service's [`InjectedFault`]s (panic, slowdown — a worker
+/// stall when it outlasts the front end's watchdog —, slow store shard,
+/// deadline blowout), the plan carries **ingress bursts**: at the
+/// scheduled ordinal the async replay injects that many extra
+/// synthetic requests, modelling an arrival spike.  All of them stay keyed
+/// by ordinal, so replay digests remain thread-count independent.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     faults: HashMap<u64, InjectedFault>,
-    frontend_faults: HashMap<u64, FrontendFault>,
     bursts: HashMap<u64, usize>,
 }
 
@@ -266,7 +313,10 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules an artificial `stall` before the solve at `ordinal`.
+    /// Schedules an artificial `stall` before the solve at `ordinal`.  On
+    /// the async front end a `stall` that comfortably exceeds the
+    /// configured `stall_timeout` is timed out by the watchdog as a
+    /// [`fsw_serve::RejectReason::WorkerStall`].
     pub fn slow_at(mut self, ordinal: u64, stall: Duration) -> Self {
         self.faults.insert(ordinal, InjectedFault::Slow(stall));
         self
@@ -280,23 +330,11 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a **worker stall** at `ordinal` (async front end): the
-    /// worker sleeps for `stall` before solving, and the loop's watchdog —
-    /// provided `stall` comfortably exceeds the configured
-    /// `stall_timeout` — times the solve out as a
-    /// [`fsw_serve::RejectReason::WorkerStall`].
-    pub fn stall_worker_at(mut self, ordinal: u64, stall: Duration) -> Self {
-        self.frontend_faults
-            .insert(ordinal, FrontendFault::StallWorker(stall));
-        self
-    }
-
-    /// Schedules a **slow store shard** at `ordinal` (async front end):
-    /// the dequeue path sleeps for `delay` before the store lookup.
-    /// Wall-clock only — decisions and digests are unaffected.
+    /// Schedules a **slow store shard** at `ordinal`: the request's store
+    /// lookup sleeps for `delay` first.  Wall-clock only — decisions and
+    /// digests are unaffected.
     pub fn slow_shard_at(mut self, ordinal: u64, delay: Duration) -> Self {
-        self.frontend_faults
-            .insert(ordinal, FrontendFault::SlowShard(delay));
+        self.faults.insert(ordinal, InjectedFault::SlowShard(delay));
         self
     }
 
@@ -308,14 +346,9 @@ impl FaultPlan {
         self
     }
 
-    /// The solver fault scheduled at `ordinal`, if any.
+    /// The fault scheduled at `ordinal`, if any.
     pub fn at(&self, ordinal: u64) -> Option<InjectedFault> {
         self.faults.get(&ordinal).copied()
-    }
-
-    /// The async-layer fault scheduled at `ordinal`, if any.
-    pub fn frontend_at(&self, ordinal: u64) -> Option<FrontendFault> {
-        self.frontend_faults.get(&ordinal).copied()
     }
 
     /// The ingress burst scheduled at `ordinal`, if any.
@@ -323,14 +356,14 @@ impl FaultPlan {
         self.bursts.get(&ordinal).copied()
     }
 
-    /// `true` when no fault of any layer is scheduled.
+    /// `true` when no fault or burst is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.frontend_faults.is_empty() && self.bursts.is_empty()
+        self.faults.is_empty() && self.bursts.is_empty()
     }
 
-    /// Number of scheduled faults across all layers.
+    /// Number of scheduled faults and bursts.
     pub fn len(&self) -> usize {
-        self.faults.len() + self.frontend_faults.len() + self.bursts.len()
+        self.faults.len() + self.bursts.len()
     }
 }
 
@@ -521,11 +554,11 @@ pub fn replay_trace(trace: &ArrivalTrace, config: &ServeReplayConfig) -> CoreRes
             serve_wall += batch_elapsed;
             for (&tenant, served_outcome) in batch_tenants.iter().zip(served) {
                 let outcome = match served_outcome {
-                    ServeOutcome::Rejected(rejection) => RequestOutcome {
+                    ServeOutcome::Rejected(ref rejection) => RequestOutcome {
                         step,
                         tenant,
                         path: RequestPath::Rejected,
-                        disposition: Disposition::Rejected,
+                        disposition: Disposition::of(&served_outcome),
                         value: f64::NAN,
                         exhaustive: false,
                         lower_bound: rejection.estimate.and_then(|e| e.value_floor),
@@ -599,9 +632,8 @@ pub fn replay_trace(trace: &ArrivalTrace, config: &ServeReplayConfig) -> CoreRes
         outcomes,
         tenants: trace.tenants,
         serve_wall,
-        store: service.store().stats(),
+        stats: service.stats(),
         store_non_exhaustive: service.store().non_exhaustive_len(),
-        service: service.stats(),
     })
 }
 
@@ -700,8 +732,7 @@ mod tests {
         let a = replay_trace(&trace, &config).unwrap();
         let b = replay_trace(&trace, &config).unwrap();
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.store, b.store);
-        assert_eq!(a.service, b.service);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -721,7 +752,7 @@ mod tests {
         assert_eq!(report.requests(), trace.request_count(), "nothing hangs");
         let (_, _, rejected) = report.mix();
         assert!(rejected > 0, "the injected panic rejected its request");
-        assert_eq!(report.service.panics, 1);
+        assert_eq!(report.stats.panics, 1);
         assert_eq!(report.store_non_exhaustive, 0, "store purity");
         assert_eq!(report.digest(), again.digest(), "faulted replays replay");
     }

@@ -85,7 +85,7 @@ fn main() {
     let stats = service.stats();
     println!(
         "  => {} cold solves, {} dedup hits in {cold_ms:.1} ms\n",
-        stats.cold, stats.dedup_hits
+        stats.dispatches, stats.dedup_joins
     );
 
     println!("act 2 — steady state: the same fleet asks again");

@@ -131,7 +131,7 @@ fn faulted_replay_digests_are_thread_count_independent() {
     };
     let reference = quietly(|| replay_trace(&trace, &config_for(1)).unwrap());
     assert_eq!(reference.requests(), trace.request_count(), "nothing hangs");
-    assert_eq!(reference.service.panics, 1, "the injected panic fired");
+    assert_eq!(reference.stats.panics, 1, "the injected panic fired");
     let (_, _, rejected) = reference.mix();
     assert!(rejected > 0, "panics and jumbo tenants produce rejections");
     assert_eq!(reference.store_non_exhaustive, 0, "store purity");
@@ -142,10 +142,7 @@ fn faulted_replay_digests_are_thread_count_independent() {
             other.digest(),
             "x{threads}: a faulted replay must not depend on the thread count"
         );
-        assert_eq!(
-            reference.service, other.service,
-            "x{threads}: service counters"
-        );
+        assert_eq!(reference.stats, other.stats, "x{threads}: service counters");
     }
 }
 
@@ -234,24 +231,15 @@ fn serve_stats_snapshot_exposes_quarantine_and_dedup_counters() {
             );
         }
     });
-    let stats = service.serve_stats();
-    assert_eq!(stats.service.requests, 13);
+    let stats = service.stats();
+    assert_eq!(stats.submitted, 13);
     assert_eq!(
-        stats.service.dedup_hits, 2,
+        stats.dedup_joins, 2,
         "followers joined the in-flight leader"
     );
-    assert_eq!(
-        stats.service.store_hits, 1,
-        "the fourth request hit the store"
-    );
-    assert_eq!(
-        stats.service.panics, 3,
-        "three attempts spent the failure budget"
-    );
-    assert_eq!(
-        stats.service.quarantine_rejects, 6,
-        "backoff windows of 2 + 4"
-    );
+    assert_eq!(stats.store_hits, 1, "the fourth request hit the store");
+    assert_eq!(stats.panics, 3, "three attempts spent the failure budget");
+    assert_eq!(stats.quarantine_rejects, 6, "backoff windows of 2 + 4");
     assert_eq!(
         stats.quarantine_active, 1,
         "exactly the poisoned fingerprint"
@@ -314,10 +302,9 @@ fn backpressure_decisions_are_identical_across_worker_counts() {
         for _ in 0..40 {
             frontend.tick();
         }
-        let serve = frontend.serve_stats();
-        (decisions, frontend.stats(), serve)
+        (decisions, frontend.stats())
     };
-    let (reference, stats, serve) = run(1);
+    let (reference, stats) = run(1);
     assert_eq!(reference.len(), 48, "every ticket resolves");
     assert!(
         stats.backpressure_sheds > 0,
@@ -332,34 +319,23 @@ fn backpressure_decisions_are_identical_across_worker_counts() {
     // The shed-level transitions surface through the ServeStats snapshot:
     // the climb to the peak and the full walk back down are both counted.
     assert!(
-        serve.shed_raises >= 12,
+        stats.shed_raises >= 12,
         "every level of the climb is a counted raise, got {}",
-        serve.shed_raises
+        stats.shed_raises
     );
     assert_eq!(
-        serve.shed_raises, serve.shed_lowers,
+        stats.shed_raises, stats.shed_lowers,
         "the hysteresis ends at level 0, so raises and lowers balance"
     );
-    assert_eq!(serve.shed_raises, stats.shed_raises);
-    assert_eq!(serve.shed_lowers, stats.shed_lowers);
-    assert_eq!(serve.deadline_cancels, 0, "no deadlines were configured");
+    assert_eq!(stats.deadline_cancels, 0, "no deadlines were configured");
     for workers in [2, 4] {
-        let (other, other_stats, other_serve) = run(workers);
+        let (other, other_stats) = run(workers);
         assert_eq!(
             reference, other,
             "x{workers}: the shed/admit decision digest must not depend on \
              the worker count"
         );
-        assert_eq!(stats, other_stats, "x{workers}: frontend counters");
-        assert_eq!(
-            (serve.shed_raises, serve.shed_lowers, serve.deadline_cancels),
-            (
-                other_serve.shed_raises,
-                other_serve.shed_lowers,
-                other_serve.deadline_cancels
-            ),
-            "x{workers}: snapshot shed/deadline totals"
-        );
+        assert_eq!(stats, other_stats, "x{workers}: serving counters");
     }
 }
 
@@ -401,10 +377,9 @@ fn deadline_cancellations_surface_through_the_serve_stats_snapshot() {
         })
         .count();
     assert!(cancelled >= 1, "the burst's tail outlives its deadlines");
-    let serve = frontend.serve_stats();
     assert_eq!(
-        serve.deadline_cancels, cancelled,
+        frontend.stats().deadline_cancels,
+        cancelled,
         "the snapshot carries the cancellation total"
     );
-    assert_eq!(serve.deadline_cancels, frontend.stats().deadline_cancels);
 }

@@ -11,7 +11,11 @@
 //! * the per-fingerprint evaluation caches are **retained across cold
 //!   solves**: a fingerprint evicted from the plan store re-solves against
 //!   its memoised ordering searches, strictly cheaper than the first cold
-//!   solve and byte-identical to it.
+//!   solve and byte-identical to it;
+//! * the batch door and the async door run one decision pipeline: the
+//!   same script decides every request identically through both.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,7 +23,8 @@ use rand::SeedableRng;
 use fsw::core::{Application, CommModel};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::serve::{
-    PlanRequest, PlanService, PlanStore, ServeSource, StoredPlan, TenantEvent, TenantSession,
+    AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService, PlanStore,
+    RejectReason, Rejection, ServeOutcome, ServeSource, StoredPlan, TenantEvent, TenantSession,
 };
 use fsw::sim::{replay_trace, RequestPath, ServeReplayConfig};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
@@ -288,10 +293,9 @@ fn trace_replay_is_deterministic_across_thread_counts() {
             other.digest(),
             "x{threads}: replay outcomes must not depend on the thread count"
         );
-        assert_eq!(reference.store, other.store, "x{threads}: store counters");
         assert_eq!(
-            reference.service, other.service,
-            "x{threads}: service counters"
+            reference.stats, other.stats,
+            "x{threads}: service and store counters"
         );
     }
 }
@@ -342,4 +346,139 @@ fn warm_replans_never_evaluate_more_than_cold_and_save_in_aggregate() {
         warm < cold,
         "warm starts must prune in aggregate: warm {warm} vs cold {cold}"
     );
+}
+
+/// What a front door decided for one request: the rejection (reason and
+/// estimate, floor included), or the served value bits and source plus
+/// the certified floor bits of a degraded answer.
+#[allow(clippy::type_complexity)] // a flat comparison row
+fn decided(outcome: &ServeOutcome) -> (Option<Rejection>, Option<(u64, ServeSource)>, Option<u64>) {
+    match outcome {
+        ServeOutcome::Exact(r) => (None, Some((r.value.to_bits(), r.source)), None),
+        ServeOutcome::Degraded {
+            response,
+            lower_bound,
+            ..
+        } => (
+            None,
+            Some((response.value.to_bits(), response.source)),
+            Some(lower_bound.to_bits()),
+        ),
+        ServeOutcome::Rejected(rejection) => (Some(rejection.clone()), None, None),
+    }
+}
+
+/// One scripted sequence through `serve_batch` and through an
+/// `AsyncFrontend` (each round submitted before its first tick, under one
+/// tenant, with a dispatch rate covering the round): every ordinal is
+/// decided identically, and both services end with the same counters.
+#[test]
+fn both_front_doors_decide_identically() {
+    let mut rng = StdRng::seed_from_u64(0x5e07);
+    let mut request = |n: usize| {
+        PlanRequest::new(
+            random_application(&RandomAppConfig::independent(n), &mut rng),
+            CommModel::Overlap,
+            Objective::MinPeriod,
+        )
+    };
+    let healthy = request(5);
+    let poisoned = request(5);
+    let blown = request(4);
+    let distinct = |n: usize| {
+        let specs: Vec<(f64, f64)> = (0..n)
+            .map(|k| (1.0 + k as f64, 0.4 + 0.03 * k as f64))
+            .collect();
+        PlanRequest::new(
+            Application::independent(&specs),
+            CommModel::Overlap,
+            Objective::MinPeriod,
+        )
+    };
+    // n = 10 all-distinct prices over the reject cap; n = 8 sits in the
+    // degrade band, where the 50 ms deadline decides the served value.
+    let (over_budget, degrade_band) = (distinct(10), distinct(8));
+    const DEGRADE_BAND: usize = 5;
+    let rounds = [
+        // Ordinals 0-5: dedup twins, a panicking leader, a deadline
+        // blowout, an admission rejection and a degrade-band solve.
+        vec![
+            healthy.clone(),
+            healthy.clone(),
+            poisoned.clone(),
+            blown,
+            over_budget,
+            degrade_band,
+        ],
+        // Ordinals 6-9: a store hit, then three twins of the quarantined
+        // key — two drain its backoff, the third retries.
+        vec![healthy, poisoned.clone(), poisoned.clone(), poisoned],
+    ];
+    let faults = |ordinal: u64| match ordinal {
+        2 => Some(InjectedFault::Panic),
+        3 => Some(InjectedFault::DeadlineBlowout),
+        _ => None,
+    };
+    let service = || PlanService::new(SearchBudget::default(), 16).with_fault_injection(faults);
+    let batch_door = service();
+    let async_door = Arc::new(service());
+    let mut frontend = AsyncFrontend::new(
+        Arc::clone(&async_door),
+        FrontendConfig {
+            dispatch_per_tick: rounds[0].len(),
+            ..FrontendConfig::default()
+        },
+    );
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut by_batch = Vec::new();
+    let mut by_ticket = Vec::new();
+    for round in &rounds {
+        by_batch.extend(batch_door.serve_batch(round).unwrap());
+        for r in round {
+            frontend.submit(0, r.clone()).unwrap();
+        }
+        by_ticket.extend(frontend.drain());
+    }
+    std::panic::set_hook(hook);
+    by_ticket.sort_by_key(|completion| completion.ordinal);
+    assert_eq!(by_batch.len(), by_ticket.len(), "every request resolves");
+    for (ordinal, (batch, ticket)) in by_batch.iter().zip(&by_ticket).enumerate() {
+        assert_eq!(ticket.ordinal, ordinal as u64);
+        if ordinal == DEGRADE_BAND {
+            let (
+                ServeOutcome::Degraded { lower_bound: a, .. },
+                ServeOutcome::Degraded { lower_bound: b, .. },
+            ) = (batch, &ticket.outcome)
+            else {
+                panic!("the n = 8 request must degrade on both doors");
+            };
+            assert_eq!(a.to_bits(), b.to_bits(), "degrade-band floor");
+            continue;
+        }
+        assert_eq!(
+            decided(batch),
+            decided(&ticket.outcome),
+            "ordinal {ordinal}"
+        );
+    }
+    // The script exercises what it claims to.
+    let reason = |ordinal: usize| by_batch[ordinal].rejection().map(|r| r.reason.clone());
+    assert_eq!(by_batch[1].expect_exact().source, ServeSource::Dedup);
+    assert!(matches!(reason(2), Some(RejectReason::SolverPanic { .. })));
+    assert!(matches!(by_batch[3], ServeOutcome::Degraded { .. }));
+    let rejection = by_batch[4].rejection().expect("n = 10 is over budget");
+    assert_eq!(rejection.reason, RejectReason::AdmissionCost);
+    assert!(rejection.estimate.and_then(|e| e.value_floor).is_some());
+    assert_eq!(by_batch[6].expect_exact().source, ServeSource::Store);
+    for ordinal in [7, 8] {
+        assert_eq!(
+            reason(ordinal),
+            Some(RejectReason::Quarantined { permanent: false })
+        );
+    }
+    assert_eq!(by_batch[9].expect_exact().source, ServeSource::Cold);
+    // One counter source: the batch door counts what the async door does.
+    assert_eq!(batch_door.stats(), async_door.stats());
+    assert_eq!(batch_door.stats().recovered, 1);
 }
