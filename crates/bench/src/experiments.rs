@@ -24,14 +24,14 @@ use fsw_sched::chain::{
 use fsw_sched::engine::frontier::DEFAULT_FRONTIER_CAP;
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::engine::EvalCache;
-use fsw_sched::engine::SearchStrategy;
 use fsw_sched::latency::{multiport_proportional_latency, oneport_latency_search};
 use fsw_sched::minperiod::{
-    exhaustive_dag_best, exhaustive_forest_best, minperiod_local_search, MinPeriodOptions,
-    PeriodEvaluation,
+    exhaustive_dag_best, exhaustive_forest_best, minperiod_local_search, PeriodEvaluation,
 };
 use fsw_sched::oneport::{oneport_period_search, OnePortStyle};
-use fsw_sched::orchestrator::{solve, solve_all, solve_warm, Objective, Problem, SearchBudget};
+use fsw_sched::orchestrator::{
+    solve, solve_all, solve_warm_observed, Objective, Problem, SearchBudget,
+};
 use fsw_sched::outorder::OutOrderOptions;
 use fsw_sched::overlap::overlap_period_lower_bound;
 use fsw_sched::tree::tree_latency;
@@ -359,7 +359,7 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
             &budget,
         )
         .expect("solver");
-        let local = minperiod_local_search(&app, &MinPeriodOptions::default()).expect("solver");
+        let local = minperiod_local_search(&app, CommModel::Overlap, &budget).expect("solver");
         rows.push(ExperimentRow::new(
             format!("MINPERIOD OVERLAP n={n}: local search (paper column = exhaustive forests)"),
             Some(exhaustive.value),
@@ -408,10 +408,11 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
     // holds (asserted, alongside the binary's e10 wall bound).
     let uniform = uniform_query_optimization(10, &mut rng);
     let started = std::time::Instant::now();
-    let (solution, stats) = solve_warm(
+    let (solution, stats) = solve_warm_observed(
         &Problem::new(&uniform, CommModel::Overlap, Objective::MinLatency),
         &budget,
         &EvalCache::new(&uniform),
+        None,
         None,
     )
     .expect("solver");
@@ -633,10 +634,11 @@ pub fn e13_partial_symmetry_scaling() -> Vec<ExperimentRow> {
         for (name, app) in variants {
             for model in [CommModel::Overlap, CommModel::InOrder] {
                 let started = std::time::Instant::now();
-                let (solution, stats) = solve_warm(
+                let (solution, stats) = solve_warm_observed(
                     &Problem::new(&app, model, Objective::MinPeriod),
                     &budget,
                     &EvalCache::new(&app),
+                    None,
                     None,
                 )
                 .expect("streamed instance");
@@ -693,10 +695,11 @@ pub fn e13_partial_symmetry_scaling() -> Vec<ExperimentRow> {
             .unwrap_or(1);
         for model in [CommModel::Overlap, CommModel::InOrder] {
             let started = std::time::Instant::now();
-            let (solution, stats) = solve_warm(
+            let (solution, stats) = solve_warm_observed(
                 &Problem::new(&app, model, Objective::MinPeriod),
                 &budget,
                 &EvalCache::new(&app),
+                None,
                 None,
             )
             .expect("streamed instance");
@@ -1681,41 +1684,39 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
         None,
         solution.value,
     ));
-    // Best-first smoke: the same instance under both explicit strategies —
-    // best-first must reproduce the depth-first value bit-for-bit (the
-    // equivalence suites guard the winner too) while exercising the
-    // bound-ordered frontier end to end in CI.
-    let depth_first = solve(
-        &Problem::new(&tiered, CommModel::Overlap, Objective::MinPeriod),
-        &budget.with_search_strategy(SearchStrategy::DepthFirst),
-    )
-    .expect("solver");
-    let best_first = solve(
-        &Problem::new(&tiered, CommModel::Overlap, Objective::MinPeriod),
-        &budget.with_search_strategy(SearchStrategy::BestFirst),
-    )
-    .expect("solver");
-    rows.push(ExperimentRow::new(
-        "MINPERIOD OVERLAP n=9 tiered 5+4: best-first strategy (paper column = depth-first value)",
-        Some(depth_first.value),
-        best_first.value,
-    ));
-    // Lazy-classed smoke (PR-6): the same tiered instance driven through the
-    // streamed bound-ordered generator, its value *asserted* equal to the
-    // materialised depth-first walk and its telemetry pinned as a row — so a
-    // regression in the lazy path (wrong winner, runaway expansion, broken
-    // telemetry) fails CI inside the existing smoke timeout.
-    let (lazy, stats) = solve_warm(
+    // Streamed-walk smoke: the same tiered instance through the default
+    // solve path, which streams its classed space bound-first.  Its value
+    // is *asserted* equal to a first-minimum scan over the materialised
+    // classed representatives (the oracle the equivalence suites use), and
+    // its telemetry is pinned as a row — so a regression in the streamed
+    // path (wrong winner, runaway expansion, broken telemetry) fails CI
+    // inside the existing smoke timeout.
+    let scan_value = CanonicalSpace::classed_representatives(&tiered, budget.max_graphs)
+        .expect("the 5+4 classed space fits the default budget")
+        .iter()
+        .map(|rep| {
+            PlanMetrics::compute(&tiered, &rep.graph())
+                .map(|m| m.period_lower_bound(CommModel::Overlap))
+                .unwrap_or(f64::INFINITY)
+        })
+        .fold(f64::INFINITY, f64::min);
+    let (lazy, stats) = solve_warm_observed(
         &Problem::new(&tiered, CommModel::Overlap, Objective::MinPeriod),
         &budget,
         &EvalCache::new(&tiered),
         None,
+        None,
     )
     .expect("solver");
     assert_eq!(
-        lazy.value, depth_first.value,
-        "lazy streamed walk must reproduce the materialised depth-first value bit-for-bit"
+        lazy.value, scan_value,
+        "streamed walk must reproduce the materialised classed scan's value bit-for-bit"
     );
+    rows.push(ExperimentRow::new(
+        "MINPERIOD OVERLAP n=9 tiered 5+4: streamed value (paper column = materialised classed scan)",
+        Some(scan_value),
+        lazy.value,
+    ));
     let stream = stats
         .stream
         .expect("the default budget routes tiered n=9 through the lazy stream");
@@ -1869,10 +1870,11 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
                 .unwrap_or(f64::INFINITY)
         })
         .fold(f64::INFINITY, f64::min);
-    let (streamed, stats) = solve_warm(
+    let (streamed, stats) = solve_warm_observed(
         &Problem::new(&uniform10, CommModel::Overlap, Objective::MinPeriod),
         &budget,
         &EvalCache::new(&uniform10),
+        None,
         None,
     )
     .expect("solver");

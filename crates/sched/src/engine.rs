@@ -19,20 +19,18 @@
 //! * [`EvalCache`] — a concurrent memo of expensive candidate evaluations
 //!   (one-port ordering searches) keyed by a canonical shape-plus-weights
 //!   signature, so the members of an equivalence class share a single search;
-//! * [`CanonicalSpace`] / [`ForestCursor`] / [`Symmetry`] — the
-//!   symmetry-reduced *enumeration* layer: on constraint-free instances the
-//!   plan searches iterate canonical representatives of weight-class orbits
-//!   (with the partial bounds applied before a representative is
-//!   materialised) instead of the full labelled space — full relabelling
-//!   symmetry on uniform weights, **class-preserving** relabelling (the
-//!   product of per-weight-class symmetric groups) on multi-class instances
-//!   — falling back to the bit-identical full enumeration otherwise;
-//! * [`SearchStrategy`] / [`frontier`] — how the candidate space is walked:
-//!   the classic depth-first branch-and-bound, or a **best-first** search
-//!   over the partial-assignment lower bound (a bounded priority frontier
-//!   with deterministic tie-breaking and spill-to-DFS, see the [`frontier`]
-//!   module) that expands the most promising candidates first and turns the
-//!   incumbent into an early bound-clearance certificate.
+//! * [`CanonicalSpace`] / [`Symmetry`] — the symmetry-reduced *enumeration*
+//!   layer: on constraint-free instances the plan searches iterate canonical
+//!   representatives of weight-class orbits instead of the full labelled
+//!   space — full relabelling symmetry on uniform weights,
+//!   **class-preserving** relabelling (the product of per-weight-class
+//!   symmetric groups) on multi-class instances — falling back to the
+//!   bit-identical full enumeration otherwise;
+//! * [`frontier`] — the one walk of a reduced space: the streamed
+//!   bound-ordered canonical search, which applies the partial bounds before
+//!   a representative is materialised and turns the incumbent into an early
+//!   bound-clearance certificate.  The labelled space has one walk too, the
+//!   depth-first branch-and-bound of `crate::minperiod`.
 //!
 //! ### Canonical signatures and bit-exactness
 //!
@@ -77,11 +75,8 @@ pub mod frontier;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use fsw_core::{
-    Application, CanonicalForests, ExecutionGraph, PartialForestMetrics, ServiceId, WeightClasses,
-};
+use fsw_core::{Application, CanonicalForests, ExecutionGraph, ServiceId, WeightClasses};
 
 use crate::orderings::permutations;
 
@@ -204,31 +199,6 @@ pub enum Symmetry {
     Classes,
 }
 
-/// How an exhaustive plan search walks its candidate space.
-///
-/// Both strategies return **bit-identical solutions** (value and winning
-/// graph) on complete runs, for every thread count: the depth-first walk
-/// keeps the first minimum in enumeration order, and the best-first walk
-/// tie-breaks value ties by that same enumeration rank.  They differ in
-/// *when* the optimum is reached and how much of the space is materialised:
-/// best-first expands the most promising candidates (smallest
-/// partial-assignment lower bound) first, so the incumbent drops to the
-/// optimum early and the remaining frontier is killed wholesale by a single
-/// bound-clearance certificate, at the cost of a bounded priority frontier
-/// (see [`frontier`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Pick per space: best-first on the (small, fully materialised)
-    /// canonical orbit spaces, depth-first on the raw labelled spaces.
-    #[default]
-    Auto,
-    /// The classic depth-first branch-and-bound enumeration.
-    DepthFirst,
-    /// Best-first over the partial-assignment lower bound, with a bounded
-    /// priority frontier that spills to depth-first when full.
-    BestFirst,
-}
-
 /// The symmetry-reduced candidate spaces: which instances admit the orbit
 /// collapse and how large the reduced spaces are.
 pub struct CanonicalSpace;
@@ -279,10 +249,10 @@ impl CanonicalSpace {
     /// canonical enumeration order, each with its orbit size, packed as
     /// `2n`-byte level-sequence codes with identity weights — the same
     /// [`CanonicalRep`] contract the classed space uses, so buffers holding
-    /// uniform representatives (equivalence tests, orbit audits, spilled
-    /// depth-first completions) cost bytes, not `Vec`-of-`Option`
-    /// structures.  The searches themselves no longer call this: uniform
-    /// solves stream the shape plan lazily and materialise nothing.
+    /// uniform representatives (equivalence tests, orbit audits) cost bytes,
+    /// not `Vec`-of-`Option` structures.  No solve calls this: the searches
+    /// stream the shape plan lazily and materialise nothing; it is the
+    /// materialised oracle the streamed walk is tested against.
     pub fn forest_representatives(n: usize) -> Vec<CanonicalRep> {
         let identity: Vec<ServiceId> = (0..n).collect();
         let mut stream = CanonicalForests::new(n);
@@ -313,38 +283,22 @@ impl CanonicalSpace {
     /// orbit (coloured-forest class) of `app`'s forest space, in canonical
     /// enumeration order, with each position already pinned to a concrete
     /// service of its weight class.  Returns `None` once the coloured class
-    /// space exceeds `cap` — callers then fall back to the raw enumeration.
+    /// space exceeds `cap`.  Like [`CanonicalSpace::forest_representatives`]
+    /// this is a materialised oracle for tests and orbit audits; no solve
+    /// calls it.
     pub fn classed_representatives(app: &Application, cap: usize) -> Option<Vec<CanonicalRep>> {
-        match CanonicalSpace::classed_representatives_within(app, cap, None) {
-            ClassedGeneration::Generated(reps) => Some(reps),
-            ClassedGeneration::CapExceeded | ClassedGeneration::DeadlineExpired => None,
-        }
-    }
-
-    /// [`CanonicalSpace::classed_representatives`] with an optional
-    /// wall-clock deadline (checked per shape), reporting *why* no list came
-    /// back: a cap overflow falls back to the raw enumeration, an expired
-    /// deadline degrades like any interrupted search.
-    pub fn classed_representatives_within(
-        app: &Application,
-        cap: usize,
-        deadline: Option<Instant>,
-    ) -> ClassedGeneration {
         let classes = WeightClasses::of(app);
-        match fsw_core::classed_forest_representatives_within(&classes, cap, deadline) {
-            fsw_core::ClassedGeneration::CapExceeded => ClassedGeneration::CapExceeded,
-            fsw_core::ClassedGeneration::DeadlineExpired => ClassedGeneration::DeadlineExpired,
-            fsw_core::ClassedGeneration::Generated(reps) => ClassedGeneration::Generated(
-                reps.into_iter()
-                    .map(|rep| {
-                        let weights = classes
-                            .service_assignment(&rep.classes)
-                            .expect("generator colourings match the partition");
-                        CanonicalRep::new(&rep.parents, &weights, rep.orbit)
-                    })
-                    .collect(),
-            ),
-        }
+        let reps = fsw_core::classed_forest_representatives(&classes, cap)?;
+        Some(
+            reps.into_iter()
+                .map(|rep| {
+                    let weights = classes
+                        .service_assignment(&rep.classes)
+                        .expect("generator colourings match the partition");
+                    CanonicalRep::new(&rep.parents, &weights, rep.orbit)
+                })
+                .collect(),
+        )
     }
 
     /// `true` when the unconstrained forest plan search provably runs to
@@ -397,20 +351,6 @@ impl CanonicalSpace {
         }
         false
     }
-}
-
-/// Outcome of a deadline-bounded classed-representative materialisation
-/// ([`CanonicalSpace::classed_representatives_within`]; the engine-level
-/// mirror of [`fsw_core::ClassedGeneration`] carrying [`CanonicalRep`]s).
-#[derive(Clone, Debug)]
-pub enum ClassedGeneration {
-    /// The complete representative list, in canonical enumeration order.
-    Generated(Vec<CanonicalRep>),
-    /// More than the cap exist; fall back to the raw enumeration.
-    CapExceeded,
-    /// The deadline passed mid-generation; degrade like an interrupted
-    /// search.
-    DeadlineExpired,
 }
 
 /// One canonical orbit representative ready for evaluation, stored as a
@@ -467,94 +407,6 @@ impl CanonicalRep {
     pub fn graph(&self) -> ExecutionGraph {
         let (parents, weights) = self.decode();
         CanonicalRep::labelled_graph(&parents, &weights)
-    }
-}
-
-/// Replays canonical forest representatives against an incrementally
-/// maintained [`PartialForestMetrics`], pruning a representative **before it
-/// is materialised** as an [`ExecutionGraph`] whenever its admissible bound
-/// already clears the cutoff.  Consecutive representatives share long
-/// prefixes (canonical order changes a suffix), so the cursor pops and
-/// pushes only the differing tail.
-pub struct ForestCursor<'a> {
-    metrics: PartialForestMetrics<'a>,
-    current: Vec<(Option<ServiceId>, ServiceId)>,
-    prune: PartialPrune,
-}
-
-impl<'a> ForestCursor<'a> {
-    /// A cursor over `app`'s canonical forest space with the given
-    /// partial-assignment bound.
-    pub fn new(app: &'a Application, prune: PartialPrune) -> Self {
-        ForestCursor {
-            metrics: PartialForestMetrics::new(app),
-            current: Vec::with_capacity(app.n()),
-            prune,
-        }
-    }
-
-    /// Rewinds to the longest prefix shared with `(parents, weights)` and
-    /// replays the differing suffix (`weights[p]` pins position `p` to a
-    /// concrete service's cost/selectivity; identity on uniform instances).
-    fn replay(&mut self, parents: &[Option<ServiceId>], weights: &[ServiceId]) {
-        let common = self
-            .current
-            .iter()
-            .zip(parents.iter().zip(weights))
-            .take_while(|(&(cp, cw), (&p, &w))| cp == p && cw == w)
-            .count();
-        while self.current.len() > common {
-            self.metrics.pop();
-            self.current.pop();
-        }
-        for (&p, &w) in parents[common..].iter().zip(&weights[common..]) {
-            self.metrics.push_weighted(p, w);
-            self.current.push((p, w));
-        }
-    }
-
-    /// The representative's partial-assignment bound (its structural lower
-    /// bound once fully replayed); `0.0` under [`PartialPrune::Off`].
-    pub fn bound(&mut self, parents: &[Option<ServiceId>], weights: &[ServiceId]) -> f64 {
-        self.replay(parents, weights);
-        match self.prune {
-            PartialPrune::Off => 0.0,
-            PartialPrune::Period(model) => self.metrics.period_bound(model),
-            PartialPrune::Latency => self.metrics.latency_bound(),
-        }
-    }
-
-    /// Advances the cursor to a (possibly class-coloured) representative and
-    /// returns its **service-labelled** execution graph — or `None` when the
-    /// partial bound proves no member of the orbit can beat `cutoff`.  The
-    /// packed representative is decoded once, here.
-    pub fn advance_rep(&mut self, rep: &CanonicalRep, cutoff: f64) -> Option<ExecutionGraph> {
-        let (parents, weights) = rep.decode();
-        if self.advance_pruned(&parents, &weights, cutoff) {
-            return None;
-        }
-        Some(CanonicalRep::labelled_graph(&parents, &weights))
-    }
-
-    /// Replays and returns `true` when the bound prunes against `cutoff`.
-    fn advance_pruned(
-        &mut self,
-        parents: &[Option<ServiceId>],
-        weights: &[ServiceId],
-        cutoff: f64,
-    ) -> bool {
-        self.replay(parents, weights);
-        if self.prune != PartialPrune::Off {
-            let bound = match self.prune {
-                PartialPrune::Off => unreachable!(),
-                PartialPrune::Period(model) => self.metrics.period_bound(model),
-                PartialPrune::Latency => self.metrics.latency_bound(),
-            };
-            if bound > prune_threshold(cutoff) {
-                return true;
-            }
-        }
-        false
     }
 }
 

@@ -1,50 +1,43 @@
-//! Best-first search over the partial-assignment lower bound.
+//! The streamed, bound-ordered walk of a canonical orbit space — the one
+//! walk every reducible plan space (uniform, or class-symmetric) runs.
 //!
-//! The depth-first branch-and-bound enumerations explore candidates in
-//! *generation* order: the incumbent tightens whenever the walk happens to
-//! stumble on a good candidate, and everything visited before that point is
-//! evaluated against a weak bound.  This module flips the exploration
-//! around: a **priority frontier** of partial forests ordered by their
-//! admissible [`PartialForestMetrics`] bound
-//! (a binary heap with deterministic tie-breaking by enumeration rank)
-//! always expands the most promising prefix next, so the incumbent drops to
-//! the optimum almost immediately — and because the heap is bound-ordered,
-//! the first popped node whose bound clears the incumbent is a
-//! **bound-clearance certificate** for every node still enqueued: the
-//! search ends by discarding the whole frontier in one step instead of
-//! walking millions of hopeless subtrees to re-prove it one bound at a
+//! A depth-first enumeration explores candidates in *generation* order: the
+//! incumbent tightens whenever the walk happens to stumble on a good
+//! candidate, and everything visited before that point is evaluated against
+//! a weak bound.  The streamed walk flips the exploration around.  A
+//! count-only prelude orders the forest **shapes** (A000081 of them) by an
+//! admissible shape-level bound, and the expansion loop walks the canonical
+//! colourings of each shape on demand, most promising shape first.  The
+//! incumbent therefore drops to the optimum almost immediately, and because
+//! the plan is bound-ordered, the first shape whose bound clears the
+//! incumbent is a **bound-clearance certificate** for every shape after it:
+//! the search ends by discarding the rest of the plan in one step instead
+//! of walking millions of hopeless subtrees to re-prove it one bound at a
 //! time.
 //!
-//! Memory stays bounded: the frontier never grows past a hard cap
-//! ([`DEFAULT_FRONTIER_CAP`] unless the caller chooses otherwise).  When a
-//! batch of expansions could overflow it, the popped nodes are
-//! **spilled** — their subtrees are completed depth-first on the spot
-//! (inheriting the incumbent, so the spill is as pruned as the classic
-//! walk) and contribute no frontier nodes at all.  In the worst case the
-//! search degenerates into the depth-first enumeration it replaces, never
-//! into an out-of-memory condition.
+//! Memory stays bounded: the walk holds the flat O(shapes) plan and at most
+//! one materialised representative per worker, and [`DEFAULT_FRONTIER_CAP`]
+//! (unless the caller chooses otherwise) caps the number of shapes expanded
+//! per batch.
 //!
-//! ### Bit-identical to depth-first
+//! ### The winner
 //!
-//! Both strategies prune a candidate only when its admissible bound
-//! *strictly* clears the shared incumbent, so every candidate tying the
-//! optimum is evaluated under either walk, whatever the thread count.  The
-//! depth-first winner is the first minimum in enumeration order; the
-//! best-first walk reproduces it exactly by minimising `(value, rank)`
-//! lexicographically, where `rank` is that same enumeration order (the
-//! node's choice sequence for labelled spaces, the canonical stream index
-//! for orbit spaces).  On top of the strict rule the streamed walk adds a
-//! **tie-dominance** prune: a subtree whose bound already *reaches* the
-//! walker's local best value and whose completions are all canonically
-//! later than the local best's rank is discarded non-strictly — every
-//! candidate in it loses the `(value, rank)` comparison outright, so the
-//! winner is untouched while optimum-tying plateaus (common when the
-//! optimum sits on the input-rate floor) stop being walked.
-//! `tests/partial_symmetry_equivalence.rs` asserts the equality on every
-//! equivalence suite, serial and parallel, including the spill path.
+//! The walk prunes a candidate only when its admissible bound *strictly*
+//! clears the shared incumbent, so every candidate tying the optimum is
+//! evaluated, whatever the thread count.  The winner is the `(value, rank)`
+//! lexicographic minimum, where `rank` is the canonical enumeration order —
+//! the first minimum of a scan over the materialised representatives
+//! ([`crate::engine::CanonicalSpace::forest_representatives`] /
+//! [`crate::engine::CanonicalSpace::classed_representatives`]).  On top of
+//! the strict rule the walk adds a **tie-dominance** prune: a subtree whose
+//! bound already *reaches* the walker's local best value and whose
+//! completions are all canonically later than the local best's rank is
+//! discarded non-strictly — every candidate in it loses the `(value, rank)`
+//! comparison outright, so the winner is untouched while optimum-tying
+//! plateaus (common when the optimum sits on the input-rate floor) stop
+//! being walked.  `tests/partial_symmetry_equivalence.rs` asserts the
+//! equality against that scan, serial and parallel, under several caps.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use fsw_core::{
@@ -55,367 +48,12 @@ use fsw_core::{
 
 use crate::engine::{prune_threshold, CanonicalRep, Incumbent, PartialPrune};
 use crate::minperiod::SearchOutcome;
-use crate::par::{par_chunks, par_chunks_weighted, Exec};
+use crate::par::{par_chunks_weighted, Exec};
 
-/// Hard cap on the number of partial forests held in the priority frontier
-/// (~a few MB of prefixes at the deepest useful instance sizes); beyond it
-/// the search spills to depth-first completion, so memory stays bounded
-/// however large the space is.
+/// Default cap on the number of shapes the streamed walk expands per batch
+/// (and so on the representatives resident at once; the worker count caps
+/// those first).
 pub const DEFAULT_FRONTIER_CAP: usize = 1 << 16;
-
-/// Telemetry of one best-first run, for tests and tuning.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FrontierStats {
-    /// Largest number of nodes the frontier ever held.
-    pub peak: usize,
-    /// Number of pop batches completed depth-first because expanding them
-    /// could have overflowed the cap.
-    pub spills: usize,
-}
-
-/// One frontier node: a prefix of parent choices and its admissible bound.
-/// The heap orders by `(bound, key)` — `key` is the prefix's choice sequence
-/// (`0` = entry node, `p + 1` = parent `p`), whose lexicographic order *is*
-/// the serial enumeration order, making tie-breaks deterministic.
-#[derive(Clone, Debug, PartialEq)]
-struct Node {
-    bound: f64,
-    key: Vec<u8>,
-}
-
-impl Eq for Node {}
-
-impl PartialOrd for Node {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Node {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.bound
-            .total_cmp(&other.bound)
-            .then_with(|| self.key.cmp(&other.key))
-    }
-}
-
-/// The best complete candidate seen so far, with its enumeration rank.
-struct Best {
-    value: f64,
-    key: Vec<u8>,
-    graph: ExecutionGraph,
-}
-
-/// `(value, key)` beats the current best lexicographically — the rule that
-/// reproduces the depth-first "first minimum wins" winner.
-fn improves(value: f64, key: &[u8], best: &Option<Best>) -> bool {
-    match best {
-        None => true,
-        Some(b) => value < b.value || (value == b.value && key < b.key.as_slice()),
-    }
-}
-
-fn merge_best(best: &mut Option<Best>, candidate: Option<Best>) {
-    if let Some(c) = candidate {
-        if improves(c.value, &c.key, best) {
-            *best = Some(c);
-        }
-    }
-}
-
-fn decode(choice: u8) -> Option<ServiceId> {
-    match choice {
-        0 => None,
-        p => Some(p as usize - 1),
-    }
-}
-
-/// Best-first enumeration of the labelled forest space (all parent
-/// functions compatible with `app`'s constraints): bit-identical winners to
-/// the depth-first walk, most promising prefixes first, frontier bounded by
-/// `frontier_cap`.
-pub fn best_first_forest_search<F>(
-    app: &Application,
-    exec: Exec,
-    prune: PartialPrune,
-    frontier_cap: usize,
-    incumbent_seed: f64,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    best_first_forest_search_stats(app, exec, prune, frontier_cap, incumbent_seed, eval).0
-}
-
-/// [`best_first_forest_search`] with the run's [`FrontierStats`] (tests
-/// assert the cap is respected and the spill path fires).
-///
-/// `incumbent_seed` pre-loads the shared incumbent with a known upper bound
-/// on the space's optimum (`f64::INFINITY` for a cold search): pruning and
-/// the bound-clearance certificate stay strict, so the winner is unchanged
-/// while the hopeless region is skipped — the warm-start contract of
-/// `exhaustive_forest_search_seeded`.
-pub fn best_first_forest_search_stats<F>(
-    app: &Application,
-    exec: Exec,
-    prune: PartialPrune,
-    frontier_cap: usize,
-    incumbent_seed: f64,
-    eval: &F,
-) -> (Option<SearchOutcome>, FrontierStats)
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    let n = app.n();
-    let mut stats = FrontierStats::default();
-    if n == 0 {
-        return (None, stats);
-    }
-    // Keys encode a choice per position as one byte (`0` = entry node,
-    // `p + 1` = parent `p`); enumerable spaces sit far below this, but the
-    // encoding must never truncate silently.
-    assert!(
-        n < u8::MAX as usize,
-        "frontier keys encode parents as u8: n = {n} is out of range"
-    );
-    let frontier_cap = frontier_cap.max(1);
-    let threads = exec.effective_threads();
-    let batch_len = (threads * 4).max(1);
-    let incumbent = Incumbent::seeded(incumbent_seed);
-    let mut heap: BinaryHeap<Reverse<Node>> = BinaryHeap::new();
-    heap.push(Reverse(Node {
-        bound: 0.0,
-        key: Vec::new(),
-    }));
-    stats.peak = 1;
-    let mut best: Option<Best> = None;
-    let mut complete = true;
-    'search: loop {
-        if exec.deadline.is_some_and(|d| Instant::now() >= d) {
-            complete = heap.is_empty();
-            break;
-        }
-        // Pop a bound-ordered batch.  The first node whose bound clears the
-        // incumbent certifies every node still enqueued prunable (the heap
-        // holds nothing smaller), so the whole frontier is discarded at once.
-        let mut nodes: Vec<Node> = Vec::with_capacity(batch_len);
-        while nodes.len() < batch_len {
-            match heap.pop() {
-                Some(Reverse(node)) => {
-                    if node.bound > prune_threshold(incumbent.get()) {
-                        heap.clear(); // bound-clearance certificate
-                        break;
-                    }
-                    nodes.push(node);
-                }
-                None => break,
-            }
-        }
-        if nodes.is_empty() {
-            break;
-        }
-        // Expanding a node adds up to `n + 1` children; spill the batch to
-        // depth-first completion when that could overflow the cap.
-        let spill = heap.len() + nodes.len() * (n + 1) > frontier_cap;
-        if spill {
-            stats.spills += 1;
-        }
-        let parts = par_chunks(threads, &nodes, |_base, chunk| {
-            let mut children: Vec<Node> = Vec::new();
-            let mut local: Option<Best> = None;
-            let mut metrics = PartialForestMetrics::new(app);
-            let mut interrupted = false;
-            for node in chunk {
-                for &choice in &node.key {
-                    metrics.push(decode(choice));
-                }
-                let ok = if node.key.len() == n {
-                    evaluate_leaf(
-                        app,
-                        &metrics,
-                        &node.key,
-                        &incumbent,
-                        eval,
-                        exec.deadline,
-                        &mut local,
-                    )
-                } else if spill {
-                    let mut key = node.key.clone();
-                    dfs_complete(
-                        app,
-                        &mut metrics,
-                        &mut key,
-                        &incumbent,
-                        prune,
-                        eval,
-                        exec.deadline,
-                        &mut local,
-                    )
-                } else {
-                    expand(app, &mut metrics, node, prune, &incumbent, &mut children);
-                    true
-                };
-                for _ in &node.key {
-                    metrics.pop();
-                }
-                if !ok {
-                    interrupted = true;
-                    break;
-                }
-            }
-            (children, local, interrupted)
-        });
-        let mut interrupted = false;
-        for (children, local, part_interrupted) in parts {
-            for child in children {
-                heap.push(Reverse(child));
-            }
-            merge_best(&mut best, local);
-            interrupted |= part_interrupted;
-        }
-        stats.peak = stats.peak.max(heap.len());
-        if interrupted {
-            complete = false;
-            break 'search;
-        }
-    }
-    let outcome = best.map(|b| SearchOutcome {
-        value: b.value,
-        graph: b.graph,
-        complete,
-    });
-    (outcome, stats)
-}
-
-/// Evaluates a complete parent function against the shared incumbent.
-/// Returns `false` when the deadline interrupted before the evaluation.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_leaf<F>(
-    app: &Application,
-    metrics: &PartialForestMetrics<'_>,
-    key: &[u8],
-    incumbent: &Incumbent,
-    eval: &F,
-    deadline: Option<Instant>,
-    best: &mut Option<Best>,
-) -> bool
-where
-    F: Fn(&ExecutionGraph, f64) -> f64,
-{
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return false;
-    }
-    let Ok(graph) = ExecutionGraph::from_parents(metrics.parents()) else {
-        return true; // the parent function contains a cycle
-    };
-    if graph.respects(app).is_err() {
-        return true;
-    }
-    let value = eval(&graph, incumbent.get());
-    if improves(value, key, best) {
-        incumbent.offer(value);
-        *best = Some(Best {
-            value,
-            key: key.to_vec(),
-            graph,
-        });
-    }
-    true
-}
-
-/// Expands a frontier node: every next-position choice whose admissible
-/// bound survives the incumbent becomes a child node.
-fn expand(
-    app: &Application,
-    metrics: &mut PartialForestMetrics<'_>,
-    node: &Node,
-    prune: PartialPrune,
-    incumbent: &Incumbent,
-    children: &mut Vec<Node>,
-) {
-    let n = app.n();
-    let k = metrics.assigned();
-    debug_assert_eq!(k, node.key.len());
-    for choice in 0..=(n as u8) {
-        let parent = decode(choice);
-        if parent == Some(k) {
-            continue; // self-loops are never enumerated
-        }
-        metrics.push(parent);
-        let bound = match prune {
-            PartialPrune::Off => 0.0,
-            PartialPrune::Period(model) => metrics.period_bound(model),
-            PartialPrune::Latency => metrics.latency_bound(),
-        };
-        metrics.pop();
-        // An infinite bound flags a cycle inside the prefix; a bound above
-        // the incumbent's threshold proves the subtree hopeless — the same
-        // two prunes the depth-first walk applies at node entry.
-        if bound == f64::INFINITY || bound > prune_threshold(incumbent.get()) {
-            continue;
-        }
-        let mut key = Vec::with_capacity(node.key.len() + 1);
-        key.extend_from_slice(&node.key);
-        key.push(choice);
-        children.push(Node { bound, key });
-    }
-}
-
-/// Depth-first completion of a spilled subtree, tracking `(value, key)` so
-/// spilled winners merge deterministically with frontier winners.  Returns
-/// `false` when the deadline interrupted the walk.
-///
-/// Mirror of `minperiod::enumerate_parents_pruned` plus the key tracking:
-/// the bit-identity contract between the strategies requires the prune rule
-/// (infinite bound = cycle, strict `prune_threshold` clearance) and the
-/// choice order (`None` first, then ascending parents) to stay in lockstep
-/// with that walker — change them together.
-#[allow(clippy::too_many_arguments)]
-fn dfs_complete<F>(
-    app: &Application,
-    metrics: &mut PartialForestMetrics<'_>,
-    key: &mut Vec<u8>,
-    incumbent: &Incumbent,
-    prune: PartialPrune,
-    eval: &F,
-    deadline: Option<Instant>,
-    best: &mut Option<Best>,
-) -> bool
-where
-    F: Fn(&ExecutionGraph, f64) -> f64,
-{
-    if prune != PartialPrune::Off && metrics.assigned() > 0 {
-        let bound = match prune {
-            PartialPrune::Off => unreachable!(),
-            PartialPrune::Period(model) => metrics.period_bound(model),
-            PartialPrune::Latency => metrics.latency_bound(),
-        };
-        if bound == f64::INFINITY || bound > prune_threshold(incumbent.get()) {
-            return true;
-        }
-    }
-    let n = app.n();
-    let k = metrics.assigned();
-    if k >= n {
-        return evaluate_leaf(app, metrics, key, incumbent, eval, deadline, best);
-    }
-    for choice in 0..=(n as u8) {
-        let parent = decode(choice);
-        if parent == Some(k) {
-            continue;
-        }
-        metrics.push(parent);
-        key.push(choice);
-        let ok = dfs_complete(app, metrics, key, incumbent, prune, eval, deadline, best);
-        key.pop();
-        metrics.pop();
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
 
 /// Telemetry of one streamed canonical run, for tests, tuning and the
 /// benchmark rows.
@@ -439,9 +77,8 @@ pub struct StreamStats {
 /// A write-once sink for the [`StreamStats`] of the plan search buried
 /// inside a solve: the orchestrator threads one through its engine calls so
 /// telemetry surfaces in `SolveStats` without widening every search
-/// signature on the way down.  Every `SearchStrategy` branch records —
-/// streamed, materialised depth-first, raw best-first and raw labelled
-/// walks alike.
+/// signature on the way down.  Both walks record — the streamed canonical
+/// walk and the depth-first walk of the labelled space.
 ///
 /// A probe built with [`StreamProbe::with_metrics`] additionally publishes
 /// each recorded run into the registry (`engine.stream.*` histograms and
@@ -650,43 +287,26 @@ where
 /// the global index orders candidates by `(shape rank, walk order within
 /// the shape)` — the rank ([`ShapePlan::rank`]) increases along the
 /// canonical shape stream, so this is exactly the materialised enumeration
-/// order — and complete runs are bit-identical to the depth-first scan of
+/// order — and complete runs are bit-identical to the first-minimum scan of
 /// the materialised stream, serial or parallel.  `frontier_cap` bounds the
 /// number of shapes expanded per batch (hence the resident representative
 /// count); each record's 64-bit parenthesis key is the resumable cursor,
 /// decoded into one reused buffer per worker, so throttling never
 /// re-materialises anything.
-pub fn streamed_canonical_search<F>(
-    app: &Application,
-    classes: &WeightClasses,
-    exec: Exec,
-    prune: PartialPrune,
-    frontier_cap: usize,
-    incumbent_seed: f64,
-    eval: &F,
-) -> (Option<SearchOutcome>, StreamStats)
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    streamed_canonical_search_observed(
-        app,
-        classes,
-        exec,
-        prune,
-        frontier_cap,
-        incumbent_seed,
-        eval,
-        None,
-    )
-}
-
-/// [`streamed_canonical_search`] with optional per-stage tracing spans
-/// ([`EngineMetrics`]): shape-plan generation, expansion batches and the
-/// bound-clearance certificate each record a call count and a wall-duration
-/// histogram.  The walk itself is untouched — instrumented and plain runs
-/// return bit-identical outcomes and stats.
+///
+/// `incumbent_seed` pre-loads the shared incumbent with a known upper bound
+/// on the space's optimum (`f64::INFINITY` for a cold search).  The seed
+/// must be an upper bound: pruning and the bound-clearance certificate fire
+/// only on a strict clearance of it, so the winner is unchanged while the
+/// hopeless region is skipped.
+///
+/// `obs` adds per-stage tracing spans ([`EngineMetrics`]): shape-plan
+/// generation, expansion batches and the bound-clearance certificate each
+/// record a call count and a wall-duration histogram.  The walk itself is
+/// untouched — instrumented and plain runs return bit-identical outcomes
+/// and stats.
 #[allow(clippy::too_many_arguments)]
-pub fn streamed_canonical_search_observed<F>(
+pub fn streamed_canonical_search<F>(
     app: &Application,
     classes: &WeightClasses,
     exec: Exec,

@@ -51,22 +51,14 @@ pub mod par;
 pub mod tree;
 
 pub use chain::{chain_latency, chain_minlatency_order, chain_minperiod_order, chain_period};
-pub use engine::{
-    CanonicalRep, CanonicalSpace, EvalCache, ForestCursor, Incumbent, PartialPrune, SearchStrategy,
-    Symmetry,
-};
+pub use engine::{CanonicalRep, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry};
 pub use latency::{
     latency_lower_bound, multiport_latency, multiport_proportional_latency,
     oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,
     oneport_latency_search_exec, LatencyEvaluator, LatencySearchResult,
 };
-pub use minlatency::{
-    minimize_latency, minimize_latency_exec, MinLatencyOptions, MinLatencyResult,
-};
-pub use minperiod::{
-    minimize_period, minimize_period_exec, MinPeriodOptions, MinPeriodResult, PeriodEvaluation,
-    SearchOutcome,
-};
+pub use minlatency::{minimize_latency, MinLatencyResult};
+pub use minperiod::{minimize_period, MinPeriodResult, PeriodEvaluation, SearchOutcome};
 pub use oneport::{
     inorder_oplist_for_orderings, inorder_period_for_orderings,
     oneport_overlap_period_for_orderings, oneport_period_lower_bound, oneport_period_search,

@@ -14,66 +14,23 @@
 //! * latency of a candidate graph measured exactly for forests, and by the
 //!   one-port / multi-port orchestration searches for general DAGs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics, ServiceId};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
-use crate::engine::{
-    prune_threshold, tags, CanonicalSpace, EvalCache, PartialPrune, SearchStrategy, Symmetry,
-};
+use crate::engine::{prune_threshold, tags, CanonicalSpace, EvalCache, PartialPrune, Symmetry};
 use crate::latency::{
     latency_lower_bound_with, multiport_proportional_latency, oneport_latency_search,
     oneport_latency_search_prepared, LatencyEvaluator,
 };
 use crate::minperiod::{exhaustive_dag_search, exhaustive_forest_search};
+use crate::orchestrator::SearchBudget;
 use crate::orderings::CommOrderings;
 use crate::par::Exec;
 use crate::tree::tree_latency;
-
-/// Options for the MINLATENCY solvers.
-#[derive(Clone, Copy, Debug)]
-pub struct MinLatencyOptions {
-    /// Target communication model (`Overlap` allows bounded multi-port
-    /// schedules; the one-port models share the same latency machinery).
-    pub model: CommModel,
-    /// Ordering-space bound for exhaustive orchestration of non-forest graphs.
-    pub ordering_exhaustive_limit: usize,
-    /// Upper bound on the number of parent functions enumerated by the
-    /// exhaustive forest solver.
-    pub forest_enumeration_cap: usize,
-    /// Number of hill-climbing passes of the local search.
-    pub local_search_passes: usize,
-    /// Instances up to this size are also searched over all DAGs.
-    pub dag_enumeration_max_n: usize,
-    /// How the exhaustive forest search walks its candidate space (see
-    /// [`SearchStrategy`]); solutions are bit-identical either way.
-    pub strategy: SearchStrategy,
-}
-
-impl Default for MinLatencyOptions {
-    fn default() -> Self {
-        MinLatencyOptions {
-            model: CommModel::Overlap,
-            ordering_exhaustive_limit: 5_000,
-            forest_enumeration_cap: 2_000_000,
-            local_search_passes: 32,
-            dag_enumeration_max_n: 5,
-            strategy: SearchStrategy::Auto,
-        }
-    }
-}
-
-impl MinLatencyOptions {
-    /// Convenience constructor for a given model with default effort.
-    pub fn for_model(model: CommModel) -> Self {
-        MinLatencyOptions {
-            model,
-            ..MinLatencyOptions::default()
-        }
-    }
-}
 
 /// Result of a MINLATENCY solve.
 #[derive(Clone, Debug)]
@@ -89,51 +46,25 @@ pub struct MinLatencyResult {
 /// Evaluates the latency of a candidate execution graph under the requested model.
 ///
 /// Forests are evaluated exactly (Proposition 12); general DAGs use the
-/// ordering search (exhaustive within `ordering_exhaustive_limit`, hill
-/// climbing beyond), and the `Overlap` model additionally considers the
-/// proportional multi-port schedule.
+/// ordering search (exhaustive within `max_orderings`, hill climbing
+/// beyond), and the `Overlap` model additionally considers the proportional
+/// multi-port schedule.
 pub fn evaluate_latency(
     app: &Application,
     graph: &ExecutionGraph,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    max_orderings: usize,
 ) -> CoreResult<f64> {
     if graph.is_forest() {
         return tree_latency(app, graph);
     }
-    let oneport = oneport_latency_search(app, graph, options.ordering_exhaustive_limit)?;
+    let oneport = oneport_latency_search(app, graph, max_orderings)?;
     let mut best = oneport.latency;
-    if options.model == CommModel::Overlap {
+    if model == CommModel::Overlap {
         let (fluid, _) = multiport_proportional_latency(app, graph)?;
         best = best.min(fluid);
     }
     Ok(best)
-}
-
-/// Exact latency of a forest candidate (Algorithm 1), `∞` when infeasible —
-/// the single evaluation shared by every forest-space MINLATENCY search.
-fn forest_latency_eval(app: &Application, graph: &ExecutionGraph) -> f64 {
-    tree_latency(app, graph).unwrap_or(f64::INFINITY)
-}
-
-/// Enumerates every forest execution graph compatible with the precedence
-/// constraints and returns the latency-optimal one (exact evaluation by
-/// Algorithm 1, subtrees pruned on the incremental critical-path bound).
-pub fn exhaustive_forest_minlatency(
-    app: &Application,
-    cap: usize,
-) -> Option<(f64, ExecutionGraph)> {
-    exhaustive_forest_search(
-        app,
-        cap,
-        Exec::serial(),
-        PartialPrune::Latency,
-        // Algorithm 1 is exact and purely structural (children combine in
-        // value order), hence invariant under class-preserving relabellings.
-        Symmetry::Classes,
-        SearchStrategy::Auto,
-        &|g, _| forest_latency_eval(app, g),
-    )
-    .map(|out| (out.value, out.graph))
 }
 
 /// Bounded (branch-and-bound aware) candidate evaluation: like
@@ -143,7 +74,8 @@ pub fn exhaustive_forest_minlatency(
 fn evaluate_latency_bounded(
     app: &Application,
     graph: &ExecutionGraph,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    max_orderings: usize,
     cache: &EvalCache,
     cutoff: f64,
     deadline: Option<Instant>,
@@ -167,7 +99,7 @@ fn evaluate_latency_bounded(
     }
     // The (cheap, exact) proportional multi-port schedule further tightens
     // the cutoff handed to the expensive one-port ordering search.
-    let fluid = if options.model == CommModel::Overlap {
+    let fluid = if model == CommModel::Overlap {
         multiport_proportional_latency(app, graph)
             .ok()
             .map(|(value, _)| value)
@@ -184,15 +116,8 @@ fn evaluate_latency_bounded(
         let inner_exec = Exec {
             threads: 1,
             deadline,
-            split_levels: 1,
         };
-        match oneport_latency_search_prepared(
-            graph,
-            &evaluator,
-            options.ordering_exhaustive_limit,
-            inner_exec,
-            c,
-        ) {
+        match oneport_latency_search_prepared(graph, &evaluator, max_orderings, inner_exec, c) {
             Ok(Some(result)) => result.latency,
             Ok(None) | Err(_) => f64::INFINITY,
         }
@@ -202,8 +127,7 @@ fn evaluate_latency_bounded(
     let oneport = if deadline.is_some() {
         search(inner_cutoff)
     } else {
-        let exhaustive =
-            CommOrderings::search_space_size(graph) <= options.ordering_exhaustive_limit;
+        let exhaustive = CommOrderings::search_space_size(graph) <= max_orderings;
         cache.get_or_compute(
             tags::ONEPORT_LATENCY,
             graph,
@@ -235,13 +159,17 @@ fn seed_graphs(app: &Application) -> Vec<ExecutionGraph> {
 }
 
 /// Heuristic MINLATENCY: best seed followed by hill climbing over
-/// single-parent reassignments.
+/// single-parent reassignments, valued by [`evaluate_latency`] for `model`
+/// within [`SearchBudget::max_orderings`], over
+/// [`SearchBudget::local_search_passes`] passes at most.
 pub fn minlatency_local_search(
     app: &Application,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinLatencyResult> {
-    let eval =
-        |g: &ExecutionGraph| -> f64 { evaluate_latency(app, g, options).unwrap_or(f64::INFINITY) };
+    let eval = |g: &ExecutionGraph| -> f64 {
+        evaluate_latency(app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY)
+    };
     let mut best_graph = ExecutionGraph::new(app.n());
     let mut best_value = f64::INFINITY;
     for seed in seed_graphs(app) {
@@ -252,7 +180,7 @@ pub fn minlatency_local_search(
         }
     }
     let n = app.n();
-    for _pass in 0..options.local_search_passes {
+    for _pass in 0..budget.local_search_passes {
         let mut improved = false;
         for k in 0..n {
             let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
@@ -300,79 +228,68 @@ pub fn minlatency_local_search(
 /// when small enough; tiny instances are additionally searched over all DAGs
 /// (the latency optimum may require a join, unlike the period).  Larger
 /// instances fall back to the local-search heuristic.
+///
+/// `budget` supplies every knob, resolved the way
+/// [`solve`](crate::orchestrator::solve) resolves it: the exhaustive phases
+/// fan out over [`SearchBudget::threads`] workers (bit-identical to the
+/// serial run) and honour [`SearchBudget::time_limit`], returning the best
+/// graph found so far with `exhaustive == false` when the deadline
+/// interrupts the enumeration.  The default budget is serial with no
+/// deadline.
 pub fn minimize_latency(
     app: &Application,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinLatencyResult> {
-    minimize_latency_exec(app, options, Exec::serial())
-}
-
-/// [`minimize_latency`] under an explicit execution strategy: the exhaustive
-/// phases fan out over `exec` worker threads (bit-identical to the serial
-/// run) and honour its deadline, returning the best graph found so far with
-/// `exhaustive == false` when the deadline interrupts the enumeration.
-pub fn minimize_latency_exec(
-    app: &Application,
-    options: &MinLatencyOptions,
-    exec: Exec,
-) -> CoreResult<MinLatencyResult> {
-    minimize_latency_engine(app, options, exec, &EvalCache::new(app))
-}
-
-/// [`minimize_latency_exec`] with a caller-provided evaluation cache, so a
-/// batch sweep ([`crate::orchestrator::solve_all`]) can share one memo.
-pub(crate) fn minimize_latency_engine(
-    app: &Application,
-    options: &MinLatencyOptions,
-    exec: Exec,
-    cache: &EvalCache,
-) -> CoreResult<MinLatencyResult> {
-    minimize_latency_engine_seeded(
+    minimize_latency_engine(
         app,
-        options,
-        exec,
-        cache,
+        model,
+        budget,
+        budget.exec(),
+        &EvalCache::new(app),
         f64::INFINITY,
-        &std::sync::atomic::AtomicUsize::new(0),
+        &AtomicUsize::new(0),
         None,
     )
 }
 
-/// [`minimize_latency_engine`] with a warm-start incumbent seed and an
-/// evaluation counter (the latency twin of
-/// `minimize_period_engine_seeded`): `incumbent_seed` pre-loads the forest
-/// phase's incumbent and tightens the DAG phase's seed, `evals` counts full
-/// candidate evaluations.  Winners are bit-identical to the cold solve for
-/// any seed that upper-bounds the **forest** optimum (callers seed from
-/// forest plans only — `orchestrator::warm_seed` enforces this; a DAG value
-/// below every forest would starve the forest phase and flip the near-tie
-/// arbitration between the two phases).
+/// The engine behind [`minimize_latency`] and
+/// [`solve`](crate::orchestrator::solve) (the latency twin of
+/// `minperiod::minimize_period_engine`): `exec` is the budget's resolved
+/// execution, `cache` a caller-provided evaluation memo, and `evals` counts
+/// full candidate evaluations.  `incumbent_seed` pre-loads the forest
+/// phase's incumbent and tightens the DAG phase's seed (`∞` for a cold
+/// solve).  Winners are bit-identical to the cold solve for any seed that
+/// upper-bounds the **forest** optimum (callers seed from forest plans only
+/// — `orchestrator::warm_seed` enforces this; a DAG value below every
+/// forest would starve the forest phase and flip the near-tie arbitration
+/// between the two phases).  `probe` receives the forest search's
+/// telemetry.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn minimize_latency_engine_seeded(
+pub(crate) fn minimize_latency_engine(
     app: &Application,
-    options: &MinLatencyOptions,
+    model: CommModel,
+    budget: &SearchBudget,
     exec: Exec,
     cache: &EvalCache,
     incumbent_seed: f64,
-    evals: &std::sync::atomic::AtomicUsize,
+    evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
 ) -> CoreResult<MinLatencyResult> {
-    use std::sync::atomic::Ordering;
     let mut best: Option<MinLatencyResult> = None;
     if !app.has_constraints() {
         let eval = |g: &ExecutionGraph, _cutoff: f64| {
             evals.fetch_add(1, Ordering::Relaxed);
-            forest_latency_eval(app, g)
+            tree_latency(app, g).unwrap_or(f64::INFINITY)
         };
-        if let Some(out) = crate::minperiod::exhaustive_forest_search_probed(
+        if let Some(out) = exhaustive_forest_search(
             app,
-            options.forest_enumeration_cap,
+            budget.max_graphs,
             exec,
             PartialPrune::Latency,
             // Algorithm 1 is exact and purely structural, hence invariant
             // under class-preserving relabellings (the `Classes` gate).
             Symmetry::Classes,
-            options.strategy,
             incumbent_seed,
             &eval,
             probe,
@@ -384,7 +301,7 @@ pub(crate) fn minimize_latency_engine_seeded(
             });
         }
     }
-    if app.n() <= options.dag_enumeration_max_n {
+    if app.n() <= budget.dag_enumeration_max_n {
         // Seed the DAG phase's incumbent with the forest optimum (tightened
         // by the warm-start seed): a DAG only matters when it strictly beats
         // every forest, so candidates whose critical path already clears the
@@ -395,22 +312,28 @@ pub(crate) fn minimize_latency_engine_seeded(
             .min(incumbent_seed);
         let eval = |g: &ExecutionGraph, cutoff: f64| {
             evals.fetch_add(1, Ordering::Relaxed);
-            evaluate_latency_bounded(app, g, options, cache, cutoff, exec.deadline)
+            evaluate_latency_bounded(
+                app,
+                g,
+                model,
+                budget.max_orderings,
+                cache,
+                cutoff,
+                exec.deadline,
+            )
         };
         // The DAG evaluation is label-invariant only while every candidate's
         // ordering search stays exhaustive (beyond the budget it falls back
         // to label-following hill climbing), so the symmetry reduction is
         // gated on the worst DAG's ordering space fitting the budget.
-        let symmetry = if CanonicalSpace::max_dag_ordering_space(app.n())
-            <= options.ordering_exhaustive_limit
-        {
+        let symmetry = if CanonicalSpace::max_dag_ordering_space(app.n()) <= budget.max_orderings {
             Symmetry::Auto
         } else {
             Symmetry::Full
         };
         let dag = exhaustive_dag_search(
             app,
-            options.dag_enumeration_max_n,
+            budget.dag_enumeration_max_n,
             exec,
             seed,
             symmetry,
@@ -428,7 +351,7 @@ pub(crate) fn minimize_latency_engine_seeded(
     }
     match best {
         Some(b) => Ok(b),
-        None => minlatency_local_search(app, options),
+        None => minlatency_local_search(app, model, budget),
     }
 }
 
@@ -439,7 +362,7 @@ mod tests {
     #[test]
     fn strong_filter_is_chained_in_front() {
         let app = Application::independent(&[(1.0, 0.1), (10.0, 1.0)]);
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!(result.graph.has_edge(0, 1));
         // in(1) + c0(1) + comm(0.1) + c1(0.1*10=1) + out(0.1)
@@ -450,7 +373,7 @@ mod tests {
     fn expanders_are_not_chained_for_latency() {
         // Chaining an expander in front of anything only increases the latency.
         let app = Application::independent(&[(1.0, 3.0), (1.0, 3.0)]);
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert_eq!(result.graph.edge_count(), 0);
         // Each runs independently: 1 + 1 + 3 = 5.
@@ -463,17 +386,17 @@ mod tests {
         let order = chain_minlatency_order(&app).unwrap();
         let chain_value = crate::chain::chain_latency(&app, &order);
         // The unrestricted optimum can only be better or equal.
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.latency <= chain_value + 1e-9);
     }
 
     #[test]
     fn local_search_close_to_exhaustive() {
         let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
-        let options = MinLatencyOptions::default();
-        let exhaustive = minimize_latency(&app, &options).unwrap();
+        let budget = SearchBudget::default();
+        let exhaustive = minimize_latency(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
-        let local = minlatency_local_search(&app, &options).unwrap();
+        let local = minlatency_local_search(&app, CommModel::Overlap, &budget).unwrap();
         assert!(local.latency >= exhaustive.latency - 1e-9);
         assert!(local.latency <= exhaustive.latency * 1.25 + 1e-9);
     }
@@ -482,7 +405,7 @@ mod tests {
     fn constraints_are_respected() {
         let mut app = Application::independent(&[(1.0, 0.5), (2.0, 0.5), (3.0, 1.0)]);
         app.add_constraint(1, 2).unwrap();
-        let result = minimize_latency(&app, &MinLatencyOptions::default()).unwrap();
+        let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         result.graph.respects(&app).unwrap();
     }
 
@@ -491,11 +414,12 @@ mod tests {
         // For a tree the exact Algorithm-1 value and the ordering search agree.
         let app = Application::independent(&[(1.0, 1.0), (2.0, 0.5), (3.0, 2.0), (1.0, 1.0)]);
         let g = ExecutionGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3)]).unwrap();
-        let opts = MinLatencyOptions::default();
         let by_tree = tree_latency(&app, &g).unwrap();
         let by_search = oneport_latency_search(&app, &g, 10_000).unwrap();
         assert!(by_search.exhaustive);
         assert!((by_tree - by_search.latency).abs() < 1e-9);
-        assert!((evaluate_latency(&app, &g, &opts).unwrap() - by_tree).abs() < 1e-9);
+        assert!(
+            (evaluate_latency(&app, &g, CommModel::Overlap, 5_000).unwrap() - by_tree).abs() < 1e-9
+        );
     }
 }

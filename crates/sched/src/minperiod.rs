@@ -16,7 +16,7 @@
 //!   the one-port lower bound or an actual ordering search for the one-port
 //!   models.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use fsw_core::{
@@ -26,17 +26,16 @@ use fsw_core::{
 
 use crate::chain::{chain_graph, chain_minperiod_order};
 use crate::engine::frontier::{
-    best_first_forest_search_stats, streamed_canonical_search_observed, EngineMetrics, StreamProbe,
-    StreamStats, DEFAULT_FRONTIER_CAP,
+    streamed_canonical_search, EngineMetrics, StreamProbe, StreamStats, DEFAULT_FRONTIER_CAP,
 };
 use crate::engine::{
-    prune_threshold, tags, CanonicalRep, CanonicalSpace, EvalCache, ForestCursor, Incumbent,
-    PartialPrune, SearchStrategy, Symmetry,
+    prune_threshold, tags, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry,
 };
 use crate::oneport::{oneport_period_search, oneport_period_search_prepared, OnePortStyle};
+use crate::orchestrator::SearchBudget;
 use crate::orderings::CommOrderings;
 use crate::outorder::{outorder_period_search, outorder_period_search_bounded, OutOrderOptions};
-use crate::par::{fold_min, par_chunks, par_chunks_weighted, Exec};
+use crate::par::{fold_min, par_chunks, Exec};
 
 /// How the period of a candidate execution graph is evaluated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,46 +50,6 @@ pub enum PeriodEvaluation {
         /// Bound on the ordering space enumerated exhaustively.
         exhaustive_limit: usize,
     },
-}
-
-/// Options for the MINPERIOD solvers.
-#[derive(Clone, Copy, Debug)]
-pub struct MinPeriodOptions {
-    /// Target communication model.
-    pub model: CommModel,
-    /// Evaluation used while searching.
-    pub evaluation: PeriodEvaluation,
-    /// Upper bound on the number of parent functions enumerated by the
-    /// exhaustive forest solver.
-    pub forest_enumeration_cap: usize,
-    /// Number of hill-climbing passes of the local search.
-    pub local_search_passes: usize,
-    /// How the exhaustive searches walk their candidate space (depth-first
-    /// branch-and-bound vs best-first over the partial bound); both return
-    /// bit-identical solutions, see [`SearchStrategy`].
-    pub strategy: SearchStrategy,
-}
-
-impl Default for MinPeriodOptions {
-    fn default() -> Self {
-        MinPeriodOptions {
-            model: CommModel::Overlap,
-            evaluation: PeriodEvaluation::LowerBound,
-            forest_enumeration_cap: 2_000_000,
-            local_search_passes: 32,
-            strategy: SearchStrategy::Auto,
-        }
-    }
-}
-
-impl MinPeriodOptions {
-    /// Convenience constructor for a given model with default effort.
-    pub fn for_model(model: CommModel) -> Self {
-        MinPeriodOptions {
-            model,
-            ..MinPeriodOptions::default()
-        }
-    }
 }
 
 /// Result of a MINPERIOD solve.
@@ -178,10 +137,11 @@ pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
 
 /// The budgeted, parallel, branch-and-bound variant of
 /// [`exhaustive_forest_best_capped`]: the first one or two enumeration
-/// levels (see [`Exec::split_levels`]) are expanded into tasks, split over
-/// `exec.effective_threads()` workers and reduced in enumeration order, so
-/// the result is bit-identical to the serial run; an optional deadline
-/// interrupts the enumeration (flagged via [`SearchOutcome::complete`]).
+/// levels (see [`Exec::effective_split_levels`]) are expanded into tasks,
+/// split over `exec.effective_threads()` workers and reduced in enumeration
+/// order, so the result is bit-identical to the serial run; an optional
+/// deadline interrupts the enumeration (flagged via
+/// [`SearchOutcome::complete`]).
 ///
 /// `eval` receives the current incumbent as a *cutoff*: it may return any
 /// value above the cutoff (typically `∞`) for candidates it can prove cannot
@@ -192,101 +152,45 @@ pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
 /// the first-minimum winner of the brute-force enumeration always survives,
 /// whatever the thread count.
 ///
-/// Under [`Symmetry::Auto`] on a reducible instance (uniform weights, no
-/// constraints — see [`CanonicalSpace`]) the search enumerates **canonical
-/// forest representatives** instead of all `n^n` parent functions: the cap
-/// is then measured against the class count (1 842 classes at `n = 10`
-/// versus `10^10` parent functions), the optimum *value* is unchanged, and
-/// the winner is the canonical tie-break representative.  Callers passing
-/// `Auto` assert that `eval` is label-invariant on uniform weights.
+/// Every plan space has exactly one walk.  When `symmetry` admits the
+/// instance's symmetry — [`Symmetry::Auto`] on a [`CanonicalSpace::reducible`]
+/// instance (uniform weights, no constraints), or [`Symmetry::Classes`] on a
+/// [`CanonicalSpace::class_reducible`] one (class-preserving relabelling
+/// orbits on multi-weight-class instances) — the search streams the
+/// canonical orbit space bound-first ([`streamed_canonical_search`]): the
+/// cap is then measured against the **shape** count (A000081, 1 842
+/// shapes at `n = 10` versus `10^10` parent functions), the optimum *value*
+/// is unchanged, and the winner is the canonical tie-break representative,
+/// the first optimum in canonical enumeration order.  Callers passing
+/// `Auto` assert that `eval` is label-invariant on uniform weights; callers
+/// passing `Classes` assert the stronger class-invariance — see the
+/// bit-safety discussion on [`Symmetry`].  Every other space is walked
+/// depth-first over the `n^n` labelled parent functions.  Either way the
+/// search returns `None` when the space exceeds `cap`, when no feasible
+/// forest exists, or when the deadline expires before any candidate was
+/// examined.
 ///
-/// [`Symmetry::Classes`] extends the reduction to **multi-weight-class**
-/// instances (class-preserving relabelling orbits, cap measured against the
-/// coloured class count): callers assert the stronger class-invariance of
-/// `eval` — see the bit-safety discussion on [`Symmetry`].  When the
-/// coloured space exceeds the cap the search falls back to the raw labelled
-/// enumeration (value-exact by construction) before giving up.
+/// `incumbent_seed` pre-loads the shared incumbent with a known upper bound
+/// (the warm-start entry of the serving layer: the value of a previous plan
+/// adapted to the mutated instance); `f64::INFINITY` is the cold search.
+/// The seed must be an upper bound on the searched space's optimum (any
+/// feasible candidate's value is).  Seeding then preserves bit-identity:
+/// the subtree pruning and the bound-clearance certificate fire only on a
+/// *strict* clearance of the incumbent, so every candidate tying the
+/// optimum is still evaluated and the first-minimum winner is unchanged —
+/// the search merely skips the hopeless region it would otherwise have
+/// walked to re-discover the bound.
 ///
-/// `strategy` picks the walk ([`SearchStrategy`]): depth-first
-/// branch-and-bound or best-first over the partial bound (bounded frontier,
-/// spill-to-DFS).  Solutions are bit-identical either way; `Auto` uses
-/// best-first on the canonical orbit spaces and depth-first on the raw
-/// labelled space.
+/// `probe`, when supplied, records the walk's [`StreamStats`] — the
+/// telemetry channel behind `SolveStats::stream` — and, if it carries a
+/// registry, the streamed walk's stage spans.
+#[allow(clippy::too_many_arguments)]
 pub fn exhaustive_forest_search<F>(
     app: &Application,
     cap: usize,
     exec: Exec,
     prune: PartialPrune,
     symmetry: Symmetry,
-    strategy: SearchStrategy,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    exhaustive_forest_search_seeded(
-        app,
-        cap,
-        exec,
-        prune,
-        symmetry,
-        strategy,
-        f64::INFINITY,
-        eval,
-    )
-}
-
-/// [`exhaustive_forest_search`] with the shared incumbent **seeded** with a
-/// known upper bound (the warm-start entry of the serving layer: the value
-/// of a previous plan adapted to the mutated instance).
-///
-/// Seeding preserves bit-identity as long as `seed` is an upper bound on
-/// the searched space's optimum (any feasible candidate's value is): both
-/// the subtree pruning and the bound-clearance certificate fire only on a
-/// *strict* clearance of the incumbent, so every candidate tying the
-/// optimum is still evaluated and the first-minimum winner is unchanged —
-/// the search merely skips the hopeless region it would otherwise have
-/// walked to re-discover the bound.  `f64::INFINITY` recovers the cold
-/// search exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn exhaustive_forest_search_seeded<F>(
-    app: &Application,
-    cap: usize,
-    exec: Exec,
-    prune: PartialPrune,
-    symmetry: Symmetry,
-    strategy: SearchStrategy,
-    incumbent_seed: f64,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    exhaustive_forest_search_probed(
-        app,
-        cap,
-        exec,
-        prune,
-        symmetry,
-        strategy,
-        incumbent_seed,
-        eval,
-        None,
-    )
-}
-
-/// [`exhaustive_forest_search_seeded`] with an optional [`StreamProbe`]
-/// recording the lazy walk's [`StreamStats`](crate::engine::frontier::StreamStats)
-/// when the search resolves to the streamed canonical path — the telemetry
-/// channel behind `SolveStats::stream`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exhaustive_forest_search_probed<F>(
-    app: &Application,
-    cap: usize,
-    exec: Exec,
-    prune: PartialPrune,
-    symmetry: Symmetry,
-    strategy: SearchStrategy,
     incumbent_seed: f64,
     eval: &F,
     probe: Option<&StreamProbe>,
@@ -298,27 +202,26 @@ where
     if n == 0 {
         return None;
     }
-    // Stage spans resolve once per solve, and only when the probe carries a
-    // registry — the plain path pays nothing.
-    let engine_obs = probe
-        .and_then(|p| p.metrics())
-        .map(|registry| EngineMetrics::new(registry));
-    if symmetry != Symmetry::Full && CanonicalSpace::reducible(app) {
+    let canonical = match symmetry {
+        Symmetry::Full => false,
+        Symmetry::Auto => CanonicalSpace::reducible(app),
+        Symmetry::Classes => CanonicalSpace::class_reducible(app),
+    };
+    if canonical {
+        // The streamed walk never materialises the coloured space, so its
+        // budget gate is the shape count.  Beyond it the labelled space
+        // (n^n > A000081(n+1) for n >= 2) is over the cap too.
         if CanonicalSpace::forest_class_count(n) > cap as u128 {
             return None;
         }
-        // Every strategy resolves to the streamed walk on the uniform
-        // canonical space: the single-class partition degenerates the
-        // colouring walk to a linear pass with one canonical colouring per
-        // shape, so nothing is ever materialised (the old depth-first path
-        // collected the full representative list up front), telemetry lands
-        // on every uniform solve, and the `(value, canonical index)` winner
-        // is bit-identical to the retired materialised scan — serial,
-        // parallel, depth-first or best-first alike.
-        let classes = WeightClasses::of(app);
-        let (outcome, stats) = streamed_canonical_search_observed(
+        // Stage spans resolve once per solve, and only when the probe
+        // carries a registry — the plain path pays nothing.
+        let engine_obs = probe
+            .and_then(|p| p.metrics())
+            .map(|registry| EngineMetrics::new(registry));
+        let (outcome, stats) = streamed_canonical_search(
             app,
-            &classes,
+            &WeightClasses::of(app),
             exec,
             prune,
             DEFAULT_FRONTIER_CAP,
@@ -329,79 +232,15 @@ where
         if let Some(p) = probe {
             p.record(stats);
         }
+        // `None` means the deadline expired before any candidate was
+        // examined: the caller degrades to its heuristic fallback.
         return outcome;
-    }
-    if symmetry == Symmetry::Classes && CanonicalSpace::class_reducible(app) {
-        if strategy == SearchStrategy::DepthFirst {
-            match CanonicalSpace::classed_representatives_within(app, cap, exec.deadline) {
-                crate::engine::ClassedGeneration::Generated(reps) => {
-                    // Telemetry attaches on every strategy (see
-                    // `SolveStats::stream`): the materialised walk reports
-                    // the whole representative list as resident — the
-                    // honest contrast with the streamed walk's bounded
-                    // residency — and the coloured-orbit total these
-                    // representatives stand for.
-                    let expanded = AtomicU64::new(0);
-                    let counted = |graph: &ExecutionGraph, incumbent: f64| {
-                        expanded.fetch_add(1, Ordering::Relaxed);
-                        eval(graph, incumbent)
-                    };
-                    let orbits = reps
-                        .iter()
-                        .try_fold(0u128, |acc, rep| acc.checked_add(rep.orbit));
-                    let outcome =
-                        canonical_forest_search(app, &reps, exec, prune, incumbent_seed, &counted);
-                    if let Some(p) = probe {
-                        p.record(StreamStats {
-                            shapes: reps.len(),
-                            orbits,
-                            expanded: expanded.load(Ordering::Relaxed),
-                            peak_resident: reps.len(),
-                            certified_shapes: 0,
-                        });
-                    }
-                    return outcome;
-                }
-                // Deadline passed before the space was even materialised: no
-                // candidate was examined, so degrade to the heuristic
-                // fallback (flagged non-exhaustive by the caller) instead of
-                // blocking.
-                crate::engine::ClassedGeneration::DeadlineExpired => return None,
-                // Coloured class space over the cap: fall through to the raw
-                // space, which may still fit.
-                crate::engine::ClassedGeneration::CapExceeded => {}
-            }
-        } else if CanonicalSpace::forest_class_count(n) <= cap as u128 {
-            // The streamed best-first walk never materialises the coloured
-            // space, so its budget gate is the *shape* count (A000081,
-            // 32 973 at n = 13) rather than the coloured class count that
-            // bounds the depth-first materialisation — tiered spaces whose
-            // coloured count dwarfs the cap stay exhaustively searchable.
-            // Beyond the shape cap, fall through to the raw-space gates.
-            let classes = WeightClasses::of(app);
-            let (outcome, stats) = streamed_canonical_search_observed(
-                app,
-                &classes,
-                exec,
-                prune,
-                DEFAULT_FRONTIER_CAP,
-                incumbent_seed,
-                eval,
-                engine_obs.as_ref(),
-            );
-            if let Some(p) = probe {
-                p.record(stats);
-            }
-            // `None` means the deadline expired before any candidate was
-            // examined: degrade to the heuristic fallback, not the raw walk.
-            return outcome;
-        }
     }
     let space = forest_space_size(n)?;
     if space > cap {
         return None;
     }
-    // Raw labelled walks carry telemetry too (`shapes` stays 0 — no shape
+    // The labelled walk carries telemetry too (`shapes` stays 0 — no shape
     // plan exists on the labelled space — and `orbits` reports the labelled
     // space size itself, every orbit being trivial).
     let expanded = AtomicU64::new(0);
@@ -409,26 +248,6 @@ where
         expanded.fetch_add(1, Ordering::Relaxed);
         eval(graph, incumbent)
     };
-    if strategy == SearchStrategy::BestFirst {
-        let (outcome, frontier) = best_first_forest_search_stats(
-            app,
-            exec,
-            prune,
-            DEFAULT_FRONTIER_CAP,
-            incumbent_seed,
-            &counted,
-        );
-        if let Some(p) = probe {
-            p.record(StreamStats {
-                shapes: 0,
-                orbits: Some(space as u128),
-                expanded: expanded.load(Ordering::Relaxed),
-                peak_resident: frontier.peak,
-                certified_shapes: 0,
-            });
-        }
-        return outcome;
-    }
     let incumbent = Incumbent::seeded(incumbent_seed);
     let prefixes = forest_task_prefixes(n, exec.effective_split_levels());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
@@ -499,68 +318,8 @@ fn forest_task_prefixes(n: usize, levels: usize) -> Vec<Vec<Option<ServiceId>>> 
     }
 }
 
-/// The depth-first symmetry-reduced forest search over a **materialised**
-/// canonical orbit stream (uniform or class-coloured): one evaluation per
-/// representative, with the partial-assignment bound applied by a
-/// [`ForestCursor`] *before* a representative is materialised.
-///
-/// The stream is scanned in canonical order, chunked by **orbit weight**
-/// ([`par_chunks_weighted`]) so that representatives standing for huge
-/// orbits — which cluster early in the stream — stop load-imbalancing the
-/// workers; chunks keep the enumeration order, so the fold is deterministic
-/// for every thread count and the winner is the first optimum in canonical
-/// order.  The `Auto` / `BestFirst` strategies never materialise the stream
-/// at all — they walk it lazily bound-first ([`streamed_canonical_search`]),
-/// which reaches the same winner (the `(value, enumeration index)` minimum)
-/// after expanding far fewer orbits.
-fn canonical_forest_search<F>(
-    app: &Application,
-    reps: &[CanonicalRep],
-    exec: Exec,
-    prune: PartialPrune,
-    incumbent_seed: f64,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    let incumbent = Incumbent::seeded(incumbent_seed);
-    let weight_of = |rep: &CanonicalRep| u64::try_from(rep.orbit).unwrap_or(u64::MAX);
-    let parts = par_chunks_weighted(exec.effective_threads(), reps, weight_of, |_base, chunk| {
-        let mut best: Option<(f64, ExecutionGraph)> = None;
-        let mut complete = true;
-        let mut cursor = ForestCursor::new(app, prune);
-        for rep in chunk {
-            if exec.deadline.is_some_and(|d| Instant::now() >= d) {
-                complete = false;
-                break;
-            }
-            let Some(graph) = cursor.advance_rep(rep, incumbent.get()) else {
-                continue; // pruned before materialisation
-            };
-            let value = eval(&graph, incumbent.get());
-            if best.as_ref().is_none_or(|(b, _)| value < *b) {
-                incumbent.offer(value);
-                best = Some((value, graph));
-            }
-        }
-        (best, complete)
-    });
-    let complete = parts.iter().all(|(_, c)| *c);
-    let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
-    best.map(|(value, graph)| SearchOutcome {
-        value,
-        graph,
-        complete,
-    })
-}
-
 /// Branch-and-bound enumeration of parent functions from the current prefix
 /// of `partial`.  Returns `false` when the deadline interrupted this subtree.
-///
-/// The best-first spill path (`engine::frontier::dfs_complete`) mirrors this
-/// walker's prune rule and choice order to keep the two strategies
-/// bit-identical — change them together.
 fn enumerate_parents_pruned<F>(
     app: &Application,
     partial: &mut PartialForestMetrics<'_>,
@@ -712,7 +471,7 @@ pub fn exhaustive_dag_best<F: FnMut(&ExecutionGraph) -> f64>(
 
 /// The budgeted, parallel, branch-and-bound variant of
 /// [`exhaustive_dag_best`]: the first one or two permutation positions (see
-/// [`Exec::split_levels`]) are expanded into tasks, split over
+/// [`Exec::effective_split_levels`]) are expanded into tasks, split over
 /// `exec.effective_threads()` workers and reduced in enumeration order,
 /// so the result is bit-identical to the serial run; an optional deadline
 /// interrupts the enumeration.  Instances larger than
@@ -1005,17 +764,20 @@ fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionGraph> {
 
 /// Heuristic MINPERIOD: best seed followed by hill climbing over single-parent
 /// reassignments (`set parent of k to None / to p`), keeping the application's
-/// precedence constraints satisfied.
+/// precedence constraints satisfied.  Candidates are valued by
+/// [`SearchBudget::period_evaluation`] for `model`, over
+/// [`SearchBudget::local_search_passes`] passes at most.
 pub fn minperiod_local_search(
     app: &Application,
-    options: &MinPeriodOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinPeriodResult> {
     let eval = |g: &ExecutionGraph| -> f64 {
-        evaluate_period(app, g, options.model, options.evaluation).unwrap_or(f64::INFINITY)
+        evaluate_period(app, g, model, budget.period_evaluation).unwrap_or(f64::INFINITY)
     };
     let mut best_graph = ExecutionGraph::new(app.n());
     let mut best_value = f64::INFINITY;
-    for seed in seed_graphs(app, options.model) {
+    for seed in seed_graphs(app, model) {
         let value = eval(&seed);
         if value < best_value {
             best_value = value;
@@ -1023,7 +785,7 @@ pub fn minperiod_local_search(
         }
     }
     let n = app.n();
-    for _pass in 0..options.local_search_passes {
+    for _pass in 0..budget.local_search_passes {
         let mut improved = false;
         for k in 0..n {
             // Candidate moves: make k an entry node, or give it any other parent.
@@ -1069,23 +831,29 @@ pub fn minperiod_local_search(
 /// Full MINPERIOD solver: exhaustive forest enumeration when the instance is
 /// small enough (optimal for the requested evaluation, by Proposition 4),
 /// falling back to the local-search heuristic otherwise.
+///
+/// `budget` supplies every knob, resolved the way
+/// [`solve`](crate::orchestrator::solve) resolves it: the exhaustive phases
+/// fan out over [`SearchBudget::threads`] workers (bit-identical to the
+/// serial run) and honour [`SearchBudget::time_limit`], returning the best
+/// graph found so far with `exhaustive == false` when the deadline
+/// interrupts the enumeration.  The default budget is serial with no
+/// deadline.
 pub fn minimize_period(
     app: &Application,
-    options: &MinPeriodOptions,
+    model: CommModel,
+    budget: &SearchBudget,
 ) -> CoreResult<MinPeriodResult> {
-    minimize_period_exec(app, options, Exec::serial())
-}
-
-/// [`minimize_period`] under an explicit execution strategy: the exhaustive
-/// phases fan out over `exec` worker threads (bit-identical to the serial
-/// run) and honour its deadline, returning the best graph found so far with
-/// `exhaustive == false` when the deadline interrupts the enumeration.
-pub fn minimize_period_exec(
-    app: &Application,
-    options: &MinPeriodOptions,
-    exec: Exec,
-) -> CoreResult<MinPeriodResult> {
-    minimize_period_engine(app, options, exec, &EvalCache::new(app))
+    minimize_period_engine(
+        app,
+        model,
+        budget,
+        budget.exec(),
+        &EvalCache::new(app),
+        f64::INFINITY,
+        &AtomicUsize::new(0),
+        None,
+    )
 }
 
 /// Bounded (branch-and-bound aware) candidate evaluation: like
@@ -1096,7 +864,7 @@ fn evaluate_period_bounded(
     app: &Application,
     graph: &ExecutionGraph,
     model: CommModel,
-    evaluation: PeriodEvaluation,
+    budget: &SearchBudget,
     cache: &EvalCache,
     cutoff: f64,
     deadline: Option<Instant>,
@@ -1105,7 +873,7 @@ fn evaluate_period_bounded(
         return f64::INFINITY;
     };
     let lower = metrics.period_lower_bound(model);
-    let PeriodEvaluation::Orchestrated { exhaustive_limit } = evaluation else {
+    let PeriodEvaluation::Orchestrated { exhaustive_limit } = budget.period_evaluation else {
         return lower;
     };
     if model == CommModel::Overlap {
@@ -1123,7 +891,6 @@ fn evaluate_period_bounded(
     let inner_exec = Exec {
         threads: 1,
         deadline,
-        split_levels: 1,
     };
     match model {
         CommModel::Overlap => unreachable!("handled above"),
@@ -1165,9 +932,10 @@ fn evaluate_period_bounded(
             // stops the bisection once every remaining probe provably sits
             // above it.
             let opts = OutOrderOptions {
+                node_budget: budget.outorder_node_budget,
+                refinement_steps: budget.outorder_refinement_steps,
                 inorder_exhaustive_limit: exhaustive_limit,
                 deadline,
-                ..OutOrderOptions::default()
             };
             // The partition comes from the cache (computed once per solve),
             // not per candidate — this branch runs for every enumerated
@@ -1186,15 +954,7 @@ fn evaluate_period_bounded(
                 };
             let eval_graph = canonical.as_ref().unwrap_or(graph);
             let search = |c: f64| match outorder_period_search_bounded(
-                app,
-                eval_graph,
-                &opts,
-                Exec {
-                    threads: 1,
-                    deadline,
-                    split_levels: 1,
-                },
-                c,
+                app, eval_graph, &opts, inner_exec, c,
             ) {
                 Ok(Some(result)) => result.period,
                 Ok(None) | Err(_) => f64::INFINITY,
@@ -1207,58 +967,37 @@ fn evaluate_period_bounded(
     }
 }
 
-/// [`minimize_period_exec`] with a caller-provided evaluation cache, so a
-/// batch sweep ([`crate::orchestrator::solve_all`]) can share one memo.
+/// The engine behind [`minimize_period`] and
+/// [`solve`](crate::orchestrator::solve): `exec` is the budget's resolved
+/// execution (one deadline shared with the caller's later phases), `cache`
+/// a caller-provided evaluation memo (a `solve_all` sweep shares one), and
+/// `evals` is incremented once per full candidate evaluation, so callers
+/// can measure how much of the space a warm start skipped.
+///
+/// `incumbent_seed` pre-loads every exhaustive phase's incumbent: pass the
+/// value of a previous plan adapted to the instance, or `∞` for a cold
+/// solve.  The seed must be an upper bound on the optimum; winners are then
+/// bit-identical either way (see [`exhaustive_forest_search`]).  `probe`
+/// receives the plan search's telemetry.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_period_engine(
     app: &Application,
-    options: &MinPeriodOptions,
-    exec: Exec,
-    cache: &EvalCache,
-) -> CoreResult<MinPeriodResult> {
-    minimize_period_engine_seeded(
-        app,
-        options,
-        exec,
-        cache,
-        f64::INFINITY,
-        &std::sync::atomic::AtomicUsize::new(0),
-        None,
-    )
-}
-
-/// [`minimize_period_engine`] with a warm-start incumbent seed and an
-/// evaluation counter: `incumbent_seed` pre-loads every exhaustive phase's
-/// incumbent (pass the value of a previous plan adapted to the instance;
-/// `∞` for a cold solve — winners are bit-identical either way, see
-/// [`exhaustive_forest_search_seeded`]), and `evals` is incremented once per
-/// full candidate evaluation, so callers can measure how much of the space a
-/// warm start skipped.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn minimize_period_engine_seeded(
-    app: &Application,
-    options: &MinPeriodOptions,
+    model: CommModel,
+    budget: &SearchBudget,
     exec: Exec,
     cache: &EvalCache,
     incumbent_seed: f64,
-    evals: &std::sync::atomic::AtomicUsize,
+    evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
 ) -> CoreResult<MinPeriodResult> {
     let eval = |g: &ExecutionGraph, cutoff: f64| -> f64 {
-        evals.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        evaluate_period_bounded(
-            app,
-            g,
-            options.model,
-            options.evaluation,
-            cache,
-            cutoff,
-            exec.deadline,
-        )
+        evals.fetch_add(1, Ordering::Relaxed);
+        evaluate_period_bounded(app, g, model, budget, cache, cutoff, exec.deadline)
     };
     if !app.has_constraints() {
         // Both evaluations dominate the model's structural period bound, so
         // the incremental period bound is an admissible subtree pruner.
-        let prune = PartialPrune::Period(options.model);
+        let prune = PartialPrune::Period(model);
         // Symmetry reduction is engaged only when the candidate evaluation
         // is provably invariant under the matching relabelling group (the
         // bit-safety gate on `Symmetry`): the structural bounds are
@@ -1270,9 +1009,9 @@ pub(crate) fn minimize_period_engine_seeded(
         // follows node ids, so it engages the uniform-only reduction when
         // every forest's ordering search stays exhaustive and falls back to
         // the value-exact full enumeration on multi-class instances.
-        let symmetry = match options.evaluation {
+        let symmetry = match budget.period_evaluation {
             PeriodEvaluation::LowerBound => Symmetry::Classes,
-            PeriodEvaluation::Orchestrated { exhaustive_limit } => match options.model {
+            PeriodEvaluation::Orchestrated { exhaustive_limit } => match model {
                 CommModel::Overlap => Symmetry::Classes,
                 CommModel::OutOrder => Symmetry::Classes,
                 CommModel::InOrder
@@ -1283,13 +1022,12 @@ pub(crate) fn minimize_period_engine_seeded(
                 CommModel::InOrder => Symmetry::Full,
             },
         };
-        if let Some(out) = exhaustive_forest_search_probed(
+        if let Some(out) = exhaustive_forest_search(
             app,
-            options.forest_enumeration_cap,
+            budget.max_graphs,
             exec,
             prune,
             symmetry,
-            options.strategy,
             incumbent_seed,
             &eval,
             probe,
@@ -1316,7 +1054,7 @@ pub(crate) fn minimize_period_engine_seeded(
             }
         }
     }
-    minperiod_local_search(app, options)
+    minperiod_local_search(app, model, budget)
 }
 
 #[cfg(test)]
@@ -1328,7 +1066,7 @@ mod tests {
         // One strong filter in front of an expensive service: the optimal plan
         // chains them (OVERLAP model).
         let app = Application::independent(&[(1.0, 0.1), (10.0, 1.0)]);
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!(result.graph.has_edge(0, 1));
         assert!((result.period - 1.0).abs() < 1e-9);
@@ -1346,7 +1084,7 @@ mod tests {
             specs.push((2.0 / 0.9, 2.2));
         }
         let app = Application::independent(&specs);
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!((result.period - 2.0).abs() < 1e-9);
         // The two filters must not be chained one behind the other: each keeps
@@ -1367,7 +1105,6 @@ mod tests {
         ];
         for app in apps {
             for model in CommModel::ALL {
-                let options = MinPeriodOptions::for_model(model);
                 let eval = |g: &ExecutionGraph| {
                     evaluate_period(&app, g, model, PeriodEvaluation::LowerBound)
                         .unwrap_or(f64::INFINITY)
@@ -1380,7 +1117,6 @@ mod tests {
                     forest.0,
                     dag.0
                 );
-                let _ = options;
             }
         }
     }
@@ -1388,10 +1124,10 @@ mod tests {
     #[test]
     fn local_search_matches_exhaustive_on_small_instances() {
         let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
-        let options = MinPeriodOptions::default();
-        let exhaustive = minimize_period(&app, &options).unwrap();
+        let budget = SearchBudget::default();
+        let exhaustive = minimize_period(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
-        let local = minperiod_local_search(&app, &options).unwrap();
+        let local = minperiod_local_search(&app, CommModel::Overlap, &budget).unwrap();
         assert!(local.period <= exhaustive.period * 1.2 + 1e-9);
         assert!(local.period >= exhaustive.period - 1e-9);
     }
@@ -1400,7 +1136,7 @@ mod tests {
     fn constraints_are_respected() {
         let mut app = Application::independent(&[(1.0, 0.5), (2.0, 0.5), (3.0, 1.0)]);
         app.add_constraint(2, 0).unwrap();
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         result.graph.respects(&app).unwrap();
         // Service 0 must be (transitively) after service 2.
         assert!(result.graph.ancestors(0).contains(&2));
@@ -1427,8 +1163,9 @@ mod tests {
                         Exec::serial(),
                         PartialPrune::Period(model),
                         Symmetry::Auto,
-                        SearchStrategy::Auto,
+                        f64::INFINITY,
                         &|g, _| eval(g),
+                        None,
                     )
                     .unwrap();
                     assert_eq!(brute.0, reduced.value, "{specs:?} n={n} {model}");
@@ -1469,7 +1206,7 @@ mod tests {
         // n^n = 10^10 parent functions dwarf the 2M cap, but the canonical
         // space holds 1 842 classes: the default budget is now exhaustive.
         let app = Application::independent(&[(3.0, 0.9); 10]);
-        let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+        let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "canonical space fits the default cap");
         // Sanity: never worse than the all-independent plan.
         let independent = evaluate_period(
@@ -1490,40 +1227,29 @@ mod tests {
                 .map(|m| m.period_lower_bound(CommModel::InOrder))
                 .unwrap_or(f64::INFINITY)
         };
-        let serial = exhaustive_forest_search(
-            &app,
-            2_000_000,
-            Exec::serial(),
-            PartialPrune::Period(CommModel::InOrder),
-            Symmetry::Full,
-            SearchStrategy::Auto,
-            &eval,
-        )
-        .unwrap();
+        let search = |exec| {
+            exhaustive_forest_search(
+                &app,
+                2_000_000,
+                exec,
+                PartialPrune::Period(CommModel::InOrder),
+                Symmetry::Full,
+                f64::INFINITY,
+                &eval,
+                None,
+            )
+            .unwrap()
+        };
+        let serial = search(Exec::serial());
+        // Several workers split the first two enumeration levels.
         for threads in [2, 5] {
-            for split_levels in [1, 2] {
-                let exec = Exec {
-                    threads,
-                    deadline: None,
-                    split_levels,
-                };
-                let par = exhaustive_forest_search(
-                    &app,
-                    2_000_000,
-                    exec,
-                    PartialPrune::Period(CommModel::InOrder),
-                    Symmetry::Full,
-                    SearchStrategy::Auto,
-                    &eval,
-                )
-                .unwrap();
-                assert_eq!(serial.value, par.value, "x{threads} lvl{split_levels}");
-                assert_eq!(
-                    serial.graph.edges().collect::<Vec<_>>(),
-                    par.graph.edges().collect::<Vec<_>>(),
-                    "x{threads} lvl{split_levels}: winner"
-                );
-            }
+            let par = search(Exec::threaded(threads));
+            assert_eq!(serial.value, par.value, "x{threads}");
+            assert_eq!(
+                serial.graph.edges().collect::<Vec<_>>(),
+                par.graph.edges().collect::<Vec<_>>(),
+                "x{threads}: winner"
+            );
         }
     }
 

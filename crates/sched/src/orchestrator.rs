@@ -1,11 +1,8 @@
 //! The unified solver entry point: one [`solve`] for every communication
 //! model and objective.
 //!
-//! Historically each (model × objective) pair had its own entry point with
-//! its own option struct and its own ad-hoc enumeration caps
-//! (`MinPeriodOptions`, `MinLatencyOptions`, `OutOrderOptions`, bare
-//! `exhaustive_limit` arguments, …).  This module replaces that surface with
-//! three small types:
+//! Every solver of the crate takes its effort from one budget type, so a
+//! solve is described by three small types:
 //!
 //! * [`Problem`] — *what* to solve: an application, a communication model
 //!   ([`CommModel`]), an [`Objective`] (MINPERIOD or MINLATENCY) and
@@ -25,6 +22,11 @@
 //! All exhaustive searches parallelise over [`SearchBudget::threads`] worker
 //! threads and are **bit-identical to their serial runs** (see [`crate::par`]
 //! for the reduction rule), so `threads` is purely a throughput knob.
+//!
+//! Two entry points cover every caller: [`solve`] for a one-off solve, and
+//! [`solve_warm_observed`] for the batch and serving paths, which share an
+//! evaluation cache, may seed the search with a warm plan, and may record
+//! tracing spans; [`solve_all`] runs a model × objective sweep on top of it.
 //!
 //! ```
 //! use fsw_core::{Application, CommModel};
@@ -47,12 +49,12 @@ use std::time::{Duration, Instant};
 
 use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, OperationList, PlanMetrics};
 
-use crate::engine::{EvalCache, SearchStrategy};
+use crate::engine::EvalCache;
 use crate::latency::{
     latency_lower_bound, multiport_proportional_latency, oneport_latency_search_exec,
 };
-use crate::minlatency::{minimize_latency_engine_seeded, MinLatencyOptions};
-use crate::minperiod::{minimize_period_engine_seeded, MinPeriodOptions, PeriodEvaluation};
+use crate::minlatency::minimize_latency_engine;
+use crate::minperiod::{minimize_period_engine, PeriodEvaluation};
 use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_exec, OnePortStyle};
 use crate::orderings::CommOrderings;
 use crate::outorder::{outorder_period_search_exec, OutOrderOptions};
@@ -122,10 +124,15 @@ impl<'a> Problem<'a> {
 
 /// One shared budget for every enumeration a solve may perform.
 ///
-/// The default reproduces the effort of the legacy per-model entry points
-/// (`MinPeriodOptions::default()`, `MinLatencyOptions::default()`,
-/// `OutOrderOptions::default()`), so `solve(&problem, &SearchBudget::default())`
-/// returns bit-identical values to the code it replaces.
+/// The plan searches ([`minimize_period`](crate::minperiod::minimize_period),
+/// [`minimize_latency`](crate::minlatency::minimize_latency)) and their
+/// local-search fallbacks take it too, so one value describes the effort of
+/// every solver.  The OUTORDER orchestration reads its ordering budget from
+/// [`SearchBudget::max_orderings`] (5 000 by default), not from
+/// [`OutOrderOptions::default`]'s `inorder_exhaustive_limit` (20 000), so
+/// a default-budget solve and a default-options
+/// [`outorder_period_search`](crate::outorder::outorder_period_search) can
+/// differ.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SearchBudget {
     /// Bound on the communication-ordering space enumerated exhaustively;
@@ -134,10 +141,9 @@ pub struct SearchBudget {
     /// Bound on the execution-graph space enumerated exhaustively; beyond
     /// it the plan search falls back to seeded local search.  The space it
     /// measures depends on the walk the search resolves to: parent
-    /// functions on the raw labelled space, coloured orbit classes on the
-    /// materialised depth-first canonical path, and **shapes** (A000081
-    /// forest-isomorphism classes — 32 973 at `n = 13`) on the lazy
-    /// streamed path, which never materialises the coloured space and so
+    /// functions on the raw labelled space, and **shapes** (A000081
+    /// forest-isomorphism classes — 32 973 at `n = 13`) on the streamed
+    /// canonical walk, which never materialises the coloured space and so
     /// stays exhaustive where the coloured count dwarfs the cap.
     pub max_graphs: usize,
     /// Optional wall-clock limit.  When it expires, the graph and ordering
@@ -162,11 +168,6 @@ pub struct SearchBudget {
     /// latency optimum may require a join, unlike the period).  Hard-capped
     /// at [`crate::minperiod::DAG_ENUMERATION_HARD_MAX_N`] by the engine.
     pub dag_enumeration_max_n: usize,
-    /// How the exhaustive plan searches walk their candidate space
-    /// (depth-first branch-and-bound vs best-first over the partial bound).
-    /// Both return bit-identical solutions; see
-    /// [`SearchStrategy`].
-    pub search_strategy: SearchStrategy,
 }
 
 impl Default for SearchBudget {
@@ -181,7 +182,6 @@ impl Default for SearchBudget {
             outorder_node_budget: 200_000,
             outorder_refinement_steps: 8,
             dag_enumeration_max_n: 5,
-            search_strategy: SearchStrategy::Auto,
         }
     }
 }
@@ -224,40 +224,11 @@ impl SearchBudget {
         self
     }
 
-    /// Returns the budget with the given search strategy (bit-identical
-    /// solutions either way; a pure exploration-order/performance knob).
-    pub fn with_search_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.search_strategy = strategy;
-        self
-    }
-
     /// Materialises the execution strategy (resolves the deadline now).
-    fn exec(&self) -> Exec {
+    pub(crate) fn exec(&self) -> Exec {
         Exec {
             threads: self.threads,
             deadline: self.time_limit.map(|d| Instant::now() + d),
-            split_levels: 0, // auto: two-level (n²) tasks when fanning out
-        }
-    }
-
-    fn minperiod_options(&self, model: CommModel) -> MinPeriodOptions {
-        MinPeriodOptions {
-            model,
-            evaluation: self.period_evaluation,
-            forest_enumeration_cap: self.max_graphs,
-            local_search_passes: self.local_search_passes,
-            strategy: self.search_strategy,
-        }
-    }
-
-    fn minlatency_options(&self, model: CommModel) -> MinLatencyOptions {
-        MinLatencyOptions {
-            model,
-            ordering_exhaustive_limit: self.max_orderings,
-            forest_enumeration_cap: self.max_graphs,
-            local_search_passes: self.local_search_passes,
-            dag_enumeration_max_n: self.dag_enumeration_max_n,
-            strategy: self.search_strategy,
         }
     }
 
@@ -312,7 +283,8 @@ pub struct Solution {
 /// three communication models for both MINPERIOD and MINLATENCY, with or
 /// without a fixed execution graph.
 pub fn solve(problem: &Problem<'_>, budget: &SearchBudget) -> CoreResult<Solution> {
-    solve_with_cache(problem, budget, &EvalCache::new(problem.app))
+    solve_warm_observed(problem, budget, &EvalCache::new(problem.app), None, None)
+        .map(|(solution, _)| solution)
 }
 
 /// Solves a whole model × objective sweep over one application, sharing a
@@ -332,23 +304,10 @@ pub fn solve_all(
     requests
         .iter()
         .map(|&(model, objective)| {
-            solve_with_cache(&Problem::new(app, model, objective), budget, &cache)
+            let problem = Problem::new(app, model, objective);
+            solve_warm_observed(&problem, budget, &cache, None, None).map(|(solution, _)| solution)
         })
         .collect()
-}
-
-/// [`solve`] with a caller-provided evaluation cache: the building block of
-/// every batch path (`solve_all` shares one cache across a model ×
-/// objective sweep; the serving layer `fsw_serve` shares one per
-/// application fingerprint across a batch's cold solves, and its online
-/// sessions retain one across re-plans of an unchanged instance).  Results
-/// are bit-identical to [`solve`].
-pub fn solve_with_cache(
-    problem: &Problem<'_>,
-    budget: &SearchBudget,
-    cache: &EvalCache,
-) -> CoreResult<Solution> {
-    solve_warm(problem, budget, cache, None).map(|(solution, _)| solution)
 }
 
 /// Telemetry of one plan solve, for the serving layer and its tests.
@@ -358,16 +317,14 @@ pub struct SolveStats {
     /// search (pruned candidates are not counted).  `0` for fixed-graph
     /// orchestration problems.
     pub evaluated: usize,
-    /// Telemetry of the plan search, attached **uniformly across every
-    /// `SearchStrategy` branch**: streamed canonical walks report
-    /// shape/orbit counts, expansions, bounded peak residency and
-    /// certificate discards; materialised depth-first walks report the
-    /// representative list (fully resident) and its coloured-orbit total;
-    /// raw labelled walks report the labelled space size as `orbits`
-    /// (`shapes` stays 0 — no shape plan exists) with the frontier peak
-    /// (best-first) or worker count (depth-first) as residency.  `None`
-    /// only for fixed-graph orchestration problems and the non-enumerative
-    /// fallbacks (hill climbing, DAG phase), where no plan space is walked.
+    /// Telemetry of the plan search, attached by **both walks**: the
+    /// streamed canonical walk reports shape/orbit counts, expansions,
+    /// bounded peak residency and certificate discards; the depth-first
+    /// walk of the labelled space reports the labelled space size as
+    /// `orbits` (`shapes` stays 0 — no shape plan exists) with the worker
+    /// count as residency.  `None` only for fixed-graph orchestration
+    /// problems and the non-enumerative fallbacks (hill climbing, DAG
+    /// phase), where no plan space is walked.
     pub stream: Option<crate::engine::frontier::StreamStats>,
     /// The warm-start upper bound the search's incumbent was seeded with
     /// (the previous plan's value on the current instance), when one was
@@ -375,34 +332,33 @@ pub struct SolveStats {
     pub warm_value: Option<f64>,
 }
 
-/// [`solve_with_cache`] with an optional **warm start**: `warm` is a
-/// previously optimal execution graph (e.g. the tenant's plan before a
-/// service arrived, adapted to the current service set).  Its value on the
-/// *current* instance is a feasible upper bound on the optimum, so the plan
-/// search's incumbent is seeded with it and the enumeration prunes the
-/// hopeless region from the first candidate on — the online re-planning
-/// entry point of the serving layer.
+/// [`solve`] for the batch and serving paths: a caller-provided evaluation
+/// cache, an optional warm start, and optional observability.  Results are
+/// bit-identical to [`solve`].
 ///
-/// The returned solution is **bit-identical** to a cold
-/// [`solve_with_cache`]: seeding never prunes a candidate that ties the
-/// optimum (strict clearance only), so the first-minimum winner and its
-/// value are unchanged; only [`SolveStats::evaluated`] shrinks.  An
+/// `cache` must have been built for `problem.app`; a cache built for
+/// another application is refused with an error.  `solve_all` shares one
+/// across a model × objective sweep; the serving layer (`fsw_serve`) shares
+/// one per application fingerprint across a batch's cold solves, and its
+/// online sessions retain one across re-plans of an unchanged instance.
+///
+/// `warm` is a previously optimal execution graph (e.g. the tenant's plan
+/// before a service arrived, adapted to the current service set).  Its
+/// value on the *current* instance is a feasible upper bound on the
+/// optimum, so the plan search's incumbent is seeded with it and the
+/// enumeration prunes the hopeless region from the first candidate on — the
+/// online re-planning entry point of the serving layer.  The solution stays
+/// **bit-identical** to a cold solve: seeding never prunes a candidate that
+/// ties the optimum (strict clearance only), so the first-minimum winner
+/// and its value are unchanged; only [`SolveStats::evaluated`] shrinks.  An
 /// infeasible or wrong-sized `warm` graph is ignored.
-pub fn solve_warm(
-    problem: &Problem<'_>,
-    budget: &SearchBudget,
-    cache: &EvalCache,
-    warm: Option<&ExecutionGraph>,
-) -> CoreResult<(Solution, SolveStats)> {
-    solve_warm_observed(problem, budget, cache, warm, None)
-}
-
-/// [`solve_warm`] with optional observability: when `metrics` is supplied
-/// the solve records tracing spans for its phases (`solve.search` — the
-/// plan search, `solve.orchestrate` — scheduling the winning graph, plus
-/// the engine-stage spans `engine.shape_stream` / `engine.expand` /
-/// `engine.certify` inside the streamed walk) and publishes the plan
-/// search's [`StreamStats`](crate::engine::frontier::StreamStats) into
+///
+/// When `metrics` is supplied the solve records tracing spans for its
+/// phases (`solve.search` — the plan search, `solve.orchestrate` —
+/// scheduling the winning graph, plus the engine-stage spans
+/// `engine.shape_stream` / `engine.expand` / `engine.certify` inside the
+/// streamed walk) and publishes the plan search's
+/// [`StreamStats`](crate::engine::frontier::StreamStats) into
 /// `engine.stream.*` instruments.  The solve itself is untouched —
 /// instrumented and plain runs return bit-identical solutions and stats.
 pub fn solve_warm_observed(
@@ -443,13 +399,13 @@ pub fn solve_warm_observed(
             orchestrated(&|| orchestrate_latency(problem.app, problem.model, graph, budget, exec))?
         }
         (None, Objective::MinPeriod) => {
-            let options = budget.minperiod_options(problem.model);
             let seed = warm_seed(problem, budget, warm);
             stats.warm_value = seed;
             let searched = search_span.as_ref().map(|t| t.start());
-            let result = minimize_period_engine_seeded(
+            let result = minimize_period_engine(
                 problem.app,
-                &options,
+                problem.model,
+                budget,
                 exec,
                 cache,
                 seed.unwrap_or(f64::INFINITY),
@@ -468,13 +424,13 @@ pub fn solve_warm_observed(
             solution
         }
         (None, Objective::MinLatency) => {
-            let options = budget.minlatency_options(problem.model);
             let seed = warm_seed(problem, budget, warm);
             stats.warm_value = seed;
             let searched = search_span.as_ref().map(|t| t.start());
-            let result = minimize_latency_engine_seeded(
+            let result = minimize_latency_engine(
                 problem.app,
-                &options,
+                problem.model,
+                budget,
                 exec,
                 cache,
                 seed.unwrap_or(f64::INFINITY),
@@ -548,7 +504,8 @@ fn warm_seed(
         Objective::MinLatency => crate::minlatency::evaluate_latency(
             problem.app,
             graph,
-            &budget.minlatency_options(problem.model),
+            problem.model,
+            budget.max_orderings,
         )
         .ok()?,
     };
@@ -726,13 +683,13 @@ mod tests {
         for model in CommModel::ALL {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
-            let legacy = minimize_period(&app, &MinPeriodOptions::for_model(model)).unwrap();
+            let legacy = minimize_period(&app, model, &budget).unwrap();
             assert_eq!(solution.value, legacy.period, "{model}");
             assert_eq!(solution.graph.edge_count(), legacy.graph.edge_count());
 
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
-            let legacy = minimize_latency(&app, &MinLatencyOptions::for_model(model)).unwrap();
+            let legacy = minimize_latency(&app, model, &budget).unwrap();
             assert_eq!(solution.value, legacy.latency, "{model}");
         }
     }
@@ -807,12 +764,13 @@ mod tests {
         let cache = EvalCache::new(&app);
         for objective in [Objective::MinPeriod, Objective::MinLatency] {
             let problem = Problem::new(&app, CommModel::Overlap, objective);
-            let (cold, cold_stats) = solve_warm(&problem, &budget, &cache, None).unwrap();
+            let (cold, cold_stats) =
+                solve_warm_observed(&problem, &budget, &cache, None, None).unwrap();
             assert!(cold_stats.warm_value.is_none());
             // A feasible forest warm graph: bit-identical result, no more
             // evaluations than cold.
             let (warm, warm_stats) =
-                solve_warm(&problem, &budget, &cache, Some(&cold.graph)).unwrap();
+                solve_warm_observed(&problem, &budget, &cache, Some(&cold.graph), None).unwrap();
             assert_eq!(warm.value.to_bits(), cold.value.to_bits(), "{objective}");
             assert_eq!(warm.exhaustive, cold.exhaustive);
             assert_eq!(warm_stats.warm_value, Some(cold.value));
@@ -821,7 +779,8 @@ mod tests {
             // this size (forests only): its value must be ignored, not used
             // as a seed that could undercut every searched candidate.
             let dag = ExecutionGraph::from_edges(6, &[(0, 2), (1, 2)]).unwrap();
-            let (with_dag, dag_stats) = solve_warm(&problem, &budget, &cache, Some(&dag)).unwrap();
+            let (with_dag, dag_stats) =
+                solve_warm_observed(&problem, &budget, &cache, Some(&dag), None).unwrap();
             assert_eq!(
                 with_dag.value.to_bits(),
                 cold.value.to_bits(),

@@ -22,14 +22,6 @@ pub struct Exec {
     pub threads: usize,
     /// Absolute deadline; enumeration stops once it has passed.
     pub deadline: Option<Instant>,
-    /// How many enumeration levels the exhaustive searches expand into
-    /// parallel tasks: `1` keeps the legacy first-level split (≈ `n` tasks),
-    /// `2` splits the first two levels (≈ `n²` tasks, much better load
-    /// balance on many-core machines — the shared incumbent makes the deeper
-    /// split cheap to reduce), `0` picks automatically (two levels whenever
-    /// more than one worker is in play).  Results are bit-identical for
-    /// every value: tasks are reduced in serial enumeration order.
-    pub split_levels: usize,
 }
 
 impl Exec {
@@ -38,7 +30,6 @@ impl Exec {
         Exec {
             threads: 1,
             deadline: None,
-            split_levels: 0,
         }
     }
 
@@ -47,7 +38,6 @@ impl Exec {
         Exec {
             threads,
             deadline: None,
-            split_levels: 0,
         }
     }
 
@@ -59,18 +49,17 @@ impl Exec {
         }
     }
 
-    /// The concrete task-split depth this strategy resolves to (`0` = auto:
-    /// two levels when fanning out, one when serial).
+    /// How many enumeration levels the exhaustive searches expand into
+    /// parallel tasks: two (≈ `n²` tasks, balanced across many workers — the
+    /// shared incumbent makes the deeper split cheap to reduce) whenever
+    /// more than one worker is in play, one (≈ `n` tasks) when serial.
+    /// Results are bit-identical either way: tasks are reduced in serial
+    /// enumeration order.
     pub fn effective_split_levels(&self) -> usize {
-        match self.split_levels {
-            0 => {
-                if self.effective_threads() > 1 {
-                    2
-                } else {
-                    1
-                }
-            }
-            l => l.min(2),
+        if self.effective_threads() > 1 {
+            2
+        } else {
+            1
         }
     }
 

@@ -28,8 +28,9 @@
 //!   service set evolves (arrivals, departures, weight changes) and the
 //!   session re-plans *incrementally*: the previous plan is adapted to the
 //!   mutated instance, its value seeds the search incumbent
-//!   ([`fsw_sched::orchestrator::solve_warm`]), and a **plan-churn** metric
-//!   reports how many parent assignments moved, so stability is measurable.
+//!   ([`fsw_sched::orchestrator::solve_warm_observed`]), and a
+//!   **plan-churn** metric reports how many parent assignments moved, so
+//!   stability is measurable.
 //!
 //! Responses are a three-way [`ServeOutcome`] (`Exact` / `Degraded` /
 //! `Rejected`), solver panics are caught and quarantined instead of

@@ -12,11 +12,11 @@
 //!   position;
 //! * the adapted plan is a **feasible** plan of the mutated instance, so
 //!   its value is an upper bound on the new optimum: [`TenantSession::replan`]
-//!   hands it to [`fsw_sched::orchestrator::solve_warm`], which seeds the
-//!   search incumbent with it — the enumeration prunes the hopeless region
-//!   from the first candidate on, and the bit-identity contract guarantees
-//!   the result equals a from-scratch solve while evaluating **no more**
-//!   candidates (strictly fewer whenever the bound bites);
+//!   hands it to [`fsw_sched::orchestrator::solve_warm_observed`], which
+//!   seeds the search incumbent with it — the enumeration prunes the hopeless
+//!   region from the first candidate on, and the bit-identity contract
+//!   guarantees the result equals a from-scratch solve while evaluating **no
+//!   more** candidates (strictly fewer whenever the bound bites);
 //! * the outcome reports **plan churn** — how many services' parent
 //!   assignments moved between the adapted previous plan and the new
 //!   optimum — so the stability of a tenant's plan under streaming updates

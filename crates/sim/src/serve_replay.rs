@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use fsw_core::{Application, CommModel, CoreError, CoreResult};
 use fsw_sched::engine::EvalCache;
-use fsw_sched::orchestrator::{solve_warm, Objective, Problem, SearchBudget};
+use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw_serve::{
     InjectedFault, PlanRequest, PlanService, RejectReason, ServeOutcome, ServeSource, ServeStats,
     TenantSession,
@@ -677,7 +677,13 @@ fn shadow_cold_solve(
         return Ok(cached);
     }
     let cache = EvalCache::new(app);
-    let (solution, stats) = solve_warm(&Problem::new(app, model, objective), budget, &cache, None)?;
+    let (solution, stats) = solve_warm_observed(
+        &Problem::new(app, model, objective),
+        budget,
+        &cache,
+        None,
+        None,
+    )?;
     memo.insert(key, (solution.value, stats.evaluated));
     Ok((solution.value, stats.evaluated))
 }

@@ -30,7 +30,7 @@ use rand::SeedableRng;
 
 use fsw::core::{Application, CommModel};
 use fsw::sched::engine::EvalCache;
-use fsw::sched::orchestrator::{solve_warm, Objective, Problem, SearchBudget};
+use fsw::sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw::serve::{
     AsyncFrontend, FrontendConfig, PlanRequest, PlanService, ServeOutcome, ServeSource,
     TenantEvent, TenantSession,
@@ -131,10 +131,11 @@ fn main() {
         let outcome = session.replan().expect("replan");
         // A cold shadow solve for the evaluation comparison.
         let cache = EvalCache::new(session.app());
-        let (_, cold_stats) = solve_warm(
+        let (_, cold_stats) = solve_warm_observed(
             &Problem::new(session.app(), CommModel::Overlap, Objective::MinPeriod),
             &budget,
             &cache,
+            None,
             None,
         )
         .expect("cold shadow");

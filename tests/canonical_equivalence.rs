@@ -13,12 +13,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics};
-use fsw::sched::engine::{CanonicalSpace, PartialPrune, SearchStrategy, Symmetry};
-use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
+use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
+use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{
     exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best, exhaustive_forest_search,
-    minimize_period, MinPeriodOptions,
+    minimize_period,
 };
+use fsw::sched::orchestrator::SearchBudget;
 use fsw::sched::outorder::{
     outorder_period_search, outorder_period_search_bounded, OutOrderOptions,
 };
@@ -64,8 +65,9 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
                 Exec::serial(),
                 PartialPrune::Period(model),
                 Symmetry::Auto,
-                SearchStrategy::Auto,
+                f64::INFINITY,
                 &|g, _| eval(g),
+                None,
             )
             .unwrap();
             assert_eq!(brute.0, reduced.value, "case {case} {model}: value");
@@ -81,8 +83,9 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
             Exec::serial(),
             PartialPrune::Latency,
             Symmetry::Auto,
-            SearchStrategy::Auto,
+            f64::INFINITY,
             &|g, _| eval(g),
+            None,
         )
         .unwrap();
         assert_eq!(brute.0, reduced.value, "case {case}: latency value");
@@ -145,8 +148,9 @@ fn auto_symmetry_is_identical_to_full_on_distinct_weights() {
             Exec::serial(),
             PartialPrune::Period(CommModel::InOrder),
             Symmetry::Full,
-            SearchStrategy::Auto,
+            f64::INFINITY,
             &eval,
+            None,
         )
         .unwrap();
         let auto = exhaustive_forest_search(
@@ -155,8 +159,9 @@ fn auto_symmetry_is_identical_to_full_on_distinct_weights() {
             Exec::serial(),
             PartialPrune::Period(CommModel::InOrder),
             Symmetry::Auto,
-            SearchStrategy::Auto,
+            f64::INFINITY,
             &eval,
+            None,
         )
         .unwrap();
         assert_eq!(full.value, auto.value, "case {case}: value");
@@ -176,8 +181,7 @@ fn uniform_solves_match_brute_force_end_to_end() {
     for case in 0..CASES / 2 {
         let app = random_uniform_app(5, &mut rng);
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let result = minimize_period(&app, model, &SearchBudget::default()).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
                 PlanMetrics::compute(&app, g)
@@ -190,8 +194,7 @@ fn uniform_solves_match_brute_force_end_to_end() {
         // MINLATENCY composes the canonical forest phase with the
         // (possibly reduced) seeded DAG phase; the value must still match
         // the brute-force forest-then-DAG composition.
-        let options = MinLatencyOptions::for_model(CommModel::InOrder);
-        let result = minimize_latency(&app, &options).unwrap();
+        let result = minimize_latency(&app, CommModel::InOrder, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "case {case}: latency exhaustive");
         let forest =
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
@@ -212,7 +215,7 @@ fn uniform_n10_is_exhaustive_within_the_default_budget() {
     let app = Application::independent(&[(2.5, 0.7); 10]);
     assert!(CanonicalSpace::forest_class_count(10) <= 2_000_000);
     assert_eq!(CanonicalSpace::forest_class_count(10), 1_842);
-    let result = minimize_period(&app, &MinPeriodOptions::default()).unwrap();
+    let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
     assert!(result.exhaustive);
 }
 

@@ -11,12 +11,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph};
-use fsw::sched::engine::{PartialPrune, SearchStrategy, Symmetry};
+use fsw::sched::engine::{PartialPrune, Symmetry};
 use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_exec};
-use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
-use fsw::sched::minperiod::{
-    exhaustive_forest_search, minimize_period, MinPeriodOptions, SearchOutcome,
-};
+use fsw::sched::minlatency::minimize_latency;
+use fsw::sched::minperiod::{exhaustive_forest_search, minimize_period, SearchOutcome};
 use fsw::sched::oneport::{oneport_period_search, oneport_period_search_exec, OnePortStyle};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
@@ -110,7 +108,7 @@ fn plan_search_solve_matches_legacy() {
         for model in CommModel::ALL {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
-            let legacy = minimize_period(&app, &MinPeriodOptions::for_model(model)).unwrap();
+            let legacy = minimize_period(&app, model, &budget).unwrap();
             assert_eq!(solution.value, legacy.period, "case {case} {model}: period");
             assert_eq!(
                 graph_edges(&solution.graph),
@@ -120,7 +118,7 @@ fn plan_search_solve_matches_legacy() {
 
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
-            let legacy = minimize_latency(&app, &MinLatencyOptions::for_model(model)).unwrap();
+            let legacy = minimize_latency(&app, model, &budget).unwrap();
             assert_eq!(
                 solution.value, legacy.latency,
                 "case {case} {model}: latency"
@@ -145,7 +143,7 @@ fn constrained_plan_search_matches_legacy() {
         for model in CommModel::ALL {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
-            let legacy = minimize_period(&app, &MinPeriodOptions::for_model(model)).unwrap();
+            let legacy = minimize_period(&app, model, &budget).unwrap();
             assert_eq!(solution.value, legacy.period, "case {case} {model}");
             assert_eq!(graph_edges(&solution.graph), graph_edges(&legacy.graph));
             solution.graph.respects(&app).unwrap();
@@ -176,8 +174,9 @@ fn parallel_searches_equal_serial() {
             Exec::serial(),
             PartialPrune::Off,
             Symmetry::Full,
-            SearchStrategy::Auto,
+            f64::INFINITY,
             &eval,
+            None,
         )
         .unwrap();
         for threads in [1, 2, 3, 8] {
@@ -188,8 +187,9 @@ fn parallel_searches_equal_serial() {
                     Exec::threaded(threads), // auto split: two-level (n²) tasks
                     prune,
                     Symmetry::Full,
-                    SearchStrategy::Auto,
+                    f64::INFINITY,
                     &eval,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(

@@ -1,15 +1,14 @@
 //! Property tests for the **partial-symmetry** (class-preserving) reduction
-//! and the best-first search driver (seeded random instances):
+//! and the streamed canonical walk (seeded random instances):
 //!
 //! * on **multi-weight-class** instances the class-reduced searches must
 //!   return the same optimum *value* as the brute force;
 //! * whenever the bit-safety gate declines (all classes singleton,
 //!   precedence constraints), `Symmetry::Classes` must fall back to the full
 //!   enumeration **bit-for-bit** (identical value *and* witness);
-//! * best-first and depth-first strategies must produce bit-identical
-//!   solutions on every space (labelled, uniform-canonical,
-//!   classed-canonical), serial and parallel, including the frontier's
-//!   spill-to-DFS path, whose hard memory cap is asserted;
+//! * the streamed walk must return the **first minimum** of a scan over the
+//!   materialised canonical representatives (uniform and classed), value
+//!   and winner, serial and parallel, for the period and the latency bound;
 //! * the classed orbit accounting must tile the labelled space exactly;
 //! * the OUTORDER canonical-form memoisation must equal a brute force that
 //!   evaluates every candidate's canonical member;
@@ -18,26 +17,23 @@
 //!   cap must govern the resident representative count without changing the
 //!   bit-identical winner, and `time_limit` must bound the generator's
 //!   count-only prelude at `n = 13`;
-//! * the **uniform** space now streams through the same generator
+//! * the **uniform** space streams through the same generator
 //!   (colourings = 1 per shape): the lazy walk must cover exactly the
 //!   materialised uniform representative set (A000081 count included), and
-//!   its winner must be bit-identical to the retired materialise-then-scan
-//!   path under frontier caps {1, 2, default}, serial and parallel, up to
-//!   n = 12.
+//!   its winner must equal the first-minimum scan under frontier caps
+//!   {1, 2, default}, serial and parallel, up to n = 12.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses};
-use fsw::sched::engine::frontier::{
-    best_first_forest_search_stats, streamed_canonical_search, FrontierStats, DEFAULT_FRONTIER_CAP,
-};
-use fsw::sched::engine::{CanonicalSpace, PartialPrune, SearchStrategy, Symmetry};
-use fsw::sched::minlatency::{minimize_latency, MinLatencyOptions};
+use fsw::sched::engine::frontier::{streamed_canonical_search, DEFAULT_FRONTIER_CAP};
+use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
+use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{
-    exhaustive_forest_best, exhaustive_forest_search, minimize_period, MinPeriodOptions,
-    PeriodEvaluation,
+    exhaustive_forest_best, exhaustive_forest_search, minimize_period, PeriodEvaluation,
 };
+use fsw::sched::orchestrator::SearchBudget;
 use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
@@ -51,6 +47,29 @@ const CASES: usize = 6;
 
 fn graph_edges(graph: &ExecutionGraph) -> Vec<(usize, usize)> {
     graph.edges().collect()
+}
+
+/// The materialised oracle of the streamed walk: evaluates every canonical
+/// representative of `app`'s forest space (uniform or class-coloured) in
+/// canonical enumeration order and keeps the first minimum.
+fn first_minimum_scan(
+    app: &Application,
+    eval: impl Fn(&ExecutionGraph) -> f64,
+) -> (f64, ExecutionGraph) {
+    let reps = if CanonicalSpace::reducible(app) {
+        CanonicalSpace::forest_representatives(app.n())
+    } else {
+        CanonicalSpace::classed_representatives(app, usize::MAX).expect("uncapped")
+    };
+    let mut best: Option<(f64, ExecutionGraph)> = None;
+    for rep in reps {
+        let graph = rep.graph();
+        let value = eval(&graph);
+        if best.as_ref().is_none_or(|(b, _)| value < *b) {
+            best = Some((value, graph));
+        }
+    }
+    best.expect("a canonical space is never empty")
 }
 
 /// A random multi-class application: 2–3 weight classes, at least one with
@@ -77,7 +96,7 @@ fn random_multiclass_app(n: usize, rng: &mut StdRng) -> Application {
 
 /// Multi-class instances: the class-reduced forest enumeration returns the
 /// brute force's optimum value, for every model's period bound and for the
-/// exact forest latency, under both search strategies.
+/// exact forest latency.
 #[test]
 fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
     let mut rng = StdRng::seed_from_u64(0x5001);
@@ -93,25 +112,21 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
                     .unwrap_or(f64::INFINITY)
             };
             let brute = exhaustive_forest_best(&app, eval).unwrap();
-            for strategy in [SearchStrategy::DepthFirst, SearchStrategy::BestFirst] {
-                let reduced = exhaustive_forest_search(
-                    &app,
-                    2_000_000,
-                    Exec::serial(),
-                    PartialPrune::Period(model),
-                    Symmetry::Classes,
-                    strategy,
-                    &|g, _| eval(g),
-                )
-                .unwrap();
-                assert_eq!(
-                    brute.0, reduced.value,
-                    "case {case} {model} {strategy:?}: value"
-                );
-                assert!(reduced.complete);
-                // The classed winner achieves the optimum itself.
-                assert_eq!(eval(&reduced.graph), reduced.value, "case {case} {model}");
-            }
+            let reduced = exhaustive_forest_search(
+                &app,
+                2_000_000,
+                Exec::serial(),
+                PartialPrune::Period(model),
+                Symmetry::Classes,
+                f64::INFINITY,
+                &|g, _| eval(g),
+                None,
+            )
+            .unwrap();
+            assert_eq!(brute.0, reduced.value, "case {case} {model}: value");
+            assert!(reduced.complete);
+            // The classed winner achieves the optimum itself.
+            assert_eq!(eval(&reduced.graph), reduced.value, "case {case} {model}");
         }
         let eval = |g: &ExecutionGraph| tree_latency(&app, g).unwrap_or(f64::INFINITY);
         let brute = exhaustive_forest_best(&app, eval).unwrap();
@@ -121,8 +136,9 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
             Exec::serial(),
             PartialPrune::Latency,
             Symmetry::Classes,
-            SearchStrategy::Auto,
+            f64::INFINITY,
             &|g, _| eval(g),
+            None,
         )
         .unwrap();
         assert_eq!(brute.0, reduced.value, "case {case}: latency value");
@@ -151,8 +167,9 @@ fn classes_fall_back_to_full_bit_for_bit_when_the_gate_declines() {
                 Exec::serial(),
                 PartialPrune::Period(CommModel::InOrder),
                 symmetry,
-                SearchStrategy::Auto,
+                f64::INFINITY,
                 &eval,
+                None,
             )
             .unwrap()
         };
@@ -180,126 +197,11 @@ fn classes_fall_back_to_full_bit_for_bit_when_the_gate_declines() {
     }
 }
 
-/// Best-first and depth-first walks of the **labelled** space produce
-/// bit-identical solutions — value and tie-broken winner — for every thread
-/// count and prune kind.
+/// The streamed walk of the canonical orbit spaces (uniform and classed)
+/// returns the first minimum of the materialised scan — value and winner —
+/// for several thread counts.
 #[test]
-fn best_first_equals_depth_first_on_labelled_spaces() {
-    let mut rng = StdRng::seed_from_u64(0x5003);
-    for case in 0..CASES {
-        let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        for (prune, latency) in [
-            (PartialPrune::Period(CommModel::Overlap), false),
-            (PartialPrune::Period(CommModel::InOrder), false),
-            (PartialPrune::Latency, true),
-            (PartialPrune::Off, false),
-        ] {
-            let eval = |g: &ExecutionGraph, _c: f64| {
-                if latency {
-                    tree_latency(&app, g).unwrap_or(f64::INFINITY)
-                } else {
-                    PlanMetrics::compute(&app, g)
-                        .map(|m| m.period_lower_bound(CommModel::InOrder))
-                        .unwrap_or(f64::INFINITY)
-                }
-            };
-            let dfs = exhaustive_forest_search(
-                &app,
-                2_000_000,
-                Exec::serial(),
-                prune,
-                Symmetry::Full,
-                SearchStrategy::DepthFirst,
-                &eval,
-            )
-            .unwrap();
-            for threads in [1, 2, 5] {
-                let best_first = exhaustive_forest_search(
-                    &app,
-                    2_000_000,
-                    Exec::threaded(threads),
-                    prune,
-                    Symmetry::Full,
-                    SearchStrategy::BestFirst,
-                    &eval,
-                )
-                .unwrap();
-                assert_eq!(
-                    dfs.value, best_first.value,
-                    "case {case} {prune:?} x{threads}: value"
-                );
-                assert_eq!(
-                    graph_edges(&dfs.graph),
-                    graph_edges(&best_first.graph),
-                    "case {case} {prune:?} x{threads}: winner"
-                );
-                assert!(best_first.complete);
-            }
-        }
-    }
-}
-
-/// The frontier respects its hard memory cap: with a tiny cap every batch
-/// spills to depth-first completion, the peak frontier size never exceeds
-/// the cap, and the solution is still bit-identical to the plain walk.
-#[test]
-fn best_first_spill_path_respects_the_frontier_cap() {
-    let mut rng = StdRng::seed_from_u64(0x5004);
-    for case in 0..CASES / 2 {
-        let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        let eval = |g: &ExecutionGraph, _c: f64| {
-            PlanMetrics::compute(&app, g)
-                .map(|m| m.period_lower_bound(CommModel::Overlap))
-                .unwrap_or(f64::INFINITY)
-        };
-        let dfs = exhaustive_forest_search(
-            &app,
-            2_000_000,
-            Exec::serial(),
-            PartialPrune::Period(CommModel::Overlap),
-            Symmetry::Full,
-            SearchStrategy::DepthFirst,
-            &eval,
-        )
-        .unwrap();
-        for (cap, must_spill) in [(1usize, true), (2, true), (16, true), (1 << 20, false)] {
-            for threads in [1, 3] {
-                let (outcome, stats): (_, FrontierStats) = best_first_forest_search_stats(
-                    &app,
-                    Exec::threaded(threads),
-                    PartialPrune::Period(CommModel::Overlap),
-                    cap,
-                    f64::INFINITY,
-                    &eval,
-                );
-                let outcome = outcome.unwrap();
-                assert_eq!(dfs.value, outcome.value, "case {case} cap {cap} x{threads}");
-                assert_eq!(
-                    graph_edges(&dfs.graph),
-                    graph_edges(&outcome.graph),
-                    "case {case} cap {cap} x{threads}: winner"
-                );
-                assert!(outcome.complete);
-                assert!(
-                    stats.peak <= cap.max(1),
-                    "case {case} cap {cap} x{threads}: peak {} exceeds cap",
-                    stats.peak
-                );
-                if must_spill {
-                    assert!(
-                        stats.spills > 0,
-                        "case {case} cap {cap} x{threads}: spill path not exercised"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Best-first equals depth-first on the canonical orbit spaces too (uniform
-/// and classed), for several thread counts.
-#[test]
-fn best_first_equals_depth_first_on_canonical_spaces() {
+fn streamed_walk_equals_the_first_minimum_scan_on_orbit_spaces() {
     let mut rng = StdRng::seed_from_u64(0x5005);
     for case in 0..CASES {
         let (app, symmetry) = if case % 2 == 0 {
@@ -310,39 +212,31 @@ fn best_first_equals_depth_first_on_canonical_spaces() {
             (random_multiclass_app(6, &mut rng), Symmetry::Classes)
         };
         for model in [CommModel::Overlap, CommModel::InOrder] {
-            let eval = |g: &ExecutionGraph, _c: f64| {
+            let eval = |g: &ExecutionGraph| {
                 PlanMetrics::compute(&app, g)
                     .map(|m| m.period_lower_bound(model))
                     .unwrap_or(f64::INFINITY)
             };
-            let dfs = exhaustive_forest_search(
-                &app,
-                2_000_000,
-                Exec::serial(),
-                PartialPrune::Period(model),
-                symmetry,
-                SearchStrategy::DepthFirst,
-                &eval,
-            )
-            .unwrap();
+            let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
             for threads in [1, 4] {
-                let best_first = exhaustive_forest_search(
+                let streamed = exhaustive_forest_search(
                     &app,
                     2_000_000,
                     Exec::threaded(threads),
                     PartialPrune::Period(model),
                     symmetry,
-                    SearchStrategy::BestFirst,
-                    &eval,
+                    f64::INFINITY,
+                    &|g, _| eval(g),
+                    None,
                 )
                 .unwrap();
                 assert_eq!(
-                    dfs.value, best_first.value,
+                    scan_value, streamed.value,
                     "case {case} {model} x{threads}: value"
                 );
                 assert_eq!(
-                    graph_edges(&dfs.graph),
-                    graph_edges(&best_first.graph),
+                    graph_edges(&scan_graph),
+                    graph_edges(&streamed.graph),
                     "case {case} {model} x{threads}: winner"
                 );
             }
@@ -359,8 +253,7 @@ fn multiclass_solves_match_brute_force_end_to_end() {
     for case in 0..CASES / 2 {
         let app = random_multiclass_app(5, &mut rng);
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let result = minimize_period(&app, model, &SearchBudget::default()).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
                 PlanMetrics::compute(&app, g)
@@ -372,8 +265,7 @@ fn multiclass_solves_match_brute_force_end_to_end() {
         }
         // MINLATENCY: the forest phase is classed-reduced; the DAG phase may
         // only improve on it.
-        let options = MinLatencyOptions::for_model(CommModel::InOrder);
-        let result = minimize_latency(&app, &options).unwrap();
+        let result = minimize_latency(&app, CommModel::InOrder, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "case {case}: latency exhaustive");
         let forest =
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
@@ -401,12 +293,8 @@ fn orchestrated_inorder_on_multiclass_keeps_the_exact_full_path() {
         let evaluation = PeriodEvaluation::Orchestrated {
             exhaustive_limit: 2_000,
         };
-        let options = MinPeriodOptions {
-            model: CommModel::InOrder,
-            evaluation,
-            ..MinPeriodOptions::default()
-        };
-        let result = minimize_period(&app, &options).unwrap();
+        let budget = SearchBudget::default().with_period_evaluation(evaluation);
+        let result = minimize_period(&app, CommModel::InOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
         let brute = exhaustive_forest_best(&app, |g| {
             fsw::sched::minperiod::evaluate_period(&app, g, CommModel::InOrder, evaluation)
@@ -432,12 +320,9 @@ fn outorder_canonical_memoisation_matches_canonical_brute_force() {
         let app = random_multiclass_app(4, &mut rng);
         let classes = WeightClasses::of(&app);
         let exhaustive_limit = 2_000;
-        let options = MinPeriodOptions {
-            model: CommModel::OutOrder,
-            evaluation: PeriodEvaluation::Orchestrated { exhaustive_limit },
-            ..MinPeriodOptions::default()
-        };
-        let result = minimize_period(&app, &options).unwrap();
+        let budget = SearchBudget::default()
+            .with_period_evaluation(PeriodEvaluation::Orchestrated { exhaustive_limit });
+        let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
         let opts = OutOrderOptions {
             inorder_exhaustive_limit: exhaustive_limit,
@@ -615,7 +500,7 @@ fn lazy_stream_covers_the_materialised_classed_space() {
 
 /// The frontier cap governs the streamed walk's resident representative
 /// count without changing the answer: a tiny cap and the default cap return
-/// bit-identical winners, both equal to the depth-first scan of the
+/// bit-identical winners, both equal to the first-minimum scan of the
 /// materialised stream, and the tiny-cap run's peak stays under its cap.
 #[test]
 fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
@@ -623,21 +508,12 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
     let app = tiered_query_optimization(&[5, 4], &mut rng);
     let classes = WeightClasses::of(&app);
     let model = CommModel::Overlap;
-    let eval = |g: &ExecutionGraph, _c: f64| {
+    let eval = |g: &ExecutionGraph| {
         PlanMetrics::compute(&app, g)
             .map(|m| m.period_lower_bound(model))
             .unwrap_or(f64::INFINITY)
     };
-    let dfs = exhaustive_forest_search(
-        &app,
-        10_000_000,
-        Exec::serial(),
-        PartialPrune::Period(model),
-        Symmetry::Classes,
-        SearchStrategy::DepthFirst,
-        &eval,
-    )
-    .unwrap();
+    let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
     for (cap, threads) in [(2usize, 4usize), (DEFAULT_FRONTIER_CAP, 4), (1, 1)] {
         let (outcome, stats) = streamed_canonical_search(
             &app,
@@ -646,13 +522,14 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             PartialPrune::Period(model),
             cap,
             f64::INFINITY,
-            &eval,
+            &|g, _| eval(g),
+            None,
         );
         let outcome = outcome.unwrap();
         assert!(outcome.complete, "cap {cap} x{threads}");
-        assert_eq!(dfs.value, outcome.value, "cap {cap} x{threads}: value");
+        assert_eq!(scan_value, outcome.value, "cap {cap} x{threads}: value");
         assert_eq!(
-            graph_edges(&dfs.graph),
+            graph_edges(&scan_graph),
             graph_edges(&outcome.graph),
             "cap {cap} x{threads}: winner"
         );
@@ -725,8 +602,8 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
 }
 
 /// The streamed uniform walk returns the **bit-identical** winner of the
-/// retired materialise-then-scan path — the first canonical-order minimum —
-/// under frontier caps {1, 2, default}, serial and parallel, and its
+/// materialised scan — the first canonical-order minimum — under frontier
+/// caps {1, 2, default}, serial and parallel, and its
 /// telemetry is populated on the colourings = 1 fast path: the plan covers
 /// every shape, and `peak_resident` reports the workers that actually held
 /// a representative.
@@ -742,23 +619,12 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
         let app = Application::independent(&vec![(cost, sel); n]);
         let classes = WeightClasses::of(&app);
         for &model in models {
-            let eval = |g: &ExecutionGraph, _c: f64| {
+            let eval = |g: &ExecutionGraph| {
                 PlanMetrics::compute(&app, g)
                     .map(|m| m.period_lower_bound(model))
                     .unwrap_or(f64::INFINITY)
             };
-            // The materialised scan the stream replaced: evaluate every
-            // canonical representative in enumeration order, first minimum
-            // wins.
-            let mut scan: Option<(f64, ExecutionGraph)> = None;
-            for rep in CanonicalSpace::forest_representatives(n) {
-                let graph = rep.graph();
-                let value = eval(&graph, f64::INFINITY);
-                if scan.as_ref().is_none_or(|(best, _)| value < *best) {
-                    scan = Some((value, graph));
-                }
-            }
-            let (scan_value, scan_graph) = scan.unwrap();
+            let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
             for (cap, threads) in [
                 (1usize, 1usize),
                 (1, 4),
@@ -774,7 +640,8 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                     PartialPrune::Period(model),
                     cap,
                     f64::INFINITY,
-                    &eval,
+                    &|g, _| eval(g),
+                    None,
                 );
                 let outcome = outcome.unwrap();
                 assert!(outcome.complete, "n={n} {model} cap {cap} x{threads}");
@@ -805,6 +672,52 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                     "n={n} {model} cap {cap} x{threads}: peak {} residents",
                     stats.peak_resident
                 );
+            }
+        }
+    }
+}
+
+/// The streamed walk under the latency bound returns the first minimum of
+/// the materialised scan — same value bits, same winning graph — on a
+/// uniform and two classed spaces, serial and parallel, under the smallest
+/// and the default frontier cap.
+#[test]
+fn streamed_latency_winner_matches_the_first_minimum_scan() {
+    let mut rng = StdRng::seed_from_u64(0x500F);
+    let cost = rng.gen_range(0.5..6.0);
+    let sel = rng.gen_range(0.2..1.5);
+    let apps = [
+        Application::independent(&[(cost, sel); 6]),
+        tiered_query_optimization(&[3, 3], &mut rng),
+        tiered_query_optimization(&[2, 2, 3], &mut rng),
+    ];
+    for (case, app) in apps.iter().enumerate() {
+        assert!(CanonicalSpace::class_reducible(app), "case {case}");
+        let classes = WeightClasses::of(app);
+        let latency = |g: &ExecutionGraph| tree_latency(app, g).unwrap_or(f64::INFINITY);
+        let (scan_value, scan_graph) = first_minimum_scan(app, latency);
+        for threads in [1, 4] {
+            for cap in [1, DEFAULT_FRONTIER_CAP] {
+                let (outcome, stats) = streamed_canonical_search(
+                    app,
+                    &classes,
+                    Exec::threaded(threads),
+                    PartialPrune::Latency,
+                    cap,
+                    f64::INFINITY,
+                    &|g, _| latency(g),
+                    None,
+                );
+                let outcome = outcome.unwrap();
+                let at = format!("case {case} x{threads} cap {cap}");
+                assert!(outcome.complete, "{at}");
+                assert_eq!(scan_value.to_bits(), outcome.value.to_bits(), "{at}: value");
+                assert_eq!(
+                    graph_edges(&scan_graph),
+                    graph_edges(&outcome.graph),
+                    "{at}: winner"
+                );
+                assert!(stats.peak_resident <= cap, "{at}: residency");
             }
         }
     }

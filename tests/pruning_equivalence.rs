@@ -11,15 +11,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph, PlanMetrics};
-use fsw::sched::engine::{PartialPrune, SearchStrategy, Symmetry};
+use fsw::sched::engine::{PartialPrune, Symmetry};
 use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_bounded};
-use fsw::sched::minlatency::{evaluate_latency, minimize_latency, MinLatencyOptions};
+use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
     evaluate_period, exhaustive_dag_best, exhaustive_forest_best, exhaustive_forest_search,
-    minimize_period, MinPeriodOptions, PeriodEvaluation,
+    minimize_period, PeriodEvaluation,
 };
 use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use fsw::sched::orchestrator::{solve, solve_all, Objective, Problem, SearchBudget};
+use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
@@ -50,8 +51,9 @@ fn pruned_forest_enumeration_matches_brute_force() {
                 Exec::serial(),
                 PartialPrune::Period(model),
                 Symmetry::Auto, // heterogeneous weights: falls back to the full space
-                SearchStrategy::Auto,
+                f64::INFINITY,
                 &|g, _| eval(g),
+                None,
             )
             .unwrap();
             assert_eq!(brute.0, pruned.value, "case {case} {model}: period value");
@@ -70,8 +72,9 @@ fn pruned_forest_enumeration_matches_brute_force() {
             Exec::serial(),
             PartialPrune::Latency,
             Symmetry::Auto,
-            SearchStrategy::Auto,
+            f64::INFINITY,
             &|g, _| eval(g),
+            None,
         )
         .unwrap();
         assert_eq!(brute.0, pruned.value, "case {case}: latency value");
@@ -102,12 +105,8 @@ fn minimize_period_matches_brute_force() {
                 if model == CommModel::OutOrder && evaluation != PeriodEvaluation::LowerBound {
                     continue;
                 }
-                let options = MinPeriodOptions {
-                    model,
-                    evaluation,
-                    ..MinPeriodOptions::default()
-                };
-                let result = minimize_period(&app, &options).unwrap();
+                let budget = SearchBudget::default().with_period_evaluation(evaluation);
+                let result = minimize_period(&app, model, &budget).unwrap();
                 assert!(result.exhaustive, "case {case} {model} {evaluation:?}");
                 let brute = exhaustive_forest_best(&app, |g| {
                     evaluate_period(&app, g, model, evaluation).unwrap_or(f64::INFINITY)
@@ -135,10 +134,10 @@ fn constrained_minimize_period_matches_brute_force() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::constrained(4, 0.4), &mut rng);
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let budget = SearchBudget::default();
+            let result = minimize_period(&app, model, &budget).unwrap();
             let brute = exhaustive_dag_best(&app, 5, |g| {
-                evaluate_period(&app, g, model, options.evaluation).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model, budget.period_evaluation).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             assert_eq!(brute.0, result.period, "case {case} {model}: value");
@@ -159,14 +158,14 @@ fn minimize_latency_matches_brute_force() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         for model in CommModel::ALL {
-            let options = MinLatencyOptions::for_model(model);
-            let result = minimize_latency(&app, &options).unwrap();
+            let budget = SearchBudget::default();
+            let result = minimize_latency(&app, model, &budget).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let forest =
                 exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
                     .unwrap();
-            let dag = exhaustive_dag_best(&app, options.dag_enumeration_max_n, |g| {
-                evaluate_latency(&app, g, &options).unwrap_or(f64::INFINITY)
+            let dag = exhaustive_dag_best(&app, budget.dag_enumeration_max_n, |g| {
+                evaluate_latency(&app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             let (expected_value, expected_graph) = if dag.0 < forest.0 - 1e-12 {
@@ -181,6 +180,51 @@ fn minimize_latency_matches_brute_force() {
                 "case {case} {model}: winner"
             );
         }
+    }
+}
+
+/// The orchestrated OUTORDER plan search values every candidate with the
+/// budget's OUTORDER fields — its backtracking-node budget and bisection
+/// steps — not the defaults: a starved budget must return exactly what a
+/// brute-force sweep with those options returns, value and winner.  (On
+/// these heterogeneous instances no orbit canonicalisation applies, so the
+/// sweep evaluates each labelled candidate as the search does.)
+#[test]
+fn outorder_plan_search_honours_the_budgets_outorder_fields() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let exhaustive_limit = 2_000;
+    let budget = SearchBudget {
+        outorder_node_budget: 1,
+        outorder_refinement_steps: 0,
+        ..SearchBudget::default()
+    }
+    .with_period_evaluation(PeriodEvaluation::Orchestrated { exhaustive_limit });
+    let opts = OutOrderOptions {
+        node_budget: 1,
+        refinement_steps: 0,
+        inorder_exhaustive_limit: exhaustive_limit,
+        deadline: None,
+    };
+    for case in 0..12 {
+        let app = random_application(&RandomAppConfig::independent(5), &mut rng);
+        let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
+        assert!(result.exhaustive, "case {case}");
+        let brute = exhaustive_forest_best(&app, |g| {
+            outorder_period_search(&app, g, &opts)
+                .map(|r| r.period)
+                .unwrap_or(f64::INFINITY)
+        })
+        .unwrap();
+        assert_eq!(
+            brute.0.to_bits(),
+            result.period.to_bits(),
+            "case {case}: value"
+        );
+        assert_eq!(
+            graph_edges(&brute.1),
+            graph_edges(&result.graph),
+            "case {case}: winner"
+        );
     }
 }
 
@@ -291,19 +335,20 @@ fn canonical_minimize_period_matches_brute_force_on_uniform_weights() {
         let app = fsw::core::Application::independent(&[shared; 5]);
         let _ = &mut rng;
         for model in CommModel::ALL {
-            let options = MinPeriodOptions::for_model(model);
-            let result = minimize_period(&app, &options).unwrap();
+            let budget = SearchBudget::default();
+            let result = minimize_period(&app, model, &budget).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
-                evaluate_period(&app, g, model, options.evaluation).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model, budget.period_evaluation).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             assert_eq!(brute.0, result.period, "case {case} {model}: value");
             // The canonical winner is a representative of an optimal orbit:
             // it must achieve the optimum itself (the labelled witness may
             // differ from the raw enumeration's — the documented tie-break).
-            let winner_value = evaluate_period(&app, &result.graph, model, options.evaluation)
-                .unwrap_or(f64::INFINITY);
+            let winner_value =
+                evaluate_period(&app, &result.graph, model, budget.period_evaluation)
+                    .unwrap_or(f64::INFINITY);
             assert_eq!(winner_value, result.period, "case {case} {model}: winner");
         }
     }
