@@ -8,7 +8,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fsw_sched::oneport::{oneport_period_search, OnePortStyle};
-use fsw_sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw_sched::orchestrator::SearchBudget;
+use fsw_sched::outorder::outorder_period_search;
 use fsw_sched::overlap::overlap_period_oplist;
 use fsw_workloads::{counterexample_b3, fork_join, section23};
 
@@ -28,9 +29,7 @@ fn bench_period_orchestration(c: &mut Criterion) {
         })
     });
     group.bench_function("outorder_search/section23", |b| {
-        b.iter(|| {
-            outorder_period_search(&s23.app, s23.graph(), &OutOrderOptions::default()).unwrap()
-        })
+        b.iter(|| outorder_period_search(&s23.app, s23.graph(), &SearchBudget::default()).unwrap())
     });
 
     let b3 = counterexample_b3();

@@ -25,14 +25,12 @@ use fsw_sched::engine::frontier::DEFAULT_FRONTIER_CAP;
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::engine::EvalCache;
 use fsw_sched::latency::{multiport_proportional_latency, oneport_latency_search};
-use fsw_sched::minperiod::{
-    exhaustive_dag_best, exhaustive_forest_best, minperiod_local_search, PeriodEvaluation,
-};
+use fsw_sched::minperiod::{exhaustive_dag_best, exhaustive_forest_best, minperiod_local_search};
 use fsw_sched::oneport::{oneport_period_search, OnePortStyle};
 use fsw_sched::orchestrator::{
     solve, solve_all, solve_warm_observed, Objective, Problem, SearchBudget,
 };
-use fsw_sched::outorder::OutOrderOptions;
+use fsw_sched::outorder::outorder_schedule_at;
 use fsw_sched::overlap::overlap_period_lower_bound;
 use fsw_sched::tree::tree_latency;
 use fsw_sched::CommOrderings;
@@ -164,21 +162,16 @@ pub fn e4_counterexample_b3() -> Vec<ExperimentRow> {
 pub fn e5_prop2_gadget() -> Vec<ExperimentRow> {
     let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(2);
+    let budget = SearchBudget {
+        outorder_node_budget: 2_000_000,
+        ..SearchBudget::default()
+    };
     for n in 2..=4 {
         let (inst, _) = yes_instance(n, &mut rng);
         let gadget = prop2_period_outorder(&inst);
-        let opts = OutOrderOptions {
-            node_budget: 2_000_000,
-            ..OutOrderOptions::default()
-        };
-        let found = fsw_sched::outorder::outorder_schedule_at(
-            &gadget.app,
-            &gadget.graph,
-            gadget.bound,
-            &opts,
-        )
-        .expect("consistent")
-        .is_some();
+        let found = outorder_schedule_at(&gadget.app, &gadget.graph, gadget.bound, &budget)
+            .expect("consistent")
+            .is_some();
         rows.push(ExperimentRow::new(
             format!("YES instance n={n}: schedule at 2n+3 found (1 = yes)"),
             Some(1.0),
@@ -187,17 +180,8 @@ pub fn e5_prop2_gadget() -> Vec<ExperimentRow> {
     }
     if let Some(inst) = no_instance(4, 2_000, &mut rng) {
         let gadget = prop2_period_outorder(&inst);
-        let opts = OutOrderOptions {
-            node_budget: 2_000_000,
-            ..OutOrderOptions::default()
-        };
-        let found = fsw_sched::outorder::outorder_schedule_at(
-            &gadget.app,
-            &gadget.graph,
-            gadget.bound,
-            &opts,
-        )
-        .expect("consistent");
+        let found = outorder_schedule_at(&gadget.app, &gadget.graph, gadget.bound, &budget)
+            .expect("consistent");
         rows.push(ExperimentRow::new(
             "NO instance n=4: schedule at 2n+3 found (paper argues none; see E5 note)",
             Some(0.0),
@@ -363,7 +347,7 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
         rows.push(ExperimentRow::new(
             format!("MINPERIOD OVERLAP n={n}: local search (paper column = exhaustive forests)"),
             Some(exhaustive.value),
-            local.period,
+            local.value,
         ));
         let baseline_plan = nocomm_minperiod_plan(&app).expect("no constraints");
         let baseline_with_comm = PlanMetrics::compute(&app, &baseline_plan)
@@ -453,7 +437,6 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
         None,
         wall_ms,
     ));
-    let _ = PeriodEvaluation::LowerBound;
     rows
 }
 

@@ -451,7 +451,7 @@ where
     let outcome = best.map(|(value, _, graph)| SearchOutcome {
         value,
         graph,
-        complete,
+        exhaustive: complete,
     });
     (outcome, stats)
 }

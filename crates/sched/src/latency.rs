@@ -13,8 +13,9 @@
 //! * [`oneport_latency_for_orderings`] — the exact makespan of a fixed
 //!   ordering (a longest-path computation over the operation DAG, with
 //!   deadlock detection for inconsistent rendezvous orders);
-//! * [`oneport_latency_search`] — exhaustive search over orderings when the
-//!   space is small, hill climbing otherwise;
+//! * [`oneport_latency_search`] / [`oneport_latency_search_bounded`] — the
+//!   serial and the full (executor, cutoff) search over orderings:
+//!   exhaustive when the space is small, hill climbing otherwise;
 //! * [`multiport_proportional_latency`] — a constructive bounded multi-port
 //!   schedule in which every transfer of server `k` reserves a
 //!   `volume / max(Cout(k), Cin(recv))` bandwidth share, so all transfers of a
@@ -32,8 +33,8 @@ use fsw_core::{
 };
 
 use crate::engine::prune_threshold;
-use crate::orderings::{CommOrderings, OrderingSpace};
-use crate::par::{fold_min, par_chunks, Exec};
+use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace};
+use crate::par::Exec;
 
 /// Critical-path lower bound on the latency, valid for every communication model.
 ///
@@ -272,61 +273,46 @@ pub struct LatencySearchResult {
     pub exhaustive: bool,
 }
 
-/// Searches the communication orderings minimising the one-port latency.
-///
-/// Exhaustive when the ordering space does not exceed `exhaustive_limit`;
-/// otherwise hill climbing over adjacent swaps from the natural ordering.
+/// Searches the communication orderings minimising the one-port latency,
+/// serially and without a cutoff (see [`oneport_latency_search_bounded`]).
 pub fn oneport_latency_search(
     app: &Application,
     graph: &ExecutionGraph,
     exhaustive_limit: usize,
 ) -> CoreResult<LatencySearchResult> {
-    oneport_latency_search_exec(app, graph, exhaustive_limit, Exec::serial())
-}
-
-/// [`oneport_latency_search`] under an explicit execution strategy: the
-/// exhaustive enumeration is split over `exec` worker threads (chunks in
-/// enumeration order, reduced with the serial tie-breaking rule, so the
-/// result is bit-identical to the serial run) and honours its deadline.
-pub fn oneport_latency_search_exec(
-    app: &Application,
-    graph: &ExecutionGraph,
-    exhaustive_limit: usize,
-    exec: Exec,
-) -> CoreResult<LatencySearchResult> {
+    let evaluator = LatencyEvaluator::new(app, graph)?;
     Ok(
-        oneport_latency_search_bounded(app, graph, exhaustive_limit, exec, f64::INFINITY)?
-            .expect("an infinite cutoff never prunes the search"),
+        oneport_latency_search_bounded(
+            &evaluator,
+            exhaustive_limit,
+            Exec::serial(),
+            f64::INFINITY,
+        )?
+        .expect("an infinite cutoff never prunes the search"),
     )
 }
 
-/// Branch-and-bound variant of [`oneport_latency_search_exec`]: a `cutoff`
-/// carried in from an incumbent lets the search abandon work that cannot
-/// matter.
+/// Searches the communication orderings minimising the one-port latency of
+/// the evaluator's graph.
+///
+/// Exhaustive (the first minimum in enumeration order) when the ordering
+/// space does not exceed `exhaustive_limit`; otherwise hill climbing over
+/// adjacent swaps from the topological ordering.  The enumeration is split
+/// over `exec` worker threads (chunks in enumeration order, reduced with the
+/// serial tie-breaking rule, so the result is bit-identical to the serial
+/// run) and honours its deadline.
+///
+/// `cutoff` is a caller's incumbent that lets the search abandon work that
+/// cannot matter:
 ///
 /// * Returns `Ok(None)` when every ordering provably exceeds `cutoff`
 ///   (including the cheap case where already the critical-path lower bound
-///   does) — the caller's incumbent cannot be improved by this graph.
-/// * Otherwise the result is exactly what the unbounded search would have
-///   returned (value, winning ordering and schedule are bit-identical):
-///   partial schedules are abandoned only once some operation provably ends
-///   after both the cutoff and the best latency found so far.
+///   strictly clears it) — the incumbent cannot be improved by this graph.
+/// * Otherwise the result is exactly what an infinite cutoff returns (value,
+///   winning ordering and schedule are bit-identical): partial schedules are
+///   abandoned only once some operation provably ends after both the cutoff
+///   and the best latency found so far.
 pub fn oneport_latency_search_bounded(
-    app: &Application,
-    graph: &ExecutionGraph,
-    exhaustive_limit: usize,
-    exec: Exec,
-    cutoff: f64,
-) -> CoreResult<Option<LatencySearchResult>> {
-    let evaluator = LatencyEvaluator::new(app, graph)?;
-    oneport_latency_search_prepared(graph, &evaluator, exhaustive_limit, exec, cutoff)
-}
-
-/// [`oneport_latency_search_bounded`] with a caller-provided evaluator, so a
-/// caller that already built one (e.g. the memoised MINLATENCY candidate
-/// evaluation) does not recompute the plan metrics.
-pub(crate) fn oneport_latency_search_prepared(
-    graph: &ExecutionGraph,
     evaluator: &LatencyEvaluator<'_>,
     exhaustive_limit: usize,
     exec: Exec,
@@ -335,102 +321,40 @@ pub(crate) fn oneport_latency_search_prepared(
     if evaluator.lower_bound() > prune_threshold(cutoff) {
         return Ok(None);
     }
-    if let Some(space) = OrderingSpace::new(graph, exhaustive_limit) {
-        let indices: Vec<usize> = (0..space.len()).collect();
-        let parts = par_chunks(exec.effective_threads(), &indices, |_base, chunk| {
-            let mut best: Option<(f64, usize)> = None;
-            let mut complete = true;
-            for &i in chunk {
-                if exec.expired() {
-                    complete = false;
-                    break;
-                }
-                let ords = space.get(i);
-                // Anything that cannot strictly beat both the cutoff and the
-                // chunk's own best is abandoned mid-evaluation; ties are
-                // evaluated in full so first-minimum-wins is preserved.
-                let dynamic_cutoff = best.map_or(cutoff, |(b, _)| cutoff.min(b));
-                match evaluator.value(&ords, dynamic_cutoff) {
-                    Err(_) => continue,   // dead-locked ordering
-                    Ok(None) => continue, // provably above the bar
-                    // No early exit at the critical-path bound: a computed
-                    // makespan can land an ulp below it (different float
-                    // paths), so stopping there could miss the bitwise
-                    // minimum and break serial/parallel equivalence.
-                    Ok(Some(latency)) => {
-                        if best.is_none_or(|(b, _)| latency < b) {
-                            best = Some((latency, i));
-                        }
-                    }
-                }
-            }
-            (best, complete)
-        });
-        let complete = parts.iter().all(|(_, c)| *c);
-        let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
-        match best {
-            Some((latency, winner)) => {
-                if latency > cutoff {
-                    return Ok(None);
-                }
-                // Rebuild the winning operation list (deterministic for a
-                // fixed ordering, so this matches the serial run exactly).
-                let orderings = space.get(winner);
-                let (_, oplist) = evaluator.schedule(&orderings)?;
-                return Ok(Some(LatencySearchResult {
-                    latency,
-                    oplist,
-                    orderings,
-                    exhaustive: complete,
-                }));
-            }
-            None if complete => {
-                if cutoff.is_finite() {
-                    // Everything was either dead-locked or above the cutoff.
-                    return Ok(None);
-                }
-                return Err(CoreError::CyclicGraph);
-            }
-            // Deadline expired before anything was evaluated: fall through to
-            // the (cheap) topological-ordering fallback below.
-            None => {}
+    let graph = evaluator.graph;
+    let enumerated = OrderingSpace::new(graph, exhaustive_limit).map(|space| {
+        // Dead-locked orderings and orderings provably above the bar are
+        // both skipped.
+        space.first_minimum(exec, cutoff, |ords, bar| {
+            evaluator.value(ords, bar).ok().flatten()
+        })
+    });
+    let (latency, orderings, exhaustive) = match enumerated {
+        Some((Some((latency, _)), _)) if latency > cutoff => return Ok(None),
+        Some((Some((latency, orderings)), complete)) => (latency, orderings, complete),
+        // Everything was either dead-locked or above the cutoff.
+        Some((None, true)) if cutoff.is_finite() => return Ok(None),
+        Some((None, true)) => return Err(CoreError::CyclicGraph),
+        // Beyond the limit, or a deadline expired before anything was
+        // valued.  The climb is not cutoff-bounded: its value must not
+        // depend on the incumbent carried in.
+        Some((None, false)) | None => {
+            let (latency, orderings) = climb_orderings(graph, exec, |ords| {
+                Ok(evaluator
+                    .value(ords, f64::INFINITY)?
+                    .expect("an infinite cutoff never abandons"))
+            })?;
+            (latency, orderings, false)
         }
-    }
-    // Start the hill climbing from the (always feasible) topological
-    // ordering.  The climb itself is not cutoff-bounded: its value must stay
-    // bit-identical to the legacy heuristic whatever incumbent is carried in.
-    let mut current = CommOrderings::topological(graph);
-    let (mut current_latency, mut current_oplist) = evaluator.schedule(&current)?;
-    let mut improved = true;
-    while improved && !exec.expired() {
-        improved = false;
-        for server in 0..graph.n() {
-            for outgoing in [false, true] {
-                let len = if outgoing {
-                    current.outgoing[server].len()
-                } else {
-                    current.incoming[server].len()
-                };
-                for pos in 0..len.saturating_sub(1) {
-                    let mut candidate = current.clone();
-                    candidate.swap_adjacent(server, outgoing, pos);
-                    if let Ok((latency, oplist)) = evaluator.schedule(&candidate) {
-                        if latency + 1e-12 < current_latency {
-                            current = candidate;
-                            current_latency = latency;
-                            current_oplist = oplist;
-                            improved = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    };
+    // Build the winner's operation list (deterministic for a fixed
+    // ordering, so it matches the serial run exactly).
+    let (_, oplist) = evaluator.schedule(&orderings)?;
     Ok(Some(LatencySearchResult {
-        latency: current_latency,
-        oplist: current_oplist,
-        orderings: current,
-        exhaustive: false,
+        latency,
+        oplist,
+        orderings,
+        exhaustive,
     }))
 }
 

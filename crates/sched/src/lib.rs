@@ -55,20 +55,18 @@ pub use engine::{CanonicalRep, CanonicalSpace, EvalCache, Incumbent, PartialPrun
 pub use latency::{
     latency_lower_bound, multiport_latency, multiport_proportional_latency,
     oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,
-    oneport_latency_search_exec, LatencyEvaluator, LatencySearchResult,
+    LatencyEvaluator, LatencySearchResult,
 };
-pub use minlatency::{minimize_latency, MinLatencyResult};
-pub use minperiod::{minimize_period, MinPeriodResult, PeriodEvaluation, SearchOutcome};
+pub use minlatency::minimize_latency;
+pub use minperiod::{minimize_period, PeriodEvaluation, SearchOutcome};
 pub use oneport::{
-    inorder_oplist_for_orderings, inorder_period_for_orderings,
-    oneport_overlap_period_for_orderings, oneport_period_lower_bound, oneport_period_search,
-    oneport_period_search_bounded, oneport_period_search_exec, OnePortStyle, OrderingSearchResult,
+    inorder_oplist_for_orderings, inorder_period_for_orderings, oneport_period_search,
+    oneport_period_search_bounded, OnePortStyle, OrderingSearchResult,
 };
 pub use orchestrator::{solve, solve_all, Objective, Problem, SearchBudget, Solution};
 pub use orderings::{CommOrderings, OrderingSpace};
 pub use outorder::{
-    outorder_period_lower_bound, outorder_period_search, outorder_period_search_bounded,
-    outorder_period_search_exec, outorder_schedule_at, OutOrderOptions, OutOrderResult,
+    outorder_period_search, outorder_period_search_bounded, outorder_schedule_at, OutOrderResult,
 };
 pub use overlap::{overlap_period_lower_bound, overlap_period_oplist};
 pub use par::Exec;

@@ -10,38 +10,32 @@
 //!   need not be a forest for the latency — the Proposition 13 gadget is a
 //!   fork-join);
 //! * the Proposition 16 chain and the independent plan as constructive seeds,
-//!   followed by hill-climbing local search over parent reassignments;
+//!   followed by the plan-space hill climb over parent reassignments that
+//!   MINPERIOD's local search runs too;
 //! * latency of a candidate graph measured exactly for forests, and by the
 //!   one-port / multi-port orchestration searches for general DAGs.
+//!
+//! Every solver returns the plan searches' one [`SearchOutcome`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics, ServiceId};
+use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
 use crate::engine::{prune_threshold, tags, CanonicalSpace, EvalCache, PartialPrune, Symmetry};
 use crate::latency::{
     latency_lower_bound_with, multiport_proportional_latency, oneport_latency_search,
-    oneport_latency_search_prepared, LatencyEvaluator,
+    oneport_latency_search_bounded, LatencyEvaluator,
 };
-use crate::minperiod::{exhaustive_dag_search, exhaustive_forest_search};
+use crate::minperiod::{
+    climb_plans, exhaustive_dag_search, exhaustive_forest_search, SearchOutcome,
+};
 use crate::orchestrator::SearchBudget;
 use crate::orderings::CommOrderings;
 use crate::par::Exec;
 use crate::tree::tree_latency;
-
-/// Result of a MINLATENCY solve.
-#[derive(Clone, Debug)]
-pub struct MinLatencyResult {
-    /// The best latency found.
-    pub latency: f64,
-    /// The execution graph achieving it.
-    pub graph: ExecutionGraph,
-    /// `true` when the result comes from an exhaustive enumeration.
-    pub exhaustive: bool,
-}
 
 /// Evaluates the latency of a candidate execution graph under the requested model.
 ///
@@ -117,7 +111,7 @@ fn evaluate_latency_bounded(
             threads: 1,
             deadline,
         };
-        match oneport_latency_search_prepared(graph, &evaluator, max_orderings, inner_exec, c) {
+        match oneport_latency_search_bounded(&evaluator, max_orderings, inner_exec, c) {
             Ok(Some(result)) => result.latency,
             Ok(None) | Err(_) => f64::INFINITY,
         }
@@ -158,68 +152,21 @@ fn seed_graphs(app: &Application) -> Vec<ExecutionGraph> {
     seeds
 }
 
-/// Heuristic MINLATENCY: best seed followed by hill climbing over
-/// single-parent reassignments, valued by [`evaluate_latency`] for `model`
-/// within [`SearchBudget::max_orderings`], over
+/// Heuristic MINLATENCY: best seed followed by the plan-space hill climb
+/// (the one MINPERIOD's local search runs), valued by [`evaluate_latency`]
+/// for `model` within [`SearchBudget::max_orderings`], over
 /// [`SearchBudget::local_search_passes`] passes at most.
 pub fn minlatency_local_search(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
-) -> CoreResult<MinLatencyResult> {
-    let eval = |g: &ExecutionGraph| -> f64 {
-        evaluate_latency(app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY)
-    };
-    let mut best_graph = ExecutionGraph::new(app.n());
-    let mut best_value = f64::INFINITY;
-    for seed in seed_graphs(app) {
-        let value = eval(&seed);
-        if value < best_value {
-            best_value = value;
-            best_graph = seed;
-        }
-    }
-    let n = app.n();
-    for _pass in 0..budget.local_search_passes {
-        let mut improved = false;
-        for k in 0..n {
-            let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
-            let mut candidates: Vec<Option<ServiceId>> = vec![None];
-            for p in 0..n {
-                if p != k {
-                    candidates.push(Some(p));
-                }
-            }
-            for cand in candidates {
-                let mut graph = best_graph.clone();
-                for &p in &current_preds {
-                    graph.remove_edge(p, k);
-                }
-                if let Some(p) = cand {
-                    if graph.add_edge(p, k).is_err() {
-                        continue;
-                    }
-                }
-                if graph.respects(app).is_err() {
-                    continue;
-                }
-                let value = eval(&graph);
-                if value + 1e-12 < best_value {
-                    best_value = value;
-                    best_graph = graph;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    Ok(MinLatencyResult {
-        latency: best_value,
-        graph: best_graph,
-        exhaustive: false,
-    })
+) -> CoreResult<SearchOutcome> {
+    Ok(climb_plans(
+        app,
+        seed_graphs(app),
+        budget.local_search_passes,
+        |g| evaluate_latency(app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY),
+    ))
 }
 
 /// Full MINLATENCY solver.
@@ -240,7 +187,7 @@ pub fn minimize_latency(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
-) -> CoreResult<MinLatencyResult> {
+) -> CoreResult<SearchOutcome> {
     minimize_latency_engine(
         app,
         model,
@@ -275,14 +222,14 @@ pub(crate) fn minimize_latency_engine(
     incumbent_seed: f64,
     evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
-) -> CoreResult<MinLatencyResult> {
-    let mut best: Option<MinLatencyResult> = None;
+) -> CoreResult<SearchOutcome> {
+    let mut best: Option<SearchOutcome> = None;
     if !app.has_constraints() {
         let eval = |g: &ExecutionGraph, _cutoff: f64| {
             evals.fetch_add(1, Ordering::Relaxed);
             tree_latency(app, g).unwrap_or(f64::INFINITY)
         };
-        if let Some(out) = exhaustive_forest_search(
+        best = exhaustive_forest_search(
             app,
             budget.max_graphs,
             exec,
@@ -293,13 +240,7 @@ pub(crate) fn minimize_latency_engine(
             incumbent_seed,
             &eval,
             probe,
-        ) {
-            best = Some(MinLatencyResult {
-                latency: out.value,
-                graph: out.graph,
-                exhaustive: out.complete,
-            });
-        }
+        );
     }
     if app.n() <= budget.dag_enumeration_max_n {
         // Seed the DAG phase's incumbent with the forest optimum (tightened
@@ -308,7 +249,7 @@ pub(crate) fn minimize_latency_engine(
         // seed skip their ordering search.
         let seed = best
             .as_ref()
-            .map_or(f64::INFINITY, |b| b.latency)
+            .map_or(f64::INFINITY, |b| b.value)
             .min(incumbent_seed);
         let eval = |g: &ExecutionGraph, cutoff: f64| {
             evals.fetch_add(1, Ordering::Relaxed);
@@ -340,12 +281,8 @@ pub(crate) fn minimize_latency_engine(
             &eval,
         );
         if let Some(out) = dag {
-            if best.as_ref().is_none_or(|b| out.value < b.latency - 1e-12) {
-                best = Some(MinLatencyResult {
-                    latency: out.value,
-                    graph: out.graph,
-                    exhaustive: out.complete,
-                });
+            if best.as_ref().is_none_or(|b| out.value < b.value - 1e-12) {
+                best = Some(out);
             }
         }
     }
@@ -366,7 +303,7 @@ mod tests {
         assert!(result.exhaustive);
         assert!(result.graph.has_edge(0, 1));
         // in(1) + c0(1) + comm(0.1) + c1(0.1*10=1) + out(0.1)
-        assert!((result.latency - 3.2).abs() < 1e-9);
+        assert!((result.value - 3.2).abs() < 1e-9);
     }
 
     #[test]
@@ -377,7 +314,7 @@ mod tests {
         assert!(result.exhaustive);
         assert_eq!(result.graph.edge_count(), 0);
         // Each runs independently: 1 + 1 + 3 = 5.
-        assert!((result.latency - 5.0).abs() < 1e-9);
+        assert!((result.value - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -387,7 +324,7 @@ mod tests {
         let chain_value = crate::chain::chain_latency(&app, &order);
         // The unrestricted optimum can only be better or equal.
         let result = minimize_latency(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
-        assert!(result.latency <= chain_value + 1e-9);
+        assert!(result.value <= chain_value + 1e-9);
     }
 
     #[test]
@@ -397,8 +334,8 @@ mod tests {
         let exhaustive = minimize_latency(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
         let local = minlatency_local_search(&app, CommModel::Overlap, &budget).unwrap();
-        assert!(local.latency >= exhaustive.latency - 1e-9);
-        assert!(local.latency <= exhaustive.latency * 1.25 + 1e-9);
+        assert!(local.value >= exhaustive.value - 1e-9);
+        assert!(local.value <= exhaustive.value * 1.25 + 1e-9);
     }
 
     #[test]

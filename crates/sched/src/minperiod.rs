@@ -14,7 +14,13 @@
 //! * the period of a candidate graph is measured by a pluggable
 //!   [`PeriodEvaluation`] — the exact polynomial value for OVERLAP, and either
 //!   the one-port lower bound or an actual ordering search for the one-port
-//!   models.
+//!   models, within the effort of one [`SearchBudget`].
+//!
+//! Every plan search of the crate — the exhaustive forest and DAG walks,
+//! the streamed canonical walk, both local searches and the
+//! [`minimize_period`] / [`minimize_latency`](crate::minlatency::minimize_latency)
+//! solvers — returns one [`SearchOutcome`], and both local searches run on
+//! one plan-space hill climb over parent reassignments.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -31,10 +37,10 @@ use crate::engine::frontier::{
 use crate::engine::{
     prune_threshold, tags, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry,
 };
-use crate::oneport::{oneport_period_search, oneport_period_search_prepared, OnePortStyle};
+use crate::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use crate::orchestrator::SearchBudget;
 use crate::orderings::CommOrderings;
-use crate::outorder::{outorder_period_search, outorder_period_search_bounded, OutOrderOptions};
+use crate::outorder::outorder_period_search_bounded;
 use crate::par::{fold_min, par_chunks, Exec};
 
 /// How the period of a candidate execution graph is evaluated.
@@ -45,67 +51,56 @@ pub enum PeriodEvaluation {
     LowerBound,
     /// Run the orchestration machinery for the chosen model: exact for
     /// OVERLAP, ordering search for INORDER, cyclic-scheduling search for
-    /// OUTORDER.  More faithful, considerably more expensive.
-    Orchestrated {
-        /// Bound on the ordering space enumerated exhaustively.
-        exhaustive_limit: usize,
-    },
+    /// OUTORDER, each within the budget's
+    /// [`max_orderings`](SearchBudget::max_orderings) (and, for OUTORDER,
+    /// its node budget and refinement steps).  More faithful, considerably
+    /// more expensive.
+    Orchestrated,
 }
 
-/// Result of a MINPERIOD solve.
-#[derive(Clone, Debug)]
-pub struct MinPeriodResult {
-    /// The best period found (as measured by the requested evaluation).
-    pub period: f64,
-    /// The execution graph achieving it.
-    pub graph: ExecutionGraph,
-    /// `true` when the result comes from an exhaustive enumeration (optimal
-    /// for the requested evaluation), `false` for heuristics.
-    pub exhaustive: bool,
-}
-
-/// Evaluates the period of a candidate execution graph under the requested model.
+/// Evaluates the period of a candidate execution graph under the requested
+/// model, with the budget's [`SearchBudget::period_evaluation`].
+///
+/// The orchestrated evaluation reads the budget's ordering, OUTORDER node
+/// and refinement budgets — the ones the plan searches' candidate
+/// evaluation reads — and runs serially without a deadline, so its value is
+/// a pure function of the graph and the budget.
 pub fn evaluate_period(
     app: &Application,
     graph: &ExecutionGraph,
     model: CommModel,
-    evaluation: PeriodEvaluation,
+    budget: &SearchBudget,
 ) -> CoreResult<f64> {
     let metrics = PlanMetrics::compute(app, graph)?;
     let lower = metrics.period_lower_bound(model);
-    match evaluation {
-        PeriodEvaluation::LowerBound => Ok(lower),
-        PeriodEvaluation::Orchestrated { exhaustive_limit } => match model {
-            CommModel::Overlap => Ok(lower),
-            CommModel::InOrder => {
-                Ok(
-                    oneport_period_search(app, graph, OnePortStyle::InOrder, exhaustive_limit)?
-                        .period,
-                )
-            }
-            CommModel::OutOrder => {
-                let opts = OutOrderOptions {
-                    inorder_exhaustive_limit: exhaustive_limit,
-                    ..OutOrderOptions::default()
-                };
-                Ok(outorder_period_search(app, graph, &opts)?.period)
-            }
-        },
+    if budget.period_evaluation == PeriodEvaluation::LowerBound {
+        return Ok(lower);
     }
+    Ok(match model {
+        CommModel::Overlap => lower,
+        CommModel::InOrder => {
+            oneport_period_search(app, graph, OnePortStyle::InOrder, budget.max_orderings)?.period
+        }
+        CommModel::OutOrder => {
+            outorder_period_search_bounded(app, graph, budget, Exec::serial(), f64::INFINITY)?
+                .expect("an infinite cutoff never prunes")
+                .period
+        }
+    })
 }
 
-/// Outcome of a budgeted exhaustive search: the best candidate found and
-/// whether the enumeration ran to completion (`complete == false` means a
-/// deadline interrupted it, so the value is only an upper bound on the
-/// optimum of the enumerated space).
+/// Outcome of a plan search: the best execution graph found and whether
+/// the search was exhaustive (`false` means a deadline interrupted the
+/// enumeration or a heuristic produced the graph, so the value is only an
+/// upper bound on the optimum of the searched space).
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
-    /// Best objective value found.
+    /// Best objective value found (as measured by the search's evaluation).
     pub value: f64,
     /// The execution graph achieving it.
     pub graph: ExecutionGraph,
     /// `true` when every candidate of the space was examined.
-    pub complete: bool,
+    pub exhaustive: bool,
 }
 
 /// Enumerates every forest execution graph (as a parent function) compatible
@@ -141,7 +136,7 @@ pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
 /// split over `exec.effective_threads()` workers and reduced in enumeration
 /// order, so the result is bit-identical to the serial run; an optional
 /// deadline interrupts the enumeration (flagged via
-/// [`SearchOutcome::complete`]).
+/// [`SearchOutcome::exhaustive`]).
 ///
 /// `eval` receives the current incumbent as a *cutoff*: it may return any
 /// value above the cutoff (typically `∞`) for candidates it can prove cannot
@@ -291,7 +286,7 @@ where
     best.map(|(value, graph)| SearchOutcome {
         value,
         graph,
-        complete,
+        exhaustive: complete,
     })
 }
 
@@ -565,7 +560,7 @@ where
     best.map(|(value, graph)| SearchOutcome {
         value,
         graph,
-        complete,
+        exhaustive: complete,
     })
 }
 
@@ -618,7 +613,7 @@ where
     best.map(|(value, graph)| SearchOutcome {
         value,
         graph,
-        complete,
+        exhaustive: complete,
     })
 }
 
@@ -762,41 +757,54 @@ fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionGraph> {
     seeds
 }
 
-/// Heuristic MINPERIOD: best seed followed by hill climbing over single-parent
-/// reassignments (`set parent of k to None / to p`), keeping the application's
-/// precedence constraints satisfied.  Candidates are valued by
-/// [`SearchBudget::period_evaluation`] for `model`, over
+/// Heuristic MINPERIOD: best seed followed by the plan-space hill climb over
+/// single-parent reassignments that MINLATENCY's local search runs too.
+/// Candidates are valued by [`evaluate_period`] under `budget`, over
 /// [`SearchBudget::local_search_passes`] passes at most.
 pub fn minperiod_local_search(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
-) -> CoreResult<MinPeriodResult> {
-    let eval = |g: &ExecutionGraph| -> f64 {
-        evaluate_period(app, g, model, budget.period_evaluation).unwrap_or(f64::INFINITY)
-    };
-    let mut best_graph = ExecutionGraph::new(app.n());
+) -> CoreResult<SearchOutcome> {
+    Ok(climb_plans(
+        app,
+        seed_graphs(app, model),
+        budget.local_search_passes,
+        |g| evaluate_period(app, g, model, budget).unwrap_or(f64::INFINITY),
+    ))
+}
+
+/// The plan-space hill climb behind both local searches: start from the
+/// first best of `seeds` (the empty plan when none is finite), then, for
+/// every service `k` in turn, try making `k` an entry node and then giving
+/// it each other service as its only parent, keeping every move that
+/// respects the application's precedence constraints and improves the value
+/// by more than `1e-12`.  Stops after `passes` passes or the first pass
+/// without an improvement.
+pub(crate) fn climb_plans<F>(
+    app: &Application,
+    seeds: Vec<ExecutionGraph>,
+    passes: usize,
+    eval: F,
+) -> SearchOutcome
+where
+    F: Fn(&ExecutionGraph) -> f64,
+{
+    let n = app.n();
+    let mut best_graph = ExecutionGraph::new(n);
     let mut best_value = f64::INFINITY;
-    for seed in seed_graphs(app, model) {
+    for seed in seeds {
         let value = eval(&seed);
         if value < best_value {
             best_value = value;
             best_graph = seed;
         }
     }
-    let n = app.n();
-    for _pass in 0..budget.local_search_passes {
+    for _pass in 0..passes {
         let mut improved = false;
         for k in 0..n {
-            // Candidate moves: make k an entry node, or give it any other parent.
             let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
-            let mut candidates: Vec<Option<ServiceId>> = vec![None];
-            for p in 0..n {
-                if p != k {
-                    candidates.push(Some(p));
-                }
-            }
-            for cand in candidates {
+            for cand in parent_choices(n, k) {
                 let mut graph = best_graph.clone();
                 for &p in &current_preds {
                     graph.remove_edge(p, k);
@@ -821,11 +829,11 @@ pub fn minperiod_local_search(
             break;
         }
     }
-    Ok(MinPeriodResult {
-        period: best_value,
+    SearchOutcome {
+        value: best_value,
         graph: best_graph,
         exhaustive: false,
-    })
+    }
 }
 
 /// Full MINPERIOD solver: exhaustive forest enumeration when the instance is
@@ -843,7 +851,7 @@ pub fn minimize_period(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
-) -> CoreResult<MinPeriodResult> {
+) -> CoreResult<SearchOutcome> {
     minimize_period_engine(
         app,
         model,
@@ -873,11 +881,8 @@ fn evaluate_period_bounded(
         return f64::INFINITY;
     };
     let lower = metrics.period_lower_bound(model);
-    let PeriodEvaluation::Orchestrated { exhaustive_limit } = budget.period_evaluation else {
-        return lower;
-    };
-    if model == CommModel::Overlap {
-        // Theorem 1: the lower bound is achieved.
+    if budget.period_evaluation == PeriodEvaluation::LowerBound || model == CommModel::Overlap {
+        // Theorem 1: for OVERLAP the lower bound is achieved.
         return lower;
     }
     // Every orchestrated period dominates the structural bound, so a bound
@@ -895,12 +900,12 @@ fn evaluate_period_bounded(
     match model {
         CommModel::Overlap => unreachable!("handled above"),
         CommModel::InOrder => {
-            let search = |c: f64| match oneport_period_search_prepared(
+            let search = |c: f64| match oneport_period_search_bounded(
                 app,
                 graph,
                 &metrics,
                 OnePortStyle::InOrder,
-                exhaustive_limit,
+                budget.max_orderings,
                 inner_exec,
                 c,
             ) {
@@ -910,7 +915,7 @@ fn evaluate_period_bounded(
             if deadline.is_some() {
                 return search(cutoff);
             }
-            let exhaustive = CommOrderings::search_space_size(graph) <= exhaustive_limit;
+            let exhaustive = CommOrderings::search_space_size(graph) <= budget.max_orderings;
             cache.get_or_compute(tags::INORDER_PERIOD, graph, exhaustive, cutoff, search)
         }
         CommModel::OutOrder => {
@@ -931,12 +936,6 @@ fn evaluate_period_bounded(
             // cutoff that skips candidates whose lower bound clears it and
             // stops the bisection once every remaining probe provably sits
             // above it.
-            let opts = OutOrderOptions {
-                node_budget: budget.outorder_node_budget,
-                refinement_steps: budget.outorder_refinement_steps,
-                inorder_exhaustive_limit: exhaustive_limit,
-                deadline,
-            };
             // The partition comes from the cache (computed once per solve),
             // not per candidate — this branch runs for every enumerated
             // graph.  Reduced-path candidates are already their own
@@ -954,7 +953,7 @@ fn evaluate_period_bounded(
                 };
             let eval_graph = canonical.as_ref().unwrap_or(graph);
             let search = |c: f64| match outorder_period_search_bounded(
-                app, eval_graph, &opts, inner_exec, c,
+                app, eval_graph, budget, inner_exec, c,
             ) {
                 Ok(Some(result)) => result.period,
                 Ok(None) | Err(_) => f64::INFINITY,
@@ -989,7 +988,7 @@ pub(crate) fn minimize_period_engine(
     incumbent_seed: f64,
     evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
-) -> CoreResult<MinPeriodResult> {
+) -> CoreResult<SearchOutcome> {
     let eval = |g: &ExecutionGraph, cutoff: f64| -> f64 {
         evals.fetch_add(1, Ordering::Relaxed);
         evaluate_period_bounded(app, g, model, budget, cache, cutoff, exec.deadline)
@@ -1011,11 +1010,12 @@ pub(crate) fn minimize_period_engine(
         // the value-exact full enumeration on multi-class instances.
         let symmetry = match budget.period_evaluation {
             PeriodEvaluation::LowerBound => Symmetry::Classes,
-            PeriodEvaluation::Orchestrated { exhaustive_limit } => match model {
+            PeriodEvaluation::Orchestrated => match model {
                 CommModel::Overlap => Symmetry::Classes,
                 CommModel::OutOrder => Symmetry::Classes,
                 CommModel::InOrder
-                    if CanonicalSpace::max_forest_ordering_space(app.n()) <= exhaustive_limit =>
+                    if CanonicalSpace::max_forest_ordering_space(app.n())
+                        <= budget.max_orderings =>
                 {
                     Symmetry::Auto
                 }
@@ -1032,11 +1032,7 @@ pub(crate) fn minimize_period_engine(
             &eval,
             probe,
         ) {
-            return Ok(MinPeriodResult {
-                period: out.value,
-                graph: out.graph,
-                exhaustive: out.complete,
-            });
+            return Ok(out);
         }
     } else {
         // With precedence constraints the optimal plan need not be a forest;
@@ -1046,11 +1042,7 @@ pub(crate) fn minimize_period_engine(
             if let Some(out) =
                 exhaustive_dag_search(app, 5, exec, incumbent_seed, Symmetry::Full, &eval)
             {
-                return Ok(MinPeriodResult {
-                    period: out.value,
-                    graph: out.graph,
-                    exhaustive: out.complete,
-                });
+                return Ok(out);
             }
         }
     }
@@ -1069,7 +1061,7 @@ mod tests {
         let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
         assert!(result.graph.has_edge(0, 1));
-        assert!((result.period - 1.0).abs() < 1e-9);
+        assert!((result.value - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1086,7 +1078,7 @@ mod tests {
         let app = Application::independent(&specs);
         let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive);
-        assert!((result.period - 2.0).abs() < 1e-9);
+        assert!((result.value - 2.0).abs() < 1e-9);
         // The two filters must not be chained one behind the other: each keeps
         // exactly half of the expensive services.
         assert!(!result.graph.has_edge(0, 1) && !result.graph.has_edge(1, 0));
@@ -1106,7 +1098,7 @@ mod tests {
         for app in apps {
             for model in CommModel::ALL {
                 let eval = |g: &ExecutionGraph| {
-                    evaluate_period(&app, g, model, PeriodEvaluation::LowerBound)
+                    evaluate_period(&app, g, model, &SearchBudget::default())
                         .unwrap_or(f64::INFINITY)
                 };
                 let forest = exhaustive_forest_best(&app, eval).unwrap();
@@ -1128,8 +1120,8 @@ mod tests {
         let exhaustive = minimize_period(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
         let local = minperiod_local_search(&app, CommModel::Overlap, &budget).unwrap();
-        assert!(local.period <= exhaustive.period * 1.2 + 1e-9);
-        assert!(local.period >= exhaustive.period - 1e-9);
+        assert!(local.value <= exhaustive.value * 1.2 + 1e-9);
+        assert!(local.value >= exhaustive.value - 1e-9);
     }
 
     #[test]
@@ -1169,7 +1161,7 @@ mod tests {
                     )
                     .unwrap();
                     assert_eq!(brute.0, reduced.value, "{specs:?} n={n} {model}");
-                    assert!(reduced.complete);
+                    assert!(reduced.exhaustive);
                     // The canonical winner evaluates to the optimum too.
                     assert_eq!(eval(&reduced.graph), reduced.value);
                 }
@@ -1213,10 +1205,10 @@ mod tests {
             &app,
             &ExecutionGraph::new(10),
             CommModel::Overlap,
-            PeriodEvaluation::LowerBound,
+            &SearchBudget::default(),
         )
         .unwrap();
-        assert!(result.period <= independent + 1e-9);
+        assert!(result.value <= independent + 1e-9);
     }
 
     #[test]
@@ -1257,17 +1249,14 @@ mod tests {
     fn orchestrated_evaluation_is_at_least_the_lower_bound() {
         let app = Application::independent(&[(1.0, 1.0); 4]);
         let g = ExecutionGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let orchestrated = SearchBudget {
+            max_orderings: 1_000,
+            ..SearchBudget::default()
+        }
+        .with_period_evaluation(PeriodEvaluation::Orchestrated);
         for model in CommModel::ALL {
-            let lb = evaluate_period(&app, &g, model, PeriodEvaluation::LowerBound).unwrap();
-            let orch = evaluate_period(
-                &app,
-                &g,
-                model,
-                PeriodEvaluation::Orchestrated {
-                    exhaustive_limit: 1000,
-                },
-            )
-            .unwrap();
+            let lb = evaluate_period(&app, &g, model, &SearchBudget::default()).unwrap();
+            let orch = evaluate_period(&app, &g, model, &orchestrated).unwrap();
             assert!(orch >= lb - 1e-9, "{model}: {orch} < {lb}");
         }
     }

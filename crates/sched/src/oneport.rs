@@ -15,7 +15,11 @@
 //! The period achievable with a given ordering is then the maximum cycle ratio
 //! of the event graph (`fsw-eventgraph`), and orchestration reduces to
 //! searching over orderings — which Theorem 1 shows is NP-hard, hence the
-//! exhaustive search is capped and complemented by heuristics.
+//! exhaustive search is capped and complemented by heuristics.  The search
+//! has one entry pair: [`oneport_period_search`] is the serial form, and
+//! [`oneport_period_search_bounded`] takes the caller's plan metrics, the
+//! executor and a cutoff.  Both run the enumerate-and-climb routine the
+//! latency search shares ([`crate::orderings`]).
 
 use std::collections::BTreeMap;
 
@@ -26,8 +30,8 @@ use fsw_core::{
 use fsw_eventgraph::TimedEventGraph;
 
 use crate::engine::prune_threshold;
-use crate::orderings::{CommOrderings, OrderingSpace};
-use crate::par::{fold_min, par_chunks, Exec};
+use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace};
+use crate::par::Exec;
 
 /// Which serialisation discipline the event graph should encode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,13 +51,12 @@ struct TransitionMap {
     calc: Vec<usize>,
 }
 
-/// Builds the timed event graph encoding a one-port cyclic schedule with the
-/// given communication orderings.
+/// Builds the timed event graph encoding an `INORDER` cyclic schedule with
+/// the given communication orderings.
 fn build_event_graph(
     app: &Application,
     graph: &ExecutionGraph,
     ords: &CommOrderings,
-    style: OnePortStyle,
 ) -> CoreResult<(TimedEventGraph, TransitionMap)> {
     if !ords.is_consistent_with(graph) {
         return Err(CoreError::SizeMismatch {
@@ -62,7 +65,7 @@ fn build_event_graph(
         });
     }
     let metrics = PlanMetrics::compute(app, graph)?;
-    build_event_graph_with(app, graph, &metrics, ords, style)
+    build_event_graph_with(app, graph, &metrics, ords, OnePortStyle::InOrder)
 }
 
 /// [`build_event_graph`] with pre-computed plan metrics and no consistency
@@ -146,28 +149,8 @@ pub fn inorder_period_for_orderings(
     graph: &ExecutionGraph,
     ords: &CommOrderings,
 ) -> CoreResult<f64> {
-    period_for_orderings(app, graph, ords, OnePortStyle::InOrder)
-}
-
-/// Period achieved by a fixed communication ordering under the one-port
-/// *with overlap* variant (Section 3 counter-examples).
-pub fn oneport_overlap_period_for_orderings(
-    app: &Application,
-    graph: &ExecutionGraph,
-    ords: &CommOrderings,
-) -> CoreResult<f64> {
-    period_for_orderings(app, graph, ords, OnePortStyle::OverlapPorts)
-}
-
-fn period_for_orderings(
-    app: &Application,
-    graph: &ExecutionGraph,
-    ords: &CommOrderings,
-    style: OnePortStyle,
-) -> CoreResult<f64> {
-    let (eg, _) = build_event_graph(app, graph, ords, style)?;
-    let period = eg.min_period().map_err(|_| CoreError::CyclicGraph)?;
-    Ok(period)
+    let (eg, _) = build_event_graph(app, graph, ords)?;
+    eg.min_period().map_err(|_| CoreError::CyclicGraph)
 }
 
 fn period_for_orderings_with(
@@ -178,8 +161,7 @@ fn period_for_orderings_with(
     style: OnePortStyle,
 ) -> CoreResult<f64> {
     let (eg, _) = build_event_graph_with(app, graph, metrics, ords, style)?;
-    let period = eg.min_period().map_err(|_| CoreError::CyclicGraph)?;
-    Ok(period)
+    eg.min_period().map_err(|_| CoreError::CyclicGraph)
 }
 
 /// The communication model whose structural period bound every schedule of
@@ -200,16 +182,7 @@ pub fn inorder_oplist_for_orderings(
     graph: &ExecutionGraph,
     ords: &CommOrderings,
 ) -> CoreResult<OperationList> {
-    oplist_for_orderings(app, graph, ords, OnePortStyle::InOrder)
-}
-
-fn oplist_for_orderings(
-    app: &Application,
-    graph: &ExecutionGraph,
-    ords: &CommOrderings,
-    style: OnePortStyle,
-) -> CoreResult<OperationList> {
-    let (eg, map) = build_event_graph(app, graph, ords, style)?;
+    let (eg, map) = build_event_graph(app, graph, ords)?;
     let period = eg.min_period().map_err(|_| CoreError::CyclicGraph)?;
     // Guard against degenerate zero-work plans.
     let period = if period > 0.0 { period } else { 1.0 };
@@ -245,61 +218,43 @@ pub struct OrderingSearchResult {
     pub exhaustive: bool,
 }
 
-/// Searches for the communication ordering minimising the period.
-///
-/// If the ordering space has at most `exhaustive_limit` elements it is fully
-/// enumerated (optimal result); otherwise a hill-climbing heuristic with
-/// adjacent swaps is used, starting from the natural ordering.
+/// Searches for the communication ordering minimising the period, serially
+/// and without a cutoff (see [`oneport_period_search_bounded`]).
 pub fn oneport_period_search(
     app: &Application,
     graph: &ExecutionGraph,
     style: OnePortStyle,
     exhaustive_limit: usize,
 ) -> CoreResult<OrderingSearchResult> {
-    oneport_period_search_exec(app, graph, style, exhaustive_limit, Exec::serial())
+    let metrics = PlanMetrics::compute(app, graph)?;
+    Ok(oneport_period_search_bounded(
+        app,
+        graph,
+        &metrics,
+        style,
+        exhaustive_limit,
+        Exec::serial(),
+        f64::INFINITY,
+    )?
+    .expect("an infinite cutoff never prunes the search"))
 }
 
-/// [`oneport_period_search`] under an explicit execution strategy: the
-/// exhaustive enumeration is split over `exec` worker threads (chunks in
+/// Searches for the communication ordering minimising the period of `graph`,
+/// whose plan metrics the caller supplies.
+///
+/// If the ordering space has at most `exhaustive_limit` elements it is fully
+/// enumerated (optimal result, the first minimum in enumeration order);
+/// otherwise the search hill-climbs adjacent swaps from the topological
+/// ordering.  The enumeration is split over `exec` worker threads (chunks in
 /// enumeration order, reduced with the serial tie-breaking rule, so the
 /// result is bit-identical to the serial run) and honours its deadline.
-pub fn oneport_period_search_exec(
-    app: &Application,
-    graph: &ExecutionGraph,
-    style: OnePortStyle,
-    exhaustive_limit: usize,
-    exec: Exec,
-) -> CoreResult<OrderingSearchResult> {
-    Ok(
-        oneport_period_search_bounded(app, graph, style, exhaustive_limit, exec, f64::INFINITY)?
-            .expect("an infinite cutoff never prunes the search"),
-    )
-}
-
-/// Branch-and-bound variant of [`oneport_period_search_exec`]: a `cutoff`
-/// carried in from an incumbent lets the search skip work that cannot
-/// matter.
 ///
-/// Returns `Ok(None)` when the structural period lower bound of `graph`
-/// already exceeds `cutoff` — no ordering of this graph can improve the
-/// caller's incumbent.  Otherwise the result is exactly what the unbounded
-/// search would have returned (value and winning ordering alike).
+/// `cutoff` is a caller's incumbent: the search returns `Ok(None)` when the
+/// structural period lower bound of `graph` strictly clears it — no ordering
+/// of this graph can improve the incumbent.  Otherwise the result is exactly
+/// what an infinite cutoff returns (value and winning ordering alike), even
+/// when the value lies above `cutoff`.
 pub fn oneport_period_search_bounded(
-    app: &Application,
-    graph: &ExecutionGraph,
-    style: OnePortStyle,
-    exhaustive_limit: usize,
-    exec: Exec,
-    cutoff: f64,
-) -> CoreResult<Option<OrderingSearchResult>> {
-    let metrics = PlanMetrics::compute(app, graph)?;
-    oneport_period_search_prepared(app, graph, &metrics, style, exhaustive_limit, exec, cutoff)
-}
-
-/// [`oneport_period_search_bounded`] with caller-provided plan metrics, so a
-/// caller that already computed them (e.g. the memoised MINPERIOD candidate
-/// evaluation) does not pay for them twice.
-pub(crate) fn oneport_period_search_prepared(
     app: &Application,
     graph: &ExecutionGraph,
     metrics: &PlanMetrics,
@@ -312,38 +267,15 @@ pub(crate) fn oneport_period_search_prepared(
     if lower_bound > prune_threshold(cutoff) {
         return Ok(None);
     }
+    let eval = |ords: &CommOrderings| period_for_orderings_with(app, graph, metrics, ords, style);
     if let Some(space) = OrderingSpace::new(graph, exhaustive_limit) {
-        let indices: Vec<usize> = (0..space.len()).collect();
-        let parts = par_chunks(exec.effective_threads(), &indices, |_base, chunk| {
-            let mut best: Option<(f64, usize)> = None;
-            let mut complete = true;
-            for &i in chunk {
-                if exec.expired() {
-                    complete = false;
-                    break;
-                }
-                let ords = space.get(i);
-                // Orderings whose rendezvous constraints dead-lock are
-                // infeasible (token-free cycle): skip them.
-                let Ok(p) = period_for_orderings_with(app, graph, metrics, &ords, style) else {
-                    continue;
-                };
-                // No early exit at the structural lower bound: computed
-                // cycle ratios can land an ulp *below* it (different float
-                // paths), so stopping there could miss the bitwise minimum
-                // and break serial/parallel equivalence.
-                if best.as_ref().is_none_or(|(bp, _)| p < *bp) {
-                    best = Some((p, i));
-                }
-            }
-            (best, complete)
-        });
-        let complete = parts.iter().all(|(_, c)| *c);
-        let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
-        if let Some((period, winner)) = best {
+        // Orderings whose rendezvous constraints dead-lock are infeasible
+        // (token-free cycle): skip them.
+        let (best, complete) = space.first_minimum(exec, cutoff, |ords, _| eval(ords).ok());
+        if let Some((period, orderings)) = best {
             return Ok(Some(OrderingSearchResult {
                 period,
-                orderings: space.get(winner),
+                orderings,
                 exhaustive: complete,
             }));
         }
@@ -353,50 +285,15 @@ pub(crate) fn oneport_period_search_prepared(
              enumeration finds at least one period"
         );
     }
-    // Hill climbing over adjacent swaps, starting from the (always feasible)
-    // topological ordering.  Also the fallback when a deadline expired before
-    // the exhaustive enumeration evaluated a single ordering.  The climb is
-    // not cutoff-bounded: its value must stay bit-identical to the legacy
-    // heuristic whatever incumbent is carried in.
-    let mut current = CommOrderings::topological(graph);
-    let mut current_period = period_for_orderings_with(app, graph, metrics, &current, style)?;
-    let mut improved = true;
-    while improved && !exec.expired() {
-        improved = false;
-        for server in 0..graph.n() {
-            for outgoing in [false, true] {
-                let len = if outgoing {
-                    current.outgoing[server].len()
-                } else {
-                    current.incoming[server].len()
-                };
-                for pos in 0..len.saturating_sub(1) {
-                    let mut candidate = current.clone();
-                    candidate.swap_adjacent(server, outgoing, pos);
-                    let Ok(p) = period_for_orderings_with(app, graph, metrics, &candidate, style)
-                    else {
-                        continue;
-                    };
-                    if p + 1e-12 < current_period {
-                        current = candidate;
-                        current_period = p;
-                        improved = true;
-                    }
-                }
-            }
-        }
-    }
+    // Beyond the limit, or when a deadline expired before the enumeration
+    // valued a single ordering.  The climb is not cutoff-bounded: its value
+    // must not depend on the incumbent carried in.
+    let (period, orderings) = climb_orderings(graph, exec, eval)?;
     Ok(Some(OrderingSearchResult {
-        period: current_period,
-        orderings: current,
+        period,
+        orderings,
         exhaustive: false,
     }))
-}
-
-/// Convenience: the period lower bound of the one-port models
-/// (`max_k Cin + Ccomp + Cout`).
-pub fn oneport_period_lower_bound(app: &Application, graph: &ExecutionGraph) -> CoreResult<f64> {
-    Ok(PlanMetrics::compute(app, graph)?.period_lower_bound(CommModel::InOrder))
 }
 
 #[cfg(test)]
@@ -435,7 +332,9 @@ mod tests {
         // necessarily optimal, but every ordering is at least the lower bound 7
         // and at least the optimum 23/3.
         let (app, g) = section23();
-        let lb = oneport_period_lower_bound(&app, &g).unwrap();
+        let lb = PlanMetrics::compute(&app, &g)
+            .unwrap()
+            .period_lower_bound(CommModel::InOrder);
         assert_eq!(lb, 7.0);
         let natural = CommOrderings::natural(&g);
         let p = inorder_period_for_orderings(&app, &g, &natural).unwrap();
@@ -459,7 +358,9 @@ mod tests {
         // is reached (the building block of Proposition 8).
         let app = Application::independent(&[(2.0, 0.5), (3.0, 2.0), (1.0, 1.0)]);
         let g = ExecutionGraph::chain_of(3, &[0, 1, 2]).unwrap();
-        let lb = oneport_period_lower_bound(&app, &g).unwrap();
+        let lb = PlanMetrics::compute(&app, &g)
+            .unwrap()
+            .period_lower_bound(CommModel::InOrder);
         let result = oneport_period_search(&app, &g, OnePortStyle::InOrder, 10).unwrap();
         assert!((result.period - lb).abs() < 1e-9);
         let ol = inorder_oplist_for_orderings(&app, &g, &result.orderings).unwrap();

@@ -51,13 +51,13 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, OperationList
 
 use crate::engine::EvalCache;
 use crate::latency::{
-    latency_lower_bound, multiport_proportional_latency, oneport_latency_search_exec,
+    multiport_proportional_latency, oneport_latency_search_bounded, LatencyEvaluator,
 };
 use crate::minlatency::minimize_latency_engine;
 use crate::minperiod::{minimize_period_engine, PeriodEvaluation};
-use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_exec, OnePortStyle};
+use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
 use crate::orderings::CommOrderings;
-use crate::outorder::{outorder_period_search_exec, OutOrderOptions};
+use crate::outorder::outorder_period_search_bounded;
 use crate::overlap::overlap_period_oplist;
 use crate::par::Exec;
 
@@ -125,18 +125,17 @@ impl<'a> Problem<'a> {
 /// One shared budget for every enumeration a solve may perform.
 ///
 /// The plan searches ([`minimize_period`](crate::minperiod::minimize_period),
-/// [`minimize_latency`](crate::minlatency::minimize_latency)) and their
-/// local-search fallbacks take it too, so one value describes the effort of
-/// every solver.  The OUTORDER orchestration reads its ordering budget from
-/// [`SearchBudget::max_orderings`] (5 000 by default), not from
-/// [`OutOrderOptions::default`]'s `inorder_exhaustive_limit` (20 000), so
-/// a default-budget solve and a default-options
-/// [`outorder_period_search`](crate::outorder::outorder_period_search) can
-/// differ.
+/// [`minimize_latency`](crate::minlatency::minimize_latency)), their
+/// local-search fallbacks and the OUTORDER search
+/// ([`outorder_period_search`](crate::outorder::outorder_period_search))
+/// take it too, so one value describes the effort of every solver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SearchBudget {
     /// Bound on the communication-ordering space enumerated exhaustively;
-    /// beyond it the ordering searches fall back to hill climbing.
+    /// beyond it the ordering searches fall back to hill climbing.  Read by
+    /// every ordering search a solve runs: fixed-graph orchestration, the
+    /// OUTORDER search's `INORDER` fallback, MINLATENCY's DAG candidates and
+    /// [`PeriodEvaluation::Orchestrated`] candidates.
     pub max_orderings: usize,
     /// Bound on the execution-graph space enumerated exhaustively; beyond
     /// it the plan search falls back to seeded local search.  The space it
@@ -229,15 +228,6 @@ impl SearchBudget {
         Exec {
             threads: self.threads,
             deadline: self.time_limit.map(|d| Instant::now() + d),
-        }
-    }
-
-    fn outorder_options(&self) -> OutOrderOptions {
-        OutOrderOptions {
-            node_budget: self.outorder_node_budget,
-            refinement_steps: self.outorder_refinement_steps,
-            inorder_exhaustive_limit: self.max_orderings,
-            deadline: None, // supplied per solve through `Exec`
         }
     }
 }
@@ -419,7 +409,7 @@ pub fn solve_warm_observed(
             // Report the search's own value (bit-identical to the legacy
             // `minimize_period`); the orchestrated schedule stays available
             // through `oplist`.
-            solution.value = result.period;
+            solution.value = result.value;
             solution.exhaustive = result.exhaustive && solution.exhaustive;
             solution
         }
@@ -441,7 +431,7 @@ pub fn solve_warm_observed(
             let mut solution = orchestrated(&|| {
                 orchestrate_latency(problem.app, problem.model, &result.graph, budget, exec)
             })?;
-            solution.value = result.latency;
+            solution.value = result.value;
             solution.exhaustive = result.exhaustive && solution.exhaustive;
             solution
         }
@@ -474,10 +464,7 @@ fn warm_seed(
     // search's own measure, so refuse to seed that path.
     if problem.objective == Objective::MinPeriod
         && problem.model == CommModel::OutOrder
-        && matches!(
-            budget.period_evaluation,
-            PeriodEvaluation::Orchestrated { .. }
-        )
+        && budget.period_evaluation == PeriodEvaluation::Orchestrated
     {
         return None;
     }
@@ -494,13 +481,9 @@ fn warm_seed(
         return None;
     }
     let value = match problem.objective {
-        Objective::MinPeriod => crate::minperiod::evaluate_period(
-            problem.app,
-            graph,
-            problem.model,
-            budget.period_evaluation,
-        )
-        .ok()?,
+        Objective::MinPeriod => {
+            crate::minperiod::evaluate_period(problem.app, graph, problem.model, budget).ok()?
+        }
         Objective::MinLatency => crate::minlatency::evaluate_latency(
             problem.app,
             graph,
@@ -520,7 +503,8 @@ fn orchestrate_period(
     budget: &SearchBudget,
     exec: Exec,
 ) -> CoreResult<Solution> {
-    let lower_bound = PlanMetrics::compute(app, graph)?.period_lower_bound(model);
+    let metrics = PlanMetrics::compute(app, graph)?;
+    let lower_bound = metrics.period_lower_bound(model);
     let (value, oplist, orderings, exhaustive) = match model {
         CommModel::Overlap => {
             // Theorem 1: the lower bound is achieved by an explicit schedule.
@@ -528,13 +512,16 @@ fn orchestrate_period(
             (oplist.period(), Some(oplist), None, true)
         }
         CommModel::InOrder => {
-            let search = oneport_period_search_exec(
+            let search = oneport_period_search_bounded(
                 app,
                 graph,
+                &metrics,
                 OnePortStyle::InOrder,
                 budget.max_orderings,
                 exec,
-            )?;
+                f64::INFINITY,
+            )?
+            .expect("an infinite cutoff never prunes the search");
             let oplist = inorder_oplist_for_orderings(app, graph, &search.orderings)?;
             (
                 search.period,
@@ -544,7 +531,8 @@ fn orchestrate_period(
             )
         }
         CommModel::OutOrder => {
-            let search = outorder_period_search_exec(app, graph, &budget.outorder_options(), exec)?;
+            let search = outorder_period_search_bounded(app, graph, budget, exec, f64::INFINITY)?
+                .expect("an infinite cutoff never prunes");
             (search.period, Some(search.oplist), None, search.optimal)
         }
     };
@@ -568,8 +556,11 @@ fn orchestrate_latency(
     budget: &SearchBudget,
     exec: Exec,
 ) -> CoreResult<Solution> {
-    let lower_bound = latency_lower_bound(app, graph)?;
-    let oneport = oneport_latency_search_exec(app, graph, budget.max_orderings, exec)?;
+    let evaluator = LatencyEvaluator::new(app, graph)?;
+    let lower_bound = evaluator.lower_bound();
+    let oneport =
+        oneport_latency_search_bounded(&evaluator, budget.max_orderings, exec, f64::INFINITY)?
+            .expect("an infinite cutoff never prunes the search");
     let (value, oplist, orderings, exhaustive) = if model == CommModel::Overlap {
         // Bounded multi-port bandwidth sharing can strictly beat every
         // one-port schedule (counter-example B.2).
@@ -664,7 +655,7 @@ mod tests {
             &budget,
         )
         .unwrap();
-        let legacy = outorder_period_search(&app, &g, &OutOrderOptions::default()).unwrap();
+        let legacy = outorder_period_search(&app, &g, &budget).unwrap();
         assert_eq!(outorder.value, legacy.period);
 
         let latency = solve(
@@ -684,13 +675,13 @@ mod tests {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
             let legacy = minimize_period(&app, model, &budget).unwrap();
-            assert_eq!(solution.value, legacy.period, "{model}");
+            assert_eq!(solution.value, legacy.value, "{model}");
             assert_eq!(solution.graph.edge_count(), legacy.graph.edge_count());
 
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
             let legacy = minimize_latency(&app, model, &budget).unwrap();
-            assert_eq!(solution.value, legacy.latency, "{model}");
+            assert_eq!(solution.value, legacy.value, "{model}");
         }
     }
 

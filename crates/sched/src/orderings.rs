@@ -6,8 +6,15 @@
 //! paper show that choosing these orders optimally is NP-hard for the
 //! non-overlap models).  A [`CommOrderings`] value fixes one such choice for
 //! every server.
+//!
+//! The one-port period and latency searches share one enumerate-and-climb
+//! routine: `OrderingSpace::first_minimum` enumerates a space that fits
+//! the ordering budget, and `climb_orderings` hill-climbs adjacent swaps
+//! from the topological ordering beyond it.
 
-use fsw_core::{in_edges, out_edges, EdgeRef, ExecutionGraph, ServiceId};
+use fsw_core::{in_edges, out_edges, CoreResult, EdgeRef, ExecutionGraph, ServiceId};
+
+use crate::par::{fold_min, par_chunks, Exec};
 
 /// A fixed ordering of the incoming and outgoing communications of every server.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -199,6 +206,100 @@ impl OrderingSpace {
         let outgoing: Vec<Vec<EdgeRef>> = self.per_slot[self.n..].iter().map(&mut pick).collect();
         CommOrderings { incoming, outgoing }
     }
+
+    /// The first minimum of `eval` over the space, in enumeration order,
+    /// and whether every ordering was examined.
+    ///
+    /// The enumeration is split over `exec` workers in contiguous chunks
+    /// whose winners fold with the serial tie-break, so the result is
+    /// bit-identical to the serial run; `exec`'s deadline stops it early.
+    /// `eval(ords, bar)` values one ordering against `bar`, the tighter of
+    /// `cutoff` and the chunk's best so far.  It returns `None` for an
+    /// infeasible (dead-locked) ordering or one that provably ends strictly
+    /// above `bar`, and the exact value otherwise — so ties are valued in
+    /// full and the first minimum wins.
+    pub(crate) fn first_minimum<F>(
+        &self,
+        exec: Exec,
+        cutoff: f64,
+        eval: F,
+    ) -> (Option<(f64, CommOrderings)>, bool)
+    where
+        F: Fn(&CommOrderings, f64) -> Option<f64> + Sync,
+    {
+        let indices: Vec<usize> = (0..self.len()).collect();
+        let parts = par_chunks(exec.effective_threads(), &indices, |_base, chunk| {
+            let mut best: Option<(f64, usize)> = None;
+            let mut complete = true;
+            for &i in chunk {
+                if exec.expired() {
+                    complete = false;
+                    break;
+                }
+                let bar = best.map_or(cutoff, |(b, _)| cutoff.min(b));
+                let Some(value) = eval(&self.get(i), bar) else {
+                    continue;
+                };
+                // No early exit at the structural lower bound: computed
+                // values can land an ulp *below* it (different float
+                // paths), so stopping there could miss the bitwise minimum
+                // and break serial/parallel equivalence.
+                if best.is_none_or(|(b, _)| value < b) {
+                    best = Some((value, i));
+                }
+            }
+            (best, complete)
+        });
+        let complete = parts.iter().all(|(_, c)| *c);
+        let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
+        (best.map(|(value, i)| (value, self.get(i))), complete)
+    }
+}
+
+/// Hill climbing over adjacent swaps from the (always feasible) topological
+/// ordering: every server's incoming then outgoing list is tried position by
+/// position, and a swap is kept when it improves the value by more than
+/// `1e-12`.  Stops at a local minimum or once `exec`'s deadline has passed.
+///
+/// An error valuing the starting ordering propagates; candidates `eval`
+/// rejects (dead-locked orderings) are skipped.  Returns the final value and
+/// ordering.
+pub(crate) fn climb_orderings<F>(
+    graph: &ExecutionGraph,
+    exec: Exec,
+    mut eval: F,
+) -> CoreResult<(f64, CommOrderings)>
+where
+    F: FnMut(&CommOrderings) -> CoreResult<f64>,
+{
+    let mut current = CommOrderings::topological(graph);
+    let mut current_value = eval(&current)?;
+    let mut improved = true;
+    while improved && !exec.expired() {
+        improved = false;
+        for server in 0..graph.n() {
+            for outgoing in [false, true] {
+                let len = if outgoing {
+                    current.outgoing[server].len()
+                } else {
+                    current.incoming[server].len()
+                };
+                for pos in 0..len.saturating_sub(1) {
+                    let mut candidate = current.clone();
+                    candidate.swap_adjacent(server, outgoing, pos);
+                    let Ok(value) = eval(&candidate) else {
+                        continue;
+                    };
+                    if value + 1e-12 < current_value {
+                        current = candidate;
+                        current_value = value;
+                        improved = true;
+                    }
+                }
+            }
+        }
+    }
+    Ok((current_value, current))
 }
 
 /// All permutations of a slice (in lexicographic-ish order).

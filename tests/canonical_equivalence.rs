@@ -20,9 +20,7 @@ use fsw::sched::minperiod::{
     minimize_period,
 };
 use fsw::sched::orchestrator::SearchBudget;
-use fsw::sched::outorder::{
-    outorder_period_search, outorder_period_search_bounded, OutOrderOptions,
-};
+use fsw::sched::outorder::{outorder_period_search, outorder_period_search_bounded};
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
@@ -71,7 +69,7 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
             )
             .unwrap();
             assert_eq!(brute.0, reduced.value, "case {case} {model}: value");
-            assert!(reduced.complete);
+            assert!(reduced.exhaustive);
             // The canonical winner achieves the optimum itself.
             assert_eq!(eval(&reduced.graph), reduced.value, "case {case} {model}");
         }
@@ -189,7 +187,7 @@ fn uniform_solves_match_brute_force_end_to_end() {
                     .unwrap_or(f64::INFINITY)
             })
             .unwrap();
-            assert_eq!(brute.0, result.period, "case {case} {model}: period");
+            assert_eq!(brute.0, result.value, "case {case} {model}: period");
         }
         // MINLATENCY composes the canonical forest phase with the
         // (possibly reduced) seeded DAG phase; the value must still match
@@ -200,9 +198,9 @@ fn uniform_solves_match_brute_force_end_to_end() {
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
                 .unwrap();
         assert!(
-            result.latency <= forest.0 + 1e-12,
+            result.value <= forest.0 + 1e-12,
             "case {case}: latency {} vs forest optimum {}",
-            result.latency,
+            result.value,
             forest.0
         );
     }
@@ -225,17 +223,17 @@ fn uniform_n10_is_exhaustive_within_the_default_budget() {
 #[test]
 fn outorder_bound_never_prunes_the_optimum() {
     let mut rng = StdRng::seed_from_u64(0xCA05);
-    let opts = OutOrderOptions::default();
+    let budget = SearchBudget::default();
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         let graph = random_compatible_graph(&app, 0.5, &mut rng);
-        let unbounded = outorder_period_search(&app, &graph, &opts).unwrap();
+        let unbounded = outorder_period_search(&app, &graph, &budget).unwrap();
         validate_oplist(&app, &graph, &unbounded.oplist, CommModel::OutOrder)
             .unwrap_or_else(|v| panic!("case {case}: {v:?}"));
         for factor in [1.0, 1.5, 10.0] {
             let cutoff = unbounded.period * factor;
             let bounded =
-                outorder_period_search_bounded(&app, &graph, &opts, Exec::serial(), cutoff)
+                outorder_period_search_bounded(&app, &graph, &budget, Exec::serial(), cutoff)
                     .unwrap()
                     .expect("optimum within cutoff is never pruned");
             assert_eq!(bounded.period, unbounded.period, "case {case} x{factor}");
@@ -244,7 +242,7 @@ fn outorder_bound_never_prunes_the_optimum() {
         }
         for factor in [0.3, 0.8, 0.999] {
             let cutoff = unbounded.period * factor;
-            match outorder_period_search_bounded(&app, &graph, &opts, Exec::serial(), cutoff)
+            match outorder_period_search_bounded(&app, &graph, &budget, Exec::serial(), cutoff)
                 .unwrap()
             {
                 None => assert!(

@@ -9,7 +9,8 @@ use fsw::sched::latency::{multiport_proportional_latency, oneport_latency_search
 use fsw::sched::oneport::{
     inorder_oplist_for_orderings, inorder_period_for_orderings, oneport_period_search, OnePortStyle,
 };
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::overlap::overlap_period_oplist;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::CommOrderings;
@@ -40,7 +41,7 @@ fn schedulers_produce_valid_schedules_on_random_dags() {
         assert!(inorder.period >= metrics.period_lower_bound(CommModel::InOrder) - 1e-9);
 
         // OUTORDER search: valid, between the bound and the INORDER value.
-        let outorder = outorder_period_search(&app, &graph, &OutOrderOptions::default()).unwrap();
+        let outorder = outorder_period_search(&app, &graph, &SearchBudget::default()).unwrap();
         validate_oplist(&app, &graph, &outorder.oplist, CommModel::OutOrder)
             .unwrap_or_else(|v| panic!("trial {trial}: {v:?}"));
         assert!(outorder.period >= outorder.lower_bound - 1e-9);
@@ -119,7 +120,7 @@ fn model_period_ordering_holds() {
         let app = random_application(&RandomAppConfig::independent(5), &mut rng);
         let graph = random_dag_graph(5, 0.4, &mut rng);
         let overlap = overlap_period_oplist(&app, &graph).unwrap().period();
-        let outorder = outorder_period_search(&app, &graph, &OutOrderOptions::default())
+        let outorder = outorder_period_search(&app, &graph, &SearchBudget::default())
             .unwrap()
             .period;
         let inorder = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 2_000)

@@ -10,17 +10,27 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fsw::core::{CommModel, ExecutionGraph};
+use rand::Rng;
+
+use fsw::core::{CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 use fsw::sched::engine::{PartialPrune, Symmetry};
-use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_exec};
+use fsw::sched::latency::{
+    oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,
+    LatencyEvaluator,
+};
 use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{exhaustive_forest_search, minimize_period, SearchOutcome};
-use fsw::sched::oneport::{oneport_period_search, oneport_period_search_exec, OnePortStyle};
+use fsw::sched::oneport::{
+    inorder_period_for_orderings, oneport_period_search, oneport_period_search_bounded,
+    OnePortStyle,
+};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::overlap::overlap_period_oplist;
 use fsw::sched::{CommOrderings, Exec};
-use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
+use fsw::workloads::{
+    random_application, random_compatible_graph, random_dag_graph, RandomAppConfig,
+};
 
 const CASES: usize = 10;
 
@@ -71,11 +81,7 @@ fn fixed_graph_solve_matches_legacy() {
             &budget,
         )
         .unwrap();
-        let legacy_opts = OutOrderOptions {
-            inorder_exhaustive_limit: budget.max_orderings,
-            ..OutOrderOptions::default()
-        };
-        let legacy = outorder_period_search(&app, &graph, &legacy_opts).unwrap();
+        let legacy = outorder_period_search(&app, &graph, &budget).unwrap();
         assert_eq!(
             outorder.value, legacy.period,
             "case {case}: OUTORDER period"
@@ -109,7 +115,7 @@ fn plan_search_solve_matches_legacy() {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
             let legacy = minimize_period(&app, model, &budget).unwrap();
-            assert_eq!(solution.value, legacy.period, "case {case} {model}: period");
+            assert_eq!(solution.value, legacy.value, "case {case} {model}: period");
             assert_eq!(
                 graph_edges(&solution.graph),
                 graph_edges(&legacy.graph),
@@ -119,10 +125,7 @@ fn plan_search_solve_matches_legacy() {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
             let legacy = minimize_latency(&app, model, &budget).unwrap();
-            assert_eq!(
-                solution.value, legacy.latency,
-                "case {case} {model}: latency"
-            );
+            assert_eq!(solution.value, legacy.value, "case {case} {model}: latency");
             assert_eq!(
                 graph_edges(&solution.graph),
                 graph_edges(&legacy.graph),
@@ -144,7 +147,7 @@ fn constrained_plan_search_matches_legacy() {
             let solution =
                 solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
             let legacy = minimize_period(&app, model, &budget).unwrap();
-            assert_eq!(solution.value, legacy.period, "case {case} {model}");
+            assert_eq!(solution.value, legacy.value, "case {case} {model}");
             assert_eq!(graph_edges(&solution.graph), graph_edges(&legacy.graph));
             solution.graph.respects(&app).unwrap();
         }
@@ -201,29 +204,40 @@ fn parallel_searches_equal_serial() {
                     graph_edges(&parallel.graph),
                     "case {case} x{threads} {prune:?}: winning forest"
                 );
-                assert!(parallel.complete);
+                assert!(parallel.exhaustive);
             }
         }
 
         // Ordering enumeration, period and latency.
         let serial_p = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 50_000).unwrap();
         let serial_l = oneport_latency_search(&app, &graph, 50_000).unwrap();
+        let metrics = PlanMetrics::compute(&app, &graph).unwrap();
+        let evaluator = LatencyEvaluator::new(&app, &graph).unwrap();
         for threads in [2, 5] {
-            let par_p = oneport_period_search_exec(
+            let par_p = oneport_period_search_bounded(
                 &app,
                 &graph,
+                &metrics,
                 OnePortStyle::InOrder,
                 50_000,
                 Exec::threaded(threads),
+                f64::INFINITY,
             )
+            .unwrap()
             .unwrap();
             assert_eq!(serial_p.period, par_p.period, "case {case} x{threads}");
             assert_eq!(
                 serial_p.orderings, par_p.orderings,
                 "case {case} x{threads}"
             );
-            let par_l =
-                oneport_latency_search_exec(&app, &graph, 50_000, Exec::threaded(threads)).unwrap();
+            let par_l = oneport_latency_search_bounded(
+                &evaluator,
+                50_000,
+                Exec::threaded(threads),
+                f64::INFINITY,
+            )
+            .unwrap()
+            .unwrap();
             assert_eq!(serial_l.latency, par_l.latency, "case {case} x{threads}");
             assert_eq!(
                 serial_l.orderings, par_l.orderings,
@@ -231,6 +245,96 @@ fn parallel_searches_equal_serial() {
             );
         }
     }
+}
+
+/// An independent reference for the ordering searches' hill climb:
+/// first-improvement adjacent swaps from the topological ordering — servers
+/// in id order, each server's incoming list before its outgoing list — kept
+/// when they improve `value` by more than `1e-12`, until a pass finds no
+/// improvement.  Dead-locked candidates (`Err`) are skipped.
+fn reference_climb<F>(graph: &ExecutionGraph, value: F) -> (f64, CommOrderings)
+where
+    F: Fn(&CommOrderings) -> CoreResult<f64>,
+{
+    let mut current = CommOrderings::topological(graph);
+    let mut current_value = value(&current).expect("the topological ordering is feasible");
+    loop {
+        let mut improved = false;
+        for server in 0..graph.n() {
+            for outgoing in [false, true] {
+                let len = if outgoing {
+                    current.outgoing[server].len()
+                } else {
+                    current.incoming[server].len()
+                };
+                for pos in 0..len.saturating_sub(1) {
+                    let mut candidate = current.clone();
+                    if outgoing {
+                        candidate.outgoing[server].swap(pos, pos + 1);
+                    } else {
+                        candidate.incoming[server].swap(pos, pos + 1);
+                    }
+                    if let Ok(v) = value(&candidate) {
+                        if v + 1e-12 < current_value {
+                            current = candidate;
+                            current_value = v;
+                            improved = true;
+                        }
+                    }
+                }
+            }
+        }
+        if !improved {
+            return (current_value, current);
+        }
+    }
+}
+
+/// Beyond the ordering budget both one-port ordering searches hill-climb;
+/// their climbs must match the reference climb above — value bits and
+/// final orderings — valued through the public fixed-ordering functions.
+#[test]
+fn ordering_search_climbs_match_a_reference_climb() {
+    let mut rng = StdRng::seed_from_u64(1717);
+    let mut climbed = 0;
+    for case in 0..150 {
+        let n = rng.gen_range(3..=8);
+        let app = random_application(&RandomAppConfig::independent(n), &mut rng);
+        let p = rng.gen_range(0.2..0.8);
+        let graph = random_dag_graph(n, p, &mut rng);
+        // A one-element space fits the limit of 1 and is enumerated.
+        if CommOrderings::search_space_size(&graph) <= 1 {
+            continue;
+        }
+        climbed += 1;
+
+        let period = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 1).unwrap();
+        assert!(!period.exhaustive, "case {case}");
+        let (value, orderings) =
+            reference_climb(&graph, |o| inorder_period_for_orderings(&app, &graph, o));
+        assert_eq!(
+            period.period.to_bits(),
+            value.to_bits(),
+            "case {case}: period"
+        );
+        assert_eq!(period.orderings, orderings, "case {case}: period orderings");
+
+        let latency = oneport_latency_search(&app, &graph, 1).unwrap();
+        assert!(!latency.exhaustive, "case {case}");
+        let (value, orderings) = reference_climb(&graph, |o| {
+            oneport_latency_for_orderings(&app, &graph, o).map(|(l, _)| l)
+        });
+        assert_eq!(
+            latency.latency.to_bits(),
+            value.to_bits(),
+            "case {case}: latency"
+        );
+        assert_eq!(
+            latency.orderings, orderings,
+            "case {case}: latency orderings"
+        );
+    }
+    assert!(climbed >= 100, "only {climbed} of 150 instances climbed");
 }
 
 /// End-to-end: parallel `solve()` equals serial `solve()` on random

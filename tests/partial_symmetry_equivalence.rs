@@ -34,7 +34,7 @@ use fsw::sched::minperiod::{
     exhaustive_forest_best, exhaustive_forest_search, minimize_period, PeriodEvaluation,
 };
 use fsw::sched::orchestrator::SearchBudget;
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, tiered_query_optimization, RandomAppConfig};
@@ -124,7 +124,7 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
             )
             .unwrap();
             assert_eq!(brute.0, reduced.value, "case {case} {model}: value");
-            assert!(reduced.complete);
+            assert!(reduced.exhaustive);
             // The classed winner achieves the optimum itself.
             assert_eq!(eval(&reduced.graph), reduced.value, "case {case} {model}");
         }
@@ -261,7 +261,7 @@ fn multiclass_solves_match_brute_force_end_to_end() {
                     .unwrap_or(f64::INFINITY)
             })
             .unwrap();
-            assert_eq!(brute.0, result.period, "case {case} {model}: period");
+            assert_eq!(brute.0, result.value, "case {case} {model}: period");
         }
         // MINLATENCY: the forest phase is classed-reduced; the DAG phase may
         // only improve on it.
@@ -271,9 +271,9 @@ fn multiclass_solves_match_brute_force_end_to_end() {
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
                 .unwrap();
         assert!(
-            result.latency <= forest.0 + 1e-12,
+            result.value <= forest.0 + 1e-12,
             "case {case}: latency {} vs forest optimum {}",
-            result.latency,
+            result.value,
             forest.0
         );
     }
@@ -290,18 +290,19 @@ fn orchestrated_inorder_on_multiclass_keeps_the_exact_full_path() {
     let mut rng = StdRng::seed_from_u64(0x5009);
     for case in 0..CASES / 2 {
         let app = random_multiclass_app(4, &mut rng);
-        let evaluation = PeriodEvaluation::Orchestrated {
-            exhaustive_limit: 2_000,
-        };
-        let budget = SearchBudget::default().with_period_evaluation(evaluation);
+        let budget = SearchBudget {
+            max_orderings: 2_000,
+            ..SearchBudget::default()
+        }
+        .with_period_evaluation(PeriodEvaluation::Orchestrated);
         let result = minimize_period(&app, CommModel::InOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
         let brute = exhaustive_forest_best(&app, |g| {
-            fsw::sched::minperiod::evaluate_period(&app, g, CommModel::InOrder, evaluation)
+            fsw::sched::minperiod::evaluate_period(&app, g, CommModel::InOrder, &budget)
                 .unwrap_or(f64::INFINITY)
         })
         .unwrap();
-        assert_eq!(brute.0, result.period, "case {case}: value");
+        assert_eq!(brute.0, result.value, "case {case}: value");
         assert_eq!(
             graph_edges(&brute.1),
             graph_edges(&result.graph),
@@ -319,23 +320,21 @@ fn outorder_canonical_memoisation_matches_canonical_brute_force() {
     for case in 0..CASES / 2 {
         let app = random_multiclass_app(4, &mut rng);
         let classes = WeightClasses::of(&app);
-        let exhaustive_limit = 2_000;
-        let budget = SearchBudget::default()
-            .with_period_evaluation(PeriodEvaluation::Orchestrated { exhaustive_limit });
+        let budget = SearchBudget {
+            max_orderings: 2_000,
+            ..SearchBudget::default()
+        }
+        .with_period_evaluation(PeriodEvaluation::Orchestrated);
         let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
-        let opts = OutOrderOptions {
-            inorder_exhaustive_limit: exhaustive_limit,
-            ..OutOrderOptions::default()
-        };
         let brute = exhaustive_forest_best(&app, |g| {
             let member = canonical_classed_member(&classes, g).expect("forest candidates");
-            outorder_period_search(&app, &member, &opts)
+            outorder_period_search(&app, &member, &budget)
                 .map(|r| r.period)
                 .unwrap_or(f64::INFINITY)
         })
         .unwrap();
-        assert_eq!(brute.0, result.period, "case {case}: OUTORDER period");
+        assert_eq!(brute.0, result.value, "case {case}: OUTORDER period");
     }
 }
 
@@ -526,7 +525,7 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             None,
         );
         let outcome = outcome.unwrap();
-        assert!(outcome.complete, "cap {cap} x{threads}");
+        assert!(outcome.exhaustive, "cap {cap} x{threads}");
         assert_eq!(scan_value, outcome.value, "cap {cap} x{threads}: value");
         assert_eq!(
             graph_edges(&scan_graph),
@@ -644,7 +643,7 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                     None,
                 );
                 let outcome = outcome.unwrap();
-                assert!(outcome.complete, "n={n} {model} cap {cap} x{threads}");
+                assert!(outcome.exhaustive, "n={n} {model} cap {cap} x{threads}");
                 assert_eq!(
                     scan_value, outcome.value,
                     "n={n} {model} cap {cap} x{threads}: value"
@@ -710,7 +709,7 @@ fn streamed_latency_winner_matches_the_first_minimum_scan() {
                 );
                 let outcome = outcome.unwrap();
                 let at = format!("case {case} x{threads} cap {cap}");
-                assert!(outcome.complete, "{at}");
+                assert!(outcome.exhaustive, "{at}");
                 assert_eq!(scan_value.to_bits(), outcome.value.to_bits(), "{at}: value");
                 assert_eq!(
                     graph_edges(&scan_graph),

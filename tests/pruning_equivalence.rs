@@ -12,15 +12,17 @@ use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph, PlanMetrics};
 use fsw::sched::engine::{PartialPrune, Symmetry};
-use fsw::sched::latency::{oneport_latency_search, oneport_latency_search_bounded};
+use fsw::sched::latency::{
+    oneport_latency_search, oneport_latency_search_bounded, LatencyEvaluator,
+};
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
     evaluate_period, exhaustive_dag_best, exhaustive_forest_best, exhaustive_forest_search,
-    minimize_period, PeriodEvaluation,
+    minimize_period, minperiod_local_search, PeriodEvaluation,
 };
 use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use fsw::sched::orchestrator::{solve, solve_all, Objective, Problem, SearchBudget};
-use fsw::sched::outorder::{outorder_period_search, OutOrderOptions};
+use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
@@ -62,7 +64,7 @@ fn pruned_forest_enumeration_matches_brute_force() {
                 graph_edges(&pruned.graph),
                 "case {case} {model}: period winner"
             );
-            assert!(pruned.complete);
+            assert!(pruned.exhaustive);
         }
         let eval = |g: &ExecutionGraph| tree_latency(&app, g).unwrap_or(f64::INFINITY);
         let brute = exhaustive_forest_best(&app, eval).unwrap();
@@ -94,26 +96,25 @@ fn minimize_period_matches_brute_force() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         for model in CommModel::ALL {
-            for evaluation in [
-                PeriodEvaluation::LowerBound,
-                PeriodEvaluation::Orchestrated {
-                    exhaustive_limit: 2_000,
-                },
-            ] {
+            for evaluation in [PeriodEvaluation::LowerBound, PeriodEvaluation::Orchestrated] {
                 // OUTORDER's orchestrated evaluation runs a backtracking
                 // search per candidate: keep it to the cheap evaluation.
                 if model == CommModel::OutOrder && evaluation != PeriodEvaluation::LowerBound {
                     continue;
                 }
-                let budget = SearchBudget::default().with_period_evaluation(evaluation);
+                let budget = SearchBudget {
+                    max_orderings: 2_000,
+                    ..SearchBudget::default()
+                }
+                .with_period_evaluation(evaluation);
                 let result = minimize_period(&app, model, &budget).unwrap();
                 assert!(result.exhaustive, "case {case} {model} {evaluation:?}");
                 let brute = exhaustive_forest_best(&app, |g| {
-                    evaluate_period(&app, g, model, evaluation).unwrap_or(f64::INFINITY)
+                    evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
                 })
                 .unwrap();
                 assert_eq!(
-                    brute.0, result.period,
+                    brute.0, result.value,
                     "case {case} {model} {evaluation:?}: value"
                 );
                 assert_eq!(
@@ -137,10 +138,10 @@ fn constrained_minimize_period_matches_brute_force() {
             let budget = SearchBudget::default();
             let result = minimize_period(&app, model, &budget).unwrap();
             let brute = exhaustive_dag_best(&app, 5, |g| {
-                evaluate_period(&app, g, model, budget.period_evaluation).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
             })
             .unwrap();
-            assert_eq!(brute.0, result.period, "case {case} {model}: value");
+            assert_eq!(brute.0, result.value, "case {case} {model}: value");
             assert_eq!(
                 graph_edges(&brute.1),
                 graph_edges(&result.graph),
@@ -173,7 +174,7 @@ fn minimize_latency_matches_brute_force() {
             } else {
                 (forest.0, forest.1)
             };
-            assert_eq!(expected_value, result.latency, "case {case} {model}: value");
+            assert_eq!(expected_value, result.value, "case {case} {model}: value");
             assert_eq!(
                 graph_edges(&expected_graph),
                 graph_edges(&result.graph),
@@ -183,47 +184,66 @@ fn minimize_latency_matches_brute_force() {
     }
 }
 
-/// The orchestrated OUTORDER plan search values every candidate with the
-/// budget's OUTORDER fields — its backtracking-node budget and bisection
-/// steps — not the defaults: a starved budget must return exactly what a
-/// brute-force sweep with those options returns, value and winner.  (On
-/// these heterogeneous instances no orbit canonicalisation applies, so the
-/// sweep evaluates each labelled candidate as the search does.)
-#[test]
-fn outorder_plan_search_honours_the_budgets_outorder_fields() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let exhaustive_limit = 2_000;
-    let budget = SearchBudget {
+/// A starved OUTORDER budget: one backtracking node, no bisection steps.
+fn starved_outorder_budget() -> SearchBudget {
+    SearchBudget {
+        max_orderings: 2_000,
         outorder_node_budget: 1,
         outorder_refinement_steps: 0,
         ..SearchBudget::default()
     }
-    .with_period_evaluation(PeriodEvaluation::Orchestrated { exhaustive_limit });
-    let opts = OutOrderOptions {
-        node_budget: 1,
-        refinement_steps: 0,
-        inorder_exhaustive_limit: exhaustive_limit,
-        deadline: None,
-    };
+    .with_period_evaluation(PeriodEvaluation::Orchestrated)
+}
+
+/// The orchestrated OUTORDER plan search values every candidate with the
+/// budget's OUTORDER fields — its backtracking-node budget and bisection
+/// steps — not the defaults: a starved budget must return exactly what a
+/// brute-force sweep of the OUTORDER search under the same budget returns,
+/// value and winner.  (On these heterogeneous instances no orbit
+/// canonicalisation applies, so the sweep evaluates each labelled candidate
+/// as the search does.)
+#[test]
+fn outorder_plan_search_honours_the_budgets_outorder_fields() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let budget = starved_outorder_budget();
     for case in 0..12 {
         let app = random_application(&RandomAppConfig::independent(5), &mut rng);
         let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
         assert!(result.exhaustive, "case {case}");
         let brute = exhaustive_forest_best(&app, |g| {
-            outorder_period_search(&app, g, &opts)
+            outorder_period_search(&app, g, &budget)
                 .map(|r| r.period)
                 .unwrap_or(f64::INFINITY)
         })
         .unwrap();
         assert_eq!(
             brute.0.to_bits(),
-            result.period.to_bits(),
+            result.value.to_bits(),
             "case {case}: value"
         );
         assert_eq!(
             graph_edges(&brute.1),
             graph_edges(&result.graph),
             "case {case}: winner"
+        );
+    }
+}
+
+/// The local-search fallback values its candidates with the budget's OUTORDER
+/// fields too, as the exhaustive phase does: its value is the OUTORDER
+/// search of its winning graph under the same starved budget, bit for bit.
+#[test]
+fn local_search_fallback_honours_the_budgets_outorder_fields() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let budget = starved_outorder_budget();
+    for case in 0..12 {
+        let app = random_application(&RandomAppConfig::independent(5), &mut rng);
+        let local = minperiod_local_search(&app, CommModel::OutOrder, &budget).unwrap();
+        let oracle = outorder_period_search(&app, &local.graph, &budget).unwrap();
+        assert_eq!(
+            local.value.to_bits(),
+            oracle.period.to_bits(),
+            "case {case}: value"
         );
     }
 }
@@ -239,9 +259,10 @@ fn bounded_ordering_searches_match_unbounded() {
 
         let unbounded = oneport_latency_search(&app, &graph, 50_000).unwrap();
         assert!(unbounded.exhaustive);
+        let evaluator = LatencyEvaluator::new(&app, &graph).unwrap();
         for factor in [0.5, 0.9, 1.0, 1.5] {
             let cutoff = unbounded.latency * factor;
-            match oneport_latency_search_bounded(&app, &graph, 50_000, Exec::serial(), cutoff)
+            match oneport_latency_search_bounded(&evaluator, 50_000, Exec::serial(), cutoff)
                 .unwrap()
             {
                 None => assert!(
@@ -261,11 +282,13 @@ fn bounded_ordering_searches_match_unbounded() {
         }
 
         let unbounded = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 50_000).unwrap();
+        let metrics = PlanMetrics::compute(&app, &graph).unwrap();
         for factor in [0.5, 1.0, 2.0] {
             let cutoff = unbounded.period * factor;
             match oneport_period_search_bounded(
                 &app,
                 &graph,
+                &metrics,
                 OnePortStyle::InOrder,
                 50_000,
                 Exec::serial(),
@@ -339,17 +362,16 @@ fn canonical_minimize_period_matches_brute_force_on_uniform_weights() {
             let result = minimize_period(&app, model, &budget).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
-                evaluate_period(&app, g, model, budget.period_evaluation).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
             })
             .unwrap();
-            assert_eq!(brute.0, result.period, "case {case} {model}: value");
+            assert_eq!(brute.0, result.value, "case {case} {model}: value");
             // The canonical winner is a representative of an optimal orbit:
             // it must achieve the optimum itself (the labelled witness may
             // differ from the raw enumeration's — the documented tie-break).
             let winner_value =
-                evaluate_period(&app, &result.graph, model, budget.period_evaluation)
-                    .unwrap_or(f64::INFINITY);
-            assert_eq!(winner_value, result.period, "case {case} {model}: winner");
+                evaluate_period(&app, &result.graph, model, &budget).unwrap_or(f64::INFINITY);
+            assert_eq!(winner_value, result.value, "case {case} {model}: winner");
         }
     }
 }

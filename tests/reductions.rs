@@ -10,7 +10,8 @@ use fsw::rn3dm::{
     Rn3dmInstance,
 };
 use fsw::sched::latency::oneport_latency_search;
-use fsw::sched::outorder::{outorder_schedule_at, OutOrderOptions};
+use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::outorder::outorder_schedule_at;
 use fsw::sched::tree::tree_latency;
 
 /// E5 — Proposition 2 gadget: a YES RN3DM instance yields an execution graph
@@ -25,9 +26,9 @@ fn e5_prop2_yes_instances_reach_the_bound() {
             &gadget.app,
             &gadget.graph,
             gadget.bound,
-            &OutOrderOptions {
-                node_budget: 2_000_000,
-                ..OutOrderOptions::default()
+            &SearchBudget {
+                outorder_node_budget: 2_000_000,
+                ..SearchBudget::default()
             },
         )
         .unwrap()
@@ -61,9 +62,9 @@ fn e5_prop2_no_instances_need_multi_window_schedules() {
         &gadget.app,
         &gadget.graph,
         gadget.bound,
-        &OutOrderOptions {
-            node_budget: 2_000_000,
-            ..OutOrderOptions::default()
+        &SearchBudget {
+            outorder_node_budget: 2_000_000,
+            ..SearchBudget::default()
         },
     )
     .unwrap();
