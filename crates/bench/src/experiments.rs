@@ -36,8 +36,8 @@ use fsw_sched::tree::tree_latency;
 use fsw_sched::CommOrderings;
 use fsw_serve::{FrontendConfig, PlanRequest, PlanService, ServeSource};
 use fsw_sim::{
-    replay_oplist, replay_trace, replay_trace_async, simulate_inorder, Disposition, FaultPlan,
-    FrontendReplayConfig, FrontendReport, ServeReplayConfig,
+    replay_oplist, replay_trace, simulate_inorder, Disposition, FaultPlan, ServeReplayConfig,
+    TraceReport,
 };
 use fsw_workloads::streaming::{serving_trace, ArrivalTrace, TraceConfig};
 use fsw_workloads::{
@@ -1010,15 +1010,15 @@ pub fn e15_overload() -> Vec<ExperimentRow> {
 /// Same template structure as the E15 overload trace: 4 templates of 6
 /// distinct-weight services (the steady state is store hits), every 16th
 /// tenant a 24-service jumbo whose requests admission must reject in
-/// O(1), no mutations (the async path never re-plans).  Dispatch outruns
-/// the steady arrival rate (8 per tick), so backlog only builds under
-/// the burst; the low watermarks make the hysteresis visible, and the
-/// 4-tick deadline cancels the burst tail that waits longer than a full
-/// queue drain.  Ordinal 0 is tenant 0's first request — always the cold
-/// leader of template 0 — so the injected stall (10x the watchdog)
-/// deterministically times out exactly one solve and quarantines the
-/// fingerprint; the slow shard stretches wall latency without touching
-/// any decision.
+/// O(1), no mutations (so every request goes through the event loop and
+/// none re-plans).  Dispatch outruns the steady arrival rate (8 per
+/// tick), so backlog only builds under the burst; the low watermarks
+/// make the hysteresis visible, and the 4-tick deadline cancels the
+/// burst tail that waits longer than a full queue drain.  Ordinal 0 is
+/// tenant 0's first request — always the cold leader of template 0 — so
+/// the injected stall (10x the watchdog) deterministically times out
+/// exactly one solve and quarantines the fingerprint; the slow shard
+/// stretches wall latency without touching any decision.
 fn overload_scenario(
     tenants: usize,
     steps: usize,
@@ -1088,15 +1088,15 @@ fn async_overload_rows(
         worker_counts[0],
     );
     let run = |workers: usize| {
-        let config = FrontendReplayConfig {
-            frontend: FrontendConfig {
+        let config = ServeReplayConfig {
+            frontend: Some(FrontendConfig {
                 workers,
                 ..frontend
-            },
+            }),
             faults: faults.clone(),
-            ..FrontendReplayConfig::default()
+            ..ServeReplayConfig::default()
         };
-        replay_trace_async(&trace, &config).expect("async replay")
+        replay_trace(&trace, &config).expect("async replay")
     };
     let report = run(worker_counts[0]);
     let digest = report.digest();
@@ -1139,15 +1139,15 @@ fn async_overload_rows(
     // The shed-rate curve: zero at steady state, sharply up in the burst
     // window (the 64-slot queue absorbs only a sliver of the burst), and
     // back to zero well after the drain.
-    let burst_tick = report
+    let burst_step = report
         .outcomes
         .iter()
         .find(|o| o.burst_extra)
         .expect("the injected burst must fire")
-        .submitted_tick;
-    let before_rate = report.shed_rate_between(burst_tick.saturating_sub(64), burst_tick);
-    let burst_rate = report.shed_rate_between(burst_tick, burst_tick + 8);
-    let calm_rate = report.shed_rate_between(burst_tick + 64, burst_tick + 128);
+        .step;
+    let before_rate = report.shed_rate_between(burst_step.saturating_sub(64), burst_step);
+    let burst_rate = report.shed_rate_between(burst_step, burst_step + 8);
+    let calm_rate = report.shed_rate_between(burst_step + 64, burst_step + 128);
     assert_eq!(before_rate, 0.0, "sheds before the burst");
     assert!(
         burst_rate > 0.5,
@@ -1298,17 +1298,17 @@ fn observed_overload_rows(
         stall_timeout,
         worker_counts[0],
     );
-    let run = |workers: usize, metrics: Option<Arc<MetricsRegistry>>| -> FrontendReport {
-        let config = FrontendReplayConfig {
-            frontend: FrontendConfig {
+    let run = |workers: usize, metrics: Option<Arc<MetricsRegistry>>| -> TraceReport {
+        let config = ServeReplayConfig {
+            frontend: Some(FrontendConfig {
                 workers,
                 ..frontend
-            },
+            }),
             faults: faults.clone(),
             metrics,
-            ..FrontendReplayConfig::default()
+            ..ServeReplayConfig::default()
         };
-        replay_trace_async(&trace, &config).expect("async replay")
+        replay_trace(&trace, &config).expect("async replay")
     };
     // The two arms run back-to-back inside each iteration, and the
     // overhead contract is asserted *pairwise*: an iteration's
@@ -1431,7 +1431,7 @@ fn observed_overload_rows(
     for outcome in &report.outcomes {
         let tenant = outcome.tenant as u64;
         *exact_requests.entry(tenant).or_default() += 1;
-        if outcome.is_shed() {
+        if outcome.disposition.is_shed() {
             *exact_sheds.entry(tenant).or_default() += 1;
         }
         if outcome.disposition == Disposition::Degraded {

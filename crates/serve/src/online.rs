@@ -26,10 +26,7 @@
 //! of the serving workloads; precedence constraints would make the splice
 //! adaptation unsound).
 
-use std::sync::Arc;
-
 use fsw_core::{Application, CommModel, CoreError, CoreResult, ExecutionGraph, ServiceId};
-use fsw_obs::MetricsRegistry;
 use fsw_sched::engine::EvalCache;
 use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 
@@ -100,10 +97,6 @@ pub struct TenantSession {
     plan: Option<ExecutionGraph>,
     replans: usize,
     total_churn: usize,
-    /// Observability registry, when attached: each replan records a
-    /// `session.replan` span and threads the registry through the solve
-    /// pipeline (engine stream/expand/certify stages).
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl TenantSession {
@@ -131,17 +124,7 @@ impl TenantSession {
             plan: None,
             replans: 0,
             total_churn: 0,
-            metrics: None,
         })
-    }
-
-    /// Attaches an observability registry: every subsequent
-    /// [`replan`](Self::replan) records a `session.replan` span (count +
-    /// duration histogram) and threads the registry down the solve
-    /// pipeline, so engine-stage spans land in the same registry.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
-        self
     }
 
     /// The tenant's current application.
@@ -285,16 +268,13 @@ impl TenantSession {
     /// stability counters are updated.
     pub fn replan(&mut self) -> CoreResult<ReplanOutcome> {
         let problem = Problem::new(&self.app, self.model, self.objective);
-        let replan_span = self.metrics.as_ref().map(|r| r.span("session.replan"));
-        let replan_guard = replan_span.as_ref().map(|t| t.start());
         let (solution, stats) = solve_warm_observed(
             &problem,
             &self.budget,
             &self.cache,
             self.plan.as_ref(),
-            self.metrics.as_ref(),
+            None,
         )?;
-        drop(replan_guard);
         let churn = self
             .plan
             .as_ref()

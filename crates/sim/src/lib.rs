@@ -13,13 +13,13 @@
 //!   achieved completion times.
 //! * [`replay_trace`] — replays a *serving trace* (tenants, requests and
 //!   service-set mutations arriving over time) through the `fsw_serve`
-//!   planning service, with optional shadow cold solves cross-validating
-//!   every served value bit-for-bit.
-//! * [`replay_trace_async`] — the same timeline through the event-loop
-//!   front end (`fsw_serve::AsyncFrontend`): bounded ingress queues,
-//!   adaptive backpressure, deadline cancellation and stall watchdogs,
-//!   with the same ordinal-keyed faults plus ingress bursts, and a
-//!   worker-count-independent decision digest.
+//!   planning service, by either front door: one `serve_batch` per step,
+//!   or the event loop (`fsw_serve::AsyncFrontend`) with bounded ingress
+//!   queues, adaptive backpressure, deadline cancellation and stall
+//!   watchdogs.  Ordinal-keyed faults and ingress bursts, online
+//!   re-plans, optional shadow cold solves cross-validating every exact
+//!   value bit-for-bit, and a worker-count-independent decision digest
+//!   work the same on both.
 //!
 //! ```
 //! use fsw_core::{Application, CommModel, ExecutionGraph};
@@ -36,15 +36,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod frontend_replay;
 pub mod measure;
 pub mod oneport;
 pub mod replay;
 pub mod serve_replay;
 
-pub use frontend_replay::{
-    replay_trace_async, AsyncRequestOutcome, FrontendReplayConfig, FrontendReport,
-};
 pub use measure::SimReport;
 pub use oneport::simulate_inorder;
 pub use replay::replay_oplist;

@@ -1,57 +1,59 @@
 //! Replay of a serving trace through the multi-tenant planning service.
 //!
 //! The analytic twin of the op-list replay: where [`crate::replay_oplist`]
-//! executes one *schedule* against the resource rules, this harness
+//! executes one *schedule* against the resource rules, [`replay_trace`]
 //! executes a whole *serving timeline*
 //! ([`fsw_workloads::streaming::ArrivalTrace`]) against the `fsw_serve`
-//! stack — tenants are admitted into [`TenantSession`]s, request batches
-//! flow through a [`PlanService`] (admission control + fingerprint store +
-//! in-flight dedup + worker pool), and service-set mutations trigger
-//! warm-started online re-plans whose results are published back into the
-//! store.
+//! stack.  Tenants live in [`TenantSession`]s: a service-set mutation
+//! marks its tenant dirty, and the tenant's next request re-plans online
+//! (warm-started) and publishes the plan into the store.  Every other
+//! request goes through the front door that [`ServeReplayConfig::frontend`]
+//! names — one [`PlanService::serve_batch`] per step, or an
+//! [`AsyncFrontend`] that ticks once per step and drains after the
+//! timeline, so backlog builds across steps.  Everything else is shared:
+//! tenants, request ordinals, faults, outcomes and the report.
 //!
-//! With [`ServeReplayConfig::verify`] on, every **exactly answered** request
-//! additionally runs a **shadow cold solve** of the tenant's current
-//! application outside the serving path: the report then carries, per
-//! request, the ground-truth value (served `Exact` values must match it
-//! bit-for-bit) and the cold evaluation count (warm re-plans must not
-//! evaluate more).  Shadow solves are memoised by the tenant's exact
-//! service list — a 100 000-request trace over a handful of templates costs
-//! a handful of shadow solves — and are excluded from the serving wall
-//! time.
+//! With [`ServeReplayConfig::verify`] on, every **exact** answer is checked
+//! against a **shadow cold solve** of the application its request carried
+//! (served values must match it bit-for-bit; warm re-plans must not
+//! evaluate more candidates).  Shadow solves are memoised by the exact
+//! service list, so a 100 000-request trace over a handful of templates
+//! costs a handful of them, and they are excluded from the serving wall.
 //!
-//! With a non-empty [`FaultPlan`], the replay drives the service's
-//! deterministic fault hook: solver panics, artificial slowdowns and
-//! deadline blowouts are injected by **request ordinal** (arrival order at
-//! the service), so a faulted replay takes the same admit/degrade/reject
-//! path whatever the worker thread count — the foundation of the
-//! robustness digests asserted in tests and the E15 overload experiment.
+//! A [`FaultPlan`] injects solver panics, slowdowns, slow store shards,
+//! deadline blowouts and ingress bursts by **request ordinal** (arrival
+//! order at the service).  Every decision is a function of the ordinals
+//! and the logical timeline, so a faulted replay takes the same
+//! admit/degrade/reject path whatever the worker thread count — the
+//! robustness digests of the tests and the E15–E17 experiments rest on it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fsw_core::{Application, CommModel, CoreError, CoreResult};
+use fsw_obs::{LogHistogram, MetricsRegistry};
 use fsw_sched::engine::EvalCache;
 use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw_serve::{
-    InjectedFault, PlanRequest, PlanService, RejectReason, ServeOutcome, ServeSource, ServeStats,
-    TenantSession,
+    AsyncFrontend, Completion, FrontendConfig, InjectedFault, PlanRequest, PlanService,
+    RejectReason, ServeOutcome, ServeSource, ServeStats, TenantEvent, TenantSession,
 };
-use fsw_workloads::streaming::{ArrivalTrace, TraceEventKind};
+use fsw_workloads::streaming::{ArrivalTrace, TraceEvent, TraceEventKind};
 
 /// How a request was answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestPath {
-    /// Cold solve (the leader of its fingerprint in its batch).
+    /// Cold solve (the leader of its fingerprint).
     Cold,
     /// Served from the plan store.
     Store,
-    /// Deduplicated in flight against a same-batch leader.
+    /// Joined an in-flight solve of the same fingerprint.
     Dedup,
     /// Warm-started online re-plan after a service-set mutation.
     Replan,
-    /// No plan served: rejected by admission, quarantine, or a caught
-    /// solver panic.
+    /// No plan served: shed, cancelled, or rejected by admission,
+    /// quarantine, a caught solver panic or a stall.
     Rejected,
 }
 
@@ -121,6 +123,9 @@ impl Disposition {
 pub struct RequestOutcome {
     /// The step the request fired at.
     pub step: usize,
+    /// The request's arrival ordinal at the service; `None` for a re-plan,
+    /// which never reaches a front door.
+    pub ordinal: Option<u64>,
     /// The requesting tenant.
     pub tenant: usize,
     /// How it was answered.
@@ -129,19 +134,17 @@ pub struct RequestOutcome {
     pub disposition: Disposition,
     /// The served objective value (`NaN` on the rejected path).
     pub value: f64,
-    /// Whether the underlying solve was exhaustive.
-    pub exhaustive: bool,
     /// Certified admissible lower bound of a degraded answer (or the floor
     /// quoted with a rejection), when one was priced.
     pub lower_bound: Option<f64>,
     /// Wall-clock latency attributed to the request: its batch's serving
-    /// time (shared across the batch) or its re-plan's solve time.
+    /// time (shared across the batch) or its re-plan's solve time;
+    /// `Duration::ZERO` on the event-loop door, which measures latency in
+    /// [`latency_ticks`](Self::latency_ticks).
     pub latency: Duration,
     /// Plan churn of a re-plan (moved parent assignments); `None` off the
     /// replan path.
     pub churn: Option<usize>,
-    /// The warm-start seed of a re-plan.
-    pub warm_value: Option<f64>,
     /// Candidates evaluated by a re-plan's search (0 off the replan path).
     pub evaluated: usize,
     /// Ground-truth value from the shadow cold solve (verify mode, exact
@@ -149,19 +152,29 @@ pub struct RequestOutcome {
     pub cold_value: Option<f64>,
     /// Candidates the shadow cold solve evaluated (verify mode).
     pub cold_evaluated: Option<usize>,
+    /// `true` when the request is a copy injected by a scheduled ingress
+    /// burst rather than a trace event.
+    pub burst_extra: bool,
+    /// Queueing + service latency in logical ticks on the event-loop door
+    /// (`0` on the batch door and for re-plans).
+    pub latency_ticks: u64,
 }
 
 /// Aggregate report of one trace replay.
 #[derive(Debug)]
 pub struct TraceReport {
-    /// Per-request outcomes, in timeline order.
+    /// Per-request outcomes in timeline order: each step's re-plans (in
+    /// trace order), then its requests by ordinal.
     pub outcomes: Vec<RequestOutcome>,
-    /// Tenants admitted.
+    /// Tenants in the trace.
     pub tenants: usize,
-    /// Wall time spent *serving* (batches + re-plans; shadow solves and
-    /// bookkeeping excluded).
+    /// Logical ticks the event loop ran (timeline + drain); `0` on the
+    /// batch door.
+    pub ticks: u64,
+    /// Wall time of the replay minus its shadow solves: admissions,
+    /// mutations, re-plans, submissions and answers, the drain included.
     pub serve_wall: Duration,
-    /// The service's final counters, store included (replans are not
+    /// The service's final counters, store included (re-plans are not
     /// service requests).
     pub stats: ServeStats,
     /// Plan-store entries holding a non-exhaustive plan at the end of the
@@ -170,7 +183,7 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Total requests answered (serving paths + re-plans).
+    /// Total requests answered (front-door answers + re-plans).
     pub fn requests(&self) -> usize {
         self.outcomes.len()
     }
@@ -210,6 +223,31 @@ impl TraceReport {
             })
     }
 
+    /// Requests shed by overload protection (queue-full + backpressure).
+    pub fn sheds(&self) -> usize {
+        self.outcomes
+            .iter()
+            .filter(|o| o.disposition.is_shed())
+            .count()
+    }
+
+    /// Fraction of the requests of steps `[from_step, to_step)` that were
+    /// shed — the shed-rate curve overload contracts assert on (rises
+    /// under a burst, returns to baseline after the drain).
+    pub fn shed_rate_between(&self, from_step: usize, to_step: usize) -> f64 {
+        let window = self
+            .outcomes
+            .iter()
+            .filter(|o| (from_step..to_step).contains(&o.step));
+        let (total, shed) = window.fold((0, 0), |(total, shed), o| {
+            (total + 1, shed + usize::from(o.disposition.is_shed()))
+        });
+        if total == 0 {
+            return 0.0;
+        }
+        shed as f64 / total as f64
+    }
+
     /// The `p`-th percentile (0–100, nearest-rank) of per-request latency.
     pub fn latency_percentile(&self, p: f64) -> Duration {
         if self.outcomes.is_empty() {
@@ -219,6 +257,21 @@ impl TraceReport {
         latencies.sort_unstable();
         let rank = ((p / 100.0) * (latencies.len() - 1) as f64).round() as usize;
         latencies[rank.min(latencies.len() - 1)]
+    }
+
+    /// The `p`-th percentile (0–100, nearest-rank) of per-request latency
+    /// in logical ticks — deterministic, unlike wall latency.
+    ///
+    /// Read from a log₂-scale histogram of the outcomes, the same
+    /// instrument the event loop records into a registry.  Tick latencies
+    /// sit in the histogram's exact region (one bucket per value under
+    /// 1024), where its quantiles equal a sorted-vector nearest-rank scan.
+    pub fn latency_tick_percentile(&self, p: f64) -> u64 {
+        let histogram = LogHistogram::new();
+        for outcome in &self.outcomes {
+            histogram.record(outcome.latency_ticks);
+        }
+        histogram.quantile(p)
     }
 
     /// Sum of plan churn over all re-plans.
@@ -259,23 +312,37 @@ impl TraceReport {
         self.outcomes.len() as f64 / secs
     }
 
-    /// A thread-count-independent digest of the replay for determinism
-    /// tests: `(step, tenant, path, disposition, value bits, churn)` per
-    /// request.  Latencies and evaluation counts are excluded — parallel
-    /// searches return identical *results* but different timings, and may
-    /// probe more candidates against a staler incumbent.
+    /// A worker-count-independent digest of the replay for determinism
+    /// tests: `(step, ordinal, tenant, path, disposition, value bits,
+    /// churn, latency ticks)` per request.  Wall latencies and evaluation
+    /// counts are excluded — parallel searches return identical *results*
+    /// but different timings, and may probe more candidates against a
+    /// staler incumbent.
     #[allow(clippy::type_complexity)] // a flat digest row, named by its doc
-    pub fn digest(&self) -> Vec<(usize, usize, RequestPath, Disposition, u64, Option<usize>)> {
+    pub fn digest(
+        &self,
+    ) -> Vec<(
+        usize,
+        Option<u64>,
+        usize,
+        RequestPath,
+        Disposition,
+        u64,
+        Option<usize>,
+        u64,
+    )> {
         self.outcomes
             .iter()
             .map(|o| {
                 (
                     o.step,
+                    o.ordinal,
                     o.tenant,
                     o.path,
                     o.disposition,
                     o.value.to_bits(),
                     o.churn,
+                    o.latency_ticks,
                 )
             })
             .collect()
@@ -290,11 +357,12 @@ impl TraceReport {
 /// deduplicated, or rejected before the pool leave their fault unused.
 ///
 /// Beyond the service's [`InjectedFault`]s (panic, slowdown — a worker
-/// stall when it outlasts the front end's watchdog —, slow store shard,
+/// stall when it outlasts the event loop's watchdog —, slow store shard,
 /// deadline blowout), the plan carries **ingress bursts**: at the
-/// scheduled ordinal the async replay injects that many extra
-/// synthetic requests, modelling an arrival spike.  All of them stay keyed
-/// by ordinal, so replay digests remain thread-count independent.
+/// scheduled ordinal the replay submits that many extra copies of the
+/// request in the same step, on either front door, modelling an arrival
+/// spike.  All of them stay keyed by ordinal, so replay digests remain
+/// thread-count independent.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     faults: HashMap<u64, InjectedFault>,
@@ -314,7 +382,7 @@ impl FaultPlan {
     }
 
     /// Schedules an artificial `stall` before the solve at `ordinal`.  On
-    /// the async front end a `stall` that comfortably exceeds the
+    /// the event-loop door a `stall` that comfortably exceeds the
     /// configured `stall_timeout` is timed out by the watchdog as a
     /// [`fsw_serve::RejectReason::WorkerStall`].
     pub fn slow_at(mut self, ordinal: u64, stall: Duration) -> Self {
@@ -384,8 +452,19 @@ pub struct ServeReplayConfig {
     pub model: CommModel,
     /// The objective every request optimises.
     pub objective: Objective,
-    /// Faults to inject, by request ordinal (empty = fault-free).
+    /// Faults and ingress bursts to inject, by request ordinal (empty =
+    /// fault-free).
     pub faults: FaultPlan,
+    /// Observability registry the service records into (counters, spans,
+    /// latency histogram, tenant sketches, engine stages).  `None`
+    /// replays without it — the overhead baseline, whose counters live in
+    /// the service's private registry.
+    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// The front door: `None` serves each step as one
+    /// [`PlanService::serve_batch`]; `Some` submits every request to an
+    /// [`AsyncFrontend`] with these knobs (workers, queue bounds, dispatch
+    /// rate, hysteresis watermarks, deadlines, stall watchdog).
+    pub frontend: Option<FrontendConfig>,
 }
 
 impl Default for ServeReplayConfig {
@@ -397,244 +476,350 @@ impl Default for ServeReplayConfig {
             model: CommModel::Overlap,
             objective: Objective::MinPeriod,
             faults: FaultPlan::new(),
+            metrics: None,
+            frontend: None,
         }
     }
 }
 
 /// Replays `trace` through a fresh [`PlanService`] (see the module docs).
-/// Events of one step form one service batch; mutations precede the step's
-/// requests.  Returns the per-request outcomes and aggregate counters.
-///
-/// Rejected requests (admission, quarantine, injected panics) are reported
-/// like any other outcome — the tenant keeps its previous plan, nothing is
-/// adopted and no shadow solve runs.
+/// Per step, admissions and mutations land first; then a dirty tenant's
+/// request re-plans, and the other requests (with the burst copies
+/// scheduled at their ordinals) go through the front door.  Rejected
+/// requests are reported like any other outcome: the tenant keeps its
+/// previous plan and no shadow solve runs.  A trace event for a tenant
+/// outside `0..trace.tenants`, or before its admission, is an error.
 pub fn replay_trace(trace: &ArrivalTrace, config: &ServeReplayConfig) -> CoreResult<TraceReport> {
     let mut service = PlanService::new(config.budget, config.store_capacity);
     if !config.faults.is_empty() {
         let faults = config.faults.clone();
         service = service.with_fault_injection(move |ordinal| faults.at(ordinal));
     }
-    let service = service;
-    let mut sessions: Vec<Option<TenantSession>> = (0..trace.tenants).map(|_| None).collect();
-    // A tenant is dirty between a mutation and its next request: that
-    // request re-plans online instead of going through the batch.
-    let mut dirty = vec![false; trace.tenants];
-    // Shadow ground truths memoised by the tenant's exact service list (in
-    // label order — only an *identical* application may share a shadow).
-    let mut shadow_memo: HashMap<Vec<(u64, u64)>, (f64, usize)> = HashMap::new();
-    let mut outcomes = Vec::new();
-    let mut serve_wall = Duration::ZERO;
-    let mut at = 0;
-    while at < trace.events.len() {
-        let step = trace.events[at].step;
-        let mut end = at;
-        while end < trace.events.len() && trace.events[end].step == step {
-            end += 1;
-        }
-        let events = &trace.events[at..end];
-        at = end;
+    if let Some(registry) = &config.metrics {
+        service = service.with_metrics(Arc::clone(registry));
+    }
+    let service = Arc::new(service);
+    let mut frontend = config
+        .frontend
+        .map(|frontend| AsyncFrontend::new(Arc::clone(&service), frontend));
+    let mut replay = Replay {
+        config,
+        service: &service,
+        tenants: (0..trace.tenants).map(|_| None).collect(),
+        rows: Vec::new(),
+        submitted: Vec::new(),
+        carried: Vec::new(),
+        shadows: Shadows::default(),
+    };
+    let started = Instant::now();
+    let mut requests: Vec<PlanRequest> = Vec::new();
+    for events in trace.events.chunk_by(|a, b| a.step == b.step) {
+        let step = events[0].step;
         // 1. Admissions and mutations of the step.
         for event in events {
-            match &event.kind {
-                TraceEventKind::Admit { services } => {
-                    let app = Application::independent(services);
-                    sessions[event.tenant] = Some(TenantSession::new(
-                        app,
-                        config.model,
-                        config.objective,
-                        config.budget,
-                    )?);
-                }
-                TraceEventKind::Arrive { cost, selectivity } => {
-                    session_mut(&mut sessions, event.tenant)?.apply(
-                        fsw_serve::TenantEvent::Arrive {
-                            cost: *cost,
-                            selectivity: *selectivity,
-                        },
-                    )?;
-                    dirty[event.tenant] = true;
-                }
-                TraceEventKind::Depart { service: departed } => {
-                    session_mut(&mut sessions, event.tenant)?
-                        .apply(fsw_serve::TenantEvent::Depart { service: *departed })?;
-                    dirty[event.tenant] = true;
-                }
-                TraceEventKind::Reweight {
-                    service: target,
-                    cost,
-                    selectivity,
-                } => {
-                    session_mut(&mut sessions, event.tenant)?.apply(
-                        fsw_serve::TenantEvent::Reweight {
-                            service: *target,
-                            cost: *cost,
-                            selectivity: *selectivity,
-                        },
-                    )?;
-                    dirty[event.tenant] = true;
-                }
-                TraceEventKind::Request => {}
-            }
+            replay.apply(event)?;
         }
-        // 2. The step's requests: dirty tenants re-plan online (and publish
-        // the result), the rest form one service batch.
-        let mut batch_tenants: Vec<usize> = Vec::new();
+        // 2. The step's requests: a dirty tenant re-plans online, every
+        // other request is submitted with the burst copies scheduled at
+        // its ordinal.
+        let first = replay.submitted.len() as u64;
         for event in events {
             if !matches!(event.kind, TraceEventKind::Request) {
                 continue;
             }
-            let tenant = event.tenant;
-            if dirty[tenant] {
-                dirty[tenant] = false;
-                let session = session_mut(&mut sessions, tenant)?;
-                let started = Instant::now();
-                let replan = session.replan()?;
-                let elapsed = started.elapsed();
-                serve_wall += elapsed;
-                // Sessions and service run under the same config budget, so
-                // the budget-equality gate of `publish` accepts here (the
-                // exhaustiveness gate still applies: an interrupted re-plan
-                // is served to the tenant but never cached).
-                service.publish(
-                    session.app(),
-                    config.model,
-                    config.objective,
-                    &config.budget,
-                    replan.value,
-                    &replan.graph,
-                    replan.exhaustive,
-                    elapsed.as_micros().min(u64::MAX as u128) as u64,
-                );
-                let (cold_value, cold_evaluated) = if config.verify && replan.exhaustive {
-                    let (value, evaluated) = shadow_cold_solve(
-                        &mut shadow_memo,
-                        session.app(),
-                        config.model,
-                        config.objective,
-                        &config.budget,
-                    )?;
-                    (Some(value), Some(evaluated))
-                } else {
-                    (None, None)
-                };
-                outcomes.push(RequestOutcome {
-                    step,
-                    tenant,
-                    path: RequestPath::Replan,
-                    disposition: if replan.exhaustive {
-                        Disposition::Exact
-                    } else {
-                        Disposition::Degraded
-                    },
-                    value: replan.value,
-                    exhaustive: replan.exhaustive,
-                    lower_bound: None,
-                    latency: elapsed,
-                    churn: Some(replan.churn),
-                    warm_value: replan.warm_value,
-                    evaluated: replan.evaluated,
-                    cold_value,
-                    cold_evaluated,
-                });
-            } else {
-                batch_tenants.push(tenant);
+            if tenant_mut(&mut replay.tenants, event.tenant)?.dirty {
+                replay.replan(step, event.tenant)?;
+                continue;
+            }
+            let ordinal = replay.submitted.len() as u64;
+            for copy in 0..=config.faults.burst_of(ordinal).unwrap_or(0) {
+                requests.push(replay.request(step, event.tenant, copy > 0)?);
             }
         }
-        if !batch_tenants.is_empty() {
-            let requests: Vec<PlanRequest> = batch_tenants
-                .iter()
-                .map(|&tenant| {
-                    let session = sessions[tenant].as_ref().expect("admitted before request");
-                    PlanRequest::new(session.app().clone(), config.model, config.objective)
-                })
-                .collect();
-            let started = Instant::now();
-            let served = service.serve_batch(&requests)?;
-            let batch_elapsed = started.elapsed();
-            serve_wall += batch_elapsed;
-            for (&tenant, served_outcome) in batch_tenants.iter().zip(served) {
-                let outcome = match served_outcome {
-                    ServeOutcome::Rejected(ref rejection) => RequestOutcome {
-                        step,
-                        tenant,
-                        path: RequestPath::Rejected,
-                        disposition: Disposition::of(&served_outcome),
-                        value: f64::NAN,
-                        exhaustive: false,
-                        lower_bound: rejection.estimate.and_then(|e| e.value_floor),
-                        latency: batch_elapsed,
-                        churn: None,
-                        warm_value: None,
-                        evaluated: 0,
-                        cold_value: None,
-                        cold_evaluated: None,
-                    },
-                    ServeOutcome::Exact(response) => {
-                        let session = session_mut(&mut sessions, tenant)?;
-                        session.adopt(response.graph.clone())?;
-                        let (cold_value, cold_evaluated) = if config.verify {
-                            let (value, evaluated) = shadow_cold_solve(
-                                &mut shadow_memo,
-                                session.app(),
-                                config.model,
-                                config.objective,
-                                &config.budget,
-                            )?;
-                            (Some(value), Some(evaluated))
-                        } else {
-                            (None, None)
-                        };
-                        RequestOutcome {
-                            step,
-                            tenant,
-                            path: path_of(response.source),
-                            disposition: Disposition::Exact,
-                            value: response.value,
-                            exhaustive: true,
-                            lower_bound: None,
-                            latency: batch_elapsed,
-                            churn: None,
-                            warm_value: None,
-                            evaluated: 0,
-                            cold_value,
-                            cold_evaluated,
-                        }
-                    }
-                    ServeOutcome::Degraded {
-                        response,
-                        lower_bound,
-                        ..
-                    } => {
-                        let session = session_mut(&mut sessions, tenant)?;
-                        session.adopt(response.graph.clone())?;
-                        RequestOutcome {
-                            step,
-                            tenant,
-                            path: path_of(response.source),
-                            disposition: Disposition::Degraded,
-                            value: response.value,
-                            exhaustive: false,
-                            lower_bound: (lower_bound > 0.0).then_some(lower_bound),
-                            latency: batch_elapsed,
-                            churn: None,
-                            warm_value: None,
-                            evaluated: 0,
-                            cold_value: None,
-                            cold_evaluated: None,
-                        }
-                    }
-                };
-                outcomes.push(outcome);
+        // Their rows follow the step's re-plans, in ordinal order.
+        for submitted in &mut replay.submitted[first as usize..] {
+            submitted.row = replay.rows.len();
+            replay.rows.push(None);
+        }
+        // 3. The door answers: the batch door before the next step, the
+        // event loop whatever resolves on this step's tick.
+        match &mut frontend {
+            None if !requests.is_empty() => {
+                let started = Instant::now();
+                let served = service.serve_batch(&requests)?;
+                let latency = started.elapsed();
+                requests.clear();
+                for (ordinal, outcome) in (first..).zip(served) {
+                    replay.answer(ordinal, outcome, latency, 0)?;
+                }
+            }
+            None => {}
+            Some(frontend) => {
+                for (ordinal, request) in (first..).zip(requests.drain(..)) {
+                    frontend.submit(replay.submitted[ordinal as usize].tenant, request)?;
+                }
+                for completion in frontend.tick() {
+                    replay.resolve(completion)?;
+                }
             }
         }
     }
+    // 4. The event loop drains: every remaining ticket resolves.
+    let mut ticks = 0;
+    if let Some(frontend) = &mut frontend {
+        for completion in frontend.drain() {
+            replay.resolve(completion)?;
+        }
+        ticks = frontend.now();
+    }
+    let serve_wall = started.elapsed().saturating_sub(replay.shadows.wall);
+    let outcomes: Vec<RequestOutcome> = replay
+        .rows
+        .into_iter()
+        .map(|row| row.expect("the door answers every request"))
+        .collect();
+    debug_assert!(
+        outcomes
+            .iter()
+            .filter_map(|o| o.ordinal)
+            .eq(0..replay.submitted.len() as u64),
+        "ordinal mirror out of sync with the service"
+    );
     Ok(TraceReport {
         outcomes,
         tenants: trace.tenants,
+        ticks,
         serve_wall,
         stats: service.stats(),
         store_non_exhaustive: service.store().non_exhaustive_len(),
     })
+}
+
+/// One admitted tenant: its planning session, and whether a mutation
+/// landed since its last request (its next request then re-plans).
+struct Tenant {
+    session: TenantSession,
+    dirty: bool,
+}
+
+/// What the driver keeps of a submitted request until it is answered.
+#[derive(Clone, Copy)]
+struct Submitted {
+    /// Its row in [`Replay::rows`], assigned once the step's re-plans are in.
+    row: usize,
+    step: usize,
+    tenant: usize,
+    burst_extra: bool,
+}
+
+/// The state of one replay, shared by both front doors.
+struct Replay<'a> {
+    config: &'a ServeReplayConfig,
+    service: &'a PlanService,
+    tenants: Vec<Option<Tenant>>,
+    /// The outcomes in `(step, ordinal)` order: each step's re-plans, then
+    /// its submitted requests (`None` until the door answers).
+    rows: Vec<Option<RequestOutcome>>,
+    /// Indexed by ordinal: the fresh service hands ordinals out in
+    /// submission order from 0, so the driver mirrors them without a
+    /// round-trip.
+    submitted: Vec<Submitted>,
+    /// The application each request carried, by ordinal (verify mode
+    /// only: on the event-loop door a mutation may land before the answer).
+    carried: Vec<Application>,
+    shadows: Shadows,
+}
+
+impl Replay<'_> {
+    /// Applies one admission or mutation event (requests are no-ops here).
+    fn apply(&mut self, event: &TraceEvent) -> CoreResult<()> {
+        let mutation = match event.kind {
+            TraceEventKind::Request => return Ok(()),
+            TraceEventKind::Admit { ref services } => {
+                let slot = self
+                    .tenants
+                    .get_mut(event.tenant)
+                    .ok_or(CoreError::Unsupported {
+                        reason: "trace event for a tenant outside the trace",
+                    })?;
+                let session = TenantSession::new(
+                    Application::independent(services),
+                    self.config.model,
+                    self.config.objective,
+                    self.config.budget,
+                )?;
+                *slot = Some(Tenant {
+                    session,
+                    dirty: false,
+                });
+                return Ok(());
+            }
+            TraceEventKind::Arrive { cost, selectivity } => {
+                TenantEvent::Arrive { cost, selectivity }
+            }
+            TraceEventKind::Depart { service } => TenantEvent::Depart { service },
+            TraceEventKind::Reweight {
+                service,
+                cost,
+                selectivity,
+            } => TenantEvent::Reweight {
+                service,
+                cost,
+                selectivity,
+            },
+        };
+        let tenant = tenant_mut(&mut self.tenants, event.tenant)?;
+        tenant.session.apply(mutation)?;
+        tenant.dirty = true;
+        Ok(())
+    }
+
+    /// Re-plans a dirty tenant online and publishes the plan to the store.
+    fn replan(&mut self, step: usize, tenant: usize) -> CoreResult<()> {
+        let config = self.config;
+        let entry = tenant_mut(&mut self.tenants, tenant)?;
+        entry.dirty = false;
+        let session = &mut entry.session;
+        let started = Instant::now();
+        let replan = session.replan()?;
+        let latency = started.elapsed();
+        // Sessions and service run under the same config budget, so the
+        // budget-equality gate of `publish` accepts here (the
+        // exhaustiveness gate still applies: an interrupted re-plan is
+        // served to the tenant but never cached).
+        self.service.publish(
+            session.app(),
+            config.model,
+            config.objective,
+            &config.budget,
+            replan.value,
+            &replan.graph,
+            replan.exhaustive,
+            latency.as_micros().min(u64::MAX as u128) as u64,
+        );
+        let shadow = if config.verify && replan.exhaustive {
+            Some(self.shadows.solve(session.app(), config)?)
+        } else {
+            None
+        };
+        let (cold_value, cold_evaluated) = shadow.unzip();
+        self.rows.push(Some(RequestOutcome {
+            step,
+            ordinal: None,
+            tenant,
+            path: RequestPath::Replan,
+            disposition: if replan.exhaustive {
+                Disposition::Exact
+            } else {
+                Disposition::Degraded
+            },
+            value: replan.value,
+            lower_bound: None,
+            latency,
+            churn: Some(replan.churn),
+            evaluated: replan.evaluated,
+            cold_value,
+            cold_evaluated,
+            burst_extra: false,
+            latency_ticks: 0,
+        }));
+        Ok(())
+    }
+
+    /// Books the next ordinal and builds its request from the tenant's
+    /// current application.
+    fn request(&mut self, step: usize, tenant: usize, extra: bool) -> CoreResult<PlanRequest> {
+        let app = tenant_mut(&mut self.tenants, tenant)?.session.app().clone();
+        if self.config.verify {
+            self.carried.push(app.clone());
+        }
+        self.submitted.push(Submitted {
+            row: usize::MAX,
+            step,
+            tenant,
+            burst_extra: extra,
+        });
+        let config = self.config;
+        Ok(PlanRequest::new(app, config.model, config.objective))
+    }
+
+    /// Records an event-loop completion.
+    fn resolve(&mut self, done: Completion) -> CoreResult<()> {
+        let ticks = done.completed_tick - done.submitted_tick;
+        self.answer(done.ordinal, done.outcome, Duration::ZERO, ticks)
+    }
+
+    /// Turns the door's answer to request `ordinal` into its outcome: the
+    /// tenant adopts a served plan that still fits its service set, and
+    /// verify mode checks an exact answer against its shadow cold solve.
+    fn answer(
+        &mut self,
+        ordinal: u64,
+        outcome: ServeOutcome,
+        latency: Duration,
+        latency_ticks: u64,
+    ) -> CoreResult<()> {
+        let submitted = self.submitted[ordinal as usize];
+        let disposition = Disposition::of(&outcome);
+        let (path, value, lower_bound, plan) = match outcome {
+            ServeOutcome::Exact(r) => (path_of(r.source), r.value, None, Some(r.graph)),
+            ServeOutcome::Degraded {
+                response: r,
+                lower_bound: floor,
+                ..
+            } => (
+                path_of(r.source),
+                r.value,
+                (floor > 0.0).then_some(floor),
+                Some(r.graph),
+            ),
+            ServeOutcome::Rejected(rejection) => {
+                let floor = rejection.estimate.and_then(|e| e.value_floor);
+                (RequestPath::Rejected, f64::NAN, floor, None)
+            }
+        };
+        if let Some(plan) = plan {
+            let session = &mut tenant_mut(&mut self.tenants, submitted.tenant)?.session;
+            // On the event-loop door a mutation may land between submission
+            // and answer; a plan for the old service count is not adopted.
+            if plan.n() == session.app().n() {
+                session.adopt(plan)?;
+            }
+        }
+        let shadow = if self.config.verify && disposition == Disposition::Exact {
+            let app = &self.carried[ordinal as usize];
+            Some(self.shadows.solve(app, self.config)?)
+        } else {
+            None
+        };
+        let (cold_value, cold_evaluated) = shadow.unzip();
+        self.rows[submitted.row] = Some(RequestOutcome {
+            step: submitted.step,
+            ordinal: Some(ordinal),
+            tenant: submitted.tenant,
+            path,
+            disposition,
+            value,
+            lower_bound,
+            latency,
+            churn: None,
+            evaluated: 0,
+            cold_value,
+            cold_evaluated,
+            burst_extra: submitted.burst_extra,
+            latency_ticks,
+        });
+        Ok(())
+    }
+}
+
+fn tenant_mut(tenants: &mut [Option<Tenant>], tenant: usize) -> CoreResult<&mut Tenant> {
+    tenants
+        .get_mut(tenant)
+        .and_then(Option::as_mut)
+        .ok_or(CoreError::Unsupported {
+            reason: "trace event for a tenant that was never admitted",
+        })
 }
 
 fn path_of(source: ServeSource) -> RequestPath {
@@ -645,47 +830,43 @@ fn path_of(source: ServeSource) -> RequestPath {
     }
 }
 
-fn session_mut(
-    sessions: &mut [Option<TenantSession>],
-    tenant: usize,
-) -> CoreResult<&mut TenantSession> {
-    sessions
-        .get_mut(tenant)
-        .and_then(|s| s.as_mut())
-        .ok_or(CoreError::Unsupported {
-            reason: "trace event for a tenant that was never admitted",
-        })
+/// From-scratch solves outside the serving path: the ground-truth value
+/// and the number of candidates a cold search evaluates.  Memoised by the
+/// exact service list (label order included — only an *identical*
+/// application may share a shadow), so identical applications pay for
+/// one shadow solve however many requests they issue.
+#[derive(Default)]
+struct Shadows {
+    memo: HashMap<Vec<(u64, u64)>, (f64, usize)>,
+    /// Wall time spent here, excluded from the serving wall.
+    wall: Duration,
 }
 
-/// A from-scratch solve of `app` outside the serving path: the ground-truth
-/// value and the number of candidates a cold search evaluates.  Memoised by
-/// the exact service list (label order included), so identical applications
-/// pay for one shadow solve however many requests they issue.
-fn shadow_cold_solve(
-    memo: &mut HashMap<Vec<(u64, u64)>, (f64, usize)>,
-    app: &Application,
-    model: CommModel,
-    objective: Objective,
-    budget: &SearchBudget,
-) -> CoreResult<(f64, usize)> {
-    let key: Vec<(u64, u64)> = app
-        .services()
-        .iter()
-        .map(|s| (s.cost.to_bits(), s.selectivity.to_bits()))
-        .collect();
-    if let Some(&cached) = memo.get(&key) {
-        return Ok(cached);
+impl Shadows {
+    fn solve(&mut self, app: &Application, config: &ServeReplayConfig) -> CoreResult<(f64, usize)> {
+        let started = Instant::now();
+        let key: Vec<(u64, u64)> = app
+            .services()
+            .iter()
+            .map(|s| (s.cost.to_bits(), s.selectivity.to_bits()))
+            .collect();
+        let truth = match self.memo.get(&key) {
+            Some(&truth) => truth,
+            None => {
+                let (solution, stats) = solve_warm_observed(
+                    &Problem::new(app, config.model, config.objective),
+                    &config.budget,
+                    &EvalCache::new(app),
+                    None,
+                    None,
+                )?;
+                self.memo.insert(key, (solution.value, stats.evaluated));
+                (solution.value, stats.evaluated)
+            }
+        };
+        self.wall += started.elapsed();
+        Ok(truth)
     }
-    let cache = EvalCache::new(app);
-    let (solution, stats) = solve_warm_observed(
-        &Problem::new(app, model, objective),
-        budget,
-        &cache,
-        None,
-        None,
-    )?;
-    memo.insert(key, (solution.value, stats.evaluated));
-    Ok((solution.value, stats.evaluated))
 }
 
 #[cfg(test)]
@@ -708,6 +889,14 @@ mod tests {
             },
             &mut StdRng::seed_from_u64(42),
         )
+    }
+
+    /// The event-loop door under `frontend`, everything else default.
+    fn event_loop(frontend: FrontendConfig) -> ServeReplayConfig {
+        ServeReplayConfig {
+            frontend: Some(frontend),
+            ..ServeReplayConfig::default()
+        }
     }
 
     #[test]
@@ -771,5 +960,150 @@ mod tests {
         let p99 = report.latency_percentile(99.0);
         assert!(p50 <= p99);
         assert!(p99 > Duration::ZERO);
+    }
+
+    #[test]
+    fn both_doors_serve_bit_identical_exact_values() {
+        // The trace mutates half its steps, so both doors re-plan too.
+        let trace = small_trace();
+        let verified = |frontend| ServeReplayConfig {
+            verify: true,
+            frontend,
+            ..ServeReplayConfig::default()
+        };
+        let batch = replay_trace(&trace, &verified(None)).unwrap();
+        let looped = replay_trace(
+            &trace,
+            &verified(Some(FrontendConfig {
+                workers: 2,
+                ..FrontendConfig::default()
+            })),
+        )
+        .unwrap();
+        for report in [&batch, &looped] {
+            assert_eq!(report.requests(), trace.request_count());
+            assert_eq!(report.stats.submitted, report.stats.completed);
+            assert_eq!(report.store_non_exhaustive, 0, "store purity");
+            assert_eq!(report.mix(), (report.requests(), 0, 0), "all exact");
+            assert!(report.replans() > 0, "mutations re-plan on either door");
+            assert_eq!(report.value_mismatches(), 0, "served != ground truth");
+        }
+        let rows = |report: &TraceReport| -> Vec<(usize, usize, u64)> {
+            report
+                .outcomes
+                .iter()
+                .map(|o| (o.step, o.tenant, o.value.to_bits()))
+                .collect()
+        };
+        assert_eq!(rows(&batch), rows(&looped), "the door changed a value");
+    }
+
+    #[test]
+    fn digest_is_worker_count_independent_under_faults() {
+        let trace = small_trace();
+        // The first dispatched request is always a cold leader and carries
+        // one of the first few ordinals (step 0 has at most three
+        // requests), so stalling all of them guarantees the watchdog path
+        // fires whatever the trace's dedup structure looks like.
+        let faulted = |workers: usize| {
+            let config = ServeReplayConfig {
+                faults: FaultPlan::new()
+                    .slow_at(0, Duration::from_millis(400))
+                    .slow_at(1, Duration::from_millis(400))
+                    .slow_at(2, Duration::from_millis(400))
+                    .panic_at(9)
+                    .slow_shard_at(5, Duration::from_millis(1))
+                    .burst_at(7, 4),
+                ..event_loop(FrontendConfig {
+                    workers,
+                    stall_timeout: Duration::from_millis(40),
+                    ..FrontendConfig::default()
+                })
+            };
+            replay_trace(&trace, &config).unwrap()
+        };
+        let base = faulted(1);
+        assert!(base.stats.stalls > 0, "injected stall must fire");
+        assert!(
+            base.outcomes.iter().any(|o| o.burst_extra),
+            "injected burst must fire"
+        );
+        for workers in [2, 4] {
+            let other = faulted(workers);
+            assert_eq!(base.digest(), other.digest(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn bursts_overflow_the_bounded_queue_into_ingress_sheds() {
+        let trace = small_trace();
+        let faults = FaultPlan::new().burst_at(2, 32);
+        let config = ServeReplayConfig {
+            faults: faults.clone(),
+            ..event_loop(FrontendConfig {
+                workers: 2,
+                queue_capacity: 4,
+                dispatch_per_tick: 2,
+                ..FrontendConfig::default()
+            })
+        };
+        let report = replay_trace(&trace, &config).unwrap();
+        assert_eq!(report.requests(), trace.request_count() + 32);
+        assert!(report.stats.queue_full_sheds > 0, "burst must overflow");
+        assert!(report.stats.peak_tenant_queue <= 4, "queue bound");
+        assert_eq!(report.stats.submitted, report.stats.completed);
+        // The batch door submits the same burst into one unbounded batch.
+        let batch = replay_trace(
+            &trace,
+            &ServeReplayConfig {
+                faults,
+                ..ServeReplayConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(batch.requests(), trace.request_count() + 32);
+        assert_eq!(batch.outcomes.iter().filter(|o| o.burst_extra).count(), 32);
+        assert_eq!(batch.sheds(), 0, "the batch door never sheds");
+    }
+
+    #[test]
+    fn malformed_traces_are_errors_on_both_doors() {
+        let one_event = |tenant: usize, kind: TraceEventKind| ArrivalTrace {
+            events: vec![TraceEvent {
+                step: 0,
+                tenant,
+                kind,
+            }],
+            tenants: 1,
+            steps: 1,
+        };
+        let traces = [
+            // A tenant outside `0..tenants`, admitted or requesting.
+            one_event(
+                1,
+                TraceEventKind::Admit {
+                    services: vec![(1.0, 0.5); 3],
+                },
+            ),
+            one_event(1, TraceEventKind::Request),
+            // A request before the tenant's admission.
+            one_event(0, TraceEventKind::Request),
+        ];
+        for trace in &traces {
+            for frontend in [None, Some(FrontendConfig::default())] {
+                let config = ServeReplayConfig {
+                    frontend,
+                    ..ServeReplayConfig::default()
+                };
+                assert!(
+                    matches!(
+                        replay_trace(trace, &config),
+                        Err(CoreError::Unsupported { .. })
+                    ),
+                    "{:?} through {frontend:?}",
+                    trace.events[0]
+                );
+            }
+        }
     }
 }
