@@ -242,11 +242,34 @@ enum ChainState {
 /// * latency: `1 + fmin · (c_k + σ_k)` (every chain prefix costs at least the
 ///   initial data set, plus the node's own computation and one emission).
 ///
+/// Every completion also has an entry node, which receives the `δ0 = 1`
+/// input.  While no placed position is an entry node, one of the unplaced
+/// services must become one, so the period bound also includes the
+/// cheapest unplaced service's *entry* execution: `max(1, c_k, σ_k)` under
+/// OVERLAP, `(1 + c_k) + σ_k` under the one-port models (summed in the
+/// order `PlanMetrics::c_exec` sums, so it never exceeds the real term).
+///
 /// `fmin` is multiplied in a fixed (sorted) order so its bits depend only on
 /// the weight *multiset* and `k`'s own weights — class-preserving
 /// relabellings leave the floors bit-identical, which the symmetry-reduced
-/// searches rely on.  Float rounding of the reordered product is absorbed by
-/// the strict-clearance epsilon the search engines prune with.
+/// searches rely on.
+///
+/// ### Rounding contract
+///
+/// The period bound is **bit-admissible**: no completion's
+/// `PlanMetrics::period_lower_bound` is below it, not even by an ulp.  The
+/// decided terms are computed in the same operation order as the full
+/// metrics (path-order input factors, then `Cin`, `Ccomp`, `Cout`), and
+/// float multiplication and addition are monotone, so they never exceed the
+/// real terms.  A completion takes its input factor as a product in *path*
+/// order, though, which can land below the sorted-order `fmin`; the period
+/// floors are therefore shaved by the relative margin `(4n + 8)·ε`, more
+/// than the rounding error of the products and sums involved.  This is what
+/// lets a search whose candidate value *is* the structural period bound drop
+/// subtrees whose bound merely *reaches* a value it already holds (tie
+/// dominance).  The latency bound carries no such guarantee — a tree
+/// latency can sit ulps below it — and is only ever used under the
+/// strict-clearance epsilon the search engines prune with.
 #[derive(Clone, Debug)]
 pub struct PartialForestMetrics<'a> {
     app: &'a Application,
@@ -265,6 +288,8 @@ pub struct PartialForestMetrics<'a> {
     /// Whether each service's weights are carried by some assigned position
     /// (the membership mask of `weight[..assigned]`).
     placed: Vec<bool>,
+    /// Number of assigned positions that are entry nodes (no parent).
+    roots: usize,
     /// Admissible execution floors for not-yet-placed services, sorted by
     /// decreasing floor so a query is the first unplaced entry.
     floor_overlap: Vec<(f64, ServiceId)>,
@@ -288,6 +313,8 @@ impl<'a> PartialForestMetrics<'a> {
         for i in (0..n).rev() {
             suffix[i] = shrink[i] * suffix[i + 1];
         }
+        // The bit-admissibility margin of the period floors (type docs).
+        let shave = 1.0 - (4 * n + 8) as f64 * f64::EPSILON;
         let mut floor_overlap = Vec::with_capacity(n);
         let mut floor_oneport = Vec::with_capacity(n);
         let mut floor_latency = Vec::with_capacity(n);
@@ -299,8 +326,8 @@ impl<'a> PartialForestMetrics<'a> {
                 .expect("every shrink factor is in the sorted list");
             let fmin = prefix[i] * suffix[i + 1];
             let (cost, sel) = (app.cost(k), app.selectivity(k));
-            floor_overlap.push((fmin * 1.0f64.max(cost).max(sel), k));
-            floor_oneport.push((fmin * (1.0 + cost + sel), k));
+            floor_overlap.push((fmin * 1.0f64.max(cost).max(sel) * shave, k));
+            floor_oneport.push((fmin * (1.0 + cost + sel) * shave, k));
             floor_latency.push((1.0 + fmin * (cost + sel), k));
         }
         for list in [&mut floor_overlap, &mut floor_oneport, &mut floor_latency] {
@@ -317,6 +344,7 @@ impl<'a> PartialForestMetrics<'a> {
             memo: vec![ChainState::Undecided; n],
             scratch: Vec::with_capacity(n),
             placed: vec![false; n],
+            roots: 0,
             floor_overlap,
             floor_oneport,
             floor_latency,
@@ -355,8 +383,9 @@ impl<'a> PartialForestMetrics<'a> {
         self.parent[k] = parent;
         self.weight[k] = weight_of;
         self.placed[weight_of] = true;
-        if let Some(p) = parent {
-            self.children[p] += 1;
+        match parent {
+            Some(p) => self.children[p] += 1,
+            None => self.roots += 1,
         }
         self.assigned += 1;
         self.gen += 1;
@@ -366,8 +395,9 @@ impl<'a> PartialForestMetrics<'a> {
     pub fn pop(&mut self) {
         debug_assert!(self.assigned > 0);
         self.assigned -= 1;
-        if let Some(p) = self.parent[self.assigned] {
-            self.children[p] -= 1;
+        match self.parent[self.assigned] {
+            Some(p) => self.children[p] -= 1,
+            None => self.roots -= 1,
         }
         self.placed[self.weight[self.assigned]] = false;
         self.parent[self.assigned] = None;
@@ -386,6 +416,25 @@ impl<'a> PartialForestMetrics<'a> {
             }
         }
         0.0
+    }
+
+    /// The cheapest not-yet-placed service's execution as an entry node,
+    /// which receives the `δ0 = 1` input: `max(1, c, σ)` under OVERLAP,
+    /// `(1 + c) + σ` under the one-port models, each summed in the order
+    /// [`PlanMetrics::c_exec`] sums.  Like the floors, the value depends
+    /// only on the unplaced weight multiset.  `∞` when every service is
+    /// placed: a full prefix without an entry node is cyclic.
+    fn entry_floor(&self, model: CommModel) -> f64 {
+        (0..self.placed.len())
+            .filter(|&k| !self.placed[k])
+            .map(|k| {
+                let (cost, sel) = (self.app.cost(k), self.app.selectivity(k));
+                match model {
+                    CommModel::Overlap => 1.0f64.max(cost).max(sel),
+                    CommModel::InOrder | CommModel::OutOrder => (1.0 + cost) + sel,
+                }
+            })
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Resolves the chain state of `j`, memoised for the current generation.
@@ -452,15 +501,19 @@ impl<'a> PartialForestMetrics<'a> {
         cur
     }
 
-    /// Lower bound on `PlanMetrics::period_lower_bound(model)` of every
-    /// completion of the current prefix (`∞` when the prefix is cyclic):
-    /// the decided prefix terms combined with the communication-aware floor
-    /// of the services still to be placed.
+    /// Bit-admissible lower bound on `PlanMetrics::period_lower_bound(model)`
+    /// of every completion of the current prefix (`∞` when the prefix is
+    /// cyclic): the decided prefix terms combined with the
+    /// communication-aware floor of the services still to be placed and,
+    /// while no placed position is an entry node, the entry-node floor.
     pub fn period_bound(&mut self, model: CommModel) -> f64 {
         let mut bound = match model {
             CommModel::Overlap => self.unplaced_floor(&self.floor_overlap),
             CommModel::InOrder | CommModel::OutOrder => self.unplaced_floor(&self.floor_oneport),
         };
+        if self.roots == 0 {
+            bound = bound.max(self.entry_floor(model));
+        }
         for j in 0..self.assigned {
             match self.resolve(j) {
                 ChainState::Cycle => return f64::INFINITY,
@@ -776,6 +829,56 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 50, "enumerated {checked} forests only");
+    }
+
+    #[test]
+    fn period_bound_is_bit_admissible_on_every_prefix() {
+        // Repeated selectivities make the sorted-order floors and a
+        // completion's path-order input factors round apart: no prefix's
+        // bound may exceed a completion's structural period, not even by
+        // an ulp.
+        let app = Application::independent(&[
+            (7.0, 1.0),
+            (7.0, 1.0),
+            (0.25, 0.6),
+            (0.25, 0.6),
+            (1.0, 0.7),
+            (1.0, 0.7),
+        ]);
+        let n = app.n();
+        let mut checked = 0;
+        for code in 0..n.pow(n as u32) {
+            let parents: Vec<Option<ServiceId>> = (0..n)
+                .map(|k| Some(code / n.pow(k as u32) % n).filter(|&p| p != k))
+                .collect();
+            let Ok(graph) = ExecutionGraph::from_parents(&parents) else {
+                continue;
+            };
+            let metrics = PlanMetrics::compute(&app, &graph).unwrap();
+            let mut pm = PartialForestMetrics::new(&app);
+            for &p in &parents {
+                pm.push(p);
+                for model in [CommModel::Overlap, CommModel::InOrder] {
+                    let (bound, full) = (pm.period_bound(model), metrics.period_lower_bound(model));
+                    assert!(bound <= full, "{model}: {bound} > {full} for {parents:?}");
+                }
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, 7usize.pow(5), "Cayley: (n+1)^(n-1) forests");
+    }
+
+    #[test]
+    fn entry_floor_prices_prefixes_without_a_placed_entry_node() {
+        let app = Application::independent(&[(0.2, 0.1), (0.3, 0.2), (4.0, 0.9)]);
+        let mut pm = PartialForestMetrics::new(&app);
+        // Position 0 hangs off unplaced service 2: its chain is undecided,
+        // and service 1 or 2 must be an entry node, receiving δ0 = 1.  The
+        // cheaper, service 1, executes in max(1, 0.3, 0.2) under OVERLAP
+        // and (1 + 0.3) + 0.2 under the one-port models.
+        pm.push(Some(2));
+        assert_eq!(pm.period_bound(CommModel::Overlap), 1.0);
+        assert_eq!(pm.period_bound(CommModel::InOrder), (1.0 + 0.3) + 0.2);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   relative safety margin, [`prune_threshold`]), so a candidate that ties
 //!   the optimum is never pruned and the serial first-minimum winner is
 //!   preserved whatever the thread count;
-//! * [`PartialPrune`] — which partial-assignment bound the forest enumerator
+//! * [`PartialPrune`] — which partial-assignment bound the forest walks
 //!   should maintain (period or latency, from
-//!   [`fsw_core::PartialForestMetrics`]);
+//!   [`fsw_core::PartialForestMetrics`]), and whether the candidate
+//!   evaluation is that bound bit for bit, which lets both walks add the
+//!   non-strict tie-dominance prune (`tie_dominated`);
 //! * [`EvalCache`] — a concurrent memo of expensive candidate evaluations
 //!   (one-port ordering searches) keyed by a canonical shape-plus-weights
 //!   signature, so the members of an equivalence class share a single search;
@@ -76,7 +78,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fsw_core::{Application, CanonicalForests, ExecutionGraph, ServiceId, WeightClasses};
+use fsw_core::{
+    Application, CanonicalForests, ExecutionGraph, PartialForestMetrics, ServiceId, WeightClasses,
+};
 
 use crate::orderings::permutations;
 
@@ -410,21 +414,80 @@ impl CanonicalRep {
     }
 }
 
-/// Which admissible partial-assignment bound the forest enumerator maintains.
+/// Which admissible partial-assignment bound the forest walks maintain, and
+/// whether they may prune optimum ties against it.
+///
+/// Every variant but `Off` prunes a subtree whose bound *strictly* clears
+/// the shared incumbent ([`prune_threshold`]), which tolerates a candidate
+/// value sitting a few ulps below the bound.  Only
+/// [`PartialPrune::StructuralPeriod`] adds the non-strict tie-dominance
+/// prune (`tie_dominated`), because only there is no candidate's value
+/// below its prefix's bound, not even by an ulp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartialPrune {
     /// No partial pruning: the enumeration degenerates to the brute force
     /// (used by the reference solvers the property tests compare against).
     Off,
     /// Prune on [`fsw_core::PartialForestMetrics::period_bound`] for the
-    /// given model.  Valid whenever the candidate evaluation is at least the
-    /// model's structural period lower bound (both the `LowerBound` and the
-    /// `Orchestrated` evaluations are).
+    /// given model, by strict clearance only.  Valid whenever the candidate
+    /// evaluation is at least the model's structural period lower bound up
+    /// to rounding (both the `LowerBound` and the `Orchestrated` evaluations
+    /// are); an orchestrated one-port value can sit ulps below the bound,
+    /// which only the strict-clearance margin absorbs.
     Period(fsw_core::CommModel),
-    /// Prune on [`fsw_core::PartialForestMetrics::latency_bound`].  Valid for
-    /// the exact forest latency (Algorithm 1) and every one-port/multi-port
-    /// schedule value, all of which dominate the critical path.
+    /// [`PartialPrune::Period`] for a candidate evaluation that *is* the
+    /// model's structural period bound (`PlanMetrics::period_lower_bound`)
+    /// bit for bit: `PeriodEvaluation::LowerBound` under any model, and
+    /// OVERLAP under either evaluation (Theorem 1).  The partial bound is
+    /// then bit-admissible, so the walks add tie dominance.
+    StructuralPeriod(fsw_core::CommModel),
+    /// Prune on [`fsw_core::PartialForestMetrics::latency_bound`], by strict
+    /// clearance only.  Valid for the exact forest latency (Algorithm 1) and
+    /// every one-port/multi-port schedule value, all of which dominate the
+    /// critical path up to rounding; a tree latency can sit ulps below the
+    /// bound.
     Latency,
+}
+
+impl PartialPrune {
+    /// The bound of `metrics`' current prefix, `None` when pruning is off.
+    pub(crate) fn bound(self, metrics: &mut PartialForestMetrics<'_>) -> Option<f64> {
+        match self {
+            PartialPrune::Off => None,
+            PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
+                Some(metrics.period_bound(model))
+            }
+            PartialPrune::Latency => Some(metrics.latency_bound()),
+        }
+    }
+}
+
+/// Tie dominance, the one non-strict prune of both forest walks.
+///
+/// A walker holding a local best `(value, index, graph)` may drop a subtree
+/// (or a whole shape) whose admissible `bound` already reaches `value` and
+/// whose completions all come later than `index` in enumeration order, the
+/// first of them at `first`: each completion then has a value
+/// `≥ bound ≥ value` and a later index, so it loses the lexicographic
+/// `(value, index)` comparison even on an exact value tie, and the winner is
+/// untouched.
+/// This is what collapses the optimum plateau of instances whose optimum
+/// sits on the input-rate floor: after the first optimal completion, the
+/// subtrees tying it die without being evaluated.  The best is a walker's
+/// own, never the shared incumbent, so the rule does not race with other
+/// workers, and the cross-worker merge still minimises `(value, index)`.
+///
+/// The rule needs `value(completion) ≥ bound` bit for bit, so it engages
+/// only under [`PartialPrune::StructuralPeriod`]; every other prune is
+/// strict clearance only.
+pub(crate) fn tie_dominated<I: PartialOrd>(
+    prune: PartialPrune,
+    bound: f64,
+    first: I,
+    best: Option<&(f64, I, ExecutionGraph)>,
+) -> bool {
+    matches!(prune, PartialPrune::StructuralPeriod(_))
+        && best.is_some_and(|(value, index, _)| bound >= *value && first > *index)
 }
 
 /// What a bounded evaluation reported for a cache key.

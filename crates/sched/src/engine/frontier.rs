@@ -22,21 +22,26 @@
 //!
 //! ### The winner
 //!
-//! The walk prunes a candidate only when its admissible bound *strictly*
-//! clears the shared incumbent, so every candidate tying the optimum is
-//! evaluated, whatever the thread count.  The winner is the `(value, rank)`
-//! lexicographic minimum, where `rank` is the canonical enumeration order —
-//! the first minimum of a scan over the materialised representatives
-//! ([`crate::engine::CanonicalSpace::forest_representatives`] /
-//! [`crate::engine::CanonicalSpace::classed_representatives`]).  On top of
-//! the strict rule the walk adds a **tie-dominance** prune: a subtree whose
-//! bound already *reaches* the walker's local best value and whose
-//! completions are all canonically later than the local best's rank is
-//! discarded non-strictly — every candidate in it loses the `(value, rank)`
-//! comparison outright, so the winner is untouched while optimum-tying
-//! plateaus (common when the optimum sits on the input-rate floor) stop
-//! being walked.  `tests/partial_symmetry_equivalence.rs` asserts the
-//! equality against that scan, serial and parallel, under several caps.
+//! The walk prunes a candidate by its admissible bound only when that bound
+//! *strictly* clears the shared incumbent, so every candidate tying the
+//! optimum survives it, whatever the thread count.  The winner is the
+//! `(value, rank)` lexicographic minimum, where `rank` is the canonical
+//! enumeration order — the first minimum of a scan over the materialised
+//! representatives ([`crate::engine::CanonicalSpace::forest_representatives`]
+//! / [`crate::engine::CanonicalSpace::classed_representatives`]).  When the
+//! candidate evaluation is the structural period bound itself
+//! ([`PartialPrune::StructuralPeriod`]), the walk adds the **tie-dominance**
+//! prune both forest walks share (`crate::engine::tie_dominated`): a colour
+//! prefix or a whole shape whose bound already *reaches* the walker's local
+//! best value and whose completions are all canonically later than the
+//! local best's rank is discarded non-strictly — every candidate in it loses
+//! the `(value, rank)` comparison outright, so the winner is untouched while
+//! optimum-tying plateaus (common when the optimum sits on the input-rate
+//! floor) stop being walked.  The latency bound and the orchestrated
+//! one-port values do not dominate the bound bit for bit, so those walks
+//! keep strict clearance alone.  `tests/partial_symmetry_equivalence.rs`
+//! asserts the equality against that scan, serial and parallel, under
+//! several caps.
 
 use std::time::Instant;
 
@@ -46,7 +51,7 @@ use fsw_core::{
     ShapeScan, WeightClasses,
 };
 
-use crate::engine::{prune_threshold, CanonicalRep, Incumbent, PartialPrune};
+use crate::engine::{prune_threshold, tie_dominated, CanonicalRep, Incumbent, PartialPrune};
 use crate::minperiod::SearchOutcome;
 use crate::par::{par_chunks_weighted, Exec};
 
@@ -159,8 +164,8 @@ impl EngineMetrics {
 /// pinning each position to a concrete service of its class (smallest
 /// unused id — bit-identical to `WeightClasses::service_assignment`), and
 /// refuses every prefix whose admissible bound strictly clears the shared
-/// incumbent, so whole colour subtrees die without a representative ever
-/// being materialised.
+/// incumbent or is tie-dominated by the walker's local best, so whole colour
+/// subtrees die without a representative ever being materialised.
 struct StreamWalker<'a, F> {
     metrics: PartialForestMetrics<'a>,
     prune: PartialPrune,
@@ -177,10 +182,11 @@ struct StreamWalker<'a, F> {
     /// every global index.
     shape_rank: u64,
     /// Completions reached so far within the current shape: pruned
-    /// colourings are strictly worse than the incumbent so they never tie
-    /// for the minimum, and reached completions keep their relative walk
-    /// order in every run — `(value, idx)` minimisation therefore
-    /// reproduces the materialised first-minimum winner exactly.
+    /// colourings are strictly worse than the incumbent or lose the tie to
+    /// the local best, so they never win, and reached completions keep
+    /// their relative walk order in every run — `(value, idx)`
+    /// minimisation therefore reproduces the materialised first-minimum
+    /// winner exactly.
     reached: u64,
     ticks: u32,
     interrupted: bool,
@@ -203,36 +209,16 @@ where
         }
         let service = self.pool[class][self.used[class]];
         self.metrics.push_weighted(parent, service);
-        if self.prune != PartialPrune::Off {
-            let bound = match self.prune {
-                PartialPrune::Off => unreachable!(),
-                PartialPrune::Period(model) => self.metrics.period_bound(model),
-                PartialPrune::Latency => self.metrics.latency_bound(),
-            };
-            // Strict clearance only, so optimum-tying colourings always
-            // survive — the rule every other walker prunes with.
-            if bound > prune_threshold(self.incumbent.get()) {
+        if let Some(bound) = self.prune.bound(&mut self.metrics) {
+            // Strict clearance first, then tie dominance against this
+            // walker's local best: every completion of the prefix comes
+            // after the completions reached so far in the shape.
+            let first = ((self.shape_rank as u128) << 64) | self.reached as u128;
+            if bound > prune_threshold(self.incumbent.get())
+                || tie_dominated(self.prune, bound, first, self.local.as_ref())
+            {
                 self.metrics.pop();
                 return false;
-            }
-            // Tie dominance: once this walker holds a local best `(v, i)`,
-            // a subtree whose admissible bound already reaches `v` and whose
-            // every completion is canonically later than `i` cannot contain
-            // the `(value, idx)` minimum — each candidate in it has
-            // `value ≥ bound ≥ v` and `idx > i`, so it loses the
-            // lexicographic comparison even on an exact value tie.  This is
-            // what collapses the tie plateau of instances whose optimum sits
-            // on the input-rate floor: after the first optimal completion,
-            // the millions of orbits tying it die here without being
-            // materialised.  (Local best only: it never races with other
-            // workers, and the cross-worker merge still minimises
-            // `(value, idx)`.)
-            if let Some((bv, bi, _)) = self.local.as_ref() {
-                let floor = ((self.shape_rank as u128) << 64) | self.reached as u128;
-                if bound >= *bv && floor > *bi {
-                    self.metrics.pop();
-                    return false;
-                }
             }
         }
         self.used[class] += 1;
@@ -322,7 +308,9 @@ where
     let mut stats = StreamStats::default();
     let objective = match prune {
         PartialPrune::Off => None,
-        PartialPrune::Period(model) => Some(ShapeObjective::Period(model)),
+        PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
+            Some(ShapeObjective::Period(model))
+        }
         PartialPrune::Latency => Some(ShapeObjective::Latency),
     };
     let bounder = objective.map(|o| ShapeBounder::new(app, o));
@@ -401,14 +389,11 @@ where
                 if shape.bound > prune_threshold(incumbent.get()) {
                     continue;
                 }
-                // Shape-level tie dominance (the same rule the walker
-                // applies per colour prefix): every completion of a
-                // later-ranked shape is canonically later than the local
-                // best, so a bound reaching its value certifies the whole
-                // shape a lexicographic loser.
-                if walker.local.as_ref().is_some_and(|(bv, bi, _)| {
-                    shape.bound >= *bv && ((shape.rank() as u128) << 64) > *bi
-                }) {
+                // Shape-level tie dominance (the rule the walker applies per
+                // colour prefix): every completion of a later-ranked shape is
+                // canonically later than the local best.
+                let first = (shape.rank() as u128) << 64;
+                if tie_dominated(prune, shape.bound, first, walker.local.as_ref()) {
                     continue;
                 }
                 walker.shape_rank = shape.rank();

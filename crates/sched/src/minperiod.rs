@@ -22,7 +22,7 @@
 //! solvers — returns one [`SearchOutcome`], and both local searches run on
 //! one plan-space hill climb over parent reassignments.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use fsw_core::{
@@ -35,7 +35,8 @@ use crate::engine::frontier::{
     streamed_canonical_search, EngineMetrics, StreamProbe, StreamStats, DEFAULT_FRONTIER_CAP,
 };
 use crate::engine::{
-    prune_threshold, tags, CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry,
+    prune_threshold, tags, tie_dominated, CanonicalSpace, EvalCache, Incumbent, PartialPrune,
+    Symmetry,
 };
 use crate::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use crate::orchestrator::SearchBudget;
@@ -143,9 +144,11 @@ pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
 /// beat it, and must return the exact value otherwise.  `prune` selects the
 /// admissible partial-assignment bound (maintained incrementally by
 /// [`PartialForestMetrics`]) used to discard whole subtrees; subtrees are
-/// pruned only when their bound *strictly* clears the shared incumbent, so
-/// the first-minimum winner of the brute-force enumeration always survives,
-/// whatever the thread count.
+/// pruned when their bound *strictly* clears the shared incumbent and, under
+/// [`PartialPrune::StructuralPeriod`], when their bound merely reaches the
+/// value of a worker's local best found earlier in enumeration order (tie
+/// dominance) — either way the first-minimum winner of the brute-force
+/// enumeration always survives, whatever the thread count.
 ///
 /// Every plan space has exactly one walk.  When `symmetry` admits the
 /// instance's symmetry — [`Symmetry::Auto`] on a [`CanonicalSpace::reducible`]
@@ -238,47 +241,44 @@ where
     // The labelled walk carries telemetry too (`shapes` stays 0 — no shape
     // plan exists on the labelled space — and `orbits` reports the labelled
     // space size itself, every orbit being trivial).
-    let expanded = AtomicU64::new(0);
-    let counted = |graph: &ExecutionGraph, incumbent: f64| {
-        expanded.fetch_add(1, Ordering::Relaxed);
-        eval(graph, incumbent)
-    };
     let incumbent = Incumbent::seeded(incumbent_seed);
     let prefixes = forest_task_prefixes(n, exec.effective_split_levels());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
-        let mut best: Option<(f64, ExecutionGraph)> = None;
+        let mut walker = LabelledWalker {
+            app,
+            partial: PartialForestMetrics::new(app),
+            incumbent: &incumbent,
+            prune,
+            eval,
+            deadline: exec.deadline,
+            expanded: 0,
+            best: None,
+        };
         let mut complete = true;
-        let mut partial = PartialForestMetrics::new(app);
         for prefix in chunk {
             for &p in prefix {
-                partial.push(p);
+                walker.partial.push(p);
             }
-            let ok = enumerate_parents_pruned(
-                app,
-                &mut partial,
-                &mut best,
-                &incumbent,
-                prune,
-                &counted,
-                exec.deadline,
-            );
+            let ok = walker.walk();
             for _ in prefix {
-                partial.pop();
+                walker.partial.pop();
             }
             if !ok {
                 complete = false;
                 break;
             }
         }
-        (best, complete)
+        let best = walker.best.map(|(value, _, graph)| (value, graph));
+        (best, walker.expanded, complete)
     });
-    let complete = parts.iter().all(|(_, c)| *c);
-    let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
+    let complete = parts.iter().all(|(_, _, c)| *c);
+    let expanded = parts.iter().map(|(_, e, _)| e).sum();
+    let best = fold_min(parts.into_iter().map(|(b, _, _)| b).collect());
     if let Some(p) = probe {
         p.record(StreamStats {
             shapes: 0,
             orbits: Some(space as u128),
-            expanded: expanded.load(Ordering::Relaxed),
+            expanded,
             peak_resident: exec.effective_threads(),
             certified_shapes: 0,
         });
@@ -313,70 +313,74 @@ fn forest_task_prefixes(n: usize, levels: usize) -> Vec<Vec<Option<ServiceId>>> 
     }
 }
 
-/// Branch-and-bound enumeration of parent functions from the current prefix
-/// of `partial`.  Returns `false` when the deadline interrupted this subtree.
-fn enumerate_parents_pruned<F>(
-    app: &Application,
-    partial: &mut PartialForestMetrics<'_>,
-    best: &mut Option<(f64, ExecutionGraph)>,
-    incumbent: &Incumbent,
+/// One worker's depth-first branch-and-bound walk over the labelled parent
+/// functions extending its task prefixes, in serial enumeration order.
+struct LabelledWalker<'a, F> {
+    app: &'a Application,
+    partial: PartialForestMetrics<'a>,
+    incumbent: &'a Incumbent,
     prune: PartialPrune,
-    eval: &F,
+    eval: &'a F,
     deadline: Option<Instant>,
-) -> bool
+    /// Candidates evaluated so far: the walk-order index of the next one.
+    expanded: u64,
+    /// The first minimum `(value, index, graph)` of the walk so far.
+    best: Option<(f64, u64, ExecutionGraph)>,
+}
+
+impl<F> LabelledWalker<'_, F>
 where
     F: Fn(&ExecutionGraph, f64) -> f64,
 {
-    if prune != PartialPrune::Off && partial.assigned() > 0 {
-        let bound = match prune {
-            PartialPrune::Off => unreachable!(),
-            PartialPrune::Period(model) => partial.period_bound(model),
-            PartialPrune::Latency => partial.latency_bound(),
-        };
-        // An infinite bound flags a cycle inside the prefix: no completion is
-        // feasible.  Otherwise prune only on a strict clearance of the
-        // incumbent, so optimum-tying subtrees are never discarded.
-        if bound == f64::INFINITY || bound > prune_threshold(incumbent.get()) {
+    /// Walks every completion of the current prefix of `partial`.  Returns
+    /// `false` when the deadline interrupted this subtree.
+    fn walk(&mut self) -> bool {
+        if self.partial.assigned() > 0 {
+            if let Some(bound) = self.prune.bound(&mut self.partial) {
+                // An infinite bound flags a cycle inside the prefix: no
+                // completion is feasible.  Otherwise prune on a strict
+                // clearance of the incumbent, or on tie dominance: every
+                // completion of the prefix comes after the walker's local
+                // best in enumeration order.
+                if bound == f64::INFINITY
+                    || bound > prune_threshold(self.incumbent.get())
+                    || tie_dominated(self.prune, bound, self.expanded, self.best.as_ref())
+                {
+                    return true;
+                }
+            }
+        }
+        let n = self.app.n();
+        let k = self.partial.assigned();
+        if k >= n {
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
+            let Ok(graph) = ExecutionGraph::from_parents(self.partial.parents()) else {
+                return true; // the parent function contains a cycle
+            };
+            if graph.respects(self.app).is_err() {
+                return true;
+            }
+            let value = (self.eval)(&graph, self.incumbent.get());
+            let index = self.expanded;
+            self.expanded += 1;
+            if self.best.as_ref().is_none_or(|(b, _, _)| value < *b) {
+                self.incumbent.offer(value);
+                self.best = Some((value, index, graph));
+            }
             return true;
         }
+        for choice in parent_choices(n, k) {
+            self.partial.push(choice);
+            let ok = self.walk();
+            self.partial.pop();
+            if !ok {
+                return false;
+            }
+        }
+        true
     }
-    let n = app.n();
-    let k = partial.assigned();
-    if k >= n {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return false;
-        }
-        let Ok(graph) = ExecutionGraph::from_parents(partial.parents()) else {
-            return true; // the parent function contains a cycle
-        };
-        if graph.respects(app).is_err() {
-            return true;
-        }
-        let value = eval(&graph, incumbent.get());
-        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-            incumbent.offer(value);
-            *best = Some((value, graph));
-        }
-        return true;
-    }
-    partial.push(None);
-    let ok = enumerate_parents_pruned(app, partial, best, incumbent, prune, eval, deadline);
-    partial.pop();
-    if !ok {
-        return false;
-    }
-    for p in 0..n {
-        if p == k {
-            continue;
-        }
-        partial.push(Some(p));
-        let ok = enumerate_parents_pruned(app, partial, best, incumbent, prune, eval, deadline);
-        partial.pop();
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 /// Size of the parent-function space (`n^n`, saturating); `None` for `n == 0`.
@@ -996,7 +1000,17 @@ pub(crate) fn minimize_period_engine(
     if !app.has_constraints() {
         // Both evaluations dominate the model's structural period bound, so
         // the incremental period bound is an admissible subtree pruner.
-        let prune = PartialPrune::Period(model);
+        // Where the evaluation *is* that bound bit for bit — the lower-bound
+        // evaluation, and OVERLAP under either one (Theorem 1) — the walks
+        // also prune optimum ties; orchestrated one-port values can sit ulps
+        // below the bound and keep strict clearance only.
+        let prune = if budget.period_evaluation == PeriodEvaluation::LowerBound
+            || model == CommModel::Overlap
+        {
+            PartialPrune::StructuralPeriod(model)
+        } else {
+            PartialPrune::Period(model)
+        };
         // Symmetry reduction is engaged only when the candidate evaluation
         // is provably invariant under the matching relabelling group (the
         // bit-safety gate on `Symmetry`): the structural bounds are

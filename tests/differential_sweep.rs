@@ -1,0 +1,211 @@
+//! Differential sweep of the exhaustive forest searches against brute force
+//! (seeded random instances, std only).
+//!
+//! Each instance draws its services' weights from a handful of distinct
+//! values, so selectivity products taken in different orders collide and
+//! can round apart by an ulp; selectivities above 1 are included.  For
+//! every model × candidate evaluation × thread count × cold or warm start,
+//! `minimize_period` and `minimize_latency` (cold) and `solve_warm_observed`
+//! seeded with the brute-force winner (warm) must return the value of
+//! `exhaustive_forest_best` bit for bit.  Instances without weight symmetry
+//! run the labelled walk, whose winner must also be the brute force's first
+//! minimum; class-symmetric instances run the streamed walk, which returns
+//! the canonical tie-break representative, so only its value is compared.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use fsw::core::{
+    canonical_classed_member, Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses,
+};
+use fsw::sched::engine::{CanonicalSpace, EvalCache};
+use fsw::sched::minlatency::minimize_latency;
+use fsw::sched::minperiod::{
+    evaluate_period, exhaustive_forest_best, minimize_period, PeriodEvaluation, SearchOutcome,
+};
+use fsw::sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
+use fsw::sched::outorder::outorder_period_search;
+use fsw::sched::tree::tree_latency;
+
+const COSTS: [f64; 4] = [0.25, 1.0, 2.5, 7.0];
+const SELECTIVITIES: [f64; 5] = [0.45, 0.6, 0.7, 0.9, 1.3];
+const THREADS: [usize; 3] = [1, 2, 4];
+const EVALUATIONS: [PeriodEvaluation; 2] =
+    [PeriodEvaluation::LowerBound, PeriodEvaluation::Orchestrated];
+
+fn graph_edges(graph: &ExecutionGraph) -> Vec<(usize, usize)> {
+    graph.edges().collect()
+}
+
+/// An `n`-service instance whose weights come from two costs and three
+/// selectivities.  `symmetric` draws the (cost, selectivity) pairs with
+/// replacement, so weight classes repeat; otherwise every service gets its
+/// own pair and the instance has no weight symmetry.
+fn instance(n: usize, symmetric: bool, rng: &mut StdRng) -> Application {
+    let mut pick = |pool: &[f64], count: usize| {
+        let mut chosen: Vec<f64> = Vec::with_capacity(count);
+        while chosen.len() < count {
+            let value = pool[rng.gen_range(0..pool.len())];
+            if !chosen.contains(&value) {
+                chosen.push(value);
+            }
+        }
+        chosen
+    };
+    let costs = pick(&COSTS, 2);
+    let selectivities = pick(&SELECTIVITIES, 3);
+    let mut pairs: Vec<(f64, f64)> = costs
+        .iter()
+        .flat_map(|&c| selectivities.iter().map(move |&s| (c, s)))
+        .collect();
+    let specs: Vec<(f64, f64)> = (0..n)
+        .map(|_| {
+            let at = rng.gen_range(0..pairs.len());
+            if symmetric {
+                pairs[at]
+            } else {
+                pairs.swap_remove(at)
+            }
+        })
+        .collect();
+    Application::independent(&specs)
+}
+
+/// The brute-force value of one forest under the plan search's own
+/// candidate evaluation.  The orchestrated OUTORDER search values a forest
+/// at its canonical class member on class-symmetric instances.
+fn period_oracle(
+    app: &Application,
+    model: CommModel,
+    budget: &SearchBudget,
+    graph: &ExecutionGraph,
+) -> f64 {
+    if budget.period_evaluation == PeriodEvaluation::LowerBound {
+        return PlanMetrics::compute(app, graph)
+            .map(|m| m.period_lower_bound(model))
+            .unwrap_or(f64::INFINITY);
+    }
+    if model == CommModel::OutOrder {
+        let classes = WeightClasses::of(app);
+        let member = if CanonicalSpace::class_reducible(app) {
+            canonical_classed_member(&classes, graph).expect("forest candidates")
+        } else {
+            graph.clone()
+        };
+        return outorder_period_search(app, &member, budget)
+            .map(|r| r.period)
+            .unwrap_or(f64::INFINITY);
+    }
+    evaluate_period(app, graph, model, budget).unwrap_or(f64::INFINITY)
+}
+
+/// Checks one search outcome against the brute force's first minimum.
+fn check(label: &str, app: &Application, outcome: &SearchOutcome, brute: &(f64, ExecutionGraph)) {
+    assert!(outcome.exhaustive, "{label}: not exhaustive");
+    assert_eq!(
+        outcome.value.to_bits(),
+        brute.0.to_bits(),
+        "{label}: value {} against brute force {} on {app:?}",
+        outcome.value,
+        brute.0
+    );
+    if !CanonicalSpace::class_reducible(app) {
+        assert_eq!(
+            graph_edges(&outcome.graph),
+            graph_edges(&brute.1),
+            "{label}: labelled winner on {app:?}"
+        );
+    }
+}
+
+/// Runs the cold search and the warm solve seeded with the brute-force
+/// winner at every thread count, checking both against the brute force.
+fn sweep(
+    label: &str,
+    app: &Application,
+    model: CommModel,
+    objective: Objective,
+    budget: &SearchBudget,
+    brute: &(f64, ExecutionGraph),
+) {
+    for threads in THREADS {
+        let budget = SearchBudget { threads, ..*budget };
+        let cold = match objective {
+            Objective::MinPeriod => minimize_period(app, model, &budget),
+            Objective::MinLatency => minimize_latency(app, model, &budget),
+        }
+        .expect("valid instance");
+        check(&format!("{label} x{threads} cold"), app, &cold, brute);
+        let problem = Problem::new(app, model, objective);
+        let (warm, _) = solve_warm_observed(
+            &problem,
+            &budget,
+            &EvalCache::new(app),
+            Some(&brute.1),
+            None,
+        )
+        .expect("valid instance");
+        let warm = SearchOutcome {
+            value: warm.value,
+            graph: warm.graph,
+            exhaustive: warm.exhaustive,
+        };
+        check(&format!("{label} x{threads} warm"), app, &warm, brute);
+    }
+}
+
+/// MINPERIOD, every model and both candidate evaluations: the searches
+/// return the brute force's value bit for bit, and its winner on the
+/// labelled walk.
+#[test]
+fn period_searches_match_brute_force_on_colliding_weights() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    for case in 0..8 {
+        let n = 5 + case % 2;
+        let app = instance(n, case % 4 < 2, &mut rng);
+        for model in CommModel::ALL {
+            for evaluation in EVALUATIONS {
+                // The orchestrated one-port brute force runs an ordering
+                // search per forest: keep those to the five-service cases.
+                if evaluation == PeriodEvaluation::Orchestrated
+                    && model != CommModel::Overlap
+                    && n > 5
+                {
+                    continue;
+                }
+                let budget = SearchBudget::default().with_period_evaluation(evaluation);
+                let brute =
+                    exhaustive_forest_best(&app, |g| period_oracle(&app, model, &budget, g))
+                        .expect("the forest space fits the cap");
+                let label = format!("case {case} n={n} {model} {evaluation:?}");
+                sweep(&label, &app, model, Objective::MinPeriod, &budget, &brute);
+            }
+        }
+    }
+}
+
+/// MINLATENCY's forest phase (the DAG phase is switched off), both
+/// candidate evaluations: the searches return the brute force's
+/// tree-latency optimum bit for bit, and its winner on the labelled walk.
+#[test]
+fn latency_searches_match_brute_force_on_colliding_weights() {
+    let mut rng = StdRng::seed_from_u64(0xD1FE);
+    for case in 0..4 {
+        let n = 5 + case % 2;
+        let app = instance(n, case < 2, &mut rng);
+        let brute =
+            exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
+                .expect("the forest space fits the cap");
+        for model in CommModel::ALL {
+            for evaluation in EVALUATIONS {
+                let budget = SearchBudget {
+                    dag_enumeration_max_n: 0,
+                    ..SearchBudget::default()
+                }
+                .with_period_evaluation(evaluation);
+                let label = format!("case {case} n={n} {model} {evaluation:?} latency");
+                sweep(&label, &app, model, Objective::MinLatency, &budget, &brute);
+            }
+        }
+    }
+}

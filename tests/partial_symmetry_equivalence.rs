@@ -21,7 +21,10 @@
 //!   (colourings = 1 per shape): the lazy walk must cover exactly the
 //!   materialised uniform representative set (A000081 count included), and
 //!   its winner must equal the first-minimum scan under frontier caps
-//!   {1, 2, default}, serial and parallel, up to n = 12.
+//!   {1, 2, default}, serial and parallel, up to n = 12;
+//! * with **tie dominance** engaged, the streamed walk must still equal the
+//!   first-minimum scan, and keep optima that sit one ulp below a tying
+//!   plateau (the bit-admissible floors).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +36,7 @@ use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{
     exhaustive_forest_best, exhaustive_forest_search, minimize_period, PeriodEvaluation,
 };
-use fsw::sched::orchestrator::SearchBudget;
+use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
@@ -750,4 +753,107 @@ fn time_limit_bounds_the_lazy_generator_at_n13() {
         elapsed < std::time::Duration::from_millis(500),
         "time_limit overshoot: {elapsed:?} for a 20 ms budget"
     );
+}
+
+/// Class-symmetric instances whose optimum is one ulp below a neighbouring
+/// plateau: a completion's path-order selectivity product rounds below the
+/// sorted-order floor of its unplaced services.  The tie-dominance prune
+/// compares against those floors, so they must be bit-admissible; an
+/// unshaved floor returned 1.2348 and 1.5309000000000001 here, one ulp
+/// above the optimum, at every thread count.
+#[test]
+fn tie_dominance_keeps_optima_one_ulp_below_the_plateau() {
+    let instances: [&[(f64, f64)]; 2] = [
+        &[
+            (7.0, 1.0),
+            (7.0, 1.0),
+            (0.25, 0.6),
+            (0.25, 0.6),
+            (1.0, 0.7),
+            (1.0, 0.7),
+        ],
+        &[(1.0, 0.9), (1.0, 0.9), (0.5, 0.45), (7.0, 0.7), (1.0, 0.6)],
+    ];
+    for specs in instances {
+        let app = Application::independent(specs);
+        assert!(CanonicalSpace::class_reducible(&app));
+        let eval = |g: &ExecutionGraph| {
+            PlanMetrics::compute(&app, g)
+                .map(|m| m.period_lower_bound(CommModel::Overlap))
+                .unwrap_or(f64::INFINITY)
+        };
+        let brute = exhaustive_forest_best(&app, eval).unwrap();
+        let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
+        assert_eq!(scan_value.to_bits(), brute.0.to_bits());
+        let problem = Problem::new(&app, CommModel::Overlap, Objective::MinPeriod);
+        for threads in [1, 2, 4] {
+            let budget = SearchBudget {
+                threads,
+                ..SearchBudget::default()
+            };
+            let solution = solve(&problem, &budget).unwrap();
+            assert!(solution.exhaustive, "{specs:?} x{threads}");
+            assert_eq!(
+                solution.value.to_bits(),
+                brute.0.to_bits(),
+                "{specs:?} x{threads}: {} against brute force {}",
+                solution.value,
+                brute.0
+            );
+            assert_eq!(
+                graph_edges(&solution.graph),
+                graph_edges(&scan_graph),
+                "{specs:?} x{threads}: winner"
+            );
+        }
+    }
+}
+
+/// With tie dominance engaged (the candidate value *is* the structural
+/// period bound), the streamed walk still returns the first minimum of the
+/// materialised scan — value and winner — for every model, serial and
+/// parallel.
+#[test]
+fn streamed_tie_dominance_equals_the_first_minimum_scan() {
+    let mut rng = StdRng::seed_from_u64(0x500E);
+    for case in 0..CASES {
+        let (app, symmetry) = if case % 2 == 0 {
+            let cost = rng.gen_range(0.5..6.0);
+            let sel = rng.gen_range(0.2..1.5);
+            (Application::independent(&[(cost, sel); 6]), Symmetry::Auto)
+        } else {
+            (random_multiclass_app(6, &mut rng), Symmetry::Classes)
+        };
+        for model in CommModel::ALL {
+            let eval = |g: &ExecutionGraph| {
+                PlanMetrics::compute(&app, g)
+                    .map(|m| m.period_lower_bound(model))
+                    .unwrap_or(f64::INFINITY)
+            };
+            let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
+            for threads in [1, 4] {
+                let streamed = exhaustive_forest_search(
+                    &app,
+                    2_000_000,
+                    Exec::threaded(threads),
+                    PartialPrune::StructuralPeriod(model),
+                    symmetry,
+                    f64::INFINITY,
+                    &|g, _| eval(g),
+                    None,
+                )
+                .unwrap();
+                assert_eq!(
+                    scan_value.to_bits(),
+                    streamed.value.to_bits(),
+                    "case {case} {model} x{threads}: value"
+                );
+                assert_eq!(
+                    graph_edges(&scan_graph),
+                    graph_edges(&streamed.graph),
+                    "case {case} {model} x{threads}: winner"
+                );
+            }
+        }
+    }
 }
