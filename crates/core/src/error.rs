@@ -70,6 +70,8 @@ pub enum CoreError {
         /// Size actually found.
         found: usize,
     },
+    /// An application with no services: there is nothing to plan.
+    EmptyApplication,
     /// The input is valid but outside what the called operation supports
     /// (e.g. a constrained application handed to the online re-planning
     /// sessions, whose plan adaptation is forest-splice based).
@@ -112,6 +114,7 @@ impl fmt::Display for CoreError {
                     "size mismatch: expected {expected} services, found {found}"
                 )
             }
+            CoreError::EmptyApplication => write!(f, "application has no services"),
             CoreError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
         }
     }

@@ -138,11 +138,14 @@ impl Application {
         !self.constraints.is_empty()
     }
 
-    /// Checks that the application is well formed:
+    /// Checks that the application is well formed: at least one service,
     /// positive costs, non-negative selectivities, constraint endpoints in
     /// range and an acyclic constraint graph.
     pub fn validate(&self) -> CoreResult<()> {
         let n = self.services.len();
+        if n == 0 {
+            return Err(CoreError::EmptyApplication);
+        }
         for (id, s) in self.services.iter().enumerate() {
             let cost_ok = s.cost.is_finite() && s.cost > 0.0;
             if !cost_ok {
@@ -317,6 +320,14 @@ mod tests {
             app.validate(),
             Err(CoreError::NonPositiveCost { id: 0, .. })
         ));
+    }
+
+    #[test]
+    fn empty_application_rejected() {
+        assert_eq!(
+            Application::independent(&[]).validate(),
+            Err(CoreError::EmptyApplication)
+        );
     }
 
     #[test]

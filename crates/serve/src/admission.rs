@@ -286,10 +286,11 @@ impl AdmissionPolicy {
     /// ([`ShapeBounder::forest_floor`], the head of the bound-ordered shape
     /// plan, streamed without building it) floors the whole forest space
     /// (constrained plans are a subset of it, so the floor holds for them
-    /// too).  `None` when the DAG phase could beat it or when the shape
-    /// space exceeds 2 000 shapes (`n > 10`, `FLOOR_MAX_N`) — the
-    /// structural gate that bounds this pass instead of a wall-clock
-    /// deadline, keeping the floor deterministic.
+    /// too).  `None` for an application with no services, when the DAG
+    /// phase could beat it or when the shape space exceeds 2 000 shapes
+    /// (`n > 10`, `FLOOR_MAX_N`) — the structural gate that bounds this
+    /// pass instead of a wall-clock deadline, keeping the floor
+    /// deterministic.
     pub fn certified_floor(
         &self,
         app: &Application,
@@ -303,7 +304,7 @@ impl AdmissionPolicy {
             Objective::MinLatency if n > budget.dag_enumeration_max_n => ShapeObjective::Latency,
             Objective::MinLatency => return None,
         };
-        if n > FLOOR_MAX_N {
+        if n == 0 || n > FLOOR_MAX_N {
             return None;
         }
         Some(ShapeBounder::new(app, shape_objective).forest_floor())

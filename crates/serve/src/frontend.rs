@@ -95,7 +95,8 @@ pub struct FrontendConfig {
     /// Bound on each tenant's ingress queue; arrivals beyond it are shed
     /// at ingress with [`RejectReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Requests dequeued (round-robin across tenants) per tick.
+    /// Requests dequeued (round-robin across tenants) per tick; 0 counts
+    /// as 1, or the loop would never drain.
     pub dispatch_per_tick: usize,
     /// Backlog at or above which the shed level rises (one step per tick).
     pub backlog_high: usize,
@@ -414,7 +415,10 @@ impl<'r> EventLoop<'r> {
     pub(crate) fn new(config: FrontendConfig, instruments: Option<Instruments>) -> Self {
         EventLoop {
             pool: WorkerPool::new(config.workers),
-            config,
+            config: FrontendConfig {
+                dispatch_per_tick: config.dispatch_per_tick.max(1),
+                ..config
+            },
             instruments,
             tick: 0,
             next_ticket: 0,
@@ -1135,6 +1139,21 @@ mod tests {
             matches!(outcome, ServeOutcome::Degraded { .. }),
             "baseline must still degrade-admit, got {outcome:?}"
         );
+    }
+
+    #[test]
+    fn zero_dispatch_per_tick_still_dequeues() {
+        let config = FrontendConfig {
+            dispatch_per_tick: 0,
+            ..FrontendConfig::default()
+        };
+        let mut frontend = AsyncFrontend::new(service(), config);
+        let ticket = frontend.submit(0, small_request(0)).unwrap();
+        let completions: Vec<Completion> = (0..16).flat_map(|_| frontend.tick()).collect();
+        assert_eq!(frontend.outstanding(), 0, "the request must be dequeued");
+        assert_eq!(completions.len(), 1);
+        assert_eq!(completions[0].ticket, ticket);
+        assert!(completions[0].outcome.is_exact());
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub enum TenantEvent {
         /// Selectivity of the new service.
         selectivity: f64,
     },
-    /// Service `service` leaves; later ids shift down by one.
+    /// Service `service` leaves; later ids shift down by one.  The last
+    /// service cannot leave: an application needs at least one.
     Depart {
         /// The departing service.
         service: ServiceId,
@@ -196,6 +197,7 @@ impl TenantSession {
                     .map(|k| (self.app.cost(k), self.app.selectivity(k)))
                     .collect();
                 let survivors = Application::independent(&specs);
+                survivors.validate()?;
                 let spliced_plan = match &self.plan {
                     Some(plan) => {
                         // Splice the departed node out: every survivor whose

@@ -1,16 +1,18 @@
-//! Differential sweep of the exhaustive forest searches against brute force
-//! (seeded random instances, std only).
+//! Differential sweep of the exhaustive forest and DAG searches against
+//! brute force (seeded random instances, std only).
 //!
 //! Each instance draws its services' weights from a handful of distinct
 //! values, so selectivity products taken in different orders collide and
 //! can round apart by an ulp; selectivities above 1 are included.  For
 //! every model × candidate evaluation × thread count × cold or warm start,
 //! `minimize_period` and `minimize_latency` (cold) and `solve_warm_observed`
-//! seeded with the brute-force winner (warm) must return the value of
-//! `exhaustive_forest_best` bit for bit.  Instances without weight symmetry
-//! run the labelled walk, whose winner must also be the brute force's first
-//! minimum; class-symmetric instances run the streamed walk, which returns
-//! the canonical tie-break representative, so only its value is compared.
+//! seeded with the brute force's forest winner (warm) must return the value
+//! of `exhaustive_forest_best` bit for bit — or, with MINLATENCY's DAG
+//! phase on, of the forest-then-`exhaustive_dag_best` composition.
+//! Instances without weight symmetry run the labelled walk, whose winner
+//! must also be the brute force's first minimum; class-symmetric instances
+//! run the streamed walk, which returns the canonical tie-break
+//! representative, so only its value is compared.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,9 +21,10 @@ use fsw::core::{
     canonical_classed_member, Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses,
 };
 use fsw::sched::engine::{CanonicalSpace, EvalCache};
-use fsw::sched::minlatency::minimize_latency;
+use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
-    evaluate_period, exhaustive_forest_best, minimize_period, PeriodEvaluation, SearchOutcome,
+    evaluate_period, exhaustive_dag_best, exhaustive_forest_best, minimize_period,
+    PeriodEvaluation, SearchOutcome,
 };
 use fsw::sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::outorder_period_search;
@@ -118,8 +121,9 @@ fn check(label: &str, app: &Application, outcome: &SearchOutcome, brute: &(f64, 
     }
 }
 
-/// Runs the cold search and the warm solve seeded with the brute-force
-/// winner at every thread count, checking both against the brute force.
+/// Runs the cold search and the warm solve seeded with `seed` (a forest:
+/// only forests seed a solve) at every thread count, checking both against
+/// the brute force.
 fn sweep(
     label: &str,
     app: &Application,
@@ -127,6 +131,7 @@ fn sweep(
     objective: Objective,
     budget: &SearchBudget,
     brute: &(f64, ExecutionGraph),
+    seed: &ExecutionGraph,
 ) {
     for threads in THREADS {
         let budget = SearchBudget { threads, ..*budget };
@@ -137,14 +142,9 @@ fn sweep(
         .expect("valid instance");
         check(&format!("{label} x{threads} cold"), app, &cold, brute);
         let problem = Problem::new(app, model, objective);
-        let (warm, _) = solve_warm_observed(
-            &problem,
-            &budget,
-            &EvalCache::new(app),
-            Some(&brute.1),
-            None,
-        )
-        .expect("valid instance");
+        let (warm, _) =
+            solve_warm_observed(&problem, &budget, &EvalCache::new(app), Some(seed), None)
+                .expect("valid instance");
         let warm = SearchOutcome {
             value: warm.value,
             graph: warm.graph,
@@ -178,7 +178,15 @@ fn period_searches_match_brute_force_on_colliding_weights() {
                     exhaustive_forest_best(&app, |g| period_oracle(&app, model, &budget, g))
                         .expect("the forest space fits the cap");
                 let label = format!("case {case} n={n} {model} {evaluation:?}");
-                sweep(&label, &app, model, Objective::MinPeriod, &budget, &brute);
+                sweep(
+                    &label,
+                    &app,
+                    model,
+                    Objective::MinPeriod,
+                    &budget,
+                    &brute,
+                    &brute.1,
+                );
             }
         }
     }
@@ -204,8 +212,62 @@ fn latency_searches_match_brute_force_on_colliding_weights() {
                 }
                 .with_period_evaluation(evaluation);
                 let label = format!("case {case} n={n} {model} {evaluation:?} latency");
-                sweep(&label, &app, model, Objective::MinLatency, &budget, &brute);
+                sweep(
+                    &label,
+                    &app,
+                    model,
+                    Objective::MinLatency,
+                    &budget,
+                    &brute,
+                    &brute.1,
+                );
             }
         }
     }
+}
+
+/// MINLATENCY with the DAG phase on (n = 3–4, within
+/// `dag_enumeration_max_n`): the searches return the brute-force
+/// composition of the forest optimum and `exhaustive_dag_best` — a DAG wins
+/// only when it is more than 1e-12 below every forest — bit for bit, and
+/// its winner on the labelled walk.
+#[test]
+fn latency_searches_with_the_dag_phase_match_brute_force() {
+    // This seed draws DAG winners on both walks (cases 0, 1 and 6).
+    let mut rng = StdRng::seed_from_u64(12);
+    let budget = SearchBudget {
+        dag_enumeration_max_n: 4,
+        ..SearchBudget::default()
+    };
+    let mut dag_wins = 0;
+    for case in 0..8 {
+        let n = 3 + case % 2;
+        let app = instance(n, case % 4 < 2, &mut rng);
+        let forest =
+            exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
+                .expect("the forest space fits the cap");
+        for model in CommModel::ALL {
+            let dag = exhaustive_dag_best(&app, budget.dag_enumeration_max_n, |g| {
+                evaluate_latency(&app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY)
+            })
+            .expect("n is within the DAG phase");
+            let brute = if dag.0 < forest.0 - 1e-12 {
+                dag_wins += 1;
+                dag
+            } else {
+                forest.clone()
+            };
+            let label = format!("case {case} n={n} {model} latency with DAGs");
+            sweep(
+                &label,
+                &app,
+                model,
+                Objective::MinLatency,
+                &budget,
+                &brute,
+                &forest.1,
+            );
+        }
+    }
+    assert!(dag_wins > 0, "no instance has a DAG winner");
 }

@@ -13,7 +13,9 @@
 //!   exponential backoff, and recovers once the fault clears;
 //! * a plan space whose shapes are wider than the 64-bit shape key is
 //!   refused up front, so an unbounded budget degrades instead of
-//!   streaming without end.
+//!   streaming without end;
+//! * an application with no services is refused where applications enter,
+//!   instead of panicking the caller's thread.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,7 +30,7 @@ use fsw::sched::engine::CanonicalSpace;
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::serve::{
     AdmissionPolicy, AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService,
-    RejectReason, ServeOutcome,
+    RejectReason, ServeOutcome, TenantEvent, TenantSession,
 };
 use fsw::sim::{replay_trace, FaultPlan, ServeReplayConfig};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
@@ -392,4 +394,49 @@ fn deadline_cancellations_surface_through_the_serve_stats_snapshot() {
         cancelled,
         "the snapshot carries the cancellation total"
     );
+}
+
+#[test]
+fn an_application_with_no_services_is_refused_at_every_entry() {
+    // Both front doors, the session constructor and a departure of the
+    // last service must return an error, not panic on the caller's thread
+    // (the empty solve is non-exhaustive, and its floor would enumerate
+    // forests on zero nodes).
+    let empty = Application::independent(&[]);
+    let request = PlanRequest::new(empty.clone(), CommModel::Overlap, Objective::MinPeriod);
+    let budget = SearchBudget::default();
+    let service = Arc::new(PlanService::new(budget, 16));
+    assert!(service.serve_one(&request).is_err());
+    let mut frontend = AsyncFrontend::new(Arc::clone(&service), FrontendConfig::default());
+    assert!(frontend.submit(0, request).is_err());
+    assert_eq!(
+        frontend.outstanding(),
+        0,
+        "a refused request earns no ticket"
+    );
+    assert!(frontend.drain().is_empty());
+    assert_eq!(service.stats().submitted, 0);
+
+    let session = |app: Application| {
+        TenantSession::new(app, CommModel::Overlap, Objective::MinPeriod, budget)
+    };
+    assert!(session(empty.clone()).is_err());
+    let mut last = session(Application::independent(&[(2.0, 0.5)])).expect("one service");
+    assert!(last.apply(TenantEvent::Depart { service: 0 }).is_err());
+    assert_eq!(
+        last.app().n(),
+        1,
+        "a refused departure leaves the session as it was"
+    );
+    assert!(last.replan().expect("still one service").exhaustive);
+
+    let policy = AdmissionPolicy::for_budget(&budget);
+    for model in CommModel::ALL {
+        for objective in [Objective::MinPeriod, Objective::MinLatency] {
+            assert_eq!(
+                policy.certified_floor(&empty, model, objective, &budget),
+                None
+            );
+        }
+    }
 }
