@@ -21,7 +21,6 @@ use fsw_sched::baseline::{nocomm_minperiod_plan, nocomm_period};
 use fsw_sched::chain::{
     chain_graph, chain_latency, chain_minlatency_order, chain_minperiod_order, chain_period,
 };
-use fsw_sched::engine::frontier::DEFAULT_FRONTIER_CAP;
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::engine::EvalCache;
 use fsw_sched::latency::{multiport_proportional_latency, oneport_latency_search};
@@ -33,7 +32,7 @@ use fsw_sched::orchestrator::{
 use fsw_sched::outorder::outorder_schedule_at;
 use fsw_sched::overlap::overlap_period_lower_bound;
 use fsw_sched::tree::tree_latency;
-use fsw_sched::CommOrderings;
+use fsw_sched::{CommOrderings, Exec};
 use fsw_serve::{FrontendConfig, PlanRequest, PlanService, ServeSource};
 use fsw_sim::{
     replay_oplist, replay_trace, simulate_inorder, Disposition, FaultPlan, ServeReplayConfig,
@@ -651,9 +650,9 @@ pub fn e13_partial_symmetry_scaling() -> Vec<ExperimentRow> {
                 rows.push(ExperimentRow::new(
                     format!(
                         "lazy {name} {model} n={n}: peak resident representatives \
-                         (paper column = frontier cap)"
+                         (paper column = worker count)"
                     ),
-                    Some(DEFAULT_FRONTIER_CAP as f64),
+                    Some(Exec::threaded(budget.threads).effective_threads() as f64),
                     stream.peak_resident as f64,
                 ));
                 rows.push(ExperimentRow::new(
@@ -1704,8 +1703,8 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
         .stream
         .expect("the default budget routes tiered n=9 through the lazy stream");
     assert!(
-        stream.peak_resident <= DEFAULT_FRONTIER_CAP,
-        "resident representatives must stay under the frontier cap"
+        stream.peak_resident <= Exec::threaded(budget.threads).effective_threads(),
+        "resident representatives must stay under the worker count"
     );
     rows.push(ExperimentRow::new(
         format!(
@@ -1871,7 +1870,8 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
         .stream
         .expect("the uniform path always routes through the lazy stream");
     assert!(
-        stream.peak_resident >= 1 && stream.peak_resident <= DEFAULT_FRONTIER_CAP,
+        stream.peak_resident >= 1
+            && stream.peak_resident <= Exec::threaded(budget.threads).effective_threads(),
         "uniform stream telemetry must be populated and bounded"
     );
     rows.push(ExperimentRow::new(

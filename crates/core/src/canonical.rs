@@ -507,6 +507,15 @@ pub enum ShapeObjective {
 /// function of the shape and the weight multiset; rounding drift against
 /// the chain-ordered evaluation products is far below the strict-clearance
 /// epsilon the searches prune with.
+///
+/// These floors are **not bit-admissible**: a representative multiplies
+/// its ancestors' selectivities in path order, which can round one ulp
+/// below the sorted-order product, so a shape's bound can sit an ulp above
+/// one of its representatives' values.  The streamed walk therefore uses
+/// them with strict clearance only (the bound must exceed the incumbent
+/// plus the prune epsilon) and never for the non-strict tie-dominance
+/// rule, which it applies with the bit-admissible prefix bound of
+/// [`crate::PartialForestMetrics`] instead.
 #[derive(Clone, Debug)]
 pub struct ShapeBounder {
     /// `anc_floor[d]`: product of the `d` smallest `min(1, σ)` values.

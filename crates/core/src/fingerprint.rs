@@ -169,25 +169,17 @@ impl CanonicalApplication {
     /// own labelling (edge `(a, b)` becomes
     /// `(from_canonical[a], from_canonical[b])`).  The relabelled graph has
     /// the same weighted structure, so every structurally label-invariant
-    /// metric is preserved bit-for-bit.
+    /// metric is preserved bit-for-bit.  One pass, one allocation
+    /// ([`ExecutionGraph::relabelled`]); fails only when `graph` is not
+    /// over this application's services.
     pub fn graph_to_tenant(&self, graph: &ExecutionGraph) -> CoreResult<ExecutionGraph> {
-        debug_assert_eq!(graph.n(), self.from_canonical.len());
-        let mut out = ExecutionGraph::new(graph.n());
-        for (a, b) in graph.edges() {
-            out.add_edge(self.from_canonical[a], self.from_canonical[b])?;
-        }
-        Ok(out)
+        graph.relabelled(&self.from_canonical)
     }
 
     /// Maps a tenant-labelled execution graph onto canonical labels (the
     /// inverse of [`CanonicalApplication::graph_to_tenant`]).
     pub fn graph_to_canonical(&self, graph: &ExecutionGraph) -> CoreResult<ExecutionGraph> {
-        debug_assert_eq!(graph.n(), self.to_canonical.len());
-        let mut out = ExecutionGraph::new(graph.n());
-        for (a, b) in graph.edges() {
-            out.add_edge(self.to_canonical[a], self.to_canonical[b])?;
-        }
-        Ok(out)
+        graph.relabelled(&self.to_canonical)
     }
 }
 

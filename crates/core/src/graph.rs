@@ -9,34 +9,134 @@
 //! are materialised by [`crate::oplist::EdgeRef::Input`] and
 //! [`crate::oplist::EdgeRef::Output`] in operation lists.
 
+use std::fmt;
+
 use crate::error::{CoreError, CoreResult};
 use crate::service::{Application, ServiceId};
 
 /// A directed acyclic execution graph over `n` services.
 ///
-/// Edges are stored both as successor and predecessor adjacency lists (kept
-/// sorted), so that neighbourhood queries are cheap in both directions.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// The graph is one flat allocation in compressed-sparse-row form, holding
+/// both directions so that neighbourhood queries are cheap either way:
+///
+/// ```text
+/// adj = [ succ offsets 0..=n | pred offsets 0..=n | succ targets | pred targets ]
+/// ```
+///
+/// The offsets index `adj` itself: `succs(k)` is
+/// `adj[adj[k]..adj[k + 1]]` and `preds(k)` is
+/// `adj[adj[n + 1 + k]..adj[n + 2 + k]]`, each list sorted.  A graph of
+/// `n` services and `m` edges therefore costs `(2n + 2 + 2m)` words in one
+/// block, and a clone is one allocation.  The bulk constructors
+/// ([`from_parents`](Self::from_parents), [`from_edges`](Self::from_edges),
+/// [`chain_of`](Self::chain_of),
+/// [`from_permutation_mask`](Self::from_permutation_mask),
+/// [`relabelled`](Self::relabelled)) size the block once and fill it in one
+/// pass; [`add_edge`](Self::add_edge) and
+/// [`remove_edge`](Self::remove_edge) rebuild it, at O(n + m) each.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ExecutionGraph {
     n: usize,
-    succs: Vec<Vec<ServiceId>>,
-    preds: Vec<Vec<ServiceId>>,
+    adj: Box<[ServiceId]>,
+}
+
+impl fmt::Debug for ExecutionGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Lists<'a>(
+            &'a ExecutionGraph,
+            fn(&ExecutionGraph, ServiceId) -> &[ServiceId],
+        );
+        impl fmt::Debug for Lists<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list()
+                    .entries((0..self.0.n).map(|k| (self.1)(self.0, k)))
+                    .finish()
+            }
+        }
+        f.debug_struct("ExecutionGraph")
+            .field("n", &self.n)
+            .field("succs", &Lists(self, ExecutionGraph::succs))
+            .field("preds", &Lists(self, ExecutionGraph::preds))
+            .finish()
+    }
 }
 
 impl ExecutionGraph {
     /// Creates an edge-less execution graph over `n` services.
     pub fn new(n: usize) -> Self {
+        let base = 2 * n + 2;
         ExecutionGraph {
             n,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
+            adj: vec![base; base].into_boxed_slice(),
+        }
+    }
+
+    /// Builds the graph of `m` distinct, in-range, non-loop edges in one
+    /// allocation: degrees are counted into the offset slots, turned into
+    /// end positions, and every target is written by decrementing its
+    /// list's cursor, which leaves each offset at its list's start.
+    fn build<I>(n: usize, m: usize, edges: I) -> Self
+    where
+        I: Iterator<Item = (ServiceId, ServiceId)> + Clone,
+    {
+        let base = 2 * n + 2;
+        let mut adj = vec![0; base + 2 * m];
+        for (i, j) in edges.clone() {
+            adj[i] += 1;
+            adj[n + 1 + j] += 1;
+        }
+        let mut end = base;
+        for slot in (0..n).chain(n + 1..2 * n + 1) {
+            end += adj[slot];
+            adj[slot] = end;
+        }
+        debug_assert_eq!(end, base + 2 * m, "edge count mismatch");
+        adj[n] = base + m;
+        adj[2 * n + 1] = end;
+        for (i, j) in edges {
+            adj[i] -= 1;
+            let at = adj[i];
+            adj[at] = j;
+            adj[n + 1 + j] -= 1;
+            let at = adj[n + 1 + j];
+            adj[at] = i;
+        }
+        for list in (0..n).chain(n + 1..2 * n + 1) {
+            let (lo, hi) = (adj[list], adj[list + 1]);
+            adj[lo..hi].sort_unstable();
+        }
+        ExecutionGraph {
+            n,
+            adj: adj.into_boxed_slice(),
         }
     }
 
     /// Creates an execution graph from an explicit edge list.
+    ///
+    /// Fails on out-of-range endpoints, self-loops, or a directed cycle,
+    /// reporting the first edge that [`add_edge`](Self::add_edge) would
+    /// refuse when the edges are added in order; repeated edges count once.
     pub fn from_edges(n: usize, edges: &[(ServiceId, ServiceId)]) -> CoreResult<Self> {
+        if edges.iter().all(|&(i, j)| i < n && j < n && i != j) {
+            let g = ExecutionGraph::build(n, edges.len(), edges.iter().copied());
+            let repeats = (0..n).any(|k| g.succs(k).windows(2).any(|w| w[0] == w[1]));
+            if !repeats && g.topological_order().is_ok() {
+                return Ok(g);
+            }
+        }
+        // Rare path: the exact error, or the repeats dropped.
+        ExecutionGraph::edge_by_edge(n, edges.iter().copied())
+    }
+
+    /// Adds `edges` one by one with [`add_edge`](Self::add_edge): the
+    /// bulk constructors' path for input they refuse, so that the error is
+    /// the first edge `add_edge` refuses, in order.
+    fn edge_by_edge<I>(n: usize, edges: I) -> CoreResult<Self>
+    where
+        I: Iterator<Item = (ServiceId, ServiceId)>,
+    {
         let mut g = ExecutionGraph::new(n);
-        for &(i, j) in edges {
+        for (i, j) in edges {
             g.add_edge(i, j)?;
         }
         Ok(g)
@@ -45,25 +145,43 @@ impl ExecutionGraph {
     /// Creates a linear chain following `order` (a permutation of `0..n`, or a
     /// subset of services to chain; services not listed stay isolated).
     pub fn chain_of(n: usize, order: &[ServiceId]) -> CoreResult<Self> {
-        let mut g = ExecutionGraph::new(n);
-        for w in order.windows(2) {
-            g.add_edge(w[0], w[1])?;
+        let edges = order.windows(2).map(|w| (w[0], w[1]));
+        // Distinct in-range services chain acyclically, with no repeats.
+        if distinct_below(order, n) {
+            let m = order.len().saturating_sub(1);
+            return Ok(ExecutionGraph::build(n, m, edges));
         }
-        Ok(g)
+        ExecutionGraph::edge_by_edge(n, edges)
     }
 
     /// Creates an execution graph from a parent function: `parents[k]` is the
     /// unique direct predecessor of `k`, or `None` if `k` is an entry node.
-    /// The result is always a forest.
+    /// The result is always a forest, built in one allocation.
     pub fn from_parents(parents: &[Option<ServiceId>]) -> CoreResult<Self> {
         let n = parents.len();
-        let mut g = ExecutionGraph::new(n);
-        for (k, &p) in parents.iter().enumerate() {
-            if let Some(p) = p {
-                g.add_edge(p, k)?;
+        let edges = parents
+            .iter()
+            .enumerate()
+            .filter_map(|(k, &p)| p.map(|p| (p, k)));
+        // A valid parent function is acyclic iff every ancestor walk ends
+        // at an entry within `n` steps.
+        let valid = parents.iter().enumerate().all(|(k, &p)| {
+            p.is_none_or(|p| p < n && p != k) && {
+                let mut at = p;
+                for _ in 0..n {
+                    match at {
+                        Some(a) if a < n => at = parents[a],
+                        _ => break,
+                    }
+                }
+                at.is_none()
             }
+        });
+        if valid {
+            let m = parents.iter().flatten().count();
+            return Ok(ExecutionGraph::build(n, m, edges));
         }
-        Ok(g)
+        ExecutionGraph::edge_by_edge(n, edges)
     }
 
     /// Creates an execution graph whose edges are the selected *forward* edges
@@ -73,35 +191,42 @@ impl ExecutionGraph {
     /// edge `order[a] → order[c]`.
     ///
     /// Because every selected edge goes forward along `order`, the result is
-    /// acyclic by construction, so this skips the per-edge cycle checks of
+    /// acyclic by construction, so this skips the cycle checks of
     /// [`ExecutionGraph::add_edge`] — it is the hot constructor of the
     /// exhaustive DAG enumeration.  Requires `order` to be a permutation of
     /// `0..n` with `n*(n-1)/2 <= 64`; both are debug-asserted.
     pub fn from_permutation_mask(order: &[ServiceId], mask: u64) -> Self {
         let n = order.len();
-        debug_assert!(n * n.saturating_sub(1) / 2 <= 64);
-        debug_assert!({
-            let mut seen = vec![false; n];
-            order
-                .iter()
-                .all(|&k| k < n && !std::mem::replace(&mut seen[k], true))
-        });
-        let mut g = ExecutionGraph::new(n);
-        let mut bit = 0u32;
-        for a in 0..n {
-            for c in (a + 1)..n {
-                if mask & (1u64 << bit) != 0 {
-                    let (i, j) = (order[a], order[c]);
-                    g.succs[i].push(j);
-                    g.preds[j].push(i);
-                }
-                bit += 1;
-            }
+        let pairs = n * n.saturating_sub(1) / 2;
+        debug_assert!(pairs <= 64);
+        debug_assert!(distinct_below(order, n));
+        let mask = if pairs >= 64 {
+            mask
+        } else {
+            mask & ((1u64 << pairs) - 1)
+        };
+        let edges = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |c| (a, c)))
+            .enumerate()
+            .filter(move |&(bit, _)| mask & (1u64 << bit) != 0)
+            .map(|(_, (a, c))| (order[a], order[c]));
+        ExecutionGraph::build(n, mask.count_ones() as usize, edges)
+    }
+
+    /// This graph under the node relabelling `perm` (edge `i → j` becomes
+    /// `perm[i] → perm[j]`), built in one pass and one allocation.  Fails
+    /// with [`CoreError::SizeMismatch`] unless `perm` has one entry per
+    /// service; `perm` must be a permutation of `0..n` (debug-asserted).
+    pub fn relabelled(&self, perm: &[ServiceId]) -> CoreResult<Self> {
+        if perm.len() != self.n {
+            return Err(CoreError::SizeMismatch {
+                expected: self.n,
+                found: perm.len(),
+            });
         }
-        for list in g.succs.iter_mut().chain(g.preds.iter_mut()) {
-            list.sort_unstable();
-        }
-        g
+        debug_assert!(distinct_below(perm, self.n));
+        let edges = self.edges().map(|(i, j)| (perm[i], perm[j]));
+        Ok(ExecutionGraph::build(self.n, self.edge_count(), edges))
     }
 
     /// Number of services (excluding the implicit input/output nodes).
@@ -119,25 +244,23 @@ impl ExecutionGraph {
         debug_assert!(self.n * self.n <= 128);
         debug_assert_eq!(perm.len(), self.n);
         let mut mask = 0u128;
-        for i in 0..self.n {
-            for &j in self.succs(i).iter() {
-                mask |= 1u128 << (perm[i] * self.n + perm[j]);
-            }
+        for (i, j) in self.edges() {
+            mask |= 1u128 << (perm[i] * self.n + perm[j]);
         }
         mask
     }
 
     /// Number of service-to-service edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.adj[self.n] - self.adj[0]
     }
 
     /// Returns `true` if the edge `i → j` is present.
     pub fn has_edge(&self, i: ServiceId, j: ServiceId) -> bool {
-        i < self.n && self.succs[i].binary_search(&j).is_ok()
+        i < self.n && self.succs(i).binary_search(&j).is_ok()
     }
 
-    /// Adds the edge `i → j`.
+    /// Adds the edge `i → j`, rebuilding the flat block (O(n + m)).
     ///
     /// Fails on out-of-range endpoints, self-loops, or if the edge would
     /// create a directed cycle.  Adding an existing edge is a no-op.
@@ -157,57 +280,68 @@ impl ExecutionGraph {
         if self.reaches(j, i) {
             return Err(CoreError::WouldCreateCycle { from: i, to: j });
         }
-        let pos = self.succs[i].binary_search(&j).unwrap_err();
-        self.succs[i].insert(pos, j);
-        let pos = self.preds[j].binary_search(&i).unwrap_err();
-        self.preds[j].insert(pos, i);
+        let n = self.n;
+        let at_succ = self.adj[i] + self.succs(i).partition_point(|&t| t < j);
+        let at_pred = self.adj[n + 1 + j] + self.preds(j).partition_point(|&t| t < i);
+        let mut adj = Vec::with_capacity(self.adj.len() + 2);
+        adj.extend_from_slice(&self.adj[..at_succ]);
+        adj.push(j);
+        adj.extend_from_slice(&self.adj[at_succ..at_pred]);
+        adj.push(i);
+        adj.extend_from_slice(&self.adj[at_pred..]);
+        shift_offsets(&mut adj, n, i, j, true);
+        self.adj = adj.into_boxed_slice();
         Ok(())
     }
 
-    /// Removes the edge `i → j`, returning `true` if it was present.
+    /// Removes the edge `i → j`, returning `true` if it was present;
+    /// rebuilds the flat block (O(n + m)).
     pub fn remove_edge(&mut self, i: ServiceId, j: ServiceId) -> bool {
         if i >= self.n || j >= self.n {
             return false;
         }
-        match self.succs[i].binary_search(&j) {
-            Ok(pos) => {
-                self.succs[i].remove(pos);
-                let p = self.preds[j]
-                    .binary_search(&i)
-                    .expect("adjacency out of sync");
-                self.preds[j].remove(p);
-                true
-            }
-            Err(_) => false,
-        }
+        let n = self.n;
+        let Ok(in_succ) = self.succs(i).binary_search(&j) else {
+            return false;
+        };
+        let in_pred = self
+            .preds(j)
+            .binary_search(&i)
+            .expect("adjacency out of sync");
+        let (at_succ, at_pred) = (self.adj[i] + in_succ, self.adj[n + 1 + j] + in_pred);
+        let mut adj = Vec::with_capacity(self.adj.len() - 2);
+        adj.extend_from_slice(&self.adj[..at_succ]);
+        adj.extend_from_slice(&self.adj[at_succ + 1..at_pred]);
+        adj.extend_from_slice(&self.adj[at_pred + 1..]);
+        shift_offsets(&mut adj, n, i, j, false);
+        self.adj = adj.into_boxed_slice();
+        true
     }
 
     /// Direct successors `Sout(k)` of a service, sorted.
     pub fn succs(&self, k: ServiceId) -> &[ServiceId] {
-        &self.succs[k]
+        &self.adj[self.adj[k]..self.adj[k + 1]]
     }
 
     /// Direct predecessors `Sin(k)` of a service, sorted.
     pub fn preds(&self, k: ServiceId) -> &[ServiceId] {
-        &self.preds[k]
+        let slot = self.n + 1 + k;
+        &self.adj[self.adj[slot]..self.adj[slot + 1]]
     }
 
     /// Iterator over all edges `(i, j)`.
-    pub fn edges(&self) -> impl Iterator<Item = (ServiceId, ServiceId)> + '_ {
-        self.succs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, js)| js.iter().map(move |&j| (i, j)))
+    pub fn edges(&self) -> impl Iterator<Item = (ServiceId, ServiceId)> + Clone + '_ {
+        (0..self.n).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j)))
     }
 
     /// Entry nodes (no predecessor); they receive data from the input node.
     pub fn entry_nodes(&self) -> Vec<ServiceId> {
-        (0..self.n).filter(|&k| self.preds[k].is_empty()).collect()
+        (0..self.n).filter(|&k| self.preds(k).is_empty()).collect()
     }
 
     /// Exit nodes (no successor); they send their output to the output node.
     pub fn exit_nodes(&self) -> Vec<ServiceId> {
-        (0..self.n).filter(|&k| self.succs[k].is_empty()).collect()
+        (0..self.n).filter(|&k| self.succs(k).is_empty()).collect()
     }
 
     /// Returns `true` if `from` reaches `to` by a directed path (possibly empty:
@@ -220,7 +354,7 @@ impl ExecutionGraph {
         let mut stack = vec![from];
         visited[from] = true;
         while let Some(v) = stack.pop() {
-            for &w in &self.succs[v] {
+            for &w in self.succs(v) {
                 if w == to {
                     return true;
                 }
@@ -238,7 +372,7 @@ impl ExecutionGraph {
     /// The graph is maintained acyclic by construction, so this never fails
     /// unless the invariant was broken; the `Result` is kept for robustness.
     pub fn topological_order(&self) -> CoreResult<Vec<ServiceId>> {
-        let mut indeg: Vec<usize> = (0..self.n).map(|k| self.preds[k].len()).collect();
+        let mut indeg: Vec<usize> = (0..self.n).map(|k| self.preds(k).len()).collect();
         // Use a stack seeded in reverse id order so the produced order is
         // deterministic (small ids first among ready nodes).
         let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..self.n)
@@ -248,7 +382,7 @@ impl ExecutionGraph {
         let mut order = Vec::with_capacity(self.n);
         while let Some(std::cmp::Reverse(v)) = heap.pop() {
             order.push(v);
-            for &w in &self.succs[v] {
+            for &w in self.succs(v) {
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
                     heap.push(std::cmp::Reverse(w));
@@ -273,7 +407,7 @@ impl ExecutionGraph {
         for &v in &order {
             // Ancestors of v = union over preds p of ({p} ∪ ancestors(p)).
             let mut mask = vec![false; self.n];
-            for &p in &self.preds[v] {
+            for &p in self.preds(v) {
                 mask[p] = true;
                 for a in 0..self.n {
                     if anc[p][a] {
@@ -289,12 +423,12 @@ impl ExecutionGraph {
     /// The ancestors of a single service, as a sorted list.
     pub fn ancestors(&self, k: ServiceId) -> Vec<ServiceId> {
         let mut visited = vec![false; self.n];
-        let mut stack: Vec<usize> = self.preds[k].to_vec();
-        for &p in &self.preds[k] {
+        let mut stack: Vec<usize> = self.preds(k).to_vec();
+        for &p in self.preds(k) {
             visited[p] = true;
         }
         while let Some(v) = stack.pop() {
-            for &p in &self.preds[v] {
+            for &p in self.preds(v) {
                 if !visited[p] {
                     visited[p] = true;
                     stack.push(p);
@@ -346,7 +480,7 @@ impl ExecutionGraph {
     /// Returns `true` if every node has at most one direct predecessor
     /// (the graph is a forest of out-trees).
     pub fn is_forest(&self) -> bool {
-        (0..self.n).all(|k| self.preds[k].len() <= 1)
+        (0..self.n).all(|k| self.preds(k).len() <= 1)
     }
 
     /// Returns `true` if the graph is a forest with a single entry node and
@@ -369,7 +503,7 @@ impl ExecutionGraph {
         if self.n == 0 {
             return true;
         }
-        self.is_tree() && (0..self.n).all(|k| self.succs[k].len() <= 1)
+        self.is_tree() && (0..self.n).all(|k| self.succs(k).len() <= 1)
     }
 
     /// If the graph is a forest, returns the parent function
@@ -379,7 +513,7 @@ impl ExecutionGraph {
             return Err(CoreError::NotAForest);
         }
         Ok((0..self.n)
-            .map(|k| self.preds[k].first().copied())
+            .map(|k| self.preds(k).first().copied())
             .collect())
     }
 
@@ -394,7 +528,7 @@ impl ExecutionGraph {
         let mut order = Vec::with_capacity(self.n);
         let mut cur = self.entry_nodes()[0];
         order.push(cur);
-        while let Some(&next) = self.succs[cur].first() {
+        while let Some(&next) = self.succs(cur).first() {
             order.push(next);
             cur = next;
         }
@@ -408,12 +542,44 @@ impl ExecutionGraph {
             .expect("execution graph invariant: acyclic");
         let mut depth = vec![0usize; self.n];
         for &v in &order {
-            for &p in &self.preds[v] {
+            for &p in self.preds(v) {
                 depth[v] = depth[v].max(depth[p] + 1);
             }
         }
         depth[k]
     }
+}
+
+/// Moves the offsets of a graph over `n` services after an edge `i → j`
+/// was inserted (`grow`) or removed: successor lists after `i` by one,
+/// every predecessor list by one (the successor block changed size), and
+/// predecessor lists after `j` by one more.
+fn shift_offsets(adj: &mut [ServiceId], n: usize, i: ServiceId, j: ServiceId, grow: bool) {
+    for (slot, offset) in adj[..=2 * n + 1].iter_mut().enumerate().skip(i + 1) {
+        let by = 1 + usize::from(slot >= n + 2 + j);
+        if grow {
+            *offset += by;
+        } else {
+            *offset -= by;
+        }
+    }
+}
+
+/// `true` when every id of `ids` is below `n` and none repeats; allocation
+/// free up to 128 services.
+fn distinct_below(ids: &[ServiceId], n: usize) -> bool {
+    if n > 128 {
+        let mut seen = vec![false; n];
+        return ids
+            .iter()
+            .all(|&k| k < n && !std::mem::replace(&mut seen[k], true));
+    }
+    let mut seen = 0u128;
+    ids.iter().all(|&k| {
+        let fresh = k < n && seen & (1 << k) == 0;
+        seen |= 1 << k.min(127);
+        fresh
+    })
 }
 
 #[cfg(test)]
@@ -548,6 +714,95 @@ mod tests {
             }
             assert_eq!(fast, slow, "mask {mask:#b}");
         }
+    }
+
+    #[test]
+    fn edits_keep_the_flat_block_equal_to_a_fresh_build() {
+        // A tiny LCG drives random additions and removals; after every edit
+        // the edited graph must equal the one built from its edge list,
+        // and both directions must agree with a reference edge set.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for n in [1usize, 2, 5, 9] {
+            let mut g = ExecutionGraph::new(n);
+            let mut reference = std::collections::BTreeSet::new();
+            for _ in 0..200 {
+                let (i, j) = (next(n), next(n));
+                if next(3) == 0 {
+                    assert_eq!(g.remove_edge(i, j), reference.remove(&(i, j)));
+                } else if g.add_edge(i, j).is_ok() {
+                    reference.insert((i, j));
+                }
+                let edges: Vec<_> = reference.iter().copied().collect();
+                assert_eq!(g.edges().collect::<Vec<_>>(), edges);
+                assert_eq!(g.edge_count(), edges.len());
+                assert_eq!(ExecutionGraph::from_edges(n, &edges).unwrap(), g);
+                for k in 0..n {
+                    let preds: Vec<_> = edges.iter().filter(|e| e.1 == k).map(|e| e.0).collect();
+                    assert_eq!(g.preds(k), preds.as_slice());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_constructors_report_the_first_refused_edge() {
+        assert_eq!(
+            ExecutionGraph::from_parents(&[Some(1), Some(0)]),
+            Err(CoreError::WouldCreateCycle { from: 0, to: 1 })
+        );
+        assert_eq!(
+            ExecutionGraph::from_parents(&[None, Some(1)]),
+            Err(CoreError::SelfLoop { id: 1 })
+        );
+        assert_eq!(
+            ExecutionGraph::from_parents(&[None, Some(7)]),
+            Err(CoreError::InvalidService { id: 7, n: 2 })
+        );
+        assert_eq!(
+            ExecutionGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0), (0, 9)]),
+            Err(CoreError::WouldCreateCycle { from: 2, to: 0 })
+        );
+        assert_eq!(
+            ExecutionGraph::chain_of(3, &[0, 1, 0]),
+            Err(CoreError::WouldCreateCycle { from: 1, to: 0 })
+        );
+        let repeated = ExecutionGraph::from_edges(3, &[(0, 1), (0, 1), (1, 2)]).unwrap();
+        assert_eq!(repeated, ExecutionGraph::chain_of(3, &[0, 1, 2]).unwrap());
+        assert_eq!(
+            ExecutionGraph::chain_of(4, &[3, 1]).unwrap(),
+            ExecutionGraph::from_edges(4, &[(3, 1)]).unwrap()
+        );
+    }
+
+    #[test]
+    fn relabelling_maps_every_edge_and_checks_its_size() {
+        let g = diamond();
+        let perm = [3, 0, 2, 1];
+        let moved = g.relabelled(&perm).unwrap();
+        let expected: Vec<_> = g.edges().map(|(i, j)| (perm[i], perm[j])).collect();
+        assert_eq!(moved, ExecutionGraph::from_edges(4, &expected).unwrap());
+        assert_eq!(
+            g.relabelled(&[0, 1]),
+            Err(CoreError::SizeMismatch {
+                expected: 4,
+                found: 2
+            })
+        );
+    }
+
+    #[test]
+    fn debug_output_lists_both_directions() {
+        let g = ExecutionGraph::chain_of(3, &[0, 1, 2]).unwrap();
+        assert_eq!(
+            format!("{g:?}"),
+            "ExecutionGraph { n: 3, succs: [[1], [2], []], preds: [[], [0], [1]] }"
+        );
     }
 
     #[test]

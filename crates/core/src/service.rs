@@ -170,6 +170,9 @@ impl Application {
                 return Err(CoreError::SelfLoop { id: from });
             }
         }
+        if self.constraints.is_empty() {
+            return Ok(());
+        }
         // Kahn's algorithm on the constraint graph.
         let mut indeg = vec![0usize; n];
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];

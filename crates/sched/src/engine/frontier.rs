@@ -16,9 +16,14 @@
 //! time.
 //!
 //! Memory stays bounded: the walk holds the flat O(shapes) plan and at most
-//! one materialised representative per worker, and [`DEFAULT_FRONTIER_CAP`]
-//! (unless the caller chooses otherwise) caps the number of shapes expanded
-//! per batch.
+//! one materialised representative per worker.  There are no batches and no
+//! frontier cap: the workers are spawned once per search (the calling
+//! thread is one of them, so a serial walk spawns nothing), each keeps one
+//! walker for the whole search, and they claim runs of consecutive shapes
+//! in plan order from a shared cursor until a claimed shape's bound clears
+//! the incumbent.  A walker's local best is the tie rule's reference, so
+//! keeping it across shapes lets one optimum prune the plateau of every
+//! later shape the worker claims.
 //!
 //! ### The winner
 //!
@@ -32,33 +37,39 @@
 //! candidate evaluation is the structural period bound itself
 //! ([`PartialPrune::StructuralPeriod`]), the walk adds the **tie-dominance**
 //! prune both forest walks share (`crate::engine::tie_dominated`): a colour
-//! prefix or a whole shape whose bound already *reaches* the walker's local
-//! best value and whose completions are all canonically later than the
-//! local best's rank is discarded non-strictly — every candidate in it loses
-//! the `(value, rank)` comparison outright, so the winner is untouched while
+//! prefix whose bound already *reaches* the walker's local best value and
+//! whose completions are all canonically later than the local best's rank
+//! is discarded non-strictly — every candidate in it loses the
+//! `(value, rank)` comparison outright, so the winner is untouched while
 //! optimum-tying plateaus (common when the optimum sits on the input-rate
-//! floor) stop being walked.  The latency bound and the orchestrated
-//! one-port values do not dominate the bound bit for bit, so those walks
-//! keep strict clearance alone.  `tests/partial_symmetry_equivalence.rs`
-//! asserts the equality against that scan, serial and parallel, under
-//! several caps.
+//! floor) stop being walked.  Because a walker keeps its local best across
+//! shapes, the rule reaches from one shape into every later one the worker
+//! claims.  The rule needs a bound that is bit-admissible: the prefix bound
+//! of [`PartialForestMetrics`] is, and the first colour prefix of a shape
+//! applies it; the shape-level floors of [`ShapeBounder`] are not (they
+//! multiply selectivities in sorted rather than path order, which can round
+//! an ulp lower), so shapes are only ever discarded by strict clearance.
+//! The latency bound and the orchestrated one-port values do not dominate
+//! the bound bit for bit, so those walks keep strict clearance alone.
+//! `tests/partial_symmetry_equivalence.rs` asserts the equality against
+//! that scan, serial and at several thread counts.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use fsw_core::{
     bound_ordered_shape_plan, walk_canonical_colorings, Application, ColoringVisitor,
-    ExecutionGraph, PartialForestMetrics, ServiceId, ShapeBounder, ShapeObjective, ShapePlan,
-    ShapeScan, WeightClasses,
+    ExecutionGraph, PartialForestMetrics, ServiceId, ShapeBounder, ShapeObjective, ShapeScan,
+    WeightClasses,
 };
 
 use crate::engine::{prune_threshold, tie_dominated, CanonicalRep, Incumbent, PartialPrune};
 use crate::minperiod::SearchOutcome;
-use crate::par::{par_chunks_weighted, Exec};
+use crate::par::Exec;
 
-/// Default cap on the number of shapes the streamed walk expands per batch
-/// (and so on the representatives resident at once; the worker count caps
-/// those first).
-pub const DEFAULT_FRONTIER_CAP: usize = 1 << 16;
+/// Shapes a worker claims at a time: consecutive in plan order, so a claim
+/// costs one shared increment per run rather than per shape.
+const CLAIM_SHAPES: usize = 16;
 
 /// Telemetry of one streamed canonical run, for tests, tuning and the
 /// benchmark rows.
@@ -71,8 +82,8 @@ pub struct StreamStats {
     pub orbits: Option<u128>,
     /// Number of representatives materialised and evaluated.
     pub expanded: u64,
-    /// Peak number of representatives concurrently materialised (one per
-    /// active worker, never more than the frontier cap).
+    /// Peak number of representatives concurrently materialised: one per
+    /// worker that expanded anything, so never more than the worker count.
     pub peak_resident: usize,
     /// Number of shapes discarded wholesale by the final bound-clearance
     /// certificate, without expanding a single representative.
@@ -137,8 +148,8 @@ impl StreamProbe {
 
 /// Cached span timers of the engine's streamed-walk stages, resolved once
 /// per solve from the probe's registry: `engine.shape_stream` (bound-ordered
-/// shape-plan generation), `engine.expand` (one span per expansion batch)
-/// and `engine.certify` (the head bound-clearance certificate ending a
+/// shape-plan generation), `engine.expand` (one span per search's expansion
+/// phase) and `engine.certify` (the head bound-clearance certificate ending a
 /// search).  Span durations are wall-clock and observability-only — no
 /// digest-feeding value derives from them.
 #[derive(Clone, Debug)]
@@ -260,25 +271,25 @@ where
 /// a count-only prelude streams every shape once
 /// ([`fsw_core::bound_ordered_shape_plan`]), attaches a shape-level
 /// admissible bound ([`ShapeBounder`]) and sorts the shapes bound-ascending;
-/// the expansion loop then walks the canonical colourings of each shape on
+/// the expansion then walks the canonical colourings of each shape on
 /// demand ([`walk_canonical_colorings`]), pruning colour prefixes against
 /// the shared incumbent, so memory holds the flat O(shapes) plan (and,
 /// while it is built, the colour counter's memo) plus at most one
 /// representative per worker — never the coloured space.  Because the
-/// shape order is bound-ascending, the first shape whose bound clears the
-/// incumbent certifies every remaining shape prunable and ends the search
-/// in one step.
+/// shape order is bound-ascending, the first shape whose bound strictly
+/// clears the incumbent certifies every remaining shape prunable and ends
+/// the search in one step.
 ///
-/// The winner is the `(value, global index)` lexicographic minimum, where
-/// the global index orders candidates by `(shape rank, walk order within
-/// the shape)` — the rank ([`ShapePlan::rank`]) increases along the
-/// canonical shape stream, so this is exactly the materialised enumeration
-/// order — and complete runs are bit-identical to the first-minimum scan of
-/// the materialised stream, serial or parallel.  `frontier_cap` bounds the
-/// number of shapes expanded per batch (hence the resident representative
-/// count); each record's 64-bit parenthesis key is the resumable cursor,
-/// decoded into one reused buffer per worker, so throttling never
-/// re-materialises anything.
+/// `exec`'s workers are spawned once (the calling thread is one of them,
+/// so a serial walk spawns nothing): each keeps one walker — its partial
+/// metrics, scratch and local best — for the whole search and claims the
+/// next run of shapes in plan order from a shared cursor, decoding each
+/// record's 64-bit parenthesis key into one reused buffer.  The winner is the `(value, global index)` lexicographic
+/// minimum, where the global index orders candidates by `(shape rank, walk
+/// order within the shape)` — the rank ([`fsw_core::ShapePlan::rank`]) increases
+/// along the canonical shape stream, so this is exactly the materialised
+/// enumeration order — and complete runs are bit-identical to the
+/// first-minimum scan of the materialised stream, serial or parallel.
 ///
 /// `incumbent_seed` pre-loads the shared incumbent with a known upper bound
 /// on the space's optimum (`f64::INFINITY` for a cold search).  The seed
@@ -287,17 +298,15 @@ where
 /// hopeless region is skipped.
 ///
 /// `obs` adds per-stage tracing spans ([`EngineMetrics`]): shape-plan
-/// generation, expansion batches and the bound-clearance certificate each
+/// generation, the expansion phase and the bound-clearance certificate each
 /// record a call count and a wall-duration histogram.  The walk itself is
 /// untouched — instrumented and plain runs return bit-identical outcomes
 /// and stats.
-#[allow(clippy::too_many_arguments)]
 pub fn streamed_canonical_search<F>(
     app: &Application,
     classes: &WeightClasses,
     exec: Exec,
     prune: PartialPrune,
-    frontier_cap: usize,
     incumbent_seed: f64,
     eval: &F,
     obs: Option<&EngineMetrics>,
@@ -343,95 +352,100 @@ where
         pool[classes.class_of(k)].push(k);
     }
     let incumbent = Incumbent::seeded(incumbent_seed);
-    let threads = exec.effective_threads();
-    let batch_len = (threads * 2).max(1).min(frontier_cap.max(1));
-    let weight_of = |s: &ShapePlan| s.colorings.max(1);
-    let mut best: Option<(f64, u128, ExecutionGraph)> = None;
-    let mut complete = true;
-    let mut at = 0;
-    while at < plan.len() {
-        if exec.deadline.is_some_and(|d| Instant::now() >= d) {
-            complete = false;
-            break;
-        }
-        // Bound-ascending order: the head clearing the incumbent is the
-        // certificate that every remaining shape is prunable.
-        if plan[at].bound > prune_threshold(incumbent.get()) {
-            let _certify_span = obs.map(|m| m.certify.start());
-            stats.certified_shapes += plan.len() - at;
-            break;
-        }
-        let expand_span = obs.map(|m| m.expand.start());
-        let hi = (at + batch_len).min(plan.len());
-        let batch = &plan[at..hi];
-        let parts = par_chunks_weighted(threads, batch, weight_of, |_base, chunk| {
-            let mut walker = StreamWalker {
-                metrics: PartialForestMetrics::new(app),
-                prune,
-                incumbent: &incumbent,
-                eval,
-                deadline: exec.deadline,
-                pool: &pool,
-                used: vec![0; pool.len()],
-                parents: Vec::with_capacity(classes.n()),
-                weights: Vec::with_capacity(classes.n()),
-                shape_rank: 0,
-                reached: 0,
-                ticks: 0,
-                interrupted: false,
-                expanded: 0,
-                local: None,
+    // The claim cursor, and whether a worker hit the bound-clearance
+    // certificate or the deadline (either ends every worker's claims).
+    let cursor = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    let worker = || {
+        let mut walker = StreamWalker {
+            metrics: PartialForestMetrics::new(app),
+            prune,
+            incumbent: &incumbent,
+            eval,
+            deadline: exec.deadline,
+            pool: &pool,
+            used: vec![0; pool.len()],
+            parents: Vec::with_capacity(classes.n()),
+            weights: Vec::with_capacity(classes.n()),
+            shape_rank: 0,
+            reached: 0,
+            ticks: 0,
+            interrupted: false,
+            expanded: 0,
+            local: None,
+        };
+        let mut levels = Vec::with_capacity(classes.n() + 1);
+        let mut walked = 0usize;
+        'claims: while !done.load(Ordering::Relaxed) {
+            // A claim is a run of consecutive shapes: every shape before a
+            // certificate found elsewhere is still walked, because a claim
+            // is only refused once it starts past that certificate.
+            let lo = cursor.fetch_add(CLAIM_SHAPES, Ordering::Relaxed);
+            let Some(claim) = plan.get(lo..(lo + CLAIM_SHAPES).min(plan.len())) else {
+                break;
             };
-            let mut levels = Vec::with_capacity(classes.n() + 1);
-            for shape in chunk {
-                // Re-check against the live incumbent: shapes admitted when
-                // the batch was cut may have become hopeless since.
-                if shape.bound > prune_threshold(incumbent.get()) {
-                    continue;
+            for shape in claim {
+                if exec.deadline.is_some_and(|d| Instant::now() >= d) {
+                    walker.interrupted = true;
+                    done.store(true, Ordering::Relaxed);
+                    break 'claims;
                 }
-                // Shape-level tie dominance (the rule the walker applies per
-                // colour prefix): every completion of a later-ranked shape is
-                // canonically later than the local best.
-                let first = (shape.rank() as u128) << 64;
-                if tie_dominated(prune, shape.bound, first, walker.local.as_ref()) {
-                    continue;
+                // Bound-ascending order: a shape clearing the incumbent is
+                // the certificate that every later shape is prunable too.
+                if shape.bound > prune_threshold(incumbent.get()) {
+                    let _certify_span = obs.map(|m| m.certify.start());
+                    done.store(true, Ordering::Relaxed);
+                    break 'claims;
                 }
                 walker.shape_rank = shape.rank();
                 walker.reached = 0;
+                walked += 1;
                 shape.decode_into(&mut levels);
                 if !walk_canonical_colorings(&levels, classes, &mut walker) {
-                    break; // deadline interrupted mid-walk
+                    done.store(true, Ordering::Relaxed);
+                    break 'claims; // deadline interrupted mid-walk
                 }
             }
-            (walker.local, walker.expanded, walker.interrupted)
-        });
-        // Peak residency is measured, not estimated: each walker holds at
-        // most one materialised representative at a time, so the batch's
-        // residency is the number of workers that expanded anything — the
-        // same accounting on the classed walk and the single-class fast
-        // path, so `SolveStats::stream` is trustworthy for uniform solves.
-        let resident = parts
-            .iter()
-            .filter(|(_, expanded, _)| *expanded > 0)
-            .count();
-        stats.peak_resident = stats.peak_resident.max(resident);
-        for (local, expanded, part_interrupted) in parts {
-            stats.expanded += expanded;
-            if let Some((value, idx, graph)) = local {
-                let improves = best
-                    .as_ref()
-                    .is_none_or(|&(bv, bi, _)| value < bv || (value == bv && idx < bi));
-                if improves {
-                    best = Some((value, idx, graph));
-                }
+        }
+        (walker.local, walker.expanded, walker.interrupted, walked)
+    };
+    let expand_span = obs.map(|m| m.expand.start());
+    // The calling thread is worker 0; the others are spawned once.
+    let threads = exec.effective_threads().min(plan.len()).max(1);
+    let parts: Vec<_> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        std::iter::once(worker())
+            .chain(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("search worker panicked")),
+            )
+            .collect()
+    });
+    drop(expand_span);
+    // Peak residency is measured, not estimated: each walker holds at most
+    // one materialised representative at a time, so the residency is the
+    // number of workers that expanded anything.
+    stats.peak_resident = parts.iter().filter(|part| part.1 > 0).count();
+    let mut best: Option<(f64, u128, ExecutionGraph)> = None;
+    let mut complete = true;
+    let mut walked = 0;
+    for (local, expanded, interrupted, shapes) in parts {
+        stats.expanded += expanded;
+        walked += shapes;
+        complete &= !interrupted;
+        if let Some((value, idx, graph)) = local {
+            let improves = best
+                .as_ref()
+                .is_none_or(|&(bv, bi, _)| value < bv || (value == bv && idx < bi));
+            if improves {
+                best = Some((value, idx, graph));
             }
-            complete &= !part_interrupted;
         }
-        drop(expand_span);
-        if !complete {
-            break;
-        }
-        at = hi;
+    }
+    if complete {
+        // Every shape not walked was discarded by the certificate.
+        stats.certified_shapes += plan.len() - walked;
     }
     let outcome = best.map(|(value, _, graph)| SearchOutcome {
         value,

@@ -31,9 +31,7 @@ use fsw_core::{
 };
 
 use crate::chain::{chain_graph, chain_minperiod_order};
-use crate::engine::frontier::{
-    streamed_canonical_search, EngineMetrics, StreamProbe, StreamStats, DEFAULT_FRONTIER_CAP,
-};
+use crate::engine::frontier::{streamed_canonical_search, EngineMetrics, StreamProbe, StreamStats};
 use crate::engine::{
     prune_threshold, tags, tie_dominated, CanonicalSpace, EvalCache, Incumbent, PartialPrune,
     Symmetry,
@@ -222,7 +220,6 @@ where
             &WeightClasses::of(app),
             exec,
             prune,
-            DEFAULT_FRONTIER_CAP,
             incumbent_seed,
             eval,
             engine_obs.as_ref(),
@@ -686,23 +683,13 @@ fn visit_dags_of_permutation<F: FnMut(&ExecutionGraph) -> f64>(
     deadline: Option<Instant>,
 ) -> bool {
     let n = perm.len();
-    let pairs: Vec<(ServiceId, ServiceId)> = (0..n)
-        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
-        .collect();
-    let m = pairs.len();
+    let m = n * n.saturating_sub(1) / 2;
     debug_assert!(m < 64, "callers bound n by DAG_ENUMERATION_HARD_MAX_N");
     for mask in 0u64..(1u64 << m) {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return false;
         }
-        let mut graph = ExecutionGraph::new(n);
-        for (bit, &(a, b)) in pairs.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                graph
-                    .add_edge(perm[a], perm[b])
-                    .expect("forward edges of a permutation are acyclic");
-            }
-        }
+        let graph = ExecutionGraph::from_permutation_mask(perm, mask);
         if graph.respects(app).is_err() {
             continue;
         }

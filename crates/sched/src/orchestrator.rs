@@ -326,11 +326,15 @@ pub struct SolveStats {
 /// cache, an optional warm start, and optional observability.  Results are
 /// bit-identical to [`solve`].
 ///
-/// `cache` must have been built for `problem.app`; a cache built for
-/// another application is refused with an error.  `solve_all` shares one
-/// across a model × objective sweep; the serving layer (`fsw_serve`) shares
-/// one per application fingerprint across a batch's cold solves, and its
-/// online sessions retain one across re-plans of an unchanged instance.
+/// The application is validated first ([`Application::validate`]), so an
+/// application with no services, a non-positive or non-finite cost, a
+/// negative selectivity or cyclic constraints gets `validate`'s error
+/// rather than a value.  `cache` must have been built for `problem.app`; a
+/// cache built for another application is refused with an error.
+/// `solve_all` shares one across a model × objective sweep; the serving
+/// layer (`fsw_serve`) shares one per application fingerprint across a
+/// batch's cold solves, and its online sessions retain one across re-plans
+/// of an unchanged instance.
 ///
 /// `warm` is a previously optimal execution graph (e.g. the tenant's plan
 /// before a service arrived, adapted to the current service set).  Its
@@ -358,6 +362,7 @@ pub fn solve_warm_observed(
     warm: Option<&ExecutionGraph>,
     metrics: Option<&std::sync::Arc<fsw_obs::MetricsRegistry>>,
 ) -> CoreResult<(Solution, SolveStats)> {
+    problem.app.validate()?;
     // The cache key carries the weight-class *partition signature*, not the
     // weight bits themselves (two different applications with the same
     // partition pattern collide), so a cache built for another application

@@ -102,57 +102,6 @@ where
     })
 }
 
-/// [`par_chunks`] with **weighted** splitting: chunk boundaries are chosen
-/// so that every chunk carries roughly `Σ weight / threads` of the total
-/// weight instead of an equal item count.  Canonical orbit streams use this
-/// with the orbit size as the weight — representatives standing for large
-/// orbits cluster at one end of the stream, so equal-count chunks
-/// load-imbalance badly as `n` grows.  Chunks stay contiguous and in order,
-/// so any fold that is correct for [`par_chunks`] (first-minimum-wins in
-/// particular) is bit-identical here too.
-pub fn par_chunks_weighted<T, R, F, W>(threads: usize, items: &[T], weight: W, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-    W: Fn(&T) -> u64,
-{
-    let threads = threads.min(items.len()).max(1);
-    if threads == 1 {
-        return vec![f(0, items)];
-    }
-    let total: u128 = items.iter().map(|t| weight(t) as u128).sum();
-    let per_chunk = (total / threads as u128).max(1);
-    // Greedy contiguous split: close a chunk once its weight reaches the
-    // per-chunk share (always keeping at least one item per chunk).
-    let mut bounds: Vec<usize> = Vec::with_capacity(threads + 1);
-    bounds.push(0);
-    let mut acc: u128 = 0;
-    for (i, item) in items.iter().enumerate() {
-        acc += weight(item) as u128;
-        if acc >= per_chunk && bounds.len() < threads && i + 1 < items.len() {
-            bounds.push(i + 1);
-            acc = 0;
-        }
-    }
-    bounds.push(items.len());
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .map(|w| {
-                let (lo, hi) = (w[0], w[1]);
-                let chunk = &items[lo..hi];
-                scope.spawn(move || f(lo, chunk))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    })
-}
-
 /// Folds per-chunk `(value, payload)` winners left-to-right with a strict
 /// `<` comparison, reproducing the "first minimum wins" rule of a serial
 /// enumeration loop.
@@ -181,34 +130,6 @@ mod tests {
                 flat.extend(chunk);
             }
             assert_eq!(flat, items);
-        }
-    }
-
-    #[test]
-    fn weighted_chunks_preserve_order_and_balance_weight() {
-        // Heavily skewed weights: the first item dwarfs the rest.
-        let items: Vec<u64> = std::iter::once(1_000)
-            .chain(std::iter::repeat_n(1, 99))
-            .collect();
-        for threads in [1, 2, 4, 7] {
-            let chunks = par_chunks_weighted(
-                threads,
-                &items,
-                |&w| w,
-                |base, chunk| (base, chunk.to_vec()),
-            );
-            assert!(chunks.len() <= threads.max(1));
-            let mut flat = Vec::new();
-            for (base, chunk) in &chunks {
-                assert_eq!(flat.len(), *base);
-                assert!(!chunk.is_empty());
-                flat.extend(chunk.iter().copied());
-            }
-            assert_eq!(flat, items);
-            if threads >= 2 {
-                // The heavy head is isolated into its own chunk.
-                assert_eq!(chunks[0].1, vec![1_000]);
-            }
         }
     }
 

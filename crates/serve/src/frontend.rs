@@ -188,6 +188,9 @@ struct PendingJob<'r> {
     due_tick: u64,
     /// Admissible floor priced at admission (degrade band), if any.
     floor: Option<f64>,
+    /// The evaluation cache the solve runs against, settled when it
+    /// completes ([`PlanService::settle_cache`]).
+    cache: Arc<EvalCache>,
     leader: Decided<'r>,
     joiners: Vec<Decided<'r>>,
 }
@@ -293,9 +296,13 @@ impl WorkerPool {
                 }
             };
             let result = item.run();
+            let job = item.job;
+            // Release the solve's cache handle before the loop can see the
+            // result: the loop settles the cache by who still holds it.
+            drop(item);
             let mut queue = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            queue.started.remove(&item.job);
-            queue.results.insert(item.job, result);
+            queue.started.remove(&job);
+            queue.results.insert(job, result);
             shared.ready.notify_all();
         }));
     }
@@ -515,7 +522,8 @@ impl<'r> EventLoop<'r> {
             .is_some_and(|job| job.due_tick <= self.tick)
         {
             let job = self.pending.pop_front().expect("front checked");
-            let key = &job.leader.prep.key;
+            let prep = Arc::clone(&job.leader.prep);
+            let key = &prep.key;
             self.in_flight.remove(key);
             let waited = {
                 let _watchdog = self.instruments.as_ref().map(|m| m.watchdog.start());
@@ -526,20 +534,17 @@ impl<'r> EventLoop<'r> {
                     if service.quarantine.record_success(key) {
                         service.counters.inc(Event::Recovered);
                     }
-                    if plan.exhaustive {
-                        service.store().insert(key.clone(), plan.clone());
-                    } else {
-                        // A degraded attempt burnt real wall time but
-                        // stores nothing: remember the cost, so the
-                        // eventual exact re-solve's eviction weight
-                        // reflects the full recomputation price.
-                        service.store().record_attempt_cost(key, plan.solve_micros);
-                    }
+                    service.settle_cache(&key.fingerprint, &job.cache);
                     // Degraded results admitted without a priced floor get
-                    // one certified now (the slow path affords it).
+                    // one certified now (the slow path affords it).  A
+                    // degraded attempt burnt real wall time but stores
+                    // nothing: remember the cost, so the eventual exact
+                    // re-solve's eviction weight reflects the full
+                    // recomputation price.
                     let floor = if plan.exhaustive {
                         None
                     } else {
+                        service.store().record_attempt_cost(key, plan.solve_micros);
                         job.floor.or_else(|| {
                             let r = &job.leader.info.request;
                             service.admission().certified_floor(
@@ -553,6 +558,10 @@ impl<'r> EventLoop<'r> {
                     self.respond(service, job.leader, &plan, ServeSource::Cold, floor);
                     for joiner in job.joiners {
                         self.respond(service, joiner, &plan, ServeSource::Dedup, floor);
+                    }
+                    // The plan moves into the store: nothing is copied.
+                    if plan.exhaustive {
+                        service.store().insert(key.clone(), plan);
                     }
                     continue;
                 }
@@ -808,13 +817,14 @@ impl<'r> EventLoop<'r> {
         // independent.
         let due_tick = (self.tick + latency).max(self.last_due);
         self.last_due = due_tick;
+        let cache = service.retained_cache(&decided.prep.canon);
         self.pool.submit(WorkItem {
             job,
             ordinal: decided.info.ordinal,
             prep: Arc::clone(&decided.prep),
             model: decided.info.request.model,
             budget,
-            cache: service.retained_cache(&decided.prep.canon),
+            cache: Arc::clone(&cache),
             fault,
             instruments: self.instruments.clone(),
         });
@@ -823,6 +833,7 @@ impl<'r> EventLoop<'r> {
             job,
             due_tick,
             floor,
+            cache,
             leader: decided,
             joiners: Vec::new(),
         });

@@ -175,11 +175,8 @@ impl TenantSession {
                 let grown_plan = match &self.plan {
                     Some(plan) => {
                         // The newcomer starts as an independent root.
-                        let mut grown = ExecutionGraph::new(grown_app.n());
-                        for (a, b) in plan.edges() {
-                            grown.add_edge(a, b)?;
-                        }
-                        Some(grown)
+                        let edges: Vec<_> = plan.edges().collect();
+                        Some(ExecutionGraph::from_edges(grown_app.n(), &edges)?)
                     }
                     None => None,
                 };
@@ -212,7 +209,7 @@ impl TenantSession {
                                 k
                             }
                         };
-                        let mut spliced = ExecutionGraph::new(survivors.n());
+                        let mut spliced = Vec::new();
                         for (a, b) in plan.edges() {
                             if b == service {
                                 continue; // the departed node's own input edge
@@ -225,9 +222,9 @@ impl TenantSession {
                             } else {
                                 a
                             };
-                            spliced.add_edge(remap(source), remap(b))?;
+                            spliced.push((remap(source), remap(b)));
                         }
-                        Some(spliced)
+                        Some(ExecutionGraph::from_edges(survivors.n(), &spliced)?)
                     }
                     None => None,
                 };

@@ -405,9 +405,17 @@ pub struct PlanService {
     /// previously memoised ordering searches instead of recomputing every
     /// one.  Entries depend only on the canonical application (which the
     /// fingerprint determines), never on the model/objective — the tags
-    /// partition the key space — so retention is always value-safe.  A
-    /// fingerprint whose solve panics has its cache dropped defensively
-    /// (the unwound solve may have left internal locks poisoned).
+    /// partition the key space — so retention is always value-safe.
+    ///
+    /// A cache is created at dispatch and shared by every solve of its
+    /// fingerprint in flight, but kept past them only once a solve has
+    /// recorded a miss in it ([`Self::settle_cache`]): MINLATENCY and
+    /// orchestrated one-port solves memoise their ordering searches, while
+    /// a MINPERIOD solve under OVERLAP or the default `LowerBound`
+    /// evaluation never reads it, so its empty cache goes when the solve
+    /// completes.  A fingerprint whose solve panics has its cache dropped
+    /// defensively (the unwound solve may have left internal locks
+    /// poisoned).
     caches: Mutex<HashMap<AppFingerprint, Arc<EvalCache>>>,
     /// Bound on the number of retained caches; on overflow the map is
     /// cleared wholesale (caches are pure memos, so dropping them costs
@@ -481,8 +489,10 @@ impl PlanService {
     }
 
     /// `(hits, misses)` of the retained evaluation cache that `request`'s
-    /// fingerprint resolves to, `None` when no cold solve has created one
-    /// yet.  Tests assert cache retention across batches with this.
+    /// fingerprint resolves to, `None` when no cache is held for it: no
+    /// cold solve has run, or every solve that ran recorded no miss (see
+    /// the `caches` field).  Tests assert cache retention across batches
+    /// with this.
     pub fn eval_cache_stats(&self, request: &PlanRequest) -> Option<(usize, usize)> {
         let canon = Prepared::of(request, &self.budget).canon;
         self.caches
@@ -534,6 +544,24 @@ impl PlanService {
             );
         }
         retained[&canon.fingerprint].clone()
+    }
+
+    /// Settles the cache a completed solve of `fingerprint` ran against,
+    /// on the loop thread: a cache with no recorded miss is empty, so it
+    /// is dropped unless another solve still holds it (the retention map
+    /// and `cache` itself are then its only handles).  A cache with a miss
+    /// stays retained.
+    pub(crate) fn settle_cache(&self, fingerprint: &AppFingerprint, cache: &Arc<EvalCache>) {
+        if cache.stats().1 > 0 {
+            return;
+        }
+        let mut retained = self.caches.lock().expect("cache mutex poisoned");
+        let unshared = retained
+            .get(fingerprint)
+            .is_some_and(|held| Arc::ptr_eq(held, cache) && Arc::strong_count(cache) == 2);
+        if unshared {
+            retained.remove(fingerprint);
+        }
     }
 
     /// Drops the retained cache of a fingerprint whose solve panicked or

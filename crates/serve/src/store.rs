@@ -12,8 +12,14 @@
 //! The store is keyed by [`PlanKey`]: the application's canonical
 //! fingerprint ([`fsw_core::AppFingerprint`], content-complete — equal keys
 //! *are* equal problems) plus communication model and objective.  Entries
-//! hold plans over **canonical labels**; the service relabels them per
+//! hold plans over **canonical labels** behind an [`Arc`]: a hit hands out
+//! the shared plan and copies nothing, and the service relabels it once per
 //! tenant on the way out.
+//!
+//! What a stored plan costs: the `Arc` block (two counts plus the
+//! [`StoredPlan`] record), the plan's [`ExecutionGraph`] — one flat block of
+//! `2n + 2 + 2m` words, 192 bytes for a six-service forest — and the key's
+//! fingerprint (16 bytes a service), plus the shard's hash-table slot.
 //!
 //! Since the async front end, the store is **sharded by fingerprint-digest
 //! prefix**: the hit path takes only a shared (read) lock on one shard and
@@ -62,7 +68,7 @@ pub struct StoredPlan {
 }
 
 struct Entry {
-    plan: StoredPlan,
+    plan: Arc<StoredPlan>,
     /// Logical time of the last hit (eviction tie-break); atomic so the
     /// hit path can refresh it under a shared lock.
     last_used: AtomicU64,
@@ -161,15 +167,17 @@ impl PlanStore {
 
     /// Looks `key` up, refreshing its recency on a hit.  Hit path: one
     /// shared lock on the key's shard, recency bumped through an atomic —
-    /// concurrent hits (even on the same shard) never wait on each other.
-    pub fn get(&self, key: &PlanKey) -> Option<StoredPlan> {
+    /// concurrent hits (even on the same shard) never wait on each other —
+    /// and the held plan handed out as a shared [`Arc`]: a hit allocates
+    /// and copies nothing.
+    pub fn get(&self, key: &PlanKey) -> Option<Arc<StoredPlan>> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         let shard = self.read_shard(key);
         match shard.get(key) {
             Some(entry) => {
                 entry.last_used.store(now, Ordering::Relaxed);
                 self.hits.inc();
-                Some(entry.plan.clone())
+                Some(Arc::clone(&entry.plan))
             }
             None => {
                 self.misses.inc();
@@ -224,7 +232,7 @@ impl PlanStore {
             shard.insert(
                 key,
                 Entry {
-                    plan,
+                    plan: Arc::new(plan),
                     last_used: AtomicU64::new(now),
                     stamp: now,
                 },
@@ -339,6 +347,17 @@ mod tests {
         assert_eq!(hit.solve_micros, 100);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+    }
+
+    #[test]
+    fn hits_share_the_held_plan() {
+        let store = PlanStore::new(4);
+        let key = key_of(&[(1.0, 0.5), (2.0, 0.5)]);
+        store.insert(key.clone(), plan(7.0, 100));
+        let first = store.get(&key).expect("inserted");
+        let second = store.get(&key).expect("inserted");
+        assert!(Arc::ptr_eq(&first, &second), "a hit copies no plan");
+        assert_eq!(Arc::strong_count(&first), 3, "the store and two hits");
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Memory regression bounds for the count-only shape prelude.
+//! Memory regression bounds: the count-only shape prelude, the flat
+//! execution graph, and the plans a serving tier holds.
 //!
-//! The binary installs a std-only counting global allocator and holds a
-//! single test, so no other test's allocations fall inside a measurement
-//! window.  Each window records the peak live heap bytes above its starting
-//! point while one prelude call runs; the result stays alive until the
-//! window closes, so the peak includes what the call returns.
+//! The binary installs a std-only counting global allocator.  Every test
+//! holds one lock for its whole body, so no other test's allocations fall
+//! inside a measurement window.  Byte windows record live or peak heap
+//! bytes above their starting point; allocation counts are kept per thread,
+//! so they see only the calling thread's own allocations.
 //!
 //! A cold plan's bound is `size_of::<ShapePlan>() × A000081(n + 1)` — a
 //! stored shape is its 24-byte record and nothing else — plus a stated
@@ -12,13 +13,25 @@
 //! (the uniform one never builds it) and the per-shape scratch of the
 //! stream and the bounder.  A warm plan's bound counts its survivors only:
 //! a shape pruned by the cutoff costs nothing.
+//!
+//! A served plan's bound is what the store holds for it: the shared
+//! `StoredPlan` block, its one-block graph, the key's fingerprint and a
+//! hash-table slot.  No evaluation cache is retained for a MINPERIOD solve
+//! under OVERLAP, which never reads one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use fsw::core::{
-    bound_ordered_shape_plan, classed_class_count, forest_classes, Application, CommModel,
-    ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
+    bound_ordered_shape_plan, classed_class_count, forest_classes, Application,
+    CanonicalApplication, CommModel, ExecutionGraph, ShapeBounder, ShapeObjective, ShapePlan,
+    ShapeScan, WeightClasses,
+};
+use fsw::sched::orchestrator::{Objective, SearchBudget};
+use fsw::serve::{
+    permutation_collapse_allowed, PlanKey, PlanRequest, PlanService, ServeSource, StoredPlan,
 };
 
 /// `System` plus live and peak byte tallies.
@@ -27,10 +40,17 @@ struct CountingAlloc {
     peak: AtomicUsize,
 }
 
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
 impl CountingAlloc {
     fn grow(&self, bytes: usize) {
         let live = self.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak.fetch_max(live, Ordering::Relaxed);
+        // A thread being torn down has no counter left; skip it.
+        let _ = THREAD_ALLOCS.try_with(|count| count.set(count.get() + 1));
     }
 
     fn shrink(&self, bytes: usize) {
@@ -83,6 +103,20 @@ static ALLOC: CountingAlloc = CountingAlloc {
     peak: AtomicUsize::new(0),
 };
 
+/// Serialises the tests of this binary: each holds the guard for its whole
+/// body, so measurement windows never overlap another test's allocations.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// Allocations the calling thread makes while `f` runs, with its result.
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let kept = f();
+    (THREAD_ALLOCS.with(Cell::get) - before, kept)
+}
+
 /// Peak live heap bytes above the starting point while `f` runs, with its
 /// result (alive until the peak is read, so the peak includes it).
 fn peak_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
@@ -128,6 +162,7 @@ fn warm_plan_bound(survivors: usize) -> usize {
 
 #[test]
 fn shape_prelude_peak_heap_stays_within_its_bounds() {
+    let _serial = serial();
     let tiered = {
         let mut specs = vec![(1.5, 0.6); 7];
         specs.extend([(3.0, 0.9); 6]);
@@ -189,4 +224,100 @@ fn shape_prelude_peak_heap_stays_within_its_bounds() {
             report.join(", ")
         );
     }
+}
+
+/// A six-service forest: 0 → {1, 2}, 1 → {3, 4}, 2 → 5.
+const FOREST6: [Option<usize>; 6] = [None, Some(0), Some(0), Some(1), Some(1), Some(2)];
+
+#[test]
+fn execution_graphs_are_one_allocation() {
+    let _serial = serial();
+    let (built, graph) = allocations(|| ExecutionGraph::from_parents(&FOREST6).unwrap());
+    let (cloned, copy) = allocations(|| graph.clone());
+    let (relabelled, moved) = allocations(|| graph.relabelled(&[5, 4, 3, 2, 1, 0]).unwrap());
+    assert_eq!(copy, graph);
+    assert_eq!(moved.edge_count(), 5);
+    assert_eq!(
+        (built, cloned, relabelled),
+        (1, 1, 1),
+        "from_parents, clone and relabel of a 6-node forest"
+    );
+}
+
+/// Allowance for the service's maps that keep their first allocation once
+/// used (the evaluation-cache map of the first solve, the loop's in-flight
+/// tables), whatever the number of plans.
+const SERVICE_ALLOWANCE: usize = 4 << 10;
+
+/// Bytes a served six-service forest plan may hold in the store: the `Arc`
+/// block (two counts and the `StoredPlan` record), the graph's one block of
+/// `2n + 2 + 2m` words, the key's fingerprint (16 bytes a service) and a
+/// hash-table slot (the key plus the entry's `Arc` and two `u64` stamps,
+/// and a control byte), counted twice for the table's spare capacity.
+fn served_plan_bound() -> usize {
+    let (n, m) = (6, 5);
+    let slot = std::mem::size_of::<PlanKey>() + 3 * 8 + 1;
+    16 + std::mem::size_of::<StoredPlan>() + 8 * (2 * n + 2 + 2 * m) + 16 * n + 2 * slot
+}
+
+#[test]
+fn a_serving_tier_holds_each_plan_within_its_bound() {
+    let _serial = serial();
+    const PLANS: usize = 64;
+    let budget = SearchBudget {
+        threads: 1,
+        ..SearchBudget::default()
+    };
+    let requests: Vec<PlanRequest> = (0..PLANS)
+        .map(|k| {
+            let specs: Vec<(f64, f64)> = (0..6)
+                .map(|s| (1.0 + 0.25 * (k * 6 + s) as f64, 0.3 + 0.1 * s as f64))
+                .collect();
+            PlanRequest::new(
+                Application::independent(&specs),
+                CommModel::Overlap,
+                Objective::MinPeriod,
+            )
+        })
+        .collect();
+    let keys: Vec<PlanKey> = requests
+        .iter()
+        .map(|r| {
+            let collapse = permutation_collapse_allowed(&r.app, r.model, r.objective, &budget);
+            PlanKey {
+                fingerprint: CanonicalApplication::with_collapse(&r.app, collapse).fingerprint,
+                model: r.model,
+                objective: r.objective,
+            }
+        })
+        .collect();
+    let service = PlanService::new(budget, 256);
+    let base = ALLOC.live.load(Ordering::Relaxed);
+    for request in &requests {
+        let cold = service.serve_one(request).unwrap();
+        assert_eq!(cold.expect_exact().source, ServeSource::Cold);
+        assert_eq!(
+            service.eval_cache_stats(request),
+            None,
+            "an OVERLAP MINPERIOD solve retains no evaluation cache"
+        );
+    }
+    for request in &requests {
+        let hit = service.serve_one(request).unwrap();
+        assert_eq!(hit.expect_exact().source, ServeSource::Store);
+    }
+    let held = ALLOC.live.load(Ordering::Relaxed) - base;
+    let (lookups, hit) = allocations(|| service.store().get(&keys[0]));
+    assert!(hit.is_some());
+    assert_eq!(lookups, 0, "a store hit copies no plan");
+    let bound = PLANS * served_plan_bound() + SERVICE_ALLOWANCE;
+    println!(
+        "{PLANS} served plans hold {held} bytes, {} a plan (bound {} a plan)",
+        held / PLANS,
+        served_plan_bound()
+    );
+    assert!(
+        held <= bound,
+        "{PLANS} served plans hold {held} bytes, over {bound}"
+    );
 }

@@ -13,15 +13,15 @@
 //! * the OUTORDER canonical-form memoisation must equal a brute force that
 //!   evaluates every candidate's canonical member;
 //! * the **lazy bound-ordered stream** must cover exactly the materialised
-//!   classed space (same representatives, same orbit weights), its frontier
-//!   cap must govern the resident representative count without changing the
+//!   classed space (same representatives, same orbit weights), its worker
+//!   count must cap the resident representative count without changing the
 //!   bit-identical winner, and `time_limit` must bound the generator's
 //!   count-only prelude at `n = 13`;
 //! * the **uniform** space streams through the same generator
 //!   (colourings = 1 per shape): the lazy walk must cover exactly the
 //!   materialised uniform representative set (A000081 count included), and
-//!   its winner must equal the first-minimum scan under frontier caps
-//!   {1, 2, default}, serial and parallel, up to n = 12;
+//!   its winner must equal the first-minimum scan on 1, 2 and 4 workers,
+//!   up to n = 12;
 //! * with **tie dominance** engaged, the streamed walk must still equal the
 //!   first-minimum scan, and keep optima that sit one ulp below a tying
 //!   plateau (the bit-admissible floors).
@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses};
-use fsw::sched::engine::frontier::{streamed_canonical_search, DEFAULT_FRONTIER_CAP};
+use fsw::sched::engine::frontier::streamed_canonical_search;
 use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
 use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{
@@ -347,9 +347,12 @@ fn outorder_canonical_memoisation_matches_canonical_brute_force() {
 #[test]
 fn time_limit_bounds_the_classed_path_materialisation() {
     let mut rng = StdRng::seed_from_u64(0x500A);
-    // 6+5 classes at n = 11: ~1.12M coloured representatives, ~3 s to
-    // materialise, bound and evaluate in full on the reference container.
-    let app = tiered_query_optimization(&[6, 5], &mut rng);
+    // 8+8 classes at n = 16: the shape prelude alone streams 634 847
+    // shapes (A000081(17)) and counts their colourings, far beyond 20 ms.
+    // A smaller instance such as 6+5 at n = 11 can finish exhaustively
+    // inside the budget (its walk expands one representative), so it
+    // cannot show the deadline.
+    let app = tiered_query_optimization(&[8, 8], &mut rng);
     let budget = fsw::sched::orchestrator::SearchBudget::default()
         .with_time_limit(std::time::Duration::from_millis(20));
     let started = std::time::Instant::now();
@@ -500,10 +503,10 @@ fn lazy_stream_covers_the_materialised_classed_space() {
     }
 }
 
-/// The frontier cap governs the streamed walk's resident representative
-/// count without changing the answer: a tiny cap and the default cap return
-/// bit-identical winners, both equal to the first-minimum scan of the
-/// materialised stream, and the tiny-cap run's peak stays under its cap.
+/// The worker count is the cap on the streamed walk's resident
+/// representatives, and it never changes the answer: 1, 2 and 4 workers
+/// return bit-identical winners, all equal to the first-minimum scan of the
+/// materialised stream, and each run's peak stays under its worker count.
 #[test]
 fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
     let mut rng = StdRng::seed_from_u64(0x500C);
@@ -516,43 +519,42 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             .unwrap_or(f64::INFINITY)
     };
     let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
-    for (cap, threads) in [(2usize, 4usize), (DEFAULT_FRONTIER_CAP, 4), (1, 1)] {
+    for threads in [1usize, 2, 4] {
         let (outcome, stats) = streamed_canonical_search(
             &app,
             &classes,
             Exec::threaded(threads),
             PartialPrune::Period(model),
-            cap,
             f64::INFINITY,
             &|g, _| eval(g),
             None,
         );
         let outcome = outcome.unwrap();
-        assert!(outcome.exhaustive, "cap {cap} x{threads}");
-        assert_eq!(scan_value, outcome.value, "cap {cap} x{threads}: value");
+        assert!(outcome.exhaustive, "x{threads}");
+        assert_eq!(scan_value, outcome.value, "x{threads}: value");
         assert_eq!(
             graph_edges(&scan_graph),
             graph_edges(&outcome.graph),
-            "cap {cap} x{threads}: winner"
+            "x{threads}: winner"
         );
         assert!(
-            stats.peak_resident <= cap,
-            "cap {cap} x{threads}: peak {} residents",
+            (1..=threads).contains(&stats.peak_resident),
+            "x{threads}: peak {} residents",
             stats.peak_resident
         );
         assert_eq!(
             stats.shapes as u128,
             CanonicalSpace::forest_class_count(9),
-            "cap {cap} x{threads}: plan covers every shape"
+            "x{threads}: plan covers every shape"
         );
         assert_eq!(
             stats.orbits,
             fsw_core::classed_class_count(&classes, u128::MAX),
-            "cap {cap} x{threads}: plan counts every coloured orbit"
+            "x{threads}: plan counts every coloured orbit"
         );
         assert!(
             stats.expanded <= stats.orbits.unwrap() as u64,
-            "cap {cap} x{threads}: pruning never expands beyond the space"
+            "x{threads}: pruning never expands beyond the space"
         );
     }
 }
@@ -604,11 +606,10 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
 }
 
 /// The streamed uniform walk returns the **bit-identical** winner of the
-/// materialised scan — the first canonical-order minimum — under frontier
-/// caps {1, 2, default}, serial and parallel, and its
-/// telemetry is populated on the colourings = 1 fast path: the plan covers
-/// every shape, and `peak_resident` reports the workers that actually held
-/// a representative.
+/// materialised scan — the first canonical-order minimum — on 1, 2 and 4
+/// workers, and its telemetry is populated on the colourings = 1 fast
+/// path: the plan covers every shape, and `peak_resident` reports the
+/// workers that actually held a representative.
 #[test]
 fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
     let mut rng = StdRng::seed_from_u64(0x500E);
@@ -627,51 +628,40 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                     .unwrap_or(f64::INFINITY)
             };
             let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
-            for (cap, threads) in [
-                (1usize, 1usize),
-                (1, 4),
-                (2, 1),
-                (2, 4),
-                (DEFAULT_FRONTIER_CAP, 1),
-                (DEFAULT_FRONTIER_CAP, 4),
-            ] {
+            for threads in [1usize, 2, 4] {
                 let (outcome, stats) = streamed_canonical_search(
                     &app,
                     &classes,
                     Exec::threaded(threads),
                     PartialPrune::Period(model),
-                    cap,
                     f64::INFINITY,
                     &|g, _| eval(g),
                     None,
                 );
                 let outcome = outcome.unwrap();
-                assert!(outcome.exhaustive, "n={n} {model} cap {cap} x{threads}");
-                assert_eq!(
-                    scan_value, outcome.value,
-                    "n={n} {model} cap {cap} x{threads}: value"
-                );
+                assert!(outcome.exhaustive, "n={n} {model} x{threads}");
+                assert_eq!(scan_value, outcome.value, "n={n} {model} x{threads}: value");
                 assert_eq!(
                     graph_edges(&scan_graph),
                     graph_edges(&outcome.graph),
-                    "n={n} {model} cap {cap} x{threads}: winner"
+                    "n={n} {model} x{threads}: winner"
                 );
                 assert_eq!(
                     stats.shapes as u128,
                     CanonicalSpace::forest_class_count(n),
-                    "n={n} {model} cap {cap} x{threads}: plan covers every shape"
+                    "n={n} {model} x{threads}: plan covers every shape"
                 );
                 assert!(
                     stats.expanded >= 1,
-                    "n={n} {model} cap {cap} x{threads}: something expanded"
+                    "n={n} {model} x{threads}: something expanded"
                 );
                 assert!(
                     stats.peak_resident >= 1,
-                    "n={n} {model} cap {cap} x{threads}: residency telemetry empty"
+                    "n={n} {model} x{threads}: residency telemetry empty"
                 );
                 assert!(
-                    stats.peak_resident <= cap.max(1).min(threads.max(1)),
-                    "n={n} {model} cap {cap} x{threads}: peak {} residents",
+                    stats.peak_resident <= threads,
+                    "n={n} {model} x{threads}: peak {} residents",
                     stats.peak_resident
                 );
             }
@@ -681,8 +671,7 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
 
 /// The streamed walk under the latency bound returns the first minimum of
 /// the materialised scan — same value bits, same winning graph — on a
-/// uniform and two classed spaces, serial and parallel, under the smallest
-/// and the default frontier cap.
+/// uniform and two classed spaces, on 1, 2 and 4 workers.
 #[test]
 fn streamed_latency_winner_matches_the_first_minimum_scan() {
     let mut rng = StdRng::seed_from_u64(0x500F);
@@ -698,29 +687,26 @@ fn streamed_latency_winner_matches_the_first_minimum_scan() {
         let classes = WeightClasses::of(app);
         let latency = |g: &ExecutionGraph| tree_latency(app, g).unwrap_or(f64::INFINITY);
         let (scan_value, scan_graph) = first_minimum_scan(app, latency);
-        for threads in [1, 4] {
-            for cap in [1, DEFAULT_FRONTIER_CAP] {
-                let (outcome, stats) = streamed_canonical_search(
-                    app,
-                    &classes,
-                    Exec::threaded(threads),
-                    PartialPrune::Latency,
-                    cap,
-                    f64::INFINITY,
-                    &|g, _| latency(g),
-                    None,
-                );
-                let outcome = outcome.unwrap();
-                let at = format!("case {case} x{threads} cap {cap}");
-                assert!(outcome.exhaustive, "{at}");
-                assert_eq!(scan_value.to_bits(), outcome.value.to_bits(), "{at}: value");
-                assert_eq!(
-                    graph_edges(&scan_graph),
-                    graph_edges(&outcome.graph),
-                    "{at}: winner"
-                );
-                assert!(stats.peak_resident <= cap, "{at}: residency");
-            }
+        for threads in [1, 2, 4] {
+            let (outcome, stats) = streamed_canonical_search(
+                app,
+                &classes,
+                Exec::threaded(threads),
+                PartialPrune::Latency,
+                f64::INFINITY,
+                &|g, _| latency(g),
+                None,
+            );
+            let outcome = outcome.unwrap();
+            let at = format!("case {case} x{threads}");
+            assert!(outcome.exhaustive, "{at}");
+            assert_eq!(scan_value.to_bits(), outcome.value.to_bits(), "{at}: value");
+            assert_eq!(
+                graph_edges(&scan_graph),
+                graph_edges(&outcome.graph),
+                "{at}: winner"
+            );
+            assert!(stats.peak_resident <= threads, "{at}: residency");
         }
     }
 }

@@ -24,7 +24,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{
-    bound_ordered_shape_plan, Application, CommModel, ShapeScan, WeightClasses, SHAPE_CODE_MAX_N,
+    bound_ordered_shape_plan, Application, CommModel, CoreError, ShapeScan, WeightClasses,
+    SHAPE_CODE_MAX_N,
 };
 use fsw::sched::engine::CanonicalSpace;
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
@@ -431,11 +432,26 @@ fn an_application_with_no_services_is_refused_at_every_entry() {
     assert!(last.replan().expect("still one service").exhaustive);
 
     let policy = AdmissionPolicy::for_budget(&budget);
+    let nan_cost = Application::independent(&[(2.0, 0.5), (f64::NAN, 0.5)]);
     for model in CommModel::ALL {
         for objective in [Objective::MinPeriod, Objective::MinLatency] {
             assert_eq!(
                 policy.certified_floor(&empty, model, objective, &budget),
                 None
+            );
+            // The solver entry validates too: no value for an empty
+            // application, and `validate`'s error for a NaN cost.
+            assert_eq!(
+                solve(&Problem::new(&empty, model, objective), &budget).map(|s| s.value),
+                Err(CoreError::EmptyApplication),
+                "{model} {objective:?}"
+            );
+            assert!(
+                matches!(
+                    solve(&Problem::new(&nan_cost, model, objective), &budget),
+                    Err(CoreError::NonPositiveCost { id: 1, cost }) if cost.is_nan()
+                ),
+                "{model} {objective:?}"
             );
         }
     }

@@ -22,6 +22,7 @@ use rand::SeedableRng;
 
 use fsw::core::{Application, CommModel};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
+use fsw::sched::PeriodEvaluation;
 use fsw::serve::{
     AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService, PlanStore,
     RejectReason, Rejection, ServeOutcome, ServeSource, StoredPlan, TenantEvent, TenantSession,
@@ -181,6 +182,51 @@ fn eviction_respects_the_cost_weighting() {
         "cost weighting must keep the expensive plan"
     );
     assert!(store.get(&key(10.0)).is_some(), "newest cheap plan stays");
+}
+
+/// A cold solve that never reads its evaluation cache leaves none behind:
+/// MINPERIOD under OVERLAP (and the default `LowerBound` evaluation) records
+/// no miss, so `eval_cache_stats` stays `None` and the answer is a cold
+/// solve's bits.  MINLATENCY and an orchestrated one-port MINPERIOD record
+/// misses, so their fingerprints keep a cache.
+#[test]
+fn cold_solves_retain_an_eval_cache_only_once_it_records_a_miss() {
+    let mut rng = StdRng::seed_from_u64(0x5e07);
+    let app = random_application(&RandomAppConfig::independent(5), &mut rng);
+    let budget = SearchBudget::default();
+    let service = PlanService::new(budget, 16);
+    let period = PlanRequest::new(app.clone(), CommModel::Overlap, Objective::MinPeriod);
+    let served = service.serve_one(&period).unwrap().expect_exact().clone();
+    assert_eq!(served.source, ServeSource::Cold);
+    let cold = solve(
+        &Problem::new(&app, CommModel::Overlap, Objective::MinPeriod),
+        &budget,
+    )
+    .unwrap();
+    assert_eq!(served.value.to_bits(), cold.value.to_bits());
+    assert_eq!(service.eval_cache_stats(&period), None);
+
+    let latency = PlanRequest::new(app, CommModel::InOrder, Objective::MinLatency);
+    service.serve_one(&latency).unwrap().expect_exact();
+    let (_, misses) = service.eval_cache_stats(&latency).expect("retained");
+    assert!(misses > 0);
+
+    let orchestrated = PlanService::new(
+        SearchBudget {
+            period_evaluation: PeriodEvaluation::Orchestrated,
+            ..budget
+        },
+        16,
+    );
+    let small = random_application(&RandomAppConfig::independent(4), &mut rng);
+    let inorder = PlanRequest::new(small, CommModel::InOrder, Objective::MinPeriod);
+    orchestrated.serve_one(&inorder).unwrap().expect_exact();
+    assert!(
+        orchestrated
+            .eval_cache_stats(&inorder)
+            .is_some_and(|(_, m)| m > 0),
+        "an orchestrated one-port solve keeps its cache"
+    );
 }
 
 /// Evaluation caches survive plan-store eviction.  With a capacity-1 store
