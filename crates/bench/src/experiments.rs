@@ -66,6 +66,18 @@ impl ExperimentRow {
     }
 }
 
+/// The coloured-orbit total of `app`'s forest space, counted outside the
+/// solve: one orbit per shape on a uniform partition, the count pass's
+/// total otherwise (`None` where the partition is too wide to count).
+fn orbit_total(app: &fsw_core::Application) -> Option<u128> {
+    let classes = fsw_core::WeightClasses::of(app);
+    if classes.is_uniform() {
+        Some(fsw_core::forest_classes(app.n()))
+    } else {
+        fsw_core::classed_class_count(&classes, u128::MAX)
+    }
+}
+
 /// E1 — the worked example of Section 2.3, driven through the unified
 /// orchestrator (`fsw_sched::orchestrator::solve`) and cross-checked with the
 /// event-driven simulator.
@@ -407,9 +419,7 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
     let stream = stats
         .stream
         .expect("the uniform path always routes through the lazy stream");
-    let orbits = stream
-        .orbits
-        .expect("uniform plans always carry the orbit total");
+    let orbits = orbit_total(&uniform).expect("uniform spaces always count their orbits");
     assert!(
         stream.expanded as u128 * 2 <= orbits,
         "the critical-path latency floor must certify >= 2x fewer expanded \
@@ -644,7 +654,7 @@ pub fn e13_partial_symmetry_scaling() -> Vec<ExperimentRow> {
                          (paper column = coloured orbits, {} shapes)",
                         stream.shapes
                     ),
-                    stream.orbits.map(|o| o as f64),
+                    orbit_total(&app).map(|o| o as f64),
                     stream.expanded as f64,
                 ));
                 rows.push(ExperimentRow::new(
@@ -1712,7 +1722,7 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
              paper column = coloured orbits)",
             stream.shapes
         ),
-        stream.orbits.map(|o| o as f64),
+        orbit_total(&tiered).map(|o| o as f64),
         stream.expanded as f64,
     ));
     // Serving-throughput smoke: 12 tenants from 3 templates hit the plan

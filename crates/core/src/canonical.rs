@@ -516,6 +516,13 @@ pub enum ShapeObjective {
 /// plus the prune epsilon) and never for the non-strict tie-dominance
 /// rule, which it applies with the bit-admissible prefix bound of
 /// [`crate::PartialForestMetrics`] instead.
+///
+/// A pass that bounds a whole stream ([`bound_ordered_shape_plan`],
+/// [`ShapeBounder::forest_floor`]) reuses one set of buffers, so a bound
+/// allocates nothing.  On a one-kind partition the per-kind floor ranges
+/// over the very node floors of the cheapest-weight pass, so that pass
+/// folds their minimum in and the per-kind loop is skipped: the bound is
+/// the same bit for bit.
 #[derive(Clone, Debug)]
 pub struct ShapeBounder {
     /// `anc_floor[d]`: product of the `d` smallest `min(1, σ)` values.
@@ -524,7 +531,21 @@ pub struct ShapeBounder {
     kinds: Vec<(f64, f64)>,
     cost_lo: f64,
     sel_lo: f64,
+    /// `true` when the only weight kind is `(cost_lo, sel_lo)` bit for bit:
+    /// its per-kind floor is then the minimum of the node floors the
+    /// cheapest-weight pass already computes.
+    one_kind: bool,
     objective: ShapeObjective,
+}
+
+/// Reusable buffers of a shape bound: a scan that bounds every shape of a
+/// stream keeps one, so a bound allocates nothing.
+#[derive(Default)]
+struct BoundScratch {
+    fanout: Vec<usize>,
+    last_at_level: Vec<usize>,
+    /// Stack of child latencies of the critical-path recurrence.
+    latencies: Vec<f64>,
 }
 
 impl ShapeBounder {
@@ -543,11 +564,14 @@ impl ShapeBounder {
         kinds.dedup_by(|a, b| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits());
         let cost_lo = kinds.iter().map(|k| k.0).fold(f64::INFINITY, f64::min);
         let sel_lo = kinds.iter().map(|k| k.1).fold(f64::INFINITY, f64::min);
+        let one_kind = matches!(kinds[..], [(cost, sel)]
+            if cost.to_bits() == cost_lo.to_bits() && sel.to_bits() == sel_lo.to_bits());
         ShapeBounder {
             anc_floor,
             kinds,
             cost_lo,
             sel_lo,
+            one_kind,
             objective,
         }
     }
@@ -568,9 +592,18 @@ impl ShapeBounder {
     /// Lower bound on the objective of every representative of the shape
     /// described by super-tree `levels` (as streamed by [`CanonicalForests`]).
     pub fn shape_bound(&self, levels: &[usize]) -> f64 {
+        self.bound_with(levels, &mut BoundScratch::default())
+    }
+
+    /// [`ShapeBounder::shape_bound`] on reused buffers.
+    fn bound_with(&self, levels: &[usize], scratch: &mut BoundScratch) -> f64 {
         let len = levels.len();
-        let mut fanout = vec![0usize; len];
-        let mut last_at_level = vec![usize::MAX; len + 1];
+        let fanout = &mut scratch.fanout;
+        fanout.clear();
+        fanout.resize(len, 0);
+        let last_at_level = &mut scratch.last_at_level;
+        last_at_level.clear();
+        last_at_level.resize(len + 1, usize::MAX);
         last_at_level[0] = 0;
         for (i, &level) in levels.iter().enumerate().skip(1) {
             if level >= 2 {
@@ -579,18 +612,26 @@ impl ShapeBounder {
             last_at_level[level] = i;
         }
         let mut bound = 0.0f64;
+        let mut cheapest = f64::INFINITY;
         for i in 1..len {
-            bound = bound.max(self.node_floor(levels[i] - 1, fanout[i], self.cost_lo, self.sel_lo));
+            let floor = self.node_floor(levels[i] - 1, fanout[i], self.cost_lo, self.sel_lo);
+            bound = bound.max(floor);
+            cheapest = cheapest.min(floor);
         }
-        for &(cost, sel) in &self.kinds {
-            let mut cheapest = f64::INFINITY;
-            for i in 1..len {
-                cheapest = cheapest.min(self.node_floor(levels[i] - 1, fanout[i], cost, sel));
-            }
+        if self.one_kind {
+            // The per-kind loop would recompute these very floors.
             bound = bound.max(cheapest);
+        } else {
+            for &(cost, sel) in &self.kinds {
+                let mut cheapest = f64::INFINITY;
+                for i in 1..len {
+                    cheapest = cheapest.min(self.node_floor(levels[i] - 1, fanout[i], cost, sel));
+                }
+                bound = bound.max(cheapest);
+            }
         }
         if self.objective == ShapeObjective::Latency {
-            bound = bound.max(self.latency_critical_path(levels));
+            bound = bound.max(self.latency_critical_path(levels, &mut scratch.latencies));
         }
         bound
     }
@@ -603,9 +644,10 @@ impl ShapeBounder {
     /// time, O(n) memory.
     pub fn forest_floor(&self) -> f64 {
         let mut stream = CanonicalForests::new(self.anc_floor.len() - 1);
+        let mut scratch = BoundScratch::default();
         let mut floor: Option<f64> = None;
         while let Some(levels) = stream.next_shape() {
-            let bound = self.shape_bound(levels);
+            let bound = self.bound_with(levels, &mut scratch);
             if floor.is_none_or(|f| bound.total_cmp(&f).is_lt()) {
                 floor = Some(bound);
             }
@@ -625,32 +667,41 @@ impl ShapeBounder {
     /// is **exact**, firing the bound-clearance certificate the moment an
     /// optimal shape has been expanded.  Children are combined in sorted
     /// order, so the floor is a pure function of the shape and
-    /// `(c_lo, σ_lo)`.
-    fn latency_critical_path(&self, levels: &[usize]) -> f64 {
-        fn subtree(levels: &[usize], at: usize, cost: f64, sel: f64) -> (f64, usize) {
+    /// `(c_lo, σ_lo)`.  A subtree's child latencies sit on `stack` above
+    /// its entry height and are popped before it returns.
+    fn latency_critical_path(&self, levels: &[usize], stack: &mut Vec<f64>) -> f64 {
+        fn subtree(
+            levels: &[usize],
+            at: usize,
+            cost: f64,
+            sel: f64,
+            stack: &mut Vec<f64>,
+        ) -> (f64, usize) {
             let level = levels[at];
-            let mut subs: Vec<f64> = Vec::new();
+            let base = stack.len();
             let mut next = at + 1;
             while next < levels.len() && levels[next] == level + 1 {
-                let (latency, after) = subtree(levels, next, cost, sel);
-                subs.push(latency);
+                let (latency, after) = subtree(levels, next, cost, sel, stack);
+                stack.push(latency);
                 next = after;
             }
-            if subs.is_empty() {
+            if stack.len() == base {
                 return (1.0 + cost + sel, next);
             }
+            let subs = &mut stack[base..];
             subs.sort_by(|a, b| b.total_cmp(a));
             let tail = subs
                 .iter()
                 .enumerate()
                 .map(|(p, l)| p as f64 + l)
                 .fold(0.0f64, f64::max);
+            stack.truncate(base);
             (1.0 + cost + sel * tail, next)
         }
         let mut best = 0.0f64;
         let mut at = 1;
         while at < levels.len() {
-            let (latency, next) = subtree(levels, at, self.cost_lo, self.sel_lo);
+            let (latency, next) = subtree(levels, at, self.cost_lo, self.sel_lo, stack);
             best = best.max(latency);
             at = next;
         }
@@ -659,9 +710,13 @@ impl ShapeBounder {
 }
 
 /// One shape of the lazy bound-ordered classed enumeration: a
-/// self-describing 24-byte record of everything needed to (re)start the
+/// self-describing 16-byte record of everything needed to (re)start the
 /// shape's colouring walk on demand.  The shape itself is the record's
-/// `code`, so no representative and no per-shape allocation is held.
+/// `code`, so no representative and no per-shape allocation is held, and
+/// nothing is recorded that no walk reads: a shape's colourings are
+/// walked, never counted, while the search runs (the coloured-orbit total
+/// of a space is [`classed_class_count`]'s, or [`forest_classes`] on a
+/// uniform partition).
 #[derive(Clone, Copy, Debug)]
 pub struct ShapePlan {
     /// Admissible lower bound on every representative of this shape
@@ -674,12 +729,9 @@ pub struct ShapePlan {
     /// the [`CanonicalForests`] stream, its complement is the shape's
     /// canonical rank ([`ShapePlan::rank`]).
     pub code: u64,
-    /// Number of canonical colourings (coloured orbits) of this shape, `0`
-    /// when the counting pass is intractable for the partition.
-    pub colorings: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<ShapePlan>() == 24);
+const _: () = assert!(std::mem::size_of::<ShapePlan>() == 16);
 
 impl ShapePlan {
     /// Position key of the shape in canonical stream order: strictly
@@ -735,11 +787,6 @@ pub enum ShapeScan {
     Planned {
         /// The shapes, bound-sorted (ties in canonical order).
         shapes: Vec<ShapePlan>,
-        /// Total coloured-orbit count when the counting pass is tractable
-        /// for the partition (`None` beyond [`COUNT_DENSE_LIMIT`]), cutoff
-        /// casualties included — the count describes the *space*, not the
-        /// emitted plan.
-        orbits: Option<u128>,
         /// Number of shapes whose admissible bound already cleared the
         /// caller's cutoff at emission time: certified hopeless without ever
         /// being given a record, sorted or expanded.
@@ -761,31 +808,34 @@ pub enum ShapeScan {
 /// deadline instead of a refused multi-terabyte reservation.
 const PLAN_RESERVE_LIMIT: u128 = 2_000_000;
 
-/// The count-only prelude of the lazy classed enumeration: streams every
-/// canonical shape once, counts its canonical colourings off the memoised
-/// generating functions (no representative is materialised), attaches the
-/// shape-level admissible bound, and returns the shapes **bound-sorted** so
-/// a best-first consumer expands promising shapes first and stops at the
-/// first shape whose bound clears the incumbent — the sort order makes that
-/// a certificate for every remaining shape.
+/// The prelude of the lazy classed enumeration: streams every canonical
+/// shape, attaches the shape-level admissible bound, and returns the shapes
+/// **bound-sorted** so a best-first consumer expands promising shapes first
+/// and stops at the first shape whose bound clears the incumbent — the sort
+/// order makes that a certificate for every remaining shape.  No colouring
+/// is counted or materialised: the walk enumerates a shape's colourings
+/// when it expands the shape.
 ///
-/// Memory is one 24-byte [`ShapePlan`] per kept shape — `24 B ×
-/// A000081(n + 1)` on a cold scan (32 973 shapes, 0.75 MiB at `n = 13`;
-/// 87 811, 2.01 MiB at `n = 14`), reserved exactly — plus, on non-uniform
-/// partitions, the colour counter's memo; never the coloured space's
+/// Memory is one 16-byte [`ShapePlan`] per kept shape, in one allocation
+/// of exactly the kept count — `16 B × A000081(n + 1)` on a cold scan
+/// (32 973 shapes, 0.50 MiB at `n = 13`; 87 811, 1.34 MiB at `n = 14`) —
+/// plus the bounder's reused O(n) scratch; never the coloured space's
 /// potentially tens of millions of representatives.  The sort is in place
 /// (`(bound, rank)` is unique, so an unstable sort gives the one order).
 /// Spaces wider than [`SHAPE_CODE_MAX_N`] nodes are refused up front
 /// ([`ShapeScan::TooWide`]).
 ///
-/// `cutoff` threads a warm incumbent's prune threshold into the prelude
+/// `cutoff` threads an upper bound's prune threshold into the prelude
 /// (Bounded-Dijkstra-style cutoff reuse): a shape whose admissible bound
 /// strictly exceeds it is certified hopeless at emission — counted into
-/// `orbits` and `pruned` and given no record, so it costs no memory and
-/// warm re-solves never sort or expand it.  `f64::INFINITY` keeps every
-/// shape (the cold-search behaviour); a shape's rank comes from its own
-/// code, not from its place in the plan, so winner tie-breaks are
-/// unchanged by the cutoff.
+/// `pruned` and given no record, so it costs no memory and the walk never
+/// sorts or expands it.  `f64::INFINITY` keeps every shape.  A finite
+/// cutoff keeps an unknown subset, so the scan first streams the space to
+/// count the survivors and then fills a reservation of exactly that many
+/// records in a second pass: the bound is recomputed rather than the plan
+/// grown, whose doubling would hold up to twice the survivors.  A shape's
+/// rank comes from its own code, not from its place in the plan, so winner
+/// tie-breaks are unchanged by the cutoff.
 pub fn bound_ordered_shape_plan(
     classes: &WeightClasses,
     bounder: Option<&ShapeBounder>,
@@ -797,52 +847,46 @@ pub fn bound_ordered_shape_plan(
     if n > SHAPE_CODE_MAX_N {
         return ShapeScan::TooWide;
     }
-    // Uniform partitions have exactly one canonical colouring per shape, so
-    // the generating-function pass would only recompute the constant 1.
-    let uniform = classes.is_uniform();
-    let mut counter = (!uniform && countable(classes)).then(|| ColourCounter::new(classes));
+    let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
+    let mut scratch = BoundScratch::default();
+    let mut bound_of =
+        |levels: &[usize]| bounder.map_or(0.0, |b| b.bound_with(levels, &mut scratch));
+    let cut = |bound: f64| bound > cutoff;
+    let kept = if cutoff.is_nan() || cutoff == f64::INFINITY {
+        forest_classes(n)
+    } else {
+        let mut survivors: u128 = 0;
+        let mut stream = CanonicalForests::new(n);
+        while let Some(levels) = stream.next_shape() {
+            if expired() {
+                return ShapeScan::DeadlineExpired;
+            }
+            survivors += u128::from(!cut(bound_of(levels)));
+        }
+        survivors
+    };
     let mut shapes = Vec::new();
-    let total = forest_classes(n);
-    // A cold scan keeps every shape; a warm one keeps an unknown subset.
-    if total <= PLAN_RESERVE_LIMIT && (cutoff.is_nan() || cutoff == f64::INFINITY) {
-        shapes.reserve_exact(total as usize);
+    if kept <= PLAN_RESERVE_LIMIT {
+        shapes.reserve_exact(kept as usize);
     }
     let mut stream = CanonicalForests::new(n);
-    let mut orbits: u128 = 0;
     let mut pruned: u64 = 0;
     while let Some(levels) = stream.next_shape() {
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+        if expired() {
             return ShapeScan::DeadlineExpired;
         }
-        let colorings = if uniform {
-            1
-        } else {
-            counter
-                .as_mut()
-                .map(|c| c.forest_colorings(levels))
-                .unwrap_or(0)
-        };
-        orbits = orbits.saturating_add(colorings);
-        let bound = bounder.map(|b| b.shape_bound(levels)).unwrap_or(0.0);
-        if bound > cutoff {
+        let bound = bound_of(levels);
+        if cut(bound) {
             pruned += 1;
         } else {
             shapes.push(ShapePlan {
                 bound,
                 code: parenthesis_word(levels),
-                // A countable partition's per-shape count is at most a
-                // multinomial of `n <= 32` (4.1·10¹¹ at worst), so this
-                // never saturates.
-                colorings: u64::try_from(colorings).unwrap_or(u64::MAX),
             });
         }
     }
     shapes.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.rank().cmp(&b.rank())));
-    ShapeScan::Planned {
-        shapes,
-        orbits: (uniform || counter.is_some()).then_some(orbits),
-        pruned,
-    }
+    ShapeScan::Planned { shapes, pruned }
 }
 
 /// Packs a preorder forest (parent vector plus one byte-sized tag per node)
@@ -1915,11 +1959,7 @@ mod tests {
                 assert_eq!(code.leading_zeros(), 64 - 2 * n as u32, "n={n}: width");
                 assert!(previous.is_none_or(|p| code < p), "n={n}: key order");
                 previous = Some(code);
-                let shape = ShapePlan {
-                    bound: 0.0,
-                    code,
-                    colorings: 1,
-                };
+                let shape = ShapePlan { bound: 0.0, code };
                 shape.decode_into(&mut levels);
                 assert_eq!(levels, streamed, "n={n}: decode");
                 count += 1;
@@ -1930,25 +1970,20 @@ mod tests {
         let path = stream.next_shape().unwrap().to_vec();
         let code = parenthesis_word(&path);
         assert_eq!(code, u64::MAX << 32, "the n = 32 path");
-        ShapePlan {
-            bound: 0.0,
-            code,
-            colorings: 1,
-        }
-        .decode_into(&mut levels);
+        ShapePlan { bound: 0.0, code }.decode_into(&mut levels);
         assert_eq!(levels, path);
     }
 
     /// Plan order pinned across record layouts: an FNV digest over every
-    /// planned shape's `(bound bits, colorings, level sequence)` in plan
-    /// order, under an INORDER period bounder, equal to the digest the plan
-    /// had while its records indexed a side table of level codes by stream
-    /// ordinal — so a record layout change cannot reorder the plan.
+    /// planned shape's `(bound bits, code)` in plan order, under an INORDER
+    /// period bounder, equal to the digest of the 24-byte records that also
+    /// carried a colouring count — so a record layout change cannot reorder
+    /// the plan or move a bound by a bit.
     #[test]
     fn shape_plan_order_is_pinned() {
         for (sizes, pinned) in [
-            (vec![14usize], 0xce11_311c_8e51_454e_u64),
-            (vec![7, 6], 0x233f_e11f_ff68_1d05),
+            (vec![14usize], 0x6608_3f63_eb21_f3bf_u64),
+            (vec![7, 6], 0x5199_3446_0dfe_1e58),
         ] {
             let app = classed_app(&sizes);
             let classes = WeightClasses::of(&app);
@@ -1958,14 +1993,7 @@ mod tests {
             else {
                 panic!("{sizes:?}: no deadline was set");
             };
-            let mut levels = Vec::new();
-            let digest = fnv1a(shapes.iter().flat_map(|s| {
-                s.decode_into(&mut levels);
-                [s.bound.to_bits(), s.colorings]
-                    .into_iter()
-                    .chain(levels.iter().map(|&l| l as u64))
-                    .collect::<Vec<_>>()
-            }));
+            let digest = fnv1a(shapes.iter().flat_map(|s| [s.bound.to_bits(), s.code]));
             assert_eq!(
                 digest, pinned,
                 "{sizes:?}: plan order digest {digest:#018x}"
@@ -1978,20 +2006,32 @@ mod tests {
         for sizes in [vec![5usize], vec![3, 2], vec![2, 2, 2]] {
             let n: usize = sizes.iter().sum();
             let classes = WeightClasses::of(&classed_app(&sizes));
-            let ShapeScan::Planned {
-                shapes,
-                orbits,
-                pruned,
-            } = bound_ordered_shape_plan(&classes, None, f64::INFINITY, None)
+            let ShapeScan::Planned { shapes, pruned } =
+                bound_ordered_shape_plan(&classes, None, f64::INFINITY, None)
             else {
                 panic!("{sizes:?}: no deadline was set");
             };
             assert_eq!(pruned, 0, "{sizes:?}: an infinite cutoff keeps all");
             assert_eq!(shapes.len() as u128, forest_classes(n), "{sizes:?}: shapes");
+            // The colourings walked over the plan's shapes are the count
+            // pass's coloured orbits.
+            let mut walked = 0u128;
+            let mut levels = Vec::new();
+            for shape in &shapes {
+                shape.decode_into(&mut levels);
+                assert!(enumerate_canonical_colorings(
+                    &levels,
+                    &classes,
+                    &mut |_, _| {
+                        walked += 1;
+                        true
+                    }
+                ));
+            }
             assert_eq!(
-                orbits,
+                Some(walked),
                 classed_class_count(&classes, u128::MAX),
-                "{sizes:?}: orbit total matches the count pass"
+                "{sizes:?}: walked colourings match the count pass"
             );
             // Stream positions are a permutation, and every decoded shape
             // matches the Beyer–Hedetniemi stream at its position.
@@ -2021,9 +2061,9 @@ mod tests {
     }
 
     /// A finite cutoff drops exactly the shapes whose bound strictly
-    /// exceeds it, keeps the orbit total describing the full space, and
-    /// leaves the keys of the survivors untouched (they rank the canonical
-    /// stream, not the emitted plan).
+    /// exceeds it, holds the survivors in a reservation of exactly their
+    /// count, and leaves the keys of the survivors untouched (they rank the
+    /// canonical stream, not the emitted plan).
     #[test]
     fn shape_plan_cutoff_prunes_at_emission_without_renumbering() {
         let app = classed_app(&[3, 2]);
@@ -2031,7 +2071,6 @@ mod tests {
         let bounder = ShapeBounder::new(&app, ShapeObjective::Period(CommModel::InOrder));
         let ShapeScan::Planned {
             shapes: all,
-            orbits: all_orbits,
             pruned: none_pruned,
         } = bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
         else {
@@ -2039,15 +2078,12 @@ mod tests {
         };
         assert_eq!(none_pruned, 0);
         let cutoff = all[all.len() / 2].bound;
-        let ShapeScan::Planned {
-            shapes,
-            orbits,
-            pruned,
-        } = bound_ordered_shape_plan(&classes, Some(&bounder), cutoff, None)
+        let ShapeScan::Planned { shapes, pruned } =
+            bound_ordered_shape_plan(&classes, Some(&bounder), cutoff, None)
         else {
             panic!("no deadline was set");
         };
-        assert_eq!(orbits, all_orbits, "orbit totals describe the space");
+        assert_eq!(shapes.capacity(), shapes.len(), "one exact reservation");
         assert_eq!(
             shapes.len() as u64 + pruned,
             all.len() as u64,
@@ -2338,13 +2374,22 @@ mod tests {
                 Some(pinned),
                 "{sizes:?}: count"
             );
-            let ShapeScan::Planned { shapes, orbits, .. } =
+            let ShapeScan::Planned { shapes, .. } =
                 bound_ordered_shape_plan(&classes, None, f64::INFINITY, None)
             else {
                 panic!("{sizes:?}: no deadline was set");
             };
-            assert_eq!(orbits, Some(pinned), "{sizes:?}: plan total");
-            let per_shape: u128 = shapes.iter().map(|s| u128::from(s.colorings)).sum();
+            // Walking these counts is out of a unit test's reach, so each
+            // planned shape's colourings are read off a fresh counter.
+            let mut counter = ColourCounter::new(&classes);
+            let mut levels = Vec::new();
+            let per_shape: u128 = shapes
+                .iter()
+                .map(|s| {
+                    s.decode_into(&mut levels);
+                    counter.forest_colorings(&levels)
+                })
+                .sum();
             assert_eq!(per_shape, pinned, "{sizes:?}: Σ shape colourings");
         }
     }

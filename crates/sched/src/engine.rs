@@ -76,7 +76,7 @@ pub mod frontier;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use fsw_core::{
     Application, CanonicalForests, ExecutionGraph, PartialForestMetrics, ServiceId, WeightClasses,
@@ -509,23 +509,29 @@ enum CacheEntry {
 /// mutation, since entries depend on the weights).  The cache **owns** a
 /// copy of its application (applications are a few dozen bytes), so
 /// long-lived holders need no self-referential lifetimes.
+///
+/// Construction copies the application and nothing else: the weight-class
+/// partition, its signature and the relabelling list are built on first
+/// use.  Many solves never read the cache (OVERLAP and lower-bound
+/// MINPERIOD evaluations return before it), and there an eager build
+/// would cost 5 059 allocations and 468 KiB for the relabellings of a
+/// uniform 7-service application alone.
 pub struct EvalCache {
     app: Application,
     /// Node relabellings exhaustive entries may be canonicalised over
     /// (always containing the identity, first): the full symmetric group on
     /// uniform instances, just the identity otherwise — multi-class merging
     /// is unsound for the label-following searches cached here (see
-    /// `EvalCache::new`).
-    perms: Vec<Vec<ServiceId>>,
-    /// The application's weight-class partition, computed once per cache so
-    /// hot evaluation paths can consult it without rebuilding it per
-    /// candidate (see [`EvalCache::weight_classes`]).
-    classes: WeightClasses,
-    /// Signature of the weight-class partition, mixed into every key so
-    /// entries can never collide across applications whose services
-    /// partition differently (e.g. when a future service layer shares one
-    /// cache across a fleet of `solve_all` applications).
-    class_sig: u64,
+    /// `EvalCache::relabellings`).  Built on the first exhaustive lookup.
+    perms: OnceLock<Vec<Vec<ServiceId>>>,
+    /// The application's weight-class partition and its signature, built
+    /// once per cache so hot evaluation paths can consult them without
+    /// rebuilding them per candidate (see [`EvalCache::weight_classes`]).
+    /// The signature is mixed into every key so entries can never collide
+    /// across applications whose services partition differently (e.g. when
+    /// a future service layer shares one cache across a fleet of
+    /// `solve_all` applications).
+    classes: OnceLock<(WeightClasses, u64)>,
     map: Mutex<HashMap<(u8, bool, u64, u128), CacheEntry>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -536,32 +542,12 @@ pub struct EvalCache {
 const MAX_CANONICAL_PERMS: usize = 5_040;
 
 impl EvalCache {
-    /// A fresh cache for `app`.
+    /// A fresh cache for `app`: a copy of the application, an empty memo.
     pub fn new(app: &Application) -> Self {
-        let n = app.n();
-        let classes = WeightClasses::of(app);
-        let group = classes.group_order();
-        // Cross-label merging of exhaustive entries is enabled on **uniform**
-        // instances only: the exhaustive one-port searches cached here follow
-        // node ids internally, and on multi-class instances two
-        // class-isomorphic graphs can return values an ulp apart (different
-        // summation orders over *different* per-class terms), so merging
-        // them would break the bit-exact full-enumeration fallback the
-        // `Symmetry` gate promises.  Multi-class orbit sharing happens one
-        // layer up instead, where it is sound by construction: the OUTORDER
-        // evaluation canonicalises the *graph* before evaluating, so all
-        // orbit members key (and compute) the identical canonical member.
-        let perms = if n > 1 && classes.is_uniform() && group <= MAX_CANONICAL_PERMS as u128 {
-            let ids: Vec<ServiceId> = (0..n).collect();
-            permutations(&ids)
-        } else {
-            vec![(0..n).collect()]
-        };
         EvalCache {
             app: app.clone(),
-            perms,
-            class_sig: classes.signature(),
-            classes,
+            perms: OnceLock::new(),
+            classes: OnceLock::new(),
             map: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -573,11 +559,46 @@ impl EvalCache {
         &self.app
     }
 
-    /// The application's weight-class partition (computed once at cache
-    /// construction; hot evaluation paths should use this instead of
+    /// The application's weight-class partition (computed on first use,
+    /// then kept; hot evaluation paths should use this instead of
     /// re-deriving it per candidate).
     pub fn weight_classes(&self) -> &WeightClasses {
-        &self.classes
+        &self.classes_and_signature().0
+    }
+
+    fn classes_and_signature(&self) -> &(WeightClasses, u64) {
+        self.classes.get_or_init(|| {
+            let classes = WeightClasses::of(&self.app);
+            let signature = classes.signature();
+            (classes, signature)
+        })
+    }
+
+    /// The relabellings exhaustive entries are canonicalised over, built on
+    /// first use.
+    fn relabellings(&self) -> &[Vec<ServiceId>] {
+        self.perms.get_or_init(|| {
+            let n = self.app.n();
+            let classes = self.weight_classes();
+            // Cross-label merging of exhaustive entries is enabled on
+            // **uniform** instances only: the exhaustive one-port searches
+            // cached here follow node ids internally, and on multi-class
+            // instances two class-isomorphic graphs can return values an ulp
+            // apart (different summation orders over *different* per-class
+            // terms), so merging them would break the bit-exact
+            // full-enumeration fallback the `Symmetry` gate promises.
+            // Multi-class orbit sharing happens one layer up instead, where
+            // it is sound by construction: the OUTORDER evaluation
+            // canonicalises the *graph* before evaluating, so all orbit
+            // members key (and compute) the identical canonical member.
+            if n > 1 && classes.is_uniform() && classes.group_order() <= MAX_CANONICAL_PERMS as u128
+            {
+                let ids: Vec<ServiceId> = (0..n).collect();
+                permutations(&ids)
+            } else {
+                vec![(0..n).collect()]
+            }
+        })
     }
 
     /// `(hits, misses)` so far — `hits` counts evaluations answered from the
@@ -593,11 +614,13 @@ impl EvalCache {
     /// ([`ExecutionGraph::edge_mask_under`]), minimised over class-preserving
     /// relabellings when those are provably bit-safe.
     fn signature(&self, graph: &ExecutionGraph, exhaustive: bool) -> u128 {
-        debug_assert!(graph.n() == self.app.n() && graph.n() * graph.n() <= 128);
-        let identity = &self.perms[0];
-        let mut best = graph.edge_mask_under(identity);
+        let n = graph.n();
+        debug_assert!(n == self.app.n() && n * n <= 128);
+        // `n * n <= 128` bounds `n` by 11.
+        let identity: [ServiceId; 11] = std::array::from_fn(|k| k);
+        let mut best = graph.edge_mask_under(&identity[..n]);
         if exhaustive {
-            for perm in &self.perms[1..] {
+            for perm in &self.relabellings()[1..] {
                 let mask = graph.edge_mask_under(perm);
                 if mask < best {
                     best = mask;
@@ -645,7 +668,7 @@ impl EvalCache {
         let key = (
             tag,
             exhaustive,
-            self.class_sig,
+            self.classes_and_signature().1,
             self.signature(graph, exhaustive),
         );
         {
@@ -737,7 +760,7 @@ mod tests {
     fn uniform_apps_share_isomorphic_graphs() {
         let app = Application::independent(&[(2.0, 0.5); 4]);
         let cache = EvalCache::new(&app);
-        assert!(cache.perms.len() > 1);
+        assert!(cache.relabellings().len() > 1);
         let g1 = ExecutionGraph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
         let g2 = ExecutionGraph::from_edges(4, &[(3, 2), (2, 0)]).unwrap();
         // Isomorphic chains share one exhaustive evaluation…
@@ -760,7 +783,7 @@ mod tests {
     fn heterogeneous_apps_share_exact_graphs_only() {
         let app = Application::independent(&[(1.0, 0.5), (2.0, 0.9), (3.0, 1.1)]);
         let cache = EvalCache::new(&app);
-        assert_eq!(cache.perms.len(), 1);
+        assert_eq!(cache.relabellings().len(), 1);
         let g1 = ExecutionGraph::from_edges(3, &[(0, 1)]).unwrap();
         let g2 = ExecutionGraph::from_edges(3, &[(1, 0)]).unwrap();
         let v1 = cache.get_or_compute(0, &g1, true, f64::INFINITY, |_| 1.0);

@@ -5,25 +5,33 @@
 //! incumbent tightens whenever the walk happens to stumble on a good
 //! candidate, and everything visited before that point is evaluated against
 //! a weak bound.  The streamed walk flips the exploration around.  A
-//! count-only prelude orders the forest **shapes** (A000081 of them) by an
-//! admissible shape-level bound, and the expansion loop walks the canonical
-//! colourings of each shape on demand, most promising shape first.  The
-//! incumbent therefore drops to the optimum almost immediately, and because
-//! the plan is bound-ordered, the first shape whose bound clears the
-//! incumbent is a **bound-clearance certificate** for every shape after it:
-//! the search ends by discarding the rest of the plan in one step instead
-//! of walking millions of hopeless subtrees to re-prove it one bound at a
-//! time.
+//! prelude orders the forest **shapes** (A000081 of them) by an admissible
+//! shape-level bound, and the expansion loop walks the canonical colourings
+//! of each shape on demand, most promising shape first.  The incumbent
+//! therefore drops to the optimum almost immediately, and because the plan
+//! is bound-ordered, the first shape whose bound clears the incumbent is a
+//! **bound-clearance certificate** for every shape after it: the search
+//! ends by discarding the rest of the plan in one step instead of walking
+//! millions of hopeless subtrees to re-prove it one bound at a time.
 //!
-//! Memory stays bounded: the walk holds the flat O(shapes) plan and at most
-//! one materialised representative per worker.  There are no batches and no
-//! frontier cap: the workers are spawned once per search (the calling
-//! thread is one of them, so a serial walk spawns nothing), each keeps one
-//! walker for the whole search, and they claim runs of consecutive shapes
-//! in plan order from a shared cursor until a claimed shape's bound clears
-//! the incumbent.  A walker's local best is the tie rule's reference, so
-//! keeping it across shapes lets one optimum prune the plateau of every
-//! later shape the worker claims.
+//! Memory stays bounded: the walk holds the flat plan of 16-byte shape
+//! records and at most one materialised representative per worker.  The
+//! prelude stores only the shapes the walk could enter: before it runs, the
+//! search values its objective's constructive plans (the local-search
+//! seeds, feasible forests of the space) with its own evaluation, and a
+//! shape whose bound clears the best of them, or a warm incumbent seed, is
+//! counted at emission and given no record.  A serial walk would discard
+//! those shapes unwalked by the certificate below, so it enters the same
+//! shapes and expands the same representatives either way, and no walk
+//! changes its winner.
+//!
+//! There are no batches and no frontier cap: the workers are spawned once
+//! per search (the calling thread is one of them, so a serial walk spawns
+//! nothing), each keeps one walker for the whole search, and they claim
+//! runs of consecutive shapes in plan order from a shared cursor until a
+//! claimed shape's bound clears the incumbent.  A walker's local best is
+//! the tie rule's reference, so keeping it across shapes lets one optimum
+//! prune the plateau of every later shape the worker claims.
 //!
 //! ### The winner
 //!
@@ -75,18 +83,17 @@ const CLAIM_SHAPES: usize = 16;
 /// benchmark rows.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamStats {
-    /// Number of shapes (forest-isomorphism classes) in the plan.
+    /// Number of shapes (forest-isomorphism classes) of the space: the
+    /// plan's records plus the shapes its prelude cutoff dropped.
     pub shapes: usize,
-    /// Total coloured-orbit count, when the counting pass was tractable for
-    /// the weight partition.
-    pub orbits: Option<u128>,
     /// Number of representatives materialised and evaluated.
     pub expanded: u64,
     /// Peak number of representatives concurrently materialised: one per
     /// worker that expanded anything, so never more than the worker count.
     pub peak_resident: usize,
-    /// Number of shapes discarded wholesale by the final bound-clearance
-    /// certificate, without expanding a single representative.
+    /// Number of shapes discarded wholesale, without expanding a single
+    /// representative: by the prelude cutoff at emission, or by the final
+    /// bound-clearance certificate.
     pub certified_shapes: usize,
 }
 
@@ -150,8 +157,10 @@ impl StreamProbe {
 /// per solve from the probe's registry: `engine.shape_stream` (bound-ordered
 /// shape-plan generation), `engine.expand` (one span per search's expansion
 /// phase) and `engine.certify` (the head bound-clearance certificate ending a
-/// search).  Span durations are wall-clock and observability-only — no
-/// digest-feeding value derives from them.
+/// search; a search whose prelude already dropped every shape the
+/// certificate would have discarded ends by running out of plan and
+/// records none).  Span durations are wall-clock and observability-only —
+/// no digest-feeding value derives from them.
 #[derive(Clone, Debug)]
 pub struct EngineMetrics {
     shape_stream: fsw_obs::SpanTimer,
@@ -267,18 +276,48 @@ where
     }
 }
 
+/// The constructive plans of the objective `prune` bounds, as the
+/// local-search fallbacks start from them: the independent plan, the
+/// Proposition 8 chain and the no-communication plan for the period
+/// bounds, the independent plan and the Proposition 16 chain for the
+/// latency bound, and none for [`PartialPrune::Off`], whose plan has no
+/// bounds to cut.  A plan that is not a forest is skipped: it is no point
+/// of the forest space, and a MINLATENCY DAG value below every forest would
+/// starve the forest phase.
+pub fn constructive_plans(app: &Application, prune: PartialPrune) -> Vec<ExecutionGraph> {
+    let plans = match prune {
+        PartialPrune::Off => Vec::new(),
+        PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
+            crate::minperiod::seed_graphs(app, model)
+        }
+        PartialPrune::Latency => crate::minlatency::seed_graphs(app),
+    };
+    plans
+        .into_iter()
+        .filter(ExecutionGraph::is_forest)
+        .collect()
+}
+
 /// Best-first walk of a canonical orbit space **without materialising it**:
-/// a count-only prelude streams every shape once
+/// a prelude streams every shape once
 /// ([`fsw_core::bound_ordered_shape_plan`]), attaches a shape-level
-/// admissible bound ([`ShapeBounder`]) and sorts the shapes bound-ascending;
+/// admissible bound ([`ShapeBounder`]), keeps the shapes whose bound does
+/// not clear an upper bound on the optimum and sorts them bound-ascending;
 /// the expansion then walks the canonical colourings of each shape on
 /// demand ([`walk_canonical_colorings`]), pruning colour prefixes against
-/// the shared incumbent, so memory holds the flat O(shapes) plan (and,
-/// while it is built, the colour counter's memo) plus at most one
-/// representative per worker — never the coloured space.  Because the
-/// shape order is bound-ascending, the first shape whose bound strictly
-/// clears the incumbent certifies every remaining shape prunable and ends
-/// the search in one step.
+/// the shared incumbent, so memory holds the flat plan of 16-byte records
+/// plus at most one representative per worker — never the coloured space.
+/// Because the shape order is bound-ascending, the first shape whose bound
+/// strictly clears the incumbent certifies every remaining shape prunable
+/// and ends the search in one step.
+///
+/// The prelude's upper bound is the lower of `incumbent_seed` and the best
+/// value `eval` gives the objective's [`constructive_plans`], evaluated
+/// once each before the prelude runs (so the walk's `eval` sees them first,
+/// at the cutoff `incumbent_seed`).  Each is a feasible forest of the
+/// space, so the cut drops only shapes a serial walk's certificate would
+/// have discarded unwalked; those count as certified at emission.  (A
+/// parallel walk may enter fewer shapes, whose bounds clear the optimum.)
 ///
 /// `exec`'s workers are spawned once (the calling thread is one of them,
 /// so a serial walk spawns nothing): each keeps one walker — its partial
@@ -295,7 +334,8 @@ where
 /// on the space's optimum (`f64::INFINITY` for a cold search).  The seed
 /// must be an upper bound: pruning and the bound-clearance certificate fire
 /// only on a strict clearance of it, so the winner is unchanged while the
-/// hopeless region is skipped.
+/// hopeless region is skipped.  The constructive value never enters the
+/// incumbent, so the walk prunes exactly as it would without the cut.
 ///
 /// `obs` adds per-stage tracing spans ([`EngineMetrics`]): shape-plan
 /// generation, the expansion phase and the bound-clearance certificate each
@@ -323,25 +363,27 @@ where
         PartialPrune::Latency => Some(ShapeObjective::Latency),
     };
     let bounder = objective.map(|o| ShapeBounder::new(app, o));
-    // Bounded-Dijkstra-style cutoff reuse: a warm incumbent seed is an upper
-    // bound on the optimum, so its prune threshold can already certify
-    // shapes at *emission* — they are counted, never stored or sorted.  A
-    // cold search (infinite seed) keeps every shape, and the threshold is
-    // the same strict-clearance rule every walker prunes with, so winners
-    // are bit-identical either way.
-    let cutoff = prune_threshold(incumbent_seed);
+    // Bounded-Dijkstra-style cutoff reuse: an upper bound on the optimum
+    // certifies shapes at *emission* — they are counted, never stored or
+    // sorted.  The bound is the incumbent seed or the best constructive
+    // plan's value under the search's own evaluation, whichever is lower;
+    // the threshold is the strict-clearance rule every walker prunes with.
+    // A dropped shape's bound clears the value of a plan in the space, so
+    // the walk would reach it only after the certificate fired: winners
+    // and, at one thread, the shapes entered are those of the uncut plan.
+    // The shared incumbent still starts at the caller's seed.
+    let upper = constructive_plans(app, prune)
+        .iter()
+        .map(|plan| eval(plan, incumbent_seed))
+        .fold(incumbent_seed, f64::min);
+    let cutoff = prune_threshold(upper);
     let shape_span = obs.map(|m| m.shape_stream.start());
     let plan = match bound_ordered_shape_plan(classes, bounder.as_ref(), cutoff, exec.deadline) {
         // Nothing evaluated yet: degrade to the fallback like any
         // interrupted search.
         ShapeScan::DeadlineExpired | ShapeScan::TooWide => return (None, stats),
-        ShapeScan::Planned {
-            shapes,
-            orbits,
-            pruned,
-        } => {
+        ShapeScan::Planned { shapes, pruned } => {
             stats.shapes = shapes.len() + pruned as usize;
-            stats.orbits = orbits;
             stats.certified_shapes = pruned as usize;
             shapes
         }

@@ -133,8 +133,10 @@ fn evaluate_latency_bounded(
     fluid.map_or(oneport, |f| f.min(oneport))
 }
 
-/// Constructive seeds for the heuristic search.
-fn seed_graphs(app: &Application) -> Vec<ExecutionGraph> {
+/// Constructive seeds for the heuristic search; the streamed walk also
+/// cuts its prelude at their value
+/// ([`crate::engine::frontier::constructive_plans`]).
+pub(crate) fn seed_graphs(app: &Application) -> Vec<ExecutionGraph> {
     let n = app.n();
     let mut seeds = Vec::new();
     if app.has_constraints() {

@@ -235,9 +235,8 @@ where
     if space > cap {
         return None;
     }
-    // The labelled walk carries telemetry too (`shapes` stays 0 — no shape
-    // plan exists on the labelled space — and `orbits` reports the labelled
-    // space size itself, every orbit being trivial).
+    // The labelled walk carries telemetry too (`shapes` stays 0: no shape
+    // plan exists on the labelled space).
     let incumbent = Incumbent::seeded(incumbent_seed);
     let prefixes = forest_task_prefixes(n, exec.effective_split_levels());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
@@ -274,7 +273,6 @@ where
     if let Some(p) = probe {
         p.record(StreamStats {
             shapes: 0,
-            orbits: Some(space as u128),
             expanded,
             peak_resident: exec.effective_threads(),
             certified_shapes: 0,
@@ -473,6 +471,15 @@ pub fn exhaustive_dag_best<F: FnMut(&ExecutionGraph) -> f64>(
 /// interrupts the enumeration.  Instances larger than
 /// [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of `max_n`.
 ///
+/// The enumeration meets a labelled DAG once per linear extension (122 880
+/// pairs for 29 281 DAGs at `n = 5`), and it visits the DAG at the first
+/// one only: a pair is built and evaluated only when its permutation is
+/// the greedy first extension of its DAG in the enumeration's own swap
+/// order (`first_linear_extension`, an O(n²) test on the pair).  No worker
+/// keeps a set of visited DAGs, and no DAG is visited by two workers, so
+/// each worker's first strict minimum folds to the winner of
+/// [`exhaustive_dag_best`] at every thread count.
+///
 /// `eval` receives the current incumbent as a *cutoff* (see
 /// [`exhaustive_forest_search`]).  `incumbent_seed` pre-loads the shared
 /// incumbent with an upper bound from an earlier phase (e.g. the forest
@@ -527,12 +534,6 @@ where
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
         let mut best: Option<(f64, ExecutionGraph)> = None;
         let mut complete = true;
-        // Per-worker duplicate filter over labelled edge sets: a DAG is
-        // generated once per linear extension (≈4× over-visitation at
-        // n = 5), and a repeat visit of a deterministic `eval` can never
-        // displace a first-strict-minimum, so skipping repeats inside one
-        // worker's enumeration-ordered chunk is bit-safe.
-        let mut seen = std::collections::HashSet::new();
         for prefix in chunk {
             let mut order: Vec<ServiceId> = (0..n).collect();
             for (level, &pos) in prefix.iter().enumerate() {
@@ -546,7 +547,6 @@ where
                     &incumbent,
                     eval,
                     exec.deadline,
-                    &mut seen,
                 )
             });
             if !ok {
@@ -618,9 +618,10 @@ where
     })
 }
 
-/// Evaluates every DAG whose edges are forward edges of `perm`, threading the
-/// shared incumbent into every evaluation.  Returns `false` when the deadline
-/// interrupted the mask enumeration.
+/// Evaluates every DAG whose edges are forward edges of `perm` and whose
+/// first linear extension is `perm` ([`first_linear_extension`]), threading
+/// the shared incumbent into every evaluation.  Returns `false` when the
+/// deadline interrupted the mask enumeration.
 fn visit_dags_of_permutation_pruned<F>(
     app: &Application,
     perm: &[ServiceId],
@@ -628,7 +629,6 @@ fn visit_dags_of_permutation_pruned<F>(
     incumbent: &Incumbent,
     eval: &F,
     deadline: Option<Instant>,
-    seen: &mut std::collections::HashSet<u64>,
 ) -> bool
 where
     F: Fn(&ExecutionGraph, f64) -> f64,
@@ -640,24 +640,10 @@ where
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return false;
         }
-        // A labelled edge set reappears once per linear extension; key it
-        // by directed label pairs (two bits per unordered pair) and skip
-        // repeats before paying for graph construction and evaluation.
-        let mut key = 0u64;
-        let mut bit = 0u32;
-        for a in 0..n {
-            for c in (a + 1)..n {
-                if mask & (1u64 << bit) != 0 {
-                    let (u, v) = (perm[a], perm[c]);
-                    let (lo, hi, dir) = if u < v { (u, v, 0) } else { (v, u, 1) };
-                    // Unordered pair index in the a < c triangular order.
-                    let pair = lo * (2 * n - lo - 1) / 2 + (hi - lo - 1);
-                    key |= 1u64 << (2 * pair as u32 + dir);
-                }
-                bit += 1;
-            }
-        }
-        if !seen.insert(key) {
+        // A labelled DAG reappears once per linear extension: visit it at
+        // the first one only, before paying for graph construction and
+        // evaluation.
+        if !first_linear_extension(perm, mask) {
             continue;
         }
         let graph = ExecutionGraph::from_permutation_mask(perm, mask);
@@ -669,6 +655,45 @@ where
             incumbent.offer(value);
             *best = Some((value, graph));
         }
+    }
+    true
+}
+
+/// `true` when `perm` is the first linear extension, in [`permute_orders`]'
+/// order from `0..n`, of the DAG made of the forward edges of `perm` that
+/// `mask` selects (bit `b` for the `b`-th pair `a < c` in row order).  The
+/// extension is built greedily the way the recursion swaps: at each level,
+/// the first candidate position whose service has all its predecessors
+/// placed is swapped into place.  Every valid prefix completes to an
+/// extension, so this is the extension the enumeration meets first, and a
+/// filter on it visits each labelled DAG exactly once over the whole
+/// enumeration, at its first occurrence, in O(n²) time and no memory.
+fn first_linear_extension(perm: &[ServiceId], mask: u64) -> bool {
+    let n = perm.len();
+    debug_assert!(n <= DAG_ENUMERATION_HARD_MAX_N);
+    let mut preds = [0u16; DAG_ENUMERATION_HARD_MAX_N];
+    let mut bit = 0;
+    for a in 0..n {
+        for c in (a + 1)..n {
+            if mask & (1u64 << bit) != 0 {
+                preds[perm[c]] |= 1 << perm[a];
+            }
+            bit += 1;
+        }
+    }
+    let mut order: [ServiceId; DAG_ENUMERATION_HARD_MAX_N] = std::array::from_fn(|k| k);
+    let mut placed = 0u16;
+    for level in 0..n {
+        // `order[..level] == perm[..level]`, so `perm[level]` is a ready
+        // candidate and the search always succeeds.
+        let pick = (level..n)
+            .find(|&i| preds[order[i]] & !placed == 0)
+            .expect("perm is a linear extension");
+        order.swap(level, pick);
+        if order[level] != perm[level] {
+            return false;
+        }
+        placed |= 1 << perm[level];
     }
     true
 }
@@ -722,8 +747,10 @@ fn permute_orders<F: FnMut(&[ServiceId]) -> bool>(
     true
 }
 
-/// Constructive seeds for the heuristic search.
-fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionGraph> {
+/// Constructive seeds for the heuristic search; the streamed walk also
+/// cuts its prelude at their value
+/// ([`crate::engine::frontier::constructive_plans`]).
+pub(crate) fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionGraph> {
     let n = app.n();
     let mut seeds = Vec::new();
     if app.has_constraints() {
@@ -1167,6 +1194,33 @@ mod tests {
                     assert_eq!(eval(&reduced.graph), reduced.value);
                 }
             }
+        }
+    }
+
+    /// Over every (permutation, mask) pair of the enumeration, the filter
+    /// admits each labelled DAG exactly once: A003024 (1, 3, 25, 543,
+    /// 29 281) for `n = 1..=5`.
+    #[test]
+    fn first_linear_extension_admits_each_labelled_dag_once() {
+        for (n, dags) in [(1usize, 1usize), (2, 3), (3, 25), (4, 543), (5, 29_281)] {
+            let m = n * (n - 1) / 2;
+            let mut admitted = std::collections::HashSet::new();
+            let mut visits = 0usize;
+            let mut order: Vec<ServiceId> = (0..n).collect();
+            permute_orders(&mut order, 0, &mut |perm| {
+                for mask in 0u64..(1u64 << m) {
+                    if first_linear_extension(perm, mask) {
+                        visits += 1;
+                        let graph = ExecutionGraph::from_permutation_mask(perm, mask);
+                        assert!(
+                            admitted.insert(graph.edges().collect::<Vec<_>>()),
+                            "n={n}: {perm:?} {mask:#b} admits a DAG twice"
+                        );
+                    }
+                }
+                true
+            });
+            assert_eq!((visits, admitted.len()), (dags, dags), "n={n}");
         }
     }
 

@@ -12,7 +12,10 @@
 //! Instances without weight symmetry run the labelled walk, whose winner
 //! must also be the brute force's first minimum; class-symmetric instances
 //! run the streamed walk, which returns the canonical tie-break
-//! representative, so only its value is compared.
+//! representative, so only its value is compared.  The labelled DAG walk
+//! itself (`exhaustive_dag_search`, each DAG visited once at its first
+//! linear extension) must return `exhaustive_dag_best`'s value and winner
+//! at every thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,15 +23,16 @@ use rand::{Rng, SeedableRng};
 use fsw::core::{
     canonical_classed_member, Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses,
 };
-use fsw::sched::engine::{CanonicalSpace, EvalCache};
+use fsw::sched::engine::{CanonicalSpace, EvalCache, Symmetry};
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
-    evaluate_period, exhaustive_dag_best, exhaustive_forest_best, minimize_period,
-    PeriodEvaluation, SearchOutcome,
+    evaluate_period, exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best,
+    minimize_period, PeriodEvaluation, SearchOutcome,
 };
 use fsw::sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
+use fsw::sched::Exec;
 
 const COSTS: [f64; 4] = [0.25, 1.0, 2.5, 7.0];
 const SELECTIVITIES: [f64; 5] = [0.45, 0.6, 0.7, 0.9, 1.3];
@@ -270,4 +274,67 @@ fn latency_searches_with_the_dag_phase_match_brute_force() {
         }
     }
     assert!(dag_wins > 0, "no instance has a DAG winner");
+}
+
+/// The labelled DAG walk visits each DAG once, at its first linear
+/// extension, whichever worker holds it: on the DAG sweep's instances
+/// (every model's latency) and on a constrained five-service MINPERIOD
+/// instance, `exhaustive_dag_search` returns `exhaustive_dag_best`'s value
+/// bits and winner at 1, 2 and 4 threads.
+#[test]
+fn dag_search_matches_the_dag_brute_force_at_every_thread_count() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let max_orderings = SearchBudget::default().max_orderings;
+    type Eval = Box<dyn Fn(&Application, &ExecutionGraph) -> f64 + Sync>;
+    let mut cases: Vec<(String, Application, Eval)> = Vec::new();
+    for case in 0..8 {
+        let n = 3 + case % 2;
+        let app = instance(n, case % 4 < 2, &mut rng);
+        for model in CommModel::ALL {
+            cases.push((
+                format!("case {case} n={n} {model} latency"),
+                app.clone(),
+                Box::new(move |app, g| {
+                    evaluate_latency(app, g, model, max_orderings).unwrap_or(f64::INFINITY)
+                }),
+            ));
+        }
+    }
+    let mut constrained = instance(5, false, &mut rng);
+    constrained.add_constraint(0, 3).unwrap();
+    constrained.add_constraint(2, 4).unwrap();
+    cases.push((
+        "constrained n=5 INORDER period".to_string(),
+        constrained,
+        Box::new(|app, g| {
+            PlanMetrics::compute(app, g)
+                .map(|m| m.period_lower_bound(CommModel::InOrder))
+                .unwrap_or(f64::INFINITY)
+        }),
+    ));
+    for (label, app, eval) in &cases {
+        let brute = exhaustive_dag_best(app, 5, |g| eval(app, g)).expect("n is within 5");
+        for threads in THREADS {
+            let found = exhaustive_dag_search(
+                app,
+                5,
+                Exec::threaded(threads),
+                f64::INFINITY,
+                Symmetry::Full,
+                &|g, _| eval(app, g),
+            )
+            .expect("n is within 5");
+            assert!(found.exhaustive, "{label} x{threads}");
+            assert_eq!(
+                found.value.to_bits(),
+                brute.0.to_bits(),
+                "{label} x{threads}: value"
+            );
+            assert_eq!(
+                graph_edges(&found.graph),
+                graph_edges(&brute.1),
+                "{label} x{threads}: winner"
+            );
+        }
+    }
 }

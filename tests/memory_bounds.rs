@@ -1,5 +1,5 @@
-//! Memory regression bounds: the count-only shape prelude, the flat
-//! execution graph, and the plans a serving tier holds.
+//! Memory regression bounds: the shape prelude, the evaluation cache, the
+//! DAG phase, the flat execution graph, and the plans a serving tier holds.
 //!
 //! The binary installs a std-only counting global allocator.  Every test
 //! holds one lock for its whole body, so no other test's allocations fall
@@ -8,11 +8,14 @@
 //! so they see only the calling thread's own allocations.
 //!
 //! A cold plan's bound is `size_of::<ShapePlan>() × A000081(n + 1)` — a
-//! stored shape is its 24-byte record and nothing else — plus a stated
-//! allowance covering the colour counter's memo on the tiered partition
-//! (the uniform one never builds it) and the per-shape scratch of the
-//! stream and the bounder.  A warm plan's bound counts its survivors only:
-//! a shape pruned by the cutoff costs nothing.
+//! stored shape is its 16-byte record and nothing else, and no colour is
+//! counted — plus a stated allowance for the scratch of the stream and the
+//! bounder.  A cut plan's bound counts its survivors once: a shape pruned
+//! by the cutoff costs nothing, and the survivors are counted before their
+//! one allocation is made, so the plan never grows.  This allocator counts
+//! the old and the new block together during a reallocation, so a plan
+//! that grew by doubling would exceed the bound.  The colour counter's memo
+//! is priced only where it still runs, in the explicit count pass.
 //!
 //! A served plan's bound is what the store holds for it: the shared
 //! `StoredPlan` block, its one-block graph, the key's fingerprint and a
@@ -29,7 +32,8 @@ use fsw::core::{
     CanonicalApplication, CommModel, ExecutionGraph, ShapeBounder, ShapeObjective, ShapePlan,
     ShapeScan, WeightClasses,
 };
-use fsw::sched::orchestrator::{Objective, SearchBudget};
+use fsw::sched::engine::EvalCache;
+use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::serve::{
     permutation_collapse_allowed, PlanKey, PlanRequest, PlanService, ServeSource, StoredPlan,
 };
@@ -154,10 +158,9 @@ fn plan_bound(n: usize, allowance: usize) -> usize {
     std::mem::size_of::<ShapePlan>() * forest_classes(n) as usize + allowance
 }
 
-/// Bound of a warm plan keeping `survivors` shapes: its records grow by
-/// doubling, and old and new blocks coexist while one grows.
-fn warm_plan_bound(survivors: usize) -> usize {
-    3 * std::mem::size_of::<ShapePlan>() * survivors + SCRATCH_ALLOWANCE
+/// Bound of a cut plan keeping `survivors` shapes: one record each.
+fn cut_plan_bound(survivors: usize) -> usize {
+    std::mem::size_of::<ShapePlan>() * survivors + SCRATCH_ALLOWANCE
 }
 
 #[test]
@@ -174,20 +177,20 @@ fn shape_prelude_peak_heap_stays_within_its_bounds() {
     assert_eq!(tiered_plan.len() as u128, forest_classes(13));
     let (uniform_peak, uniform_plan) = plan_peak(&uniform, f64::INFINITY);
     assert_eq!(uniform_plan.len() as u128, forest_classes(14));
-    // Warm scan at the cold plan's first-quartile bound (3.7).
+    // A scan cut at the cold plan's first-quartile bound (3.7).
     let cutoff = uniform_plan[uniform_plan.len() / 4].bound;
-    let (warm_peak, warm_plan) = plan_peak(&uniform, cutoff);
-    let survivors = warm_plan.len();
-    assert!(warm_plan.iter().all(|s| s.bound <= cutoff));
+    let (cut_peak, cut_plan) = plan_peak(&uniform, cutoff);
+    let survivors = cut_plan.len();
+    assert!(cut_plan.iter().all(|s| s.bound <= cutoff));
     println!(
-        "warm cutoff {cutoff} keeps {survivors} of {} shapes",
+        "cutoff {cutoff} keeps {survivors} of {} shapes",
         forest_classes(14)
     );
     let cases = [
         (
             "7+6 shape plan",
             tiered_peak,
-            plan_bound(13, SCRATCH_ALLOWANCE + COUNTER_ALLOWANCE),
+            plan_bound(13, SCRATCH_ALLOWANCE),
         ),
         (
             "uniform n=14 shape plan",
@@ -195,9 +198,9 @@ fn shape_prelude_peak_heap_stays_within_its_bounds() {
             plan_bound(14, SCRATCH_ALLOWANCE),
         ),
         (
-            "uniform n=14 warm shape plan",
-            warm_peak,
-            warm_plan_bound(survivors),
+            "uniform n=14 cut shape plan",
+            cut_peak,
+            cut_plan_bound(survivors),
         ),
         (
             "7+6 colour count",
@@ -319,5 +322,64 @@ fn a_serving_tier_holds_each_plan_within_its_bound() {
     assert!(
         held <= bound,
         "{PLANS} served plans hold {held} bytes, over {bound}"
+    );
+}
+
+/// A fresh evaluation cache copies its application and builds nothing
+/// else: the weight classes and the relabelling list (5 040 permutations
+/// of a uniform 7-service application, 5 059 allocations) wait for a
+/// lookup that needs them.  An OVERLAP MINPERIOD solve never looks one up.
+#[test]
+fn evaluation_caches_build_their_internals_on_first_use() {
+    let _serial = serial();
+    let uniform = Application::independent(&[(2.0, 0.7); 7]);
+    let (built, cache) = allocations(|| EvalCache::new(&uniform));
+    assert!(built <= 4, "EvalCache::new made {built} allocations");
+    drop(cache);
+    let problem = Problem::new(&uniform, CommModel::Overlap, Objective::MinPeriod);
+    let budget = SearchBudget {
+        threads: 1,
+        ..SearchBudget::default()
+    };
+    let (solved, solution) = allocations(|| solve(&problem, &budget).unwrap());
+    assert!(solution.exhaustive);
+    println!("EvalCache::new: {built} allocations, OVERLAP MINPERIOD solve: {solved}");
+    assert!(
+        solved <= SOLVE_ALLOCATIONS,
+        "an OVERLAP MINPERIOD solve of a uniform 7-service application made {solved} allocations"
+    );
+}
+
+/// Allocations allowed to an OVERLAP MINPERIOD solve of a uniform
+/// 7-service application: its prelude, one walker and the winning plan,
+/// far under the 5 059 the relabelling list alone cost while the cache
+/// built it up front.
+const SOLVE_ALLOCATIONS: usize = 500;
+
+/// Peak bytes allowed to a MINLATENCY solve of a 5-service instance with
+/// the DAG phase on: the forest phase, the ordering searches' cache and one
+/// candidate at a time, with no record of the DAGs already visited.
+const DAG_PHASE_PEAK: usize = 64 << 10;
+
+#[test]
+fn the_dag_phase_keeps_no_set_of_visited_dags() {
+    let _serial = serial();
+    let app =
+        Application::independent(&[(1.0, 0.5), (2.0, 0.9), (0.5, 0.7), (3.0, 0.6), (1.5, 1.2)]);
+    let budget = SearchBudget {
+        threads: 1,
+        ..SearchBudget::default()
+    };
+    assert!(
+        app.n() <= budget.dag_enumeration_max_n,
+        "the DAG phase runs"
+    );
+    let problem = Problem::new(&app, CommModel::Overlap, Objective::MinLatency);
+    let (peak, solution) = peak_bytes(|| solve(&problem, &budget).unwrap());
+    assert!(solution.exhaustive);
+    println!("MINLATENCY n=5 with the DAG phase: peak {peak} bytes");
+    assert!(
+        peak < DAG_PHASE_PEAK,
+        "peak {peak} bytes, at or over {DAG_PHASE_PEAK}"
     );
 }

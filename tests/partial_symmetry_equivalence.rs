@@ -24,14 +24,20 @@
 //!   up to n = 12;
 //! * with **tie dominance** engaged, the streamed walk must still equal the
 //!   first-minimum scan, and keep optima that sit one ulp below a tying
-//!   plateau (the bit-admissible floors).
+//!   plateau (the bit-admissible floors);
+//! * the prelude cut at the **constructive plans'** value must leave the
+//!   walk as it is under an infinite cutoff: same value bits and winner,
+//!   and at one thread the same expansions and certified shapes, whether
+//!   the constructive value is optimal or loose.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses};
-use fsw::sched::engine::frontier::streamed_canonical_search;
-use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
+use fsw::sched::engine::frontier::{constructive_plans, streamed_canonical_search};
+use fsw::sched::engine::{prune_threshold, CanonicalSpace, PartialPrune, Symmetry};
 use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{
     exhaustive_forest_best, exhaustive_forest_search, minimize_period, PeriodEvaluation,
@@ -42,8 +48,8 @@ use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, tiered_query_optimization, RandomAppConfig};
 use fsw_core::{
-    bound_ordered_shape_plan, canonical_classed_member, walk_canonical_colorings, ColoringVisitor,
-    ShapeBounder, ShapeObjective, ShapeScan,
+    bound_ordered_shape_plan, canonical_classed_member, classed_class_count, forest_classes,
+    walk_canonical_colorings, ColoringVisitor, ShapeBounder, ShapeObjective, ShapeScan,
 };
 
 const CASES: usize = 6;
@@ -459,9 +465,9 @@ impl ColoringVisitor for CollectAll<'_> {
 /// The lazy bound-ordered stream covers **exactly** the materialised classed
 /// space: walking the canonical colourings of every planned shape yields the
 /// same representative set with the same orbit weights as
-/// `classed_representatives`, and the plan's orbit total equals both counts.
-/// (The bound-sorted shape order differs from canonical order, so the lists
-/// are compared as sorted multisets.)
+/// `classed_representatives`, and as many colourings as the count pass
+/// counts.  (The bound-sorted shape order differs from canonical order, so
+/// the lists are compared as sorted multisets.)
 #[test]
 fn lazy_stream_covers_the_materialised_classed_space() {
     let mut rng = StdRng::seed_from_u64(0x500B);
@@ -469,7 +475,7 @@ fn lazy_stream_covers_the_materialised_classed_space() {
         let app = random_multiclass_app(6 + case % 2, &mut rng);
         let classes = WeightClasses::of(&app);
         let bounder = ShapeBounder::new(&app, ShapeObjective::Period(CommModel::Overlap));
-        let ShapeScan::Planned { shapes, orbits, .. } =
+        let ShapeScan::Planned { shapes, .. } =
             bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
         else {
             panic!("case {case}: no deadline, the scan must complete");
@@ -479,16 +485,18 @@ fn lazy_stream_covers_the_materialised_classed_space() {
             assert!(pair[0].bound <= pair[1].bound, "case {case}: bound order");
         }
         let mut collector = CollectAll::new(&classes);
-        let mut planned_orbits = 0u128;
         let mut levels = Vec::new();
         for shape in &shapes {
-            planned_orbits += u128::from(shape.colorings);
             shape.decode_into(&mut levels);
             assert!(walk_canonical_colorings(&levels, &classes, &mut collector));
         }
         let mut streamed = collector.reps;
         let reps = CanonicalSpace::classed_representatives(&app, 2_000_000).unwrap();
-        assert_eq!(orbits, Some(planned_orbits), "case {case}: plan totals");
+        assert_eq!(
+            Some(streamed.len() as u128),
+            classed_class_count(&classes, u128::MAX),
+            "case {case}: plan totals"
+        );
         assert_eq!(streamed.len(), reps.len(), "case {case}: orbit count");
         let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> = reps
             .iter()
@@ -519,6 +527,7 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             .unwrap_or(f64::INFINITY)
     };
     let (scan_value, scan_graph) = first_minimum_scan(&app, eval);
+    let orbits = classed_class_count(&classes, u128::MAX).expect("a countable partition");
     for threads in [1usize, 2, 4] {
         let (outcome, stats) = streamed_canonical_search(
             &app,
@@ -547,13 +556,8 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             CanonicalSpace::forest_class_count(9),
             "x{threads}: plan covers every shape"
         );
-        assert_eq!(
-            stats.orbits,
-            fsw_core::classed_class_count(&classes, u128::MAX),
-            "x{threads}: plan counts every coloured orbit"
-        );
         assert!(
-            stats.expanded <= stats.orbits.unwrap() as u64,
+            u128::from(stats.expanded) <= orbits,
             "x{threads}: pruning never expands beyond the space"
         );
     }
@@ -571,25 +575,31 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
         let classes = WeightClasses::of(&app);
         assert_eq!(classes.class_count(), 1, "n={n}: uniform partition");
         let bounder = ShapeBounder::new(&app, ShapeObjective::Period(CommModel::Overlap));
-        let ShapeScan::Planned { shapes, orbits, .. } =
+        let ShapeScan::Planned { shapes, .. } =
             bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
         else {
             panic!("n={n}: no deadline, the scan must complete");
         };
         let class_count = CanonicalSpace::forest_class_count(n);
         assert_eq!(shapes.len() as u128, class_count, "n={n}: A000081 shapes");
-        assert_eq!(orbits, Some(class_count), "n={n}: one colouring per shape");
-        assert!(
-            shapes.iter().all(|s| s.colorings == 1),
-            "n={n}: uniform shapes are their own colouring"
-        );
         let mut collector = CollectAll::new(&classes);
         let mut levels = Vec::new();
         for shape in &shapes {
+            let walked = collector.reps.len();
             shape.decode_into(&mut levels);
             assert!(walk_canonical_colorings(&levels, &classes, &mut collector));
+            assert_eq!(
+                collector.reps.len(),
+                walked + 1,
+                "n={n}: uniform shapes are their own colouring"
+            );
         }
         let mut streamed = collector.reps;
+        assert_eq!(
+            streamed.len() as u128,
+            forest_classes(n),
+            "n={n}: one colouring per shape"
+        );
         let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> =
             CanonicalSpace::forest_representatives(n)
                 .iter()
@@ -842,4 +852,128 @@ fn streamed_tie_dominance_equals_the_first_minimum_scan() {
             }
         }
     }
+}
+
+/// The prelude cut at the constructive plans' value leaves the walk as it
+/// was: against the same walk with those values hidden from the prelude
+/// (valued `∞`, so its cutoff is infinite and the plan uncut), it returns
+/// the same value bits and winner at 1, 2 and 4 threads, and at one thread
+/// it expands the same representatives and certifies the same shapes.
+/// Most instances have an optimal constructive plan, so the cut drops
+/// shapes; on the tiered latency instance the chains are poor and the
+/// cutoff is loose.
+#[test]
+fn constructive_prelude_cutoff_keeps_the_walk() {
+    let mut rng = StdRng::seed_from_u64(0x5010);
+    let mixed = Application::independent(&[
+        (0.5, 1.3),
+        (0.5, 1.3),
+        (0.5, 1.3),
+        (2.0, 0.6),
+        (2.0, 0.6),
+        (4.0, 1.2),
+    ]);
+    let instances = [
+        (
+            Application::independent(&[(2.0, 0.7); 8]),
+            PartialPrune::StructuralPeriod(CommModel::Overlap),
+        ),
+        (
+            tiered_query_optimization(&[4, 3], &mut rng),
+            PartialPrune::Period(CommModel::InOrder),
+        ),
+        (
+            tiered_query_optimization(&[3, 3], &mut rng),
+            PartialPrune::Latency,
+        ),
+        (
+            Application::independent(&[(1.5, 0.6); 7]),
+            PartialPrune::Latency,
+        ),
+        (mixed.clone(), PartialPrune::Period(CommModel::InOrder)),
+        (mixed, PartialPrune::Latency),
+    ];
+    let (mut tight, mut loose, mut cut_shapes) = (0, 0, 0);
+    for (case, (app, prune)) in instances.iter().enumerate() {
+        let classes = WeightClasses::of(app);
+        let objective = match *prune {
+            PartialPrune::Latency => ShapeObjective::Latency,
+            PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
+                ShapeObjective::Period(model)
+            }
+            PartialPrune::Off => unreachable!("every case bounds its objective"),
+        };
+        let eval = |g: &ExecutionGraph| match objective {
+            ShapeObjective::Latency => tree_latency(app, g).unwrap_or(f64::INFINITY),
+            ShapeObjective::Period(model) => PlanMetrics::compute(app, g)
+                .map(|m| m.period_lower_bound(model))
+                .unwrap_or(f64::INFINITY),
+        };
+        let plans = constructive_plans(app, *prune);
+        let constructive = plans.iter().map(eval).fold(f64::INFINITY, f64::min);
+        let (optimum, _) = first_minimum_scan(app, eval);
+        if constructive.to_bits() == optimum.to_bits() {
+            tight += 1;
+        } else {
+            assert!(constructive > optimum, "case {case}: a plan of the space");
+            loose += 1;
+        }
+        let bounder = ShapeBounder::new(app, objective);
+        let cutoff = prune_threshold(constructive);
+        let ShapeScan::Planned { pruned, .. } =
+            bound_ordered_shape_plan(&classes, Some(&bounder), cutoff, None)
+        else {
+            panic!("case {case}: no deadline was set");
+        };
+        cut_shapes += pruned;
+        for threads in [1usize, 2, 4] {
+            // The walk values the constructive plans first; hiding them
+            // leaves the prelude an infinite cutoff.
+            let run = |hidden: usize| {
+                let left = AtomicUsize::new(hidden);
+                let (outcome, stats) = streamed_canonical_search(
+                    app,
+                    &classes,
+                    Exec::threaded(threads),
+                    *prune,
+                    f64::INFINITY,
+                    &|g, _| {
+                        let hide = left
+                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| {
+                                k.checked_sub(1)
+                            })
+                            .is_ok();
+                        if hide {
+                            f64::INFINITY
+                        } else {
+                            eval(g)
+                        }
+                    },
+                    None,
+                );
+                (outcome.expect("a complete walk"), stats)
+            };
+            let (cut, cut_stats) = run(0);
+            let (uncut, uncut_stats) = run(plans.len());
+            let at = format!("case {case} x{threads}");
+            assert!(cut.exhaustive, "{at}");
+            assert_eq!(cut.value.to_bits(), uncut.value.to_bits(), "{at}: value");
+            assert_eq!(cut.value.to_bits(), optimum.to_bits(), "{at}: optimum");
+            assert_eq!(
+                graph_edges(&cut.graph),
+                graph_edges(&uncut.graph),
+                "{at}: winner"
+            );
+            assert_eq!(cut_stats.shapes, uncut_stats.shapes, "{at}: shapes");
+            if threads == 1 {
+                assert_eq!(cut_stats.expanded, uncut_stats.expanded, "{at}: expanded");
+                assert_eq!(
+                    cut_stats.certified_shapes, uncut_stats.certified_shapes,
+                    "{at}: certified shapes"
+                );
+            }
+        }
+    }
+    assert!(tight > 0 && loose > 0, "{tight} tight and {loose} loose");
+    assert!(cut_shapes > 0, "the constructive cutoff drops no shape");
 }
