@@ -467,9 +467,10 @@ pub fn e11_orchestrator_scenarios() -> Vec<ExperimentRow> {
         ),
     ];
     // One shared budget for the whole sweep.  The full-DAG MINLATENCY
-    // enumeration is capped at 4 services here: at 5 it multiplies ~120k
-    // candidate DAGs by an ordering search each, which dominates the binary's
-    // runtime without changing any scenario's reported optimum structure.
+    // walk is capped at 4 services here: at 5 it builds 29 281 labelled
+    // DAGs, and every one the forest-seeded cutoff keeps pays an ordering
+    // search, which dominates the binary's runtime without changing any
+    // scenario's reported optimum structure.
     let budget = SearchBudget {
         dag_enumeration_max_n: 4,
         ..SearchBudget::default()
@@ -1286,8 +1287,10 @@ pub fn e16s_smoke() -> Vec<ExperimentRow> {
 ///    decoded from the traffic sketches never undercount, peeled tenants
 ///    are exact, and every overestimate respects the count-min bound
 ///    `err · width ≤ 4 · total`;
-/// 4. **overhead** — the min-of-N instrumented wall time stays within 5%
-///    (plus a small absolute grace) of the min-of-N disabled wall time.
+/// 4. **overhead** — in the best of N back-to-back pairs the instrumented
+///    wall time stays within 5% (plus a small absolute grace) of the
+///    disabled one; the table reports the median over the pairs of the
+///    ungraced ratio minus one.
 #[allow(clippy::too_many_arguments)]
 fn observed_overload_rows(
     tenants: usize,
@@ -1332,6 +1335,7 @@ fn observed_overload_rows(
     let mut observed_wall = Duration::MAX;
     let mut observed = None;
     let mut best_pair_ratio = f64::MAX;
+    let mut pair_overheads = Vec::with_capacity(timing_runs.max(1));
     for _ in 0..timing_runs.max(1) {
         let report = run(worker_counts[0], None);
         let pair_disabled = report.serve_wall;
@@ -1342,6 +1346,8 @@ fn observed_overload_rows(
         let graced = pair_disabled + Duration::from_millis(25);
         best_pair_ratio =
             best_pair_ratio.min(report.serve_wall.as_secs_f64() / graced.as_secs_f64().max(1e-9));
+        pair_overheads
+            .push(report.serve_wall.as_secs_f64() / pair_disabled.as_secs_f64().max(1e-9) - 1.0);
         observed_wall = observed_wall.min(report.serve_wall);
         observed = Some((report, registry));
     }
@@ -1502,7 +1508,15 @@ fn observed_overload_rows(
          {best_pair_ratio:.4} (min walls: {observed_wall:?} instrumented \
          vs {disabled_wall:?} disabled)"
     );
-    let overhead_pct = (best_pair_ratio - 1.0) * 100.0;
+    // The reported figure is the pairs' median, without the grace: the
+    // graced best pair bounds the cost from below, not its size.
+    pair_overheads.sort_by(f64::total_cmp);
+    let mid = pair_overheads.len() / 2;
+    let median_overhead = if pair_overheads.len() % 2 == 1 {
+        pair_overheads[mid]
+    } else {
+        (pair_overheads[mid - 1] + pair_overheads[mid]) / 2.0
+    };
 
     vec![
         ExperimentRow::new(
@@ -1541,9 +1555,9 @@ fn observed_overload_rows(
             max_err as f64,
         ),
         ExperimentRow::new(
-            "instrumentation wall overhead, percent (< 5 asserted)",
+            "instrumentation wall overhead, median of pairs, percent (best pair < 5 asserted)",
             Some(5.0),
-            overhead_pct,
+            median_overhead * 100.0,
         ),
         ExperimentRow::new(
             "worker counts with bit-identical instrumented digests",

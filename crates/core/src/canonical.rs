@@ -34,9 +34,10 @@
 //!   generalisation: one representative per coloured-forest class (a shape
 //!   *and* an assignment of weight classes to its nodes, canonical up to the
 //!   shape's automorphisms), with `Π_c |class c|! / |Aut|` orbit accounting;
-//! * [`canonical_forest_form`] / [`canonical_classed_form`] — the canonical
-//!   relabelling of an arbitrary labelled forest (the representative its
-//!   orbit is reported under), shape-only and class-aware respectively;
+//! * [`canonical_classed_form`] — the canonical relabelling of an arbitrary
+//!   labelled forest (the representative its class-preserving orbit is
+//!   reported under; over a one-class partition, its shape's
+//!   [`CanonicalForests`] representative);
 //! * [`forest_classes`] / [`labelled_forests`] — closed-form counts of the
 //!   uniform spaces (`Σ orbit sizes == labelled_forests(n)` is tested below,
 //!   for the coloured generator too — the identity holds for *every*
@@ -181,11 +182,6 @@ pub struct ForestClass<'a> {
     pub parents: &'a [Option<ServiceId>],
     /// Number of labelled forests in this isomorphism class (`n! / |Aut|`).
     pub orbit: u128,
-    /// Index of the first node whose parent may differ from the previously
-    /// streamed representative (`0` for the first one): an enumerator
-    /// maintaining incremental per-prefix state needs to rewind only the
-    /// suffix `changed_from..`.
-    pub changed_from: usize,
 }
 
 /// Streaming generator of canonical rooted forests on `n` nodes — exactly
@@ -231,7 +227,6 @@ impl CanonicalForests {
         Some(ForestClass {
             parents: &self.parents,
             orbit: forest_orbit_size(&self.levels),
-            changed_from: changed_pos - 1,
         })
     }
 
@@ -1616,63 +1611,14 @@ pub fn rooted_tree_classes(n: usize) -> u128 {
     t[n]
 }
 
-/// The canonical relabelling of a labelled forest: the parent vector of the
-/// [`CanonicalForests`] representative of its isomorphism class.
-///
-/// Fails with [`CoreError::NotAForest`] when some node has several direct
-/// predecessors or the graph is cyclic.
-pub fn canonical_forest_form(graph: &ExecutionGraph) -> CoreResult<Vec<Option<ServiceId>>> {
-    if !graph.is_forest() {
-        return Err(CoreError::NotAForest);
-    }
-    graph.topological_order()?; // rejects cycles (a "forest" check alone keeps 2-cycles out already, but be explicit)
-    let n = graph.n();
-    // Canonical level sequence of every subtree, deepest-first at each node.
-    fn subtree_sequence(graph: &ExecutionGraph, node: ServiceId) -> Vec<usize> {
-        let mut children: Vec<Vec<usize>> = graph
-            .succs(node)
-            .iter()
-            .map(|&c| subtree_sequence(graph, c))
-            .collect();
-        children.sort_by(|a, b| b.cmp(a)); // non-increasing lex order
-        let mut seq = vec![0usize];
-        for child in children {
-            seq.extend(child.into_iter().map(|l| l + 1));
-        }
-        seq
-    }
-    let mut roots: Vec<Vec<usize>> = graph
-        .entry_nodes()
-        .into_iter()
-        .map(|r| subtree_sequence(graph, r))
-        .collect();
-    roots.sort_by(|a, b| b.cmp(a));
-    let mut levels = vec![0usize];
-    for root in roots {
-        levels.extend(root.into_iter().map(|l| l + 1));
-    }
-    debug_assert_eq!(levels.len(), n + 1);
-    // Level sequence → parent vector (as in `CanonicalForests`).
-    let mut parents = vec![None; n];
-    let mut last_at_level = vec![usize::MAX; n + 2];
-    last_at_level[0] = 0;
-    for i in 1..levels.len() {
-        let level = levels[i];
-        parents[i - 1] = if level == 1 {
-            None
-        } else {
-            Some(last_at_level[level - 1] - 1)
-        };
-        last_at_level[level] = i;
-    }
-    Ok(parents)
-}
-
 /// The class-aware canonical form of a labelled forest: the
 /// [`classed_forest_representatives`] representative of its
-/// **class-preserving** relabelling orbit (same shape canonicalisation as
-/// [`canonical_forest_form`], with the weight classes carried along and used
-/// as the tie-break among identically-shaped sibling subtrees).
+/// **class-preserving** relabelling orbit: the shape's canonical level
+/// sequence (subtrees in non-increasing lexicographic order, as
+/// [`CanonicalForests`] streams them), with the weight classes carried along
+/// and used as the tie-break among identically-shaped sibling subtrees.
+/// Over a one-class partition the parents are the shape's
+/// [`CanonicalForests`] representative.
 ///
 /// Every member of an orbit maps to the *same* representative, so evaluating
 /// the representative's [`ClassedRepresentative::member_graph`] instead of
@@ -1822,27 +1768,12 @@ mod tests {
     }
 
     #[test]
-    fn changed_from_is_a_faithful_rewind_hint() {
-        let mut stream = CanonicalForests::new(6);
-        let mut previous: Option<Vec<Option<ServiceId>>> = None;
-        while let Some(class) = stream.next() {
-            if let Some(prev) = &previous {
-                for (k, &p) in class.parents.iter().enumerate().take(class.changed_from) {
-                    assert_eq!(prev[k], p, "prefix before changed_from");
-                }
-            } else {
-                assert_eq!(class.changed_from, 0);
-            }
-            previous = Some(class.parents.to_vec());
-        }
-    }
-
-    #[test]
     fn canonical_form_maps_every_labelled_forest_to_a_streamed_representative() {
         // Enumerate every labelled forest on n nodes (all parent functions
         // that yield a DAG), canonicalise, and tally per representative: the
         // tallies must equal the generator's orbit sizes exactly.
         let n = 5usize;
+        let one_class = WeightClasses::of(&classed_app(&[n]));
         let mut tally: std::collections::HashMap<Vec<Option<ServiceId>>, u128> =
             std::collections::HashMap::new();
         let mut parents = vec![None::<ServiceId>; n];
@@ -1850,22 +1781,23 @@ mod tests {
             k: usize,
             n: usize,
             parents: &mut Vec<Option<ServiceId>>,
+            one_class: &WeightClasses,
             tally: &mut std::collections::HashMap<Vec<Option<ServiceId>>, u128>,
         ) {
             if k == n {
                 if let Ok(graph) = ExecutionGraph::from_parents(parents) {
-                    let canon = canonical_forest_form(&graph).expect("forest");
-                    *tally.entry(canon).or_insert(0) += 1;
+                    let canon = canonical_classed_form(one_class, &graph).expect("forest");
+                    *tally.entry(canon.parents).or_insert(0) += 1;
                 }
                 return;
             }
             for p in std::iter::once(None).chain((0..n).filter(|&p| p != k).map(Some)) {
                 parents[k] = p;
-                walk(k + 1, n, parents, tally);
+                walk(k + 1, n, parents, one_class, tally);
                 parents[k] = None;
             }
         }
-        walk(0, n, &mut parents, &mut tally);
+        walk(0, n, &mut parents, &one_class, &mut tally);
         let mut stream = CanonicalForests::new(n);
         let mut streamed = 0usize;
         while let Some(class) = stream.next() {
@@ -2486,17 +2418,20 @@ mod tests {
 
     #[test]
     fn canonical_form_is_isomorphism_invariant_and_idempotent() {
+        let one_class = WeightClasses::of(&classed_app(&[4]));
+        let form = |g: &ExecutionGraph| canonical_classed_form(&one_class, g).map(|c| c.parents);
         let chain = ExecutionGraph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
         let relabelled = ExecutionGraph::from_edges(4, &[(3, 2), (2, 0)]).unwrap();
-        let c1 = canonical_forest_form(&chain).unwrap();
-        let c2 = canonical_forest_form(&relabelled).unwrap();
+        let c1 = form(&chain).unwrap();
+        let c2 = form(&relabelled).unwrap();
         assert_eq!(c1, c2);
-        let again = canonical_forest_form(&ExecutionGraph::from_parents(&c1).unwrap()).unwrap();
+        let again = form(&ExecutionGraph::from_parents(&c1).unwrap()).unwrap();
         assert_eq!(c1, again);
         // Non-forests are rejected.
         let join = ExecutionGraph::from_edges(3, &[(0, 2), (1, 2)]).unwrap();
+        let three = WeightClasses::of(&classed_app(&[3]));
         assert!(matches!(
-            canonical_forest_form(&join),
+            canonical_classed_form(&three, &join),
             Err(CoreError::NotAForest)
         ));
     }

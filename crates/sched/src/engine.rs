@@ -22,12 +22,13 @@
 //!   (one-port ordering searches) keyed by a canonical shape-plus-weights
 //!   signature, so the members of an equivalence class share a single search;
 //! * [`CanonicalSpace`] / [`Symmetry`] — the symmetry-reduced *enumeration*
-//!   layer: on constraint-free instances the plan searches iterate canonical
-//!   representatives of weight-class orbits instead of the full labelled
-//!   space — full relabelling symmetry on uniform weights,
+//!   layer: on constraint-free instances the forest searches iterate
+//!   canonical representatives of weight-class orbits instead of the full
+//!   labelled space — full relabelling symmetry on uniform weights,
 //!   **class-preserving** relabelling (the product of per-weight-class
 //!   symmetric groups) on multi-class instances — falling back to the
-//!   bit-identical full enumeration otherwise;
+//!   bit-identical full enumeration otherwise (the DAG walk of
+//!   `crate::minperiod` always walks the labelled space);
 //! * [`frontier`] — the one walk of a reduced space: the streamed
 //!   bound-ordered canonical search, which applies the partial bounds before
 //!   a representative is materialised and turns the incumbent into an early
@@ -40,10 +41,12 @@
 //! single output bit:
 //!
 //! * every graph is keyed by its exact edge set plus the weight-class
-//!   partition's signature (the DAG enumeration visits each labelled DAG
-//!   once per topological permutation, a ~4–10× collapse on its own; the
-//!   partition in the key keeps class-reduced and full-path entries from
-//!   ever colliding should one cache serve several applications);
+//!   partition's signature (the DAG walk builds each labelled DAG once, so
+//!   the exact key pays across the solves sharing a cache — the three
+//!   models' MINLATENCY DAG phases in a `solve_all` sweep run the same
+//!   one-port ordering searches — and the partition in the key keeps
+//!   class-reduced and full-path entries from ever colliding should one
+//!   cache serve several applications);
 //! * when **all services carry identical cost and selectivity**, the key is
 //!   additionally canonicalised over node relabellings (the lexicographically
 //!   smallest edge mask over all permutations).  With uniform weights every
@@ -183,10 +186,13 @@ impl Default for Incumbent {
 /// sums, `Cout` multiplies rather than sums) and the tree-latency recursion
 /// (children combine in value order).  Evaluations whose internal sums
 /// could associate differently across orbit members — the one-port ordering
-/// searches, whose schedule accumulation follows node ids, and every DAG
-/// bound with joins — must **fall back**: pass `Auto` (uniform-only, the
-/// regime where those sums are over identical terms) or `Full`.  The
-/// `tests/partial_symmetry_equivalence.rs` suite guards both directions.
+/// searches, whose schedule accumulation follows node ids — must **fall
+/// back**: pass `Auto` (uniform-only, the regime where those sums are over
+/// identical terms) or `Full`.  The `tests/partial_symmetry_equivalence.rs`
+/// suite guards both directions.  Only the forest search takes a
+/// `Symmetry`: DAG joins sum their `Cin` in label order, so no DAG
+/// evaluation is relabelling-invariant bit for bit, and the DAG walk
+/// always walks the labelled space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Symmetry {
     /// Always enumerate the full labelled space.
@@ -236,7 +242,8 @@ impl CanonicalSpace {
     }
 
     /// Worst-case communication-ordering space of any DAG on `n` nodes
-    /// (`Π_k max(k,1)!·max(n-1-k,1)!`, the complete DAG), saturating.
+    /// (`Π_k max(k,1)!·max(n-1-k,1)!`, the complete DAG), saturating.  The
+    /// admission pricing of the MINLATENCY DAG phase reads it.
     pub fn max_dag_ordering_space(n: usize) -> usize {
         let mut total = 1usize;
         for k in 0..n {

@@ -24,7 +24,7 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
-use crate::engine::{prune_threshold, tags, CanonicalSpace, EvalCache, PartialPrune, Symmetry};
+use crate::engine::{prune_threshold, tags, EvalCache, PartialPrune, Symmetry};
 use crate::latency::{
     latency_lower_bound_with, multiport_proportional_latency, oneport_latency_search,
     oneport_latency_search_bounded, LatencyEvaluator,
@@ -157,18 +157,16 @@ pub(crate) fn seed_graphs(app: &Application) -> Vec<ExecutionGraph> {
 /// Heuristic MINLATENCY: best seed followed by the plan-space hill climb
 /// (the one MINPERIOD's local search runs), valued by [`evaluate_latency`]
 /// for `model` within [`SearchBudget::max_orderings`], over
-/// [`SearchBudget::local_search_passes`] passes at most.
+/// [`LOCAL_SEARCH_PASSES`](crate::minperiod::LOCAL_SEARCH_PASSES) passes at
+/// most.
 pub fn minlatency_local_search(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
 ) -> CoreResult<SearchOutcome> {
-    Ok(climb_plans(
-        app,
-        seed_graphs(app),
-        budget.local_search_passes,
-        |g| evaluate_latency(app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY),
-    ))
+    Ok(climb_plans(app, seed_graphs(app), |g| {
+        evaluate_latency(app, g, model, budget.max_orderings).unwrap_or(f64::INFINITY)
+    }))
 }
 
 /// Full MINLATENCY solver.
@@ -265,23 +263,7 @@ pub(crate) fn minimize_latency_engine(
                 exec.deadline,
             )
         };
-        // The DAG evaluation is label-invariant only while every candidate's
-        // ordering search stays exhaustive (beyond the budget it falls back
-        // to label-following hill climbing), so the symmetry reduction is
-        // gated on the worst DAG's ordering space fitting the budget.
-        let symmetry = if CanonicalSpace::max_dag_ordering_space(app.n()) <= budget.max_orderings {
-            Symmetry::Auto
-        } else {
-            Symmetry::Full
-        };
-        let dag = exhaustive_dag_search(
-            app,
-            budget.dag_enumeration_max_n,
-            exec,
-            seed,
-            symmetry,
-            &eval,
-        );
+        let dag = exhaustive_dag_search(app, budget.dag_enumeration_max_n, exec, seed, &eval);
         if let Some(out) = dag {
             if best.as_ref().is_none_or(|b| out.value < b.value - 1e-12) {
                 best = Some(out);

@@ -434,18 +434,46 @@ fn enumerate_parents<F: FnMut(&ExecutionGraph) -> f64>(
     true
 }
 
-/// Largest instance size the DAG enumeration supports: the forward-edge
-/// subsets of a permutation are encoded as a `u64` mask, so `n(n-1)/2` must
-/// stay below 64 (and the space is astronomically large well before that).
+/// Largest instance size the DAG searches support.  Their tie-break key,
+/// [`ExecutionGraph::edge_mask_under`] the identity, packs the `n²`
+/// possible edges into a `u128`, so `n² ≤ 128`; the space is far beyond
+/// reach well before that (1.1 × 10⁹ labelled DAGs at `n = 7`).
 pub const DAG_ENUMERATION_HARD_MAX_N: usize = 11;
 
+/// A DAG search's best candidate so far: `(value, key, graph)`.
+type DagBest = Option<(f64, u128, ExecutionGraph)>;
+
+/// The DAG searches' tie-break key: bit `i·n + j` for each edge `i → j`
+/// ([`ExecutionGraph::edge_mask_under`] the identity labelling).
+fn dag_key(graph: &ExecutionGraph) -> u128 {
+    let identity: [ServiceId; DAG_ENUMERATION_HARD_MAX_N] = std::array::from_fn(|k| k);
+    graph.edge_mask_under(&identity[..graph.n()])
+}
+
+/// Keeps the better of `best` and the candidate `(value, graph)` in the DAG
+/// searches' one order: the smaller value wins and an exact tie goes to the
+/// smaller [`dag_key`], so no enumeration order, task split or thread count
+/// can move a winner.  Returns `true` when the candidate became the best.
+fn keep_better(best: &mut DagBest, value: f64, graph: ExecutionGraph) -> bool {
+    let wins = best
+        .as_ref()
+        .is_none_or(|(b, k, _)| value < *b || (value == *b && dag_key(&graph) < *k));
+    if wins {
+        *best = Some((value, dag_key(&graph), graph));
+    }
+    wins
+}
+
 /// Enumerates every DAG execution graph on at most `max_n` services (tiny
-/// instances only) and returns the one minimising `eval`.
+/// instances only) and returns the one minimising `eval`, an exact value
+/// tie going to the smaller edge-set key ([`ExecutionGraph::edge_mask_under`]
+/// the identity).
 ///
-/// DAGs are generated as (topological permutation, subset of forward edges),
-/// which enumerates every DAG at least once.  Instances larger than
-/// [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of `max_n` (the
-/// edge-subset mask would overflow its 64-bit encoding).
+/// This is the reference the DAG walk is tested against: it generates
+/// every (topological permutation, subset of forward edges) pair, so it
+/// meets each DAG once per linear extension (122 880 pairs for 29 281 DAGs
+/// at `n = 5`).  Instances larger than [`DAG_ENUMERATION_HARD_MAX_N`]
+/// return `None` regardless of `max_n`.
 pub fn exhaustive_dag_best<F: FnMut(&ExecutionGraph) -> f64>(
     app: &Application,
     max_n: usize,
@@ -455,30 +483,53 @@ pub fn exhaustive_dag_best<F: FnMut(&ExecutionGraph) -> f64>(
     if n == 0 || n > max_n.min(DAG_ENUMERATION_HARD_MAX_N) {
         return None;
     }
+    let pairs = n * (n - 1) / 2;
     let mut order: Vec<ServiceId> = (0..n).collect();
-    let mut best: Option<(f64, ExecutionGraph)> = None;
+    let mut best: DagBest = None;
     permute_orders(&mut order, 0, &mut |perm| {
-        visit_dags_of_permutation(app, perm, &mut best, &mut eval, None)
+        for mask in 0u64..(1u64 << pairs) {
+            let graph = ExecutionGraph::from_permutation_mask(perm, mask);
+            if graph.respects(app).is_ok() {
+                let value = eval(&graph);
+                keep_better(&mut best, value, graph);
+            }
+        }
     });
-    best
+    best.map(|(value, _, graph)| (value, graph))
 }
 
-/// The budgeted, parallel, branch-and-bound variant of
-/// [`exhaustive_dag_best`]: the first one or two permutation positions (see
-/// [`Exec::effective_split_levels`]) are expanded into tasks, split over
-/// `exec.effective_threads()` workers and reduced in enumeration order,
-/// so the result is bit-identical to the serial run; an optional deadline
-/// interrupts the enumeration.  Instances larger than
-/// [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of `max_n`.
+/// Visits every permutation of `items[start..]`.
+fn permute_orders<F: FnMut(&[ServiceId])>(items: &mut Vec<ServiceId>, start: usize, visit: &mut F) {
+    if start >= items.len() {
+        return visit(items);
+    }
+    for i in start..items.len() {
+        items.swap(start, i);
+        permute_orders(items, start + 1, visit);
+        items.swap(start, i);
+    }
+}
+
+/// The budgeted, parallel variant of [`exhaustive_dag_best`]: one
+/// depth-first walk that builds each labelled DAG exactly once, with the
+/// same winner.
 ///
-/// The enumeration meets a labelled DAG once per linear extension (122 880
-/// pairs for 29 281 DAGs at `n = 5`), and it visits the DAG at the first
-/// one only: a pair is built and evaluated only when its permutation is
-/// the greedy first extension of its DAG in the enumeration's own swap
-/// order (`first_linear_extension`, an O(n²) test on the pair).  No worker
-/// keeps a set of visited DAGs, and no DAG is visited by two workers, so
-/// each worker's first strict minimum folds to the winner of
-/// [`exhaustive_dag_best`] at every thread count.
+/// Each step places one unplaced service and gives it a predecessor set
+/// drawn from the services already placed, so every DAG is built along a
+/// linear extension.  A service with a smaller label than one placed
+/// before it must take a predecessor at or after that one: the placements
+/// then follow the DAG's least topological order (the one that always
+/// takes the smallest-labelled ready service), which is unique, so the
+/// walk builds each labelled DAG once (29 281 at `n = 5`, A003024) and
+/// keeps no set of visited DAGs.  Each complete DAG is checked against the
+/// precedence constraints and valued.  The first one or two placements
+/// (see [`Exec::effective_split_levels`]) are expanded into tasks split
+/// over `exec.effective_threads()` workers, and their winners fold in the
+/// order of [`exhaustive_dag_best`] (value, then edge-set key), so the
+/// result is the same at every thread count.  An optional deadline,
+/// checked before each DAG is built, interrupts the walk (flagged via
+/// [`SearchOutcome::exhaustive`]).  Instances larger than
+/// [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of `max_n`.
 ///
 /// `eval` receives the current incumbent as a *cutoff* (see
 /// [`exhaustive_forest_search`]).  `incumbent_seed` pre-loads the shared
@@ -487,27 +538,11 @@ pub fn exhaustive_dag_best<F: FnMut(&ExecutionGraph) -> f64>(
 /// valued `∞`, so when the outcome's value is not below the seed only the
 /// seed phase's result is meaningful.  Pass `f64::INFINITY` for an
 /// unseeded, self-contained search (its value is then always exact).
-///
-/// Under [`Symmetry::Auto`] (or [`Symmetry::Classes`], which the DAG space
-/// treats identically — coloured DAG canonicalisation is not implemented,
-/// and DAG joins are exactly where cross-class sums could tie-break
-/// differently) on a reducible instance (uniform weights, no constraints)
-/// only the DAGs whose edges are forward edges of the **identity
-/// permutation** are enumerated: every DAG is isomorphic to one of those,
-/// so with a label-invariant `eval` the optimum value is unchanged while
-/// the `n!` topological-permutation factor disappears.  The
-/// winner is the first optimum in ascending edge-mask order (the canonical
-/// tie-break).  Caveat on exactness: joins of in-degree ≥ 3 accumulate
-/// their `Cin` sum in label order, so across relabellings the value can
-/// move by an ulp — the reduced optimum matches the full enumeration up to
-/// that summation-order rounding (exactly, whenever the weights make the
-/// sums exact, e.g. dyadic values or selectivity 1).
 pub fn exhaustive_dag_search<F>(
     app: &Application,
     max_n: usize,
     exec: Exec,
     incumbent_seed: f64,
-    symmetry: Symmetry,
     eval: &F,
 ) -> Option<SearchOutcome>
 where
@@ -518,233 +553,143 @@ where
         return None;
     }
     let incumbent = Incumbent::seeded(incumbent_seed);
-    if symmetry != Symmetry::Full && CanonicalSpace::reducible(app) {
-        return canonical_dag_search(app, exec, &incumbent, eval);
-    }
-    // Task prefixes: positions swapped into the first one or two permutation
-    // slots, in the order the serial recursion (`items.swap(level, i)`)
-    // visits them.
-    let prefixes: Vec<Vec<usize>> = if exec.effective_split_levels() >= 2 && n >= 2 {
-        (0..n)
-            .flat_map(|i| (1..n).map(move |j| vec![i, j]))
-            .collect()
-    } else {
-        (0..n).map(|i| vec![i]).collect()
-    };
+    let prefixes = dag_task_prefixes(n, exec.effective_split_levels());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
-        let mut best: Option<(f64, ExecutionGraph)> = None;
+        let mut walker = DagWalker {
+            app,
+            incumbent: &incumbent,
+            eval,
+            deadline: exec.deadline,
+            order: Vec::with_capacity(n),
+            mask: 0,
+            best: None,
+        };
         let mut complete = true;
         for prefix in chunk {
-            let mut order: Vec<ServiceId> = (0..n).collect();
-            for (level, &pos) in prefix.iter().enumerate() {
-                order.swap(level, pos);
+            walker.order.clear();
+            walker.mask = 0;
+            for &(s, preds) in prefix {
+                walker.place(s, preds);
             }
-            let ok = permute_orders(&mut order, prefix.len(), &mut |perm| {
-                visit_dags_of_permutation_pruned(
-                    app,
-                    perm,
-                    &mut best,
-                    &incumbent,
-                    eval,
-                    exec.deadline,
-                )
-            });
-            if !ok {
+            if !walker.walk() {
                 complete = false;
                 break;
             }
         }
-        (best, complete)
+        (walker.best, complete)
     });
     let complete = parts.iter().all(|(_, c)| *c);
-    let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
-    best.map(|(value, graph)| SearchOutcome {
+    let mut best = None;
+    for (value, _, graph) in parts.into_iter().filter_map(|(b, _)| b) {
+        keep_better(&mut best, value, graph);
+    }
+    best.map(|(value, _, graph)| SearchOutcome {
         value,
         graph,
         exhaustive: complete,
     })
 }
 
-/// The symmetry-reduced DAG search: enumerates the forward-edge masks of
-/// the identity permutation only (ascending, chunked into contiguous ranges
-/// per worker so the fold reproduces the serial first-minimum).
-fn canonical_dag_search<F>(
-    app: &Application,
-    exec: Exec,
-    incumbent: &Incumbent,
-    eval: &F,
-) -> Option<SearchOutcome>
-where
-    F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
-{
-    let n = app.n();
-    let m = n * (n - 1) / 2;
-    debug_assert!(m < 64, "callers bound n by DAG_ENUMERATION_HARD_MAX_N");
-    let total = 1u64 << m;
-    let workers = (exec.effective_threads() as u64).clamp(1, total);
-    let span = total.div_ceil(workers);
-    let ranges: Vec<(u64, u64)> = (0..workers)
-        .map(|w| (w * span, ((w + 1) * span).min(total)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect();
-    let identity: Vec<ServiceId> = (0..n).collect();
-    let parts = par_chunks(ranges.len(), &ranges, |_base, chunk| {
-        let mut best: Option<(f64, ExecutionGraph)> = None;
-        let mut complete = true;
-        'ranges: for &(lo, hi) in chunk {
-            for mask in lo..hi {
-                if exec.deadline.is_some_and(|d| Instant::now() >= d) {
-                    complete = false;
-                    break 'ranges;
-                }
-                // Reducible instances have no precedence constraints, so
-                // every forward-edge DAG is feasible.
-                let graph = ExecutionGraph::from_permutation_mask(&identity, mask);
-                let value = eval(&graph, incumbent.get());
-                if best.as_ref().is_none_or(|(b, _)| value < *b) {
-                    incumbent.offer(value);
-                    best = Some((value, graph));
+/// The predecessor sets the DAG walk may give service `s` after the
+/// placements `order`, as bit masks over positions of `order`: every set
+/// when no larger label was placed before `s`, otherwise the sets holding a
+/// position at or after the last such label.
+fn pred_sets(order: &[ServiceId], s: ServiceId) -> std::ops::Range<u32> {
+    let first = order.iter().rposition(|&t| t > s).map_or(0, |j| 1 << j);
+    first..1 << order.len()
+}
+
+/// The DAG walk's first `levels` placements, one task prefix each.
+fn dag_task_prefixes(n: usize, levels: usize) -> Vec<Vec<(ServiceId, u32)>> {
+    let mut prefixes = vec![Vec::new()];
+    for _ in 0..levels.min(n) {
+        let mut next = Vec::new();
+        for prefix in &prefixes {
+            let order: Vec<ServiceId> = prefix.iter().map(|&(s, _)| s).collect();
+            for s in (0..n).filter(|s| !order.contains(s)) {
+                for preds in pred_sets(&order, s) {
+                    let mut task: Vec<(ServiceId, u32)> = prefix.clone();
+                    task.push((s, preds));
+                    next.push(task);
                 }
             }
         }
-        (best, complete)
-    });
-    let complete = parts.iter().all(|(_, c)| *c);
-    let best = fold_min(parts.into_iter().map(|(b, _)| b).collect());
-    best.map(|(value, graph)| SearchOutcome {
-        value,
-        graph,
-        exhaustive: complete,
-    })
+        prefixes = next;
+    }
+    prefixes
 }
 
-/// Evaluates every DAG whose edges are forward edges of `perm` and whose
-/// first linear extension is `perm` ([`first_linear_extension`]), threading
-/// the shared incumbent into every evaluation.  Returns `false` when the
-/// deadline interrupted the mask enumeration.
-fn visit_dags_of_permutation_pruned<F>(
-    app: &Application,
-    perm: &[ServiceId],
-    best: &mut Option<(f64, ExecutionGraph)>,
-    incumbent: &Incumbent,
-    eval: &F,
+/// One worker's depth-first DAG walk over the completions of its task
+/// prefixes.
+struct DagWalker<'a, F> {
+    app: &'a Application,
+    incumbent: &'a Incumbent,
+    eval: &'a F,
     deadline: Option<Instant>,
-) -> bool
+    /// The services placed so far, in their DAG's least topological order.
+    order: Vec<ServiceId>,
+    /// The edges among them, in [`ExecutionGraph::from_permutation_mask`]'s
+    /// pair encoding over `order`.
+    mask: u64,
+    best: DagBest,
+}
+
+impl<F> DagWalker<'_, F>
 where
     F: Fn(&ExecutionGraph, f64) -> f64,
 {
-    let n = perm.len();
-    let m = n * (n - 1) / 2;
-    debug_assert!(m < 64, "callers bound n by DAG_ENUMERATION_HARD_MAX_N");
-    for mask in 0u64..(1u64 << m) {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return false;
+    /// Places `s` with the predecessors at the positions `preds` selects,
+    /// returning the edge mask to restore when `s` is taken back.
+    fn place(&mut self, s: ServiceId, preds: u32) -> u64 {
+        let (n, k) = (self.app.n(), self.order.len());
+        let saved = self.mask;
+        for a in (0..k).filter(|&a| preds & (1 << a) != 0) {
+            // Pair (a, k) in the row order (0,1), (0,2), …, (1,2), …
+            self.mask |= 1 << (a * (2 * n - a - 1) / 2 + k - a - 1);
         }
-        // A labelled DAG reappears once per linear extension: visit it at
-        // the first one only, before paying for graph construction and
-        // evaluation.
-        if !first_linear_extension(perm, mask) {
-            continue;
-        }
-        let graph = ExecutionGraph::from_permutation_mask(perm, mask);
-        if graph.respects(app).is_err() {
-            continue;
-        }
-        let value = eval(&graph, incumbent.get());
-        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-            incumbent.offer(value);
-            *best = Some((value, graph));
-        }
+        self.order.push(s);
+        saved
     }
-    true
-}
 
-/// `true` when `perm` is the first linear extension, in [`permute_orders`]'
-/// order from `0..n`, of the DAG made of the forward edges of `perm` that
-/// `mask` selects (bit `b` for the `b`-th pair `a < c` in row order).  The
-/// extension is built greedily the way the recursion swaps: at each level,
-/// the first candidate position whose service has all its predecessors
-/// placed is swapped into place.  Every valid prefix completes to an
-/// extension, so this is the extension the enumeration meets first, and a
-/// filter on it visits each labelled DAG exactly once over the whole
-/// enumeration, at its first occurrence, in O(n²) time and no memory.
-fn first_linear_extension(perm: &[ServiceId], mask: u64) -> bool {
-    let n = perm.len();
-    debug_assert!(n <= DAG_ENUMERATION_HARD_MAX_N);
-    let mut preds = [0u16; DAG_ENUMERATION_HARD_MAX_N];
-    let mut bit = 0;
-    for a in 0..n {
-        for c in (a + 1)..n {
-            if mask & (1u64 << bit) != 0 {
-                preds[perm[c]] |= 1 << perm[a];
+    /// Walks every completion of the current placements.  Returns `false`
+    /// when the deadline interrupted this subtree.
+    fn walk(&mut self) -> bool {
+        let n = self.app.n();
+        if self.order.len() == n {
+            return self.visit();
+        }
+        for s in 0..n {
+            if self.order.contains(&s) {
+                continue;
             }
-            bit += 1;
+            for preds in pred_sets(&self.order, s) {
+                let saved = self.place(s, preds);
+                let ok = self.walk();
+                self.order.pop();
+                self.mask = saved;
+                if !ok {
+                    return false;
+                }
+            }
         }
+        true
     }
-    let mut order: [ServiceId; DAG_ENUMERATION_HARD_MAX_N] = std::array::from_fn(|k| k);
-    let mut placed = 0u16;
-    for level in 0..n {
-        // `order[..level] == perm[..level]`, so `perm[level]` is a ready
-        // candidate and the search always succeeds.
-        let pick = (level..n)
-            .find(|&i| preds[order[i]] & !placed == 0)
-            .expect("perm is a linear extension");
-        order.swap(level, pick);
-        if order[level] != perm[level] {
-            return false;
-        }
-        placed |= 1 << perm[level];
-    }
-    true
-}
 
-/// Evaluates every DAG whose edges are forward edges of `perm`.  Returns
-/// `false` when the deadline interrupted the mask enumeration.
-fn visit_dags_of_permutation<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    perm: &[ServiceId],
-    best: &mut Option<(f64, ExecutionGraph)>,
-    eval: &mut F,
-    deadline: Option<Instant>,
-) -> bool {
-    let n = perm.len();
-    let m = n * n.saturating_sub(1) / 2;
-    debug_assert!(m < 64, "callers bound n by DAG_ENUMERATION_HARD_MAX_N");
-    for mask in 0u64..(1u64 << m) {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+    /// Builds, checks and values the complete DAG.  Returns `false` when
+    /// the deadline has passed.
+    fn visit(&mut self) -> bool {
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
             return false;
         }
-        let graph = ExecutionGraph::from_permutation_mask(perm, mask);
-        if graph.respects(app).is_err() {
-            continue;
+        let graph = ExecutionGraph::from_permutation_mask(&self.order, self.mask);
+        if graph.respects(self.app).is_ok() {
+            let value = (self.eval)(&graph, self.incumbent.get());
+            if keep_better(&mut self.best, value, graph) {
+                self.incumbent.offer(value);
+            }
         }
-        let value = eval(&graph);
-        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-            *best = Some((value, graph));
-        }
+        true
     }
-    true
-}
-
-/// Visits every permutation of `items[start..]`; `visit` returns `false` to
-/// abort the whole enumeration (deadline), which is propagated to the caller.
-fn permute_orders<F: FnMut(&[ServiceId]) -> bool>(
-    items: &mut Vec<ServiceId>,
-    start: usize,
-    visit: &mut F,
-) -> bool {
-    if start >= items.len() {
-        return visit(items);
-    }
-    for i in start..items.len() {
-        items.swap(start, i);
-        let ok = permute_orders(items, start + 1, visit);
-        items.swap(start, i);
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 /// Constructive seeds for the heuristic search; the streamed walk also
@@ -778,31 +723,30 @@ pub(crate) fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionG
 /// Heuristic MINPERIOD: best seed followed by the plan-space hill climb over
 /// single-parent reassignments that MINLATENCY's local search runs too.
 /// Candidates are valued by [`evaluate_period`] under `budget`, over
-/// [`SearchBudget::local_search_passes`] passes at most.
+/// [`LOCAL_SEARCH_PASSES`] passes at most.
 pub fn minperiod_local_search(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
 ) -> CoreResult<SearchOutcome> {
-    Ok(climb_plans(
-        app,
-        seed_graphs(app, model),
-        budget.local_search_passes,
-        |g| evaluate_period(app, g, model, budget).unwrap_or(f64::INFINITY),
-    ))
+    Ok(climb_plans(app, seed_graphs(app, model), |g| {
+        evaluate_period(app, g, model, budget).unwrap_or(f64::INFINITY)
+    }))
 }
+
+/// Most passes the plan-space hill climb of both local searches makes.
+pub const LOCAL_SEARCH_PASSES: usize = 32;
 
 /// The plan-space hill climb behind both local searches: start from the
 /// first best of `seeds` (the empty plan when none is finite), then, for
 /// every service `k` in turn, try making `k` an entry node and then giving
 /// it each other service as its only parent, keeping every move that
 /// respects the application's precedence constraints and improves the value
-/// by more than `1e-12`.  Stops after `passes` passes or the first pass
-/// without an improvement.
+/// by more than `1e-12`.  Stops after [`LOCAL_SEARCH_PASSES`] passes or the
+/// first pass without an improvement.
 pub(crate) fn climb_plans<F>(
     app: &Application,
     seeds: Vec<ExecutionGraph>,
-    passes: usize,
     eval: F,
 ) -> SearchOutcome
 where
@@ -818,7 +762,7 @@ where
             best_graph = seed;
         }
     }
-    for _pass in 0..passes {
+    for _pass in 0..LOCAL_SEARCH_PASSES {
         let mut improved = false;
         for k in 0..n {
             let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
@@ -1064,12 +1008,9 @@ pub(crate) fn minimize_period_engine(
         }
     } else {
         // With precedence constraints the optimal plan need not be a forest;
-        // use the DAG enumeration for tiny instances.  (Constraints break
-        // reducibility, so the symmetry flag is moot here.)
+        // use the DAG walk for tiny instances.
         if app.n() <= 5 {
-            if let Some(out) =
-                exhaustive_dag_search(app, 5, exec, incumbent_seed, Symmetry::Full, &eval)
-            {
+            if let Some(out) = exhaustive_dag_search(app, 5, exec, incumbent_seed, &eval) {
                 return Ok(out);
             }
         }
@@ -1197,55 +1138,114 @@ mod tests {
         }
     }
 
-    /// Over every (permutation, mask) pair of the enumeration, the filter
-    /// admits each labelled DAG exactly once: A003024 (1, 3, 25, 543,
-    /// 29 281) for `n = 1..=5`.
+    /// The DAG walk builds each labelled DAG once: A003024 (1, 3, 25, 543,
+    /// 29 281) for `n = 1..=5`, at one and at two workers, and its DAGs
+    /// are the distinct edge sets of the brute force's (permutation, mask)
+    /// enumeration.
     #[test]
-    fn first_linear_extension_admits_each_labelled_dag_once() {
+    fn the_dag_walk_builds_each_labelled_dag_once() {
         for (n, dags) in [(1usize, 1usize), (2, 3), (3, 25), (4, 543), (5, 29_281)] {
-            let m = n * (n - 1) / 2;
-            let mut admitted = std::collections::HashSet::new();
-            let mut visits = 0usize;
-            let mut order: Vec<ServiceId> = (0..n).collect();
-            permute_orders(&mut order, 0, &mut |perm| {
-                for mask in 0u64..(1u64 << m) {
-                    if first_linear_extension(perm, mask) {
-                        visits += 1;
-                        let graph = ExecutionGraph::from_permutation_mask(perm, mask);
-                        assert!(
-                            admitted.insert(graph.edges().collect::<Vec<_>>()),
-                            "n={n}: {perm:?} {mask:#b} admits a DAG twice"
-                        );
-                    }
-                }
-                true
+            let app = Application::independent(&vec![(1.0, 1.0); n]);
+            let mut brute = std::collections::HashSet::new();
+            exhaustive_dag_best(&app, n, |g| {
+                brute.insert(dag_key(g));
+                0.0
             });
-            assert_eq!((visits, admitted.len()), (dags, dags), "n={n}");
+            assert_eq!(brute.len(), dags, "n={n}: brute force");
+            for threads in [1, 2] {
+                let walked = std::sync::Mutex::new(Vec::new());
+                let out = exhaustive_dag_search(
+                    &app,
+                    n,
+                    Exec::threaded(threads),
+                    f64::INFINITY,
+                    &|g, _| {
+                        walked.lock().unwrap().push(dag_key(g));
+                        0.0
+                    },
+                )
+                .unwrap();
+                assert!(out.exhaustive);
+                let walked = walked.into_inner().unwrap();
+                let distinct: std::collections::HashSet<u128> = walked.iter().copied().collect();
+                assert_eq!(walked.len(), dags, "n={n} x{threads}: visits");
+                assert_eq!(distinct, brute, "n={n} x{threads}: edge sets");
+            }
         }
     }
 
+    /// On all-equal weights most DAGs tie, and so do they when one or two
+    /// filters sit among equal services: the brute force returns the
+    /// optimum with the smallest edge-set key, checked against a scan of
+    /// every edge subset, and the walk returns the same DAG at every thread
+    /// count, although it may meet a larger-key optimum first, in its own
+    /// task or in an earlier worker's.
     #[test]
-    fn canonical_dag_search_matches_brute_force_on_uniform_weights() {
-        let app = Application::independent(&[(4.0, 1.0); 4]);
-        for model in CommModel::ALL {
-            let eval = |g: &ExecutionGraph| {
-                PlanMetrics::compute(&app, g)
-                    .map(|m| m.period_lower_bound(model))
-                    .unwrap_or(f64::INFINITY)
-            };
-            let brute = exhaustive_dag_best(&app, 4, eval).unwrap();
-            let reduced = exhaustive_dag_search(
-                &app,
-                4,
-                Exec::serial(),
-                f64::INFINITY,
-                Symmetry::Auto,
-                &|g, _| eval(g),
-            )
-            .unwrap();
-            assert_eq!(brute.0, reduced.value, "{model}");
-            assert_eq!(eval(&reduced.graph), reduced.value);
+    fn dag_ties_go_to_the_smallest_edge_set_key() {
+        let n = 4;
+        let pairs: Vec<(ServiceId, ServiceId)> = (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        let mut met_another_first = 0;
+        let instances = [
+            [(2.0, 1.0); 4],
+            [(1.0, 0.5); 4],
+            [(2.0, 1.0), (2.0, 1.0), (1.0, 0.5), (2.0, 1.0)],
+            [(1.0, 0.5), (1.0, 0.5), (4.0, 1.0), (4.0, 1.0)],
+        ];
+        for specs in instances {
+            let app = Application::independent(&specs);
+            for model in CommModel::ALL {
+                let eval = |g: &ExecutionGraph| {
+                    PlanMetrics::compute(&app, g)
+                        .map(|m| m.period_lower_bound(model))
+                        .unwrap_or(f64::INFINITY)
+                };
+                let mut optima = Vec::new();
+                for subset in 0u32..1 << pairs.len() {
+                    let edges: Vec<_> = (0..pairs.len())
+                        .filter(|b| subset & (1 << b) != 0)
+                        .map(|b| pairs[b])
+                        .collect();
+                    if let Ok(g) = ExecutionGraph::from_edges(n, &edges) {
+                        optima.push((eval(&g), dag_key(&g)));
+                    }
+                }
+                let value = optima.iter().map(|o| o.0).fold(f64::INFINITY, f64::min);
+                optima.retain(|o| o.0 == value);
+                let key = optima.iter().map(|o| o.1).min().unwrap();
+                let label = format!("{specs:?} {model}");
+                assert!(optima.len() > 1, "{label}: the instance has ties");
+                let brute = exhaustive_dag_best(&app, n, eval).unwrap();
+                assert_eq!((brute.0, dag_key(&brute.1)), (value, key), "{label}");
+                for threads in [1, 2, 3, 4, 8] {
+                    let first = std::sync::Mutex::new(None);
+                    let walked = exhaustive_dag_search(
+                        &app,
+                        n,
+                        Exec::threaded(threads),
+                        f64::INFINITY,
+                        &|g, _| {
+                            let v = eval(g);
+                            if v == value {
+                                first.lock().unwrap().get_or_insert(dag_key(g));
+                            }
+                            v
+                        },
+                    )
+                    .unwrap();
+                    let found = (walked.value, dag_key(&walked.graph));
+                    assert_eq!(found, (value, key), "{label} x{threads}");
+                    if threads == 1 && first.into_inner().unwrap() != Some(key) {
+                        met_another_first += 1;
+                    }
+                }
+            }
         }
+        assert!(
+            met_another_first > 0,
+            "the walk always met the winner first"
+        );
     }
 
     #[test]

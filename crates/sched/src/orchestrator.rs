@@ -154,8 +154,6 @@ pub struct SearchBudget {
     /// Worker threads for the exhaustive searches; `0` = available
     /// parallelism, `1` = serial.  Results are identical for every value.
     pub threads: usize,
-    /// Passes of the hill-climbing local search used beyond `max_graphs`.
-    pub local_search_passes: usize,
     /// How candidate graphs are valued during a MINPERIOD plan search
     /// (cheap lower bound vs full orchestration of every candidate).
     pub period_evaluation: PeriodEvaluation,
@@ -176,7 +174,6 @@ impl Default for SearchBudget {
             max_graphs: 2_000_000,
             time_limit: None,
             threads: 1,
-            local_search_passes: 32,
             period_evaluation: PeriodEvaluation::LowerBound,
             outorder_node_budget: 200_000,
             outorder_refinement_steps: 8,

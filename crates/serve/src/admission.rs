@@ -225,11 +225,11 @@ impl AdmissionPolicy {
         budget: &SearchBudget,
     ) -> CostEstimate {
         let n = app.n();
-        // MINLATENCY's DAG phase (n within `dag_enumeration_max_n`) is one
-        // combined walk over level-ordered insertions, not a per-plan
-        // ordering search: its size is the DAG ordering space itself, so it
-        // prices as a single "plan" space with weight 1 (an upper bound —
-        // the walk prunes, hence `plans_exact: false`).
+        // MINLATENCY's DAG phase (n within `dag_enumeration_max_n`) is
+        // priced by the ordering space of the worst single DAG on n
+        // services (the complete DAG), as one "plan" with weight 1: a
+        // stand-in for the walk's size rather than a count of its
+        // candidates, hence `plans_exact: false`.
         if objective == Objective::MinLatency && n <= budget.dag_enumeration_max_n {
             let space = (CanonicalSpace::max_dag_ordering_space(n) as u128).max(1);
             return CostEstimate {
@@ -332,8 +332,8 @@ fn ordering_weight(
             }
         }
         // MINLATENCY: the forest-only phase is exact Algorithm 1, purely
-        // structural; the DAG phase never reaches here (priced as its
-        // combined walk in `estimate`).
+        // structural; the DAG phase never reaches here (priced by the worst
+        // single DAG's ordering space in `estimate`).
         Objective::MinLatency => 1,
     }
 }
@@ -469,10 +469,10 @@ mod tests {
 
     #[test]
     fn orchestrated_paths_carry_an_ordering_weight() {
-        // MINLATENCY at n <= dag_enumeration_max_n is one combined DAG walk:
-        // it prices as that walk's ordering space with weight 1, keeping
-        // small instances (the only ones the engine routes into the DAG
-        // phase) inside the admit band.
+        // MINLATENCY at n <= dag_enumeration_max_n prices as the worst
+        // single DAG's ordering space with weight 1, keeping small
+        // instances (the only ones the engine routes into the DAG phase)
+        // inside the admit band.
         let b = budget();
         let policy = AdmissionPolicy::for_budget(&b);
         let specs: Vec<(f64, f64)> = (0..4).map(|k| (1.0 + k as f64, 0.5)).collect();

@@ -91,11 +91,10 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
     }
 }
 
-/// Uniform weights: the canonical (identity-permutation) DAG enumeration
-/// returns the brute force's optimum value.  Weights are dyadic so every
-/// volume sum is exact in `f64`: DAG joins accumulate `Cin` in label order,
-/// and only exact arithmetic makes the cross-labelling value equality
-/// bit-exact rather than up-to-an-ulp (see `Symmetry`'s docs).
+/// Uniform weights: the DAG walk, which walks the labelled space whatever
+/// the weights, returns the brute force's optimum value and winner (the
+/// smallest edge-set key among the many tying DAGs).  Weights are dyadic,
+/// so every volume sum is exact in `f64`.
 #[test]
 fn canonical_dag_values_match_brute_force_on_uniform_weights() {
     let mut rng = StdRng::seed_from_u64(0xCA02);
@@ -112,17 +111,15 @@ fn canonical_dag_values_match_brute_force_on_uniform_weights() {
                     .unwrap_or(f64::INFINITY)
             };
             let brute = exhaustive_dag_best(&app, 4, eval).unwrap();
-            let reduced = exhaustive_dag_search(
-                &app,
-                4,
-                Exec::serial(),
-                f64::INFINITY,
-                Symmetry::Auto,
-                &|g, _| eval(g),
-            )
-            .unwrap();
-            assert_eq!(brute.0, reduced.value, "case {case} {model}: value");
-            assert_eq!(eval(&reduced.graph), reduced.value);
+            let walked =
+                exhaustive_dag_search(&app, 4, Exec::serial(), f64::INFINITY, &|g, _| eval(g))
+                    .unwrap();
+            assert_eq!(brute.0, walked.value, "case {case} {model}: value");
+            assert_eq!(
+                brute.1.edges().collect::<Vec<_>>(),
+                walked.graph.edges().collect::<Vec<_>>(),
+                "case {case} {model}: winner"
+            );
         }
     }
 }

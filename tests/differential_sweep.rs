@@ -12,10 +12,10 @@
 //! Instances without weight symmetry run the labelled walk, whose winner
 //! must also be the brute force's first minimum; class-symmetric instances
 //! run the streamed walk, which returns the canonical tie-break
-//! representative, so only its value is compared.  The labelled DAG walk
-//! itself (`exhaustive_dag_search`, each DAG visited once at its first
-//! linear extension) must return `exhaustive_dag_best`'s value and winner
-//! at every thread count.
+//! representative, so only its value is compared.  The DAG walk itself
+//! (`exhaustive_dag_search`, each DAG built once in its least topological
+//! order) must return `exhaustive_dag_best`'s value and winner, the
+//! smallest edge-set key among the optima, at every thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +23,8 @@ use rand::{Rng, SeedableRng};
 use fsw::core::{
     canonical_classed_member, Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses,
 };
-use fsw::sched::engine::{CanonicalSpace, EvalCache, Symmetry};
+use fsw::sched::engine::{CanonicalSpace, EvalCache};
+use fsw::sched::latency::latency_lower_bound;
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
     evaluate_period, exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best,
@@ -276,11 +277,13 @@ fn latency_searches_with_the_dag_phase_match_brute_force() {
     assert!(dag_wins > 0, "no instance has a DAG winner");
 }
 
-/// The labelled DAG walk visits each DAG once, at its first linear
-/// extension, whichever worker holds it: on the DAG sweep's instances
-/// (every model's latency) and on a constrained five-service MINPERIOD
-/// instance, `exhaustive_dag_search` returns `exhaustive_dag_best`'s value
-/// bits and winner at 1, 2 and 4 threads.
+/// The DAG walk builds each DAG once, whichever worker holds it: on the
+/// DAG sweep's instances (every model's latency), on a constrained
+/// five-service MINPERIOD instance and on five services with distinct
+/// weights valued by their critical path (the DAG phase's cutoff test on
+/// the benchmark's five-service latency instances), `exhaustive_dag_search`
+/// returns `exhaustive_dag_best`'s value bits and winner at 1, 2 and 4
+/// threads.
 #[test]
 fn dag_search_matches_the_dag_brute_force_at_every_thread_count() {
     let mut rng = StdRng::seed_from_u64(12);
@@ -312,18 +315,21 @@ fn dag_search_matches_the_dag_brute_force_at_every_thread_count() {
                 .unwrap_or(f64::INFINITY)
         }),
     ));
+    for case in 0..2 {
+        cases.push((
+            format!("distinct n=5 case {case} critical path"),
+            instance(5, false, &mut rng),
+            Box::new(|app, g| latency_lower_bound(app, g).unwrap_or(f64::INFINITY)),
+        ));
+    }
     for (label, app, eval) in &cases {
         let brute = exhaustive_dag_best(app, 5, |g| eval(app, g)).expect("n is within 5");
         for threads in THREADS {
-            let found = exhaustive_dag_search(
-                app,
-                5,
-                Exec::threaded(threads),
-                f64::INFINITY,
-                Symmetry::Full,
-                &|g, _| eval(app, g),
-            )
-            .expect("n is within 5");
+            let found =
+                exhaustive_dag_search(app, 5, Exec::threaded(threads), f64::INFINITY, &|g, _| {
+                    eval(app, g)
+                })
+                .expect("n is within 5");
             assert!(found.exhaustive, "{label} x{threads}");
             assert_eq!(
                 found.value.to_bits(),

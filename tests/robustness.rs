@@ -49,10 +49,10 @@ fn quietly<T>(body: impl FnOnce() -> T) -> T {
 
 #[test]
 fn minlatency_dag_phase_honours_a_short_deadline() {
-    // n = 7 with all-distinct weights: the DAG ordering space is ~6e14, so
-    // an un-deadlined walk would run (far) beyond any test budget.  The
-    // 20 ms limit must be observed inside the walk itself, between masks —
-    // not just between shapes — so the solve returns promptly.
+    // n = 7 with all-distinct weights: 1.1e9 labelled DAGs, so an
+    // un-deadlined walk would run (far) beyond any test budget.  The 20 ms
+    // limit must be observed inside the walk itself, between DAGs — not
+    // just between shapes — so the solve returns promptly.
     let mut rng = StdRng::seed_from_u64(0x0b07);
     let app = random_application(&RandomAppConfig::independent(7), &mut rng);
     let budget = SearchBudget {
