@@ -510,10 +510,12 @@ pub enum ShapeObjective {
 /// them with strict clearance only (the bound must exceed the incumbent
 /// plus the prune epsilon) and never for the non-strict tie-dominance
 /// rule, which it applies with the bit-admissible prefix bound of
-/// [`crate::PartialForestMetrics`] instead.
+/// [`crate::PartialForestMetrics`] instead.  A floor served as a certified
+/// lower bound is shaved first ([`ShapeBounder::certified_floor`]).
 ///
-/// A pass that bounds a whole stream ([`bound_ordered_shape_plan`],
-/// [`ShapeBounder::forest_floor`]) reuses one set of buffers, so a bound
+/// A pass that bounds a whole stream ([`ShapeStream`]: the passes of
+/// [`bound_ordered_shape_plan`], [`ShapeBounder::forest_floor`], the
+/// streamed walk's plateau) reuses one set of buffers, so a bound
 /// allocates nothing.  On a one-kind partition the per-kind floor ranges
 /// over the very node floors of the cheapest-weight pass, so that pass
 /// folds their minimum in and the per-kind loop is skipped: the bound is
@@ -535,7 +537,7 @@ pub struct ShapeBounder {
 
 /// Reusable buffers of a shape bound: a scan that bounds every shape of a
 /// stream keeps one, so a bound allocates nothing.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct BoundScratch {
     fanout: Vec<usize>,
     last_at_level: Vec<usize>,
@@ -632,22 +634,52 @@ impl ShapeBounder {
     }
 
     /// The smallest [`ShapeBounder::shape_bound`] over every canonical
-    /// forest shape on the application's services: an admissible floor on
-    /// every forest plan of the instance.  A streaming `total_cmp` minimum,
-    /// so it is bit-identical to the head bound of a cold
-    /// [`bound_ordered_shape_plan`] scan while storing no shape — O(shapes)
-    /// time, O(n) memory.
+    /// forest shape on the application's services: a floor on every forest
+    /// plan of the instance, up to rounding (see
+    /// [`ShapeBounder::certified_floor`]).  A streaming `total_cmp` minimum
+    /// over a [`ShapeStream`], so it is bit-identical to the head bound of a
+    /// cold [`bound_ordered_shape_plan`] scan while storing no shape —
+    /// O(shapes) time, O(n) memory.
     pub fn forest_floor(&self) -> f64 {
-        let mut stream = CanonicalForests::new(self.anc_floor.len() - 1);
-        let mut scratch = BoundScratch::default();
+        let mut stream = ShapeStream::new(self.anc_floor.len() - 1, Some(self), None);
         let mut floor: Option<f64> = None;
-        while let Some(levels) = stream.next_shape() {
-            let bound = self.bound_with(levels, &mut scratch);
+        while let Some(bound) = stream.next_bound() {
             if floor.is_none_or(|f| bound.total_cmp(&f).is_lt()) {
                 floor = Some(bound);
             }
         }
         floor.expect("every n >= 1 has at least one shape")
+    }
+
+    /// [`ShapeBounder::forest_floor`] shaved by the relative margin
+    /// `(4n + 8)·ε`, so that no forest plan's value lies below it, not even
+    /// by an ulp — the floor a caller may serve as a certified lower bound.
+    ///
+    /// The shape floors are admissible in exact arithmetic, but floats
+    /// round them and the plan values independently.  Every term on either
+    /// side is a sum or product of non-negative numbers, so its relative
+    /// error is at most `(1 + ε/2)^k − 1` for `k` roundings along its
+    /// deepest path of operations:
+    ///
+    /// * **period**: a node's floor multiplies at most `n − 1` sorted
+    ///   selectivities, then its cost or selectivity and its fan-out, and
+    ///   the one-port models add three terms; the plan's `Cin`, `Ccomp`
+    ///   and `Cout` take as many steps in path order.  Each side rounds at
+    ///   most `n + 3` times, so the two differ by less than `(n + 4)·ε`;
+    /// * **latency**: the critical-path recurrence and Algorithm 1's tree
+    ///   latency both take at most four roundings per level (`p + L`, the
+    ///   selectivity product, `1 + c` and the sum) over at most `n`
+    ///   levels, so they differ by less than `4n·ε`; the per-node latency
+    ///   floor takes at most `n + 2`.
+    ///
+    /// `(4n + 8)·ε` exceeds both, plus the shave's own rounding — the
+    /// margin [`crate::PartialForestMetrics`] shaves its period floors by.
+    /// The walk's shape bounds stay unshaved: a shaved bound would fall
+    /// below the constructive value it ties, so the shape would leave the
+    /// plateau [`split_shape_plan`] re-streams and take a stored record.
+    pub fn certified_floor(&self) -> f64 {
+        let n = self.anc_floor.len() - 1;
+        self.forest_floor() * (1.0 - (4 * n + 8) as f64 * f64::EPSILON)
     }
 
     /// Critical-path latency floor of the shape: Algorithm 1's one-port
@@ -711,7 +743,10 @@ impl ShapeBounder {
 /// nothing is recorded that no walk reads: a shape's colourings are
 /// walked, never counted, while the search runs (the coloured-orbit total
 /// of a space is [`classed_class_count`]'s, or [`forest_classes`] on a
-/// uniform partition).
+/// uniform partition).  A plan holds records only for the shapes it
+/// stores; a walk that re-streams a plateau ([`split_shape_plan`]) makes a
+/// plateau shape's record ([`ShapePlan::encode`]) only when it enters the
+/// shape, for its rank.
 #[derive(Clone, Copy, Debug)]
 pub struct ShapePlan {
     /// Admissible lower bound on every representative of this shape
@@ -729,6 +764,16 @@ pub struct ShapePlan {
 const _: () = assert!(std::mem::size_of::<ShapePlan>() == 16);
 
 impl ShapePlan {
+    /// The record of the shape with super-tree level sequence `levels`
+    /// (virtual root at level 0 first, as a [`ShapeStream`] yields it) and
+    /// bound `bound`.
+    pub fn encode(levels: &[usize], bound: f64) -> Self {
+        ShapePlan {
+            bound,
+            code: parenthesis_word(levels),
+        }
+    }
+
     /// Position key of the shape in canonical stream order: strictly
     /// increasing along [`CanonicalForests`], so it orders shapes exactly
     /// like their stream positions.  (The stream emits level sequences in
@@ -775,13 +820,21 @@ fn parenthesis_word(levels: &[usize]) -> u64 {
 /// `u64`.
 pub const SHAPE_CODE_MAX_N: usize = 32;
 
-/// Outcome of a [`bound_ordered_shape_plan`] scan.
+/// Outcome of a [`bound_ordered_shape_plan`] or [`split_shape_plan`] scan.
 #[derive(Clone, Debug)]
 pub enum ShapeScan {
-    /// All surviving shapes of the space, sorted by `(bound, rank)`.
+    /// Every shape of the space, each stored, set aside on the plateau or
+    /// pruned.
     Planned {
-        /// The shapes, bound-sorted (ties in canonical order).
+        /// The stored shapes, bound-sorted (ties in canonical order).
         shapes: Vec<ShapePlan>,
+        /// Number of shapes whose bound is bit-equal to the scan's plateau
+        /// value ([`split_shape_plan`]; always `0` from
+        /// [`bound_ordered_shape_plan`]): counted and given no record.  In
+        /// `(bound, rank)` order they sit after the stored shapes below that
+        /// value and before those above it, in canonical stream order, so a
+        /// walk re-streams them ([`ShapeStream::next_at`]) instead.
+        plateau: u64,
         /// Number of shapes whose admissible bound already cleared the
         /// caller's cutoff at emission time: certified hopeless without ever
         /// being given a record, sorted or expanded.
@@ -794,6 +847,84 @@ pub enum ShapeScan {
     /// not fit a [`ShapePlan::code`]; nothing was scanned, and callers
     /// degrade as on [`ShapeScan::DeadlineExpired`].
     TooWide,
+}
+
+/// Every canonical forest shape on `n` nodes with its [`ShapeBounder`]
+/// bound, in [`CanonicalForests`] order (so in rank order), on reused
+/// buffers: the one shape scan, which the passes of
+/// [`split_shape_plan`], [`ShapeBounder::forest_floor`] and the streamed
+/// walk's plateau all run.  A shape costs its level-sequence step and its
+/// bound; its record, and with it its rank, is made only on request
+/// ([`ShapePlan::encode`] of [`ShapeStream::levels`]).  A deadline ends
+/// the stream early, which [`ShapeStream::expired`] reports.
+#[derive(Debug)]
+pub struct ShapeStream<'a> {
+    forests: CanonicalForests,
+    bounder: Option<&'a ShapeBounder>,
+    scratch: BoundScratch,
+    deadline: Option<std::time::Instant>,
+    expired: bool,
+}
+
+impl<'a> ShapeStream<'a> {
+    /// A stream over the shapes on `n >= 1` nodes, bounded by `bounder`
+    /// (every bound is `0` without one) and cut short at `deadline`.
+    pub fn new(
+        n: usize,
+        bounder: Option<&'a ShapeBounder>,
+        deadline: Option<std::time::Instant>,
+    ) -> Self {
+        ShapeStream {
+            forests: CanonicalForests::new(n),
+            bounder,
+            scratch: BoundScratch::default(),
+            deadline,
+            expired: false,
+        }
+    }
+
+    /// Advances to the next shape and returns its bound, or `None` once the
+    /// stream is exhausted or the deadline has passed.
+    pub fn next_bound(&mut self) -> Option<f64> {
+        if self.expired {
+            return None;
+        }
+        let levels = self.forests.next_shape()?;
+        if self
+            .deadline
+            .is_some_and(|d| std::time::Instant::now() >= d)
+        {
+            self.expired = true;
+            return None;
+        }
+        Some(
+            self.bounder
+                .map_or(0.0, |b| b.bound_with(levels, &mut self.scratch)),
+        )
+    }
+
+    /// Advances to the next shape whose bound is bit-equal to `value` and
+    /// returns its level sequence, or `None` once the stream is exhausted or
+    /// the deadline has passed.
+    pub fn next_at(&mut self, value: f64) -> Option<&[usize]> {
+        while let Some(bound) = self.next_bound() {
+            if bound.to_bits() == value.to_bits() {
+                return Some(self.levels());
+            }
+        }
+        None
+    }
+
+    /// The current shape's super-tree level sequence (virtual root at level
+    /// 0 first), as [`walk_canonical_colorings`] takes it.
+    pub fn levels(&self) -> &[usize] {
+        &self.forests.levels
+    }
+
+    /// `true` when the deadline ended the stream before it was exhausted.
+    pub fn expired(&self) -> bool {
+        self.expired
+    }
 }
 
 /// Largest shape count a [`bound_ordered_shape_plan`] scan reserves up
@@ -831,9 +962,46 @@ const PLAN_RESERVE_LIMIT: u128 = 2_000_000;
 /// grown, whose doubling would hold up to twice the survivors.  A shape's
 /// rank comes from its own code, not from its place in the plan, so winner
 /// tie-breaks are unchanged by the cutoff.
+///
+/// This is [`split_shape_plan`] with no plateau: it stores every shape it
+/// does not prune.
 pub fn bound_ordered_shape_plan(
     classes: &WeightClasses,
     bounder: Option<&ShapeBounder>,
+    cutoff: f64,
+    deadline: Option<std::time::Instant>,
+) -> ShapeScan {
+    split_shape_plan(classes, bounder, f64::INFINITY, cutoff, deadline)
+}
+
+/// Where a [`split_shape_plan`] scan puts a shape.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Placed {
+    Stored,
+    Plateau,
+    Pruned,
+}
+
+/// [`bound_ordered_shape_plan`] split at a finite `plateau` value: a shape
+/// whose bound is bit-equal to `plateau` (and does not clear `cutoff`) is
+/// only counted, in [`ShapeScan::Planned`]'s `plateau`, and the stored
+/// shapes are the rest of the survivors.  The `(bound, rank)` order of
+/// [`bound_ordered_shape_plan`]'s plan is therefore the stored shapes
+/// below `plateau`, then the plateau in canonical stream order — which a
+/// walk re-streams with [`ShapeStream::next_at`] — then the stored shapes
+/// above it.  The streamed walk splits at its constructive upper bound;
+/// where the optimum sits on the shape floors, every shape it could enter
+/// ties that value and the plan holds none.  A non-finite `plateau` sets
+/// nothing aside.
+///
+/// The scan counts the three kinds in one pass over a [`ShapeStream`] (a
+/// non-finite `plateau` with an infinite or NaN `cutoff` keeps every shape,
+/// and skips it) and fills a reservation of exactly the stored count in a
+/// second pass, which it skips when nothing is stored.
+pub fn split_shape_plan(
+    classes: &WeightClasses,
+    bounder: Option<&ShapeBounder>,
+    plateau: f64,
     cutoff: f64,
     deadline: Option<std::time::Instant>,
 ) -> ShapeScan {
@@ -842,46 +1010,54 @@ pub fn bound_ordered_shape_plan(
     if n > SHAPE_CODE_MAX_N {
         return ShapeScan::TooWide;
     }
-    let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
-    let mut scratch = BoundScratch::default();
-    let mut bound_of =
-        |levels: &[usize]| bounder.map_or(0.0, |b| b.bound_with(levels, &mut scratch));
-    let cut = |bound: f64| bound > cutoff;
-    let kept = if cutoff.is_nan() || cutoff == f64::INFINITY {
+    let place = |bound: f64| {
+        if bound > cutoff {
+            Placed::Pruned
+        } else if plateau.is_finite() && bound.to_bits() == plateau.to_bits() {
+            Placed::Plateau
+        } else {
+            Placed::Stored
+        }
+    };
+    let (mut set_aside, mut pruned) = (0u64, 0u64);
+    let stored = if !plateau.is_finite() && (cutoff.is_nan() || cutoff == f64::INFINITY) {
         forest_classes(n)
     } else {
-        let mut survivors: u128 = 0;
-        let mut stream = CanonicalForests::new(n);
-        while let Some(levels) = stream.next_shape() {
-            if expired() {
-                return ShapeScan::DeadlineExpired;
+        let mut stored: u128 = 0;
+        let mut stream = ShapeStream::new(n, bounder, deadline);
+        while let Some(bound) = stream.next_bound() {
+            match place(bound) {
+                Placed::Stored => stored += 1,
+                Placed::Plateau => set_aside += 1,
+                Placed::Pruned => pruned += 1,
             }
-            survivors += u128::from(!cut(bound_of(levels)));
         }
-        survivors
-    };
-    let mut shapes = Vec::new();
-    if kept <= PLAN_RESERVE_LIMIT {
-        shapes.reserve_exact(kept as usize);
-    }
-    let mut stream = CanonicalForests::new(n);
-    let mut pruned: u64 = 0;
-    while let Some(levels) = stream.next_shape() {
-        if expired() {
+        if stream.expired() {
             return ShapeScan::DeadlineExpired;
         }
-        let bound = bound_of(levels);
-        if cut(bound) {
-            pruned += 1;
-        } else {
-            shapes.push(ShapePlan {
-                bound,
-                code: parenthesis_word(levels),
-            });
+        stored
+    };
+    let mut shapes = Vec::new();
+    if stored > 0 {
+        if stored <= PLAN_RESERVE_LIMIT {
+            shapes.reserve_exact(stored as usize);
         }
+        let mut stream = ShapeStream::new(n, bounder, deadline);
+        while let Some(bound) = stream.next_bound() {
+            if place(bound) == Placed::Stored {
+                shapes.push(ShapePlan::encode(stream.levels(), bound));
+            }
+        }
+        if stream.expired() {
+            return ShapeScan::DeadlineExpired;
+        }
+        shapes.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.rank().cmp(&b.rank())));
     }
-    shapes.sort_unstable_by(|a, b| a.bound.total_cmp(&b.bound).then(a.rank().cmp(&b.rank())));
-    ShapeScan::Planned { shapes, pruned }
+    ShapeScan::Planned {
+        shapes,
+        plateau: set_aside,
+        pruned,
+    }
 }
 
 /// Packs a preorder forest (parent vector plus one byte-sized tag per node)
@@ -1277,153 +1453,202 @@ pub trait ColoringVisitor {
 /// assignments of the class multiset to the real positions such that within
 /// every run of identical sibling subtrees the coloured subtree encodings
 /// are non-increasing.  Returns `false` iff the visitor aborted.
+///
+/// A walk over many shapes keeps one [`ColoringScratch`] and calls
+/// [`ColoringScratch::walk`] instead, which allocates nothing per shape.
 pub fn walk_canonical_colorings(
     levels: &[usize],
     classes: &WeightClasses,
     visitor: &mut impl ColoringVisitor,
 ) -> bool {
-    if classes.class_count() == 1 {
-        return walk_uniform_coloring(levels, visitor);
-    }
-    let len = levels.len();
-    // Subtree span ends: end[i] = first j > i with levels[j] <= levels[i].
-    let mut end = vec![len; len];
-    let mut open: Vec<usize> = Vec::new();
-    for (i, &level) in levels.iter().enumerate() {
-        while let Some(&top) = open.last() {
-            if levels[top] >= level {
-                end[top] = i;
-                open.pop();
-            } else {
-                break;
-            }
-        }
-        open.push(i);
-    }
-    // Sortedness checks, attached to the position that completes the later
-    // subtree of the pair: within every run of identical sibling shapes,
-    // member `m` must carry a colour sequence `<=` member `m-1`'s.
-    let mut checks_at: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); len];
-    for i in 0..len {
-        let mut child = i + 1;
-        let mut prev: Option<usize> = None;
-        while child < end[i] {
-            debug_assert_eq!(levels[child], levels[i] + 1);
-            let next = end[child];
-            if let Some(p) = prev {
-                if end[p] - p == next - child && levels[p..end[p]] == levels[child..next] {
-                    checks_at[next - 1].push((p, child, next - child));
-                }
-            }
-            prev = Some(child);
-            child = next;
-        }
-    }
-    // Preorder parent (as a *real* position) of every super-tree position.
-    let mut parent_of: Vec<Option<usize>> = vec![None; len];
-    let mut last_at_level = vec![usize::MAX; len + 2];
-    last_at_level[0] = 0;
-    for i in 1..len {
-        let level = levels[i];
-        if level >= 2 {
-            parent_of[i] = Some(last_at_level[level - 1] - 1);
-        }
-        last_at_level[level] = i;
-    }
-    // Depth-first colour assignment over real positions 1..=n, with the
-    // remaining per-class budget; a completed run member is compared with
-    // its predecessor the moment its last position is coloured.
-    let class_count = classes.class_count();
-    let mut remaining: Vec<usize> = (0..class_count).map(|c| classes.class_size(c)).collect();
-    let mut colors = vec![usize::MAX; len];
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        pos: usize,
-        len: usize,
+    ColoringScratch::default().walk(levels, classes, visitor)
+}
+
+/// Reusable buffers of [`walk_canonical_colorings`]: a walker that colours
+/// shape after shape keeps one, so once the buffers have grown to the
+/// largest shape a walk allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ColoringScratch {
+    /// Subtree span ends: `end[i]` = first `j > i` with
+    /// `levels[j] <= levels[i]`.
+    end: Vec<usize>,
+    /// Positions whose subtree span is still open.
+    open: Vec<usize>,
+    /// Sortedness checks `(p, s, l)` per position: once the position is
+    /// coloured, `colors[p..p + l] >= colors[s..s + l]` must hold.  The
+    /// inner lists keep their capacity from shape to shape.
+    checks_at: Vec<Vec<(usize, usize, usize)>>,
+    /// Preorder parent (as a *real* position) of every super-tree position.
+    parent_of: Vec<Option<usize>>,
+    last_at_level: Vec<usize>,
+    /// Per-class budget still to place.
+    remaining: Vec<usize>,
+    colors: Vec<usize>,
+}
+
+impl ColoringScratch {
+    /// [`walk_canonical_colorings`] on this scratch's buffers: the same
+    /// hooks, in the same order, with the same arguments.
+    pub fn walk(
+        &mut self,
         levels: &[usize],
-        checks_at: &[Vec<(usize, usize, usize)>],
-        parent_of: &[Option<usize>],
-        remaining: &mut [usize],
-        colors: &mut [usize],
+        classes: &WeightClasses,
         visitor: &mut impl ColoringVisitor,
     ) -> bool {
-        if pos == len {
-            let aut = colored_subtree_automorphisms(levels, colors, 0, len);
-            return visitor.complete(&colors[1..], aut);
+        if classes.class_count() == 1 {
+            return self.walk_uniform(levels, visitor);
         }
-        for c in 0..remaining.len() {
-            if remaining[c] == 0 {
-                continue;
-            }
-            colors[pos] = c;
-            remaining[c] -= 1;
-            let sorted = checks_at[pos]
-                .iter()
-                .all(|&(p, s, l)| colors[p..p + l] >= colors[s..s + l]);
-            if sorted && visitor.descend(pos - 1, parent_of[pos], c) {
-                if !walk(
-                    pos + 1,
-                    len,
-                    levels,
-                    checks_at,
-                    parent_of,
-                    remaining,
-                    colors,
-                    visitor,
-                ) {
-                    return false;
+        let len = levels.len();
+        let ColoringScratch {
+            end,
+            open,
+            checks_at,
+            parent_of,
+            last_at_level,
+            remaining,
+            colors,
+        } = self;
+        end.clear();
+        end.resize(len, len);
+        open.clear();
+        for (i, &level) in levels.iter().enumerate() {
+            while let Some(&top) = open.last() {
+                if levels[top] >= level {
+                    end[top] = i;
+                    open.pop();
+                } else {
+                    break;
                 }
-                visitor.ascend(pos - 1, c);
             }
-            remaining[c] += 1;
-            colors[pos] = usize::MAX;
+            open.push(i);
+        }
+        // Sortedness checks, attached to the position that completes the
+        // later subtree of the pair: within every run of identical sibling
+        // shapes, member `m` must carry a colour sequence `<=` member
+        // `m-1`'s.
+        if checks_at.len() < len {
+            checks_at.resize_with(len, Vec::new);
+        }
+        for checks in &mut checks_at[..len] {
+            checks.clear();
+        }
+        for i in 0..len {
+            let mut child = i + 1;
+            let mut prev: Option<usize> = None;
+            while child < end[i] {
+                debug_assert_eq!(levels[child], levels[i] + 1);
+                let next = end[child];
+                if let Some(p) = prev {
+                    if end[p] - p == next - child && levels[p..end[p]] == levels[child..next] {
+                        checks_at[next - 1].push((p, child, next - child));
+                    }
+                }
+                prev = Some(child);
+                child = next;
+            }
+        }
+        parent_of.clear();
+        parent_of.resize(len, None);
+        last_at_level.clear();
+        last_at_level.resize(len + 2, usize::MAX);
+        last_at_level[0] = 0;
+        for i in 1..len {
+            let level = levels[i];
+            if level >= 2 {
+                parent_of[i] = Some(last_at_level[level - 1] - 1);
+            }
+            last_at_level[level] = i;
+        }
+        remaining.clear();
+        remaining.extend(classes.sizes());
+        colors.clear();
+        colors.resize(len, usize::MAX);
+        walk_classed(1, levels, checks_at, parent_of, remaining, colors, visitor)
+    }
+
+    /// Single-class specialisation of [`ColoringScratch::walk`]: a uniform
+    /// partition has exactly one canonical colouring per shape, so the span
+    /// ends, sibling sortedness checks and the recursive class assignment
+    /// all degenerate — the walk is one linear preorder pass over the level
+    /// sequence, with parents read off the last-at-level rule the decoder
+    /// uses.  Visitor hooks fire in exactly the order (and with exactly the
+    /// arguments, automorphism count included) the generic walker produces
+    /// for a single-class partition, so a visitor cannot observe which
+    /// walker ran; a refused prefix ends the shape outright, there being no
+    /// alternative class to try.
+    fn walk_uniform(&mut self, levels: &[usize], visitor: &mut impl ColoringVisitor) -> bool {
+        let len = levels.len();
+        let last_at_level = &mut self.last_at_level;
+        last_at_level.clear();
+        last_at_level.resize(len + 2, usize::MAX);
+        last_at_level[0] = 0;
+        for (pos, &level) in levels.iter().enumerate().skip(1) {
+            let parent = (level >= 2).then(|| last_at_level[level - 1] - 1);
+            if !visitor.descend(pos - 1, parent, 0) {
+                for p in (1..pos).rev() {
+                    visitor.ascend(p - 1, 0);
+                }
+                return true;
+            }
+            last_at_level[level] = pos;
+        }
+        let colors = &mut self.colors;
+        colors.clear();
+        colors.resize(len, 0);
+        colors[0] = usize::MAX; // the virtual root carries no colour
+        let aut = colored_subtree_automorphisms(levels, colors, 0, len);
+        if !visitor.complete(&colors[1..], aut) {
+            return false;
+        }
+        for p in (1..len).rev() {
+            visitor.ascend(p - 1, 0);
         }
         true
     }
-    walk(
-        1,
-        len,
-        levels,
-        &checks_at,
-        &parent_of,
-        &mut remaining,
-        &mut colors,
-        visitor,
-    )
 }
 
-/// Single-class specialisation of [`walk_canonical_colorings`]: a uniform
-/// partition has exactly one canonical colouring per shape, so the span
-/// ends, sibling sortedness checks and the recursive class assignment all
-/// degenerate — the walk is one linear preorder pass over the level
-/// sequence, with parents read off the last-at-level rule the decoder uses.
-/// Visitor hooks fire in exactly the order (and with exactly the arguments,
-/// automorphism count included) the generic walker produces for a
-/// single-class partition, so a visitor cannot observe which walker ran; a
-/// refused prefix ends the shape outright, there being no alternative class
-/// to try.
-fn walk_uniform_coloring(levels: &[usize], visitor: &mut impl ColoringVisitor) -> bool {
+/// Depth-first colour assignment over real positions `pos..`, with the
+/// remaining per-class budget; a completed run member is compared with its
+/// predecessor the moment its last position is coloured.
+fn walk_classed(
+    pos: usize,
+    levels: &[usize],
+    checks_at: &[Vec<(usize, usize, usize)>],
+    parent_of: &[Option<usize>],
+    remaining: &mut [usize],
+    colors: &mut [usize],
+    visitor: &mut impl ColoringVisitor,
+) -> bool {
     let len = levels.len();
-    let mut last_at_level = vec![usize::MAX; len + 2];
-    last_at_level[0] = 0;
-    for (pos, &level) in levels.iter().enumerate().skip(1) {
-        let parent = (level >= 2).then(|| last_at_level[level - 1] - 1);
-        if !visitor.descend(pos - 1, parent, 0) {
-            for p in (1..pos).rev() {
-                visitor.ascend(p - 1, 0);
-            }
-            return true;
+    if pos == len {
+        let aut = colored_subtree_automorphisms(levels, colors, 0, len);
+        return visitor.complete(&colors[1..], aut);
+    }
+    for c in 0..remaining.len() {
+        if remaining[c] == 0 {
+            continue;
         }
-        last_at_level[level] = pos;
-    }
-    let mut colors = vec![0usize; len];
-    colors[0] = usize::MAX; // the virtual root carries no colour
-    let aut = colored_subtree_automorphisms(levels, &colors, 0, len);
-    if !visitor.complete(&colors[1..], aut) {
-        return false;
-    }
-    for p in (1..len).rev() {
-        visitor.ascend(p - 1, 0);
+        colors[pos] = c;
+        remaining[c] -= 1;
+        let sorted = checks_at[pos]
+            .iter()
+            .all(|&(p, s, l)| colors[p..p + l] >= colors[s..s + l]);
+        if sorted && visitor.descend(pos - 1, parent_of[pos], c) {
+            if !walk_classed(
+                pos + 1,
+                levels,
+                checks_at,
+                parent_of,
+                remaining,
+                colors,
+                visitor,
+            ) {
+                return false;
+            }
+            visitor.ascend(pos - 1, c);
+        }
+        remaining[c] += 1;
+        colors[pos] = usize::MAX;
     }
     true
 }
@@ -1938,12 +2163,16 @@ mod tests {
         for sizes in [vec![5usize], vec![3, 2], vec![2, 2, 2]] {
             let n: usize = sizes.iter().sum();
             let classes = WeightClasses::of(&classed_app(&sizes));
-            let ShapeScan::Planned { shapes, pruned } =
-                bound_ordered_shape_plan(&classes, None, f64::INFINITY, None)
+            let ShapeScan::Planned {
+                shapes,
+                plateau,
+                pruned,
+            } = bound_ordered_shape_plan(&classes, None, f64::INFINITY, None)
             else {
                 panic!("{sizes:?}: no deadline was set");
             };
             assert_eq!(pruned, 0, "{sizes:?}: an infinite cutoff keeps all");
+            assert_eq!(plateau, 0, "{sizes:?}: no plateau is set aside");
             assert_eq!(shapes.len() as u128, forest_classes(n), "{sizes:?}: shapes");
             // The colourings walked over the plan's shapes are the count
             // pass's coloured orbits.
@@ -2004,17 +2233,22 @@ mod tests {
         let ShapeScan::Planned {
             shapes: all,
             pruned: none_pruned,
+            ..
         } = bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
         else {
             panic!("no deadline was set");
         };
         assert_eq!(none_pruned, 0);
         let cutoff = all[all.len() / 2].bound;
-        let ShapeScan::Planned { shapes, pruned } =
-            bound_ordered_shape_plan(&classes, Some(&bounder), cutoff, None)
+        let ShapeScan::Planned {
+            shapes,
+            plateau,
+            pruned,
+        } = bound_ordered_shape_plan(&classes, Some(&bounder), cutoff, None)
         else {
             panic!("no deadline was set");
         };
+        assert_eq!(plateau, 0, "no plateau is set aside");
         assert_eq!(shapes.capacity(), shapes.len(), "one exact reservation");
         assert_eq!(
             shapes.len() as u64 + pruned,
@@ -2030,6 +2264,88 @@ mod tests {
             .map(|s| (s.code, s.bound.to_bits()))
             .collect();
         assert_eq!(survivors, expected, "cutoff = filter of the full plan");
+    }
+
+    /// Splitting at any shape bound value stores exactly the other shapes,
+    /// and the stored shapes below the value, then the shapes a
+    /// [`ShapeStream`] yields at the value, then the stored shapes above
+    /// it, are the uncut plan record for record — the order the streamed
+    /// walk claims them in.
+    #[test]
+    fn a_split_plan_with_its_plateau_streamed_is_the_whole_plan() {
+        for sizes in [vec![8usize], vec![4, 3], vec![2, 2, 3]] {
+            let n: usize = sizes.iter().sum();
+            let app = classed_app(&sizes);
+            let classes = WeightClasses::of(&app);
+            for objective in [
+                ShapeObjective::Period(CommModel::Overlap),
+                ShapeObjective::Period(CommModel::InOrder),
+                ShapeObjective::Latency,
+            ] {
+                let bounder = ShapeBounder::new(&app, objective);
+                let ShapeScan::Planned { shapes: every, .. } =
+                    bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
+                else {
+                    panic!("no deadline was set");
+                };
+                let key = |s: &ShapePlan| (s.bound.to_bits(), s.code);
+                let whole: Vec<(u64, u64)> = every.iter().map(key).collect();
+                let mut values: Vec<f64> = every.iter().map(|s| s.bound).collect();
+                values.dedup_by(|a, b| a.to_bits() == b.to_bits());
+                for value in values {
+                    let at = format!("{sizes:?} {objective:?} at {value}");
+                    let ShapeScan::Planned {
+                        shapes,
+                        plateau,
+                        pruned,
+                    } = split_shape_plan(&classes, Some(&bounder), value, f64::INFINITY, None)
+                    else {
+                        panic!("{at}: no deadline was set");
+                    };
+                    assert_eq!(pruned, 0, "{at}");
+                    assert_eq!(shapes.capacity(), shapes.len(), "{at}: exact reservation");
+                    let below = shapes.partition_point(|s| s.bound.total_cmp(&value).is_lt());
+                    let mut stream = ShapeStream::new(n, Some(&bounder), None);
+                    let mut streamed = Vec::new();
+                    while let Some(levels) = stream.next_at(value) {
+                        streamed.push(ShapePlan::encode(levels, value));
+                    }
+                    assert!(!stream.expired(), "{at}");
+                    assert_eq!(streamed.len() as u64, plateau, "{at}: plateau count");
+                    let rebuilt: Vec<(u64, u64)> = shapes[..below]
+                        .iter()
+                        .chain(&streamed)
+                        .chain(&shapes[below..])
+                        .map(key)
+                        .collect();
+                    assert_eq!(rebuilt, whole, "{at}: plan order");
+                }
+            }
+        }
+    }
+
+    /// A plateau holding every shape leaves nothing to store, and a passed
+    /// deadline ends the scan.
+    #[test]
+    fn a_split_plan_stores_nothing_off_an_all_plateau_space() {
+        let app = Application::independent(&[(0.5, 0.05); 9]);
+        let classes = WeightClasses::of(&app);
+        let bounder = ShapeBounder::new(&app, ShapeObjective::Period(CommModel::Overlap));
+        let ShapeScan::Planned {
+            shapes,
+            plateau,
+            pruned,
+        } = split_shape_plan(&classes, Some(&bounder), 1.0, 1.0, None)
+        else {
+            panic!("no deadline was set");
+        };
+        assert_eq!((shapes.len(), plateau, pruned), (0, 719, 0));
+        assert_eq!(shapes.capacity(), 0, "no fill pass, no reservation");
+        let past = std::time::Instant::now();
+        assert!(matches!(
+            split_shape_plan(&classes, Some(&bounder), 1.0, 1.0, Some(past)),
+            ShapeScan::DeadlineExpired
+        ));
     }
 
     /// `true` when `shape` decodes to the 1-based real-node levels of a

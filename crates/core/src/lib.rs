@@ -48,10 +48,10 @@ pub mod validate;
 pub use canonical::{
     bound_ordered_shape_plan, canonical_classed_form, canonical_classed_member,
     classed_class_count, classed_class_count_within, classed_forest_representatives,
-    forest_classes, labelled_forests, pack_level_code, unpack_level_code, walk_canonical_colorings,
-    CanonicalForests, ClassedCount, ClassedRepresentative, ColoringVisitor, ForestClass,
-    ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, WeightClasses, COUNT_DENSE_LIMIT,
-    SHAPE_CODE_MAX_N,
+    forest_classes, labelled_forests, pack_level_code, split_shape_plan, unpack_level_code,
+    walk_canonical_colorings, CanonicalForests, ClassedCount, ClassedRepresentative,
+    ColoringScratch, ColoringVisitor, ForestClass, ShapeBounder, ShapeObjective, ShapePlan,
+    ShapeScan, ShapeStream, WeightClasses, COUNT_DENSE_LIMIT, SHAPE_CODE_MAX_N,
 };
 pub use error::{CoreError, CoreResult};
 pub use fingerprint::{AppFingerprint, CanonicalApplication};

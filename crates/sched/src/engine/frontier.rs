@@ -16,22 +16,32 @@
 //!
 //! Memory stays bounded: the walk holds the flat plan of 16-byte shape
 //! records and at most one materialised representative per worker.  The
-//! prelude stores only the shapes the walk could enter: before it runs, the
-//! search values its objective's constructive plans (the local-search
-//! seeds, feasible forests of the space) with its own evaluation, and a
-//! shape whose bound clears the best of them, or a warm incumbent seed, is
-//! counted at emission and given no record.  A serial walk would discard
-//! those shapes unwalked by the certificate below, so it enters the same
-//! shapes and expands the same representatives either way, and no walk
-//! changes its winner.
+//! prelude stores only the shapes the walk could enter and does not meet
+//! on its own stream: before it runs, the search values its objective's
+//! constructive plans (the local-search seeds, feasible forests of the
+//! space) with its own evaluation, and splits the shapes at the best of
+//! them, or a warm incumbent seed, whichever is lower — the upper bound.
+//! A shape whose bound clears the upper bound is counted at emission and
+//! given no record; a serial walk would discard it unwalked by the
+//! certificate below.  A shape whose bound is bit-equal to the upper bound
+//! is on the **plateau**: it gets no record either, and the walk claims it
+//! straight off a fresh canonical stream, in rank order, after the stored
+//! shapes below the upper bound and before the stored shapes above it —
+//! exactly where the sorted plan of every shape puts it.  The serial walk
+//! therefore enters the same shapes in the same order and expands the
+//! same representatives as a walk over every shape, and no walk changes
+//! its winner.  On a space whose optimum sits on its shape floors every
+//! shape the walk could enter is on the plateau, and the plan is empty.
 //!
 //! There are no batches and no frontier cap: the workers are spawned once
 //! per search (the calling thread is one of them, so a serial walk spawns
 //! nothing), each keeps one walker for the whole search, and they claim
 //! runs of consecutive shapes in plan order from a shared cursor until a
-//! claimed shape's bound clears the incumbent.  A walker's local best is
-//! the tie rule's reference, so keeping it across shapes lets one optimum
-//! prune the plateau of every later shape the worker claims.
+//! claimed shape's bound clears the incumbent.  A run that reaches the
+//! plateau reads its shapes off the plateau stream, which one lock guards.
+//! A walker's local best is the tie rule's reference, so keeping it across
+//! shapes lets one optimum prune the tying prefixes of every later shape
+//! the worker claims.
 //!
 //! ### The winner
 //!
@@ -63,12 +73,13 @@
 //! that scan, serial and at several thread counts.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use fsw_core::{
-    bound_ordered_shape_plan, walk_canonical_colorings, Application, ColoringVisitor,
-    ExecutionGraph, PartialForestMetrics, ServiceId, ShapeBounder, ShapeObjective, ShapeScan,
-    WeightClasses,
+    split_shape_plan, Application, ColoringScratch, ColoringVisitor, ExecutionGraph,
+    PartialForestMetrics, ServiceId, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan,
+    ShapeStream, WeightClasses,
 };
 
 use crate::engine::{prune_threshold, tie_dominated, CanonicalRep, Incumbent, PartialPrune};
@@ -84,8 +95,14 @@ const CLAIM_SHAPES: usize = 16;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamStats {
     /// Number of shapes (forest-isomorphism classes) of the space: the
-    /// plan's records plus the shapes its prelude cutoff dropped.
+    /// plan's records, the plateau's shapes and the shapes its prelude
+    /// cutoff dropped.
     pub shapes: usize,
+    /// Number of shape records the prelude held: the shapes whose bound
+    /// neither clears the upper bound nor equals it bit for bit.  The
+    /// plateau is streamed, not stored, so this is 0 on a space whose
+    /// every enterable shape ties the constructive value.
+    pub stored_shapes: usize,
     /// Number of representatives materialised and evaluated.
     pub expanded: u64,
     /// Peak number of representatives concurrently materialised: one per
@@ -135,6 +152,9 @@ impl StreamProbe {
                 .histogram("engine.stream.shapes")
                 .record(stats.shapes as u64);
             registry
+                .histogram("engine.stream.stored_shapes")
+                .record(stats.stored_shapes as u64);
+            registry
                 .histogram("engine.stream.expanded")
                 .record(stats.expanded);
             registry
@@ -154,13 +174,14 @@ impl StreamProbe {
 }
 
 /// Cached span timers of the engine's streamed-walk stages, resolved once
-/// per solve from the probe's registry: `engine.shape_stream` (bound-ordered
-/// shape-plan generation), `engine.expand` (one span per search's expansion
-/// phase) and `engine.certify` (the head bound-clearance certificate ending a
-/// search; a search whose prelude already dropped every shape the
-/// certificate would have discarded ends by running out of plan and
-/// records none).  Span durations are wall-clock and observability-only —
-/// no digest-feeding value derives from them.
+/// per solve from the probe's registry: `engine.shape_stream` (the prelude:
+/// the shape scan that splits the space at the upper bound and the stored
+/// plan), `engine.expand` (one span per search's expansion phase, which
+/// includes streaming the plateau) and `engine.certify` (the head
+/// bound-clearance certificate ending a search; a search whose prelude
+/// already dropped every shape the certificate would have discarded ends by
+/// running out of plan and records none).  Span durations are wall-clock
+/// and observability-only — no digest-feeding value derives from them.
 #[derive(Clone, Debug)]
 pub struct EngineMetrics {
     shape_stream: fsw_obs::SpanTimer,
@@ -299,17 +320,21 @@ pub fn constructive_plans(app: &Application, prune: PartialPrune) -> Vec<Executi
 }
 
 /// Best-first walk of a canonical orbit space **without materialising it**:
-/// a prelude streams every shape once
-/// ([`fsw_core::bound_ordered_shape_plan`]), attaches a shape-level
-/// admissible bound ([`ShapeBounder`]), keeps the shapes whose bound does
-/// not clear an upper bound on the optimum and sorts them bound-ascending;
-/// the expansion then walks the canonical colourings of each shape on
-/// demand ([`walk_canonical_colorings`]), pruning colour prefixes against
-/// the shared incumbent, so memory holds the flat plan of 16-byte records
-/// plus at most one representative per worker — never the coloured space.
-/// Because the shape order is bound-ascending, the first shape whose bound
-/// strictly clears the incumbent certifies every remaining shape prunable
-/// and ends the search in one step.
+/// a prelude streams every shape ([`fsw_core::split_shape_plan`]), attaches
+/// a shape-level admissible bound ([`ShapeBounder`]) and splits the shapes
+/// at an upper bound on the optimum: those whose bound clears it are
+/// dropped, those whose bound equals it bit for bit form the plateau, and
+/// the rest are stored and sorted bound-ascending.  The expansion then
+/// walks the canonical colourings of each shape on demand
+/// ([`ColoringScratch::walk`]) — the stored shapes below the upper bound,
+/// then the plateau straight off a fresh [`ShapeStream`] in rank order,
+/// then the stored shapes above it — pruning colour prefixes against the
+/// shared incumbent, so memory holds the 16-byte records of the stored
+/// shapes plus at most one representative per worker — never the coloured
+/// space, and never the plateau.  Because the shape order is
+/// bound-ascending, the first shape whose bound strictly clears the
+/// incumbent certifies every remaining shape prunable and ends the search
+/// in one step.
 ///
 /// The prelude's upper bound is the lower of `incumbent_seed` and the best
 /// value `eval` gives the objective's [`constructive_plans`], evaluated
@@ -318,17 +343,26 @@ pub fn constructive_plans(app: &Application, prune: PartialPrune) -> Vec<Executi
 /// space, so the cut drops only shapes a serial walk's certificate would
 /// have discarded unwalked; those count as certified at emission.  (A
 /// parallel walk may enter fewer shapes, whose bounds clear the optimum.)
+/// The plateau is walked where the sorted plan of every shape holds it, so
+/// a serial walk enters the same shapes in the same order either way.  An
+/// infinite or NaN upper bound sets no plateau aside and stores every
+/// shape.
 ///
 /// `exec`'s workers are spawned once (the calling thread is one of them,
 /// so a serial walk spawns nothing): each keeps one walker — its partial
-/// metrics, scratch and local best — for the whole search and claims the
-/// next run of shapes in plan order from a shared cursor, decoding each
-/// record's 64-bit parenthesis key into one reused buffer.  The winner is the `(value, global index)` lexicographic
-/// minimum, where the global index orders candidates by `(shape rank, walk
-/// order within the shape)` — the rank ([`fsw_core::ShapePlan::rank`]) increases
-/// along the canonical shape stream, so this is exactly the materialised
-/// enumeration order — and complete runs are bit-identical to the
-/// first-minimum scan of the materialised stream, serial or parallel.
+/// metrics, colouring scratch and local best — for the whole search and
+/// claims the next run of shapes in plan order from a shared cursor,
+/// decoding each stored record's 64-bit parenthesis key into one reused
+/// buffer and copying a run's plateau shapes off the locked stream.  The
+/// workers are sized by the stored and plateau shapes together, so a walk
+/// over the plateau alone still uses every thread.  The winner is the
+/// `(value, global index)` lexicographic minimum, where the global index
+/// orders candidates by `(shape rank, walk order within the shape)` — the
+/// rank ([`fsw_core::ShapePlan::rank`], computed only for shapes the walk
+/// enters) increases along the canonical shape stream, so this is exactly
+/// the materialised enumeration order — and complete runs are
+/// bit-identical to the first-minimum scan of the materialised stream,
+/// serial or parallel.
 ///
 /// `incumbent_seed` pre-loads the shared incumbent with a known upper bound
 /// on the space's optimum (`f64::INFINITY` for a cold search).  The seed
@@ -337,11 +371,11 @@ pub fn constructive_plans(app: &Application, prune: PartialPrune) -> Vec<Executi
 /// hopeless region is skipped.  The constructive value never enters the
 /// incumbent, so the walk prunes exactly as it would without the cut.
 ///
-/// `obs` adds per-stage tracing spans ([`EngineMetrics`]): shape-plan
-/// generation, the expansion phase and the bound-clearance certificate each
-/// record a call count and a wall-duration histogram.  The walk itself is
-/// untouched — instrumented and plain runs return bit-identical outcomes
-/// and stats.
+/// `obs` adds per-stage tracing spans ([`EngineMetrics`]): the prelude,
+/// the expansion phase (the plateau stream included) and the
+/// bound-clearance certificate each record a call count and a
+/// wall-duration histogram.  The walk itself is untouched — instrumented
+/// and plain runs return bit-identical outcomes and stats.
 pub fn streamed_canonical_search<F>(
     app: &Application,
     classes: &WeightClasses,
@@ -371,24 +405,49 @@ where
     // A dropped shape's bound clears the value of a plan in the space, so
     // the walk would reach it only after the certificate fired: winners
     // and, at one thread, the shapes entered are those of the uncut plan.
-    // The shared incumbent still starts at the caller's seed.
+    // The shapes tying the bound are re-streamed rather than stored.  The
+    // shared incumbent still starts at the caller's seed.
     let upper = constructive_plans(app, prune)
         .iter()
         .map(|plan| eval(plan, incumbent_seed))
         .fold(incumbent_seed, f64::min);
-    let cutoff = prune_threshold(upper);
     let shape_span = obs.map(|m| m.shape_stream.start());
-    let plan = match bound_ordered_shape_plan(classes, bounder.as_ref(), cutoff, exec.deadline) {
+    let scan = split_shape_plan(
+        classes,
+        bounder.as_ref(),
+        upper,
+        prune_threshold(upper),
+        exec.deadline,
+    );
+    let (plan, plateau) = match scan {
         // Nothing evaluated yet: degrade to the fallback like any
         // interrupted search.
         ShapeScan::DeadlineExpired | ShapeScan::TooWide => return (None, stats),
-        ShapeScan::Planned { shapes, pruned } => {
-            stats.shapes = shapes.len() + pruned as usize;
+        ShapeScan::Planned {
+            shapes,
+            plateau,
+            pruned,
+        } => {
+            stats.shapes = shapes.len() + (plateau + pruned) as usize;
+            stats.stored_shapes = shapes.len();
             stats.certified_shapes = pruned as usize;
-            shapes
+            (shapes, plateau as usize)
         }
     };
     drop(shape_span);
+    // Walk positions: the stored shapes below `upper`, then the plateau,
+    // then the stored shapes above it — the `(bound, rank)` order.
+    let below = plan.partition_point(|shape| shape.bound.total_cmp(&upper).is_lt());
+    let on_plateau = below..below + plateau;
+    let total = plan.len() + plateau;
+    let stored = |at: usize| &plan[if at < below { at } else { at - plateau }];
+    let stream = (plateau > 0).then(|| {
+        Mutex::new(ShapeStream::new(
+            classes.n(),
+            bounder.as_ref(),
+            exec.deadline,
+        ))
+    });
     let mut pool: Vec<Vec<ServiceId>> = vec![Vec::new(); classes.class_count()];
     for k in 0..classes.n() {
         pool[classes.class_of(k)].push(k);
@@ -416,34 +475,68 @@ where
             expanded: 0,
             local: None,
         };
-        let mut levels = Vec::with_capacity(classes.n() + 1);
+        let mut colorings = ColoringScratch::default();
+        let width = classes.n() + 1;
+        let mut levels = Vec::with_capacity(width);
+        // The current claim's plateau shapes, level sequences back to back.
+        let mut streamed: Vec<usize> = Vec::with_capacity(CLAIM_SHAPES.min(plateau) * width);
         let mut walked = 0usize;
         'claims: while !done.load(Ordering::Relaxed) {
             // A claim is a run of consecutive shapes: every shape before a
             // certificate found elsewhere is still walked, because a claim
             // is only refused once it starts past that certificate.
             let lo = cursor.fetch_add(CLAIM_SHAPES, Ordering::Relaxed);
-            let Some(claim) = plan.get(lo..(lo + CLAIM_SHAPES).min(plan.len())) else {
+            if lo >= total {
                 break;
-            };
-            for shape in claim {
+            }
+            let hi = (lo + CLAIM_SHAPES).min(total);
+            streamed.clear();
+            for at in lo..hi {
                 if exec.deadline.is_some_and(|d| Instant::now() >= d) {
                     walker.interrupted = true;
                     done.store(true, Ordering::Relaxed);
                     break 'claims;
                 }
+                let flat = on_plateau.contains(&at);
+                let bound = if flat { upper } else { stored(at).bound };
                 // Bound-ascending order: a shape clearing the incumbent is
                 // the certificate that every later shape is prunable too.
-                if shape.bound > prune_threshold(incumbent.get()) {
+                if bound > prune_threshold(incumbent.get()) {
                     let _certify_span = obs.map(|m| m.certify.start());
                     done.store(true, Ordering::Relaxed);
                     break 'claims;
                 }
-                walker.shape_rank = shape.rank();
+                let (shape, rank): (&[usize], u64) = if flat {
+                    if streamed.is_empty() {
+                        // The claim's first plateau shape: read the rest of
+                        // its plateau run off the stream at once.
+                        let mut stream = stream
+                            .as_ref()
+                            .expect("a plateau has a stream")
+                            .lock()
+                            .expect("plateau stream poisoned");
+                        for _ in at..hi.min(on_plateau.end) {
+                            let Some(shape) = stream.next_at(upper) else {
+                                // Only the deadline ends the stream early.
+                                walker.interrupted = true;
+                                done.store(true, Ordering::Relaxed);
+                                break 'claims;
+                            };
+                            streamed.extend_from_slice(shape);
+                        }
+                    }
+                    let k = at - lo.max(on_plateau.start);
+                    let shape = &streamed[k * width..(k + 1) * width];
+                    (shape, ShapePlan::encode(shape, upper).rank())
+                } else {
+                    let record = stored(at);
+                    record.decode_into(&mut levels);
+                    (&levels, record.rank())
+                };
+                walker.shape_rank = rank;
                 walker.reached = 0;
                 walked += 1;
-                shape.decode_into(&mut levels);
-                if !walk_canonical_colorings(&levels, classes, &mut walker) {
+                if !colorings.walk(shape, classes, &mut walker) {
                     done.store(true, Ordering::Relaxed);
                     break 'claims; // deadline interrupted mid-walk
                 }
@@ -453,7 +546,7 @@ where
     };
     let expand_span = obs.map(|m| m.expand.start());
     // The calling thread is worker 0; the others are spawned once.
-    let threads = exec.effective_threads().min(plan.len()).max(1);
+    let threads = exec.effective_threads().min(total).max(1);
     let parts: Vec<_> = std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
         std::iter::once(worker())
@@ -487,7 +580,7 @@ where
     }
     if complete {
         // Every shape not walked was discarded by the certificate.
-        stats.certified_shapes += plan.len() - walked;
+        stats.certified_shapes += total - walked;
     }
     let outcome = best.map(|(value, _, graph)| SearchOutcome {
         value,

@@ -273,6 +273,7 @@ where
     if let Some(p) = probe {
         p.record(StreamStats {
             shapes: 0,
+            stored_shapes: 0,
             expanded,
             peak_resident: exec.effective_threads(),
             certified_shapes: 0,

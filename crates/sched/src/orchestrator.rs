@@ -305,16 +305,15 @@ pub struct SolveStats {
     /// orchestration problems.
     pub evaluated: usize,
     /// Telemetry of the plan search, attached by **both walks**: the
-    /// streamed canonical walk reports shape counts, expansions, bounded
-    /// peak residency and certified discards; the depth-first walk of the
-    /// labelled space reports its expansions (`shapes` stays 0 — no shape
-    /// plan exists) with the worker count as residency.  The statistics
-    /// carry no orbit total: count one with
-    /// [`classed_class_count`](fsw_core::classed_class_count) or
-    /// [`forest_classes`](fsw_core::forest_classes).  `None` only for
-    /// fixed-graph orchestration
-    /// problems and the non-enumerative fallbacks (hill climbing, DAG
-    /// phase), where no plan space is walked.
+    /// streamed canonical walk reports shape counts, the shape records its
+    /// prelude held, expansions, bounded peak residency and certified
+    /// discards; the depth-first walk of the labelled space reports its
+    /// expansions (`shapes` stays 0 — no shape plan exists) with the
+    /// worker count as residency.  The statistics carry no orbit total:
+    /// count one with [`classed_class_count`](fsw_core::classed_class_count)
+    /// or [`forest_classes`](fsw_core::forest_classes).  `None` only for
+    /// fixed-graph orchestration problems and the non-enumerative fallbacks
+    /// (hill climbing, DAG phase), where no plan space is walked.
     pub stream: Option<crate::engine::frontier::StreamStats>,
     /// The warm-start upper bound the search's incumbent was seeded with
     /// (the previous plan's value on the current instance), when one was

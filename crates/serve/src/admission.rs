@@ -17,11 +17,12 @@
 //!   orchestrated paths;
 //! * an optional **admissible value floor**: the smallest shape bound
 //!   ([`ShapeBounder::forest_floor`], the head bound of the bound-ordered
-//!   shape plan, streamed without building the plan) — every candidate
-//!   plan belongs to some shape and costs at least its shape bound, so the
-//!   smallest shape bound lower bounds the instance optimum.  Rejected
-//!   callers learn what they are missing; degraded answers ship with a
-//!   certified gap.
+//!   shape plan, streamed without building the plan), shaved by the
+//!   rounding margin of [`ShapeBounder::certified_floor`] — every
+//!   candidate plan belongs to some shape and costs at least its shape
+//!   bound, so the smallest shape bound lower bounds the instance optimum,
+//!   and the shave keeps that true bit for bit.  Rejected callers learn
+//!   what they are missing; degraded answers ship with a certified gap.
 //!
 //! The product of the first two is the **estimated cost** — the number of
 //! candidate evaluations an exhaustive solve would pay — and the
@@ -286,10 +287,13 @@ impl AdmissionPolicy {
     /// ([`ShapeBounder::forest_floor`], the head of the bound-ordered shape
     /// plan, streamed without building it) floors the whole forest space
     /// (constrained plans are a subset of it, so the floor holds for them
-    /// too).  `None` for an application with no services, when the DAG
-    /// phase could beat it or when the shape space exceeds 2 000 shapes
-    /// (`n > 10`, `FLOOR_MAX_N`) — the structural gate that bounds this
-    /// pass instead of a wall-clock deadline, keeping the floor
+    /// too).  Shape bounds and plan values round differently, so the
+    /// served value is that floor shaved by a relative `(4n + 8)·ε`
+    /// ([`ShapeBounder::certified_floor`]): no plan's value is below it,
+    /// not even by an ulp.  `None` for an application with no services,
+    /// when the DAG phase could beat it or when the shape space exceeds
+    /// 2 000 shapes (`n > 10`, `FLOOR_MAX_N`) — the structural gate that
+    /// bounds this pass instead of a wall-clock deadline, keeping the floor
     /// deterministic.
     pub fn certified_floor(
         &self,
@@ -307,7 +311,7 @@ impl AdmissionPolicy {
         if n == 0 || n > FLOOR_MAX_N {
             return None;
         }
-        Some(ShapeBounder::new(app, shape_objective).forest_floor())
+        Some(ShapeBounder::new(app, shape_objective).certified_floor())
     }
 }
 
@@ -576,14 +580,122 @@ mod tests {
                     let floor = policy
                         .certified_floor(app, model, objective, &b)
                         .expect("n <= 10 is inside the floor gate");
+                    let head = shapes[0].bound;
+                    let at = format!("n={} {:?} {model} {objective}", app.n(), classes.sizes());
+                    assert_eq!(
+                        bounder.forest_floor().to_bits(),
+                        head.to_bits(),
+                        "{at}: streamed floor"
+                    );
+                    let shave = 1.0 - (4 * app.n() + 8) as f64 * f64::EPSILON;
                     assert_eq!(
                         floor.to_bits(),
-                        shapes[0].bound.to_bits(),
-                        "n={} {:?} {model} {objective}",
-                        app.n(),
-                        classes.sizes()
+                        (head * shave).to_bits(),
+                        "{at}: certified floor"
                     );
                 }
+            }
+        }
+    }
+
+    /// The served floor is bit-admissible.  On four instances the unshaved
+    /// shape floor sits an ulp above the solved optimum — three period
+    /// floors, whose selectivity products round differently in sorted and
+    /// in path order, and one latency floor — and the certified floor must
+    /// not; nor may it on a seeded sweep of small instances whose few
+    /// distinct weights make products collide.
+    #[test]
+    fn the_certified_floor_never_exceeds_the_optimum() {
+        use fsw_sched::orchestrator::{solve, Problem};
+        let b = budget();
+        let policy = AdmissionPolicy::for_budget(&b);
+        let tiered = Application::independent(&[
+            (0.25, 0.85),
+            (0.25, 0.85),
+            (0.25, 0.85),
+            (0.05, 0.6),
+            (23.0, 1.0),
+            (23.0, 1.0),
+            (23.0, 1.0),
+        ]);
+        let reproducers = [
+            (
+                Application::independent(&[
+                    (3.3, 0.55),
+                    (1.0, 0.85),
+                    (1.0, 0.85),
+                    (7.0, 0.85),
+                    (1.0, 0.85),
+                    (1.0, 0.85),
+                ]),
+                CommModel::Overlap,
+                Objective::MinPeriod,
+            ),
+            (tiered.clone(), CommModel::Overlap, Objective::MinPeriod),
+            (tiered, CommModel::InOrder, Objective::MinPeriod),
+            // n = 7 is above the DAG limit, so the latency floor is served.
+            (
+                Application::independent(&[(3.3, 0.6); 7]),
+                CommModel::Overlap,
+                Objective::MinLatency,
+            ),
+        ];
+        let floor_of = |app: &Application, model, objective, b: &SearchBudget| {
+            let floor = policy
+                .certified_floor(app, model, objective, b)
+                .expect("inside the floor gate");
+            let solution = solve(&Problem::new(app, model, objective), b).unwrap();
+            assert!(solution.exhaustive);
+            (floor, solution.value)
+        };
+        for (case, (app, model, objective)) in reproducers.iter().enumerate() {
+            let (floor, optimum) = floor_of(app, *model, *objective, &b);
+            let shape_objective = match objective {
+                Objective::MinPeriod => ShapeObjective::Period(*model),
+                Objective::MinLatency => ShapeObjective::Latency,
+            };
+            let unshaved = ShapeBounder::new(app, shape_objective).forest_floor();
+            assert!(
+                unshaved > optimum,
+                "reproducer {case}: unshaved floor {unshaved} against optimum {optimum}"
+            );
+            assert!(
+                floor <= optimum,
+                "reproducer {case}: floor {floor} exceeds the optimum {optimum}"
+            );
+        }
+        // The sweep: no DAG phase, so MINLATENCY serves its forest floor.
+        let b = SearchBudget {
+            dag_enumeration_max_n: 0,
+            ..budget()
+        };
+        let costs = [0.05, 0.25, 1.0, 3.3, 7.0, 23.0];
+        let sels = [0.55, 0.6, 0.85, 1.0, 1.2];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 33) as usize % m
+        };
+        for case in 0..24 {
+            let n = 5 + case % 3;
+            // Two or three weight kinds, so classes repeat.
+            let kinds: Vec<(f64, f64)> = (0..2 + draw(2))
+                .map(|_| (costs[draw(costs.len())], sels[draw(sels.len())]))
+                .collect();
+            let specs: Vec<(f64, f64)> = (0..n).map(|_| kinds[draw(kinds.len())]).collect();
+            let app = Application::independent(&specs);
+            for (model, objective) in [
+                (CommModel::Overlap, Objective::MinPeriod),
+                (CommModel::InOrder, Objective::MinPeriod),
+                (CommModel::Overlap, Objective::MinLatency),
+            ] {
+                let (floor, optimum) = floor_of(&app, model, objective, &b);
+                assert!(
+                    floor <= optimum,
+                    "case {case} {specs:?} {model} {objective}: floor {floor} exceeds {optimum}"
+                );
             }
         }
     }

@@ -17,6 +17,11 @@
 //! that grew by doubling would exceed the bound.  The colour counter's memo
 //! is priced only where it still runs, in the explicit count pass.
 //!
+//! A streamed solve stores no record for a shape whose bound ties its
+//! constructive value: those shapes are re-streamed, so a solve whose
+//! every shape ties it holds no plan at all, and its colouring walk reuses
+//! one scratch, so a shape's walk allocates nothing.
+//!
 //! A served plan's bound is what the store holds for it: the shared
 //! `StoredPlan` block, its one-block graph, the key's fingerprint and a
 //! hash-table slot.  No evaluation cache is retained for a MINPERIOD solve
@@ -33,7 +38,7 @@ use fsw::core::{
     ShapeScan, WeightClasses,
 };
 use fsw::sched::engine::EvalCache;
-use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
+use fsw::sched::orchestrator::{solve, solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw::serve::{
     permutation_collapse_allowed, PlanKey, PlanRequest, PlanService, ServeSource, StoredPlan,
 };
@@ -381,5 +386,79 @@ fn the_dag_phase_keeps_no_set_of_visited_dags() {
     assert!(
         peak < DAG_PHASE_PEAK,
         "peak {peak} bytes, at or over {DAG_PHASE_PEAK}"
+    );
+}
+
+/// Peak bytes allowed to a serial solve whose every shape ties its
+/// constructive value: the walker, its colouring scratch, one claim of
+/// plateau shapes and the winning plan, with no shape record (the plan of
+/// all 32 973 shapes was 0.50 MiB).
+const PLATEAU_SOLVE_PEAK: usize = 64 << 10;
+
+#[test]
+fn a_solve_on_its_plateau_stores_no_shape() {
+    let _serial = serial();
+    // Cost 0.5 and selectivity 0.05: no node's computation or emissions
+    // outweigh the unit input of an entry node, so every shape's floor is
+    // 1, the optimum and the independent plan's value.
+    let app = Application::independent(&[(0.5, 0.05); 13]);
+    let problem = Problem::new(&app, CommModel::Overlap, Objective::MinPeriod);
+    let budget = SearchBudget {
+        threads: 1,
+        ..SearchBudget::default()
+    };
+    let cache = EvalCache::new(&app);
+    let (peak, solved) =
+        peak_bytes(|| solve_warm_observed(&problem, &budget, &cache, None, None).unwrap());
+    let (solution, stats) = solved;
+    let stream = stats.stream.expect("a streamed solve");
+    assert!(solution.exhaustive);
+    assert_eq!(solution.value, 1.0);
+    assert_eq!(stream.shapes as u128, forest_classes(13));
+    println!(
+        "uniform n=13 OVERLAP on its plateau: peak {peak} bytes, {} stored shapes",
+        stream.stored_shapes
+    );
+    assert_eq!(
+        stream.stored_shapes, 0,
+        "the plateau is streamed, not stored"
+    );
+    assert!(
+        peak < PLATEAU_SOLVE_PEAK,
+        "peak {peak} bytes, at or over {PLATEAU_SOLVE_PEAK}"
+    );
+}
+
+/// Allocations allowed to a serial OVERLAP solve of a 7 + 6 classed
+/// application: the prelude, one walker with its colouring scratch and
+/// the plans it evaluates, but nothing per shape walked (a walk that
+/// allocated its buffers per shape made about ten allocations for each of
+/// its 32 973 shapes).
+const CLASSED_SOLVE_ALLOCATIONS: usize = 2_000;
+
+#[test]
+fn a_classed_walk_allocates_nothing_per_shape() {
+    let _serial = serial();
+    let mut specs = vec![(0.3, 0.1); 7];
+    specs.extend([(10.0, 0.8); 6]);
+    let app = Application::independent(&specs);
+    let problem = Problem::new(&app, CommModel::Overlap, Objective::MinPeriod);
+    let budget = SearchBudget {
+        threads: 1,
+        ..SearchBudget::default()
+    };
+    let cache = EvalCache::new(&app);
+    let (made, solved) =
+        allocations(|| solve_warm_observed(&problem, &budget, &cache, None, None).unwrap());
+    let (solution, stats) = solved;
+    let stream = stats.stream.expect("a streamed solve");
+    assert!(solution.exhaustive);
+    println!(
+        "7+6 OVERLAP: {made} allocations, {} shapes, {} certified",
+        stream.shapes, stream.certified_shapes
+    );
+    assert!(
+        made <= CLASSED_SOLVE_ALLOCATIONS,
+        "a 7 + 6 OVERLAP solve made {made} allocations"
     );
 }

@@ -28,7 +28,12 @@
 //! * the prelude cut at the **constructive plans'** value must leave the
 //!   walk as it is under an infinite cutoff: same value bits and winner,
 //!   and at one thread the same expansions and certified shapes, whether
-//!   the constructive value is optimal or loose.
+//!   the constructive value is optimal or loose;
+//! * the **plateau** of shapes tying the constructive value is streamed,
+//!   not stored, between the stored shapes below and above it: the walk
+//!   still equals the first-minimum scan and, at one thread, a walk that
+//!   stores every shape, and a loose constructive value certifies the
+//!   plateau unwalked.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -49,7 +54,8 @@ use fsw::sched::Exec;
 use fsw::workloads::{random_application, tiered_query_optimization, RandomAppConfig};
 use fsw_core::{
     bound_ordered_shape_plan, canonical_classed_member, classed_class_count, forest_classes,
-    walk_canonical_colorings, ColoringVisitor, ShapeBounder, ShapeObjective, ShapeScan,
+    split_shape_plan, walk_canonical_colorings, ColoringVisitor, ShapeBounder, ShapeObjective,
+    ShapeScan,
 };
 
 const CASES: usize = 6;
@@ -976,4 +982,242 @@ fn constructive_prelude_cutoff_keeps_the_walk() {
     }
     assert!(tight > 0 && loose > 0, "{tight} tight and {loose} loose");
     assert!(cut_shapes > 0, "the constructive cutoff drops no shape");
+}
+
+/// The walk splits its prelude at the constructive value: shapes whose
+/// bound ties it bit for bit are streamed in rank order between the stored
+/// shapes below and above it.  Each instance runs twice: valued by its
+/// constructive plans (the optimum on every case but the tiered latency
+/// one), and with those plans valued at a loose shape bound above the
+/// optimum, which shapes tie and undercut.  Four instances keep stored
+/// shapes just above the value: the first one's shape floors sit an ulp
+/// above its optimum, and the next three have shape bounds an ulp apart,
+/// the lower of which is the second one's loose value and the last two's
+/// constructive one, which their walks enter.
+/// Either way the walk returns the first-minimum scan's value bits and
+/// winner at 1, 2 and 4 threads and holds only the off-plateau records,
+/// and at one thread it expands and certifies exactly what a walk that
+/// stores every shape does (the plans valued `∞`, so nothing is set
+/// aside).  With a loose value the serial walk reaches the plateau with
+/// the optimum in hand and certifies it unwalked.
+#[test]
+fn streamed_plateau_walk_equals_the_scan_and_the_stored_walk() {
+    let mut rng = StdRng::seed_from_u64(0x5011);
+    let ulp_above = Application::independent(&[
+        (3.3, 0.55),
+        (1.0, 0.85),
+        (1.0, 0.85),
+        (7.0, 0.85),
+        (1.0, 0.85),
+        (1.0, 0.85),
+    ]);
+    // Shape bounds an ulp apart: 3.3 and 3.3000000000000003 under OVERLAP,
+    // 2.4499999999999997 and 2.45, and 5.3999999999999995 and 5.4, under
+    // INORDER.  The INORDER instances' constructive values are the lower
+    // of each pair.
+    let near_overlap = Application::independent(&[
+        (3.3, 0.6),
+        (3.3, 0.6),
+        (0.5, 0.55),
+        (0.5, 0.55),
+        (0.5, 0.55),
+        (0.5, 0.6),
+        (3.3, 0.6),
+    ]);
+    let near_inorder = Application::independent(&[
+        (3.3, 0.7),
+        (3.3, 0.7),
+        (3.3, 0.7),
+        (3.3, 0.7),
+        (0.05, 0.7),
+        (0.05, 0.7),
+        (3.3, 0.7),
+    ]);
+    let near_chain = Application::independent(&[
+        (7.0, 1.0),
+        (2.0, 0.6),
+        (7.0, 1.0),
+        (7.0, 1.0),
+        (7.0, 1.0),
+        (7.0, 1.0),
+    ]);
+    let instances = [
+        (
+            ulp_above,
+            PartialPrune::StructuralPeriod(CommModel::Overlap),
+        ),
+        (
+            near_overlap,
+            PartialPrune::StructuralPeriod(CommModel::Overlap),
+        ),
+        (near_inorder, PartialPrune::Period(CommModel::InOrder)),
+        (near_chain, PartialPrune::Period(CommModel::InOrder)),
+        (
+            Application::independent(&[(0.5, 0.05); 9]),
+            PartialPrune::StructuralPeriod(CommModel::Overlap),
+        ),
+        (
+            Application::independent(&[(2.0, 0.7); 8]),
+            PartialPrune::Period(CommModel::InOrder),
+        ),
+        (
+            tiered_query_optimization(&[4, 3], &mut rng),
+            PartialPrune::StructuralPeriod(CommModel::Overlap),
+        ),
+        (
+            tiered_query_optimization(&[4, 3], &mut rng),
+            PartialPrune::Period(CommModel::InOrder),
+        ),
+        (
+            Application::independent(&[(1.5, 0.6); 7]),
+            PartialPrune::Latency,
+        ),
+        (
+            tiered_query_optimization(&[3, 3], &mut rng),
+            PartialPrune::Latency,
+        ),
+    ];
+    let (mut below_and_on, mut on_and_above, mut loose_plateaus) = (0, 0, 0);
+    let mut tight_on_and_above = 0;
+    for (case, (app, prune)) in instances.iter().enumerate() {
+        let classes = WeightClasses::of(app);
+        let objective = match *prune {
+            PartialPrune::Latency => ShapeObjective::Latency,
+            PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
+                ShapeObjective::Period(model)
+            }
+            PartialPrune::Off => unreachable!("every case bounds its objective"),
+        };
+        let eval = |g: &ExecutionGraph| match objective {
+            ShapeObjective::Latency => tree_latency(app, g).unwrap_or(f64::INFINITY),
+            ShapeObjective::Period(model) => PlanMetrics::compute(app, g)
+                .map(|m| m.period_lower_bound(model))
+                .unwrap_or(f64::INFINITY),
+        };
+        let plans = constructive_plans(app, *prune);
+        let constructive = plans.iter().map(eval).fold(f64::INFINITY, f64::min);
+        let (optimum, scan_graph) = first_minimum_scan(app, eval);
+        let bounder = ShapeBounder::new(app, objective);
+        let ShapeScan::Planned { shapes: every, .. } =
+            bound_ordered_shape_plan(&classes, Some(&bounder), f64::INFINITY, None)
+        else {
+            panic!("case {case}: no deadline was set");
+        };
+        // The loose value: a shape bound above the optimum that another
+        // shape's bound follows within the prune threshold, so the split
+        // keeps shapes above the plateau; else the most-tied such bound.
+        let runs: Vec<&[fsw_core::ShapePlan]> = every
+            .chunk_by(|a, b| a.bound.to_bits() == b.bound.to_bits())
+            .filter(|run| run[0].bound > prune_threshold(optimum))
+            .collect();
+        let loose = runs
+            .windows(2)
+            .find(|pair| pair[1][0].bound <= prune_threshold(pair[0][0].bound))
+            .map(|pair| pair[0])
+            .or_else(|| runs.iter().copied().max_by_key(|run| run.len()))
+            .map(|run| run[0].bound);
+        for valued in std::iter::once(None).chain(loose.map(Some)) {
+            let upper = valued.unwrap_or(constructive);
+            let ShapeScan::Planned {
+                shapes,
+                plateau,
+                pruned,
+            } = split_shape_plan(
+                &classes,
+                Some(&bounder),
+                upper,
+                prune_threshold(upper),
+                None,
+            )
+            else {
+                panic!("case {case}: no deadline was set");
+            };
+            let under = shapes.iter().filter(|s| s.bound < upper).count();
+            let over = shapes.len() - under;
+            let plateau = plateau as usize;
+            let is_loose = upper > prune_threshold(optimum);
+            println!(
+                "case {case}: {under} below, {plateau} on and {over} above {upper} \
+                 (optimum {optimum}), {pruned} pruned"
+            );
+            below_and_on += usize::from(under > 0 && plateau > 0);
+            on_and_above += usize::from(plateau > 0 && over > 0);
+            tight_on_and_above += usize::from(!is_loose && plateau > 0 && over > 0);
+            loose_plateaus += usize::from(is_loose && plateau > 0);
+            for threads in [1usize, 2, 4] {
+                // The walk values the constructive plans first: `value`
+                // replaces what they are worth, `∞` stores every shape.
+                let run = |value: Option<f64>| {
+                    let left = AtomicUsize::new(plans.len());
+                    let (outcome, stats) = streamed_canonical_search(
+                        app,
+                        &classes,
+                        Exec::threaded(threads),
+                        *prune,
+                        f64::INFINITY,
+                        &|g, _| {
+                            let constructive = left
+                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| {
+                                    k.checked_sub(1)
+                                })
+                                .is_ok();
+                            match value {
+                                Some(value) if constructive => value,
+                                _ => eval(g),
+                            }
+                        },
+                        None,
+                    );
+                    (outcome.expect("a complete walk"), stats)
+                };
+                let (split, split_stats) = run(valued);
+                let at = format!("case {case} at {upper} x{threads}");
+                assert!(split.exhaustive, "{at}");
+                assert_eq!(split.value.to_bits(), optimum.to_bits(), "{at}: value");
+                assert_eq!(
+                    graph_edges(&split.graph),
+                    graph_edges(&scan_graph),
+                    "{at}: winner"
+                );
+                assert_eq!(split_stats.stored_shapes, shapes.len(), "{at}: records");
+                assert_eq!(
+                    split_stats.shapes,
+                    shapes.len() + plateau + pruned as usize,
+                    "{at}: shapes"
+                );
+                if threads == 1 {
+                    let (stored, stored_stats) = run(Some(f64::INFINITY));
+                    assert_eq!(stored_stats.stored_shapes, stored_stats.shapes, "{at}");
+                    assert_eq!(stored.value.to_bits(), split.value.to_bits(), "{at}");
+                    assert_eq!(
+                        split_stats.expanded, stored_stats.expanded,
+                        "{at}: expanded"
+                    );
+                    assert_eq!(
+                        split_stats.certified_shapes, stored_stats.certified_shapes,
+                        "{at}: certified shapes"
+                    );
+                    if is_loose {
+                        assert!(
+                            split_stats.certified_shapes >= pruned as usize + plateau + over,
+                            "{at}: a loose value certifies its plateau unwalked"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        below_and_on > 0,
+        "no case has shapes below and on the plateau"
+    );
+    assert!(
+        on_and_above > 0,
+        "no case has shapes on and above the plateau"
+    );
+    assert!(
+        tight_on_and_above > 0,
+        "no walk enters shapes on and above the plateau"
+    );
+    assert!(loose_plateaus > 0, "no case has a loose plateau");
 }
