@@ -1,4 +1,5 @@
-//! Prints the experiment tables recorded in EXPERIMENTS.md.
+//! Prints the experiment tables (summarised in the README's "Paper results
+//! reproduced").
 //!
 //! Usage:
 //!   cargo run --release -p fsw-bench --bin experiments            # all experiments

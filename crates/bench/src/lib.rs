@@ -1,9 +1,9 @@
 //! # fsw-bench — benchmark harness and experiment tables
 //!
 //! The library part holds the shared experiment drivers; the `experiments`
-//! binary prints the tables recorded in EXPERIMENTS.md, and the Criterion
-//! benches (`benches/*.rs`) measure the run time of every algorithm family on
-//! parameterised instances.
+//! binary prints their tables (summarised in the README's "Paper results
+//! reproduced"), and the `benchmark` binary (`src/bin/benchmark/`) measures
+//! the repository's workloads end to end and layer by layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -24,24 +24,24 @@
 //!
 //! * [`WeightClasses`] — the partition of services into weight classes
 //!   (groups with identical `(cost, selectivity)` bit patterns);
-//! * [`CanonicalForests`] — a streaming generator of canonical rooted
-//!   forests on `n` nodes (one per isomorphism class, as parent vectors in
-//!   preorder) via the Beyer–Hedetniemi level-sequence successor rule, with
-//!   **orbit-size accounting**: each class reports how many labelled forests
-//!   it stands for (`n! / |Aut|`), so reduced enumerations remain
-//!   explainable and auditable against the raw space;
-//! * [`classed_forest_representatives`] — the class-preserving
-//!   generalisation: one representative per coloured-forest class (a shape
-//!   *and* an assignment of weight classes to its nodes, canonical up to the
-//!   shape's automorphisms), with `Π_c |class c|! / |Aut|` orbit accounting;
+//! * [`ShapeStream`] — the canonical rooted-forest shapes on `n` nodes,
+//!   one per isomorphism class, as the super-tree level sequences of the
+//!   Beyer–Hedetniemi successor rule, each with a shape-level bound;
+//! * [`ColoringScratch::walk`] — the canonical colourings of one shape (an
+//!   assignment of weight classes to its nodes, canonical up to the shape's
+//!   automorphisms), offered prefix by prefix to a [`ColoringVisitor`];
+//! * [`classed_forest_representatives`] — the materialised oracle: one
+//!   [`ClassedRepresentative`] per coloured-forest class, for every
+//!   partition (a one-class one included), with `Π_c |class c|! / |Aut|`
+//!   orbit accounting, so reduced enumerations remain explainable and
+//!   auditable against the raw space;
 //! * [`canonical_classed_form`] — the canonical relabelling of an arbitrary
 //!   labelled forest (the representative its class-preserving orbit is
-//!   reported under; over a one-class partition, its shape's
-//!   [`CanonicalForests`] representative);
+//!   reported under);
 //! * [`forest_classes`] / [`labelled_forests`] — closed-form counts of the
-//!   uniform spaces (`Σ orbit sizes == labelled_forests(n)` is tested below,
-//!   for the coloured generator too — the identity holds for *every*
-//!   partition, because the coloured orbits also tile the labelled space).
+//!   uniform spaces (`Σ orbit sizes == labelled_forests(n)` is tested below
+//!   for every partition, because the coloured orbits tile the labelled
+//!   space).
 //!
 //! The canonical *tie-break* is part of the contract: representatives are
 //! produced in decreasing lexicographic order of their level sequences
@@ -173,120 +173,53 @@ impl WeightClasses {
     }
 }
 
-/// One canonical rooted forest, borrowed from a [`CanonicalForests`] stream.
-#[derive(Debug)]
-pub struct ForestClass<'a> {
-    /// Parent vector of the representative: node `k`'s unique direct
-    /// predecessor, `None` for roots.  Nodes are labelled in preorder of the
-    /// canonical level sequence, so `parents[k] < Some(k)` always holds.
-    pub parents: &'a [Option<ServiceId>],
-    /// Number of labelled forests in this isomorphism class (`n! / |Aut|`).
-    pub orbit: u128,
-}
-
-/// Streaming generator of canonical rooted forests on `n` nodes — exactly
-/// one representative per forest-isomorphism class.
+/// The canonical rooted forests on `n` nodes — exactly one per
+/// forest-isomorphism class — as the level sequences of their super-trees.
 ///
 /// A rooted forest on `n` nodes corresponds to a rooted tree on `n + 1`
 /// nodes (attach every root to a virtual super-root); the generator walks
 /// the canonical level sequences of those super-trees with the classic
 /// Beyer–Hedetniemi successor rule (*Constant time generation of rooted
 /// trees*, SIAM J. Comput. 1980), from the path (deepest) to the star of
-/// isolated nodes (flattest), and converts each sequence to a parent
-/// vector plus its orbit size.
-#[derive(Clone, Debug)]
-pub struct CanonicalForests {
+/// isolated nodes (flattest).
+#[derive(Debug)]
+struct CanonicalForests {
     /// Level sequence of the super-tree in preorder; `levels[0] == 0` is the
     /// virtual root, real nodes sit at levels `>= 1`.
     levels: Vec<usize>,
-    parents: Vec<Option<ServiceId>>,
-    /// Position scratch: last preorder position seen per level.
-    last_at_level: Vec<usize>,
     started: bool,
 }
 
 impl CanonicalForests {
     /// A stream over the forests on `n` nodes (`n >= 1`).
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         assert!(n >= 1, "canonical enumeration needs at least one node");
         CanonicalForests {
             levels: (0..=n).collect(),
-            parents: vec![None; n],
-            last_at_level: vec![0; n + 1],
             started: false,
         }
     }
 
-    /// Advances to the next canonical representative, or `None` once the
-    /// class space is exhausted.  (A lending iterator: the returned item
-    /// borrows the generator's buffers.)
-    #[allow(clippy::should_implement_trait)] // lending: items borrow self
-    pub fn next(&mut self) -> Option<ForestClass<'_>> {
-        let changed_pos = self.advance()?;
-        self.refresh_parents(changed_pos);
-        Some(ForestClass {
-            parents: &self.parents,
-            orbit: forest_orbit_size(&self.levels),
-        })
-    }
-
-    /// Shape-only advance for the count-only passes: steps to the next
-    /// canonical super-tree level sequence (virtual root at level 0) without
-    /// rebuilding the parent vector or computing the orbit size, which those
-    /// passes never read.
+    /// Steps to the next canonical super-tree level sequence (virtual root
+    /// at level 0 first), or `None` once the stream is exhausted.
     fn next_shape(&mut self) -> Option<&[usize]> {
-        self.advance()?;
+        if self.started {
+            // The successor: p is the rightmost node deeper than a forest
+            // root; on the terminal sequence (all forest roots) there is
+            // none, so an exhausted stream stays exhausted.
+            let levels = &mut self.levels;
+            let p = (1..levels.len()).rev().find(|&i| levels[i] > 1)?;
+            // q: rightmost proper ancestor-level position before p.
+            let q = (1..p)
+                .rev()
+                .find(|&i| levels[i] == levels[p] - 1)
+                .expect("a node of level > 1 has an earlier node one level up");
+            for i in p..levels.len() {
+                levels[i] = levels[i - (p - q)];
+            }
+        }
+        self.started = true;
         Some(&self.levels)
-    }
-
-    /// Steps the level sequence: returns the first changed position (`1`
-    /// for the first shape), or `None` once the stream is exhausted.
-    fn advance(&mut self) -> Option<usize> {
-        if !self.started {
-            self.started = true;
-            return Some(1); // every position is fresh
-        }
-        // On the terminal sequence (all forest roots) `successor` keeps
-        // returning `None`, so an exhausted stream stays exhausted.
-        self.successor()
-    }
-
-    /// Beyer–Hedetniemi successor: returns the first sequence position that
-    /// changed, or `None` when the current sequence is the last one.
-    fn successor(&mut self) -> Option<usize> {
-        // p: rightmost node deeper than a forest root (level > 1).
-        let p = (1..self.levels.len()).rev().find(|&i| self.levels[i] > 1)?;
-        // q: rightmost proper ancestor-level position before p.
-        let q = (1..p)
-            .rev()
-            .find(|&i| self.levels[i] == self.levels[p] - 1)
-            .expect("a node of level > 1 has an earlier node one level up");
-        for i in p..self.levels.len() {
-            self.levels[i] = self.levels[i - (p - q)];
-        }
-        Some(p)
-    }
-
-    /// Recomputes `parents[changed_pos - 1 ..]` from the level sequence.
-    fn refresh_parents(&mut self, changed_pos: usize) {
-        // Seed the per-level position memo from the unchanged prefix.
-        for l in &mut self.last_at_level {
-            *l = usize::MAX;
-        }
-        for (i, &level) in self.levels.iter().enumerate().take(changed_pos) {
-            self.last_at_level[level] = i;
-        }
-        for i in changed_pos..self.levels.len() {
-            let level = self.levels[i];
-            self.parents[i - 1] = if level == 1 {
-                None
-            } else {
-                let p = self.last_at_level[level - 1];
-                debug_assert!(p >= 1, "parent of a level >= 2 node is a real node");
-                Some(p - 1)
-            };
-            self.last_at_level[level] = i;
-        }
     }
 }
 
@@ -315,20 +248,37 @@ impl ClassedRepresentative {
     /// of the orbit.  Returns `None` when the colour multiset does not match
     /// the partition (never for generator output).
     pub fn member_graph(&self, classes: &WeightClasses) -> Option<ExecutionGraph> {
-        let assignment = classes.service_assignment(&self.classes)?;
-        let mut parents = vec![None; self.parents.len()];
-        for (pos, &p) in self.parents.iter().enumerate() {
-            parents[assignment[pos]] = p.map(|pp| assignment[pp]);
-        }
-        ExecutionGraph::from_parents(&parents).ok()
+        let services = classes.service_assignment(&self.classes)?;
+        forest_graph(&self.parents, &services).ok()
     }
 }
 
+/// The labelled execution graph of a forest over preorder positions:
+/// position `p`, whose parent is position `parents[p]`, becomes service
+/// `services[p]` (one distinct service per position).  It allocates one
+/// parent vector and one graph.  Fails with [`CoreError`] when the parents
+/// form a cycle.
+pub fn forest_graph(
+    parents: &[Option<usize>],
+    services: &[ServiceId],
+) -> CoreResult<ExecutionGraph> {
+    let mut labelled = vec![None; parents.len()];
+    for (pos, &p) in parents.iter().enumerate() {
+        labelled[services[pos]] = p.map(|pp| services[pp]);
+    }
+    ExecutionGraph::from_parents(&labelled)
+}
+
 /// Materialises one canonical representative per **coloured** forest class on
-/// `classes.n()` nodes: every forest shape (canonical enumeration order) and,
-/// within each shape, every assignment of the weight-class multiset to its
-/// nodes that is canonical with respect to the shape's automorphisms
-/// (identical sibling subtrees carry non-increasing colour sequences).
+/// `classes.n()` nodes, for every partition (a one-class one included):
+/// every forest shape (canonical enumeration order) and, within each shape,
+/// every assignment of the weight-class multiset to its nodes that is
+/// canonical with respect to the shape's automorphisms (identical sibling
+/// subtrees carry non-increasing colour sequences).  No solve calls it: it
+/// is the oracle the streamed walk is tested against, so it collects each
+/// representative from the generic coloured walk's own hooks — the parents
+/// its `descend` reports, the automorphism count its `complete` reports —
+/// and never takes the single-class fast path that walk has.
 ///
 /// Returns `None` once more than `cap` representatives exist.  The cap is
 /// checked by a **count-only pass first** ([`classed_class_count_within`]):
@@ -353,32 +303,56 @@ pub fn classed_forest_representatives(
         // the cap directly.
         ClassedCount::Exact(_) | ClassedCount::Intractable => {}
     }
-    let group_order = classes.group_order();
-    let mut stream = CanonicalForests::new(n);
-    let mut reps: Vec<ClassedRepresentative> = Vec::new();
-    while let Some(class) = stream.next() {
-        let parents = class.parents.to_vec();
-        // `stream.levels` describes the shape just streamed (the lending
-        // borrow has been released by copying the parent vector out).
-        if !enumerate_canonical_colorings(&stream.levels, classes, &mut |colors, aut| {
-            if reps.len() >= cap {
-                return false;
-            }
-            debug_assert!(
-                group_order == u128::MAX || group_order.is_multiple_of(aut),
-                "|Aut| divides the group order"
-            );
-            reps.push(ClassedRepresentative {
-                parents: parents.clone(),
-                classes: colors.to_vec(),
-                orbit: group_order / aut,
-            });
-            true
-        }) {
+    let mut collect = Collect {
+        parents: Vec::with_capacity(n),
+        group_order: classes.group_order(),
+        cap,
+        reps: Vec::new(),
+    };
+    let mut scratch = ColoringScratch::default();
+    let mut shapes = CanonicalForests::new(n);
+    while let Some(levels) = shapes.next_shape() {
+        if !scratch.walk_coloured(levels, classes, &mut collect) {
             return None;
         }
     }
-    Some(reps)
+    Some(collect.reps)
+}
+
+/// The [`classed_forest_representatives`] visitor: accepts every prefix,
+/// keeps the parents the walk reports, and records every completion.
+struct Collect {
+    parents: Vec<Option<usize>>,
+    group_order: u128,
+    cap: usize,
+    reps: Vec<ClassedRepresentative>,
+}
+
+impl ColoringVisitor for Collect {
+    fn descend(&mut self, _pos: usize, parent: Option<usize>, _class: usize) -> bool {
+        self.parents.push(parent);
+        true
+    }
+
+    fn ascend(&mut self, _pos: usize, _class: usize) {
+        self.parents.pop();
+    }
+
+    fn complete(&mut self, colors: &[usize], aut: u128) -> bool {
+        if self.reps.len() >= self.cap {
+            return false;
+        }
+        debug_assert!(
+            self.group_order == u128::MAX || self.group_order.is_multiple_of(aut),
+            "|Aut| divides the group order"
+        );
+        self.reps.push(ClassedRepresentative {
+            parents: self.parents.clone(),
+            classes: colors.to_vec(),
+            orbit: self.group_order / aut,
+        });
+        true
+    }
 }
 
 /// Outcome of a count-only coloured-class pass ([`classed_class_count_within`]).
@@ -587,7 +561,7 @@ impl ShapeBounder {
     }
 
     /// Lower bound on the objective of every representative of the shape
-    /// described by super-tree `levels` (as streamed by [`CanonicalForests`]).
+    /// described by super-tree `levels` (as a [`ShapeStream`] yields it).
     pub fn shape_bound(&self, levels: &[usize]) -> f64 {
         self.bound_with(levels, &mut BoundScratch::default())
     }
@@ -756,7 +730,7 @@ pub struct ShapePlan {
     /// preorder, a `1` on entering a real node and a `0` on leaving it, the
     /// first node's `1` as the top bit.  It is the resumable cursor
     /// ([`ShapePlan::decode_into`]) and, because it strictly decreases along
-    /// the [`CanonicalForests`] stream, its complement is the shape's
+    /// the canonical shape stream, its complement is the shape's
     /// canonical rank ([`ShapePlan::rank`]).
     pub code: u64,
 }
@@ -775,8 +749,8 @@ impl ShapePlan {
     }
 
     /// Position key of the shape in canonical stream order: strictly
-    /// increasing along [`CanonicalForests`], so it orders shapes exactly
-    /// like their stream positions.  (The stream emits level sequences in
+    /// increasing along the canonical shape stream, so it orders shapes
+    /// exactly like their stream positions.  (The stream emits level sequences in
     /// decreasing lexicographic order, and where two sequences first differ
     /// the deeper node writes its `1` before the shallower one's extra
     /// closing `0`s, so the words decrease with them.)
@@ -785,7 +759,7 @@ impl ShapePlan {
     }
 
     /// Decodes the shape into `out` as the super-tree level sequence
-    /// [`walk_canonical_colorings`] takes (virtual root at level 0 first),
+    /// [`ColoringScratch::walk`] takes (virtual root at level 0 first),
     /// reusing `out`'s allocation.
     pub fn decode_into(&self, out: &mut Vec<usize>) {
         out.clear();
@@ -850,7 +824,7 @@ pub enum ShapeScan {
 }
 
 /// Every canonical forest shape on `n` nodes with its [`ShapeBounder`]
-/// bound, in [`CanonicalForests`] order (so in rank order), on reused
+/// bound, in canonical stream order (so in rank order), on reused
 /// buffers: the one shape scan, which the passes of
 /// [`split_shape_plan`], [`ShapeBounder::forest_floor`] and the streamed
 /// walk's plateau all run.  A shape costs its level-sequence step and its
@@ -916,7 +890,7 @@ impl<'a> ShapeStream<'a> {
     }
 
     /// The current shape's super-tree level sequence (virtual root at level
-    /// 0 first), as [`walk_canonical_colorings`] takes it.
+    /// 0 first), as [`ColoringScratch::walk`] takes it.
     pub fn levels(&self) -> &[usize] {
         &self.forests.levels
     }
@@ -1058,56 +1032,6 @@ pub fn split_shape_plan(
         plateau: set_aside,
         pruned,
     }
-}
-
-/// Packs a preorder forest (parent vector plus one byte-sized tag per node)
-/// into a level-sequence code: `n` bytes of 1-based node levels followed by
-/// `n` bytes of tags (weight classes or service ids).  The level sequence
-/// alone reconstructs the parent vector ([`unpack_level_code`]), because in
-/// preorder every node's parent is the most recent earlier node one level
-/// up — the same rule [`CanonicalForests`] rebuilds parents with.
-///
-/// Requires preorder parents (`parents[k] < Some(k)`), which every canonical
-/// representative satisfies by construction.
-pub fn pack_level_code(parents: &[Option<ServiceId>], tags: &[usize]) -> Box<[u8]> {
-    let n = parents.len();
-    assert_eq!(n, tags.len(), "one tag per node");
-    assert!(n < u8::MAX as usize, "packed codes hold byte-sized levels");
-    let mut level = vec![0u8; n];
-    let mut code = Vec::with_capacity(2 * n);
-    for (k, &p) in parents.iter().enumerate() {
-        level[k] = match p {
-            None => 1,
-            Some(pp) => {
-                assert!(pp < k, "packed codes require preorder parents");
-                level[pp] + 1
-            }
-        };
-        code.push(level[k]);
-    }
-    for &t in tags {
-        debug_assert!(t < u8::MAX as usize, "tags must be byte-sized");
-        code.push(t as u8);
-    }
-    code.into_boxed_slice()
-}
-
-/// Decodes a [`pack_level_code`] code back into `(parents, tags)`.
-pub fn unpack_level_code(code: &[u8]) -> (Vec<Option<ServiceId>>, Vec<usize>) {
-    let n = code.len() / 2;
-    debug_assert_eq!(code.len(), 2 * n, "codes are levels followed by tags");
-    let mut parents = vec![None; n];
-    let mut last_at_level = vec![usize::MAX; n + 2];
-    for (k, &level) in code[..n].iter().enumerate() {
-        let level = level as usize;
-        parents[k] = if level == 1 {
-            None
-        } else {
-            Some(last_at_level[level - 1])
-        };
-        last_at_level[level] = k;
-    }
-    (parents, code[n..].iter().map(|&t| t as usize).collect())
 }
 
 /// Memoised per-shape counter of canonical colourings, over **graded**
@@ -1426,7 +1350,7 @@ impl ColourCounter {
     }
 }
 
-/// Per-node hooks of [`walk_canonical_colorings`]: lazy searches carry
+/// Per-node hooks of [`ColoringScratch::walk`]: lazy searches carry
 /// incremental bound state down the colour assignment and prune whole
 /// colour subtrees without ever materialising a representative.
 pub trait ColoringVisitor {
@@ -1448,25 +1372,9 @@ pub trait ColoringVisitor {
     fn complete(&mut self, colors: &[usize], aut: u128) -> bool;
 }
 
-/// Walks the canonical colourings of one shape (super-tree `levels`) in the
-/// exact order [`classed_forest_representatives`] materialises them:
-/// assignments of the class multiset to the real positions such that within
-/// every run of identical sibling subtrees the coloured subtree encodings
-/// are non-increasing.  Returns `false` iff the visitor aborted.
-///
-/// A walk over many shapes keeps one [`ColoringScratch`] and calls
-/// [`ColoringScratch::walk`] instead, which allocates nothing per shape.
-pub fn walk_canonical_colorings(
-    levels: &[usize],
-    classes: &WeightClasses,
-    visitor: &mut impl ColoringVisitor,
-) -> bool {
-    ColoringScratch::default().walk(levels, classes, visitor)
-}
-
-/// Reusable buffers of [`walk_canonical_colorings`]: a walker that colours
-/// shape after shape keeps one, so once the buffers have grown to the
-/// largest shape a walk allocates nothing.
+/// The canonical-colouring walker and its reusable buffers: a walker that
+/// colours shape after shape keeps one, so once the buffers have grown to
+/// the largest shape a walk allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ColoringScratch {
     /// Subtree span ends: `end[i]` = first `j > i` with
@@ -1487,8 +1395,12 @@ pub struct ColoringScratch {
 }
 
 impl ColoringScratch {
-    /// [`walk_canonical_colorings`] on this scratch's buffers: the same
-    /// hooks, in the same order, with the same arguments.
+    /// Walks the canonical colourings of one shape (super-tree `levels`) in
+    /// the exact order [`classed_forest_representatives`] materialises
+    /// them: assignments of the class multiset to the real positions such
+    /// that within every run of identical sibling subtrees the coloured
+    /// subtree encodings are non-increasing.  Returns `false` iff the
+    /// visitor aborted.
     pub fn walk(
         &mut self,
         levels: &[usize],
@@ -1496,8 +1408,19 @@ impl ColoringScratch {
         visitor: &mut impl ColoringVisitor,
     ) -> bool {
         if classes.class_count() == 1 {
-            return self.walk_uniform(levels, visitor);
+            self.walk_uniform(levels, visitor)
+        } else {
+            self.walk_coloured(levels, classes, visitor)
         }
+    }
+
+    /// The generic walk of [`ColoringScratch::walk`], for any partition.
+    fn walk_coloured(
+        &mut self,
+        levels: &[usize],
+        classes: &WeightClasses,
+        visitor: &mut impl ColoringVisitor,
+    ) -> bool {
         let len = levels.len();
         let ColoringScratch {
             end,
@@ -1566,15 +1489,16 @@ impl ColoringScratch {
         walk_classed(1, levels, checks_at, parent_of, remaining, colors, visitor)
     }
 
-    /// Single-class specialisation of [`ColoringScratch::walk`]: a uniform
-    /// partition has exactly one canonical colouring per shape, so the span
-    /// ends, sibling sortedness checks and the recursive class assignment
-    /// all degenerate — the walk is one linear preorder pass over the level
-    /// sequence, with parents read off the last-at-level rule the decoder
-    /// uses.  Visitor hooks fire in exactly the order (and with exactly the
-    /// arguments, automorphism count included) the generic walker produces
-    /// for a single-class partition, so a visitor cannot observe which
-    /// walker ran; a refused prefix ends the shape outright, there being no
+    /// Single-class specialisation of [`ColoringScratch::walk_coloured`]: a
+    /// uniform partition has exactly one canonical colouring per shape, so
+    /// the span ends, sibling sortedness checks and the recursive class
+    /// assignment all degenerate — the walk is one linear preorder pass over
+    /// the level sequence, with parents read off the last-at-level rule the
+    /// decoder uses.  Visitor hooks fire in exactly the order (and with
+    /// exactly the arguments, automorphism count included) the generic
+    /// walker produces for a single-class partition, so a visitor cannot
+    /// observe which walker ran (tested below on every shape up to
+    /// `n = 10`); a refused prefix ends the shape outright, there being no
     /// alternative class to try.
     fn walk_uniform(&mut self, levels: &[usize], visitor: &mut impl ColoringVisitor) -> bool {
         let len = levels.len();
@@ -1653,35 +1577,11 @@ fn walk_classed(
     true
 }
 
-/// Emit-only adapter over [`walk_canonical_colorings`]: every canonical
-/// prefix is accepted, complete colourings go to the closure.
-struct EmitAll<F>(F);
-
-impl<F: FnMut(&[usize], u128) -> bool> ColoringVisitor for EmitAll<F> {
-    fn descend(&mut self, _pos: usize, _parent: Option<usize>, _class: usize) -> bool {
-        true
-    }
-    fn ascend(&mut self, _pos: usize, _class: usize) {}
-    fn complete(&mut self, colors: &[usize], aut: u128) -> bool {
-        (self.0)(colors, aut)
-    }
-}
-
-/// Enumerates the canonical colourings of one shape (super-tree `levels`):
-/// `emit(colors, aut)` receives the colour of each *real* position
-/// (preorder) and the coloured automorphism count; returning `false` aborts
-/// the enumeration (propagated as `false`).
-fn enumerate_canonical_colorings(
-    levels: &[usize],
-    classes: &WeightClasses,
-    emit: &mut impl FnMut(&[usize], u128) -> bool,
-) -> bool {
-    walk_canonical_colorings(levels, classes, &mut EmitAll(emit))
-}
-
-/// `|Aut|` of the **coloured** subtree spanning `levels[start..end)`: as
-/// [`subtree_automorphisms`], but a run only accumulates its factorial when
-/// the sibling subtrees agree on shape *and* colours.
+/// `|Aut|` of the **coloured** subtree spanning `levels[start..end)` (rooted
+/// at `start`): the product of the children's counts times, per run of
+/// sibling subtrees identical in shape *and* colours, the factorial of the
+/// run length.  Canonical sequences keep identical siblings adjacent, so
+/// runs suffice; over one colour it is the shape's automorphism count.
 fn colored_subtree_automorphisms(
     levels: &[usize],
     colors: &[usize],
@@ -1704,46 +1604,6 @@ fn colored_subtree_automorphisms(
             .map(|(b, e)| {
                 levels[b..e] == levels[child..next] && colors[b..e] == colors[child..next]
             })
-            .unwrap_or(false);
-        if same {
-            run_len += 1;
-        } else {
-            aut = aut.saturating_mul(factorial_u128(run_len));
-            run_slice = Some((child, next));
-            run_len = 1;
-        }
-        child = next;
-    }
-    aut.saturating_mul(factorial_u128(run_len))
-}
-
-/// Orbit size of the forest described by a canonical super-tree level
-/// sequence: the number of distinct labelled forests isomorphic to it,
-/// `n! / |Aut|` (saturating at `u128::MAX` far beyond any enumerable size).
-fn forest_orbit_size(levels: &[usize]) -> u128 {
-    let n = levels.len() - 1;
-    factorial(n) / subtree_automorphisms(levels, 0, levels.len())
-}
-
-/// `|Aut|` of the subtree spanning `levels[start..end)` (rooted at `start`):
-/// the product of the children's automorphism counts times, per run of
-/// identical child subtree sequences, the factorial of the run length.
-/// Canonical sequences keep identical siblings adjacent, so runs suffice.
-fn subtree_automorphisms(levels: &[usize], start: usize, end: usize) -> u128 {
-    let child_level = levels[start] + 1;
-    let mut aut = 1u128;
-    let mut child = start + 1;
-    let mut run_slice: Option<(usize, usize)> = None;
-    let mut run_len = 0u128;
-    while child < end {
-        debug_assert!(levels[child] == child_level);
-        let mut next = child + 1;
-        while next < end && levels[next] > child_level {
-            next += 1;
-        }
-        aut = aut.saturating_mul(subtree_automorphisms(levels, child, next));
-        let same = run_slice
-            .map(|(b, e)| levels[b..e] == levels[child..next])
             .unwrap_or(false);
         if same {
             run_len += 1;
@@ -1781,8 +1641,8 @@ fn factorial_u128(n: u128) -> u128 {
     f
 }
 
-/// Number of forest-isomorphism classes on `n` nodes — the size of the
-/// canonical space [`CanonicalForests`] streams (A000081 shifted by one:
+/// Number of forest-isomorphism classes on `n` nodes — the number of
+/// shapes a [`ShapeStream`] yields (A000081 shifted by one:
 /// rooted forests on `n` nodes ↔ rooted trees on `n + 1` nodes).
 /// Saturates at `u128::MAX` once the exact count overflows.
 pub fn forest_classes(n: usize) -> u128 {
@@ -1839,11 +1699,9 @@ pub fn rooted_tree_classes(n: usize) -> u128 {
 /// The class-aware canonical form of a labelled forest: the
 /// [`classed_forest_representatives`] representative of its
 /// **class-preserving** relabelling orbit: the shape's canonical level
-/// sequence (subtrees in non-increasing lexicographic order, as
-/// [`CanonicalForests`] streams them), with the weight classes carried along
-/// and used as the tie-break among identically-shaped sibling subtrees.
-/// Over a one-class partition the parents are the shape's
-/// [`CanonicalForests`] representative.
+/// sequence (subtrees in non-increasing lexicographic order, as a
+/// [`ShapeStream`] yields them), with the weight classes carried along and
+/// used as the tie-break among identically-shaped sibling subtrees.
 ///
 /// Every member of an orbit maps to the *same* representative, so evaluating
 /// the representative's [`ClassedRepresentative::member_graph`] instead of
@@ -1900,7 +1758,7 @@ pub fn canonical_classed_form(
         colors.extend(root_colors);
     }
     debug_assert_eq!(levels.len(), n + 1);
-    // Level sequence → parent vector (as in `CanonicalForests`).
+    // Level sequence → parent vector: the last-at-level rule.
     let mut parents = vec![None; n];
     let mut last_at_level = vec![usize::MAX; n + 2];
     last_at_level[0] = 0;
@@ -1964,79 +1822,6 @@ mod tests {
         assert_eq!(forest_classes(11), 4766);
     }
 
-    #[test]
-    fn generator_streams_each_class_once_and_orbits_cover_the_labelled_space() {
-        for n in 1..=8 {
-            let mut stream = CanonicalForests::new(n);
-            let mut classes = 0u128;
-            let mut labelled = 0u128;
-            let mut seen = std::collections::HashSet::new();
-            while let Some(class) = stream.next() {
-                assert_eq!(class.parents.len(), n);
-                // Preorder labelling: parents always precede their children.
-                for (k, &p) in class.parents.iter().enumerate() {
-                    if let Some(p) = p {
-                        assert!(p < k, "n={n}: parent {p} !< child {k}");
-                    }
-                }
-                assert!(
-                    seen.insert(class.parents.to_vec()),
-                    "n={n}: duplicate representative {:?}",
-                    class.parents
-                );
-                classes += 1;
-                labelled += class.orbit;
-            }
-            assert_eq!(classes, forest_classes(n), "n={n}: class count");
-            assert_eq!(labelled, labelled_forests(n), "n={n}: Σ orbit sizes");
-        }
-    }
-
-    #[test]
-    fn canonical_form_maps_every_labelled_forest_to_a_streamed_representative() {
-        // Enumerate every labelled forest on n nodes (all parent functions
-        // that yield a DAG), canonicalise, and tally per representative: the
-        // tallies must equal the generator's orbit sizes exactly.
-        let n = 5usize;
-        let one_class = WeightClasses::of(&classed_app(&[n]));
-        let mut tally: std::collections::HashMap<Vec<Option<ServiceId>>, u128> =
-            std::collections::HashMap::new();
-        let mut parents = vec![None::<ServiceId>; n];
-        fn walk(
-            k: usize,
-            n: usize,
-            parents: &mut Vec<Option<ServiceId>>,
-            one_class: &WeightClasses,
-            tally: &mut std::collections::HashMap<Vec<Option<ServiceId>>, u128>,
-        ) {
-            if k == n {
-                if let Ok(graph) = ExecutionGraph::from_parents(parents) {
-                    let canon = canonical_classed_form(one_class, &graph).expect("forest");
-                    *tally.entry(canon.parents).or_insert(0) += 1;
-                }
-                return;
-            }
-            for p in std::iter::once(None).chain((0..n).filter(|&p| p != k).map(Some)) {
-                parents[k] = p;
-                walk(k + 1, n, parents, one_class, tally);
-                parents[k] = None;
-            }
-        }
-        walk(0, n, &mut parents, &one_class, &mut tally);
-        let mut stream = CanonicalForests::new(n);
-        let mut streamed = 0usize;
-        while let Some(class) = stream.next() {
-            let canon = class.parents.to_vec();
-            assert_eq!(
-                tally.get(&canon).copied(),
-                Some(class.orbit),
-                "orbit of {canon:?}"
-            );
-            streamed += 1;
-        }
-        assert_eq!(streamed, tally.len(), "every orbit has one representative");
-    }
-
     /// `(cost, selectivity)` specs with `sizes[c]` copies of class `c`.
     fn classed_app(sizes: &[usize]) -> Application {
         let mut specs = Vec::new();
@@ -2048,49 +1833,107 @@ mod tests {
         Application::independent(&specs)
     }
 
-    #[test]
-    fn classed_generator_degenerates_to_the_uniform_one_on_a_single_class() {
-        for n in 1..=7 {
-            let classes = WeightClasses::of(&classed_app(&[n]));
-            let reps = classed_forest_representatives(&classes, usize::MAX).unwrap();
-            let mut stream = CanonicalForests::new(n);
-            let mut i = 0;
-            while let Some(class) = stream.next() {
-                assert_eq!(reps[i].parents, class.parents, "n={n} rep {i}: shape");
-                assert_eq!(reps[i].orbit, class.orbit, "n={n} rep {i}: orbit");
-                assert!(reps[i].classes.iter().all(|&c| c == 0));
-                i += 1;
-            }
-            assert_eq!(i, reps.len(), "n={n}: same class count");
+    /// Every hook a [`ColoringVisitor`] receives, with its arguments.
+    #[derive(Debug, PartialEq)]
+    enum Hook {
+        Descend(usize, Option<usize>, usize),
+        Ascend(usize, usize),
+        Complete(Vec<usize>, u128),
+    }
+
+    /// Records every hook, accepting every prefix except those that place
+    /// position `refuse_at`.
+    struct Recorder {
+        hooks: Vec<Hook>,
+        refuse_at: usize,
+    }
+
+    impl ColoringVisitor for Recorder {
+        fn descend(&mut self, pos: usize, parent: Option<usize>, class: usize) -> bool {
+            self.hooks.push(Hook::Descend(pos, parent, class));
+            pos != self.refuse_at
         }
+        fn ascend(&mut self, pos: usize, class: usize) {
+            self.hooks.push(Hook::Ascend(pos, class));
+        }
+        fn complete(&mut self, colors: &[usize], aut: u128) -> bool {
+            self.hooks.push(Hook::Complete(colors.to_vec(), aut));
+            true
+        }
+    }
+
+    /// The single-class fast path is invisible to a visitor: on every shape
+    /// up to `n = 10` it fires the generic walk's hooks, in the same order,
+    /// with the same parents, classes and automorphism counts, whether the
+    /// visitor accepts every prefix or refuses at a fixed depth.  The
+    /// materialised oracle walks the generic path only, so it checks the
+    /// streamed walk's fast path against an independent one.
+    #[test]
+    fn the_single_class_walk_fires_the_generic_walks_hooks() {
+        let (mut fast, mut generic) = (ColoringScratch::default(), ColoringScratch::default());
+        for n in 1..=10 {
+            let classes = WeightClasses::of(&classed_app(&[n]));
+            for refuse_at in [usize::MAX, 3] {
+                let mut shapes = CanonicalForests::new(n);
+                let mut walked = 0u128;
+                while let Some(levels) = shapes.next_shape() {
+                    let mut a = Recorder {
+                        hooks: Vec::new(),
+                        refuse_at,
+                    };
+                    let mut b = Recorder {
+                        hooks: Vec::new(),
+                        refuse_at,
+                    };
+                    assert!(fast.walk_uniform(levels, &mut a));
+                    assert!(generic.walk_coloured(levels, &classes, &mut b));
+                    assert_eq!(a.hooks, b.hooks, "n={n} refuse_at={refuse_at} {levels:?}");
+                    walked += 1;
+                }
+                assert_eq!(walked, forest_classes(n), "n={n}: shapes");
+            }
+        }
+    }
+
+    /// The super-tree level sequence (virtual root at level 0 first) of a
+    /// preorder parent vector.
+    fn levels_of(parents: &[Option<ServiceId>]) -> Vec<usize> {
+        let mut levels = vec![0];
+        for &p in parents {
+            levels.push(p.map_or(1, |pp| levels[pp + 1] + 1));
+        }
+        levels
     }
 
     #[test]
     fn level_codes_round_trip_through_canonical_classed_form() {
-        // Canonicalise labelled forests of a 2+2+2 partition, pack the
-        // representative as a level-sequence code, and decode: parents and
-        // classes must survive, and the decoded member must re-canonicalise
+        // Canonicalise labelled forests of a 2+2+2 partition, encode the
+        // representative's shape as a shape record and decode it: the
+        // parents must survive, and the decoded member must re-canonicalise
         // to the same representative (idempotence through the codec).
         let app = classed_app(&[2, 2, 2]);
         let classes = WeightClasses::of(&app);
-        let n = classes.n();
         let cases: [&[Option<ServiceId>]; 4] = [
             &[None, Some(0), Some(0), Some(2), None, Some(4)],
             &[None, None, None, Some(0), Some(1), Some(2)],
             &[Some(1), None, Some(1), Some(5), None, Some(4)],
             &[None, Some(0), Some(1), Some(2), Some(3), Some(4)],
         ];
+        let mut levels = Vec::new();
         for parents in cases {
             let graph = ExecutionGraph::from_parents(parents).unwrap();
             let rep = canonical_classed_form(&classes, &graph).unwrap();
-            let code = pack_level_code(&rep.parents, &rep.classes);
-            assert_eq!(code.len(), 2 * n);
-            let (decoded_parents, decoded_classes) = unpack_level_code(&code);
-            assert_eq!(decoded_parents, rep.parents, "{parents:?}: parents");
-            assert_eq!(decoded_classes, rep.classes, "{parents:?}: classes");
+            ShapePlan::encode(&levels_of(&rep.parents), 0.0).decode_into(&mut levels);
+            let mut decoded = Vec::new();
+            let mut last_at_level = vec![usize::MAX; levels.len() + 1];
+            for (pos, &level) in levels.iter().enumerate().skip(1) {
+                decoded.push((level >= 2).then(|| last_at_level[level - 1]));
+                last_at_level[level] = pos - 1;
+            }
+            assert_eq!(decoded, rep.parents, "{parents:?}: parents");
             let member = ClassedRepresentative {
-                parents: decoded_parents,
-                classes: decoded_classes,
+                parents: decoded,
+                classes: rep.classes.clone(),
                 orbit: rep.orbit,
             }
             .member_graph(&classes)
@@ -2176,21 +2019,23 @@ mod tests {
             assert_eq!(shapes.len() as u128, forest_classes(n), "{sizes:?}: shapes");
             // The colourings walked over the plan's shapes are the count
             // pass's coloured orbits.
-            let mut walked = 0u128;
+            let mut walked = Recorder {
+                hooks: Vec::new(),
+                refuse_at: usize::MAX,
+            };
+            let mut scratch = ColoringScratch::default();
             let mut levels = Vec::new();
             for shape in &shapes {
                 shape.decode_into(&mut levels);
-                assert!(enumerate_canonical_colorings(
-                    &levels,
-                    &classes,
-                    &mut |_, _| {
-                        walked += 1;
-                        true
-                    }
-                ));
+                assert!(scratch.walk(&levels, &classes, &mut walked));
             }
+            let completions = walked
+                .hooks
+                .iter()
+                .filter(|hook| matches!(hook, Hook::Complete(..)))
+                .count();
             assert_eq!(
-                Some(walked),
+                Some(completions as u128),
                 classed_class_count(&classes, u128::MAX),
                 "{sizes:?}: walked colourings match the count pass"
             );
@@ -2198,8 +2043,8 @@ mod tests {
             // matches the Beyer–Hedetniemi stream at its position.
             let mut streamed: Vec<Vec<usize>> = Vec::new();
             let mut stream = CanonicalForests::new(n);
-            while stream.next().is_some() {
-                streamed.push(stream.levels.clone());
+            while let Some(shape) = stream.next_shape() {
+                streamed.push(shape.to_vec());
             }
             let mut seen = vec![false; shapes.len()];
             let mut levels = Vec::new();
@@ -2348,17 +2193,6 @@ mod tests {
         ));
     }
 
-    /// `true` when `shape` decodes to the 1-based real-node levels of a
-    /// [`pack_level_code`] code.
-    fn plans_levels(shape: &ShapePlan, levels: &[u8]) -> bool {
-        let mut decoded = Vec::new();
-        shape.decode_into(&mut decoded);
-        decoded[1..]
-            .iter()
-            .map(|&l| l as u8)
-            .eq(levels.iter().copied())
-    }
-
     #[test]
     fn shape_bounds_lower_bound_every_representative_of_the_shape() {
         let app = classed_app(&[3, 2]);
@@ -2376,10 +2210,10 @@ mod tests {
                 "{model}: shapes are bound-sorted"
             );
             for rep in &reps {
-                let code = pack_level_code(&rep.parents, &rep.classes);
+                let code = ShapePlan::encode(&levels_of(&rep.parents), 0.0).code;
                 let shape = shapes
                     .iter()
-                    .find(|s| plans_levels(s, &code[..classes.n()]))
+                    .find(|s| s.code == code)
                     .expect("every representative's shape is planned");
                 let graph = rep.member_graph(&classes).unwrap();
                 let value = crate::metrics::PlanMetrics::compute(&app, &graph)
@@ -2429,10 +2263,10 @@ mod tests {
             panic!("no deadline was set");
         };
         for rep in &reps {
-            let code = pack_level_code(&rep.parents, &rep.classes);
+            let code = ShapePlan::encode(&levels_of(&rep.parents), 0.0).code;
             let shape = shapes
                 .iter()
-                .find(|s| plans_levels(s, &code[..classes.n()]))
+                .find(|s| s.code == code)
                 .expect("planned shape");
             let graph = rep.member_graph(&classes).unwrap();
             let value = optimal_tree_latency(&app, &graph);
@@ -2446,25 +2280,34 @@ mod tests {
 
     #[test]
     fn classed_orbits_tile_the_labelled_space_for_every_partition() {
-        for sizes in [
+        // One-class partitions first: one representative per A000081 shape.
+        let one_class = (1..=8).map(|n| vec![n]);
+        for sizes in one_class.chain([
             vec![2usize, 3],
             vec![1, 1, 3],
             vec![3, 3],
             vec![1, 2, 2, 1],
             vec![4, 2, 1],
-        ] {
+        ]) {
             let n: usize = sizes.iter().sum();
             let classes = WeightClasses::of(&classed_app(&sizes));
             let reps = classed_forest_representatives(&classes, usize::MAX).unwrap();
             let covered: u128 = reps.iter().map(|r| r.orbit).sum();
             assert_eq!(covered, labelled_forests(n), "{sizes:?}: Σ orbit sizes");
-            // Representatives are pairwise distinct (shape, colouring) pairs.
+            if sizes.len() == 1 {
+                assert_eq!(reps.len() as u128, forest_classes(n), "{sizes:?}: shapes");
+            }
+            // Representatives are pairwise distinct (shape, colouring) pairs
+            // over preorder positions: parents precede their children.
             let mut seen = std::collections::HashSet::new();
             for rep in &reps {
                 assert!(
                     seen.insert((rep.parents.clone(), rep.classes.clone())),
                     "{sizes:?}: duplicate representative"
                 );
+                for (k, &p) in rep.parents.iter().enumerate() {
+                    assert!(p.is_none_or(|p| p < k), "{sizes:?}: parent {p:?} of {k}");
+                }
                 // Colour multiset matches the partition.
                 let mut counts = vec![0usize; classes.class_count()];
                 for &c in &rep.classes {
@@ -2477,14 +2320,9 @@ mod tests {
 
     #[test]
     fn classed_form_maps_every_labelled_forest_to_a_generated_representative() {
-        // Enumerate every labelled forest on 5 nodes under a 2+3 partition,
-        // canonicalise with the class-aware form, and tally per
-        // representative: tallies must equal the generator's orbit sizes.
-        let classes = WeightClasses::of(&classed_app(&[2, 3]));
-        let n = 5usize;
-        let mut tally: std::collections::HashMap<(Vec<Option<ServiceId>>, Vec<usize>), u128> =
-            std::collections::HashMap::new();
-        let mut parents = vec![None::<ServiceId>; n];
+        // Enumerate every labelled forest on 5 nodes under a one-class and a
+        // 2+3 partition, canonicalise with the class-aware form, and tally
+        // per representative: tallies must equal the generator's orbit sizes.
         #[allow(clippy::type_complexity)]
         fn walk(
             k: usize,
@@ -2506,19 +2344,28 @@ mod tests {
                 parents[k] = None;
             }
         }
-        walk(0, n, &classes, &mut parents, &mut tally);
-        let reps = classed_forest_representatives(&classes, usize::MAX).unwrap();
-        assert_eq!(reps.len(), tally.len(), "one representative per orbit");
-        for rep in &reps {
+        for sizes in [vec![5usize], vec![2, 3]] {
+            let classes = WeightClasses::of(&classed_app(&sizes));
+            let n = classes.n();
+            let mut tally = std::collections::HashMap::new();
+            walk(0, n, &classes, &mut vec![None; n], &mut tally);
+            let reps = classed_forest_representatives(&classes, usize::MAX).unwrap();
             assert_eq!(
-                tally
-                    .get(&(rep.parents.clone(), rep.classes.clone()))
-                    .copied(),
-                Some(rep.orbit),
-                "orbit of {:?}/{:?}",
-                rep.parents,
-                rep.classes
+                reps.len(),
+                tally.len(),
+                "{sizes:?}: one representative per orbit"
             );
+            for rep in &reps {
+                assert_eq!(
+                    tally
+                        .get(&(rep.parents.clone(), rep.classes.clone()))
+                        .copied(),
+                    Some(rep.orbit),
+                    "{sizes:?}: orbit of {:?}/{:?}",
+                    rep.parents,
+                    rep.classes
+                );
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! The worked counter-examples of Appendix B are only consistent with the
 //! *physical* reading — the data travelling on an edge `(i, j)` is the output
 //! of `C_i`, of size `σ_i · Π_{C_a ∈ Ancest_i} σ_a` — so this crate uses that
-//! reading throughout (see DESIGN.md, "A note on the paper's Cin formula").
+//! reading throughout.
 
 use crate::error::{CoreError, CoreResult};
 use crate::graph::ExecutionGraph;
@@ -156,15 +156,6 @@ impl PlanMetrics {
     pub fn period_lower_bound(&self, model: CommModel) -> f64 {
         (0..self.n())
             .map(|k| self.c_exec(k, model))
-            .fold(0.0, f64::max)
-    }
-
-    /// The largest `max(Cin, Cout)` over all services: the time within which
-    /// all communications can be executed in the multi-port model (used by the
-    /// Theorem 1 construction).
-    pub fn max_comm_bound(&self) -> f64 {
-        (0..self.n())
-            .map(|k| self.c_in[k].max(self.c_out[k]))
             .fold(0.0, f64::max)
     }
 

@@ -1,8 +1,8 @@
 //! The paper's NP-hardness reduction gadgets.
 //!
 //! Every hardness proof of the paper maps an RN3DM instance to a filtering
-//! workflow; building the gadgets explicitly lets the experiments (E5–E7 in
-//! EXPERIMENTS.md) check, end to end, that the schedulers agree with the
+//! workflow; building the gadgets explicitly lets the experiments (E5–E7 of
+//! the `experiments` binary) check, end to end, that the schedulers agree with the
 //! theory: YES instances admit a plan/operation list within the reduction's
 //! bound `K`, NO instances do not.
 //!
@@ -14,7 +14,7 @@
 //!
 //! The MINPERIOD gadgets of Propositions 5 and 6 use real-valued parameters
 //! whose published values are garbled in the available text (OCR damage); they
-//! are intentionally not reproduced (documented in DESIGN.md) — MINPERIOD
+//! are intentionally not reproduced — MINPERIOD
 //! hardness is exercised through the orchestration gadget plus the structural
 //! experiments instead.
 

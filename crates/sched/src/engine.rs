@@ -81,9 +81,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use fsw_core::{
-    Application, CanonicalForests, ExecutionGraph, PartialForestMetrics, ServiceId, WeightClasses,
-};
+use fsw_core::{Application, ExecutionGraph, PartialForestMetrics, ServiceId, WeightClasses};
 
 use crate::orderings::permutations;
 
@@ -221,13 +219,6 @@ impl CanonicalSpace {
         app.n() >= 2 && !app.has_constraints() && WeightClasses::of(app).is_uniform()
     }
 
-    /// Number of forest-isomorphism classes on `n` nodes — the size of the
-    /// reduced forest space (the raw space holds `(n+1)^(n-1)` labelled
-    /// forests inside `n^n` parent functions).
-    pub fn forest_class_count(n: usize) -> u128 {
-        fsw_core::forest_classes(n)
-    }
-
     /// Worst-case communication-ordering space of any *forest* on `n`
     /// nodes (`(n-1)!`, the star), saturating.  When this clears the
     /// exhaustive-ordering budget, every forest candidate's ordering search
@@ -256,24 +247,6 @@ impl CanonicalSpace {
         total
     }
 
-    /// Materialises the canonical forest representatives on `n` nodes, in
-    /// canonical enumeration order, each with its orbit size, packed as
-    /// `2n`-byte level-sequence codes with identity weights — the same
-    /// [`CanonicalRep`] contract the classed space uses, so buffers holding
-    /// uniform representatives (equivalence tests, orbit audits) cost bytes,
-    /// not `Vec`-of-`Option` structures.  No solve calls this: the searches
-    /// stream the shape plan lazily and materialise nothing; it is the
-    /// materialised oracle the streamed walk is tested against.
-    pub fn forest_representatives(n: usize) -> Vec<CanonicalRep> {
-        let identity: Vec<ServiceId> = (0..n).collect();
-        let mut stream = CanonicalForests::new(n);
-        let mut reps = Vec::new();
-        while let Some(class) = stream.next() {
-            reps.push(CanonicalRep::new(class.parents, &identity, class.orbit));
-        }
-        reps
-    }
-
     /// `true` when **class-preserving** relabelling symmetry is non-trivial
     /// for the instance: at least two services, no precedence constraints
     /// (constraints distinguish services regardless of weights), and some
@@ -288,28 +261,6 @@ impl CanonicalSpace {
     /// [`EvalCache::weight_classes`]) — the single definition of the gate.
     pub fn class_reducible_with(app: &Application, classes: &WeightClasses) -> bool {
         app.n() >= 2 && !app.has_constraints() && classes.has_symmetry()
-    }
-
-    /// Materialises one representative per **class-preserving** relabelling
-    /// orbit (coloured-forest class) of `app`'s forest space, in canonical
-    /// enumeration order, with each position already pinned to a concrete
-    /// service of its weight class.  Returns `None` once the coloured class
-    /// space exceeds `cap`.  Like [`CanonicalSpace::forest_representatives`]
-    /// this is a materialised oracle for tests and orbit audits; no solve
-    /// calls it.
-    pub fn classed_representatives(app: &Application, cap: usize) -> Option<Vec<CanonicalRep>> {
-        let classes = WeightClasses::of(app);
-        let reps = fsw_core::classed_forest_representatives(&classes, cap)?;
-        Some(
-            reps.into_iter()
-                .map(|rep| {
-                    let weights = classes
-                        .service_assignment(&rep.classes)
-                        .expect("generator colourings match the partition");
-                    CanonicalRep::new(&rep.parents, &weights, rep.orbit)
-                })
-                .collect(),
-        )
     }
 
     /// `true` when the unconstrained forest plan search provably runs to
@@ -361,63 +312,6 @@ impl CanonicalSpace {
             return fsw_core::forest_classes(n).saturating_mul(multinomial) <= cap;
         }
         false
-    }
-}
-
-/// One canonical orbit representative ready for evaluation, stored as a
-/// **packed level-sequence code** (`fsw_core::pack_level_code`: `n` bytes of
-/// preorder levels — which alone reconstruct the shape's parent vector — and
-/// `n` bytes of concrete service ids, identity on uniform instances).  Cold
-/// representatives cost `2n` bytes each and are decoded on demand, so a
-/// materialised list holds no `Vec`-of-`Option` structures.
-#[derive(Clone, Debug)]
-pub struct CanonicalRep {
-    code: Box<[u8]>,
-    /// Number of labelled forests this representative stands for.
-    pub orbit: u128,
-}
-
-impl CanonicalRep {
-    /// Packs a representative from its parent vector over preorder positions
-    /// (`parents[p] < Some(p)`) and the concrete service each position
-    /// stands for.
-    pub fn new(parents: &[Option<ServiceId>], weights: &[ServiceId], orbit: u128) -> Self {
-        CanonicalRep {
-            code: fsw_core::pack_level_code(parents, weights),
-            orbit,
-        }
-    }
-
-    /// Decodes `(parents, weights)` from the packed code.
-    pub fn decode(&self) -> (Vec<Option<ServiceId>>, Vec<ServiceId>) {
-        fsw_core::unpack_level_code(&self.code)
-    }
-
-    /// The parent vector over preorder positions.
-    pub fn parents(&self) -> Vec<Option<ServiceId>> {
-        self.decode().0
-    }
-
-    /// The concrete service each position stands for.
-    pub fn weights(&self) -> Vec<ServiceId> {
-        self.decode().1
-    }
-
-    /// The labelled execution graph of a decoded representative (position
-    /// `p` becomes service `weights[p]`).
-    pub fn labelled_graph(parents: &[Option<ServiceId>], weights: &[ServiceId]) -> ExecutionGraph {
-        let mut labelled = vec![None; parents.len()];
-        for (pos, &p) in parents.iter().enumerate() {
-            labelled[weights[pos]] = p.map(|pp| weights[pp]);
-        }
-        ExecutionGraph::from_parents(&labelled).expect("canonical parent vectors are acyclic")
-    }
-
-    /// The representative as a labelled execution graph over the concrete
-    /// services.
-    pub fn graph(&self) -> ExecutionGraph {
-        let (parents, weights) = self.decode();
-        CanonicalRep::labelled_graph(&parents, &weights)
     }
 }
 

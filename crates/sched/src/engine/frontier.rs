@@ -50,8 +50,7 @@
 //! optimum survives it, whatever the thread count.  The winner is the
 //! `(value, rank)` lexicographic minimum, where `rank` is the canonical
 //! enumeration order — the first minimum of a scan over the materialised
-//! representatives ([`crate::engine::CanonicalSpace::forest_representatives`]
-//! / [`crate::engine::CanonicalSpace::classed_representatives`]).  When the
+//! representatives ([`fsw_core::classed_forest_representatives`]).  When the
 //! candidate evaluation is the structural period bound itself
 //! ([`PartialPrune::StructuralPeriod`]), the walk adds the **tie-dominance**
 //! prune both forest walks share (`crate::engine::tie_dominated`): a colour
@@ -77,12 +76,12 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use fsw_core::{
-    split_shape_plan, Application, ColoringScratch, ColoringVisitor, ExecutionGraph,
+    forest_graph, split_shape_plan, Application, ColoringScratch, ColoringVisitor, ExecutionGraph,
     PartialForestMetrics, ServiceId, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan,
     ShapeStream, WeightClasses,
 };
 
-use crate::engine::{prune_threshold, tie_dominated, CanonicalRep, Incumbent, PartialPrune};
+use crate::engine::{prune_threshold, tie_dominated, Incumbent, PartialPrune};
 use crate::minperiod::SearchOutcome;
 use crate::par::Exec;
 
@@ -283,7 +282,8 @@ where
         let idx = ((self.shape_rank as u128) << 64) | self.reached as u128;
         self.reached += 1;
         self.expanded += 1;
-        let graph = CanonicalRep::labelled_graph(&self.parents, &self.weights);
+        let graph = forest_graph(&self.parents, &self.weights)
+            .expect("canonical parent vectors are acyclic");
         let value = (self.eval)(&graph, self.incumbent.get());
         let improves = self
             .local

@@ -110,27 +110,17 @@ pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
     app: &Application,
     mut eval: F,
 ) -> Option<(f64, ExecutionGraph)> {
-    exhaustive_forest_best_capped(app, 2_000_000, &mut eval)
-}
-
-/// [`exhaustive_forest_best`] with an explicit cap on the number of parent
-/// functions examined.
-pub fn exhaustive_forest_best_capped<F: FnMut(&ExecutionGraph) -> f64>(
-    app: &Application,
-    cap: usize,
-    eval: &mut F,
-) -> Option<(f64, ExecutionGraph)> {
-    if forest_space_size(app.n())? > cap {
+    if forest_space_size(app.n())? > 2_000_000 {
         return None;
     }
     let mut parents: Vec<Option<ServiceId>> = vec![None; app.n()];
     let mut best: Option<(f64, ExecutionGraph)> = None;
-    enumerate_parents(app, &mut parents, 0, &mut best, eval, None);
+    enumerate_parents(app, &mut parents, 0, &mut best, &mut eval);
     best
 }
 
 /// The budgeted, parallel, branch-and-bound variant of
-/// [`exhaustive_forest_best_capped`]: the first one or two enumeration
+/// [`exhaustive_forest_best`]: the first one or two enumeration
 /// levels (see [`Exec::effective_split_levels`]) are expanded into tasks,
 /// split over `exec.effective_threads()` workers and reduced in enumeration
 /// order, so the result is bit-identical to the serial run; an optional
@@ -207,7 +197,7 @@ where
         // The streamed walk never materialises the coloured space, so its
         // budget gate is the shape count.  Beyond it the labelled space
         // (n^n > A000081(n+1) for n >= 2) is over the cap too.
-        if CanonicalSpace::forest_class_count(n) > cap as u128 {
+        if fsw_core::forest_classes(n) > cap as u128 {
             return None;
         }
         // Stage spans resolve once per solve, and only when the probe
@@ -391,48 +381,32 @@ fn forest_space_size(n: usize) -> Option<usize> {
     Some(size)
 }
 
-/// Recursive enumeration of parent functions from level `k`.  Returns `false`
-/// when the deadline interrupted the enumeration of this subtree.
+/// Recursive enumeration of parent functions from level `k`.
 fn enumerate_parents<F: FnMut(&ExecutionGraph) -> f64>(
     app: &Application,
     parents: &mut Vec<Option<ServiceId>>,
     k: usize,
     best: &mut Option<(f64, ExecutionGraph)>,
     eval: &mut F,
-    deadline: Option<Instant>,
-) -> bool {
+) {
     let n = app.n();
     if k >= n {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return false;
+        // A parent function with a cycle is no graph.
+        if let Ok(graph) = ExecutionGraph::from_parents(parents) {
+            if graph.respects(app).is_ok() {
+                let value = eval(&graph);
+                if best.as_ref().is_none_or(|(b, _)| value < *b) {
+                    *best = Some((value, graph));
+                }
+            }
         }
-        let Ok(graph) = ExecutionGraph::from_parents(parents) else {
-            return true; // the parent function contains a cycle
-        };
-        if graph.respects(app).is_err() {
-            return true;
-        }
-        let value = eval(&graph);
-        if best.as_ref().is_none_or(|(b, _)| value < *b) {
-            *best = Some((value, graph));
-        }
-        return true;
+        return;
+    }
+    for p in std::iter::once(None).chain((0..n).filter(|&p| p != k).map(Some)) {
+        parents[k] = p;
+        enumerate_parents(app, parents, k + 1, best, eval);
     }
     parents[k] = None;
-    if !enumerate_parents(app, parents, k + 1, best, eval, deadline) {
-        return false;
-    }
-    for p in 0..n {
-        if p == k {
-            continue;
-        }
-        parents[k] = Some(p);
-        if !enumerate_parents(app, parents, k + 1, best, eval, deadline) {
-            return false;
-        }
-    }
-    parents[k] = None;
-    true
 }
 
 /// Largest instance size the DAG searches support.  Their tie-break key,

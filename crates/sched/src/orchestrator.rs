@@ -183,15 +183,6 @@ impl Default for SearchBudget {
 }
 
 impl SearchBudget {
-    /// A small budget for interactive use: tighter enumeration caps.
-    pub fn quick() -> Self {
-        SearchBudget {
-            max_orderings: 500,
-            max_graphs: 50_000,
-            ..SearchBudget::default()
-        }
-    }
-
     /// Caps both enumerations explicitly.
     pub fn exhaustive_up_to(max_orderings: usize, max_graphs: usize) -> Self {
         SearchBudget {

@@ -21,8 +21,7 @@
 //! operation's data-ready time or abut (modulo `λ`) the end of an operation
 //! already placed on one of the involved servers; this "active schedule"
 //! dominance rule is standard for machine scheduling and makes the search
-//! finite, at the cost of completeness only within that class (documented in
-//! DESIGN.md).
+//! finite, at the cost of completeness only within that class.
 //!
 //! Since the incumbent-aware engine pass, the scheduler additionally runs an
 //! **admissible per-node completion bound** (forward checking): after every

@@ -6,7 +6,7 @@
 //! knows how to compute cheaply —
 //!
 //! * the **plan-space size**: the exact canonical class count for uniform
-//!   instances ([`CanonicalSpace::forest_class_count`], closed form), the
+//!   instances ([`fsw_core::forest_classes`], closed form), the
 //!   exact coloured-orbit count for partially symmetric ones
 //!   ([`fsw_core::classed_class_count_within`], a counting pass that never
 //!   materialises an orbit), and the raw `n^n` parent-function space where
@@ -257,7 +257,7 @@ impl AdmissionPolicy {
             // disable every symmetry reduction.
             (raw, false)
         } else if classes.is_uniform() {
-            (CanonicalSpace::forest_class_count(n), true)
+            (fsw_core::forest_classes(n), true)
         } else if classes.has_symmetry() {
             match classed_class_count_within(&classes, count_cap, Some(pricing_deadline)) {
                 ClassedCount::Exact(count) => (count, true),

@@ -105,11 +105,6 @@ impl Disposition {
         }
     }
 
-    /// `true` when the request got a plan (exact or degraded).
-    pub fn is_answered(self) -> bool {
-        matches!(self, Disposition::Exact | Disposition::Degraded)
-    }
-
     /// `true` when the request was shed by overload protection (ingress
     /// queue full or backpressure scaling) rather than priced out at
     /// baseline.

@@ -2,7 +2,8 @@
 //!
 //! Each constructor returns the application together with the execution
 //! graph(s) discussed in the paper, so experiments can evaluate exactly the
-//! instances used in the text (experiments E1–E4 of EXPERIMENTS.md).
+//! instances used in the text (experiments E1–E4 of the `experiments`
+//! binary; see the README's "Paper results reproduced").
 
 use fsw_core::{Application, ExecutionGraph};
 
@@ -136,7 +137,7 @@ pub fn counterexample_b2() -> PaperInstance {
 /// `Cout(C1) = Cout(C2) = Cout(C3) = 12` and `Cin(C5) = Cin(C6) = Cin(C7) = 12`.
 /// Reference values: multi-port period 12, one-port period > 12.
 ///
-/// **Documented adaptation** (see DESIGN.md): the paper sets every cost and
+/// **Documented adaptation**: the paper sets every cost and
 /// every second-layer selectivity to 1, which would make the computations and
 /// final output transfers of `C5–C7` (input volume 72) dominate both models
 /// and hide the communication phenomenon the example is about; we set the

@@ -93,21 +93,6 @@ impl ArrivalTrace {
             .filter(|e| matches!(e.kind, TraceEventKind::Request))
             .count()
     }
-
-    /// Number of mutation events (arrivals + departures + reweights).
-    pub fn mutation_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceEventKind::Arrive { .. }
-                        | TraceEventKind::Depart { .. }
-                        | TraceEventKind::Reweight { .. }
-                )
-            })
-            .count()
-    }
 }
 
 /// Shape of a generated trace.

@@ -24,7 +24,7 @@ use fsw::sched::outorder::{outorder_period_search, outorder_period_search_bounde
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
-use fsw_core::validate_oplist;
+use fsw_core::{classed_forest_representatives, forest_classes, validate_oplist, WeightClasses};
 
 const CASES: usize = 6;
 
@@ -208,8 +208,8 @@ fn uniform_solves_match_brute_force_end_to_end() {
 #[test]
 fn uniform_n10_is_exhaustive_within_the_default_budget() {
     let app = Application::independent(&[(2.5, 0.7); 10]);
-    assert!(CanonicalSpace::forest_class_count(10) <= 2_000_000);
-    assert_eq!(CanonicalSpace::forest_class_count(10), 1_842);
+    assert!(forest_classes(10) <= 2_000_000);
+    assert_eq!(forest_classes(10), 1_842);
     let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
     assert!(result.exhaustive);
 }
@@ -269,15 +269,10 @@ fn outorder_bound_never_prunes_the_optimum() {
 #[test]
 fn orbit_accounting_covers_the_labelled_space() {
     for n in [6usize, 9, 10] {
-        let covered: u128 = CanonicalSpace::forest_representatives(n)
-            .iter()
-            .map(|rep| rep.orbit)
-            .sum();
+        let uniform = WeightClasses::of(&Application::independent(&vec![(2.0, 0.5); n]));
+        let reps = classed_forest_representatives(&uniform, usize::MAX).expect("uncapped");
+        let covered: u128 = reps.iter().map(|rep| rep.orbit).sum();
         assert_eq!(covered, fsw_core::labelled_forests(n), "n={n}");
-        assert_eq!(
-            CanonicalSpace::forest_representatives(n).len() as u128,
-            CanonicalSpace::forest_class_count(n),
-            "n={n}"
-        );
+        assert_eq!(reps.len() as u128, forest_classes(n), "n={n}");
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end reproduction of the paper's worked example and counter-examples
-//! (experiments E1–E4 of EXPERIMENTS.md).
+//! (experiments E1–E4 of the `experiments` binary).
 
 use fsw::core::{validate_oplist, CommModel, PlanMetrics};
 use fsw::sched::latency::{multiport_proportional_latency, oneport_latency_search};

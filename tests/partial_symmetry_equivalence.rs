@@ -53,9 +53,9 @@ use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, tiered_query_optimization, RandomAppConfig};
 use fsw_core::{
-    bound_ordered_shape_plan, canonical_classed_member, classed_class_count, forest_classes,
-    split_shape_plan, walk_canonical_colorings, ColoringVisitor, ShapeBounder, ShapeObjective,
-    ShapeScan,
+    bound_ordered_shape_plan, canonical_classed_member, classed_class_count,
+    classed_forest_representatives, forest_classes, split_shape_plan, ColoringScratch,
+    ColoringVisitor, ShapeBounder, ShapeObjective, ShapeScan,
 };
 
 const CASES: usize = 6;
@@ -71,14 +71,11 @@ fn first_minimum_scan(
     app: &Application,
     eval: impl Fn(&ExecutionGraph) -> f64,
 ) -> (f64, ExecutionGraph) {
-    let reps = if CanonicalSpace::reducible(app) {
-        CanonicalSpace::forest_representatives(app.n())
-    } else {
-        CanonicalSpace::classed_representatives(app, usize::MAX).expect("uncapped")
-    };
+    let classes = WeightClasses::of(app);
+    let reps = classed_forest_representatives(&classes, usize::MAX).expect("uncapped");
     let mut best: Option<(f64, ExecutionGraph)> = None;
     for rep in reps {
-        let graph = rep.graph();
+        let graph = rep.member_graph(&classes).expect("a generated colouring");
         let value = eval(&graph);
         if best.as_ref().is_none_or(|(b, _)| value < *b) {
             best = Some((value, graph));
@@ -395,23 +392,36 @@ fn classed_orbit_accounting_covers_the_labelled_space() {
     for sizes in [vec![3usize, 4], vec![2, 2, 3], vec![5, 3]] {
         let n: usize = sizes.iter().sum();
         let app = tiered_query_optimization(&sizes, &mut rng);
-        let reps = CanonicalSpace::classed_representatives(&app, 2_000_000).unwrap();
+        let classes = WeightClasses::of(&app);
+        let reps = classed_forest_representatives(&classes, 2_000_000).unwrap();
         let covered: u128 = reps.iter().map(|r| r.orbit).sum();
         assert_eq!(covered, fsw_core::labelled_forests(n), "{sizes:?}");
         // Every representative's graph is a well-formed forest over the
-        // concrete services, with class-consistent weights.
-        let classes = WeightClasses::of(&app);
+        // concrete services, each position pinned to a service of the class
+        // the generator assigned to it.
         for rep in reps.iter().take(50) {
-            let graph = rep.graph();
-            assert!(graph.is_forest());
-            for (pos, &service) in rep.weights().iter().enumerate() {
-                // `rep.weights[pos]`'s weights are those of the class the
-                // generator assigned to the position.
-                let _ = pos;
-                assert!(classes.class_of(service) < classes.class_count());
+            assert!(rep.member_graph(&classes).unwrap().is_forest());
+            let services = classes.service_assignment(&rep.classes).unwrap();
+            for (pos, &service) in services.iter().enumerate() {
+                assert_eq!(classes.class_of(service), rep.classes[pos], "{sizes:?}");
             }
         }
     }
+}
+
+/// The materialised oracle's representatives of `app`'s forest space as
+/// `(parents, services, orbit)`, each position pinned to the service
+/// `WeightClasses::service_assignment` gives it.
+fn materialised_representatives(app: &Application) -> Vec<(Vec<Option<usize>>, Vec<usize>, u128)> {
+    let classes = WeightClasses::of(app);
+    classed_forest_representatives(&classes, 2_000_000)
+        .expect("the space fits the cap")
+        .into_iter()
+        .map(|rep| {
+            let services = classes.service_assignment(&rep.classes).unwrap();
+            (rep.parents, services, rep.orbit)
+        })
+        .collect()
 }
 
 /// Accept-everything [`ColoringVisitor`] that pins each position to a
@@ -471,7 +481,7 @@ impl ColoringVisitor for CollectAll<'_> {
 /// The lazy bound-ordered stream covers **exactly** the materialised classed
 /// space: walking the canonical colourings of every planned shape yields the
 /// same representative set with the same orbit weights as
-/// `classed_representatives`, and as many colourings as the count pass
+/// `classed_forest_representatives`, and as many colourings as the count pass
 /// counts.  (The bound-sorted shape order differs from canonical order, so
 /// the lists are compared as sorted multisets.)
 #[test]
@@ -491,26 +501,24 @@ fn lazy_stream_covers_the_materialised_classed_space() {
             assert!(pair[0].bound <= pair[1].bound, "case {case}: bound order");
         }
         let mut collector = CollectAll::new(&classes);
+        let mut scratch = ColoringScratch::default();
         let mut levels = Vec::new();
         for shape in &shapes {
             shape.decode_into(&mut levels);
-            assert!(walk_canonical_colorings(&levels, &classes, &mut collector));
+            assert!(scratch.walk(&levels, &classes, &mut collector));
         }
         let mut streamed = collector.reps;
-        let reps = CanonicalSpace::classed_representatives(&app, 2_000_000).unwrap();
+        let mut materialised = materialised_representatives(&app);
         assert_eq!(
             Some(streamed.len() as u128),
             classed_class_count(&classes, u128::MAX),
             "case {case}: plan totals"
         );
-        assert_eq!(streamed.len(), reps.len(), "case {case}: orbit count");
-        let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> = reps
-            .iter()
-            .map(|r| {
-                let (parents, weights) = r.decode();
-                (parents, weights, r.orbit)
-            })
-            .collect();
+        assert_eq!(
+            streamed.len(),
+            materialised.len(),
+            "case {case}: orbit count"
+        );
         streamed.sort();
         materialised.sort();
         assert_eq!(streamed, materialised, "case {case}: representative sets");
@@ -559,7 +567,7 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
         );
         assert_eq!(
             stats.shapes as u128,
-            CanonicalSpace::forest_class_count(9),
+            forest_classes(9),
             "x{threads}: plan covers every shape"
         );
         assert!(
@@ -572,8 +580,10 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
 /// The lazy stream covers **exactly** the materialised uniform canonical
 /// space: the single-class plan holds one colouring per shape (A000081 of
 /// them), and walking every planned shape reproduces the representative set
-/// of `CanonicalSpace::forest_representatives` — same parent vectors, same
-/// identity service assignment, same orbit sizes.
+/// of the one-class `classed_forest_representatives` — same parent vectors,
+/// same identity service assignment, same orbit sizes.  The oracle walks the
+/// generic coloured path, so this checks the walk's single-class fast path
+/// against it.
 #[test]
 fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
     for n in [6usize, 8, 10] {
@@ -586,14 +596,15 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
         else {
             panic!("n={n}: no deadline, the scan must complete");
         };
-        let class_count = CanonicalSpace::forest_class_count(n);
+        let class_count = forest_classes(n);
         assert_eq!(shapes.len() as u128, class_count, "n={n}: A000081 shapes");
         let mut collector = CollectAll::new(&classes);
+        let mut scratch = ColoringScratch::default();
         let mut levels = Vec::new();
         for shape in &shapes {
             let walked = collector.reps.len();
             shape.decode_into(&mut levels);
-            assert!(walk_canonical_colorings(&levels, &classes, &mut collector));
+            assert!(scratch.walk(&levels, &classes, &mut collector));
             assert_eq!(
                 collector.reps.len(),
                 walked + 1,
@@ -606,14 +617,7 @@ fn uniform_lazy_stream_covers_the_materialised_canonical_space() {
             forest_classes(n),
             "n={n}: one colouring per shape"
         );
-        let mut materialised: Vec<(Vec<Option<usize>>, Vec<usize>, u128)> =
-            CanonicalSpace::forest_representatives(n)
-                .iter()
-                .map(|r| {
-                    let (parents, weights) = r.decode();
-                    (parents, weights, r.orbit)
-                })
-                .collect();
+        let mut materialised = materialised_representatives(&app);
         assert_eq!(streamed.len(), materialised.len(), "n={n}: counts");
         streamed.sort();
         materialised.sort();
@@ -664,7 +668,7 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                 );
                 assert_eq!(
                     stats.shapes as u128,
-                    CanonicalSpace::forest_class_count(n),
+                    forest_classes(n),
                     "n={n} {model} x{threads}: plan covers every shape"
                 );
                 assert!(

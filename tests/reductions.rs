@@ -1,5 +1,5 @@
 //! The NP-hardness reduction gadgets exercised end to end
-//! (experiments E5–E7 of EXPERIMENTS.md).
+//! (experiments E5–E7 of the `experiments` binary).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +47,7 @@ fn e5_prop2_yes_instances_reach_the_bound() {
 /// *literal* `OUTORDER` rule set of Appendix A, our cyclic scheduler does find
 /// a valid schedule at the bound for NO instances — but only by spreading one
 /// data set over several period windows.  This test pins down exactly that
-/// behaviour (see EXPERIMENTS.md, experiment E5, for the discussion).
+/// behaviour (experiment E5 of the `experiments` binary prints it).
 #[test]
 fn e5_prop2_no_instances_need_multi_window_schedules() {
     let mut rng = StdRng::seed_from_u64(7);

@@ -33,7 +33,7 @@ use fsw::serve::{
     AdmissionPolicy, AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService,
     RejectReason, ServeOutcome, TenantEvent, TenantSession,
 };
-use fsw::sim::{replay_trace, FaultPlan, ServeReplayConfig};
+use fsw::sim::{replay_trace, Disposition, FaultPlan, ServeReplayConfig, TraceReport};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
 use fsw::workloads::{random_application, RandomAppConfig};
 
@@ -110,7 +110,8 @@ fn shapes_wider_than_the_key_degrade_instead_of_streaming_without_end() {
 
 #[test]
 fn faulted_replay_digests_are_thread_count_independent() {
-    // Panic the first cold leader and blow a later deadline; every eighth
+    // Panic the first cold leader and blow the deadline of the next one
+    // (ordinal 1 leads a cold solve, so its answer degrades); every eighth
     // tenant is an oversized jumbo that admission must reject.  The digest
     // (path, disposition, value bits per request) must not depend on the
     // worker-thread count, because faults key on arrival ordinals.
@@ -129,17 +130,35 @@ fn faulted_replay_digests_are_thread_count_independent() {
     );
     let config_for = |threads: usize| ServeReplayConfig {
         budget: SearchBudget::default().with_threads(threads),
-        faults: FaultPlan::new().panic_at(0).blowout_at(5),
+        faults: FaultPlan::new().panic_at(0).blowout_at(1),
         ..ServeReplayConfig::default()
+    };
+    // Every degraded answer carries a certified floor at or below its value.
+    let floors_hold = |report: &TraceReport, threads: usize| {
+        for outcome in &report.outcomes {
+            if outcome.disposition == Disposition::Degraded {
+                let floor = outcome
+                    .lower_bound
+                    .expect("a degraded answer carries a floor");
+                assert!(
+                    outcome.value >= floor,
+                    "x{threads}: degraded value {} below its floor {floor}",
+                    outcome.value
+                );
+            }
+        }
     };
     let reference = quietly(|| replay_trace(&trace, &config_for(1)).unwrap());
     assert_eq!(reference.requests(), trace.request_count(), "nothing hangs");
     assert_eq!(reference.stats.panics, 1, "the injected panic fired");
-    let (_, _, rejected) = reference.mix();
+    let (_, degraded, rejected) = reference.mix();
+    assert!(degraded > 0, "the blown deadline degrades its answer");
     assert!(rejected > 0, "panics and jumbo tenants produce rejections");
     assert_eq!(reference.store_non_exhaustive, 0, "store purity");
+    floors_hold(&reference, 1);
     for threads in [2, 4] {
         let other = quietly(|| replay_trace(&trace, &config_for(threads)).unwrap());
+        floors_hold(&other, threads);
         assert_eq!(
             reference.digest(),
             other.digest(),
