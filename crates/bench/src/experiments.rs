@@ -78,6 +78,38 @@ fn orbit_total(app: &fsw_core::Application) -> Option<u128> {
     }
 }
 
+/// `Σ Π_c |class c|! / |Aut|` over the coloured forest classes of
+/// `classes`, the orbit sizes that tile the labelled space: one colouring
+/// walk over the streamed shapes adds each completion's orbit, so no
+/// representative is stored (collecting them held 389 MB at the 6 + 5
+/// tier of E13).
+fn orbit_sum(classes: &fsw_core::WeightClasses) -> u128 {
+    struct SumOrbits {
+        group_order: u128,
+        total: u128,
+    }
+    impl fsw_core::ColoringVisitor for SumOrbits {
+        fn descend(&mut self, _pos: usize, _parent: Option<usize>, _class: usize) -> bool {
+            true
+        }
+        fn ascend(&mut self, _pos: usize, _class: usize) {}
+        fn complete(&mut self, _colors: &[usize], aut: u128) -> bool {
+            self.total += self.group_order / aut;
+            true
+        }
+    }
+    let mut sum = SumOrbits {
+        group_order: classes.group_order(),
+        total: 0,
+    };
+    let mut shapes = fsw_core::ShapeStream::new(classes.n(), None, None);
+    let mut scratch = fsw_core::ColoringScratch::default();
+    while shapes.next_bound().is_some() {
+        scratch.walk(shapes.levels(), classes, &mut sum);
+    }
+    sum.total
+}
+
 /// The least OVERLAP structural period over the materialised canonical
 /// representatives of `app`'s forest space (at most `cap` of them), each
 /// valued as its member graph: the scan a streamed walk's value is asserted
@@ -541,12 +573,7 @@ pub fn e12_symmetry_scaling() -> Vec<ExperimentRow> {
             Some((n as f64).powi(n as i32)),
             classes as f64,
         ));
-        let one_class = fsw_core::WeightClasses::of(&app);
-        let covered: u128 = fsw_core::classed_forest_representatives(&one_class, usize::MAX)
-            .expect("uncapped")
-            .iter()
-            .map(|rep| rep.orbit)
-            .sum();
+        let covered = orbit_sum(&fsw_core::WeightClasses::of(&app));
         rows.push(ExperimentRow::new(
             format!("n={n}: labelled forests covered by the orbits (paper column = (n+1)^(n-1))"),
             Some(fsw_core::labelled_forests(n) as f64),
@@ -576,9 +603,10 @@ pub fn e12_symmetry_scaling() -> Vec<ExperimentRow> {
 /// (tiered) query-optimisation instances, n = 8..11 with 2–3 weight
 /// classes: the raw `n^n` parent-function space against the coloured
 /// (class-preserving-orbit) class space the searches actually enumerate
-/// (`fsw_core::classed_forest_representatives`), the
-/// orbit-accounting identity `Σ Π_c |class c|!/|Aut| == (n+1)^(n-1)`
-/// labelled forests, and the resulting optima — exhaustive within the
+/// (counted by `fsw_core::classed_class_count`), the orbit-accounting
+/// identity `Σ Π_c |class c|!/|Aut| == (n+1)^(n-1)` labelled forests
+/// (summed by a streamed colouring walk, `orbit_sum`), and the
+/// resulting optima — exhaustive within the
 /// *default* `SearchBudget`, a regime the uniform-only reduction of E12
 /// could not touch (multi-class instances used to pay the full labelled
 /// space).
@@ -591,16 +619,16 @@ pub fn e13_partial_symmetry_scaling() -> Vec<ExperimentRow> {
         let n: usize = sizes.iter().sum();
         let app = tiered_query_optimization(sizes, &mut rng);
         let classes = fsw_core::WeightClasses::of(&app);
-        let reps = fsw_core::classed_forest_representatives(&classes, budget.max_graphs)
+        let count = fsw_core::classed_class_count(&classes, budget.max_graphs as u128)
             .expect("coloured class spaces of the sweep fit the default cap");
         rows.push(ExperimentRow::new(
             format!(
                 "n={n} classes={sizes:?}: coloured forest classes (paper column = n^n parent functions)"
             ),
             Some((n as f64).powi(n as i32)),
-            reps.len() as f64,
+            count as f64,
         ));
-        let covered: u128 = reps.iter().map(|rep| rep.orbit).sum();
+        let covered = orbit_sum(&classes);
         rows.push(ExperimentRow::new(
             format!(
                 "n={n} classes={sizes:?}: labelled forests covered by the orbits (paper column = (n+1)^(n-1))"

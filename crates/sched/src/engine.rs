@@ -13,9 +13,10 @@
 //!   relative safety margin, [`prune_threshold`]), so a candidate that ties
 //!   the optimum is never pruned and the serial first-minimum winner is
 //!   preserved whatever the thread count;
-//! * [`PartialPrune`] — which partial-assignment bound the forest walks
+//! * [`PartialPrune`] — which partial-assignment bound the plan walks
 //!   should maintain (period or latency, from
-//!   [`fsw_core::PartialForestMetrics`]), and whether the candidate
+//!   [`fsw_core::PartialForestMetrics`] in the forest walks; the DAG walk
+//!   keeps a latency floor only), and whether the candidate
 //!   evaluation is that bound bit for bit, which lets both walks add the
 //!   non-strict tie-dominance prune (`tie_dominated`);
 //! * [`EvalCache`] — a concurrent memo of expensive candidate evaluations
@@ -342,11 +343,13 @@ pub enum PartialPrune {
     /// OVERLAP under either evaluation (Theorem 1).  The partial bound is
     /// then bit-admissible, so the walks add tie dominance.
     StructuralPeriod(fsw_core::CommModel),
-    /// Prune on [`fsw_core::PartialForestMetrics::latency_bound`], by strict
-    /// clearance only.  Valid for the exact forest latency (Algorithm 1) and
-    /// every one-port/multi-port schedule value, all of which dominate the
-    /// critical path up to rounding; a tree latency can sit ulps below the
-    /// bound.
+    /// Prune on [`fsw_core::PartialForestMetrics::latency_bound`] in the
+    /// forest walks and on the DAG walk's decided-prefix critical-path
+    /// floor ([`exhaustive_dag_search`](crate::minperiod::exhaustive_dag_search)),
+    /// by strict clearance only.  Valid for the exact forest latency
+    /// (Algorithm 1) and every one-port/multi-port schedule value, all of
+    /// which dominate the critical path up to rounding; a tree latency can
+    /// sit ulps below the bound.
     Latency,
 }
 

@@ -113,19 +113,36 @@ pub struct StreamStats {
     pub certified_shapes: usize,
 }
 
+/// Telemetry of one DAG walk
+/// ([`exhaustive_dag_search`](crate::minperiod::exhaustive_dag_search)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DagStats {
+    /// Complete DAGs the walk valued; it builds each labelled DAG at most
+    /// once, so never more than A003024(n) (29 281 at `n = 5`).
+    pub visited: u64,
+    /// Subtrees the walk dropped at a placement: the placed service lacked
+    /// an ancestor its precedence constraints require, or the prefix's
+    /// latency floor strictly cleared the incumbent.
+    pub pruned: u64,
+}
+
 /// A write-once sink for the [`StreamStats`] of the plan search buried
 /// inside a solve: the orchestrator threads one through its engine calls so
 /// telemetry surfaces in `SolveStats` without widening every search
 /// signature on the way down.  Both walks record — the streamed canonical
 /// walk and the depth-first walk of the labelled space.
 ///
+/// A DAG walk records its [`DagStats`] into the same probe.
+///
 /// A probe built with [`StreamProbe::with_metrics`] additionally publishes
 /// each recorded run into the registry (`engine.stream.*` histograms and
-/// the `engine.stream.peak_resident` gauge) and exposes the registry to
-/// the engine for stage spans ([`EngineMetrics`]).
+/// the `engine.stream.peak_resident` gauge; the `engine.dag.visited` and
+/// `engine.dag.pruned` counters) and exposes the registry to the engine
+/// for stage spans ([`EngineMetrics`]).
 #[derive(Debug, Default)]
 pub struct StreamProbe {
     stats: std::sync::Mutex<Option<StreamStats>>,
+    dag: std::sync::Mutex<Option<DagStats>>,
     metrics: Option<std::sync::Arc<fsw_obs::MetricsRegistry>>,
 }
 
@@ -133,8 +150,8 @@ impl StreamProbe {
     /// A probe that also publishes recorded runs into `registry`.
     pub fn with_metrics(registry: std::sync::Arc<fsw_obs::MetricsRegistry>) -> Self {
         StreamProbe {
-            stats: std::sync::Mutex::new(None),
             metrics: Some(registry),
+            ..StreamProbe::default()
         }
     }
 
@@ -143,8 +160,8 @@ impl StreamProbe {
         self.metrics.as_ref()
     }
 
-    /// Records the stats of a plan search (the last run wins when a solve
-    /// performs several, e.g. a forest phase followed by a DAG phase).
+    /// Records the stats of a forest walk (the last run wins when a solve
+    /// performs several).
     pub fn record(&self, stats: StreamStats) {
         if let Some(registry) = &self.metrics {
             registry
@@ -169,6 +186,20 @@ impl StreamProbe {
     /// The recorded stats, if a plan search ran.
     pub fn snapshot(&self) -> Option<StreamStats> {
         *self.stats.lock().expect("stream probe poisoned")
+    }
+
+    /// Records the stats of a DAG walk.
+    pub fn record_dag(&self, stats: DagStats) {
+        if let Some(registry) = &self.metrics {
+            registry.counter("engine.dag.visited").add(stats.visited);
+            registry.counter("engine.dag.pruned").add(stats.pruned);
+        }
+        *self.dag.lock().expect("stream probe poisoned") = Some(stats);
+    }
+
+    /// The recorded DAG walk stats, if a DAG walk ran.
+    pub fn dag_snapshot(&self) -> Option<DagStats> {
+        *self.dag.lock().expect("stream probe poisoned")
     }
 }
 

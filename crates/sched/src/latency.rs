@@ -25,8 +25,6 @@
 //!   also a valid multi-port schedule);
 //! * [`latency_lower_bound`] — the critical-path lower bound valid for every model.
 
-use std::collections::BTreeMap;
-
 use fsw_core::{
     in_edges, out_edges, plan_edges, Application, CoreError, CoreResult, EdgeRef, ExecutionGraph,
     Interval, OperationList, PlanMetrics,
@@ -74,27 +72,58 @@ pub(crate) fn latency_lower_bound_with(
     Ok(best)
 }
 
-/// An operation of the single-data-set schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum LatOp {
-    Comm(EdgeRef),
-    Calc(usize),
-}
-
 /// Pre-computed state for evaluating many communication orderings of one
 /// `(application, graph)` pair.
 ///
-/// The operation set, its durations and the plan metrics do not depend on
-/// the ordering — only the per-server sequence arcs do — so an exhaustive
-/// ordering search builds this once and pays only the longest-path run per
-/// candidate, instead of recomputing `PlanMetrics` (ancestor sets and all)
-/// for every one of thousands of orderings.
+/// The operations — one per plan edge (a transfer is a single operation,
+/// shared by its sender's and its receiver's sequence), then one
+/// computation per service — their durations and the plan metrics do not
+/// depend on the ordering; only the per-server sequence arcs do.  So an
+/// exhaustive ordering search builds this once and pays one longest-path
+/// pass per candidate, instead of recomputing `PlanMetrics` (ancestor sets
+/// and all) for every one of thousands of orderings.  A dense table maps
+/// each plan edge to its operation, so a pass looks nothing up by key, and
+/// the ordering searches run their passes on buffers they keep per worker:
+/// valuing an ordering inside a search allocates nothing.
 pub struct LatencyEvaluator<'a> {
     graph: &'a ExecutionGraph,
-    ops: Vec<LatOp>,
-    index: BTreeMap<LatOp, usize>,
+    /// The plan edges in [`plan_edges`] order: operation `i` is the
+    /// transfer on `edges[i]`, operation `edges.len() + k` the computation
+    /// of service `k`.
+    edges: Vec<EdgeRef>,
+    /// The operation of every plan edge, at its `edge_slot`.
+    edge_op: Vec<usize>,
     durations: Vec<f64>,
     lower_bound: f64,
+}
+
+/// A plan edge's place in [`LatencyEvaluator`]'s dense edge table on `n`
+/// services: input edges first, then output edges, then the `n × n`
+/// service-to-service pairs.
+fn edge_slot(n: usize, edge: EdgeRef) -> usize {
+    match edge {
+        EdgeRef::Input(k) => k,
+        EdgeRef::Output(k) => n + k,
+        EdgeRef::Link(i, j) => 2 * n + i * n + j,
+    }
+}
+
+/// Marks an absent successor in [`LatencyScratch`] and an absent edge in
+/// the evaluator's edge table.
+const NO_OP: usize = usize::MAX;
+
+/// The buffers of a [`LatencyEvaluator`]'s longest-path pass, sized exactly
+/// for its operations.  An ordering search keeps one per worker, so its
+/// passes allocate nothing, and frees them when it ends.
+pub(crate) struct LatencyScratch {
+    /// Each operation's successors along the per-server sequences
+    /// (`NO_OP` when absent): at most two, since a transfer lies on its
+    /// sender's and its receiver's sequence and every other operation on
+    /// one sequence.
+    succ: Vec<[usize; 2]>,
+    indeg: Vec<u8>,
+    start: Vec<f64>,
+    stack: Vec<usize>,
 }
 
 impl<'a> LatencyEvaluator<'a> {
@@ -112,35 +141,21 @@ impl<'a> LatencyEvaluator<'a> {
         metrics: &PlanMetrics,
     ) -> CoreResult<Self> {
         let lower_bound = latency_lower_bound_with(app, graph, metrics)?;
-        // Operation set:
-        //  * per server: receptions, the computation, emissions;
-        //  * rendezvous: a transfer is a single operation shared by both
-        //    sequences — data flow is implied by the per-server sequences.
-        let mut ops: Vec<LatOp> = Vec::new();
-        let mut index: BTreeMap<LatOp, usize> = BTreeMap::new();
-        let mut add = |op: LatOp| {
-            index.entry(op).or_insert_with(|| {
-                ops.push(op);
-                ops.len() - 1
-            });
-        };
-        for edge in plan_edges(graph) {
-            add(LatOp::Comm(edge));
+        let n = graph.n();
+        let edges = plan_edges(graph);
+        let mut edge_op = vec![NO_OP; 2 * n + n * n];
+        for (op, &edge) in edges.iter().enumerate() {
+            edge_op[edge_slot(n, edge)] = op;
         }
-        for k in 0..graph.n() {
-            add(LatOp::Calc(k));
-        }
-        let durations: Vec<f64> = ops
+        let durations: Vec<f64> = edges
             .iter()
-            .map(|op| match op {
-                LatOp::Comm(e) => metrics.edge_volume(app, *e),
-                LatOp::Calc(k) => metrics.c_comp(*k),
-            })
+            .map(|&edge| metrics.edge_volume(app, edge))
+            .chain((0..n).map(|k| metrics.c_comp(k)))
             .collect();
         Ok(LatencyEvaluator {
             graph,
-            ops,
-            index,
+            edges,
+            edge_op,
             durations,
             lower_bound,
         })
@@ -152,39 +167,67 @@ impl<'a> LatencyEvaluator<'a> {
         self.lower_bound
     }
 
+    /// Buffers for one worker's longest-path passes.
+    pub(crate) fn scratch(&self) -> LatencyScratch {
+        let m = self.durations.len();
+        LatencyScratch {
+            succ: vec![[NO_OP; 2]; m],
+            indeg: vec![0; m],
+            start: vec![0.0; m],
+            stack: Vec::with_capacity(m),
+        }
+    }
+
+    /// The operation carrying plan edge `edge` of the evaluator's graph.
+    fn op(&self, edge: EdgeRef) -> usize {
+        let op = self.edge_op[edge_slot(self.graph.n(), edge)];
+        debug_assert!(op != NO_OP, "{edge:?} is not a plan edge of the graph");
+        op
+    }
+
     /// Longest path over the operation DAG induced by `ords` (Kahn), with
-    /// cycle (deadlock) detection.
+    /// cycle (deadlock) detection, on `scratch`'s buffers; the operations'
+    /// start times are left in `scratch.start`.
     ///
     /// Returns `Ok(None)` when some operation provably ends after `cutoff` —
     /// every operation end bounds the makespan from below, so the true
     /// latency then exceeds `cutoff` and the caller can abandon the
     /// candidate early.  With `cutoff = ∞` the result is always exact.
-    fn run(
+    pub(crate) fn run(
         &self,
         ords: &CommOrderings,
         cutoff: f64,
-        starts_out: Option<&mut Vec<f64>>,
+        scratch: &mut LatencyScratch,
     ) -> CoreResult<Option<f64>> {
-        let m = self.ops.len();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut indeg: Vec<usize> = vec![0; m];
+        let LatencyScratch {
+            succ,
+            indeg,
+            start,
+            stack,
+        } = scratch;
+        succ.fill([NO_OP; 2]);
+        indeg.fill(0);
+        start.fill(0.0);
+        stack.clear();
+        let calc = self.edges.len();
         for k in 0..self.graph.n() {
-            let mut seq: Vec<usize> =
-                Vec::with_capacity(ords.incoming[k].len() + 1 + ords.outgoing[k].len());
-            for e in &ords.incoming[k] {
-                seq.push(self.index[&LatOp::Comm(*e)]);
-            }
-            seq.push(self.index[&LatOp::Calc(k)]);
-            for e in &ords.outgoing[k] {
-                seq.push(self.index[&LatOp::Comm(*e)]);
-            }
-            for w in seq.windows(2) {
-                succs[w[0]].push(w[1]);
-                indeg[w[1]] += 1;
+            let sequence = ords.incoming[k]
+                .iter()
+                .map(|&e| self.op(e))
+                .chain(std::iter::once(calc + k))
+                .chain(ords.outgoing[k].iter().map(|&e| self.op(e)));
+            let mut prev = NO_OP;
+            for op in sequence {
+                if prev != NO_OP {
+                    let slot = usize::from(succ[prev][0] != NO_OP);
+                    debug_assert!(succ[prev][slot] == NO_OP, "an edge listed twice");
+                    succ[prev][slot] = op;
+                    indeg[op] += 1;
+                }
+                prev = op;
             }
         }
-        let mut start = vec![0.0f64; m];
-        let mut stack: Vec<usize> = (0..m).filter(|&i| indeg[i] == 0).collect();
+        stack.extend((0..indeg.len()).filter(|&i| indeg[i] == 0));
         let mut visited = 0usize;
         let mut makespan = 0.0f64;
         while let Some(i) = stack.pop() {
@@ -194,7 +237,7 @@ impl<'a> LatencyEvaluator<'a> {
                 return Ok(None);
             }
             makespan = makespan.max(end);
-            for &j in &succs[i] {
+            for &j in succ[i].iter().take_while(|&&j| j != NO_OP) {
                 if end > start[j] {
                     start[j] = end;
                 }
@@ -204,38 +247,37 @@ impl<'a> LatencyEvaluator<'a> {
                 }
             }
         }
-        if visited != m {
+        if visited != indeg.len() {
             return Err(CoreError::CyclicGraph);
-        }
-        if let Some(out) = starts_out {
-            *out = start;
         }
         Ok(Some(makespan))
     }
 
     /// Latency of a fixed ordering, abandoning early (`Ok(None)`) once it
-    /// provably exceeds `cutoff`; `Err(CyclicGraph)` on deadlock.
+    /// provably exceeds `cutoff`; `Err(CyclicGraph)` on deadlock.  Each call
+    /// allocates its own pass buffers; the ordering searches reuse one set
+    /// per worker instead.
     pub fn value(&self, ords: &CommOrderings, cutoff: f64) -> CoreResult<Option<f64>> {
-        self.run(ords, cutoff, None)
+        self.run(ords, cutoff, &mut self.scratch())
     }
 
     /// Latency *and* concrete operation list of a fixed ordering.
     pub fn schedule(&self, ords: &CommOrderings) -> CoreResult<(f64, OperationList)> {
-        let mut start = Vec::new();
+        let mut scratch = self.scratch();
         let makespan = self
-            .run(ords, f64::INFINITY, Some(&mut start))?
+            .run(ords, f64::INFINITY, &mut scratch)?
             .expect("an infinite cutoff never abandons");
         // Assemble the operation list; its period is set to the makespan so
         // the schedule trivially has no cross-data-set conflict (the "fully
         // serialise each data set" strategy of Section 2.2 for the latency).
         let lambda = if makespan > 0.0 { makespan } else { 1.0 };
         let mut oplist = OperationList::new(self.graph.n(), lambda);
-        for (i, op) in self.ops.iter().enumerate() {
-            let iv = Interval::with_duration(start[i], self.durations[i]);
-            match op {
-                LatOp::Comm(e) => oplist.set_comm(*e, iv),
-                LatOp::Calc(k) => oplist.set_calc(*k, iv),
-            }
+        let interval = |op: usize| Interval::with_duration(scratch.start[op], self.durations[op]);
+        for (op, &edge) in self.edges.iter().enumerate() {
+            oplist.set_comm(edge, interval(op));
+        }
+        for k in 0..self.graph.n() {
+            oplist.set_calc(k, interval(self.edges.len() + k));
         }
         Ok((oplist.latency(), oplist))
     }
@@ -324,9 +366,10 @@ pub fn oneport_latency_search_bounded(
     let graph = evaluator.graph;
     let enumerated = OrderingSpace::new(graph, exhaustive_limit).map(|space| {
         // Dead-locked orderings and orderings provably above the bar are
-        // both skipped.
-        space.first_minimum(exec, cutoff, |ords, bar| {
-            evaluator.value(ords, bar).ok().flatten()
+        // both skipped.  Each worker values on its own pass buffers.
+        space.first_minimum(exec, cutoff, || {
+            let mut scratch = evaluator.scratch();
+            move |ords: &CommOrderings, bar| evaluator.run(ords, bar, &mut scratch).ok().flatten()
         })
     });
     let (latency, orderings, exhaustive) = match enumerated {
@@ -339,9 +382,10 @@ pub fn oneport_latency_search_bounded(
         // valued.  The climb is not cutoff-bounded: its value must not
         // depend on the incumbent carried in.
         Some((None, false)) | None => {
+            let mut scratch = evaluator.scratch();
             let (latency, orderings) = climb_orderings(graph, exec, |ords| {
                 Ok(evaluator
-                    .value(ords, f64::INFINITY)?
+                    .run(ords, f64::INFINITY, &mut scratch)?
                     .expect("an infinite cutoff never abandons"))
             })?;
             (latency, orderings, false)

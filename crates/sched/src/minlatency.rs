@@ -24,10 +24,10 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
-use crate::engine::{prune_threshold, tags, EvalCache, PartialPrune, Symmetry};
+use crate::engine::{tags, EvalCache, PartialPrune, Symmetry};
 use crate::latency::{
-    latency_lower_bound_with, multiport_proportional_latency, oneport_latency_search,
-    oneport_latency_search_bounded, LatencyEvaluator,
+    multiport_proportional_latency, oneport_latency_search, oneport_latency_search_bounded,
+    LatencyEvaluator,
 };
 use crate::minperiod::{
     climb_plans, exhaustive_dag_search, exhaustive_forest_search, SearchOutcome,
@@ -61,10 +61,16 @@ pub fn evaluate_latency(
     Ok(best)
 }
 
-/// Bounded (branch-and-bound aware) candidate evaluation: like
-/// [`evaluate_latency`], but may return `∞` for candidates whose critical
-/// path already clears `cutoff`, and memoises the one-port ordering searches
-/// in `cache` (one search per canonical equivalence class).
+/// Bounded (branch-and-bound aware) candidate evaluation of the DAG phase:
+/// like [`evaluate_latency`], but may return any value above `cutoff` for
+/// a candidate that cannot beat it, and memoises the one-port ordering
+/// searches in `cache` (one search per canonical equivalence class).
+///
+/// The DAG walk never hands it a candidate whose critical path strictly
+/// clears the incumbent: under [`PartialPrune::Latency`] the walk's floor
+/// at a complete DAG is that critical path, so the test lives there.  The
+/// ordering search still refuses such a candidate on its own (the cutoff
+/// may have dropped since the walk read it).
 fn evaluate_latency_bounded(
     app: &Application,
     graph: &ExecutionGraph,
@@ -78,19 +84,11 @@ fn evaluate_latency_bounded(
         // Exact by Algorithm 1 — cheap enough to skip the cache entirely.
         return tree_latency(app, graph).unwrap_or(f64::INFINITY);
     }
-    // Every one-port or multi-port schedule dominates the critical path, so
-    // a critical path above the cutoff proves the candidate cannot improve
-    // the incumbent.  The metrics are computed once here and shared with the
-    // ordering search on a cache miss.
+    // The metrics are computed once here and shared with the ordering
+    // search on a cache miss.
     let Ok(metrics) = PlanMetrics::compute(app, graph) else {
         return f64::INFINITY;
     };
-    let Ok(lower) = latency_lower_bound_with(app, graph, &metrics) else {
-        return f64::INFINITY;
-    };
-    if lower > prune_threshold(cutoff) {
-        return f64::INFINITY;
-    }
     // The (cheap, exact) proportional multi-port schedule further tightens
     // the cutoff handed to the expensive one-port ordering search.
     let fluid = if model == CommModel::Overlap {
@@ -211,7 +209,7 @@ pub fn minimize_latency(
 /// — `orchestrator::warm_seed` enforces this; a DAG value below every
 /// forest would starve the forest phase and flip the near-tie arbitration
 /// between the two phases).  `probe` receives the forest search's
-/// telemetry.
+/// telemetry and the DAG walk's.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_latency_engine(
     app: &Application,
@@ -263,7 +261,17 @@ pub(crate) fn minimize_latency_engine(
                 exec.deadline,
             )
         };
-        let dag = exhaustive_dag_search(app, budget.dag_enumeration_max_n, exec, seed, &eval);
+        // The walk drops every subtree whose critical-path floor strictly
+        // clears the incumbent: those DAGs' latencies exceed it too.
+        let dag = exhaustive_dag_search(
+            app,
+            budget.dag_enumeration_max_n,
+            exec,
+            PartialPrune::Latency,
+            seed,
+            &eval,
+            probe,
+        );
         if let Some(out) = dag {
             if best.as_ref().is_none_or(|b| out.value < b.value - 1e-12) {
                 best = Some(out);

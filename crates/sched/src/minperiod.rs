@@ -31,7 +31,9 @@ use fsw_core::{
 };
 
 use crate::chain::{chain_graph, chain_minperiod_order};
-use crate::engine::frontier::{streamed_canonical_search, EngineMetrics, StreamProbe, StreamStats};
+use crate::engine::frontier::{
+    streamed_canonical_search, DagStats, EngineMetrics, StreamProbe, StreamStats,
+};
 use crate::engine::{
     prune_threshold, tags, tie_dominated, CanonicalSpace, EvalCache, Incumbent, PartialPrune,
     Symmetry,
@@ -486,8 +488,8 @@ fn permute_orders<F: FnMut(&[ServiceId])>(items: &mut Vec<ServiceId>, start: usi
 }
 
 /// The budgeted, parallel variant of [`exhaustive_dag_best`]: one
-/// depth-first walk that builds each labelled DAG exactly once, with the
-/// same winner.
+/// depth-first walk that builds each labelled DAG at most once, prunes
+/// while it builds, and returns the same winner.
 ///
 /// Each step places one unplaced service and gives it a predecessor set
 /// drawn from the services already placed, so every DAG is built along a
@@ -496,29 +498,57 @@ fn permute_orders<F: FnMut(&[ServiceId])>(items: &mut Vec<ServiceId>, start: usi
 /// then follow the DAG's least topological order (the one that always
 /// takes the smallest-labelled ready service), which is unique, so the
 /// walk builds each labelled DAG once (29 281 at `n = 5`, A003024) and
-/// keeps no set of visited DAGs.  Each complete DAG is checked against the
-/// precedence constraints and valued.  The first one or two placements
-/// (see [`Exec::effective_split_levels`]) are expanded into tasks split
-/// over `exec.effective_threads()` workers, and their winners fold in the
-/// order of [`exhaustive_dag_best`] (value, then edge-set key), so the
-/// result is the same at every thread count.  An optional deadline,
-/// checked before each DAG is built, interrupts the walk (flagged via
-/// [`SearchOutcome::exhaustive`]).  Instances larger than
-/// [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of `max_n`.
+/// keeps no set of visited DAGs.
+///
+/// A placed service's predecessor set is final, and so are its ancestors,
+/// its input factor and its critical-path completion, which the walk
+/// records at placement with the float operations of `PlanMetrics::compute`
+/// and [`latency_lower_bound`](crate::latency::latency_lower_bound).  Two
+/// checks then drop whole subtrees at the placement that decides them:
+///
+/// * a service whose ancestors miss one that its precedence constraints
+///   require (the walk never builds a DAG that breaks a constraint);
+/// * under [`PartialPrune::Latency`], a prefix whose latency floor — the
+///   largest completion plus one emission over the placed services, which
+///   no completion's critical path is below, not even by an ulp — strictly
+///   clears the shared incumbent ([`prune_threshold`]).  Once every
+///   service is placed the floor *is* the critical path, so `eval` never
+///   sees a DAG whose critical path clears the cutoff it receives.
+///
+/// Every other [`PartialPrune`] keeps no floor: the walk then prunes on
+/// constraints only and values every DAG that respects them.
+///
+/// The first one or two placements (see [`Exec::effective_split_levels`])
+/// are expanded into tasks split over `exec.effective_threads()` workers,
+/// and their winners fold in the order of [`exhaustive_dag_best`] (value,
+/// then edge-set key), so the result is the same at every thread count.
+/// An optional deadline, checked before each DAG is built, interrupts the
+/// walk (flagged via [`SearchOutcome::exhaustive`]).  Instances larger
+/// than [`DAG_ENUMERATION_HARD_MAX_N`] return `None` regardless of
+/// `max_n`.
 ///
 /// `eval` receives the current incumbent as a *cutoff* (see
 /// [`exhaustive_forest_search`]).  `incumbent_seed` pre-loads the shared
 /// incumbent with an upper bound from an earlier phase (e.g. the forest
 /// optimum): candidates that cannot strictly beat the seed may then be
-/// valued `∞`, so when the outcome's value is not below the seed only the
-/// seed phase's result is meaningful.  Pass `f64::INFINITY` for an
-/// unseeded, self-contained search (its value is then always exact).
+/// pruned or valued `∞`, so when the outcome's value is not below the seed
+/// only the seed phase's result is meaningful.  Pass `f64::INFINITY` for
+/// an unseeded, self-contained search (its value is then always exact).
+/// Pruning never moves a winner or a tie: a dropped DAG's value strictly
+/// exceeds an incumbent that the walk's own best never exceeds, as long as
+/// the seed is `∞` or the value of a DAG of the space (the forest optimum
+/// is one).
+///
+/// `probe`, when supplied, records the walk's [`DagStats`]: the DAGs
+/// valued and the subtrees pruned.
 pub fn exhaustive_dag_search<F>(
     app: &Application,
     max_n: usize,
     exec: Exec,
+    prune: PartialPrune,
     incumbent_seed: f64,
     eval: &F,
+    probe: Option<&StreamProbe>,
 ) -> Option<SearchOutcome>
 where
     F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
@@ -527,36 +557,48 @@ where
     if n == 0 || n > max_n.min(DAG_ENUMERATION_HARD_MAX_N) {
         return None;
     }
+    // The ancestors each service's precedence constraints require.
+    let mut required = [0u32; DAG_ENUMERATION_HARD_MAX_N];
+    for &(from, to) in app.constraints() {
+        required[to] |= 1 << from;
+    }
     let incumbent = Incumbent::seeded(incumbent_seed);
     let prefixes = dag_task_prefixes(n, exec.effective_split_levels());
     let parts = par_chunks(exec.effective_threads(), &prefixes, |_base, chunk| {
         let mut walker = DagWalker {
             app,
             incumbent: &incumbent,
+            prune,
             eval,
             deadline: exec.deadline,
+            required: &required,
             order: Vec::with_capacity(n),
-            mask: 0,
+            placed: Vec::with_capacity(n),
+            stats: DagStats::default(),
             best: None,
         };
         let mut complete = true;
         for prefix in chunk {
-            walker.order.clear();
-            walker.mask = 0;
-            for &(s, preds) in prefix {
-                walker.place(s, preds);
-            }
-            if !walker.walk() {
+            while walker.take_back() {}
+            if prefix.iter().all(|&(s, preds)| walker.place(s, preds)) && !walker.walk() {
                 complete = false;
                 break;
             }
         }
-        (walker.best, complete)
+        (walker.best, walker.stats, complete)
     });
-    let complete = parts.iter().all(|(_, c)| *c);
+    let complete = parts.iter().all(|(_, _, c)| *c);
+    let mut stats = DagStats::default();
     let mut best = None;
-    for (value, _, graph) in parts.into_iter().filter_map(|(b, _)| b) {
-        keep_better(&mut best, value, graph);
+    for (part, part_stats, _) in parts {
+        stats.visited += part_stats.visited;
+        stats.pruned += part_stats.pruned;
+        if let Some((value, _, graph)) = part {
+            keep_better(&mut best, value, graph);
+        }
+    }
+    if let Some(p) = probe {
+        p.record_dag(stats);
     }
     best.map(|(value, _, graph)| SearchOutcome {
         value,
@@ -594,18 +636,41 @@ fn dag_task_prefixes(n: usize, levels: usize) -> Vec<Vec<(ServiceId, u32)>> {
     prefixes
 }
 
+/// What the DAG walk knows of a placed service.  Its predecessor set is
+/// final, so every field is the value the finished DAG gives it.
+#[derive(Clone, Copy, Debug)]
+struct Placed {
+    /// The service's strict ancestors, one bit per service id.
+    ancestors: u32,
+    /// Its input factor (`PlanMetrics::input_factor`).
+    factor: f64,
+    /// Its critical-path completion: the `done` of
+    /// [`latency_lower_bound`](crate::latency::latency_lower_bound).
+    done: f64,
+    /// The latency floor of the prefix ending with this placement: the
+    /// largest `done + factor·σ` (a completion plus one emission of the
+    /// service's output) over the placements so far.
+    floor: f64,
+    /// The edges of the prefix, in [`ExecutionGraph::from_permutation_mask`]'s
+    /// pair encoding over the placement order.
+    mask: u64,
+}
+
 /// One worker's depth-first DAG walk over the completions of its task
 /// prefixes.
 struct DagWalker<'a, F> {
     app: &'a Application,
     incumbent: &'a Incumbent,
+    prune: PartialPrune,
     eval: &'a F,
     deadline: Option<Instant>,
+    /// Per service, the ancestors its precedence constraints require.
+    required: &'a [u32],
     /// The services placed so far, in their DAG's least topological order.
     order: Vec<ServiceId>,
-    /// The edges among them, in [`ExecutionGraph::from_permutation_mask`]'s
-    /// pair encoding over `order`.
-    mask: u64,
+    /// What each placement decided, in the same order.
+    placed: Vec<Placed>,
+    stats: DagStats,
     best: DagBest,
 }
 
@@ -613,17 +678,65 @@ impl<F> DagWalker<'_, F>
 where
     F: Fn(&ExecutionGraph, f64) -> f64,
 {
-    /// Places `s` with the predecessors at the positions `preds` selects,
-    /// returning the edge mask to restore when `s` is taken back.
-    fn place(&mut self, s: ServiceId, preds: u32) -> u64 {
-        let (n, k) = (self.app.n(), self.order.len());
-        let saved = self.mask;
+    /// Places `s` with the predecessors at the positions `preds` selects.
+    /// Refuses the placement (`false`, counted as a pruned subtree) when
+    /// `s` would lack an ancestor its precedence constraints require or,
+    /// under [`PartialPrune::Latency`], when the prefix's latency floor
+    /// strictly clears the incumbent.
+    fn place(&mut self, s: ServiceId, preds: u32) -> bool {
+        let (app, n, k) = (self.app, self.app.n(), self.order.len());
+        let mut ancestors = 0u32;
+        // An entry node's only input is the unit data set: `0 + 1`.
+        let mut ready = if preds == 0 { 1.0 } else { 0.0f64 };
+        let mut mask = self.placed.last().map_or(0, |p| p.mask);
         for a in (0..k).filter(|&a| preds & (1 << a) != 0) {
+            let (p, at) = (self.order[a], &self.placed[a]);
+            ancestors |= at.ancestors | 1 << p;
+            ready = ready.max(at.done + at.factor * app.selectivity(p));
             // Pair (a, k) in the row order (0,1), (0,2), …, (1,2), …
-            self.mask |= 1 << (a * (2 * n - a - 1) / 2 + k - a - 1);
+            mask |= 1 << (a * (2 * n - a - 1) / 2 + k - a - 1);
+        }
+        if ancestors & self.required[s] != self.required[s] {
+            self.stats.pruned += 1;
+            return false;
+        }
+        // Path order for one predecessor, ascending ids over the ancestors
+        // of a join, as `PlanMetrics::compute` multiplies them.
+        let factor = match preds.count_ones() {
+            0 => 1.0,
+            1 => {
+                let a = preds.trailing_zeros() as usize;
+                self.placed[a].factor * app.selectivity(self.order[a])
+            }
+            _ => (0..n)
+                .filter(|&t| ancestors & (1 << t) != 0)
+                .fold(1.0, |product, t| product * app.selectivity(t)),
+        };
+        let done = ready + factor * app.cost(s);
+        let floor = self
+            .placed
+            .last()
+            .map_or(0.0f64, |p| p.floor)
+            .max(done + factor * app.selectivity(s));
+        if self.prune == PartialPrune::Latency && floor > prune_threshold(self.incumbent.get()) {
+            self.stats.pruned += 1;
+            return false;
         }
         self.order.push(s);
-        saved
+        self.placed.push(Placed {
+            ancestors,
+            factor,
+            done,
+            floor,
+            mask,
+        });
+        true
+    }
+
+    /// Takes the last placement back; `false` when nothing was placed.
+    fn take_back(&mut self) -> bool {
+        self.placed.pop();
+        self.order.pop().is_some()
     }
 
     /// Walks every completion of the current placements.  Returns `false`
@@ -638,10 +751,11 @@ where
                 continue;
             }
             for preds in pred_sets(&self.order, s) {
-                let saved = self.place(s, preds);
+                if !self.place(s, preds) {
+                    continue;
+                }
                 let ok = self.walk();
-                self.order.pop();
-                self.mask = saved;
+                self.take_back();
                 if !ok {
                     return false;
                 }
@@ -650,18 +764,18 @@ where
         true
     }
 
-    /// Builds, checks and values the complete DAG.  Returns `false` when
-    /// the deadline has passed.
+    /// Builds and values the complete DAG.  Returns `false` when the
+    /// deadline has passed.
     fn visit(&mut self) -> bool {
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
             return false;
         }
-        let graph = ExecutionGraph::from_permutation_mask(&self.order, self.mask);
-        if graph.respects(self.app).is_ok() {
-            let value = (self.eval)(&graph, self.incumbent.get());
-            if keep_better(&mut self.best, value, graph) {
-                self.incumbent.offer(value);
-            }
+        let mask = self.placed.last().map_or(0, |p| p.mask);
+        let graph = ExecutionGraph::from_permutation_mask(&self.order, mask);
+        let value = (self.eval)(&graph, self.incumbent.get());
+        self.stats.visited += 1;
+        if keep_better(&mut self.best, value, graph) {
+            self.incumbent.offer(value);
         }
         true
     }
@@ -985,7 +1099,15 @@ pub(crate) fn minimize_period_engine(
         // With precedence constraints the optimal plan need not be a forest;
         // use the DAG walk for tiny instances.
         if app.n() <= 5 {
-            if let Some(out) = exhaustive_dag_search(app, 5, exec, incumbent_seed, &eval) {
+            if let Some(out) = exhaustive_dag_search(
+                app,
+                5,
+                exec,
+                PartialPrune::Off,
+                incumbent_seed,
+                &eval,
+                probe,
+            ) {
                 return Ok(out);
             }
         }
@@ -1133,11 +1255,13 @@ mod tests {
                     &app,
                     n,
                     Exec::threaded(threads),
+                    PartialPrune::Off,
                     f64::INFINITY,
                     &|g, _| {
                         walked.lock().unwrap().push(dag_key(g));
                         0.0
                     },
+                    None,
                 )
                 .unwrap();
                 assert!(out.exhaustive);
@@ -1146,6 +1270,95 @@ mod tests {
                 assert_eq!(walked.len(), dags, "n={n} x{threads}: visits");
                 assert_eq!(distinct, brute, "n={n} x{threads}: edge sets");
             }
+        }
+    }
+
+    /// Checks every placement's floor against every completion of the
+    /// walker's prefix (the whole unpruned subtree); returns the number of
+    /// complete DAGs met.
+    fn check_floors<F>(walker: &mut DagWalker<'_, F>) -> usize
+    where
+        F: Fn(&ExecutionGraph, f64) -> f64,
+    {
+        let (app, n) = (walker.app, walker.app.n());
+        if walker.order.len() == n {
+            let graph =
+                ExecutionGraph::from_permutation_mask(&walker.order, walker.placed[n - 1].mask);
+            let metrics = PlanMetrics::compute(app, &graph).unwrap();
+            let critical = crate::latency::latency_lower_bound(app, &graph).unwrap();
+            for (&s, placed) in walker.order.iter().zip(&walker.placed) {
+                assert_eq!(
+                    placed.factor.to_bits(),
+                    metrics.input_factor(s).to_bits(),
+                    "{app:?}: input factor of {s} in {graph:?}"
+                );
+                assert!(
+                    placed.floor <= critical,
+                    "{app:?}: floor {} after placing {s} above the critical path {critical} of {graph:?}",
+                    placed.floor
+                );
+            }
+            assert_eq!(
+                walker.placed[n - 1].floor.to_bits(),
+                critical.to_bits(),
+                "{app:?}: the complete floor is the critical path of {graph:?}"
+            );
+            return 1;
+        }
+        let mut met = 0;
+        for s in 0..n {
+            if walker.order.contains(&s) {
+                continue;
+            }
+            for preds in pred_sets(&walker.order, s) {
+                assert!(walker.place(s, preds), "no constraint, no prune");
+                met += check_floors(walker);
+                walker.take_back();
+            }
+        }
+        met
+    }
+
+    /// The latency floor the DAG walk records at a placement is never
+    /// above the critical path (`latency_lower_bound`) of a DAG completing
+    /// the prefix, not even by an ulp, and is that critical path bit for
+    /// bit once every service is placed; each placement's input factor is
+    /// `PlanMetrics::input_factor` bit for bit.  Checked at every placement
+    /// of the unpruned walk on instances drawn from the differential
+    /// sweep's colliding cost and selectivity pools, selectivity 1.3
+    /// included, for n = 3, 4 and 5.
+    #[test]
+    fn the_dag_walk_floor_is_bit_admissible_at_every_placement() {
+        let instances: [&[(f64, f64)]; 5] = [
+            &[(2.5, 0.45), (0.25, 1.3), (2.5, 0.9)],
+            &[(1.0, 1.3), (0.25, 0.6), (7.0, 0.7), (1.0, 1.3)],
+            &[(0.25, 0.45), (0.25, 0.9), (0.25, 0.45), (0.25, 0.9)],
+            &[
+                (0.25, 0.45),
+                (1.0, 0.6),
+                (0.25, 0.45),
+                (7.0, 1.3),
+                (1.0, 0.9),
+            ],
+            &[(2.5, 0.7), (2.5, 1.3), (7.0, 0.45), (2.5, 0.7), (0.25, 0.9)],
+        ];
+        let dags = [0, 1, 3, 25, 543, 29_281];
+        for specs in instances {
+            let app = Application::independent(specs);
+            let incumbent = Incumbent::new();
+            let mut walker = DagWalker {
+                app: &app,
+                incumbent: &incumbent,
+                prune: PartialPrune::Off,
+                eval: &|_: &ExecutionGraph, _: f64| 0.0,
+                deadline: None,
+                required: &[0; DAG_ENUMERATION_HARD_MAX_N],
+                order: Vec::new(),
+                placed: Vec::new(),
+                stats: DagStats::default(),
+                best: None,
+            };
+            assert_eq!(check_floors(&mut walker), dags[app.n()], "{specs:?}");
         }
     }
 
@@ -1199,6 +1412,7 @@ mod tests {
                         &app,
                         n,
                         Exec::threaded(threads),
+                        PartialPrune::Off,
                         f64::INFINITY,
                         &|g, _| {
                             let v = eval(g);
@@ -1207,6 +1421,7 @@ mod tests {
                             }
                             v
                         },
+                        None,
                     )
                     .unwrap();
                     let found = (walked.value, dag_key(&walked.graph));

@@ -271,7 +271,8 @@ pub fn oneport_period_search_bounded(
     if let Some(space) = OrderingSpace::new(graph, exhaustive_limit) {
         // Orderings whose rendezvous constraints dead-lock are infeasible
         // (token-free cycle): skip them.
-        let (best, complete) = space.first_minimum(exec, cutoff, |ords, _| eval(ords).ok());
+        let (best, complete) =
+            space.first_minimum(exec, cutoff, || |ords: &CommOrderings, _| eval(ords).ok());
         if let Some((period, orderings)) = best {
             return Ok(Some(OrderingSearchResult {
                 period,

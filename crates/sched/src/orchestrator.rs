@@ -302,10 +302,16 @@ pub struct SolveStats {
     /// expansions (`shapes` stays 0 — no shape plan exists) with the
     /// worker count as residency.  The statistics carry no orbit total:
     /// count one with [`classed_class_count`](fsw_core::classed_class_count)
-    /// or [`forest_classes`](fsw_core::forest_classes).  `None` only for
-    /// fixed-graph orchestration problems and the non-enumerative fallbacks
-    /// (hill climbing, DAG phase), where no plan space is walked.
+    /// or [`forest_classes`](fsw_core::forest_classes).  `None` for
+    /// fixed-graph orchestration problems, the hill-climbing fallbacks and
+    /// a solve that walks DAGs only (precedence constraints), where no
+    /// forest space is walked.
     pub stream: Option<crate::engine::frontier::StreamStats>,
+    /// Telemetry of the DAG walk, when the solve ran one (MINLATENCY's DAG
+    /// phase, or a constrained MINPERIOD instance): the DAGs it valued and
+    /// the subtrees it pruned.  The registry's `engine.dag.visited` and
+    /// `engine.dag.pruned` counters receive the same record.
+    pub dag: Option<crate::engine::frontier::DagStats>,
     /// The warm-start upper bound the search's incumbent was seeded with
     /// (the previous plan's value on the current instance), when one was
     /// supplied and feasible.
@@ -343,7 +349,8 @@ pub struct SolveStats {
 /// `engine.shape_stream` / `engine.expand` / `engine.certify` inside the
 /// streamed walk) and publishes the plan search's
 /// [`StreamStats`](crate::engine::frontier::StreamStats) into
-/// `engine.stream.*` instruments.  The solve itself is untouched —
+/// `engine.stream.*` instruments and a DAG walk's
+/// [`DagStats`](crate::engine::frontier::DagStats) into `engine.dag.*`.  The solve itself is untouched —
 /// instrumented and plain runs return bit-identical solutions and stats.
 pub fn solve_warm_observed(
     problem: &Problem<'_>,
@@ -433,6 +440,7 @@ pub fn solve_warm_observed(
     };
     stats.evaluated = evals.load(Ordering::Relaxed);
     stats.stream = probe.snapshot();
+    stats.dag = probe.dag_snapshot();
     Ok((solution, stats))
 }
 

@@ -14,7 +14,7 @@
 
 use fsw_core::{in_edges, out_edges, CoreResult, EdgeRef, ExecutionGraph, ServiceId};
 
-use crate::par::{fold_min, par_chunks, Exec};
+use crate::par::{fold_min, par_ranges, Exec};
 
 /// A fixed ordering of the incoming and outgoing communications of every server.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,37 +207,60 @@ impl OrderingSpace {
         CommOrderings { incoming, outgoing }
     }
 
-    /// The first minimum of `eval` over the space, in enumeration order,
-    /// and whether every ordering was examined.
+    /// Overwrites `ords`, an ordering of this space (every list already
+    /// holding its slot's edge count), with the `index`-th ordering, in
+    /// place and without allocating.
+    fn decode_into(&self, index: usize, ords: &mut CommOrderings) {
+        debug_assert!(index < self.size);
+        let mut rest = index;
+        let lists = ords.incoming.iter_mut().chain(ords.outgoing.iter_mut());
+        for (slot, list) in self.per_slot.iter().zip(lists) {
+            list.copy_from_slice(&slot[rest % slot.len()]);
+            rest /= slot.len();
+        }
+    }
+
+    /// The first minimum of an evaluation over the space, in enumeration
+    /// order, and whether every ordering was examined.
     ///
-    /// The enumeration is split over `exec` workers in contiguous chunks
-    /// whose winners fold with the serial tie-break, so the result is
-    /// bit-identical to the serial run; `exec`'s deadline stops it early.
+    /// The enumeration is split over `exec` workers in contiguous index
+    /// ranges whose winners fold with the serial tie-break, so the result
+    /// is bit-identical to the serial run; `exec`'s deadline stops it
+    /// early.  Each worker calls `worker()` once for its evaluation `eval`,
+    /// which may own scratch buffers that live as long as the worker, and
+    /// decodes every ordering of its range into one reused
+    /// [`CommOrderings`]; only the winner is built afresh.
     /// `eval(ords, bar)` values one ordering against `bar`, the tighter of
-    /// `cutoff` and the chunk's best so far.  It returns `None` for an
+    /// `cutoff` and the worker's best so far.  It returns `None` for an
     /// infeasible (dead-locked) ordering or one that provably ends strictly
     /// above `bar`, and the exact value otherwise — so ties are valued in
     /// full and the first minimum wins.
-    pub(crate) fn first_minimum<F>(
+    pub(crate) fn first_minimum<W, E>(
         &self,
         exec: Exec,
         cutoff: f64,
-        eval: F,
+        worker: W,
     ) -> (Option<(f64, CommOrderings)>, bool)
     where
-        F: Fn(&CommOrderings, f64) -> Option<f64> + Sync,
+        W: Fn() -> E + Sync,
+        E: FnMut(&CommOrderings, f64) -> Option<f64>,
     {
-        let indices: Vec<usize> = (0..self.len()).collect();
-        let parts = par_chunks(exec.effective_threads(), &indices, |_base, chunk| {
+        let parts = par_ranges(exec.effective_threads(), self.len(), |range| {
             let mut best: Option<(f64, usize)> = None;
             let mut complete = true;
-            for &i in chunk {
+            let mut eval = worker();
+            // Built by `get` (the space is never empty), so every list has
+            // exactly its slot's length and capacity; `decode_into` then
+            // only copies.
+            let mut ords = self.get(range.start);
+            for i in range {
                 if exec.expired() {
                     complete = false;
                     break;
                 }
+                self.decode_into(i, &mut ords);
                 let bar = best.map_or(cutoff, |(b, _)| cutoff.min(b));
-                let Some(value) = eval(&self.get(i), bar) else {
+                let Some(value) = eval(&ords, bar) else {
                     continue;
                 };
                 // No early exit at the structural lower bound: computed

@@ -10,6 +10,7 @@
 //! first minimum of the serial enumeration always wins, whatever the thread
 //! count.
 
+use std::ops::Range;
 use std::time::Instant;
 
 /// How a search is executed: how many worker threads to fan out to and an
@@ -83,17 +84,30 @@ where
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    let threads = threads.min(items.len()).max(1);
+    par_ranges(threads, items.len(), |range| f(range.start, &items[range]))
+}
+
+/// Applies `f` to contiguous index ranges covering `0..len` (at most
+/// `threads` of them, in order) and returns the per-range results in range
+/// order, without materialising the indices.
+///
+/// With `threads <= 1` or fewer than two indices this degenerates to a
+/// single call of `f(0..len)` on the current thread.
+pub fn par_ranges<R, F>(threads: usize, len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let threads = threads.min(len).max(1);
     if threads == 1 {
-        return vec![f(0, items)];
+        return vec![f(0..len)];
     }
-    let chunk_len = items.len().div_ceil(threads);
+    let chunk_len = len.div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(i, chunk)| scope.spawn(move || f(i * chunk_len, chunk)))
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk_len)
+            .map(|start| scope.spawn(move || f(start..len.min(start + chunk_len))))
             .collect();
         handles
             .into_iter()

@@ -111,9 +111,16 @@ fn canonical_dag_values_match_brute_force_on_uniform_weights() {
                     .unwrap_or(f64::INFINITY)
             };
             let brute = exhaustive_dag_best(&app, 4, eval).unwrap();
-            let walked =
-                exhaustive_dag_search(&app, 4, Exec::serial(), f64::INFINITY, &|g, _| eval(g))
-                    .unwrap();
+            let walked = exhaustive_dag_search(
+                &app,
+                4,
+                Exec::serial(),
+                PartialPrune::Off,
+                f64::INFINITY,
+                &|g, _| eval(g),
+                None,
+            )
+            .unwrap();
             assert_eq!(brute.0, walked.value, "case {case} {model}: value");
             assert_eq!(
                 brute.1.edges().collect::<Vec<_>>(),

@@ -1,5 +1,6 @@
 //! Memory regression bounds: the shape prelude, the evaluation cache, the
-//! DAG phase, the flat execution graph, and the plans a serving tier holds.
+//! DAG phase and its ordering searches, the flat execution graph, and the
+//! plans a serving tier holds.
 //!
 //! The binary installs a std-only counting global allocator.  Every test
 //! holds one lock for its whole body, so no other test's allocations fall
@@ -38,7 +39,9 @@ use fsw::core::{
     ShapeScan, WeightClasses,
 };
 use fsw::sched::engine::EvalCache;
+use fsw::sched::latency::{oneport_latency_search_bounded, LatencyEvaluator};
 use fsw::sched::orchestrator::{solve, solve_warm_observed, Objective, Problem, SearchBudget};
+use fsw::sched::{CommOrderings, Exec};
 use fsw::serve::{
     permutation_collapse_allowed, PlanKey, PlanRequest, PlanService, ServeSource, StoredPlan,
 };
@@ -364,7 +367,12 @@ const SOLVE_ALLOCATIONS: usize = 500;
 /// Peak bytes allowed to a MINLATENCY solve of a 5-service instance with
 /// the DAG phase on: the forest phase, the ordering searches' cache and one
 /// candidate at a time, with no record of the DAGs already visited.
-const DAG_PHASE_PEAK: usize = 64 << 10;
+const DAG_PHASE_PEAK: usize = 16 << 10;
+
+/// Allocations allowed to that solve: the forest phase and the few DAGs
+/// whose critical path the walk's latency floor does not clear (a walk
+/// that valued every one of the 29 281 DAGs made 890 138).
+const DAG_PHASE_ALLOCATIONS: usize = 10_000;
 
 #[test]
 fn the_dag_phase_keeps_no_set_of_visited_dags() {
@@ -380,13 +388,57 @@ fn the_dag_phase_keeps_no_set_of_visited_dags() {
         "the DAG phase runs"
     );
     let problem = Problem::new(&app, CommModel::Overlap, Objective::MinLatency);
-    let (peak, solution) = peak_bytes(|| solve(&problem, &budget).unwrap());
+    let (peak, (made, solution)) = peak_bytes(|| allocations(|| solve(&problem, &budget).unwrap()));
     assert!(solution.exhaustive);
-    println!("MINLATENCY n=5 with the DAG phase: peak {peak} bytes");
+    println!("MINLATENCY n=5 with the DAG phase: peak {peak} bytes, {made} allocations");
     assert!(
         peak < DAG_PHASE_PEAK,
         "peak {peak} bytes, at or over {DAG_PHASE_PEAK}"
     );
+    assert!(
+        made <= DAG_PHASE_ALLOCATIONS,
+        "{made} allocations, over {DAG_PHASE_ALLOCATIONS}"
+    );
+}
+
+/// Allocations allowed to one serial exhaustive latency ordering search
+/// over a five-service DAG: its ordering space's per-server permutation
+/// tables, one decoded ordering and one set of pass buffers, and the
+/// winner's schedule, however many orderings it values (searches that
+/// built each ordering and its pass buffers afresh made 19 736, 80 795 and
+/// 331 934 allocations over the three spaces below).
+const ORDERING_SEARCH_ALLOCATIONS: usize = 256;
+
+#[test]
+fn the_dag_phase_values_each_ordering_without_allocating() {
+    let _serial = serial();
+    let app =
+        Application::independent(&[(1.0, 0.5), (2.0, 0.9), (0.5, 0.7), (3.0, 0.6), (1.5, 1.2)]);
+    // A fork into four services joined again (4! · 4! orderings), then
+    // with extra edges multiplying the space by 4 and by 16.
+    let fork_join = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)];
+    let graphs = [
+        fork_join.to_vec(),
+        [&fork_join[..], &[(1, 2)]].concat(),
+        [&fork_join[..], &[(1, 2), (2, 3)]].concat(),
+    ];
+    for edges in graphs {
+        let graph = ExecutionGraph::from_edges(5, &edges).unwrap();
+        let orderings = CommOrderings::search_space_size(&graph);
+        assert!(orderings >= 500, "{orderings} orderings");
+        let evaluator = LatencyEvaluator::new(&app, &graph).unwrap();
+        let (made, result) = allocations(|| {
+            oneport_latency_search_bounded(&evaluator, orderings, Exec::serial(), f64::INFINITY)
+                .unwrap()
+                .unwrap()
+        });
+        assert!(result.exhaustive);
+        println!("latency ordering search over {orderings} orderings: {made} allocations");
+        assert!(
+            made <= ORDERING_SEARCH_ALLOCATIONS,
+            "{made} allocations over {orderings} orderings"
+        );
+    }
 }
 
 /// Peak bytes allowed to a serial solve whose every shape ties its

@@ -5,20 +5,23 @@
 //! (`exhaustive_forest_best` / `exhaustive_dag_best` and the unbounded
 //! ordering searches) they accelerate.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{CommModel, ExecutionGraph, PlanMetrics};
+use fsw::obs::MetricsRegistry;
+use fsw::sched::engine::frontier::{DagStats, StreamProbe};
 use fsw::sched::engine::{CanonicalSpace, EvalCache, PartialPrune, Symmetry};
 use fsw::sched::latency::{
     oneport_latency_search, oneport_latency_search_bounded, LatencyEvaluator,
 };
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
-    evaluate_period, exhaustive_dag_best, exhaustive_forest_best, exhaustive_forest_search,
-    minimize_period, minperiod_local_search, PeriodEvaluation,
+    evaluate_period, exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best,
+    exhaustive_forest_search, minimize_period, minperiod_local_search, PeriodEvaluation,
 };
 use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use fsw::sched::orchestrator::{
@@ -28,7 +31,8 @@ use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{
-    random_application, random_compatible_graph, serving_trace, RandomAppConfig, TraceConfig,
+    query_optimization, random_application, random_compatible_graph, serving_trace,
+    RandomAppConfig, TraceConfig,
 };
 
 const CASES: usize = 6;
@@ -185,6 +189,70 @@ fn minimize_latency_matches_brute_force() {
                 "case {case} {model}: winner"
             );
         }
+    }
+}
+
+/// Five-service DAGs (A003024).
+const DAGS_AT_5: u64 = 29_281;
+
+/// The DAG walk reports what it did once, to `SolveStats::dag` and to the
+/// registry's `engine.dag.visited` and `engine.dag.pruned` counters alike.
+/// Unpruned, it values each five-service DAG once; in MINLATENCY solves of
+/// five-service query-optimisation instances its latency floor, seeded
+/// with the forest optimum, leaves it valuing a small share of them.
+#[test]
+fn the_dag_walk_counts_its_visits_and_prunes() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let budget = SearchBudget {
+        threads: 1,
+        ..SearchBudget::default()
+    };
+    for case in 0..3 {
+        let app = query_optimization(5, &mut rng);
+        let probe = StreamProbe::default();
+        exhaustive_dag_search(
+            &app,
+            5,
+            Exec::serial(),
+            PartialPrune::Off,
+            f64::INFINITY,
+            &|_, _| 0.0,
+            Some(&probe),
+        )
+        .expect("n is within the DAG walk");
+        assert_eq!(
+            probe.dag_snapshot(),
+            Some(DagStats {
+                visited: DAGS_AT_5,
+                pruned: 0
+            }),
+            "case {case}: unpruned"
+        );
+        for model in CommModel::ALL {
+            let registry = Arc::new(MetricsRegistry::new());
+            let problem = Problem::new(&app, model, Objective::MinLatency);
+            let (_, stats) = solve_warm_observed(
+                &problem,
+                &budget,
+                &EvalCache::new(&app),
+                None,
+                Some(&registry),
+            )
+            .expect("valid instance");
+            let dag = stats.dag.expect("the DAG phase ran");
+            let snapshot = registry.snapshot();
+            assert_eq!(snapshot.counter("engine.dag.visited"), Some(dag.visited));
+            assert_eq!(snapshot.counter("engine.dag.pruned"), Some(dag.pruned));
+            println!("case {case} {model}: {dag:?}");
+            assert!(
+                dag.visited <= DAGS_AT_5 / 100 && dag.pruned > 0,
+                "case {case} {model}: {dag:?}"
+            );
+        }
+        let problem = Problem::new(&app, CommModel::Overlap, Objective::MinPeriod);
+        let (_, stats) = solve_warm_observed(&problem, &budget, &EvalCache::new(&app), None, None)
+            .expect("valid instance");
+        assert_eq!(stats.dag, None, "case {case}: MINPERIOD walks forests only");
     }
 }
 
