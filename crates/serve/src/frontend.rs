@@ -10,7 +10,11 @@
 //!   it enqueues into the tenant's bounded queue and returns a [`Ticket`];
 //!   a full queue sheds the request *at ingress*
 //!   ([`RejectReason::QueueFull`]) so queue memory stays under the
-//!   configured bound whatever the arrival rate;
+//!   configured bound whatever the arrival rate.  Ingress holds one entry
+//!   per queued request, in one map keyed by tenant and ticket id (ticket
+//!   ids only grow, so a tenant's queue is its key range), and one count
+//!   per tenant with a backlog; an idle tenant holds nothing, however
+//!   often it has burst;
 //! * **logical time** — the loop advances in ticks
 //!   ([`tick`](AsyncFrontend::tick)).  Each tick applies due completion
 //!   events in dispatch order, then dequeues up to
@@ -59,6 +63,7 @@
 //! property.
 
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -400,9 +405,12 @@ pub(crate) struct EventLoop<'r> {
     shed_level: u32,
     /// Tickets issued and not yet resolved.
     outstanding: usize,
-    /// Per-tenant bounded ingress queues (BTreeMap: deterministic
-    /// round-robin order over tenant ids).
-    queues: BTreeMap<usize, VecDeque<TicketInfo<'r>>>,
+    /// Queued requests keyed by `(tenant, ticket id)`: ticket ids only
+    /// grow, so each tenant's FIFO queue is its key range, and key order is
+    /// the round-robin order over tenant ids.
+    queued: BTreeMap<(usize, u64), TicketInfo<'r>>,
+    /// Queued requests per tenant, for tenants with at least one.
+    tenant_backlog: BTreeMap<usize, usize>,
     /// Round-robin position: the next dequeue starts *after* this tenant.
     rr_after: Option<usize>,
     /// Dispatched jobs in dispatch order (due ticks are monotone, so the
@@ -433,7 +441,8 @@ impl<'r> EventLoop<'r> {
             last_due: 0,
             shed_level: 0,
             outstanding: 0,
-            queues: BTreeMap::new(),
+            queued: BTreeMap::new(),
+            tenant_backlog: BTreeMap::new(),
             rr_after: None,
             pending: VecDeque::new(),
             in_flight: HashMap::new(),
@@ -465,17 +474,25 @@ impl<'r> EventLoop<'r> {
             m.tenant_requests.record(tenant as u64, 1);
         }
         let ticket = info.ticket;
-        let queue = self.queues.entry(tenant).or_default();
-        if queue.len() >= self.config.queue_capacity {
+        let backlog = match self.tenant_backlog.entry(tenant) {
+            Entry::Occupied(count) if *count.get() < self.config.queue_capacity => {
+                let count = count.into_mut();
+                *count += 1;
+                Some(*count)
+            }
+            Entry::Vacant(slot) if self.config.queue_capacity > 0 => Some(*slot.insert(1)),
+            _ => None,
+        };
+        let Some(backlog) = backlog else {
             service.counters.inc(Event::QueueFullShed);
             if let Some(m) = &self.instruments {
                 m.tenant_sheds.record(tenant as u64, 1);
             }
             self.reject(service, info, RejectReason::QueueFull, None);
             return ticket;
-        }
-        queue.push_back(info);
-        service.counters.tenant_queue.set(queue.len() as u64);
+        };
+        self.queued.insert((tenant, ticket.0), info);
+        service.counters.tenant_queue.set(backlog as u64);
         ticket
     }
 
@@ -659,18 +676,31 @@ impl<'r> EventLoop<'r> {
         });
     }
 
-    /// The next queued request in round-robin tenant order, if any.
+    /// The next queued request in round-robin tenant order, if any: the
+    /// oldest request of the first tenant after `rr_after`, wrapping to the
+    /// lowest tenant id.
     fn next_queued(&mut self) -> Option<TicketInfo<'r>> {
-        let after = self.rr_after.map_or(Bound::Unbounded, Bound::Excluded);
-        let wrapped = self.rr_after.map_or(Bound::Excluded(0), Bound::Included);
-        let tenant = self
-            .queues
+        // `(tenant, u64::MAX)` sorts after every ticket the tenant holds.
+        let after = self.rr_after.map_or(Bound::Unbounded, |tenant| {
+            Bound::Excluded((tenant, u64::MAX))
+        });
+        let next = self
+            .queued
             .range((after, Bound::Unbounded))
-            .chain(self.queues.range((Bound::Unbounded, wrapped)))
-            .find(|(_, queue)| !queue.is_empty())
-            .map(|(&tenant, _)| tenant)?;
+            .next()
+            .map(|(&key, _)| key);
+        let ((tenant, _), info) = match next {
+            Some(key) => self.queued.remove_entry(&key),
+            None => self.queued.pop_first(),
+        }?;
         self.rr_after = Some(tenant);
-        self.queues.get_mut(&tenant).and_then(VecDeque::pop_front)
+        if let Entry::Occupied(mut count) = self.tenant_backlog.entry(tenant) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
+        Some(info)
     }
 
     /// The decision pipeline for one dequeued request: deadline → dedup
@@ -842,7 +872,7 @@ impl<'r> EventLoop<'r> {
     /// One hysteresis step: the backlog after this tick's dispatches
     /// moves the shed level at most one notch.
     fn update_shed_level(&mut self, service: &PlanService) {
-        let backlog: usize = self.queues.values().map(VecDeque::len).sum();
+        let backlog = self.queued.len();
         let counters = &service.counters;
         counters.backlog.set(backlog as u64);
         let level = if backlog >= self.config.backlog_high {
@@ -1165,6 +1195,108 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].ticket, ticket);
         assert!(completions[0].outcome.is_exact());
+    }
+
+    /// SplitMix64: a seeded draw for the interleaving tests.
+    fn draw(state: &mut u64, below: usize) -> usize {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % below as u64) as usize
+    }
+
+    /// The loop dequeues in the order of a reference model that keeps one
+    /// `VecDeque` per tenant and scans tenant ids round-robin, and sheds
+    /// exactly the submissions that find their tenant's queue at capacity.
+    /// Every request carries a deadline of 0 ticks, so it is cancelled the
+    /// moment it is dequeued: a tick's completions are its queue-full
+    /// sheds in submission order, then its dequeues in order.
+    #[test]
+    fn round_robin_dequeues_match_per_tenant_fifo_queues() {
+        let service = service();
+        let request = small_request(0);
+        let (mut wraps, mut full_sheds) = (0, 0);
+        let mut state = 28;
+        for _ in 0..48 {
+            let tenants = 1 + draw(&mut state, 40);
+            let config = FrontendConfig {
+                queue_capacity: 1 + draw(&mut state, 5),
+                dispatch_per_tick: 1 + draw(&mut state, 7),
+                ..FrontendConfig::default()
+            };
+            let mut core = EventLoop::new(config, None);
+            let mut model: BTreeMap<usize, VecDeque<Ticket>> = BTreeMap::new();
+            let mut rr_after: Option<usize> = None;
+            let mut expected: Vec<(Ticket, bool)> = Vec::new();
+            for _ in 0..400 {
+                if draw(&mut state, 3) > 0 {
+                    let tenant = draw(&mut state, tenants);
+                    let ticket = core.submit(&service, tenant, Cow::Borrowed(&request), Some(0));
+                    let queue = model.entry(tenant).or_default();
+                    if queue.len() == config.queue_capacity {
+                        expected.push((ticket, true));
+                        full_sheds += 1;
+                    } else {
+                        queue.push_back(ticket);
+                    }
+                    continue;
+                }
+                for _ in 0..config.dispatch_per_tick {
+                    let after = rr_after.map_or(0, |t| t + 1);
+                    let Some(tenant) = model
+                        .range(after..)
+                        .chain(model.range(..after))
+                        .find(|(_, queue)| !queue.is_empty())
+                        .map(|(&tenant, _)| tenant)
+                    else {
+                        break;
+                    };
+                    wraps += usize::from(rr_after.is_some_and(|t| tenant <= t));
+                    rr_after = Some(tenant);
+                    let ticket = model.get_mut(&tenant).unwrap().pop_front().unwrap();
+                    expected.push((ticket, false));
+                }
+                let got: Vec<(Ticket, bool)> = core
+                    .tick(&service)
+                    .iter()
+                    .map(|c| {
+                        let reason = &c.outcome.rejection().expect("all rejected").reason;
+                        (c.ticket, *reason == RejectReason::QueueFull)
+                    })
+                    .collect();
+                assert_eq!(got, std::mem::take(&mut expected));
+            }
+            let queued: usize = model.values().map(VecDeque::len).sum();
+            assert_eq!(core.queued.len(), queued);
+            assert_eq!(core.tenant_backlog.values().sum::<usize>(), queued);
+        }
+        assert!(wraps > 0, "no dequeue wrapped around the tenant ids");
+        assert!(full_sheds > 0, "no queue was full at capacity");
+    }
+
+    /// A tenant that bursts and drains leaves nothing behind in ingress.
+    #[test]
+    fn drained_tenants_hold_no_ingress_state() {
+        let service = service();
+        let request = small_request(0);
+        let config = FrontendConfig {
+            queue_capacity: 4,
+            ..FrontendConfig::default()
+        };
+        let mut core = EventLoop::new(config, None);
+        for tenant in 0..64 {
+            for _ in 0..=config.queue_capacity {
+                core.submit(&service, tenant, Cow::Borrowed(&request), None);
+            }
+        }
+        assert_eq!(core.queued.len(), 64 * config.queue_capacity);
+        assert_eq!(core.tenant_backlog.len(), 64);
+        let completions = core.drain(&service);
+        assert_eq!(completions.len(), 64 * (config.queue_capacity + 1));
+        assert_eq!(service.stats().queue_full_sheds, 64);
+        assert!(core.queued.is_empty(), "no queued request is left");
+        assert!(core.tenant_backlog.is_empty(), "no tenant entry is left");
     }
 
     #[test]

@@ -100,7 +100,8 @@ pub struct PlanStore {
     /// degraded (non-exhaustive) attempts that produced no cache entry.
     /// Folded into the eviction weight when the exact re-solve finally
     /// publishes — the weight stands for *what it costs to get this entry
-    /// back*, and that includes the failed attempts on the way.
+    /// back*, and that includes the failed attempts on the way.  Holds at
+    /// most `capacity` keys.
     attempt_debt: Mutex<HashMap<PlanKey, u64>>,
     clock: AtomicU64,
     len: AtomicUsize,
@@ -190,13 +191,23 @@ impl PlanStore {
     /// cache entry (a degraded, non-exhaustive solve).  The debt is folded
     /// into the eviction weight when the exact re-solve finally
     /// [`insert`](Self::insert)s: recomputing the entry from scratch means
-    /// paying for the failed attempts again too.
+    /// paying for the failed attempts again too.  At most
+    /// [`capacity`](Self::capacity) keys owe a debt: a new key beyond that
+    /// clears the ledger wholesale first (a debt only weighs eviction, so
+    /// dropping one costs a cheaper-looking entry, never a wrong answer).
     pub fn record_attempt_cost(&self, key: &PlanKey, micros: u64) {
         let mut debts = self
             .attempt_debt
             .lock()
             .unwrap_or_else(|poison| poison.into_inner());
-        *debts.entry(key.clone()).or_insert(0) += micros;
+        if let Some(debt) = debts.get_mut(key) {
+            *debt += micros;
+            return;
+        }
+        if debts.len() >= self.capacity {
+            debts.clear();
+        }
+        debts.insert(key.clone(), micros);
     }
 
     /// Inserts (or refreshes) a plan, then evicts down to capacity:
@@ -246,42 +257,38 @@ impl PlanStore {
     }
 
     /// Removes the globally cheapest entry.  Scans shards under shared
-    /// locks for the victim, then re-validates under the victim shard's
-    /// write lock (the entry may have been refreshed meanwhile — if so,
-    /// rescan).  Deterministic for a serialised operation sequence: the
-    /// victim order is identical to the pre-sharding single-map scan.
+    /// locks for the victim's rank and shard, then removes it under that
+    /// shard's write lock by its insertion stamp, which no other entry
+    /// shares (if the entry was refreshed or removed meanwhile, nothing
+    /// matches and the scan reruns).  Deterministic for a serialised
+    /// operation sequence: the victim order is identical to the
+    /// pre-sharding single-map scan.
     fn evict_one(&self) -> bool {
         loop {
-            let mut victim: Option<(u64, u64, u64, usize, PlanKey)> = None;
+            let mut victim: Option<((u64, u64, u64), usize)> = None;
             for (idx, lock) in self.shards.iter().enumerate() {
                 let shard = lock.read().unwrap_or_else(|poison| poison.into_inner());
-                for (key, entry) in shard.iter() {
+                for entry in shard.values() {
                     let rank = (
                         entry.plan.solve_micros,
                         entry.last_used.load(Ordering::Relaxed),
                         entry.stamp,
                     );
-                    let beats = match &victim {
-                        None => true,
-                        Some((w, u, s, _, _)) => rank < (*w, *u, *s),
-                    };
-                    if beats {
-                        victim = Some((rank.0, rank.1, rank.2, idx, key.clone()));
+                    if victim.is_none_or(|(best, _)| rank < best) {
+                        victim = Some((rank, idx));
                     }
                 }
             }
-            let Some((_, _, stamp, idx, key)) = victim else {
+            let Some(((_, _, stamp), idx)) = victim else {
                 return false;
             };
             let mut shard = self.write_shard(idx);
-            match shard.get(&key) {
-                Some(entry) if entry.stamp == stamp => {
-                    shard.remove(&key);
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.inc();
-                    return true;
-                }
-                _ => continue, // refreshed or gone since the scan — rescan
+            let before = shard.len();
+            shard.retain(|_, entry| entry.stamp != stamp);
+            if shard.len() < before {
+                self.len.fetch_sub(1, Ordering::Relaxed);
+                self.evictions.inc();
+                return true;
             }
         }
     }
@@ -445,6 +452,36 @@ mod tests {
             150_040,
             "debt applies once; refresh keeps the max as before"
         );
+    }
+
+    #[test]
+    fn attempt_debts_stay_within_the_store_capacity() {
+        // Keys whose exact solve never lands must not pile up debts: at
+        // most `capacity` keys owe one, and a new key beyond that clears
+        // the ledger.
+        const CAPACITY: usize = 4;
+        const EXTRA: u32 = 3;
+        let store = PlanStore::new(CAPACITY);
+        let debts = || store.attempt_debt.lock().unwrap().len();
+        let keys: Vec<PlanKey> = (0..CAPACITY as u32 + EXTRA)
+            .map(|i| key_of(&[(1.0 + f64::from(i), 0.5)]))
+            .collect();
+        for key in &keys {
+            store.record_attempt_cost(key, 1_000);
+            assert!(debts() <= CAPACITY, "{} debts over {CAPACITY}", debts());
+        }
+        assert_eq!(debts(), EXTRA as usize, "the overflow cleared the ledger");
+        // A key already owing accrues without clearing anything.
+        store.record_attempt_cost(&keys[CAPACITY], 500);
+        assert_eq!(debts(), EXTRA as usize);
+        store.insert(keys[CAPACITY].clone(), plan(1.0, 40));
+        assert_eq!(
+            store.get(&keys[CAPACITY]).expect("inserted").solve_micros,
+            1_540
+        );
+        // A cleared debt is gone: its key's insert carries its own weight.
+        store.insert(keys[0].clone(), plan(1.0, 40));
+        assert_eq!(store.get(&keys[0]).expect("inserted").solve_micros, 40);
     }
 
     #[test]
