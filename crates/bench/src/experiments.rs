@@ -1879,6 +1879,7 @@ pub fn e10s_smoke() -> Vec<ExperimentRow> {
         .expect("n=24 all-distinct must be rejected");
     let estimate = rejection
         .estimate
+        .as_deref()
         .expect("admission rejections carry the structural price");
     assert!(
         estimate.cost > service.admission().reject_cost,

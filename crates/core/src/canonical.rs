@@ -1734,7 +1734,7 @@ pub fn canonical_classed_form(
         let mut children: Vec<(Vec<usize>, Vec<usize>)> = graph
             .succs(node)
             .iter()
-            .map(|&c| subtree_encoding(graph, classes, c))
+            .map(|&c| subtree_encoding(graph, classes, c as usize))
             .collect();
         children.sort_by(|a, b| b.cmp(a));
         let mut levels = vec![0usize];
@@ -2237,7 +2237,7 @@ mod tests {
                 let mut subs: Vec<f64> = graph
                     .succs(node)
                     .iter()
-                    .map(|&c| sub(app, graph, c))
+                    .map(|&c| sub(app, graph, c as usize))
                     .collect();
                 if subs.is_empty() {
                     return 1.0 + app.cost(node) + sigma;

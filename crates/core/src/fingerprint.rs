@@ -51,43 +51,42 @@ use crate::service::{Application, ServiceId};
 ///   weight multiset (bit-exact costs and selectivities), or
 /// * both carry constraints and are bit-identical service-for-service,
 ///   constraint-for-constraint.
+///
+/// The content is one boxed slice of `u64` words, `8·(1 + 2n + 2c)` bytes
+/// for `n` services and `c` constraints:
+///
+/// ```text
+/// words = [ n << 1 | collapsed | cost bits, selectivity bits per service | from, to per constraint ]
+/// ```
+///
+/// The header word fixes where the services end, so the words of two
+/// fingerprints can never alias across that boundary.  Services are in
+/// canonical order and the constraints, over canonical labels, sorted;
+/// a collapsed fingerprint has none.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AppFingerprint {
-    /// `(cost bits, selectivity bits)` per service, in canonical order.
-    services: Vec<(u64, u64)>,
-    /// Precedence constraints over canonical labels, sorted; always empty
-    /// when `collapsed`.
-    constraints: Vec<(ServiceId, ServiceId)>,
-    /// `true` when the fingerprint identifies the application up to service
-    /// permutation (unconstrained apps), `false` for the exact labelling.
-    collapsed: bool,
+    words: Box<[u64]>,
 }
 
 impl AppFingerprint {
     /// Number of services the fingerprinted application holds.
     pub fn n(&self) -> usize {
-        self.services.len()
+        (self.words[0] >> 1) as usize
     }
 
     /// `true` when the fingerprint identifies the application up to a
     /// service permutation (rather than exactly).
     pub fn collapsed(&self) -> bool {
-        self.collapsed
+        self.words[0] & 1 == 1
     }
 
-    /// A compact 64-bit digest of the fingerprint (FNV-1a over the content),
-    /// for display and statistics.  Unlike the fingerprint itself this *can*
-    /// collide; never key a cache by it alone.
+    /// A compact 64-bit digest of the fingerprint (FNV-1a over the content:
+    /// the collapse flag, `n`, then every service and constraint word), for
+    /// display, statistics and store sharding.  Unlike the fingerprint
+    /// itself this *can* collide; never key a cache by it alone.
     pub fn digest(&self) -> u64 {
-        let words = [self.collapsed as u64, self.services.len() as u64]
-            .into_iter()
-            .chain(self.services.iter().flat_map(|&(c, s)| [c, s]))
-            .chain(
-                self.constraints
-                    .iter()
-                    .flat_map(|&(from, to)| [from as u64, to as u64]),
-            );
-        crate::canonical::fnv1a(words)
+        let header = [u64::from(self.collapsed()), self.n() as u64];
+        crate::canonical::fnv1a(header.into_iter().chain(self.words[1..].iter().copied()))
     }
 }
 
@@ -122,7 +121,7 @@ impl CanonicalApplication {
     /// applications never collapse, whatever `collapse` says.
     pub fn with_collapse(app: &Application, collapse: bool) -> Self {
         let n = app.n();
-        let key_of = |k: ServiceId| (app.cost(k).to_bits(), app.selectivity(k).to_bits());
+        let key_of = |k: ServiceId| [app.cost(k).to_bits(), app.selectivity(k).to_bits()];
         let collapsed = collapse && !app.has_constraints();
         let from_canonical: Vec<ServiceId> = if collapsed {
             let mut order: Vec<ServiceId> = (0..n).collect();
@@ -136,21 +135,24 @@ impl CanonicalApplication {
             to_canonical[k] = pos;
         }
         let canonical_app = if collapsed {
-            Application::independent(
-                &from_canonical
-                    .iter()
-                    .map(|&k| (app.cost(k), app.selectivity(k)))
-                    .collect::<Vec<_>>(),
-            )
+            Application::from_services(from_canonical.iter().map(|&k| *app.service(k)).collect())
         } else {
             app.clone()
         };
-        let mut constraints: Vec<(ServiceId, ServiceId)> = canonical_app.constraints().to_vec();
-        constraints.sort_unstable();
+        // Collapsed applications have no constraints; the others keep
+        // their labels, so theirs are the tenant's own.
+        let constraints = canonical_app.constraints();
+        let mut words = Vec::with_capacity(1 + 2 * n + 2 * constraints.len());
+        words.push(((n as u64) << 1) | u64::from(collapsed));
+        words.extend(from_canonical.iter().flat_map(|&k| key_of(k)));
+        words.extend(
+            constraints
+                .iter()
+                .flat_map(|&(from, to)| [from as u64, to as u64]),
+        );
+        words[1 + 2 * n..].as_chunks_mut::<2>().0.sort_unstable();
         let fingerprint = AppFingerprint {
-            services: from_canonical.iter().map(|&k| key_of(k)).collect(),
-            constraints,
-            collapsed,
+            words: words.into_boxed_slice(),
         };
         CanonicalApplication {
             app: canonical_app,
@@ -245,6 +247,39 @@ mod tests {
         assert!(!ca.fingerprint.collapsed());
         assert_ne!(ca.fingerprint, cb.fingerprint);
         assert!(ca.is_identity());
+    }
+
+    #[test]
+    fn digests_keep_their_values() {
+        // The store shards by digest, so a new layout of the words must
+        // keep these values.
+        let app = Application::independent(&[(2.0, 0.8), (1.0, 0.5), (1.0, 0.5)]);
+        let collapsed = CanonicalApplication::of(&app).fingerprint;
+        let exact = CanonicalApplication::with_collapse(&app, false).fingerprint;
+        let mut constrained = Application::independent(&[(2.0, 0.8), (1.0, 0.5), (3.0, 0.9)]);
+        constrained.add_constraint(2, 0).unwrap();
+        constrained.add_constraint(0, 1).unwrap();
+        let constrained = CanonicalApplication::of(&constrained).fingerprint;
+        assert_eq!(collapsed.digest(), 0xd1d6_8045_12a7_fbb7);
+        assert_eq!(exact.digest(), 0xc528_aec0_b1dd_f932);
+        assert_eq!(constrained.digest(), 0x9e7b_006a_dabf_4284);
+        assert_eq!((constrained.n(), constrained.collapsed()), (3, false));
+    }
+
+    #[test]
+    fn words_never_alias_across_the_services_boundary() {
+        // Two services and the constraint 0 → 1 end in the words
+        // `…, 0, 1`; a third service of cost bits 0 and selectivity bits 1
+        // ends the same way.  Only the header's `n` tells them apart.
+        let mut two = Application::independent(&[(2.0, 0.8), (1.0, 0.5)]);
+        two.add_constraint(0, 1).unwrap();
+        let three = Application::independent(&[(2.0, 0.8), (1.0, 0.5), (0.0, f64::from_bits(1))]);
+        let a = CanonicalApplication::of(&two).fingerprint;
+        let b = CanonicalApplication::with_collapse(&three, false).fingerprint;
+        assert_eq!(a.words[1..], b.words[1..], "the tails alias");
+        assert_ne!(a, b);
+        assert_ne!(a.digest(), b.digest());
+        assert_eq!((a.n(), b.n()), (2, 3));
     }
 
     #[test]

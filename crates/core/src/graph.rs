@@ -25,9 +25,14 @@ use crate::service::{Application, ServiceId};
 ///
 /// The offsets index `adj` itself: `succs(k)` is
 /// `adj[adj[k]..adj[k + 1]]` and `preds(k)` is
-/// `adj[adj[n + 1 + k]..adj[n + 2 + k]]`, each list sorted.  A graph of
-/// `n` services and `m` edges therefore costs `(2n + 2 + 2m)` words in one
-/// block, and a clone is one allocation.  The bulk constructors
+/// `adj[adj[n + 1 + k]..adj[n + 2 + k]]`, each list sorted.  Offsets and
+/// targets are `u32` words, so a graph of `n` services and `m` edges costs
+/// `4·(2n + 2 + 2m)` bytes in one block (96 bytes for a six-service
+/// forest), and a clone is one allocation.  The block must index itself in
+/// `u32` words: every constructor and edit checks `2n + 2 + 2m <=
+/// u32::MAX` and panics beyond it.  [`succs`](Self::succs) and
+/// [`preds`](Self::preds) hand out the stored words; callers widen an id
+/// with `as usize` where they use it.  The bulk constructors
 /// ([`from_parents`](Self::from_parents), [`from_edges`](Self::from_edges),
 /// [`chain_of`](Self::chain_of),
 /// [`from_permutation_mask`](Self::from_permutation_mask),
@@ -37,15 +42,12 @@ use crate::service::{Application, ServiceId};
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ExecutionGraph {
     n: usize,
-    adj: Box<[ServiceId]>,
+    adj: Box<[u32]>,
 }
 
 impl fmt::Debug for ExecutionGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Lists<'a>(
-            &'a ExecutionGraph,
-            fn(&ExecutionGraph, ServiceId) -> &[ServiceId],
-        );
+        struct Lists<'a>(&'a ExecutionGraph, fn(&ExecutionGraph, ServiceId) -> &[u32]);
         impl fmt::Debug for Lists<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 f.debug_list()
@@ -63,11 +65,15 @@ impl fmt::Debug for ExecutionGraph {
 
 impl ExecutionGraph {
     /// Creates an edge-less execution graph over `n` services.
+    ///
+    /// # Panics
+    ///
+    /// When `2n + 2` exceeds `u32::MAX` (see the type docs).
     pub fn new(n: usize) -> Self {
-        let base = 2 * n + 2;
+        let base = block_words(n, 0);
         ExecutionGraph {
             n,
-            adj: vec![base; base].into_boxed_slice(),
+            adj: vec![base; base as usize].into_boxed_slice(),
         }
     }
 
@@ -79,30 +85,32 @@ impl ExecutionGraph {
     where
         I: Iterator<Item = (ServiceId, ServiceId)> + Clone,
     {
-        let base = 2 * n + 2;
-        let mut adj = vec![0; base + 2 * m];
+        let len = block_words(n, m);
+        let mut adj = vec![0u32; len as usize];
         for (i, j) in edges.clone() {
             adj[i] += 1;
             adj[n + 1 + j] += 1;
         }
+        let base = block_words(n, 0);
         let mut end = base;
         for slot in (0..n).chain(n + 1..2 * n + 1) {
             end += adj[slot];
             adj[slot] = end;
         }
-        debug_assert_eq!(end, base + 2 * m, "edge count mismatch");
-        adj[n] = base + m;
+        debug_assert_eq!(end, len, "edge count mismatch");
+        adj[n] = base + m as u32;
         adj[2 * n + 1] = end;
         for (i, j) in edges {
+            // In range: the block's length fits `u32`, so every id does.
             adj[i] -= 1;
-            let at = adj[i];
-            adj[at] = j;
+            let at = adj[i] as usize;
+            adj[at] = j as u32;
             adj[n + 1 + j] -= 1;
-            let at = adj[n + 1 + j];
-            adj[at] = i;
+            let at = adj[n + 1 + j] as usize;
+            adj[at] = i as u32;
         }
         for list in (0..n).chain(n + 1..2 * n + 1) {
-            let (lo, hi) = (adj[list], adj[list + 1]);
+            let (lo, hi) = (adj[list] as usize, adj[list + 1] as usize);
             adj[lo..hi].sort_unstable();
         }
         ExecutionGraph {
@@ -252,18 +260,23 @@ impl ExecutionGraph {
 
     /// Number of service-to-service edges.
     pub fn edge_count(&self) -> usize {
-        self.adj[self.n] - self.adj[0]
+        (self.adj[self.n] - self.adj[0]) as usize
     }
 
     /// Returns `true` if the edge `i → j` is present.
     pub fn has_edge(&self, i: ServiceId, j: ServiceId) -> bool {
-        i < self.n && self.succs(i).binary_search(&j).is_ok()
+        i < self.n && j < self.n && self.succs(i).binary_search(&(j as u32)).is_ok()
     }
 
     /// Adds the edge `i → j`, rebuilding the flat block (O(n + m)).
     ///
     /// Fails on out-of-range endpoints, self-loops, or if the edge would
     /// create a directed cycle.  Adding an existing edge is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// When the grown block would exceed `u32::MAX` words (see the type
+    /// docs).
     pub fn add_edge(&mut self, i: ServiceId, j: ServiceId) -> CoreResult<()> {
         if i >= self.n {
             return Err(CoreError::InvalidService { id: i, n: self.n });
@@ -281,13 +294,15 @@ impl ExecutionGraph {
             return Err(CoreError::WouldCreateCycle { from: i, to: j });
         }
         let n = self.n;
-        let at_succ = self.adj[i] + self.succs(i).partition_point(|&t| t < j);
-        let at_pred = self.adj[n + 1 + j] + self.preds(j).partition_point(|&t| t < i);
-        let mut adj = Vec::with_capacity(self.adj.len() + 2);
+        let len = block_words(n, self.edge_count() + 1) as usize;
+        let (from, to) = (i as u32, j as u32);
+        let at_succ = self.adj[i] as usize + self.succs(i).partition_point(|&t| t < to);
+        let at_pred = self.adj[n + 1 + j] as usize + self.preds(j).partition_point(|&t| t < from);
+        let mut adj = Vec::with_capacity(len);
         adj.extend_from_slice(&self.adj[..at_succ]);
-        adj.push(j);
+        adj.push(to);
         adj.extend_from_slice(&self.adj[at_succ..at_pred]);
-        adj.push(i);
+        adj.push(from);
         adj.extend_from_slice(&self.adj[at_pred..]);
         shift_offsets(&mut adj, n, i, j, true);
         self.adj = adj.into_boxed_slice();
@@ -301,14 +316,15 @@ impl ExecutionGraph {
             return false;
         }
         let n = self.n;
-        let Ok(in_succ) = self.succs(i).binary_search(&j) else {
+        let Ok(in_succ) = self.succs(i).binary_search(&(j as u32)) else {
             return false;
         };
         let in_pred = self
             .preds(j)
-            .binary_search(&i)
+            .binary_search(&(i as u32))
             .expect("adjacency out of sync");
-        let (at_succ, at_pred) = (self.adj[i] + in_succ, self.adj[n + 1 + j] + in_pred);
+        let at_succ = self.adj[i] as usize + in_succ;
+        let at_pred = self.adj[n + 1 + j] as usize + in_pred;
         let mut adj = Vec::with_capacity(self.adj.len() - 2);
         adj.extend_from_slice(&self.adj[..at_succ]);
         adj.extend_from_slice(&self.adj[at_succ + 1..at_pred]);
@@ -318,20 +334,26 @@ impl ExecutionGraph {
         true
     }
 
-    /// Direct successors `Sout(k)` of a service, sorted.
-    pub fn succs(&self, k: ServiceId) -> &[ServiceId] {
-        &self.adj[self.adj[k]..self.adj[k + 1]]
+    /// Direct successors `Sout(k)` of a service, sorted, as the stored
+    /// `u32` words.
+    pub fn succs(&self, k: ServiceId) -> &[u32] {
+        self.list(k)
     }
 
-    /// Direct predecessors `Sin(k)` of a service, sorted.
-    pub fn preds(&self, k: ServiceId) -> &[ServiceId] {
-        let slot = self.n + 1 + k;
-        &self.adj[self.adj[slot]..self.adj[slot + 1]]
+    /// Direct predecessors `Sin(k)` of a service, sorted, as the stored
+    /// `u32` words.
+    pub fn preds(&self, k: ServiceId) -> &[u32] {
+        self.list(self.n + 1 + k)
+    }
+
+    /// The list whose offsets sit in slots `slot` and `slot + 1`.
+    fn list(&self, slot: usize) -> &[u32] {
+        &self.adj[self.adj[slot] as usize..self.adj[slot + 1] as usize]
     }
 
     /// Iterator over all edges `(i, j)`.
     pub fn edges(&self) -> impl Iterator<Item = (ServiceId, ServiceId)> + Clone + '_ {
-        (0..self.n).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j)))
+        (0..self.n).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j as usize)))
     }
 
     /// Entry nodes (no predecessor); they receive data from the input node.
@@ -355,6 +377,7 @@ impl ExecutionGraph {
         visited[from] = true;
         while let Some(v) = stack.pop() {
             for &w in self.succs(v) {
+                let w = w as usize;
                 if w == to {
                     return true;
                 }
@@ -383,6 +406,7 @@ impl ExecutionGraph {
         while let Some(std::cmp::Reverse(v)) = heap.pop() {
             order.push(v);
             for &w in self.succs(v) {
+                let w = w as usize;
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
                     heap.push(std::cmp::Reverse(w));
@@ -408,6 +432,7 @@ impl ExecutionGraph {
             // Ancestors of v = union over preds p of ({p} ∪ ancestors(p)).
             let mut mask = vec![false; self.n];
             for &p in self.preds(v) {
+                let p = p as usize;
                 mask[p] = true;
                 for a in 0..self.n {
                     if anc[p][a] {
@@ -423,12 +448,13 @@ impl ExecutionGraph {
     /// The ancestors of a single service, as a sorted list.
     pub fn ancestors(&self, k: ServiceId) -> Vec<ServiceId> {
         let mut visited = vec![false; self.n];
-        let mut stack: Vec<usize> = self.preds(k).to_vec();
-        for &p in self.preds(k) {
+        let mut stack: Vec<usize> = self.preds(k).iter().map(|&p| p as usize).collect();
+        for &p in &stack {
             visited[p] = true;
         }
         while let Some(v) = stack.pop() {
             for &p in self.preds(v) {
+                let p = p as usize;
                 if !visited[p] {
                     visited[p] = true;
                     stack.push(p);
@@ -513,7 +539,7 @@ impl ExecutionGraph {
             return Err(CoreError::NotAForest);
         }
         Ok((0..self.n)
-            .map(|k| self.preds(k).first().copied())
+            .map(|k| self.preds(k).first().map(|&p| p as usize))
             .collect())
     }
 
@@ -529,8 +555,8 @@ impl ExecutionGraph {
         let mut cur = self.entry_nodes()[0];
         order.push(cur);
         while let Some(&next) = self.succs(cur).first() {
-            order.push(next);
-            cur = next;
+            cur = next as usize;
+            order.push(cur);
         }
         Ok(order)
     }
@@ -543,20 +569,37 @@ impl ExecutionGraph {
         let mut depth = vec![0usize; self.n];
         for &v in &order {
             for &p in self.preds(v) {
-                depth[v] = depth[v].max(depth[p] + 1);
+                depth[v] = depth[v].max(depth[p as usize] + 1);
             }
         }
         depth[k]
     }
 }
 
+/// Words in the block of a graph over `n` services and `m` edges,
+/// `2n + 2 + 2m`.
+///
+/// # Panics
+///
+/// When that exceeds `u32::MAX`: the block's offsets index it in `u32`
+/// words.
+fn block_words(n: usize, m: usize) -> u32 {
+    n.checked_add(m)
+        .and_then(|nm| nm.checked_add(1))
+        .and_then(|nm| nm.checked_mul(2))
+        .and_then(|words| u32::try_from(words).ok())
+        .unwrap_or_else(|| {
+            panic!("an execution graph of {n} services and {m} edges needs over u32::MAX words")
+        })
+}
+
 /// Moves the offsets of a graph over `n` services after an edge `i → j`
 /// was inserted (`grow`) or removed: successor lists after `i` by one,
 /// every predecessor list by one (the successor block changed size), and
 /// predecessor lists after `j` by one more.
-fn shift_offsets(adj: &mut [ServiceId], n: usize, i: ServiceId, j: ServiceId, grow: bool) {
+fn shift_offsets(adj: &mut [u32], n: usize, i: ServiceId, j: ServiceId, grow: bool) {
     for (slot, offset) in adj[..=2 * n + 1].iter_mut().enumerate().skip(i + 1) {
-        let by = 1 + usize::from(slot >= n + 2 + j);
+        let by = 1 + u32::from(slot >= n + 2 + j);
         if grow {
             *offset += by;
         } else {
@@ -743,7 +786,11 @@ mod tests {
                 assert_eq!(g.edge_count(), edges.len());
                 assert_eq!(ExecutionGraph::from_edges(n, &edges).unwrap(), g);
                 for k in 0..n {
-                    let preds: Vec<_> = edges.iter().filter(|e| e.1 == k).map(|e| e.0).collect();
+                    let preds: Vec<u32> = edges
+                        .iter()
+                        .filter(|e| e.1 == k)
+                        .map(|e| e.0 as u32)
+                        .collect();
                     assert_eq!(g.preds(k), preds.as_slice());
                 }
             }

@@ -69,7 +69,10 @@ impl PlanMetrics {
         for &k in &order {
             input_factor[k] = match graph.preds(k) {
                 [] => 1.0,
-                [p] => input_factor[*p] * app.selectivity(*p),
+                &[p] => {
+                    let p = p as usize;
+                    input_factor[p] * app.selectivity(p)
+                }
                 _ => {
                     let sets = anc.as_ref().expect("computed when a join exists");
                     let mut prod = 1.0;
@@ -95,7 +98,7 @@ impl PlanMetrics {
             } else {
                 c_in[k] = preds
                     .iter()
-                    .map(|&p| input_factor[p] * app.selectivity(p))
+                    .map(|&p| input_factor[p as usize] * app.selectivity(p as usize))
                     .sum();
             }
             let out_size = input_factor[k] * app.selectivity(k);
@@ -573,7 +576,10 @@ pub fn in_edges(graph: &ExecutionGraph, k: ServiceId) -> Vec<EdgeRef> {
     if preds.is_empty() {
         vec![EdgeRef::Input(k)]
     } else {
-        preds.iter().map(|&p| EdgeRef::Link(p, k)).collect()
+        preds
+            .iter()
+            .map(|&p| EdgeRef::Link(p as usize, k))
+            .collect()
     }
 }
 
@@ -583,7 +589,10 @@ pub fn out_edges(graph: &ExecutionGraph, k: ServiceId) -> Vec<EdgeRef> {
     if succs.is_empty() {
         vec![EdgeRef::Output(k)]
     } else {
-        succs.iter().map(|&s| EdgeRef::Link(k, s)).collect()
+        succs
+            .iter()
+            .map(|&s| EdgeRef::Link(k, s as usize))
+            .collect()
     }
 }
 

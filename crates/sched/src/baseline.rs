@@ -32,7 +32,7 @@ pub fn nocomm_latency(app: &Application, graph: &ExecutionGraph) -> CoreResult<f
         let ready = graph
             .preds(k)
             .iter()
-            .map(|&p| done[p])
+            .map(|&p| done[p as usize])
             .fold(0.0f64, f64::max);
         done[k] = ready + metrics.c_comp(k);
         best = best.max(done[k]);

@@ -854,11 +854,11 @@ where
     for _pass in 0..LOCAL_SEARCH_PASSES {
         let mut improved = false;
         for k in 0..n {
-            let current_preds: Vec<ServiceId> = best_graph.preds(k).to_vec();
+            let current_preds = best_graph.preds(k).to_vec();
             for cand in parent_choices(n, k) {
                 let mut graph = best_graph.clone();
                 for &p in &current_preds {
-                    graph.remove_edge(p, k);
+                    graph.remove_edge(p as usize, k);
                 }
                 if let Some(p) = cand {
                     if graph.add_edge(p, k).is_err() {

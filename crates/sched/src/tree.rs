@@ -47,7 +47,7 @@ fn subtree_latency(app: &Application, graph: &ExecutionGraph, node: ServiceId) -
     // own incoming transfer).
     let mut subs: Vec<f64> = children
         .iter()
-        .map(|&c| subtree_latency(app, graph, c))
+        .map(|&c| subtree_latency(app, graph, c as usize))
         .collect();
     subs.sort_by(|a, b| b.partial_cmp(a).expect("finite latencies"));
     let tail = subs
@@ -74,7 +74,7 @@ pub fn tree_latency_orderings(
         if succs.len() > 1 {
             let mut order: Vec<(f64, ServiceId)> = succs
                 .iter()
-                .map(|&c| (subtree_latency(app, graph, c), c))
+                .map(|&c| (subtree_latency(app, graph, c as usize), c as usize))
                 .collect();
             order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite latencies"));
             ords.outgoing[k] = order

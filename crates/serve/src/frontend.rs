@@ -181,6 +181,28 @@ struct TicketInfo<'r> {
     request: Cow<'r, PlanRequest>,
 }
 
+/// A queued request: its [`TicketInfo`] less the ticket and the tenant,
+/// which its `queued` key holds.
+struct Queued<'r> {
+    ordinal: u64,
+    submitted_tick: u64,
+    deadline_tick: Option<u64>,
+    request: Cow<'r, PlanRequest>,
+}
+
+impl<'r> Queued<'r> {
+    fn into_info(self, ticket: Ticket, tenant: usize) -> TicketInfo<'r> {
+        TicketInfo {
+            ticket,
+            tenant,
+            ordinal: self.ordinal,
+            submitted_tick: self.submitted_tick,
+            deadline_tick: self.deadline_tick,
+            request: self.request,
+        }
+    }
+}
+
 /// A dequeued request, canonicalised and keyed.
 struct Decided<'r> {
     info: TicketInfo<'r>,
@@ -408,7 +430,7 @@ pub(crate) struct EventLoop<'r> {
     /// Queued requests keyed by `(tenant, ticket id)`: ticket ids only
     /// grow, so each tenant's FIFO queue is its key range, and key order is
     /// the round-robin order over tenant ids.
-    queued: BTreeMap<(usize, u64), TicketInfo<'r>>,
+    queued: BTreeMap<(usize, u64), Queued<'r>>,
     /// Queued requests per tenant, for tenants with at least one.
     tenant_backlog: BTreeMap<usize, usize>,
     /// Round-robin position: the next dequeue starts *after* this tenant.
@@ -460,9 +482,8 @@ impl<'r> EventLoop<'r> {
         request: Cow<'r, PlanRequest>,
         deadline_ticks: Option<u64>,
     ) -> Ticket {
-        let info = TicketInfo {
-            ticket: Ticket(self.next_ticket),
-            tenant,
+        let ticket = Ticket(self.next_ticket);
+        let queued = Queued {
             ordinal: service.counters.next_ordinal(),
             submitted_tick: self.tick,
             deadline_tick: deadline_ticks.map(|d| self.tick + d),
@@ -473,7 +494,6 @@ impl<'r> EventLoop<'r> {
         if let Some(m) = &self.instruments {
             m.tenant_requests.record(tenant as u64, 1);
         }
-        let ticket = info.ticket;
         let backlog = match self.tenant_backlog.entry(tenant) {
             Entry::Occupied(count) if *count.get() < self.config.queue_capacity => {
                 let count = count.into_mut();
@@ -488,10 +508,11 @@ impl<'r> EventLoop<'r> {
             if let Some(m) = &self.instruments {
                 m.tenant_sheds.record(tenant as u64, 1);
             }
+            let info = queued.into_info(ticket, tenant);
             self.reject(service, info, RejectReason::QueueFull, None);
             return ticket;
         };
-        self.queued.insert((tenant, ticket.0), info);
+        self.queued.insert((tenant, ticket.0), queued);
         service.counters.tenant_queue.set(backlog as u64);
         ticket
     }
@@ -612,10 +633,9 @@ impl<'r> EventLoop<'r> {
         source: ServeSource,
         floor: Option<f64>,
     ) {
-        let graph = decided
-            .prep
-            .canon
-            .graph_to_tenant(&plan.graph)
+        let graph = plan
+            .graph
+            .relabelled(&decided.prep.from_canonical)
             .expect("canonical plans relabel cleanly");
         let response = PlanResponse {
             value: plan.value,
@@ -653,6 +673,7 @@ impl<'r> EventLoop<'r> {
         reason: RejectReason,
         estimate: Option<CostEstimate>,
     ) {
+        let estimate = estimate.map(Box::new);
         self.complete(
             service,
             info,
@@ -689,7 +710,7 @@ impl<'r> EventLoop<'r> {
             .range((after, Bound::Unbounded))
             .next()
             .map(|(&key, _)| key);
-        let ((tenant, _), info) = match next {
+        let ((tenant, id), queued) = match next {
             Some(key) => self.queued.remove_entry(&key),
             None => self.queued.pop_first(),
         }?;
@@ -700,7 +721,7 @@ impl<'r> EventLoop<'r> {
                 count.remove();
             }
         }
-        Some(info)
+        Some(queued.into_info(Ticket(id), tenant))
     }
 
     /// The decision pipeline for one dequeued request: deadline → dedup
@@ -847,7 +868,7 @@ impl<'r> EventLoop<'r> {
         // independent.
         let due_tick = (self.tick + latency).max(self.last_due);
         self.last_due = due_tick;
-        let cache = service.retained_cache(&decided.prep.canon);
+        let cache = service.retained_cache(&decided.prep);
         self.pool.submit(WorkItem {
             job,
             ordinal: decided.info.ordinal,
@@ -1273,6 +1294,26 @@ mod tests {
         }
         assert!(wraps > 0, "no dequeue wrapped around the tenant ids");
         assert!(full_sheds > 0, "no queue was full at capacity");
+    }
+
+    /// What the loop and the store hold per request and per plan: a key is
+    /// the fingerprint's one word slice plus model and objective, a
+    /// completion carries a rejection's price boxed, and a queued request
+    /// leaves its ticket and tenant to its key.
+    #[test]
+    fn keys_completions_and_queued_requests_stay_small() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<PlanKey>() <= 24,
+            "PlanKey: {}",
+            size_of::<PlanKey>()
+        );
+        assert!(
+            size_of::<Completion>() <= 104,
+            "Completion: {}",
+            size_of::<Completion>()
+        );
+        assert!(size_of::<Queued>() <= 88, "Queued: {}", size_of::<Queued>());
     }
 
     /// A tenant that bursts and drains leaves nothing behind in ingress.

@@ -201,7 +201,7 @@ impl TenantSession {
                         // predecessor chain runs through it re-attaches to
                         // the departed node's own predecessor (forests have
                         // at most one); then compact the ids.
-                        let departed_parent = plan.preds(service).first().copied();
+                        let departed_parent = plan.preds(service).first().map(|&p| p as usize);
                         let remap = |k: ServiceId| -> ServiceId {
                             if k > service {
                                 k - 1
@@ -300,14 +300,9 @@ pub fn plan_churn(previous: &ExecutionGraph, next: &ExecutionGraph) -> usize {
     if previous.n() != next.n() {
         return previous.n().max(next.n());
     }
+    // Predecessor lists are stored sorted, so they compare as they are.
     (0..previous.n())
-        .filter(|&k| {
-            let mut a: Vec<ServiceId> = previous.preds(k).to_vec();
-            let mut b: Vec<ServiceId> = next.preds(k).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            a != b
-        })
+        .filter(|&k| previous.preds(k) != next.preds(k))
         .count()
 }
 

@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 
 use fsw_core::{
     AppFingerprint, Application, CanonicalApplication, CommModel, CoreResult, ExecutionGraph,
+    ServiceId,
 };
 use fsw_obs::MetricsRegistry;
 use fsw_sched::engine::EvalCache;
@@ -142,8 +143,10 @@ pub struct Rejection {
     /// Why the request got no plan.
     pub reason: RejectReason,
     /// The cost estimate, floor included, that rejected or shed it
-    /// (admission rejections and backpressure sheds).
-    pub estimate: Option<CostEstimate>,
+    /// (admission rejections and backpressure sheds).  Boxed: only those
+    /// rejections carry one, and an inline 80-byte estimate would widen
+    /// every [`ServeOutcome`] and [`Completion`](crate::Completion).
+    pub estimate: Option<Box<CostEstimate>>,
 }
 
 /// The service's answer to one [`PlanRequest`].
@@ -292,9 +295,15 @@ pub fn permutation_collapse_allowed(
     }
 }
 
-/// A request canonicalised and keyed, ready for the store.
+/// A request canonicalised and keyed, ready for the store: what a cold
+/// solve and the reply read of its [`CanonicalApplication`], with the
+/// fingerprint moved into the key.
 pub(crate) struct Prepared {
-    pub(crate) canon: CanonicalApplication,
+    /// The application over canonical labels.
+    pub(crate) app: Application,
+    /// `from_canonical[canonical_id] == tenant_id`: relabels a canonical
+    /// plan into the tenant's ids.
+    pub(crate) from_canonical: Vec<ServiceId>,
     pub(crate) key: PlanKey,
 }
 
@@ -304,13 +313,22 @@ impl Prepared {
     pub(crate) fn of(request: &PlanRequest, budget: &SearchBudget) -> Prepared {
         let collapse =
             permutation_collapse_allowed(&request.app, request.model, request.objective, budget);
-        let canon = CanonicalApplication::with_collapse(&request.app, collapse);
+        let CanonicalApplication {
+            app,
+            from_canonical,
+            fingerprint,
+            ..
+        } = CanonicalApplication::with_collapse(&request.app, collapse);
         let key = PlanKey {
-            fingerprint: canon.fingerprint.clone(),
+            fingerprint,
             model: request.model,
             objective: request.objective,
         };
-        Prepared { canon, key }
+        Prepared {
+            app,
+            from_canonical,
+            key,
+        }
     }
 }
 
@@ -494,11 +512,11 @@ impl PlanService {
     /// the `caches` field).  Tests assert cache retention across batches
     /// with this.
     pub fn eval_cache_stats(&self, request: &PlanRequest) -> Option<(usize, usize)> {
-        let canon = Prepared::of(request, &self.budget).canon;
+        let key = Prepared::of(request, &self.budget).key;
         self.caches
             .lock()
             .expect("cache mutex poisoned")
-            .get(&canon.fingerprint)
+            .get(&key.fingerprint)
             .map(|cache| cache.stats())
     }
 
@@ -530,20 +548,18 @@ impl PlanService {
         self.fault_hook.as_ref().and_then(|hook| hook(ordinal))
     }
 
-    /// The retained evaluation cache for `canon`'s fingerprint, creating
+    /// The retained evaluation cache for `prep`'s fingerprint, creating
     /// it (and bounding the retention map) when absent.
-    pub(crate) fn retained_cache(&self, canon: &CanonicalApplication) -> Arc<EvalCache> {
+    pub(crate) fn retained_cache(&self, prep: &Prepared) -> Arc<EvalCache> {
+        let fingerprint = &prep.key.fingerprint;
         let mut retained = self.caches.lock().expect("cache mutex poisoned");
-        if !retained.contains_key(&canon.fingerprint) {
+        if !retained.contains_key(fingerprint) {
             if retained.len() >= self.cache_capacity {
                 retained.clear();
             }
-            retained.insert(
-                canon.fingerprint.clone(),
-                Arc::new(EvalCache::new(&canon.app)),
-            );
+            retained.insert(fingerprint.clone(), Arc::new(EvalCache::new(&prep.app)));
         }
-        retained[&canon.fingerprint].clone()
+        retained[fingerprint].clone()
     }
 
     /// Settles the cache a completed solve of `fingerprint` ran against,
@@ -665,7 +681,7 @@ impl PlanService {
             return false;
         };
         let key = PlanKey {
-            fingerprint: canon.fingerprint.clone(),
+            fingerprint: canon.fingerprint,
             model,
             objective,
         };
@@ -693,7 +709,7 @@ pub(crate) fn cold_solve(
     cache: &EvalCache,
     instruments: Option<&Instruments>,
 ) -> StoredPlan {
-    let problem = Problem::new(&prep.canon.app, model, prep.key.objective);
+    let problem = Problem::new(&prep.app, model, prep.key.objective);
     let started = Instant::now();
     let guard = instruments.map(|m| m.cold_solve.start());
     let solution = solve_warm_observed(
@@ -1009,7 +1025,10 @@ mod tests {
         let outcome = service.serve_one(&jumbo).unwrap();
         let rejection = outcome.rejection().expect("n=24 distinct must reject");
         assert_eq!(rejection.reason, RejectReason::AdmissionCost);
-        let estimate = rejection.estimate.expect("admission rejects carry a price");
+        let estimate = rejection
+            .estimate
+            .as_deref()
+            .expect("admission rejects carry a price");
         assert!(estimate.cost > service.admission().reject_cost);
         let stats = service.stats();
         assert_eq!((stats.dispatches, stats.admission_rejects), (0, 1));

@@ -18,8 +18,12 @@
 //!
 //! What a stored plan costs: the `Arc` block (two counts plus the
 //! [`StoredPlan`] record), the plan's [`ExecutionGraph`] — one flat block of
-//! `2n + 2 + 2m` words, 192 bytes for a six-service forest — and the key's
-//! fingerprint (16 bytes a service), plus the shard's hash-table slot.
+//! `2n + 2 + 2m` `u32` words, 96 bytes for a six-service forest — and the
+//! key's fingerprint, one slice of `1 + 2n` `u64` words for an
+//! unconstrained application (104 bytes at six services), plus the
+//! shard's hash-table slot, whose 24-byte [`PlanKey`] is the fingerprint's
+//! slice pointer and length, the model and the objective.  A six-service
+//! forest plan holds about 364 bytes (`tests/serving_memory_bound.rs`).
 //!
 //! Since the async front end, the store is **sharded by fingerprint-digest
 //! prefix**: the hit path takes only a shared (read) lock on one shard and

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! It tallies live and peak heap bytes across the process, and counts each
-//! thread's own allocations.
+//! thread's own allocations and the bytes they asked for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +22,9 @@ pub struct CountingAlloc {
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size).
+    static THREAD_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 impl CountingAlloc {
@@ -37,6 +40,7 @@ impl CountingAlloc {
         self.peak.fetch_max(live, Ordering::Relaxed);
         // A thread being torn down has no counter left; skip it.
         let _ = THREAD_ALLOCS.try_with(|count| count.set(count.get() + 1));
+        let _ = THREAD_BYTES.try_with(|total| total.set(total.get() + bytes));
     }
 
     fn shrink(&self, bytes: usize) {
@@ -88,4 +92,13 @@ pub fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let before = THREAD_ALLOCS.with(Cell::get);
     let kept = f();
     (THREAD_ALLOCS.with(Cell::get) - before, kept)
+}
+
+/// Bytes the calling thread allocates while `f` runs, with its result.
+/// Only some of the binaries that include this module read it.
+#[allow(dead_code)]
+pub fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = THREAD_BYTES.with(Cell::get);
+    let kept = f();
+    (THREAD_BYTES.with(Cell::get) - before, kept)
 }

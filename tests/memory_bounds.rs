@@ -39,7 +39,7 @@ use fsw::sched::latency::{oneport_latency_search_bounded, LatencyEvaluator};
 use fsw::sched::orchestrator::{solve, solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw::sched::{CommOrderings, Exec};
 
-use common::{allocations, CountingAlloc};
+use common::{allocated_bytes, allocations, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -175,6 +175,9 @@ fn execution_graphs_are_one_allocation() {
         (1, 1, 1),
         "from_parents, clone and relabel of a 6-node forest"
     );
+    // The one block is `2n + 2 + 2m` `u32` words.
+    let (bytes, _) = allocated_bytes(|| graph.clone());
+    assert_eq!(bytes, 4 * (2 * 6 + 2 + 2 * 5), "clone of a 6-node forest");
 }
 
 /// A fresh evaluation cache copies its application and builds nothing

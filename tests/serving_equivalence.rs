@@ -515,7 +515,11 @@ fn both_front_doors_decide_identically() {
     assert!(matches!(by_batch[3], ServeOutcome::Degraded { .. }));
     let rejection = by_batch[4].rejection().expect("n = 10 is over budget");
     assert_eq!(rejection.reason, RejectReason::AdmissionCost);
-    assert!(rejection.estimate.and_then(|e| e.value_floor).is_some());
+    assert!(rejection
+        .estimate
+        .as_ref()
+        .and_then(|e| e.value_floor)
+        .is_some());
     assert_eq!(by_batch[6].expect_exact().source, ServeSource::Store);
     for ordinal in [7, 8] {
         assert_eq!(

@@ -7,9 +7,9 @@
 //! allocates while the window is open.
 //!
 //! A served plan's bound is what the store holds for it: the shared
-//! `StoredPlan` block, its one-block graph, the key's fingerprint and a
-//! hash-table slot.  No evaluation cache is retained for a MINPERIOD solve
-//! under OVERLAP, which never reads one.
+//! `StoredPlan` block, its one-block graph of `u32` words, the key's
+//! one-slice fingerprint and a hash-table slot.  No evaluation cache is
+//! retained for a MINPERIOD solve under OVERLAP, which never reads one.
 
 mod common;
 
@@ -33,13 +33,16 @@ const SERVICE_ALLOWANCE: usize = 4 << 10;
 
 /// Bytes a served six-service forest plan may hold in the store: the `Arc`
 /// block (two counts and the `StoredPlan` record), the graph's one block of
-/// `2n + 2 + 2m` words, the key's fingerprint (16 bytes a service) and a
-/// hash-table slot (the key plus the entry's `Arc` and two `u64` stamps,
-/// and a control byte), counted twice for the table's spare capacity.
+/// `2n + 2 + 2m` `u32` words, the key's fingerprint (one word slice: a
+/// header word, then two `u64` words a service) and a hash-table slot (the
+/// key plus the entry's `Arc` and two `u64` stamps, and a control byte),
+/// counted twice for the table's spare capacity.  That is 362 bytes, which
+/// a plan of `usize` graph words and a two-`Vec` fingerprint (534 bytes
+/// measured) exceeds by more than the allowance.
 fn served_plan_bound() -> usize {
     let (n, m) = (6, 5);
     let slot = std::mem::size_of::<PlanKey>() + 3 * 8 + 1;
-    16 + std::mem::size_of::<StoredPlan>() + 8 * (2 * n + 2 + 2 * m) + 16 * n + 2 * slot
+    16 + std::mem::size_of::<StoredPlan>() + 4 * (2 * n + 2 + 2 * m) + 8 * (1 + 2 * n) + 2 * slot
 }
 
 #[test]
