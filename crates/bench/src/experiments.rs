@@ -1097,8 +1097,8 @@ pub fn e15_overload() -> Vec<ExperimentRow> {
 /// burst tail that waits longer than a full queue drain.  Ordinal 0 is
 /// tenant 0's first request — always the cold leader of template 0 — so
 /// the injected stall (10x the watchdog) deterministically times out
-/// exactly one solve and quarantines the fingerprint; the slow shard
-/// stretches wall latency without touching any decision.
+/// exactly one solve and quarantines the fingerprint; the slow store
+/// lookup stretches wall latency without touching any decision.
 fn overload_scenario(
     tenants: usize,
     steps: usize,
@@ -1311,7 +1311,7 @@ fn async_overload_rows(
 }
 
 /// E16 — a million-request overload trace through the async front end with
-/// injected worker-stall / slow-shard / ingress-burst faults, replayed at
+/// injected worker-stall / slow-lookup / ingress-burst faults, replayed at
 /// 1, 2 and 4 workers (decision digests must match bit-for-bit).  See
 /// `async_overload_rows` for the asserted contracts.
 pub fn e16_async_overload() -> Vec<ExperimentRow> {
@@ -1327,7 +1327,7 @@ pub fn e16_async_overload() -> Vec<ExperimentRow> {
 }
 
 /// E16s — the seconds-not-minutes CI smoke of E16: a ~12 000-request
-/// overload replay with the same injected stall, slow shard and burst,
+/// overload replay with the same injected stall, slow lookup and burst,
 /// digest-checked at 1 and 2 workers under the workflow's hard timeout.
 pub fn e16s_smoke() -> Vec<ExperimentRow> {
     async_overload_rows(

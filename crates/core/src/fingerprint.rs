@@ -82,7 +82,7 @@ impl AppFingerprint {
 
     /// A compact 64-bit digest of the fingerprint (FNV-1a over the content:
     /// the collapse flag, `n`, then every service and constraint word), for
-    /// display, statistics and store sharding.  Unlike the fingerprint
+    /// display and statistics.  Unlike the fingerprint
     /// itself this *can* collide; never key a cache by it alone.
     pub fn digest(&self) -> u64 {
         let header = [u64::from(self.collapsed()), self.n() as u64];
@@ -91,7 +91,8 @@ impl AppFingerprint {
 }
 
 /// An application relabelled into canonical service order, together with the
-/// permutation connecting it to the tenant's own labelling.
+/// permutation connecting it to the tenant's own labelling (its inverse is
+/// built only where a tenant graph is mapped onto canonical labels).
 ///
 /// For unconstrained applications the canonical order is the stable sort of
 /// services by `(cost bits, selectivity bits)`; for constrained applications
@@ -100,8 +101,6 @@ impl AppFingerprint {
 pub struct CanonicalApplication {
     /// The application over canonical labels.
     pub app: Application,
-    /// `to_canonical[tenant_id] == canonical_id`.
-    pub to_canonical: Vec<ServiceId>,
     /// `from_canonical[canonical_id] == tenant_id`.
     pub from_canonical: Vec<ServiceId>,
     /// The canonical identity (the cache key).
@@ -130,10 +129,6 @@ impl CanonicalApplication {
         } else {
             (0..n).collect()
         };
-        let mut to_canonical = vec![0; n];
-        for (pos, &k) in from_canonical.iter().enumerate() {
-            to_canonical[k] = pos;
-        }
         let canonical_app = if collapsed {
             Application::from_services(from_canonical.iter().map(|&k| *app.service(k)).collect())
         } else {
@@ -156,7 +151,6 @@ impl CanonicalApplication {
         };
         CanonicalApplication {
             app: canonical_app,
-            to_canonical,
             from_canonical,
             fingerprint,
         }
@@ -164,7 +158,7 @@ impl CanonicalApplication {
 
     /// `true` when canonical and tenant labellings coincide.
     pub fn is_identity(&self) -> bool {
-        self.to_canonical.iter().enumerate().all(|(k, &p)| k == p)
+        self.from_canonical.iter().enumerate().all(|(k, &p)| k == p)
     }
 
     /// Maps an execution graph over canonical labels back to the tenant's
@@ -179,9 +173,14 @@ impl CanonicalApplication {
     }
 
     /// Maps a tenant-labelled execution graph onto canonical labels (the
-    /// inverse of [`CanonicalApplication::graph_to_tenant`]).
+    /// inverse of [`CanonicalApplication::graph_to_tenant`]), through the
+    /// inverse of `from_canonical`, which it builds.
     pub fn graph_to_canonical(&self, graph: &ExecutionGraph) -> CoreResult<ExecutionGraph> {
-        graph.relabelled(&self.to_canonical)
+        let mut to_canonical = vec![0; self.from_canonical.len()];
+        for (pos, &k) in self.from_canonical.iter().enumerate() {
+            to_canonical[k] = pos;
+        }
+        graph.relabelled(&to_canonical)
     }
 }
 
@@ -212,7 +211,6 @@ mod tests {
         let canon = CanonicalApplication::of(&app);
         // Sorted by bits: the two (1.0, 0.5) services first, in id order.
         assert_eq!(canon.from_canonical, vec![1, 2, 0]);
-        assert_eq!(canon.to_canonical, vec![2, 0, 1]);
         assert_eq!(canon.app.cost(0), 1.0);
         assert_eq!(canon.app.cost(2), 2.0);
         assert!(!canon.is_identity());
@@ -251,8 +249,8 @@ mod tests {
 
     #[test]
     fn digests_keep_their_values() {
-        // The store shards by digest, so a new layout of the words must
-        // keep these values.
+        // Digests are shown in reports and statistics, so a new layout of
+        // the words must keep these values.
         let app = Application::independent(&[(2.0, 0.8), (1.0, 0.5), (1.0, 0.5)]);
         let collapsed = CanonicalApplication::of(&app).fingerprint;
         let exact = CanonicalApplication::with_collapse(&app, false).fingerprint;

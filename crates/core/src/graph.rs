@@ -28,7 +28,9 @@ use crate::service::{Application, ServiceId};
 /// `adj[adj[n + 1 + k]..adj[n + 2 + k]]`, each list sorted.  Offsets and
 /// targets are `u32` words, so a graph of `n` services and `m` edges costs
 /// `4·(2n + 2 + 2m)` bytes in one block (96 bytes for a six-service
-/// forest), and a clone is one allocation.  The block must index itself in
+/// forest), and a clone is one allocation.  The first word, the offset of
+/// the first successor list, is `2n + 2`, so the block alone tells `n`:
+/// the graph is one boxed slice, 16 bytes.  The block must index itself in
 /// `u32` words: every constructor and edit checks `2n + 2 + 2m <=
 /// u32::MAX` and panics beyond it.  [`succs`](Self::succs) and
 /// [`preds`](Self::preds) hand out the stored words; callers widen an id
@@ -41,7 +43,6 @@ use crate::service::{Application, ServiceId};
 /// [`remove_edge`](Self::remove_edge) rebuild it, at O(n + m) each.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ExecutionGraph {
-    n: usize,
     adj: Box<[u32]>,
 }
 
@@ -51,12 +52,12 @@ impl fmt::Debug for ExecutionGraph {
         impl fmt::Debug for Lists<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 f.debug_list()
-                    .entries((0..self.0.n).map(|k| (self.1)(self.0, k)))
+                    .entries((0..self.0.n()).map(|k| (self.1)(self.0, k)))
                     .finish()
             }
         }
         f.debug_struct("ExecutionGraph")
-            .field("n", &self.n)
+            .field("n", &self.n())
             .field("succs", &Lists(self, ExecutionGraph::succs))
             .field("preds", &Lists(self, ExecutionGraph::preds))
             .finish()
@@ -72,7 +73,6 @@ impl ExecutionGraph {
     pub fn new(n: usize) -> Self {
         let base = block_words(n, 0);
         ExecutionGraph {
-            n,
             adj: vec![base; base as usize].into_boxed_slice(),
         }
     }
@@ -114,7 +114,6 @@ impl ExecutionGraph {
             adj[lo..hi].sort_unstable();
         }
         ExecutionGraph {
-            n,
             adj: adj.into_boxed_slice(),
         }
     }
@@ -226,20 +225,21 @@ impl ExecutionGraph {
     /// with [`CoreError::SizeMismatch`] unless `perm` has one entry per
     /// service; `perm` must be a permutation of `0..n` (debug-asserted).
     pub fn relabelled(&self, perm: &[ServiceId]) -> CoreResult<Self> {
-        if perm.len() != self.n {
+        let n = self.n();
+        if perm.len() != n {
             return Err(CoreError::SizeMismatch {
-                expected: self.n,
+                expected: n,
                 found: perm.len(),
             });
         }
-        debug_assert!(distinct_below(perm, self.n));
+        debug_assert!(distinct_below(perm, n));
         let edges = self.edges().map(|(i, j)| (perm[i], perm[j]));
-        Ok(ExecutionGraph::build(self.n, self.edge_count(), edges))
+        Ok(ExecutionGraph::build(n, self.edge_count(), edges))
     }
 
     /// Number of services (excluding the implicit input/output nodes).
     pub fn n(&self) -> usize {
-        self.n
+        (self.adj[0] as usize - 2) / 2
     }
 
     /// Edge mask of this graph under the node relabelling `perm`: bit
@@ -249,23 +249,25 @@ impl ExecutionGraph {
     /// ([`crate::canonical`], `fsw_sched::engine::EvalCache`).  Requires
     /// `n² <= 128` (debug-asserted); `perm` must be a permutation of `0..n`.
     pub fn edge_mask_under(&self, perm: &[ServiceId]) -> u128 {
-        debug_assert!(self.n * self.n <= 128);
-        debug_assert_eq!(perm.len(), self.n);
+        let n = self.n();
+        debug_assert!(n * n <= 128);
+        debug_assert_eq!(perm.len(), n);
         let mut mask = 0u128;
         for (i, j) in self.edges() {
-            mask |= 1u128 << (perm[i] * self.n + perm[j]);
+            mask |= 1u128 << (perm[i] * n + perm[j]);
         }
         mask
     }
 
     /// Number of service-to-service edges.
     pub fn edge_count(&self) -> usize {
-        (self.adj[self.n] - self.adj[0]) as usize
+        (self.adj[self.n()] - self.adj[0]) as usize
     }
 
     /// Returns `true` if the edge `i → j` is present.
     pub fn has_edge(&self, i: ServiceId, j: ServiceId) -> bool {
-        i < self.n && j < self.n && self.succs(i).binary_search(&(j as u32)).is_ok()
+        let n = self.n();
+        i < n && j < n && self.succs(i).binary_search(&(j as u32)).is_ok()
     }
 
     /// Adds the edge `i → j`, rebuilding the flat block (O(n + m)).
@@ -278,11 +280,12 @@ impl ExecutionGraph {
     /// When the grown block would exceed `u32::MAX` words (see the type
     /// docs).
     pub fn add_edge(&mut self, i: ServiceId, j: ServiceId) -> CoreResult<()> {
-        if i >= self.n {
-            return Err(CoreError::InvalidService { id: i, n: self.n });
+        let n = self.n();
+        if i >= n {
+            return Err(CoreError::InvalidService { id: i, n });
         }
-        if j >= self.n {
-            return Err(CoreError::InvalidService { id: j, n: self.n });
+        if j >= n {
+            return Err(CoreError::InvalidService { id: j, n });
         }
         if i == j {
             return Err(CoreError::SelfLoop { id: i });
@@ -293,7 +296,6 @@ impl ExecutionGraph {
         if self.reaches(j, i) {
             return Err(CoreError::WouldCreateCycle { from: i, to: j });
         }
-        let n = self.n;
         let len = block_words(n, self.edge_count() + 1) as usize;
         let (from, to) = (i as u32, j as u32);
         let at_succ = self.adj[i] as usize + self.succs(i).partition_point(|&t| t < to);
@@ -312,10 +314,10 @@ impl ExecutionGraph {
     /// Removes the edge `i → j`, returning `true` if it was present;
     /// rebuilds the flat block (O(n + m)).
     pub fn remove_edge(&mut self, i: ServiceId, j: ServiceId) -> bool {
-        if i >= self.n || j >= self.n {
+        let n = self.n();
+        if i >= n || j >= n {
             return false;
         }
-        let n = self.n;
         let Ok(in_succ) = self.succs(i).binary_search(&(j as u32)) else {
             return false;
         };
@@ -343,7 +345,7 @@ impl ExecutionGraph {
     /// Direct predecessors `Sin(k)` of a service, sorted, as the stored
     /// `u32` words.
     pub fn preds(&self, k: ServiceId) -> &[u32] {
-        self.list(self.n + 1 + k)
+        self.list(self.n() + 1 + k)
     }
 
     /// The list whose offsets sit in slots `slot` and `slot + 1`.
@@ -353,17 +355,21 @@ impl ExecutionGraph {
 
     /// Iterator over all edges `(i, j)`.
     pub fn edges(&self) -> impl Iterator<Item = (ServiceId, ServiceId)> + Clone + '_ {
-        (0..self.n).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j as usize)))
+        (0..self.n()).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j as usize)))
     }
 
     /// Entry nodes (no predecessor); they receive data from the input node.
     pub fn entry_nodes(&self) -> Vec<ServiceId> {
-        (0..self.n).filter(|&k| self.preds(k).is_empty()).collect()
+        (0..self.n())
+            .filter(|&k| self.preds(k).is_empty())
+            .collect()
     }
 
     /// Exit nodes (no successor); they send their output to the output node.
     pub fn exit_nodes(&self) -> Vec<ServiceId> {
-        (0..self.n).filter(|&k| self.succs(k).is_empty()).collect()
+        (0..self.n())
+            .filter(|&k| self.succs(k).is_empty())
+            .collect()
     }
 
     /// Returns `true` if `from` reaches `to` by a directed path (possibly empty:
@@ -372,7 +378,7 @@ impl ExecutionGraph {
         if from == to {
             return true;
         }
-        let mut visited = vec![false; self.n];
+        let mut visited = vec![false; self.n()];
         let mut stack = vec![from];
         visited[from] = true;
         while let Some(v) = stack.pop() {
@@ -395,14 +401,15 @@ impl ExecutionGraph {
     /// The graph is maintained acyclic by construction, so this never fails
     /// unless the invariant was broken; the `Result` is kept for robustness.
     pub fn topological_order(&self) -> CoreResult<Vec<ServiceId>> {
-        let mut indeg: Vec<usize> = (0..self.n).map(|k| self.preds(k).len()).collect();
+        let n = self.n();
+        let mut indeg: Vec<usize> = (0..n).map(|k| self.preds(k).len()).collect();
         // Use a stack seeded in reverse id order so the produced order is
         // deterministic (small ids first among ready nodes).
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..self.n)
+        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
             .filter(|&k| indeg[k] == 0)
             .map(std::cmp::Reverse)
             .collect();
-        let mut order = Vec::with_capacity(self.n);
+        let mut order = Vec::with_capacity(n);
         while let Some(std::cmp::Reverse(v)) = heap.pop() {
             order.push(v);
             for &w in self.succs(v) {
@@ -413,7 +420,7 @@ impl ExecutionGraph {
                 }
             }
         }
-        if order.len() != self.n {
+        if order.len() != n {
             return Err(CoreError::CyclicGraph);
         }
         Ok(order)
@@ -427,14 +434,15 @@ impl ExecutionGraph {
         let order = self
             .topological_order()
             .expect("execution graph invariant: acyclic");
-        let mut anc = vec![vec![false; self.n]; self.n];
+        let n = self.n();
+        let mut anc = vec![vec![false; n]; n];
         for &v in &order {
             // Ancestors of v = union over preds p of ({p} ∪ ancestors(p)).
-            let mut mask = vec![false; self.n];
+            let mut mask = vec![false; n];
             for &p in self.preds(v) {
                 let p = p as usize;
                 mask[p] = true;
-                for a in 0..self.n {
+                for a in 0..n {
                     if anc[p][a] {
                         mask[a] = true;
                     }
@@ -447,7 +455,7 @@ impl ExecutionGraph {
 
     /// The ancestors of a single service, as a sorted list.
     pub fn ancestors(&self, k: ServiceId) -> Vec<ServiceId> {
-        let mut visited = vec![false; self.n];
+        let mut visited = vec![false; self.n()];
         let mut stack: Vec<usize> = self.preds(k).iter().map(|&p| p as usize).collect();
         for &p in &stack {
             visited[p] = true;
@@ -461,14 +469,15 @@ impl ExecutionGraph {
                 }
             }
         }
-        (0..self.n).filter(|&a| visited[a]).collect()
+        (0..self.n()).filter(|&a| visited[a]).collect()
     }
 
     /// Full transitive closure as boolean masks: `closure[i][j]` is `true` iff
     /// there is a (possibly empty) path from `i` to `j`.
     pub fn transitive_closure(&self) -> Vec<Vec<bool>> {
         let anc = self.ancestor_sets();
-        let mut clo = vec![vec![false; self.n]; self.n];
+        let n = self.n();
+        let mut clo = vec![vec![false; n]; n];
         for (i, row) in clo.iter_mut().enumerate() {
             row[i] = true;
         }
@@ -485,10 +494,10 @@ impl ExecutionGraph {
     /// Checks that every precedence constraint of `app` is honoured, i.e. is
     /// contained in the transitive closure of this graph.
     pub fn respects(&self, app: &Application) -> CoreResult<()> {
-        if app.n() != self.n {
+        if app.n() != self.n() {
             return Err(CoreError::SizeMismatch {
                 expected: app.n(),
-                found: self.n,
+                found: self.n(),
             });
         }
         if app.constraints().is_empty() {
@@ -506,7 +515,7 @@ impl ExecutionGraph {
     /// Returns `true` if every node has at most one direct predecessor
     /// (the graph is a forest of out-trees).
     pub fn is_forest(&self) -> bool {
-        (0..self.n).all(|k| self.preds(k).len() <= 1)
+        (0..self.n()).all(|k| self.preds(k).len() <= 1)
     }
 
     /// Returns `true` if the graph is a forest with a single entry node and
@@ -521,15 +530,15 @@ impl ExecutionGraph {
         }
         // In a forest with a single entry, every other node has exactly one
         // parent, hence n-1 edges and connectivity follows.
-        self.edge_count() == self.n.saturating_sub(1)
+        self.edge_count() == self.n().saturating_sub(1)
     }
 
     /// Returns `true` if the graph is one single linear chain covering all services.
     pub fn is_chain(&self) -> bool {
-        if self.n == 0 {
+        if self.n() == 0 {
             return true;
         }
-        self.is_tree() && (0..self.n).all(|k| self.succs(k).len() <= 1)
+        self.is_tree() && (0..self.n()).all(|k| self.succs(k).len() <= 1)
     }
 
     /// If the graph is a forest, returns the parent function
@@ -538,7 +547,7 @@ impl ExecutionGraph {
         if !self.is_forest() {
             return Err(CoreError::NotAForest);
         }
-        Ok((0..self.n)
+        Ok((0..self.n())
             .map(|k| self.preds(k).first().map(|&p| p as usize))
             .collect())
     }
@@ -548,10 +557,11 @@ impl ExecutionGraph {
         if !self.is_chain() {
             return Err(CoreError::NotAChain);
         }
-        if self.n == 0 {
+        let n = self.n();
+        if n == 0 {
             return Ok(Vec::new());
         }
-        let mut order = Vec::with_capacity(self.n);
+        let mut order = Vec::with_capacity(n);
         let mut cur = self.entry_nodes()[0];
         order.push(cur);
         while let Some(&next) = self.succs(cur).first() {
@@ -566,7 +576,7 @@ impl ExecutionGraph {
         let order = self
             .topological_order()
             .expect("execution graph invariant: acyclic");
-        let mut depth = vec![0usize; self.n];
+        let mut depth = vec![0usize; self.n()];
         for &v in &order {
             for &p in self.preds(v) {
                 depth[v] = depth[v].max(depth[p as usize] + 1);
@@ -645,6 +655,21 @@ mod tests {
         assert!(g.remove_edge(0, 1));
         assert!(!g.remove_edge(0, 1));
         assert_eq!(g.edge_count(), 1);
+    }
+
+    /// A graph is its one boxed block: `n` is read off the block's first
+    /// word, the empty graph included.
+    #[test]
+    fn a_graph_is_one_boxed_slice() {
+        assert_eq!(std::mem::size_of::<ExecutionGraph>(), 16);
+        for n in [0, 1, 6] {
+            assert_eq!(ExecutionGraph::new(n).n(), n);
+        }
+        assert_eq!(diamond().n(), 4);
+        assert_eq!(
+            ExecutionGraph::from_parents(&[None, Some(0)]).unwrap().n(),
+            2
+        );
     }
 
     #[test]

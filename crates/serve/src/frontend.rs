@@ -14,7 +14,12 @@
 //!   per queued request, in one map keyed by tenant and ticket id (ticket
 //!   ids only grow, so a tenant's queue is its key range), and one count
 //!   per tenant with a backlog; an idle tenant holds nothing, however
-//!   often it has burst;
+//!   often it has burst.  A shed is counted and resolved at `submit`, but
+//!   its [`Completion`] waits as part of a run (one tenant, consecutive
+//!   ticket ids and ordinals, one tick), so a burst holds a few words per
+//!   run until the next tick expands the runs, in submission order, ahead
+//!   of that tick's own completions into one batch of exactly their
+//!   size;
 //! * **logical time** — the loop advances in ticks
 //!   ([`tick`](AsyncFrontend::tick)).  Each tick applies due completion
 //!   events in dispatch order, then dequeues up to
@@ -200,6 +205,43 @@ impl<'r> Queued<'r> {
             deadline_tick: self.deadline_tick,
             request: self.request,
         }
+    }
+}
+
+/// Consecutive queue-full sheds of one tenant at one tick: `count`
+/// tickets from `ticket` on, with ordinals from `ordinal` on, each
+/// resolved as [`RejectReason::QueueFull`] at `tick`.
+struct ShedRun {
+    tenant: usize,
+    ticket: u64,
+    ordinal: u64,
+    tick: u64,
+    count: u64,
+}
+
+impl ShedRun {
+    /// Whether the shed of `ticket` (ordinal `ordinal`) by `tenant` at
+    /// `tick` is this run's next one.
+    fn continued_by(&self, tenant: usize, ticket: u64, ordinal: u64, tick: u64) -> bool {
+        self.tenant == tenant
+            && self.ticket + self.count == ticket
+            && self.ordinal + self.count == ordinal
+            && self.tick == tick
+    }
+
+    /// The run's completions, in submission order.
+    fn completions(self) -> impl Iterator<Item = Completion> {
+        (0..self.count).map(move |k| Completion {
+            ticket: Ticket(self.ticket + k),
+            tenant: self.tenant,
+            ordinal: self.ordinal + k,
+            submitted_tick: self.tick,
+            completed_tick: self.tick,
+            outcome: ServeOutcome::Rejected(Rejection {
+                reason: RejectReason::QueueFull,
+                estimate: None,
+            }),
+        })
     }
 }
 
@@ -443,7 +485,9 @@ pub(crate) struct EventLoop<'r> {
     /// Jobs abandoned by the stall watchdog whose late results must be
     /// discarded when they eventually surface.
     abandoned: HashSet<u64>,
-    /// Completions produced since the last `tick`/`drain` returned.
+    /// Queue-full sheds since the last tick, as runs in submission order.
+    sheds: Vec<ShedRun>,
+    /// Completions the current tick has produced (empty between ticks).
     ready: Vec<Completion>,
     pool: WorkerPool,
 }
@@ -469,6 +513,7 @@ impl<'r> EventLoop<'r> {
             pending: VecDeque::new(),
             in_flight: HashMap::new(),
             abandoned: HashSet::new(),
+            sheds: Vec::new(),
             ready: Vec::new(),
         }
     }
@@ -483,12 +528,7 @@ impl<'r> EventLoop<'r> {
         deadline_ticks: Option<u64>,
     ) -> Ticket {
         let ticket = Ticket(self.next_ticket);
-        let queued = Queued {
-            ordinal: service.counters.next_ordinal(),
-            submitted_tick: self.tick,
-            deadline_tick: deadline_ticks.map(|d| self.tick + d),
-            request,
-        };
+        let ordinal = service.counters.next_ordinal();
         self.next_ticket += 1;
         self.outstanding += 1;
         if let Some(m) = &self.instruments {
@@ -504,22 +544,53 @@ impl<'r> EventLoop<'r> {
             _ => None,
         };
         let Some(backlog) = backlog else {
-            service.counters.inc(Event::QueueFullShed);
-            if let Some(m) = &self.instruments {
-                m.tenant_sheds.record(tenant as u64, 1);
-            }
-            let info = queued.into_info(ticket, tenant);
-            self.reject(service, info, RejectReason::QueueFull, None);
+            self.shed_at_ingress(service, tenant, ticket, ordinal);
             return ticket;
+        };
+        let queued = Queued {
+            ordinal,
+            submitted_tick: self.tick,
+            deadline_tick: deadline_ticks.map(|d| self.tick + d),
+            request,
         };
         self.queued.insert((tenant, ticket.0), queued);
         service.counters.tenant_queue.set(backlog as u64);
         ticket
     }
 
+    /// Resolves a submission that found its tenant's queue full: it is
+    /// counted and resolved now, at a logical latency of 0 ticks, and its
+    /// completion joins the shed runs that the next tick hands over.
+    fn shed_at_ingress(
+        &mut self,
+        service: &PlanService,
+        tenant: usize,
+        ticket: Ticket,
+        ordinal: u64,
+    ) {
+        service.counters.inc(Event::QueueFullShed);
+        if let Some(m) = &self.instruments {
+            m.tenant_sheds.record(tenant as u64, 1);
+        }
+        self.resolve(service, self.tick);
+        match self.sheds.last_mut() {
+            Some(run) if run.continued_by(tenant, ticket.0, ordinal, self.tick) => run.count += 1,
+            _ => self.sheds.push(ShedRun {
+                tenant,
+                ticket: ticket.0,
+                ordinal,
+                tick: self.tick,
+                count: 1,
+            }),
+        }
+    }
+
     /// Advances one logical tick: applies due completion events, dequeues
     /// up to `dispatch_per_tick` requests, updates the shed level, and
-    /// returns every completion produced since the last call.
+    /// returns every completion produced since the last call: the pending
+    /// shed runs expanded in submission order, then the tick's own
+    /// completions, in one vector of exactly that length (the tick's own
+    /// vector as it is when no shed is pending).
     pub(crate) fn tick(&mut self, service: &PlanService) -> Vec<Completion> {
         let _tick_span = self.instruments.as_ref().map(|m| m.tick.start());
         self.tick += 1;
@@ -533,14 +604,23 @@ impl<'r> EventLoop<'r> {
             self.decide(service, queued);
         }
         self.update_shed_level(service);
-        std::mem::take(&mut self.ready)
+        let done = std::mem::take(&mut self.ready);
+        if self.sheds.is_empty() {
+            return done;
+        }
+        let shed: u64 = self.sheds.iter().map(|run| run.count).sum();
+        let mut all = Vec::with_capacity(shed as usize + done.len());
+        all.extend(self.sheds.drain(..).flat_map(ShedRun::completions));
+        all.extend(done);
+        all
     }
 
-    /// Ticks until every outstanding ticket has resolved, returning all
-    /// completions produced along the way.
+    /// Ticks until every outstanding ticket has resolved and every shed
+    /// has been handed over, returning all completions produced along the
+    /// way.
     pub(crate) fn drain(&mut self, service: &PlanService) -> Vec<Completion> {
         let mut all = Vec::new();
-        while self.outstanding > 0 || !self.ready.is_empty() {
+        while self.outstanding > 0 || !self.sheds.is_empty() {
             all.extend(self.tick(service));
         }
         all
@@ -681,12 +761,17 @@ impl<'r> EventLoop<'r> {
         );
     }
 
-    fn complete(&mut self, service: &PlanService, info: TicketInfo<'r>, outcome: ServeOutcome) {
+    /// Counts one ticket, submitted at `submitted_tick`, as resolved now.
+    fn resolve(&mut self, service: &PlanService, submitted_tick: u64) {
         service.counters.inc(Event::Completion);
         self.outstanding -= 1;
         if let Some(m) = &self.instruments {
-            m.latency_ticks.record(self.tick - info.submitted_tick);
+            m.latency_ticks.record(self.tick - submitted_tick);
         }
+    }
+
+    fn complete(&mut self, service: &PlanService, info: TicketInfo<'r>, outcome: ServeOutcome) {
+        self.resolve(service, info.submitted_tick);
         self.ready.push(Completion {
             ticket: info.ticket,
             tenant: info.tenant,
@@ -746,8 +831,8 @@ impl<'r> EventLoop<'r> {
             }
             return;
         }
-        // 3. Store hit: resolved this tick.  An injected slow shard stalls
-        // the lookup — wall clock only, no effect on any decision.
+        // 3. Store hit: resolved this tick.  An injected slow lookup sleeps
+        // first — wall clock only, no effect on any decision.
         let fault = service.injected_fault(info.ordinal);
         if let Some(InjectedFault::SlowShard(delay)) = fault {
             std::thread::sleep(delay);
@@ -1298,8 +1383,9 @@ mod tests {
 
     /// What the loop and the store hold per request and per plan: a key is
     /// the fingerprint's one word slice plus model and objective, a
-    /// completion carries a rejection's price boxed, and a queued request
-    /// leaves its ticket and tenant to its key.
+    /// completion carries a rejection's price boxed and a graph of one
+    /// boxed slice, and a queued request leaves its ticket and tenant to
+    /// its key.
     #[test]
     fn keys_completions_and_queued_requests_stay_small() {
         use std::mem::size_of;
@@ -1309,11 +1395,83 @@ mod tests {
             size_of::<PlanKey>()
         );
         assert!(
-            size_of::<Completion>() <= 104,
+            size_of::<Completion>() <= 96,
             "Completion: {}",
             size_of::<Completion>()
         );
         assert!(size_of::<Queued>() <= 88, "Queued: {}", size_of::<Queued>());
+    }
+
+    /// A burst into a full queue hands its sheds over at the next tick:
+    /// first, in submission order, then the tick's own completions, in one
+    /// vector of exactly their number.  Another tenant's submissions
+    /// partway split the sheds into two runs.
+    #[test]
+    fn queue_full_sheds_are_handed_over_in_one_exact_batch() {
+        let config = FrontendConfig {
+            queue_capacity: 64,
+            ..FrontendConfig::default()
+        };
+        let mut frontend = AsyncFrontend::new(service(), config);
+        // A deadline of 0 ticks cancels each request on the tick that
+        // dequeues it: the tick resolves requests of its own, and nothing
+        // is solved.
+        let mut submitted: Vec<(Ticket, usize)> = Vec::new();
+        for k in 0..400u32 {
+            if k == 200 {
+                for _ in 0..10 {
+                    let ticket = frontend
+                        .submit_with_deadline(1, small_request(1), 0)
+                        .unwrap();
+                    submitted.push((ticket, 1));
+                }
+            }
+            let ticket = frontend
+                .submit_with_deadline(0, small_request(0), 0)
+                .unwrap();
+            submitted.push((ticket, 0));
+        }
+        let shed: Vec<Ticket> = submitted
+            .iter()
+            .filter(|&&(_, tenant)| tenant == 0)
+            .skip(config.queue_capacity)
+            .map(|&(ticket, _)| ticket)
+            .collect();
+        assert_eq!(frontend.stats().queue_full_sheds, shed.len());
+        let batch = frontend.tick();
+        assert_eq!(batch.len(), batch.capacity(), "the batch has no slack");
+        let (sheds, own) = batch.split_at(shed.len());
+        assert_eq!(sheds.iter().map(|c| c.ticket).collect::<Vec<_>>(), shed);
+        for c in sheds {
+            assert_eq!(c.tenant, 0);
+            // The service's only front end: ordinals follow ticket ids.
+            assert_eq!(c.ordinal, c.ticket.id());
+            assert_eq!((c.submitted_tick, c.completed_tick), (0, 0));
+            assert!(matches!(
+                &c.outcome,
+                ServeOutcome::Rejected(Rejection {
+                    reason: RejectReason::QueueFull,
+                    estimate: None,
+                })
+            ));
+        }
+        assert_eq!(own.len(), config.dispatch_per_tick);
+        for c in own {
+            assert_eq!(
+                c.outcome.rejection().map(|r| &r.reason),
+                Some(&RejectReason::DeadlineExpired)
+            );
+        }
+        let mut resolved: Vec<Ticket> = batch
+            .iter()
+            .chain(&frontend.drain())
+            .map(|c| c.ticket)
+            .collect();
+        resolved.sort_unstable();
+        let mut tickets: Vec<Ticket> = submitted.iter().map(|&(ticket, _)| ticket).collect();
+        tickets.sort_unstable();
+        assert_eq!(resolved, tickets, "every ticket resolves exactly once");
+        assert_eq!(frontend.outstanding(), 0);
     }
 
     /// A tenant that bursts and drains leaves nothing behind in ingress.

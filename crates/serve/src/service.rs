@@ -237,8 +237,8 @@ pub enum InjectedFault {
     /// immediately, modelling a deadline blowout without wall-clock
     /// dependence.
     DeadlineBlowout,
-    /// The store shard holding the request's fingerprint responds slowly:
-    /// the lookup sleeps first.  Wall clock only — no decision changes.
+    /// A slow store lookup: the request's lookup sleeps first.  Wall
+    /// clock only — no decision changes.
     SlowShard(Duration),
 }
 
@@ -317,7 +317,6 @@ impl Prepared {
             app,
             from_canonical,
             fingerprint,
-            ..
         } = CanonicalApplication::with_collapse(&request.app, collapse);
         let key = PlanKey {
             fingerprint,

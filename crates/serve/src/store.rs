@@ -17,33 +17,32 @@
 //! tenant on the way out.
 //!
 //! What a stored plan costs: the `Arc` block (two counts plus the
-//! [`StoredPlan`] record), the plan's [`ExecutionGraph`] — one flat block of
-//! `2n + 2 + 2m` `u32` words, 96 bytes for a six-service forest — and the
-//! key's fingerprint, one slice of `1 + 2n` `u64` words for an
-//! unconstrained application (104 bytes at six services), plus the
-//! shard's hash-table slot, whose 24-byte [`PlanKey`] is the fingerprint's
-//! slice pointer and length, the model and the objective.  A six-service
-//! forest plan holds about 364 bytes (`tests/serving_memory_bound.rs`).
+//! [`StoredPlan`] record, whose graph handle is 16 bytes), the plan's
+//! [`ExecutionGraph`] — one flat block of `2n + 2 + 2m` `u32` words, 96
+//! bytes for a six-service forest — and the key's fingerprint, one slice of
+//! `1 + 2n` `u64` words for an unconstrained application (104 bytes at six
+//! services), plus the table's slot: the 24-byte [`PlanKey`] (the
+//! fingerprint's slice pointer and length, the model and the objective),
+//! the entry's `Arc` and its recency word, and a control byte.  A
+//! six-service forest plan holds about 340 bytes
+//! (`tests/serving_memory_bound.rs`).
 //!
-//! Since the async front end, the store is **sharded by fingerprint-digest
-//! prefix**: the hit path takes only a shared (read) lock on one shard and
-//! bumps recency through an atomic, so concurrent hits never serialise on
-//! each other and a writer stuck in one shard cannot stall lookups in the
-//! other fifteen.  Capacity and the eviction order remain *global*: the
-//! victim is the cheapest entry across all shards, exactly as before
-//! sharding, so the cache contents for a given operation sequence are
-//! unchanged.
+//! The store is **one table** behind a reader-writer lock: the hit path
+//! takes the shared lock and bumps recency through an atomic, so
+//! concurrent hits never serialise on each other, while an insert and the
+//! evictions it causes run under one write lock.  One table keeps one
+//! allocation sized for the plans held, where per-shard tables would each
+//! keep the capacity of their fullest moment.  Evictions leave tombstones
+//! in it that use up its spare room; once that is gone, the next new key
+//! rebuilds the table at its size instead of doubling it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 use fsw_core::{AppFingerprint, CommModel, ExecutionGraph};
 use fsw_obs::{Counter, MetricsRegistry};
 use fsw_sched::orchestrator::Objective;
-
-/// Number of fingerprint-prefix shards (power of two).
-pub const STORE_SHARDS: usize = 16;
 
 /// The identity of a planning problem: *what* is solved for *whom*.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -73,11 +72,11 @@ pub struct StoredPlan {
 
 struct Entry {
     plan: Arc<StoredPlan>,
-    /// Logical time of the last hit (eviction tie-break); atomic so the
-    /// hit path can refresh it under a shared lock.
+    /// Logical time of the insert or last hit (eviction tie-break); atomic
+    /// so the hit path can refresh it under a shared lock.  Every `get`
+    /// and `insert` takes its own clock tick, so no two held entries share
+    /// it.
     last_used: AtomicU64,
-    /// Logical time of insertion (deterministic final tie-break).
-    stamp: u64,
 }
 
 /// Counters of one [`PlanStore`]'s lifetime.
@@ -93,13 +92,11 @@ pub struct StoreStats {
     pub len: usize,
 }
 
-type Shard = RwLock<HashMap<PlanKey, Entry>>;
-
 /// A bounded, concurrent, fingerprint-keyed plan cache (see the module
-/// docs for the eviction policy and sharding).
+/// docs for the eviction policy and locking).
 pub struct PlanStore {
     capacity: usize,
-    shards: Vec<Shard>,
+    entries: RwLock<HashMap<PlanKey, Entry>>,
     /// Unstored recomputation cost owed per key: wall micros burnt by
     /// degraded (non-exhaustive) attempts that produced no cache entry.
     /// Folded into the eviction weight when the exact re-solve finally
@@ -108,7 +105,6 @@ pub struct PlanStore {
     /// most `capacity` keys.
     attempt_debt: Mutex<HashMap<PlanKey, u64>>,
     clock: AtomicU64,
-    len: AtomicUsize,
     /// `store.hits`, `store.misses` and `store.evictions`: counted once,
     /// in the registry the owning service resolved them from (standalone
     /// counters for a store built with [`PlanStore::new`]).
@@ -122,12 +118,9 @@ impl PlanStore {
     pub fn new(capacity: usize) -> Self {
         PlanStore {
             capacity: capacity.max(1),
-            shards: (0..STORE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            entries: RwLock::new(HashMap::new()),
             attempt_debt: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
             hits: Arc::default(),
             misses: Arc::default(),
             evictions: Arc::default(),
@@ -153,32 +146,19 @@ impl PlanStore {
         }
     }
 
-    /// Which shard `key` lives in: the low bits of the fingerprint digest.
-    fn shard_index(key: &PlanKey) -> usize {
-        (key.fingerprint.digest() as usize) & (STORE_SHARDS - 1)
-    }
-
-    fn read_shard(&self, key: &PlanKey) -> RwLockReadGuard<'_, HashMap<PlanKey, Entry>> {
-        self.shards[Self::shard_index(key)]
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<PlanKey, Entry>> {
+        self.entries
             .read()
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
-    fn write_shard(&self, idx: usize) -> RwLockWriteGuard<'_, HashMap<PlanKey, Entry>> {
-        self.shards[idx]
-            .write()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
-
-    /// Looks `key` up, refreshing its recency on a hit.  Hit path: one
-    /// shared lock on the key's shard, recency bumped through an atomic —
-    /// concurrent hits (even on the same shard) never wait on each other —
-    /// and the held plan handed out as a shared [`Arc`]: a hit allocates
-    /// and copies nothing.
+    /// Looks `key` up, refreshing its recency on a hit.  Hit path: the
+    /// table's shared lock, recency bumped through an atomic — concurrent
+    /// hits never wait on each other — and the held plan handed out as a
+    /// shared [`Arc`]: a hit allocates and copies nothing.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<StoredPlan>> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let shard = self.read_shard(key);
-        match shard.get(key) {
+        match self.read().get(key) {
             Some(entry) => {
                 entry.last_used.store(now, Ordering::Relaxed);
                 self.hits.inc();
@@ -215,16 +195,17 @@ impl PlanStore {
     }
 
     /// Inserts (or refreshes) a plan, then evicts down to capacity:
-    /// smallest `solve_micros` first, least recently used among equals,
-    /// oldest insertion as the deterministic final tie-break.  The freshly
-    /// inserted entry competes like any other — a cheap plan does not
-    /// displace an expensive one even when it is newer.  Refreshing an
-    /// existing key keeps the **larger** of the old and new eviction
-    /// weights: a warm re-plan that re-derives a fingerprint in a
-    /// millisecond must not demote the 0.2 s cold solve whose recomputation
-    /// cost the weight stands for.  Any attempt debt recorded for the key
+    /// smallest `solve_micros` first, least recently used among equals
+    /// (no two held entries share a recency).  The freshly inserted entry
+    /// competes like any other — a cheap plan does not displace an
+    /// expensive one even when it is newer.  Refreshing an existing key
+    /// keeps the **larger** of the old and new eviction weights: a warm
+    /// re-plan that re-derives a fingerprint in a millisecond must not
+    /// demote the 0.2 s cold solve whose recomputation cost the weight
+    /// stands for.  Any attempt debt recorded for the key
     /// ([`record_attempt_cost`](Self::record_attempt_cost)) is added on
-    /// top before the comparison.
+    /// top before the comparison.  The insert and its evictions run under
+    /// one write lock.
     pub fn insert(&self, key: PlanKey, mut plan: StoredPlan) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
@@ -236,64 +217,40 @@ impl PlanStore {
                 plan.solve_micros = plan.solve_micros.saturating_add(debt);
             }
         }
-        let idx = Self::shard_index(&key);
-        {
-            let mut shard = self.write_shard(idx);
-            if let Some(existing) = shard.get(&key) {
-                plan.solve_micros = plan.solve_micros.max(existing.plan.solve_micros);
-            } else {
-                self.len.fetch_add(1, Ordering::Relaxed);
-            }
-            shard.insert(
-                key,
-                Entry {
-                    plan: Arc::new(plan),
-                    last_used: AtomicU64::new(now),
-                    stamp: now,
-                },
-            );
+        let mut entries = self
+            .entries
+            .write()
+            .unwrap_or_else(|poison| poison.into_inner());
+        if let Some(existing) = entries.get(&key) {
+            plan.solve_micros = plan.solve_micros.max(existing.plan.solve_micros);
+        } else if entries.len() == entries.capacity() {
+            // Evictions leave tombstones that use up the table's spare
+            // room, and a new key in a full table would double it for
+            // good.  Rebuilding it for the held entries clears them; the
+            // entries wait in a list meanwhile, not in a second table.
+            let held: Vec<(PlanKey, Entry)> = entries.drain().collect();
+            entries.shrink_to_fit();
+            entries.reserve(held.len() + 1);
+            entries.extend(held);
         }
-        while self.len.load(Ordering::Relaxed) > self.capacity {
-            if !self.evict_one() {
+        entries.insert(
+            key,
+            Entry {
+                plan: Arc::new(plan),
+                last_used: AtomicU64::new(now),
+            },
+        );
+        let last_used = |entry: &Entry| entry.last_used.load(Ordering::Relaxed);
+        while entries.len() > self.capacity {
+            let Some((_, victim)) = entries
+                .values()
+                .map(|entry| (entry.plan.solve_micros, last_used(entry)))
+                .min()
+            else {
                 break;
-            }
-        }
-    }
-
-    /// Removes the globally cheapest entry.  Scans shards under shared
-    /// locks for the victim's rank and shard, then removes it under that
-    /// shard's write lock by its insertion stamp, which no other entry
-    /// shares (if the entry was refreshed or removed meanwhile, nothing
-    /// matches and the scan reruns).  Deterministic for a serialised
-    /// operation sequence: the victim order is identical to the
-    /// pre-sharding single-map scan.
-    fn evict_one(&self) -> bool {
-        loop {
-            let mut victim: Option<((u64, u64, u64), usize)> = None;
-            for (idx, lock) in self.shards.iter().enumerate() {
-                let shard = lock.read().unwrap_or_else(|poison| poison.into_inner());
-                for entry in shard.values() {
-                    let rank = (
-                        entry.plan.solve_micros,
-                        entry.last_used.load(Ordering::Relaxed),
-                        entry.stamp,
-                    );
-                    if victim.is_none_or(|(best, _)| rank < best) {
-                        victim = Some((rank, idx));
-                    }
-                }
-            }
-            let Some(((_, _, stamp), idx)) = victim else {
-                return false;
             };
-            let mut shard = self.write_shard(idx);
-            let before = shard.len();
-            shard.retain(|_, entry| entry.stamp != stamp);
-            if shard.len() < before {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                self.evictions.inc();
-                return true;
-            }
+            entries.retain(|_, entry| last_used(entry) != victim);
+            self.evictions.inc();
         }
     }
 
@@ -301,16 +258,10 @@ impl PlanStore {
     /// service's store-purity invariant says this is always zero (degraded
     /// plans are never cached); the fault-injection harness asserts it.
     pub fn non_exhaustive_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|lock| {
-                lock.read()
-                    .unwrap_or_else(|poison| poison.into_inner())
-                    .values()
-                    .filter(|entry| !entry.plan.exhaustive)
-                    .count()
-            })
-            .sum()
+        self.read()
+            .values()
+            .filter(|entry| !entry.plan.exhaustive)
+            .count()
     }
 
     /// Lifetime counters plus the current size.
@@ -319,7 +270,7 @@ impl PlanStore {
             hits: self.hits.get() as usize,
             misses: self.misses.get() as usize,
             evictions: self.evictions.get() as usize,
-            len: self.len.load(Ordering::Relaxed),
+            len: self.read().len(),
         }
     }
 }
@@ -488,8 +439,31 @@ mod tests {
         assert_eq!(store.get(&keys[0]).expect("inserted").solve_micros, 40);
     }
 
+    /// Churn at capacity leaves tombstones in the table: the store
+    /// rebuilds it at its size rather than letting a new key double it.
     #[test]
-    fn sharded_reads_do_not_block_each_other() {
+    fn churn_at_capacity_never_grows_the_table() {
+        const CAPACITY: usize = 64;
+        let store = PlanStore::new(CAPACITY);
+        let table = || store.entries.read().unwrap().capacity();
+        for i in 0..CAPACITY as u32 {
+            store.insert(key_of(&[(1.0 + f64::from(i), 0.5)]), plan(1.0, 50));
+        }
+        let filled = table();
+        for i in CAPACITY as u32..5_000 {
+            store.insert(key_of(&[(1.0 + f64::from(i), 0.5)]), plan(1.0, 50));
+            assert!(
+                table() <= filled,
+                "the table grew from {filled} to {} slots after {} evictions",
+                table(),
+                store.stats().evictions
+            );
+        }
+        assert_eq!(store.stats().len, CAPACITY);
+    }
+
+    #[test]
+    fn concurrent_reads_do_not_block_each_other() {
         // Smoke the concurrency story: many threads hammering `get` on a
         // populated store while one inserts — no deadlock, no lost entries.
         use std::sync::Arc;

@@ -20,7 +20,7 @@
 //! service list, so a 100 000-request trace over a handful of templates
 //! costs a handful of them, and they are excluded from the serving wall.
 //!
-//! A [`FaultPlan`] injects solver panics, slowdowns, slow store shards,
+//! A [`FaultPlan`] injects solver panics, slowdowns, slow store lookups,
 //! deadline blowouts and ingress bursts by **request ordinal** (arrival
 //! order at the service).  Every decision is a function of the ordinals
 //! and the logical timeline, so a faulted replay takes the same
@@ -352,7 +352,7 @@ impl TraceReport {
 /// deduplicated, or rejected before the pool leave their fault unused.
 ///
 /// Beyond the service's [`InjectedFault`]s (panic, slowdown — a worker
-/// stall when it outlasts the event loop's watchdog —, slow store shard,
+/// stall when it outlasts the event loop's watchdog —, slow store lookup,
 /// deadline blowout), the plan carries **ingress bursts**: at the
 /// scheduled ordinal the replay submits that many extra copies of the
 /// request in the same step, on either front door, modelling an arrival
@@ -393,7 +393,7 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a **slow store shard** at `ordinal`: the request's store
+    /// Schedules a **slow store lookup** at `ordinal`: the request's store
     /// lookup sleeps for `delay` first.  Wall-clock only — decisions and
     /// digests are unaffected.
     pub fn slow_shard_at(mut self, ordinal: u64, delay: Duration) -> Self {

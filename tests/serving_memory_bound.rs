@@ -35,13 +35,13 @@ const SERVICE_ALLOWANCE: usize = 4 << 10;
 /// block (two counts and the `StoredPlan` record), the graph's one block of
 /// `2n + 2 + 2m` `u32` words, the key's fingerprint (one word slice: a
 /// header word, then two `u64` words a service) and a hash-table slot (the
-/// key plus the entry's `Arc` and two `u64` stamps, and a control byte),
-/// counted twice for the table's spare capacity.  That is 362 bytes, which
+/// key plus the entry's `Arc` and `u64` recency, and a control byte),
+/// counted twice for the table's spare capacity.  That is 338 bytes, which
 /// a plan of `usize` graph words and a two-`Vec` fingerprint (534 bytes
 /// measured) exceeds by more than the allowance.
 fn served_plan_bound() -> usize {
     let (n, m) = (6, 5);
-    let slot = std::mem::size_of::<PlanKey>() + 3 * 8 + 1;
+    let slot = std::mem::size_of::<PlanKey>() + 2 * 8 + 1;
     16 + std::mem::size_of::<StoredPlan>() + 4 * (2 * n + 2 + 2 * m) + 8 * (1 + 2 * n) + 2 * slot
 }
 
