@@ -404,7 +404,7 @@ pub fn e10_scaling() -> Vec<ExperimentRow> {
             &budget,
         )
         .expect("solver");
-        let local = minperiod_local_search(&app, CommModel::Overlap, &budget).expect("solver");
+        let local = minperiod_local_search(&app, CommModel::Overlap).expect("solver");
         rows.push(ExperimentRow::new(
             format!("MINPERIOD OVERLAP n={n}: local search (paper column = exhaustive forests)"),
             Some(exhaustive.value),

@@ -1703,11 +1703,12 @@ pub fn rooted_tree_classes(n: usize) -> u128 {
 /// [`ShapeStream`] yields them), with the weight classes carried along and
 /// used as the tie-break among identically-shaped sibling subtrees.
 ///
-/// Every member of an orbit maps to the *same* representative, so evaluating
-/// the representative's [`ClassedRepresentative::member_graph`] instead of
-/// the original graph makes label-trajectory-dependent evaluations (the
-/// OUTORDER backtracker) a pure function of the orbit — the key property
-/// behind the canonical-form memoisation in `fsw_sched::engine`.
+/// Every member of an orbit maps to the *same* representative, and the
+/// representative's [`ClassedRepresentative::member_graph`] is the orbit's
+/// deterministic canonical member.  This is core's reference
+/// canonicaliser: the orbit tests map every labelled forest through it and
+/// check the generated representatives and their orbit sizes against the
+/// tallies.
 ///
 /// Fails with [`CoreError::NotAForest`] when some node has several direct
 /// predecessors or the graph is cyclic.
@@ -1777,19 +1778,6 @@ pub fn canonical_classed_form(
         classes: colors[1..].to_vec(),
         orbit: classes.group_order() / aut,
     })
-}
-
-/// The deterministic canonical *member* of a labelled forest's
-/// class-preserving orbit: [`canonical_classed_form`] mapped back onto the
-/// concrete services ([`ClassedRepresentative::member_graph`]).  Evaluating
-/// this member instead of the original graph makes any evaluation a pure
-/// function of the orbit.
-pub fn canonical_classed_member(
-    classes: &WeightClasses,
-    graph: &ExecutionGraph,
-) -> CoreResult<ExecutionGraph> {
-    let rep = canonical_classed_form(classes, graph)?;
-    rep.member_graph(classes).ok_or(CoreError::NotAForest)
 }
 
 #[cfg(test)]
@@ -2391,9 +2379,6 @@ mod tests {
         let member = c1.member_graph(&classes).unwrap();
         let again = canonical_classed_form(&classes, &member).unwrap();
         assert_eq!(c1, again);
-        // The member graph realises the representative's coloured shape.
-        let member_value = canonical_classed_member(&classes, &chain).unwrap();
-        assert_eq!(member, member_value);
         // Non-forests are rejected.
         let join = ExecutionGraph::from_edges(4, &[(0, 2), (1, 2)]).unwrap();
         assert!(matches!(

@@ -20,8 +20,9 @@
 //!   evaluation is that bound bit for bit, which lets both walks add the
 //!   non-strict tie-dominance prune (`tie_dominated`);
 //! * [`EvalCache`] — a concurrent memo of expensive candidate evaluations
-//!   (one-port ordering searches) keyed by a canonical shape-plus-weights
-//!   signature, so the members of an equivalence class share a single search;
+//!   (the one-port latency ordering searches of MINLATENCY's DAG phase)
+//!   keyed by a canonical shape-plus-weights signature, so the members of an
+//!   equivalence class share a single search;
 //! * [`CanonicalSpace`] / [`Symmetry`] — the symmetry-reduced *enumeration*
 //!   layer: on constraint-free instances the forest searches iterate
 //!   canonical representatives of weight-class orbits instead of the full
@@ -59,12 +60,7 @@
 //!   there — correctness over compression;
 //! * heuristic (hill-climbing) evaluations are label-dependent even with
 //!   uniform weights, so keys carry an *exhaustive?* flag and canonicalised
-//!   sharing applies only to exhaustively searched classes.  The OUTORDER
-//!   backtracker is label-dependent too, but its plan-search evaluation
-//!   canonicalises the *graph* before evaluating (see
-//!   `fsw_core::canonical_classed_member`), which turns the value into a
-//!   pure function of the orbit and makes the memo key one entry per
-//!   canonical shape + class signature.
+//!   sharing applies only to exhaustively searched classes.
 //!
 //! ### Cutoff-aware memoisation
 //!
@@ -159,14 +155,13 @@ impl Default for Incumbent {
 ///
 /// The reduction is engaged only when **both** hold:
 ///
-/// * the caller passes [`Symmetry::Auto`] or [`Symmetry::Classes`],
-///   asserting an invariance property of its candidate evaluation (see the
-///   variants); hill-climbing and backtracking evaluations, whose search
-///   trajectory follows node ids, satisfy neither;
-/// * the instance admits the corresponding symmetry:
-///   [`CanonicalSpace::reducible`] (uniform weights, no constraints) for
-///   `Auto`, the weaker [`CanonicalSpace::class_reducible`] (some weight
-///   class with at least two members, no constraints) for `Classes`.
+/// * the caller passes [`Symmetry::Classes`], asserting that its candidate
+///   evaluation is invariant under class-preserving relabellings;
+///   hill-climbing and backtracking evaluations, whose search trajectory
+///   follows node ids, are not;
+/// * the instance is [`CanonicalSpace::class_reducible`] (some weight class
+///   with at least two members, no constraints; uniform weights are the
+///   one-class case).
 ///
 /// Otherwise the search runs the bit-identical full enumeration, so
 /// instances outside the gate keep the exact legacy semantics (value *and*
@@ -176,19 +171,17 @@ impl Default for Incumbent {
 ///
 /// ### The bit-safety gate
 ///
-/// `Classes` is the stronger claim, so it is gated on the stricter
-/// invariance: every float of the evaluation must be a function of the
-/// *class-coloured* structure alone.  This holds bit-exactly for every
+/// `Classes` requires that every float of the evaluation be a function of
+/// the *class-coloured* structure alone.  This holds bit-exactly for every
 /// forest evaluation whose arithmetic follows the structure — the
 /// structural period bounds (input factors are path-order products since
 /// the metrics rework, single-predecessor volumes involve no multi-term
 /// sums, `Cout` multiplies rather than sums) and the tree-latency recursion
 /// (children combine in value order).  Evaluations whose internal sums
 /// could associate differently across orbit members — the one-port ordering
-/// searches, whose schedule accumulation follows node ids — must **fall
-/// back**: pass `Auto` (uniform-only, the regime where those sums are over
-/// identical terms) or `Full`.  The `tests/partial_symmetry_equivalence.rs`
-/// suite guards both directions.  Only the forest search takes a
+/// searches, whose schedule accumulation follows node ids — pass `Full`.
+/// The `tests/partial_symmetry_equivalence.rs` suite guards both
+/// directions.  Only the forest search takes a
 /// `Symmetry`: DAG joins sum their `Cin` in label order, so no DAG
 /// evaluation is relabelling-invariant bit for bit, and the DAG walk
 /// always walks the labelled space.
@@ -196,15 +189,10 @@ impl Default for Incumbent {
 pub enum Symmetry {
     /// Always enumerate the full labelled space.
     Full,
-    /// Enumerate canonical representatives when the instance is
-    /// [`CanonicalSpace::reducible`] (uniform weights); the caller
-    /// guarantees its evaluation is label-invariant there.
-    Auto,
-    /// Additionally enumerate **class-preserving** canonical representatives
-    /// when the instance is [`CanonicalSpace::class_reducible`] (several
-    /// weight classes, at least one with two or more members); the caller
-    /// guarantees its evaluation is invariant under class-preserving
-    /// relabellings — a strictly stronger claim than `Auto`'s.
+    /// Enumerate **class-preserving** canonical representatives when the
+    /// instance is [`CanonicalSpace::class_reducible`] (some weight class
+    /// with two or more members); the caller guarantees its evaluation is
+    /// invariant under class-preserving relabellings.
     Classes,
 }
 
@@ -213,26 +201,6 @@ pub enum Symmetry {
 pub struct CanonicalSpace;
 
 impl CanonicalSpace {
-    /// `true` when relabelling symmetry applies to the whole instance:
-    /// at least two services, all in one weight class, no precedence
-    /// constraints (constraints distinguish services regardless of weights).
-    pub fn reducible(app: &Application) -> bool {
-        app.n() >= 2 && !app.has_constraints() && WeightClasses::of(app).is_uniform()
-    }
-
-    /// Worst-case communication-ordering space of any *forest* on `n`
-    /// nodes (`(n-1)!`, the star), saturating.  When this clears the
-    /// exhaustive-ordering budget, every forest candidate's ordering search
-    /// is exhaustive — hence label-invariant on uniform weights — and the
-    /// orbit reduction is safe for orchestrated evaluations too.
-    pub fn max_forest_ordering_space(n: usize) -> usize {
-        let mut f = 1usize;
-        for k in 2..n {
-            f = f.saturating_mul(k);
-        }
-        f
-    }
-
     /// Worst-case communication-ordering space of any DAG on `n` nodes
     /// (`Π_k max(k,1)!·max(n-1-k,1)!`, the complete DAG), saturating.  The
     /// admission pricing of the MINLATENCY DAG phase reads it.
@@ -251,17 +219,10 @@ impl CanonicalSpace {
     /// `true` when **class-preserving** relabelling symmetry is non-trivial
     /// for the instance: at least two services, no precedence constraints
     /// (constraints distinguish services regardless of weights), and some
-    /// weight class holding two or more services.  Uniform instances
-    /// ([`CanonicalSpace::reducible`]) are the single-class special case.
+    /// weight class holding two or more services.  Uniform instances are
+    /// the single-class special case.
     pub fn class_reducible(app: &Application) -> bool {
-        CanonicalSpace::class_reducible_with(app, &WeightClasses::of(app))
-    }
-
-    /// [`CanonicalSpace::class_reducible`] against a partition the caller
-    /// already holds (hot evaluation paths keep one per solve, e.g. in
-    /// [`EvalCache::weight_classes`]) — the single definition of the gate.
-    pub fn class_reducible_with(app: &Application, classes: &WeightClasses) -> bool {
-        app.n() >= 2 && !app.has_constraints() && classes.has_symmetry()
+        app.n() >= 2 && !app.has_constraints() && WeightClasses::of(app).has_symmetry()
     }
 
     /// `true` when the unconstrained forest plan search provably runs to
@@ -333,15 +294,13 @@ pub enum PartialPrune {
     /// Prune on [`fsw_core::PartialForestMetrics::period_bound`] for the
     /// given model, by strict clearance only.  Valid whenever the candidate
     /// evaluation is at least the model's structural period lower bound up
-    /// to rounding (both the `LowerBound` and the `Orchestrated` evaluations
-    /// are); an orchestrated one-port value can sit ulps below the bound,
-    /// which only the strict-clearance margin absorbs.
+    /// to rounding (every one-port schedule's period is); a value a few
+    /// ulps below the bound is absorbed by the strict-clearance margin.
     Period(fsw_core::CommModel),
     /// [`PartialPrune::Period`] for a candidate evaluation that *is* the
     /// model's structural period bound (`PlanMetrics::period_lower_bound`)
-    /// bit for bit: `PeriodEvaluation::LowerBound` under any model, and
-    /// OVERLAP under either evaluation (Theorem 1).  The partial bound is
-    /// then bit-admissible, so the walks add tie dominance.
+    /// bit for bit, as the MINPERIOD plan searches' is.  The partial bound
+    /// is then bit-admissible, so the walks add tie dominance.
     StructuralPeriod(fsw_core::CommModel),
     /// Prune on [`fsw_core::PartialForestMetrics::latency_bound`] in the
     /// forest walks and on the DAG walk's decided-prefix critical-path
@@ -416,10 +375,10 @@ enum CacheEntry {
 ///
 /// Construction copies the application and nothing else: the weight-class
 /// partition, its signature and the relabelling list are built on first
-/// use.  Many solves never read the cache (OVERLAP and lower-bound
-/// MINPERIOD evaluations return before it), and there an eager build
-/// would cost 5 059 allocations and 468 KiB for the relabellings of a
-/// uniform 7-service application alone.
+/// use.  Many solves never read the cache (every MINPERIOD solve, and a
+/// MINLATENCY solve without a DAG phase), and there an eager build would
+/// cost 5 059 allocations and 468 KiB for the relabellings of a uniform
+/// 7-service application alone.
 pub struct EvalCache {
     app: Application,
     /// Node relabellings exhaustive entries may be canonicalised over
@@ -429,14 +388,13 @@ pub struct EvalCache {
     /// `EvalCache::relabellings`).  Built on the first exhaustive lookup.
     perms: OnceLock<Vec<Vec<ServiceId>>>,
     /// The application's weight-class partition and its signature, built
-    /// once per cache so hot evaluation paths can consult them without
-    /// rebuilding them per candidate (see [`EvalCache::weight_classes`]).
+    /// once per cache on first use.
     /// The signature is mixed into every key so entries can never collide
     /// across applications whose services partition differently (e.g. when
     /// a future service layer shares one cache across a fleet of
     /// `solve_all` applications).
     classes: OnceLock<(WeightClasses, u64)>,
-    map: Mutex<HashMap<(u8, bool, u64, u128), CacheEntry>>,
+    map: Mutex<HashMap<(bool, u64, u128), CacheEntry>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -463,13 +421,6 @@ impl EvalCache {
         &self.app
     }
 
-    /// The application's weight-class partition (computed on first use,
-    /// then kept; hot evaluation paths should use this instead of
-    /// re-deriving it per candidate).
-    pub fn weight_classes(&self) -> &WeightClasses {
-        &self.classes_and_signature().0
-    }
-
     fn classes_and_signature(&self) -> &(WeightClasses, u64) {
         self.classes.get_or_init(|| {
             let classes = WeightClasses::of(&self.app);
@@ -483,7 +434,7 @@ impl EvalCache {
     fn relabellings(&self) -> &[Vec<ServiceId>] {
         self.perms.get_or_init(|| {
             let n = self.app.n();
-            let classes = self.weight_classes();
+            let classes = &self.classes_and_signature().0;
             // Cross-label merging of exhaustive entries is enabled on
             // **uniform** instances only: the exhaustive one-port searches
             // cached here follow node ids internally, and on multi-class
@@ -491,10 +442,6 @@ impl EvalCache {
             // apart (different summation orders over *different* per-class
             // terms), so merging them would break the bit-exact
             // full-enumeration fallback the `Symmetry` gate promises.
-            // Multi-class orbit sharing happens one layer up instead, where
-            // it is sound by construction: the OUTORDER evaluation
-            // canonicalises the *graph* before evaluating, so all orbit
-            // members key (and compute) the identical canonical member.
             if n > 1 && classes.is_uniform() && classes.group_order() <= MAX_CANONICAL_PERMS as u128
             {
                 let ids: Vec<ServiceId> = (0..n).collect();
@@ -539,25 +486,23 @@ impl EvalCache {
     /// exact and reused under every cutoff.
     pub fn get_or_compute_exact(
         &self,
-        tag: u8,
         graph: &ExecutionGraph,
         exhaustive: bool,
         compute: impl FnOnce() -> f64,
     ) -> f64 {
-        self.get_or_compute(tag, graph, exhaustive, f64::INFINITY, |_| compute())
+        self.get_or_compute(graph, exhaustive, f64::INFINITY, |_| compute())
     }
 
     /// Memoised bounded evaluation of `graph`.
     ///
-    /// `tag` namespaces independent evaluation families sharing the cache
-    /// (e.g. one-port latency vs INORDER period).  `exhaustive` must be
-    /// `true` iff `compute` performs an exhaustive (label-independent)
-    /// search; heuristic evaluations are shared only between identical
-    /// labelled graphs.  `compute(c)` must return the exact value when it is
-    /// `<= c`, and any value `> c` otherwise.
+    /// One cache holds one evaluation family, the one-port latency of a
+    /// candidate DAG, which no model or objective changes.  `exhaustive`
+    /// must be `true` iff `compute` performs an exhaustive
+    /// (label-independent) search; heuristic evaluations are shared only
+    /// between identical labelled graphs.  `compute(c)` must return the
+    /// exact value when it is `<= c`, and any value `> c` otherwise.
     pub fn get_or_compute(
         &self,
-        tag: u8,
         graph: &ExecutionGraph,
         exhaustive: bool,
         cutoff: f64,
@@ -570,7 +515,6 @@ impl EvalCache {
             return compute(cutoff);
         }
         let key = (
-            tag,
             exhaustive,
             self.classes_and_signature().1,
             self.signature(graph, exhaustive),
@@ -624,16 +568,6 @@ impl EvalCache {
     }
 }
 
-/// Cache tags: independent evaluation families sharing one [`EvalCache`].
-pub mod tags {
-    /// One-port latency of a candidate DAG (MINLATENCY plan search).
-    pub const ONEPORT_LATENCY: u8 = 0;
-    /// INORDER period of a candidate DAG (orchestrated MINPERIOD search).
-    pub const INORDER_PERIOD: u8 = 1;
-    /// OUTORDER period of a candidate DAG (orchestrated MINPERIOD search).
-    pub const OUTORDER_PERIOD: u8 = 2;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,14 +602,14 @@ mod tests {
         let g1 = ExecutionGraph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
         let g2 = ExecutionGraph::from_edges(4, &[(3, 2), (2, 0)]).unwrap();
         // Isomorphic chains share one exhaustive evaluation…
-        let v1 = cache.get_or_compute(0, &g1, true, f64::INFINITY, |_| 42.0);
-        let v2 = cache.get_or_compute(0, &g2, true, f64::INFINITY, |_| {
+        let v1 = cache.get_or_compute(&g1, true, f64::INFINITY, |_| 42.0);
+        let v2 = cache.get_or_compute(&g2, true, f64::INFINITY, |_| {
             panic!("second member of the class must hit the cache")
         });
         assert_eq!(v1, v2);
         // …but heuristic evaluations are shared by exact labelling only.
-        let h1 = cache.get_or_compute(0, &g1, false, f64::INFINITY, |_| 1.0);
-        let h2 = cache.get_or_compute(0, &g2, false, f64::INFINITY, |_| 2.0);
+        let h1 = cache.get_or_compute(&g1, false, f64::INFINITY, |_| 1.0);
+        let h2 = cache.get_or_compute(&g2, false, f64::INFINITY, |_| 2.0);
         assert_eq!(h1, 1.0);
         assert_eq!(h2, 2.0);
         let (hits, misses) = cache.stats();
@@ -690,11 +624,11 @@ mod tests {
         assert_eq!(cache.relabellings().len(), 1);
         let g1 = ExecutionGraph::from_edges(3, &[(0, 1)]).unwrap();
         let g2 = ExecutionGraph::from_edges(3, &[(1, 0)]).unwrap();
-        let v1 = cache.get_or_compute(0, &g1, true, f64::INFINITY, |_| 1.0);
-        let v2 = cache.get_or_compute(0, &g2, true, f64::INFINITY, |_| 2.0);
+        let v1 = cache.get_or_compute(&g1, true, f64::INFINITY, |_| 1.0);
+        let v2 = cache.get_or_compute(&g2, true, f64::INFINITY, |_| 2.0);
         assert_eq!((v1, v2), (1.0, 2.0));
         // The same labelled graph hits.
-        let again = cache.get_or_compute(0, &g1, true, f64::INFINITY, |_| panic!("hit expected"));
+        let again = cache.get_or_compute(&g1, true, f64::INFINITY, |_| panic!("hit expected"));
         assert_eq!(again, 1.0);
     }
 
@@ -704,18 +638,18 @@ mod tests {
         let cache = EvalCache::new(&app);
         let g = ExecutionGraph::from_edges(3, &[(0, 1)]).unwrap();
         // First query under a tight cutoff: the evaluator reports "above".
-        let v = cache.get_or_compute(1, &g, true, 1.0, |c| {
+        let v = cache.get_or_compute(&g, true, 1.0, |c| {
             assert_eq!(c, 1.0);
             f64::INFINITY
         });
         assert!(v.is_infinite());
         // A query under an even tighter cutoff is answered from the memo.
-        let v = cache.get_or_compute(1, &g, true, 0.5, |_| panic!("covered by the memo"));
+        let v = cache.get_or_compute(&g, true, 0.5, |_| panic!("covered by the memo"));
         assert!(v.is_infinite());
         // A looser cutoff forces a recomputation and upgrades the entry.
-        let v = cache.get_or_compute(1, &g, true, 10.0, |_| 4.0);
+        let v = cache.get_or_compute(&g, true, 10.0, |_| 4.0);
         assert_eq!(v, 4.0);
-        let v = cache.get_or_compute(1, &g, true, 0.1, |_| panic!("exact entry stored"));
+        let v = cache.get_or_compute(&g, true, 0.1, |_| panic!("exact entry stored"));
         assert_eq!(v, 4.0);
     }
 }

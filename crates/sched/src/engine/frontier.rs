@@ -66,8 +66,8 @@
 //! applies it; the shape-level floors of [`ShapeBounder`] are not (they
 //! multiply selectivities in sorted rather than path order, which can round
 //! an ulp lower), so shapes are only ever discarded by strict clearance.
-//! The latency bound and the orchestrated one-port values do not dominate
-//! the bound bit for bit, so those walks keep strict clearance alone.
+//! Forest latencies do not dominate the latency bound bit for bit, so the
+//! latency walks keep strict clearance alone.
 //! `tests/partial_symmetry_equivalence.rs` asserts the equality against
 //! that scan, serial and at several thread counts.
 

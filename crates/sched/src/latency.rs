@@ -317,11 +317,14 @@ pub struct LatencySearchResult {
 
 /// Searches the communication orderings minimising the one-port latency,
 /// serially and without a cutoff (see [`oneport_latency_search_bounded`]).
+/// An application that [`Application::validate`] refuses gets its error
+/// before any ordering is valued.
 pub fn oneport_latency_search(
     app: &Application,
     graph: &ExecutionGraph,
     exhaustive_limit: usize,
 ) -> CoreResult<LatencySearchResult> {
+    app.validate()?;
     let evaluator = LatencyEvaluator::new(app, graph)?;
     Ok(
         oneport_latency_search_bounded(

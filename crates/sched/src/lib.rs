@@ -58,7 +58,7 @@ pub use latency::{
     LatencyEvaluator, LatencySearchResult,
 };
 pub use minlatency::minimize_latency;
-pub use minperiod::{minimize_period, PeriodEvaluation, SearchOutcome};
+pub use minperiod::{minimize_period, SearchOutcome};
 pub use oneport::{
     inorder_oplist_for_orderings, inorder_period_for_orderings, oneport_period_search,
     oneport_period_search_bounded, OnePortStyle, OrderingSearchResult,

@@ -24,7 +24,7 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
-use crate::engine::{tags, EvalCache, PartialPrune, Symmetry};
+use crate::engine::{EvalCache, PartialPrune, Symmetry};
 use crate::latency::{
     multiport_proportional_latency, oneport_latency_search, oneport_latency_search_bounded,
     LatencyEvaluator,
@@ -120,13 +120,7 @@ fn evaluate_latency_bounded(
         search(inner_cutoff)
     } else {
         let exhaustive = CommOrderings::search_space_size(graph) <= max_orderings;
-        cache.get_or_compute(
-            tags::ONEPORT_LATENCY,
-            graph,
-            exhaustive,
-            inner_cutoff,
-            search,
-        )
+        cache.get_or_compute(graph, exhaustive, inner_cutoff, search)
     };
     fluid.map_or(oneport, |f| f.min(oneport))
 }

@@ -11,10 +11,11 @@
 //! * constructive seeds (independent services, the Proposition 8 chain, the
 //!   no-communication structure) followed by hill-climbing local search over
 //!   parent reassignments;
-//! * the period of a candidate graph is measured by a pluggable
-//!   [`PeriodEvaluation`] — the exact polynomial value for OVERLAP, and either
-//!   the one-port lower bound or an actual ordering search for the one-port
-//!   models, within the effort of one [`SearchBudget`].
+//! * every candidate graph is valued by its structural period bound
+//!   `max_k Cexec(k)` ([`evaluate_period`]): the exact period under OVERLAP
+//!   (Theorem 1), a lower bound under the one-port models, whose period is
+//!   NP-hard already for a fixed graph (Propositions 2–3), so
+//!   [`solve`](crate::orchestrator::solve) orchestrates only the winner.
 //!
 //! Every plan search of the crate — the exhaustive forest and DAG walks,
 //! the streamed canonical walk, both local searches and the
@@ -26,8 +27,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use fsw_core::{
-    canonical_classed_member, Application, CommModel, CoreResult, ExecutionGraph,
-    PartialForestMetrics, PlanMetrics, ServiceId, WeightClasses,
+    Application, CommModel, CoreResult, ExecutionGraph, PartialForestMetrics, PlanMetrics,
+    ServiceId, WeightClasses,
 };
 
 use crate::chain::{chain_graph, chain_minperiod_order};
@@ -35,59 +36,21 @@ use crate::engine::frontier::{
     streamed_canonical_search, DagStats, EngineMetrics, StreamProbe, StreamStats,
 };
 use crate::engine::{
-    prune_threshold, tags, tie_dominated, CanonicalSpace, EvalCache, Incumbent, PartialPrune,
-    Symmetry,
+    prune_threshold, tie_dominated, CanonicalSpace, Incumbent, PartialPrune, Symmetry,
 };
-use crate::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use crate::orchestrator::SearchBudget;
-use crate::orderings::CommOrderings;
-use crate::outorder::outorder_period_search_bounded;
 use crate::par::{fold_min, par_chunks, Exec};
 
-/// How the period of a candidate execution graph is evaluated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PeriodEvaluation {
-    /// `max_k Cexec(k)` — exact for OVERLAP (Theorem 1), a lower bound for the
-    /// one-port models.  Cheap; used inside search loops.
-    LowerBound,
-    /// Run the orchestration machinery for the chosen model: exact for
-    /// OVERLAP, ordering search for INORDER, cyclic-scheduling search for
-    /// OUTORDER, each within the budget's
-    /// [`max_orderings`](SearchBudget::max_orderings) (and, for OUTORDER,
-    /// its node budget and refinement steps).  More faithful, considerably
-    /// more expensive.
-    Orchestrated,
-}
-
-/// Evaluates the period of a candidate execution graph under the requested
-/// model, with the budget's [`SearchBudget::period_evaluation`].
-///
-/// The orchestrated evaluation reads the budget's ordering, OUTORDER node
-/// and refinement budgets — the ones the plan searches' candidate
-/// evaluation reads — and runs serially without a deadline, so its value is
-/// a pure function of the graph and the budget.
+/// The period every MINPERIOD plan search values a candidate execution
+/// graph by: its structural bound `max_k Cexec(k)`
+/// ([`PlanMetrics::period_lower_bound`]) under `model`, the exact period
+/// under OVERLAP (Theorem 1) and a lower bound under the one-port models.
 pub fn evaluate_period(
     app: &Application,
     graph: &ExecutionGraph,
     model: CommModel,
-    budget: &SearchBudget,
 ) -> CoreResult<f64> {
-    let metrics = PlanMetrics::compute(app, graph)?;
-    let lower = metrics.period_lower_bound(model);
-    if budget.period_evaluation == PeriodEvaluation::LowerBound {
-        return Ok(lower);
-    }
-    Ok(match model {
-        CommModel::Overlap => lower,
-        CommModel::InOrder => {
-            oneport_period_search(app, graph, OnePortStyle::InOrder, budget.max_orderings)?.period
-        }
-        CommModel::OutOrder => {
-            outorder_period_search_bounded(app, graph, budget, Exec::serial(), f64::INFINITY)?
-                .expect("an infinite cutoff never prunes")
-                .period
-        }
-    })
+    Ok(PlanMetrics::compute(app, graph)?.period_lower_bound(model))
 }
 
 /// Outcome of a plan search: the best execution graph found and whether
@@ -140,20 +103,19 @@ pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
 /// dominance) — either way the first-minimum winner of the brute-force
 /// enumeration always survives, whatever the thread count.
 ///
-/// Every plan space has exactly one walk.  When `symmetry` admits the
-/// instance's symmetry — [`Symmetry::Auto`] on a [`CanonicalSpace::reducible`]
-/// instance (uniform weights, no constraints), or [`Symmetry::Classes`] on a
-/// [`CanonicalSpace::class_reducible`] one (class-preserving relabelling
-/// orbits on multi-weight-class instances) — the search streams the
-/// canonical orbit space bound-first ([`streamed_canonical_search`]): the
-/// cap is then measured against the **shape** count (A000081, 1 842
-/// shapes at `n = 10` versus `10^10` parent functions), the optimum *value*
-/// is unchanged, and the winner is the canonical tie-break representative,
-/// the first optimum in canonical enumeration order.  Callers passing
-/// `Auto` assert that `eval` is label-invariant on uniform weights; callers
-/// passing `Classes` assert the stronger class-invariance — see the
-/// bit-safety discussion on [`Symmetry`].  Every other space is walked
-/// depth-first over the `n^n` labelled parent functions.  Either way the
+/// Every plan space has exactly one walk.  When `symmetry` is
+/// [`Symmetry::Classes`] and the instance is
+/// [`CanonicalSpace::class_reducible`] (no constraints, some weight class
+/// with two or more services: uniform weights are the one-class case), the
+/// search streams the canonical orbit space bound-first
+/// ([`streamed_canonical_search`]): the cap is then measured against the
+/// **shape** count (A000081, 1 842 shapes at `n = 10` versus `10^10`
+/// parent functions), the optimum *value* is unchanged, and the winner is
+/// the canonical tie-break representative, the first optimum in canonical
+/// enumeration order.  Callers passing `Classes` assert that `eval` is
+/// invariant under class-preserving relabellings — see the bit-safety
+/// discussion on [`Symmetry`].  Every other space is walked depth-first
+/// over the `n^n` labelled parent functions.  Either way the
 /// search returns `None` when the space exceeds `cap`, when no feasible
 /// forest exists, or when the deadline expires before any candidate was
 /// examined.
@@ -190,12 +152,7 @@ where
     if n == 0 {
         return None;
     }
-    let canonical = match symmetry {
-        Symmetry::Full => false,
-        Symmetry::Auto => CanonicalSpace::reducible(app),
-        Symmetry::Classes => CanonicalSpace::class_reducible(app),
-    };
-    if canonical {
+    if symmetry == Symmetry::Classes && CanonicalSpace::class_reducible(app) {
         // The streamed walk never materialises the coloured space, so its
         // budget gate is the shape count.  Beyond it the labelled space
         // (n^n > A000081(n+1) for n >= 2) is over the cap too.
@@ -811,15 +768,11 @@ pub(crate) fn seed_graphs(app: &Application, model: CommModel) -> Vec<ExecutionG
 
 /// Heuristic MINPERIOD: best seed followed by the plan-space hill climb over
 /// single-parent reassignments that MINLATENCY's local search runs too.
-/// Candidates are valued by [`evaluate_period`] under `budget`, over
+/// Candidates are valued by [`evaluate_period`], over
 /// [`LOCAL_SEARCH_PASSES`] passes at most.
-pub fn minperiod_local_search(
-    app: &Application,
-    model: CommModel,
-    budget: &SearchBudget,
-) -> CoreResult<SearchOutcome> {
+pub fn minperiod_local_search(app: &Application, model: CommModel) -> CoreResult<SearchOutcome> {
     Ok(climb_plans(app, seed_graphs(app, model), |g| {
-        evaluate_period(app, g, model, budget).unwrap_or(f64::INFINITY)
+        evaluate_period(app, g, model).unwrap_or(f64::INFINITY)
     }))
 }
 
@@ -888,7 +841,7 @@ where
 }
 
 /// Full MINPERIOD solver: exhaustive forest enumeration when the instance is
-/// small enough (optimal for the requested evaluation, by Proposition 4),
+/// small enough (optimal for [`evaluate_period`], by Proposition 4),
 /// falling back to the local-search heuristic otherwise.
 ///
 /// `budget` supplies every knob, resolved the way
@@ -908,119 +861,15 @@ pub fn minimize_period(
         model,
         budget,
         budget.exec(),
-        &EvalCache::new(app),
         f64::INFINITY,
         &AtomicUsize::new(0),
         None,
     )
 }
 
-/// Bounded (branch-and-bound aware) candidate evaluation: like
-/// [`evaluate_period`], but may return `∞` for candidates whose structural
-/// lower bound already clears `cutoff`, and memoises the expensive ordering
-/// searches in `cache`.
-fn evaluate_period_bounded(
-    app: &Application,
-    graph: &ExecutionGraph,
-    model: CommModel,
-    budget: &SearchBudget,
-    cache: &EvalCache,
-    cutoff: f64,
-    deadline: Option<Instant>,
-) -> f64 {
-    let Ok(metrics) = PlanMetrics::compute(app, graph) else {
-        return f64::INFINITY;
-    };
-    let lower = metrics.period_lower_bound(model);
-    if budget.period_evaluation == PeriodEvaluation::LowerBound || model == CommModel::Overlap {
-        // Theorem 1: for OVERLAP the lower bound is achieved.
-        return lower;
-    }
-    // Every orchestrated period dominates the structural bound, so a bound
-    // above the cutoff proves the candidate cannot improve the incumbent.
-    if lower > prune_threshold(cutoff) {
-        return f64::INFINITY;
-    }
-    // With a deadline, inner searches may return deadline-truncated values:
-    // honour the time limit inside the candidate evaluation, but never
-    // memoise a value that depends on the wall clock.
-    let inner_exec = Exec {
-        threads: 1,
-        deadline,
-    };
-    match model {
-        CommModel::Overlap => unreachable!("handled above"),
-        CommModel::InOrder => {
-            let search = |c: f64| match oneport_period_search_bounded(
-                app,
-                graph,
-                &metrics,
-                OnePortStyle::InOrder,
-                budget.max_orderings,
-                inner_exec,
-                c,
-            ) {
-                Ok(Some(result)) => result.period,
-                Ok(None) | Err(_) => f64::INFINITY,
-            };
-            if deadline.is_some() {
-                return search(cutoff);
-            }
-            let exhaustive = CommOrderings::search_space_size(graph) <= budget.max_orderings;
-            cache.get_or_compute(tags::INORDER_PERIOD, graph, exhaustive, cutoff, search)
-        }
-        CommModel::OutOrder => {
-            // The OUTORDER backtracker is label-dependent (its trajectory
-            // follows node ids), so its raw value is shared between
-            // identical labelled graphs only.  On instances with weight
-            // symmetry the evaluation therefore **canonicalises the graph
-            // first** (`fsw_core::canonical_classed_member`: the
-            // deterministic member of the candidate's class-preserving
-            // orbit) and evaluates that member instead: the value becomes a
-            // pure function of the orbit — a faithful feasible period for
-            // every member, since class-preserving isomorphisms map
-            // schedules to schedules — and the memo collapses to one
-            // backtracking search per canonical shape + class signature,
-            // which is what lets repeated orbit evaluations across a
-            // `solve_all` sweep hit the cache.  The search stays
-            // incumbent-aware: the shared incumbent is threaded in as a
-            // cutoff that skips candidates whose lower bound clears it and
-            // stops the bisection once every remaining probe provably sits
-            // above it.
-            // The partition comes from the cache (computed once per solve),
-            // not per candidate — this branch runs for every enumerated
-            // graph.  Reduced-path candidates are already their own
-            // canonical member, so for them the canonicalisation merely
-            // re-derives the input; that O(n² log n) is noise next to the
-            // backtracking search each evaluation runs, and paying it
-            // unconditionally keeps the memo key correct on the raw
-            // (cap-overflow) path too.
-            let classes = cache.weight_classes();
-            let canonical =
-                if deadline.is_none() && CanonicalSpace::class_reducible_with(app, classes) {
-                    canonical_classed_member(classes, graph).ok()
-                } else {
-                    None
-                };
-            let eval_graph = canonical.as_ref().unwrap_or(graph);
-            let search = |c: f64| match outorder_period_search_bounded(
-                app, eval_graph, budget, inner_exec, c,
-            ) {
-                Ok(Some(result)) => result.period,
-                Ok(None) | Err(_) => f64::INFINITY,
-            };
-            if deadline.is_some() {
-                return search(cutoff);
-            }
-            cache.get_or_compute(tags::OUTORDER_PERIOD, eval_graph, false, cutoff, search)
-        }
-    }
-}
-
 /// The engine behind [`minimize_period`] and
 /// [`solve`](crate::orchestrator::solve): `exec` is the budget's resolved
-/// execution (one deadline shared with the caller's later phases), `cache`
-/// a caller-provided evaluation memo (a `solve_all` sweep shares one), and
+/// execution (one deadline shared with the caller's later phases), and
 /// `evals` is incremented once per full candidate evaluation, so callers
 /// can measure how much of the space a warm start skipped.
 ///
@@ -1029,66 +878,31 @@ fn evaluate_period_bounded(
 /// solve.  The seed must be an upper bound on the optimum; winners are then
 /// bit-identical either way (see [`exhaustive_forest_search`]).  `probe`
 /// receives the plan search's telemetry.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn minimize_period_engine(
     app: &Application,
     model: CommModel,
     budget: &SearchBudget,
     exec: Exec,
-    cache: &EvalCache,
     incumbent_seed: f64,
     evals: &AtomicUsize,
     probe: Option<&StreamProbe>,
 ) -> CoreResult<SearchOutcome> {
-    let eval = |g: &ExecutionGraph, cutoff: f64| -> f64 {
+    let eval = |g: &ExecutionGraph, _cutoff: f64| -> f64 {
         evals.fetch_add(1, Ordering::Relaxed);
-        evaluate_period_bounded(app, g, model, budget, cache, cutoff, exec.deadline)
+        evaluate_period(app, g, model).unwrap_or(f64::INFINITY)
     };
     if !app.has_constraints() {
-        // Both evaluations dominate the model's structural period bound, so
-        // the incremental period bound is an admissible subtree pruner.
-        // Where the evaluation *is* that bound bit for bit — the lower-bound
-        // evaluation, and OVERLAP under either one (Theorem 1) — the walks
-        // also prune optimum ties; orchestrated one-port values can sit ulps
-        // below the bound and keep strict clearance only.
-        let prune = if budget.period_evaluation == PeriodEvaluation::LowerBound
-            || model == CommModel::Overlap
-        {
-            PartialPrune::StructuralPeriod(model)
-        } else {
-            PartialPrune::Period(model)
-        };
-        // Symmetry reduction is engaged only when the candidate evaluation
-        // is provably invariant under the matching relabelling group (the
-        // bit-safety gate on `Symmetry`): the structural bounds are
-        // class-invariant since the metrics rework (path-order input
-        // factors, no cross-class sums on forests), and so is the OUTORDER
-        // orchestrated evaluation — it canonicalises the candidate graph
-        // before backtracking, making its value a pure function of the
-        // orbit.  The INORDER ordering search's schedule accumulation
-        // follows node ids, so it engages the uniform-only reduction when
-        // every forest's ordering search stays exhaustive and falls back to
-        // the value-exact full enumeration on multi-class instances.
-        let symmetry = match budget.period_evaluation {
-            PeriodEvaluation::LowerBound => Symmetry::Classes,
-            PeriodEvaluation::Orchestrated => match model {
-                CommModel::Overlap => Symmetry::Classes,
-                CommModel::OutOrder => Symmetry::Classes,
-                CommModel::InOrder
-                    if CanonicalSpace::max_forest_ordering_space(app.n())
-                        <= budget.max_orderings =>
-                {
-                    Symmetry::Auto
-                }
-                CommModel::InOrder => Symmetry::Full,
-            },
-        };
+        // The candidate value is the model's structural period bound, which
+        // no prefix bound exceeds, not even by an ulp, so the walks prune
+        // optimum ties as well as strict clearances.  It is class-invariant
+        // too (path-order input factors, no cross-class sums on forests),
+        // so the orbit reduction is safe wherever the instance admits it.
         if let Some(out) = exhaustive_forest_search(
             app,
             budget.max_graphs,
             exec,
-            prune,
-            symmetry,
+            PartialPrune::StructuralPeriod(model),
+            Symmetry::Classes,
             incumbent_seed,
             &eval,
             probe,
@@ -1112,7 +926,7 @@ pub(crate) fn minimize_period_engine(
             }
         }
     }
-    minperiod_local_search(app, model, budget)
+    minperiod_local_search(app, model)
 }
 
 #[cfg(test)]
@@ -1163,10 +977,8 @@ mod tests {
         ];
         for app in apps {
             for model in CommModel::ALL {
-                let eval = |g: &ExecutionGraph| {
-                    evaluate_period(&app, g, model, &SearchBudget::default())
-                        .unwrap_or(f64::INFINITY)
-                };
+                let eval =
+                    |g: &ExecutionGraph| evaluate_period(&app, g, model).unwrap_or(f64::INFINITY);
                 let forest = exhaustive_forest_best(&app, eval).unwrap();
                 let dag = exhaustive_dag_best(&app, 5, eval).unwrap();
                 assert!(
@@ -1185,7 +997,7 @@ mod tests {
         let budget = SearchBudget::default();
         let exhaustive = minimize_period(&app, CommModel::Overlap, &budget).unwrap();
         assert!(exhaustive.exhaustive);
-        let local = minperiod_local_search(&app, CommModel::Overlap, &budget).unwrap();
+        let local = minperiod_local_search(&app, CommModel::Overlap).unwrap();
         assert!(local.value <= exhaustive.value * 1.2 + 1e-9);
         assert!(local.value >= exhaustive.value - 1e-9);
     }
@@ -1207,7 +1019,7 @@ mod tests {
         for specs in [(2.0, 0.5), (1.0, 1.5), (4.0, 1.0)] {
             for n in [3usize, 5] {
                 let app = Application::independent(&vec![specs; n]);
-                assert!(CanonicalSpace::reducible(&app));
+                assert!(CanonicalSpace::class_reducible(&app));
                 for model in CommModel::ALL {
                     let eval = |g: &ExecutionGraph| {
                         PlanMetrics::compute(&app, g)
@@ -1220,7 +1032,7 @@ mod tests {
                         2_000_000,
                         Exec::serial(),
                         PartialPrune::Period(model),
-                        Symmetry::Auto,
+                        Symmetry::Classes,
                         f64::INFINITY,
                         &|g, _| eval(g),
                         None,
@@ -1446,13 +1258,8 @@ mod tests {
         let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
         assert!(result.exhaustive, "canonical space fits the default cap");
         // Sanity: never worse than the all-independent plan.
-        let independent = evaluate_period(
-            &app,
-            &ExecutionGraph::new(10),
-            CommModel::Overlap,
-            &SearchBudget::default(),
-        )
-        .unwrap();
+        let independent =
+            evaluate_period(&app, &ExecutionGraph::new(10), CommModel::Overlap).unwrap();
         assert!(result.value <= independent + 1e-9);
     }
 
@@ -1487,22 +1294,6 @@ mod tests {
                 par.graph.edges().collect::<Vec<_>>(),
                 "x{threads}: winner"
             );
-        }
-    }
-
-    #[test]
-    fn orchestrated_evaluation_is_at_least_the_lower_bound() {
-        let app = Application::independent(&[(1.0, 1.0); 4]);
-        let g = ExecutionGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        let orchestrated = SearchBudget {
-            max_orderings: 1_000,
-            ..SearchBudget::default()
-        }
-        .with_period_evaluation(PeriodEvaluation::Orchestrated);
-        for model in CommModel::ALL {
-            let lb = evaluate_period(&app, &g, model, &SearchBudget::default()).unwrap();
-            let orch = evaluate_period(&app, &g, model, &orchestrated).unwrap();
-            assert!(orch >= lb - 1e-9, "{model}: {orch} < {lb}");
         }
     }
 }

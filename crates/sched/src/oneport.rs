@@ -17,19 +17,18 @@
 //! searching over orderings — which Theorem 1 shows is NP-hard, hence the
 //! exhaustive search is capped and complemented by heuristics.  The search
 //! has one entry pair: [`oneport_period_search`] is the serial form, and
-//! [`oneport_period_search_bounded`] takes the caller's plan metrics, the
-//! executor and a cutoff.  Both run the enumerate-and-climb routine the
-//! latency search shares ([`crate::orderings`]).
+//! [`oneport_period_search_bounded`] takes the caller's plan metrics and
+//! the executor.  Both run the enumerate-and-climb routine the latency
+//! search shares ([`crate::orderings`]).
 
 use std::collections::BTreeMap;
 
 use fsw_core::{
-    Application, CommModel, CoreError, CoreResult, EdgeRef, ExecutionGraph, Interval,
-    OperationList, PlanMetrics,
+    Application, CoreError, CoreResult, EdgeRef, ExecutionGraph, Interval, OperationList,
+    PlanMetrics,
 };
 use fsw_eventgraph::TimedEventGraph;
 
-use crate::engine::prune_threshold;
 use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace};
 use crate::par::Exec;
 
@@ -164,17 +163,6 @@ fn period_for_orderings_with(
     eg.min_period().map_err(|_| CoreError::CyclicGraph)
 }
 
-/// The communication model whose structural period bound every schedule of
-/// the given one-port style must respect.
-fn bounding_model(style: OnePortStyle) -> CommModel {
-    match style {
-        OnePortStyle::InOrder => CommModel::InOrder,
-        // With overlap, ports and CPU are separate unary resources: only the
-        // `max(Cin, Ccomp, Cout)` bound applies.
-        OnePortStyle::OverlapPorts => CommModel::Overlap,
-    }
-}
-
 /// Builds a concrete operation list realising the optimal period of a fixed
 /// ordering under the `INORDER` model.
 pub fn inorder_oplist_for_orderings(
@@ -219,7 +207,7 @@ pub struct OrderingSearchResult {
 }
 
 /// Searches for the communication ordering minimising the period, serially
-/// and without a cutoff (see [`oneport_period_search_bounded`]).
+/// (see [`oneport_period_search_bounded`]).
 pub fn oneport_period_search(
     app: &Application,
     graph: &ExecutionGraph,
@@ -227,16 +215,14 @@ pub fn oneport_period_search(
     exhaustive_limit: usize,
 ) -> CoreResult<OrderingSearchResult> {
     let metrics = PlanMetrics::compute(app, graph)?;
-    Ok(oneport_period_search_bounded(
+    oneport_period_search_bounded(
         app,
         graph,
         &metrics,
         style,
         exhaustive_limit,
         Exec::serial(),
-        f64::INFINITY,
-    )?
-    .expect("an infinite cutoff never prunes the search"))
+    )
 }
 
 /// Searches for the communication ordering minimising the period of `graph`,
@@ -249,11 +235,8 @@ pub fn oneport_period_search(
 /// enumeration order, reduced with the serial tie-breaking rule, so the
 /// result is bit-identical to the serial run) and honours its deadline.
 ///
-/// `cutoff` is a caller's incumbent: the search returns `Ok(None)` when the
-/// structural period lower bound of `graph` strictly clears it — no ordering
-/// of this graph can improve the incumbent.  Otherwise the result is exactly
-/// what an infinite cutoff returns (value and winning ordering alike), even
-/// when the value lies above `cutoff`.
+/// An application that [`Application::validate`] refuses gets its error
+/// before any ordering is valued.
 pub fn oneport_period_search_bounded(
     app: &Application,
     graph: &ExecutionGraph,
@@ -261,24 +244,21 @@ pub fn oneport_period_search_bounded(
     style: OnePortStyle,
     exhaustive_limit: usize,
     exec: Exec,
-    cutoff: f64,
-) -> CoreResult<Option<OrderingSearchResult>> {
-    let lower_bound = metrics.period_lower_bound(bounding_model(style));
-    if lower_bound > prune_threshold(cutoff) {
-        return Ok(None);
-    }
+) -> CoreResult<OrderingSearchResult> {
+    app.validate()?;
     let eval = |ords: &CommOrderings| period_for_orderings_with(app, graph, metrics, ords, style);
     if let Some(space) = OrderingSpace::new(graph, exhaustive_limit) {
         // Orderings whose rendezvous constraints dead-lock are infeasible
         // (token-free cycle): skip them.
-        let (best, complete) =
-            space.first_minimum(exec, cutoff, || |ords: &CommOrderings, _| eval(ords).ok());
+        let (best, complete) = space.first_minimum(exec, f64::INFINITY, || {
+            |ords: &CommOrderings, _| eval(ords).ok()
+        });
         if let Some((period, orderings)) = best {
-            return Ok(Some(OrderingSearchResult {
+            return Ok(OrderingSearchResult {
                 period,
                 orderings,
                 exhaustive: complete,
-            }));
+            });
         }
         debug_assert!(
             !complete,
@@ -287,20 +267,19 @@ pub fn oneport_period_search_bounded(
         );
     }
     // Beyond the limit, or when a deadline expired before the enumeration
-    // valued a single ordering.  The climb is not cutoff-bounded: its value
-    // must not depend on the incumbent carried in.
+    // valued a single ordering.
     let (period, orderings) = climb_orderings(graph, exec, eval)?;
-    Ok(Some(OrderingSearchResult {
+    Ok(OrderingSearchResult {
         period,
         orderings,
         exhaustive: false,
-    }))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsw_core::validate_oplist;
+    use fsw_core::{validate_oplist, CommModel};
 
     fn section23() -> (Application, ExecutionGraph) {
         let app = Application::independent(&[(4.0, 1.0); 5]);

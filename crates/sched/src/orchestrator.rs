@@ -54,7 +54,7 @@ use crate::latency::{
     multiport_proportional_latency, oneport_latency_search_bounded, LatencyEvaluator,
 };
 use crate::minlatency::minimize_latency_engine;
-use crate::minperiod::{minimize_period_engine, PeriodEvaluation};
+use crate::minperiod::minimize_period_engine;
 use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
 use crate::orderings::CommOrderings;
 use crate::outorder::outorder_period_search_bounded;
@@ -133,9 +133,9 @@ impl<'a> Problem<'a> {
 pub struct SearchBudget {
     /// Bound on the communication-ordering space enumerated exhaustively;
     /// beyond it the ordering searches fall back to hill climbing.  Read by
-    /// every ordering search a solve runs: fixed-graph orchestration, the
-    /// OUTORDER search's `INORDER` fallback, MINLATENCY's DAG candidates and
-    /// [`PeriodEvaluation::Orchestrated`] candidates.
+    /// every ordering search a solve runs: the orchestration of a fixed
+    /// graph or of a plan search's winner, the OUTORDER search's `INORDER`
+    /// fallback and MINLATENCY's DAG candidates.
     pub max_orderings: usize,
     /// Bound on the execution-graph space enumerated exhaustively; beyond
     /// it the plan search falls back to seeded local search.  The space it
@@ -154,9 +154,6 @@ pub struct SearchBudget {
     /// Worker threads for the exhaustive searches; `0` = available
     /// parallelism, `1` = serial.  Results are identical for every value.
     pub threads: usize,
-    /// How candidate graphs are valued during a MINPERIOD plan search
-    /// (cheap lower bound vs full orchestration of every candidate).
-    pub period_evaluation: PeriodEvaluation,
     /// Backtracking-node budget of the OUTORDER cyclic scheduler.
     pub outorder_node_budget: usize,
     /// Bisection steps of the OUTORDER period refinement.
@@ -174,7 +171,6 @@ impl Default for SearchBudget {
             max_graphs: 2_000_000,
             time_limit: None,
             threads: 1,
-            period_evaluation: PeriodEvaluation::LowerBound,
             outorder_node_budget: 200_000,
             outorder_refinement_steps: 8,
             dag_enumeration_max_n: 5,
@@ -205,12 +201,6 @@ impl SearchBudget {
         self
     }
 
-    /// Returns the budget with the given MINPERIOD candidate evaluation.
-    pub fn with_period_evaluation(mut self, evaluation: PeriodEvaluation) -> Self {
-        self.period_evaluation = evaluation;
-        self
-    }
-
     /// Materialises the execution strategy (resolves the deadline now).
     pub(crate) fn exec(&self) -> Exec {
         Exec {
@@ -228,9 +218,10 @@ pub struct Solution {
     /// The communication model the solution respects.
     pub model: CommModel,
     /// The objective value (period or latency).  For a plan search this is
-    /// the value of the search's evaluation (see
-    /// [`SearchBudget::period_evaluation`]); for orchestration on a fixed
-    /// graph it is the achieved schedule value.
+    /// the value of the search's evaluation (for MINPERIOD the winner's
+    /// structural bound `max_k Cexec(k)`,
+    /// [`evaluate_period`](crate::minperiod::evaluate_period)); for
+    /// orchestration on a fixed graph it is the achieved schedule value.
     pub value: f64,
     /// The model's structural lower bound for the returned graph
     /// (`max_k Cexec(k)` / `max_k (Cin+Ccomp+Cout)` for periods, the critical
@@ -240,13 +231,10 @@ pub struct Solution {
     pub graph: ExecutionGraph,
     /// A concrete cyclic schedule realising the solve, when the model's
     /// orchestration machinery produces one.  Its `period()` / `latency()`
-    /// may sit above [`Solution::value`]: the plan search may have valued
-    /// candidates by a lower bound, and the OUTORDER plan search values
-    /// candidates on their *canonical orbit member*
-    /// (`fsw_core::canonical_classed_member`) — a period the winner
-    /// provably admits (relabel the member's schedule back), which the
-    /// budget-capped backtracker re-run on the raw winner graph here does
-    /// not always re-find.
+    /// may sit above [`Solution::value`]: the plan search values candidates
+    /// by a closed form — for MINPERIOD the structural bound, which a
+    /// one-port schedule need not reach — while the schedule comes from the
+    /// budget-capped orchestration of the winner.
     pub oplist: Option<OperationList>,
     /// The communication orderings behind [`Solution::oplist`], for the
     /// one-port models.
@@ -399,7 +387,6 @@ pub fn solve_warm_observed(
                 problem.model,
                 budget,
                 exec,
-                cache,
                 seed.unwrap_or(f64::INFINITY),
                 &evals,
                 Some(&probe),
@@ -459,18 +446,6 @@ fn warm_seed(
     if graph.n() != problem.app.n() || graph.respects(problem.app).is_err() {
         return None;
     }
-    // The orchestrated OUTORDER plan search values every orbit at its
-    // *canonical member's* backtracker value (see
-    // `minperiod::evaluate_period_bounded`), while `evaluate_period` below
-    // prices the warm graph on its raw labelling — the label-dependent
-    // backtracker does not guarantee the raw value upper-bounds the
-    // search's own measure, so refuse to seed that path.
-    if problem.objective == Objective::MinPeriod
-        && problem.model == CommModel::OutOrder
-        && budget.period_evaluation == PeriodEvaluation::Orchestrated
-    {
-        return None;
-    }
     // Only **forest** warm graphs may seed.  A seed must never undercut a
     // candidate the search would otherwise have kept: the unconstrained
     // MINPERIOD plan space is forests (Proposition 4 makes any forest value
@@ -485,7 +460,7 @@ fn warm_seed(
     }
     let value = match problem.objective {
         Objective::MinPeriod => {
-            crate::minperiod::evaluate_period(problem.app, graph, problem.model, budget).ok()?
+            crate::minperiod::evaluate_period(problem.app, graph, problem.model).ok()?
         }
         Objective::MinLatency => crate::minlatency::evaluate_latency(
             problem.app,
@@ -522,9 +497,7 @@ fn orchestrate_period(
                 OnePortStyle::InOrder,
                 budget.max_orderings,
                 exec,
-                f64::INFINITY,
-            )?
-            .expect("an infinite cutoff never prunes the search");
+            )?;
             let oplist = inorder_oplist_for_orderings(app, graph, &search.orderings)?;
             (
                 search.period,
@@ -534,8 +507,7 @@ fn orchestrate_period(
             )
         }
         CommModel::OutOrder => {
-            let search = outorder_period_search_bounded(app, graph, budget, exec, f64::INFINITY)?
-                .expect("an infinite cutoff never prunes");
+            let search = outorder_period_search_bounded(app, graph, budget, exec)?;
             (search.period, Some(search.oplist), None, search.optimal)
         }
     };

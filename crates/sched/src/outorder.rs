@@ -32,13 +32,9 @@
 //! in the branch and the node is a proven dead end; the prune removes no
 //! solution, so complete searches return bit-identical verdicts while
 //! infeasibility (the expensive case) is detected exponentially earlier.
-//! The period search on top is cutoff-aware
-//! ([`outorder_period_search_bounded`]): the plan-search incumbent is
-//! threaded in as a cutoff that (a) skips candidates whose lower bound
-//! already clears it and (b) stops the bisection once every remaining probe
-//! provably sits above it, and each bisection probe is **warm-started** from
-//! the feasibility witness of the previous one instead of rebuilding the
-//! schedule from scratch.
+//! In the period search on top ([`outorder_period_search_bounded`]) each
+//! bisection probe is **warm-started** from the feasibility witness of the
+//! previous one instead of rebuilding the schedule from scratch.
 //!
 //! Every effort knob comes from the one [`SearchBudget`]: the backtracking
 //! node budget ([`SearchBudget::outorder_node_budget`]), the bisection steps
@@ -53,7 +49,6 @@ use fsw_core::{
     PlanMetrics, ServiceId,
 };
 
-use crate::engine::prune_threshold;
 use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
 use crate::orchestrator::SearchBudget;
 use crate::par::Exec;
@@ -238,8 +233,7 @@ impl SearchState {
 }
 
 impl SearchState {
-    fn ready_time(&self, op: &Op, graph_has_preds: bool) -> f64 {
-        let _ = graph_has_preds;
+    fn ready_time(&self, op: &Op) -> f64 {
         match op.edge {
             Some(EdgeRef::Input(_)) => 0.0,
             Some(EdgeRef::Link(i, _)) => self.calc_end[i],
@@ -368,7 +362,7 @@ fn schedule_ops(ops: &[Op], idx: usize, state: &mut SearchState) -> bool {
     // Data-ready time: communications wait for the sender's computation;
     // computations wait for all incoming communications of their service.
     let ready = match op.edge {
-        Some(_) => state.ready_time(op, true),
+        Some(_) => state.ready_time(op),
         None => state
             .comm_end
             .iter()
@@ -433,17 +427,14 @@ fn schedule_ops(ops: &[Op], idx: usize, state: &mut SearchState) -> bool {
 
 /// Searches for the smallest `OUTORDER` period for the given execution
 /// graph, under `budget` resolved the way
-/// [`solve`](crate::orchestrator::solve) resolves it, without a cutoff (see
+/// [`solve`](crate::orchestrator::solve) resolves it (see
 /// [`outorder_period_search_bounded`]).
 pub fn outorder_period_search(
     app: &Application,
     graph: &ExecutionGraph,
     budget: &SearchBudget,
 ) -> CoreResult<OutOrderResult> {
-    Ok(
-        outorder_period_search_bounded(app, graph, budget, budget.exec(), f64::INFINITY)?
-            .expect("an infinite cutoff never prunes"),
-    )
+    outorder_period_search_bounded(app, graph, budget, budget.exec())
 }
 
 /// Searches for the smallest `OUTORDER` period for the given execution
@@ -458,52 +449,35 @@ pub fn outorder_period_search(
 /// feasible operation list found so far is returned (flagged non-optimal
 /// unless it already reached the lower bound).
 ///
-/// `cutoff` is the caller's incumbent (the OUTORDER evaluation of the
-/// branch-and-bound plan searches).  The result is the *exact* value of an
-/// infinite cutoff whenever that value is `<= cutoff`; otherwise the search
-/// may stop early and report any value above the cutoff (`Ok(None)` stands
-/// for `∞`).  The cutoff is used twice, both times behind admissible
-/// reasoning only, so values at or below it are bit-identical:
-///
-/// * every feasible `OUTORDER` period dominates the structural lower bound,
-///   so a bound strictly clearing the cutoff proves the candidate cannot
-///   beat the incumbent before any scheduling work happens;
-/// * the bisection keeps the invariant that its final value is at least
-///   `lo`; once `lo` clears the cutoff (and no feasible period `<= cutoff`
-///   was found), every remaining probe is provably wasted and the
-///   refinement stops.
-///
 /// Each probe is warm-started from the previous feasibility witness (the
 /// `INORDER` fallback schedule for the first one), so successive probes
-/// re-find nearby schedules instead of rebuilding them from scratch.
+/// re-find nearby schedules instead of rebuilding them from scratch.  An
+/// application that [`Application::validate`] refuses gets its error
+/// before any scheduling work.
 pub fn outorder_period_search_bounded(
     app: &Application,
     graph: &ExecutionGraph,
     budget: &SearchBudget,
     exec: Exec,
-    cutoff: f64,
-) -> CoreResult<Option<OutOrderResult>> {
+) -> CoreResult<OutOrderResult> {
+    app.validate()?;
     // The metrics serve the lower bound, the operation sequence and the
     // INORDER fallback alike.
     let metrics = PlanMetrics::compute(app, graph)?;
     let lower_bound = metrics.period_lower_bound(CommModel::OutOrder);
     let lb = if lower_bound > 0.0 { lower_bound } else { 1.0 };
-    if lb > prune_threshold(cutoff) {
-        // Admissible: any feasible period is >= lb, which clears the cutoff.
-        return Ok(None);
-    }
     // The operation sequence is a pure function of the graph: build it once
     // and probe every candidate period against it.
     let ops = build_ops(app, graph, &metrics)?;
     let n = graph.n();
     let nodes = budget.outorder_node_budget;
     if let Some(oplist) = schedule_prepared(n, &ops, lb, nodes, exec.deadline, None) {
-        return Ok(Some(OutOrderResult {
+        return Ok(OutOrderResult {
             period: lb,
             oplist,
             lower_bound: lb,
             optimal: true,
-        }));
+        });
     }
     // Fallback: the best INORDER schedule found is always OUTORDER-feasible.
     let inorder = oneport_period_search_bounded(
@@ -513,9 +487,7 @@ pub fn outorder_period_search_bounded(
         OnePortStyle::InOrder,
         budget.max_orderings,
         exec,
-        f64::INFINITY,
-    )?
-    .expect("an infinite cutoff never prunes the search");
+    )?;
     let mut best_period = inorder.period;
     let mut best_oplist = inorder_oplist_for_orderings(app, graph, &inorder.orderings)?;
     // Bisection between the lower bound and the fallback, warm-starting each
@@ -528,12 +500,6 @@ pub fn outorder_period_search_bounded(
             break;
         }
         if exec.expired() {
-            break;
-        }
-        if lo > prune_threshold(cutoff) && best_period > prune_threshold(cutoff) {
-            // Every remaining probe lies in (lo, hi) with lo above the
-            // cutoff: the final value cannot come back below it.  Stop; the
-            // caller sees a value above its cutoff, exactly as contracted.
             break;
         }
         let mid = 0.5 * (lo + hi);
@@ -549,12 +515,12 @@ pub fn outorder_period_search_bounded(
             }
         }
     }
-    Ok(Some(OutOrderResult {
+    Ok(OutOrderResult {
         period: best_period,
         oplist: best_oplist,
         lower_bound: lb,
         optimal: (best_period - lb).abs() <= 1e-9 * lb.max(1.0),
-    }))
+    })
 }
 
 /// Maps an operation list back onto its [`build_ops`] sequence as per-op
@@ -625,80 +591,6 @@ mod tests {
             validate_oplist(&app, &g, &ol, CommModel::OutOrder)
                 .unwrap_or_else(|v| panic!("lambda {lambda}: {v:?}"));
         }
-    }
-
-    #[test]
-    fn bounded_search_never_prunes_a_reachable_optimum() {
-        let (app, g) = section23();
-        let budget = SearchBudget::default();
-        let unbounded = outorder_period_search(&app, &g, &budget).unwrap();
-        // A cutoff at or above the true value must return it exactly.
-        for slack in [0.0, 0.5, 100.0] {
-            let bounded = outorder_period_search_bounded(
-                &app,
-                &g,
-                &budget,
-                Exec::serial(),
-                unbounded.period + slack,
-            )
-            .unwrap()
-            .expect("optimum within cutoff");
-            assert_eq!(bounded.period, unbounded.period, "slack {slack}");
-            assert_eq!(bounded.optimal, unbounded.optimal);
-            validate_oplist(&app, &g, &bounded.oplist, CommModel::OutOrder).unwrap();
-        }
-        // A cutoff below the structural lower bound prunes outright…
-        let pruned = outorder_period_search_bounded(
-            &app,
-            &g,
-            &budget,
-            Exec::serial(),
-            unbounded.lower_bound,
-        )
-        .unwrap();
-        // …only when the bound strictly clears it (here period == lb == 7,
-        // so cutoff == lb must NOT prune).
-        assert!(pruned.is_some());
-        let pruned = outorder_period_search_bounded(
-            &app,
-            &g,
-            &budget,
-            Exec::serial(),
-            unbounded.lower_bound - 1.0,
-        )
-        .unwrap();
-        assert!(
-            pruned.is_none(),
-            "lb > cutoff proves the candidate hopeless"
-        );
-    }
-
-    #[test]
-    fn bounded_search_value_above_cutoff_is_still_faithful() {
-        // A single-node backtracking budget makes every probe fail, pinning
-        // the search to the INORDER fallback above the lower bound — the
-        // deterministic setting in which the cutoff abort engages.  Aborted
-        // refinements must only ever report values above the cutoff.
-        let (app, g) = section23();
-        let budget = SearchBudget {
-            outorder_node_budget: 1,
-            ..SearchBudget::default()
-        };
-        let unbounded = outorder_period_search(&app, &g, &budget).unwrap();
-        assert!(unbounded.period > unbounded.lower_bound + 1e-9);
-        // Cutoff halfway between lb and the optimum: the probe ladder may
-        // stop early, but whatever comes back must exceed the cutoff (the
-        // cache contract) — and a cutoff above the optimum must be exact.
-        let cutoff = 0.5 * (unbounded.lower_bound + unbounded.period);
-        match outorder_period_search_bounded(&app, &g, &budget, Exec::serial(), cutoff).unwrap() {
-            None => {}
-            Some(result) => assert!(result.period > cutoff, "faithful above-cutoff value"),
-        }
-        let exact =
-            outorder_period_search_bounded(&app, &g, &budget, Exec::serial(), f64::INFINITY)
-                .unwrap()
-                .unwrap();
-        assert_eq!(exact.period, unbounded.period);
     }
 
     #[test]

@@ -5,16 +5,17 @@
 //! O(shapes) from the structural counts the canonical machinery already
 //! knows how to compute cheaply —
 //!
-//! * the **plan-space size**: the exact canonical class count for uniform
-//!   instances ([`fsw_core::forest_classes`], closed form), the
-//!   exact coloured-orbit count for partially symmetric ones
+//! * the **estimated cost**, the number of candidate evaluations an
+//!   exhaustive solve would pay: the plan-space size, each plan valued
+//!   once by a structural metric (the period bound for MINPERIOD, exact
+//!   Algorithm 1 for forest-phase MINLATENCY).  That is the exact
+//!   canonical class count for uniform instances
+//!   ([`fsw_core::forest_classes`], closed form), the exact coloured-orbit
+//!   count for partially symmetric ones
 //!   ([`fsw_core::classed_class_count_within`], a counting pass that never
 //!   materialises an orbit), and the raw `n^n` parent-function space where
-//!   no symmetry reduces it;
-//! * the **per-plan ordering weight**: `1` on structural evaluation paths
-//!   (OVERLAP / lower-bound MINPERIOD, forest-phase MINLATENCY via exact
-//!   Algorithm 1), the budget-capped worst-case ordering-search size on
-//!   orchestrated paths;
+//!   no symmetry reduces it.  MINLATENCY's DAG phase is priced by the
+//!   ordering space of the worst single DAG instead;
 //! * an optional **admissible value floor**: the smallest shape bound
 //!   ([`ShapeBounder::forest_floor`], the head bound of the bound-ordered
 //!   shape plan, streamed without building the plan), shaved by the
@@ -24,14 +25,13 @@
 //!   and the shave keeps that true bit for bit.  Rejected callers learn
 //!   what they are missing; degraded answers ship with a certified gap.
 //!
-//! The product of the first two is the **estimated cost** — the number of
-//! candidate evaluations an exhaustive solve would pay — and the
-//! [`AdmissionPolicy`] turns it into one of four decisions: [`Admit`]
-//! (solve exactly), [`AdmitWithDeadline`] (worth trying under a degrade
-//! deadline; the response may come back `Degraded`), [`Reject`] (the exact
-//! answer is out of reach; the caller gets the estimate and the floor, and
-//! the solve pool is never touched) or [`Shed`] (admissible at baseline,
-//! but over the thresholds a serving loop's backlog has tightened).
+//! The [`AdmissionPolicy`] turns the cost into one of four decisions:
+//! [`Admit`] (solve exactly), [`AdmitWithDeadline`] (worth trying under a
+//! degrade deadline; the response may come back `Degraded`), [`Reject`]
+//! (the exact answer is out of reach; the caller gets the estimate and the
+//! floor, and the solve pool is never touched) or [`Shed`] (admissible at
+//! baseline, but over the thresholds a serving loop's backlog has
+//! tightened).
 //!
 //! [`Admit`]: AdmissionDecision::Admit
 //! [`AdmitWithDeadline`]: AdmissionDecision::AdmitWithDeadline
@@ -45,7 +45,6 @@ use fsw_core::{
     WeightClasses,
 };
 use fsw_sched::engine::CanonicalSpace;
-use fsw_sched::minperiod::PeriodEvaluation;
 use fsw_sched::orchestrator::{Objective, SearchBudget};
 
 /// Largest `n` for which pricing attempts the bound-ordered value floor:
@@ -60,20 +59,17 @@ const FLOOR_MAX_N: usize = 10;
 /// The structural price of one request, computed before any enumeration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimate {
-    /// Plan-space size: canonical classes (uniform), coloured orbits
-    /// (partial symmetry) or raw `n^n` parent functions (no symmetry /
-    /// constrained).  Saturating.
-    pub plans: u128,
-    /// Whether `plans` is the exact size of the space an exhaustive solve
-    /// enumerates (`false` when counting was capped, timed out, or
-    /// constraints prune an unknown amount of the raw space).
-    pub plans_exact: bool,
-    /// Worst-case candidate evaluations *per plan* (ordering searches on
-    /// orchestrated paths, `1` on structural ones), capped by the budget.
-    pub ordering_weight: u128,
-    /// `plans × ordering_weight`, saturating — the estimated number of
-    /// candidate evaluations an exhaustive solve would pay.
+    /// The estimated number of candidate evaluations an exhaustive solve
+    /// would pay: the plan-space size — canonical classes (uniform),
+    /// coloured orbits (partial symmetry) or raw `n^n` parent functions (no
+    /// symmetry / constrained) — or, for MINLATENCY's DAG phase, the worst
+    /// single DAG's ordering space.  Saturating.
     pub cost: u128,
+    /// Whether `cost` is the exact size of the space an exhaustive solve
+    /// enumerates (`false` when counting was capped, timed out, or
+    /// constraints prune an unknown amount of the raw space, and for the
+    /// DAG phase's stand-in).
+    pub exact: bool,
     /// Admissible lower bound on the instance optimum (the head bound of
     /// the bound-ordered shape plan), when one was certified.  `None` on
     /// the plain-admit fast path (not priced there), on the MINLATENCY DAG
@@ -192,7 +188,7 @@ impl AdmissionPolicy {
             return AdmissionDecision::Admit { estimate: None };
         }
         let level = level.min(127);
-        let mut estimate = self.estimate(app, model, objective, budget);
+        let mut estimate = self.estimate(app, objective, budget);
         if estimate.cost <= self.admit_cost >> level {
             return AdmissionDecision::Admit {
                 estimate: Some(estimate),
@@ -216,43 +212,35 @@ impl AdmissionPolicy {
         }
     }
 
-    /// The structural price of `(app, model, objective)` under `budget`
-    /// (see the module docs for the cost model).
+    /// The structural price of `(app, objective)` under `budget` (see the
+    /// module docs for the cost model).  The communication model does not
+    /// move it: a plan search values each candidate once, by a structural
+    /// metric, under every model.
     pub fn estimate(
         &self,
         app: &Application,
-        model: CommModel,
         objective: Objective,
         budget: &SearchBudget,
     ) -> CostEstimate {
         let n = app.n();
         // MINLATENCY's DAG phase (n within `dag_enumeration_max_n`) is
         // priced by the ordering space of the worst single DAG on n
-        // services (the complete DAG), as one "plan" with weight 1: a
-        // stand-in for the walk's size rather than a count of its
-        // candidates, hence `plans_exact: false`.
+        // services (the complete DAG): a stand-in for the walk's size
+        // rather than a count of its candidates, hence `exact: false`.
         if objective == Objective::MinLatency && n <= budget.dag_enumeration_max_n {
-            let space = (CanonicalSpace::max_dag_ordering_space(n) as u128).max(1);
             return CostEstimate {
-                plans: space,
-                plans_exact: false,
-                ordering_weight: 1,
-                cost: space,
+                cost: (CanonicalSpace::max_dag_ordering_space(n) as u128).max(1),
+                exact: false,
                 value_floor: None,
             };
         }
         let classes = WeightClasses::of(app);
         let pricing_deadline = Instant::now() + self.pricing_budget;
-        let ordering_weight = ordering_weight(n, model, objective, budget);
         // Count exactly up to the first quantity that forces a rejection;
         // saturate beyond it (the decision is the same either way).
-        let count_cap = self
-            .reject_cost
-            .checked_div(ordering_weight)
-            .unwrap_or(u128::MAX)
-            .saturating_add(1);
+        let count_cap = self.reject_cost.saturating_add(1);
         let raw = raw_parent_functions(n);
-        let (plans, plans_exact) = if app.has_constraints() {
+        let (cost, exact) = if app.has_constraints() {
             // Constraints prune an unknown amount of the raw space and
             // disable every symmetry reduction.
             (raw, false)
@@ -267,12 +255,9 @@ impl AdmissionPolicy {
         } else {
             (raw, true)
         };
-        let cost = plans.saturating_mul(ordering_weight);
         CostEstimate {
-            plans,
-            plans_exact,
-            ordering_weight,
             cost,
+            exact,
             // Attached by `decide` on the degrade/reject bands (and by the
             // service's degraded-response path) via `certified_floor`; the
             // plain estimate stays O(cheap counts).
@@ -312,33 +297,6 @@ impl AdmissionPolicy {
             return None;
         }
         Some(ShapeBounder::new(app, shape_objective).certified_floor())
-    }
-}
-
-/// Worst-case candidate evaluations per plan, capped by the budget: `1` on
-/// structural paths (the evaluation is a closed-form metric of the plan),
-/// the ordering-search space on orchestrated ones.
-fn ordering_weight(
-    n: usize,
-    model: CommModel,
-    objective: Objective,
-    budget: &SearchBudget,
-) -> u128 {
-    let cap = (budget.max_orderings as u128).max(1);
-    match objective {
-        Objective::MinPeriod => {
-            if model == CommModel::Overlap
-                || matches!(budget.period_evaluation, PeriodEvaluation::LowerBound)
-            {
-                1
-            } else {
-                cap.min((CanonicalSpace::max_forest_ordering_space(n) as u128).max(1))
-            }
-        }
-        // MINLATENCY: the forest-only phase is exact Algorithm 1, purely
-        // structural; the DAG phase never reaches here (priced by the worst
-        // single DAG's ordering space in `estimate`).
-        Objective::MinLatency => 1,
     }
 }
 
@@ -385,9 +343,9 @@ mod tests {
         // 87 811 canonical classes — must admit.
         let app = Application::independent(&[(2.0, 0.5); 14]);
         let policy = AdmissionPolicy::for_budget(&budget());
-        let estimate = policy.estimate(&app, CommModel::Overlap, Objective::MinPeriod, &budget());
-        assert_eq!(estimate.plans, fsw_core::forest_classes(14));
-        assert!(estimate.plans_exact);
+        let estimate = policy.estimate(&app, Objective::MinPeriod, &budget());
+        assert_eq!(estimate.cost, fsw_core::forest_classes(14));
+        assert!(estimate.exact);
         assert_eq!(
             policy.decide(&app, CommModel::Overlap, Objective::MinPeriod, &budget()),
             AdmissionDecision::Admit {
@@ -415,7 +373,7 @@ mod tests {
             panic!("n=24 distinct must reject, got {decision:?}");
         };
         assert!(estimate.cost > policy.reject_cost);
-        assert!(estimate.plans_exact, "24^24 is the exact raw space");
+        assert!(estimate.exact, "24^24 is the exact raw space");
     }
 
     #[test]
@@ -433,7 +391,7 @@ mod tests {
                 estimate,
             } => {
                 assert_eq!(time_limit, policy.degrade_time_limit);
-                assert_eq!(estimate.plans, 8u128.pow(8));
+                assert_eq!(estimate.cost, 8u128.pow(8));
             }
             other => panic!("n=8 distinct must enter the degrade band, got {other:?}"),
         }
@@ -472,34 +430,20 @@ mod tests {
     }
 
     #[test]
-    fn orchestrated_paths_carry_an_ordering_weight() {
+    fn the_dag_phase_prices_as_its_worst_dags_ordering_space() {
         // MINLATENCY at n <= dag_enumeration_max_n prices as the worst
-        // single DAG's ordering space with weight 1, keeping small
-        // instances (the only ones the engine routes into the DAG phase)
-        // inside the admit band.
+        // single DAG's ordering space, keeping small instances (the only
+        // ones the engine routes into the DAG phase) inside the admit band.
         let b = budget();
         let policy = AdmissionPolicy::for_budget(&b);
         let specs: Vec<(f64, f64)> = (0..4).map(|k| (1.0 + k as f64, 0.5)).collect();
         let app = Application::independent(&specs);
-        let estimate = policy.estimate(&app, CommModel::InOrder, Objective::MinLatency, &b);
-        assert_eq!(estimate.ordering_weight, 1);
+        let estimate = policy.estimate(&app, Objective::MinLatency, &b);
         assert_eq!(
             estimate.cost,
             CanonicalSpace::max_dag_ordering_space(4) as u128
         );
-        assert!(
-            !estimate.plans_exact,
-            "the walk bound is not an exact count"
-        );
-        assert_eq!(
-            ordering_weight(9, CommModel::InOrder, Objective::MinLatency, &b),
-            1,
-            "forest-only MINLATENCY is structural"
-        );
-        assert_eq!(
-            ordering_weight(6, CommModel::Overlap, Objective::MinPeriod, &b),
-            1
-        );
+        assert!(!estimate.exact, "the walk bound is not an exact count");
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub struct Rejection {
     pub reason: RejectReason,
     /// The cost estimate, floor included, that rejected or shed it
     /// (admission rejections and backpressure sheds).  Boxed: only those
-    /// rejections carry one, and an inline 80-byte estimate would widen
+    /// rejections carry one, and an inline 48-byte estimate would widen
     /// every [`ServeOutcome`] and [`Completion`](crate::Completion).
     pub estimate: Option<Box<CostEstimate>>,
 }
@@ -250,18 +250,16 @@ pub enum InjectedFault {
 /// The rules mirror the bit-safety story of `fsw_sched::engine::Symmetry`:
 ///
 /// * constrained applications never collapse (constraints name services);
-/// * MINPERIOD with the [`LowerBound`](fsw_sched::minperiod::PeriodEvaluation)
-///   evaluation (or any evaluation under OVERLAP, where the bound is the
-///   value) is a pure function of the weighted plan structure — the plan
-///   search is over forests, whose metrics are path-order products with no
-///   cross-label sums;
+/// * MINPERIOD, under every model, values each candidate by its structural
+///   period bound, a pure function of the weighted plan structure — the
+///   plan search is over forests, whose metrics are path-order products
+///   with no cross-label sums — so `model` never changes the answer;
 /// * MINLATENCY on the forest-only path (`n > dag_enumeration_max_n`) is
 ///   exact Algorithm 1, again purely structural;
-/// * everything else (orchestrated one-port period evaluations, the
-///   MINLATENCY DAG phase) runs ordering searches whose accumulation order
-///   follows service ids and may drift by an ulp across relabellings —
-///   those requests key by their **exact** labelling instead (identical
-///   tenants still share; permuted ones do not);
+/// * the MINLATENCY DAG phase runs ordering searches whose accumulation
+///   order follows service ids and may drift by an ulp across
+///   relabellings — those requests key by their **exact** labelling
+///   instead (identical tenants still share; permuted ones do not);
 /// * the invariance claim covers the **exhaustive** searches only, so the
 ///   collapse additionally requires that the solve provably stays
 ///   exhaustive: the forest space must fit the enumeration budget
@@ -274,12 +272,11 @@ pub enum InjectedFault {
 /// [`CanonicalSpace::exhaustively_coverable`]: fsw_sched::engine::CanonicalSpace::exhaustively_coverable
 pub fn permutation_collapse_allowed(
     app: &Application,
-    model: CommModel,
+    _model: CommModel,
     objective: Objective,
     budget: &SearchBudget,
 ) -> bool {
     use fsw_sched::engine::CanonicalSpace;
-    use fsw_sched::minperiod::PeriodEvaluation;
     if app.has_constraints()
         || budget.time_limit.is_some()
         || !CanonicalSpace::exhaustively_coverable(app, budget.max_graphs)
@@ -287,10 +284,7 @@ pub fn permutation_collapse_allowed(
         return false;
     }
     match objective {
-        Objective::MinPeriod => {
-            model == CommModel::Overlap
-                || matches!(budget.period_evaluation, PeriodEvaluation::LowerBound)
-        }
+        Objective::MinPeriod => true,
         Objective::MinLatency => app.n() > budget.dag_enumeration_max_n,
     }
 }
@@ -421,16 +415,16 @@ pub struct PlanService {
     /// store (capacity eviction) and comes back cold re-solves against its
     /// previously memoised ordering searches instead of recomputing every
     /// one.  Entries depend only on the canonical application (which the
-    /// fingerprint determines), never on the model/objective — the tags
-    /// partition the key space — so retention is always value-safe.
+    /// fingerprint determines), never on the model/objective — they are
+    /// one-port latencies of candidate DAGs — so retention is always
+    /// value-safe.
     ///
     /// A cache is created at dispatch and shared by every solve of its
     /// fingerprint in flight, but kept past them only once a solve has
-    /// recorded a miss in it ([`Self::settle_cache`]): MINLATENCY and
-    /// orchestrated one-port solves memoise their ordering searches, while
-    /// a MINPERIOD solve under OVERLAP or the default `LowerBound`
-    /// evaluation never reads it, so its empty cache goes when the solve
-    /// completes.  A fingerprint whose solve panics has its cache dropped
+    /// recorded a miss in it ([`Self::settle_cache`]): a MINLATENCY solve's
+    /// DAG phase memoises its ordering searches, while a MINPERIOD solve,
+    /// under every model, never reads the cache, so its empty cache goes
+    /// when the solve completes.  A fingerprint whose solve panics has its cache dropped
     /// defensively (the unwound solve may have left internal locks
     /// poisoned).
     caches: Mutex<HashMap<AppFingerprint, Arc<EvalCache>>>,

@@ -66,7 +66,7 @@ fn main() {
     let chain_b = fsw::core::ExecutionGraph::from_edges(4, &[(3, 2), (2, 1)]).unwrap();
     let mut searches = 0usize;
     for graph in [&chain_a, &chain_b] {
-        cache.get_or_compute_exact(0, graph, true, || {
+        cache.get_or_compute_exact(graph, true, || {
             searches += 1;
             fsw::sched::latency::oneport_latency_search(&uniform, graph, 1_000)
                 .expect("tiny graph")

@@ -3,11 +3,7 @@
 //!
 //! * on **uniform-weight** instances the reduced searches must return the
 //!   same optimum *value* as the unreduced engine and the brute force;
-//! * on **heterogeneous** instances `Symmetry::Auto` must fall back to the
-//!   full enumeration bit-for-bit (identical value *and* witness);
-//! * the orbit accounting must cover the labelled space exactly;
-//! * the incumbent-aware OUTORDER bound must never prune a reachable
-//!   optimum, and values above the cutoff must be faithfully above it.
+//! * the orbit accounting must cover the labelled space exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,17 +16,11 @@ use fsw::sched::minperiod::{
     minimize_period,
 };
 use fsw::sched::orchestrator::SearchBudget;
-use fsw::sched::outorder::{outorder_period_search, outorder_period_search_bounded};
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
-use fsw::workloads::{random_application, random_compatible_graph, RandomAppConfig};
-use fsw_core::{classed_forest_representatives, forest_classes, validate_oplist, WeightClasses};
+use fsw_core::{classed_forest_representatives, forest_classes, WeightClasses};
 
 const CASES: usize = 6;
-
-fn graph_edges(graph: &ExecutionGraph) -> Vec<(usize, usize)> {
-    graph.edges().collect()
-}
 
 /// A random uniform-weight application: one (cost, selectivity) pair —
 /// filters and expanders alike — replicated across `n` services.
@@ -49,7 +39,7 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
     for case in 0..CASES {
         let n = 4 + case % 3; // 4..=6
         let app = random_uniform_app(n, &mut rng);
-        assert!(CanonicalSpace::reducible(&app));
+        assert!(CanonicalSpace::class_reducible(&app));
         for model in CommModel::ALL {
             let eval = |g: &ExecutionGraph| {
                 PlanMetrics::compute(&app, g)
@@ -62,7 +52,7 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
                 2_000_000,
                 Exec::serial(),
                 PartialPrune::Period(model),
-                Symmetry::Auto,
+                Symmetry::Classes,
                 f64::INFINITY,
                 &|g, _| eval(g),
                 None,
@@ -80,7 +70,7 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
             2_000_000,
             Exec::serial(),
             PartialPrune::Latency,
-            Symmetry::Auto,
+            Symmetry::Classes,
             f64::INFINITY,
             &|g, _| eval(g),
             None,
@@ -131,50 +121,6 @@ fn canonical_dag_values_match_brute_force_on_uniform_weights() {
     }
 }
 
-/// Heterogeneous weights: `Symmetry::Auto` is the full enumeration,
-/// bit-for-bit — same value *and* same first-minimum witness.
-#[test]
-fn auto_symmetry_is_identical_to_full_on_distinct_weights() {
-    let mut rng = StdRng::seed_from_u64(0xCA03);
-    for case in 0..CASES {
-        let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        assert!(!CanonicalSpace::reducible(&app));
-        let eval = |g: &ExecutionGraph, _c: f64| {
-            PlanMetrics::compute(&app, g)
-                .map(|m| m.period_lower_bound(CommModel::InOrder))
-                .unwrap_or(f64::INFINITY)
-        };
-        let full = exhaustive_forest_search(
-            &app,
-            2_000_000,
-            Exec::serial(),
-            PartialPrune::Period(CommModel::InOrder),
-            Symmetry::Full,
-            f64::INFINITY,
-            &eval,
-            None,
-        )
-        .unwrap();
-        let auto = exhaustive_forest_search(
-            &app,
-            2_000_000,
-            Exec::serial(),
-            PartialPrune::Period(CommModel::InOrder),
-            Symmetry::Auto,
-            f64::INFINITY,
-            &eval,
-            None,
-        )
-        .unwrap();
-        assert_eq!(full.value, auto.value, "case {case}: value");
-        assert_eq!(
-            graph_edges(&full.graph),
-            graph_edges(&auto.graph),
-            "case {case}: witness"
-        );
-    }
-}
-
 /// Full solver stack on uniform instances: `minimize_period` /
 /// `minimize_latency` (canonical path) equal the brute-force optima.
 #[test]
@@ -219,55 +165,6 @@ fn uniform_n10_is_exhaustive_within_the_default_budget() {
     assert_eq!(forest_classes(10), 1_842);
     let result = minimize_period(&app, CommModel::Overlap, &SearchBudget::default()).unwrap();
     assert!(result.exhaustive);
-}
-
-/// The incumbent-aware OUTORDER bound never prunes a reachable optimum: a
-/// cutoff at (or above) the unbounded search's value reproduces it exactly,
-/// and any pruned/truncated outcome is provably above the cutoff.
-#[test]
-fn outorder_bound_never_prunes_the_optimum() {
-    let mut rng = StdRng::seed_from_u64(0xCA05);
-    let budget = SearchBudget::default();
-    for case in 0..CASES {
-        let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        let graph = random_compatible_graph(&app, 0.5, &mut rng);
-        let unbounded = outorder_period_search(&app, &graph, &budget).unwrap();
-        validate_oplist(&app, &graph, &unbounded.oplist, CommModel::OutOrder)
-            .unwrap_or_else(|v| panic!("case {case}: {v:?}"));
-        for factor in [1.0, 1.5, 10.0] {
-            let cutoff = unbounded.period * factor;
-            let bounded =
-                outorder_period_search_bounded(&app, &graph, &budget, Exec::serial(), cutoff)
-                    .unwrap()
-                    .expect("optimum within cutoff is never pruned");
-            assert_eq!(bounded.period, unbounded.period, "case {case} x{factor}");
-            validate_oplist(&app, &graph, &bounded.oplist, CommModel::OutOrder)
-                .unwrap_or_else(|v| panic!("case {case} x{factor}: {v:?}"));
-        }
-        for factor in [0.3, 0.8, 0.999] {
-            let cutoff = unbounded.period * factor;
-            match outorder_period_search_bounded(&app, &graph, &budget, Exec::serial(), cutoff)
-                .unwrap()
-            {
-                None => assert!(
-                    unbounded.lower_bound > cutoff,
-                    "case {case} x{factor}: pruned although lb {} <= cutoff {cutoff}",
-                    unbounded.lower_bound
-                ),
-                Some(result) => {
-                    if result.period <= cutoff {
-                        assert_eq!(result.period, unbounded.period, "case {case} x{factor}");
-                    } else {
-                        assert!(
-                            unbounded.period > cutoff,
-                            "case {case} x{factor}: reported above-cutoff but optimum {} <= {cutoff}",
-                            unbounded.period
-                        );
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Orbit accounting at solver scale: every labelled forest is represented by

@@ -4,7 +4,7 @@
 //! Each instance draws its services' weights from a handful of distinct
 //! values, so selectivity products taken in different orders collide and
 //! can round apart by an ulp; selectivities above 1 are included.  For
-//! every model × candidate evaluation × thread count × cold or warm start,
+//! every model × thread count × cold or warm start,
 //! `minimize_period` and `minimize_latency` (cold) and `solve_warm_observed`
 //! seeded with the brute force's forest winner (warm) must return the value
 //! of `exhaustive_forest_best` bit for bit — or, with MINLATENCY's DAG
@@ -23,9 +23,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fsw::core::{
-    canonical_classed_member, Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses,
-};
+use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics};
 use fsw::sched::engine::prune_threshold;
 use fsw::sched::engine::{CanonicalSpace, EvalCache, PartialPrune};
 use fsw::sched::latency::{
@@ -35,10 +33,9 @@ use fsw::sched::latency::{
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
     evaluate_period, exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best,
-    minimize_period, PeriodEvaluation, SearchOutcome,
+    minimize_period, SearchOutcome,
 };
 use fsw::sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
-use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::query_optimization;
@@ -46,8 +43,6 @@ use fsw::workloads::query_optimization;
 const COSTS: [f64; 4] = [0.25, 1.0, 2.5, 7.0];
 const SELECTIVITIES: [f64; 5] = [0.45, 0.6, 0.7, 0.9, 1.3];
 const THREADS: [usize; 3] = [1, 2, 4];
-const EVALUATIONS: [PeriodEvaluation; 2] =
-    [PeriodEvaluation::LowerBound, PeriodEvaluation::Orchestrated];
 
 fn graph_edges(graph: &ExecutionGraph) -> Vec<(usize, usize)> {
     graph.edges().collect()
@@ -85,34 +80,6 @@ fn instance(n: usize, symmetric: bool, rng: &mut StdRng) -> Application {
         })
         .collect();
     Application::independent(&specs)
-}
-
-/// The brute-force value of one forest under the plan search's own
-/// candidate evaluation.  The orchestrated OUTORDER search values a forest
-/// at its canonical class member on class-symmetric instances.
-fn period_oracle(
-    app: &Application,
-    model: CommModel,
-    budget: &SearchBudget,
-    graph: &ExecutionGraph,
-) -> f64 {
-    if budget.period_evaluation == PeriodEvaluation::LowerBound {
-        return PlanMetrics::compute(app, graph)
-            .map(|m| m.period_lower_bound(model))
-            .unwrap_or(f64::INFINITY);
-    }
-    if model == CommModel::OutOrder {
-        let classes = WeightClasses::of(app);
-        let member = if CanonicalSpace::class_reducible(app) {
-            canonical_classed_member(&classes, graph).expect("forest candidates")
-        } else {
-            graph.clone()
-        };
-        return outorder_period_search(app, &member, budget)
-            .map(|r| r.period)
-            .unwrap_or(f64::INFINITY);
-    }
-    evaluate_period(app, graph, model, budget).unwrap_or(f64::INFINITY)
 }
 
 /// Checks one search outcome against the brute force's first minimum.
@@ -167,9 +134,8 @@ fn sweep(
     }
 }
 
-/// MINPERIOD, every model and both candidate evaluations: the searches
-/// return the brute force's value bit for bit, and its winner on the
-/// labelled walk.
+/// MINPERIOD, every model: the searches return the brute force's value
+/// bit for bit, and its winner on the labelled walk.
 #[test]
 fn period_searches_match_brute_force_on_colliding_weights() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
@@ -177,37 +143,27 @@ fn period_searches_match_brute_force_on_colliding_weights() {
         let n = 5 + case % 2;
         let app = instance(n, case % 4 < 2, &mut rng);
         for model in CommModel::ALL {
-            for evaluation in EVALUATIONS {
-                // The orchestrated one-port brute force runs an ordering
-                // search per forest: keep those to the five-service cases.
-                if evaluation == PeriodEvaluation::Orchestrated
-                    && model != CommModel::Overlap
-                    && n > 5
-                {
-                    continue;
-                }
-                let budget = SearchBudget::default().with_period_evaluation(evaluation);
-                let brute =
-                    exhaustive_forest_best(&app, |g| period_oracle(&app, model, &budget, g))
-                        .expect("the forest space fits the cap");
-                let label = format!("case {case} n={n} {model} {evaluation:?}");
-                sweep(
-                    &label,
-                    &app,
-                    model,
-                    Objective::MinPeriod,
-                    &budget,
-                    &brute,
-                    &brute.1,
-                );
-            }
+            let brute = exhaustive_forest_best(&app, |g| {
+                evaluate_period(&app, g, model).unwrap_or(f64::INFINITY)
+            })
+            .expect("the forest space fits the cap");
+            let label = format!("case {case} n={n} {model}");
+            sweep(
+                &label,
+                &app,
+                model,
+                Objective::MinPeriod,
+                &SearchBudget::default(),
+                &brute,
+                &brute.1,
+            );
         }
     }
 }
 
-/// MINLATENCY's forest phase (the DAG phase is switched off), both
-/// candidate evaluations: the searches return the brute force's
-/// tree-latency optimum bit for bit, and its winner on the labelled walk.
+/// MINLATENCY's forest phase (the DAG phase is switched off): the searches
+/// return the brute force's tree-latency optimum bit for bit, and its
+/// winner on the labelled walk.
 #[test]
 fn latency_searches_match_brute_force_on_colliding_weights() {
     let mut rng = StdRng::seed_from_u64(0xD1FE);
@@ -217,24 +173,21 @@ fn latency_searches_match_brute_force_on_colliding_weights() {
         let brute =
             exhaustive_forest_best(&app, |g| tree_latency(&app, g).unwrap_or(f64::INFINITY))
                 .expect("the forest space fits the cap");
+        let budget = SearchBudget {
+            dag_enumeration_max_n: 0,
+            ..SearchBudget::default()
+        };
         for model in CommModel::ALL {
-            for evaluation in EVALUATIONS {
-                let budget = SearchBudget {
-                    dag_enumeration_max_n: 0,
-                    ..SearchBudget::default()
-                }
-                .with_period_evaluation(evaluation);
-                let label = format!("case {case} n={n} {model} {evaluation:?} latency");
-                sweep(
-                    &label,
-                    &app,
-                    model,
-                    Objective::MinLatency,
-                    &budget,
-                    &brute,
-                    &brute.1,
-                );
-            }
+            let label = format!("case {case} n={n} {model} latency");
+            sweep(
+                &label,
+                &app,
+                model,
+                Objective::MinLatency,
+                &budget,
+                &brute,
+                &brute.1,
+            );
         }
     }
 }

@@ -221,9 +221,7 @@ fn parallel_searches_equal_serial() {
                 OnePortStyle::InOrder,
                 50_000,
                 Exec::threaded(threads),
-                f64::INFINITY,
             )
-            .unwrap()
             .unwrap();
             assert_eq!(serial_p.period, par_p.period, "case {case} x{threads}");
             assert_eq!(

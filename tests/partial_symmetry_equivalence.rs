@@ -10,8 +10,6 @@
 //!   materialised canonical representatives (uniform and classed), value
 //!   and winner, serial and parallel, for the period and the latency bound;
 //! * the classed orbit accounting must tile the labelled space exactly;
-//! * the OUTORDER canonical-form memoisation must equal a brute force that
-//!   evaluates every candidate's canonical member;
 //! * the **lazy bound-ordered stream** must cover exactly the materialised
 //!   classed space (same representatives, same orbit weights), its worker
 //!   count must cap the resident representative count without changing the
@@ -44,18 +42,14 @@ use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClass
 use fsw::sched::engine::frontier::{constructive_plans, streamed_canonical_search};
 use fsw::sched::engine::{prune_threshold, CanonicalSpace, PartialPrune, Symmetry};
 use fsw::sched::minlatency::minimize_latency;
-use fsw::sched::minperiod::{
-    exhaustive_forest_best, exhaustive_forest_search, minimize_period, PeriodEvaluation,
-};
+use fsw::sched::minperiod::{exhaustive_forest_best, exhaustive_forest_search, minimize_period};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
-use fsw::sched::outorder::outorder_period_search;
 use fsw::sched::tree::tree_latency;
 use fsw::sched::Exec;
 use fsw::workloads::{random_application, tiered_query_optimization, RandomAppConfig};
 use fsw_core::{
-    bound_ordered_shape_plan, canonical_classed_member, classed_class_count,
-    classed_forest_representatives, forest_classes, split_shape_plan, ColoringScratch,
-    ColoringVisitor, ShapeBounder, ShapeObjective, ShapeScan,
+    bound_ordered_shape_plan, classed_class_count, classed_forest_representatives, forest_classes,
+    split_shape_plan, ColoringScratch, ColoringVisitor, ShapeBounder, ShapeObjective, ShapeScan,
 };
 
 const CASES: usize = 6;
@@ -116,7 +110,10 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
         let n = 5 + case % 2; // 5..=6
         let app = random_multiclass_app(n, &mut rng);
         assert!(CanonicalSpace::class_reducible(&app));
-        assert!(!CanonicalSpace::reducible(&app), "multi-class, not uniform");
+        assert!(
+            !WeightClasses::of(&app).is_uniform(),
+            "multi-class, not uniform"
+        );
         for model in CommModel::ALL {
             let eval = |g: &ExecutionGraph| {
                 PlanMetrics::compute(&app, g)
@@ -216,12 +213,12 @@ fn classes_fall_back_to_full_bit_for_bit_when_the_gate_declines() {
 fn streamed_walk_equals_the_first_minimum_scan_on_orbit_spaces() {
     let mut rng = StdRng::seed_from_u64(0x5005);
     for case in 0..CASES {
-        let (app, symmetry) = if case % 2 == 0 {
+        let app = if case % 2 == 0 {
             let cost = rng.gen_range(0.5..6.0);
             let sel = rng.gen_range(0.2..1.5);
-            (Application::independent(&[(cost, sel); 6]), Symmetry::Auto)
+            Application::independent(&[(cost, sel); 6])
         } else {
-            (random_multiclass_app(6, &mut rng), Symmetry::Classes)
+            random_multiclass_app(6, &mut rng)
         };
         for model in [CommModel::Overlap, CommModel::InOrder] {
             let eval = |g: &ExecutionGraph| {
@@ -236,7 +233,7 @@ fn streamed_walk_equals_the_first_minimum_scan_on_orbit_spaces() {
                     2_000_000,
                     Exec::threaded(threads),
                     PartialPrune::Period(model),
-                    symmetry,
+                    Symmetry::Classes,
                     f64::INFINITY,
                     &|g, _| eval(g),
                     None,
@@ -288,65 +285,6 @@ fn multiclass_solves_match_brute_force_end_to_end() {
             result.value,
             forest.0
         );
-    }
-}
-
-/// The one-port ordering searches are **not** class-invariant (their
-/// internal sums follow node ids over per-class terms and can drift by an
-/// ulp across orbit members), so the orchestrated INORDER plan search on a
-/// multi-class instance must keep the bit-identical full enumeration — no
-/// cross-label cache merging, values and winner equal to the per-graph
-/// brute force exactly.
-#[test]
-fn orchestrated_inorder_on_multiclass_keeps_the_exact_full_path() {
-    let mut rng = StdRng::seed_from_u64(0x5009);
-    for case in 0..CASES / 2 {
-        let app = random_multiclass_app(4, &mut rng);
-        let budget = SearchBudget {
-            max_orderings: 2_000,
-            ..SearchBudget::default()
-        }
-        .with_period_evaluation(PeriodEvaluation::Orchestrated);
-        let result = minimize_period(&app, CommModel::InOrder, &budget).unwrap();
-        assert!(result.exhaustive, "case {case}");
-        let brute = exhaustive_forest_best(&app, |g| {
-            fsw::sched::minperiod::evaluate_period(&app, g, CommModel::InOrder, &budget)
-                .unwrap_or(f64::INFINITY)
-        })
-        .unwrap();
-        assert_eq!(brute.0, result.value, "case {case}: value");
-        assert_eq!(
-            graph_edges(&brute.1),
-            graph_edges(&result.graph),
-            "case {case}: winner"
-        );
-    }
-}
-
-/// The OUTORDER orchestrated evaluation canonicalises candidates before
-/// backtracking, so the classed-reduced plan search must equal a brute
-/// force that evaluates every candidate's canonical member.
-#[test]
-fn outorder_canonical_memoisation_matches_canonical_brute_force() {
-    let mut rng = StdRng::seed_from_u64(0x5007);
-    for case in 0..CASES / 2 {
-        let app = random_multiclass_app(4, &mut rng);
-        let classes = WeightClasses::of(&app);
-        let budget = SearchBudget {
-            max_orderings: 2_000,
-            ..SearchBudget::default()
-        }
-        .with_period_evaluation(PeriodEvaluation::Orchestrated);
-        let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
-        assert!(result.exhaustive, "case {case}");
-        let brute = exhaustive_forest_best(&app, |g| {
-            let member = canonical_classed_member(&classes, g).expect("forest candidates");
-            outorder_period_search(&app, &member, &budget)
-                .map(|r| r.period)
-                .unwrap_or(f64::INFINITY)
-        })
-        .unwrap();
-        assert_eq!(brute.0, result.value, "case {case}: OUTORDER period");
     }
 }
 
@@ -823,12 +761,12 @@ fn tie_dominance_keeps_optima_one_ulp_below_the_plateau() {
 fn streamed_tie_dominance_equals_the_first_minimum_scan() {
     let mut rng = StdRng::seed_from_u64(0x500E);
     for case in 0..CASES {
-        let (app, symmetry) = if case % 2 == 0 {
+        let app = if case % 2 == 0 {
             let cost = rng.gen_range(0.5..6.0);
             let sel = rng.gen_range(0.2..1.5);
-            (Application::independent(&[(cost, sel); 6]), Symmetry::Auto)
+            Application::independent(&[(cost, sel); 6])
         } else {
-            (random_multiclass_app(6, &mut rng), Symmetry::Classes)
+            random_multiclass_app(6, &mut rng)
         };
         for model in CommModel::ALL {
             let eval = |g: &ExecutionGraph| {
@@ -843,7 +781,7 @@ fn streamed_tie_dominance_equals_the_first_minimum_scan() {
                     2_000_000,
                     Exec::threaded(threads),
                     PartialPrune::StructuralPeriod(model),
-                    symmetry,
+                    Symmetry::Classes,
                     f64::INFINITY,
                     &|g, _| eval(g),
                     None,

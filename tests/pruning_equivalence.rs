@@ -21,9 +21,8 @@ use fsw::sched::latency::{
 use fsw::sched::minlatency::{evaluate_latency, minimize_latency};
 use fsw::sched::minperiod::{
     evaluate_period, exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best,
-    exhaustive_forest_search, minimize_period, minperiod_local_search, PeriodEvaluation,
+    exhaustive_forest_search, minimize_period,
 };
-use fsw::sched::oneport::{oneport_period_search, oneport_period_search_bounded, OnePortStyle};
 use fsw::sched::orchestrator::{
     solve, solve_all, solve_warm_observed, Objective, Problem, SearchBudget,
 };
@@ -60,7 +59,7 @@ fn pruned_forest_enumeration_matches_brute_force() {
                 2_000_000,
                 Exec::serial(),
                 PartialPrune::Period(model),
-                Symmetry::Auto, // heterogeneous weights: falls back to the full space
+                Symmetry::Full,
                 f64::INFINITY,
                 &|g, _| eval(g),
                 None,
@@ -81,7 +80,7 @@ fn pruned_forest_enumeration_matches_brute_force() {
             2_000_000,
             Exec::serial(),
             PartialPrune::Latency,
-            Symmetry::Auto,
+            Symmetry::Full,
             f64::INFINITY,
             &|g, _| eval(g),
             None,
@@ -96,41 +95,26 @@ fn pruned_forest_enumeration_matches_brute_force() {
     }
 }
 
-/// Full MINPERIOD solves (pruned, memoised) equal a brute-force sweep of the
-/// same candidate space with the same evaluation.
+/// Full MINPERIOD solves (branch and bound with tie dominance) equal a
+/// brute-force sweep of the same candidate space with the same evaluation.
 #[test]
 fn minimize_period_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(0xBB02);
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         for model in CommModel::ALL {
-            for evaluation in [PeriodEvaluation::LowerBound, PeriodEvaluation::Orchestrated] {
-                // OUTORDER's orchestrated evaluation runs a backtracking
-                // search per candidate: keep it to the cheap evaluation.
-                if model == CommModel::OutOrder && evaluation != PeriodEvaluation::LowerBound {
-                    continue;
-                }
-                let budget = SearchBudget {
-                    max_orderings: 2_000,
-                    ..SearchBudget::default()
-                }
-                .with_period_evaluation(evaluation);
-                let result = minimize_period(&app, model, &budget).unwrap();
-                assert!(result.exhaustive, "case {case} {model} {evaluation:?}");
-                let brute = exhaustive_forest_best(&app, |g| {
-                    evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
-                })
-                .unwrap();
-                assert_eq!(
-                    brute.0, result.value,
-                    "case {case} {model} {evaluation:?}: value"
-                );
-                assert_eq!(
-                    graph_edges(&brute.1),
-                    graph_edges(&result.graph),
-                    "case {case} {model} {evaluation:?}: winner"
-                );
-            }
+            let result = minimize_period(&app, model, &SearchBudget::default()).unwrap();
+            assert!(result.exhaustive, "case {case} {model}");
+            let brute = exhaustive_forest_best(&app, |g| {
+                evaluate_period(&app, g, model).unwrap_or(f64::INFINITY)
+            })
+            .unwrap();
+            assert_eq!(brute.0, result.value, "case {case} {model}: value");
+            assert_eq!(
+                graph_edges(&brute.1),
+                graph_edges(&result.graph),
+                "case {case} {model}: winner"
+            );
         }
     }
 }
@@ -146,7 +130,7 @@ fn constrained_minimize_period_matches_brute_force() {
             let budget = SearchBudget::default();
             let result = minimize_period(&app, model, &budget).unwrap();
             let brute = exhaustive_dag_best(&app, 5, |g| {
-                evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             assert_eq!(brute.0, result.value, "case {case} {model}: value");
@@ -256,68 +240,43 @@ fn the_dag_walk_counts_its_visits_and_prunes() {
     }
 }
 
-/// A starved OUTORDER budget: one backtracking node, no bisection steps.
-fn starved_outorder_budget() -> SearchBudget {
-    SearchBudget {
-        max_orderings: 2_000,
-        outorder_node_budget: 1,
-        outorder_refinement_steps: 0,
-        ..SearchBudget::default()
-    }
-    .with_period_evaluation(PeriodEvaluation::Orchestrated)
-}
-
-/// The orchestrated OUTORDER plan search values every candidate with the
-/// budget's OUTORDER fields — its backtracking-node budget and bisection
-/// steps — not the defaults: a starved budget must return exactly what a
-/// brute-force sweep of the OUTORDER search under the same budget returns,
-/// value and winner.  (On these heterogeneous instances no orbit
-/// canonicalisation applies, so the sweep evaluates each labelled candidate
-/// as the search does.)
+/// An OUTORDER plan solve schedules its winner with the budget's OUTORDER
+/// fields — its backtracking-node budget and bisection steps — not the
+/// defaults: under a starved budget (one backtracking node, no bisection
+/// steps) the solution's schedule is exactly the OUTORDER search of the
+/// winning graph under that budget, and the default budget's search of the
+/// same graph differs from it on some instance.
 #[test]
 fn outorder_plan_search_honours_the_budgets_outorder_fields() {
     let mut rng = StdRng::seed_from_u64(7);
-    let budget = starved_outorder_budget();
+    let starved = SearchBudget {
+        outorder_node_budget: 1,
+        outorder_refinement_steps: 0,
+        ..SearchBudget::default()
+    };
+    let mut differs = 0;
     for case in 0..12 {
         let app = random_application(&RandomAppConfig::independent(5), &mut rng);
-        let result = minimize_period(&app, CommModel::OutOrder, &budget).unwrap();
-        assert!(result.exhaustive, "case {case}");
-        let brute = exhaustive_forest_best(&app, |g| {
-            outorder_period_search(&app, g, &budget)
-                .map(|r| r.period)
-                .unwrap_or(f64::INFINITY)
-        })
+        let solution = solve(
+            &Problem::new(&app, CommModel::OutOrder, Objective::MinPeriod),
+            &starved,
+        )
         .unwrap();
+        let oracle = outorder_period_search(&app, &solution.graph, &starved).unwrap();
+        let period = solution.oplist.expect("OUTORDER schedules").period();
         assert_eq!(
-            brute.0.to_bits(),
-            result.value.to_bits(),
-            "case {case}: value"
+            period.to_bits(),
+            oracle.oplist.period().to_bits(),
+            "case {case}"
         );
-        assert_eq!(
-            graph_edges(&brute.1),
-            graph_edges(&result.graph),
-            "case {case}: winner"
-        );
+        assert_eq!(solution.exhaustive, oracle.optimal, "case {case}");
+        let unstarved =
+            outorder_period_search(&app, &solution.graph, &SearchBudget::default()).unwrap();
+        if unstarved.period != oracle.period {
+            differs += 1;
+        }
     }
-}
-
-/// The local-search fallback values its candidates with the budget's OUTORDER
-/// fields too, as the exhaustive phase does: its value is the OUTORDER
-/// search of its winning graph under the same starved budget, bit for bit.
-#[test]
-fn local_search_fallback_honours_the_budgets_outorder_fields() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let budget = starved_outorder_budget();
-    for case in 0..12 {
-        let app = random_application(&RandomAppConfig::independent(5), &mut rng);
-        let local = minperiod_local_search(&app, CommModel::OutOrder, &budget).unwrap();
-        let oracle = outorder_period_search(&app, &local.graph, &budget).unwrap();
-        assert_eq!(
-            local.value.to_bits(),
-            oracle.period.to_bits(),
-            "case {case}: value"
-        );
-    }
+    assert!(differs > 0, "the starved budget never changed a schedule");
 }
 
 /// Cutoff-bounded ordering searches: exact below the cutoff, and pruned only
@@ -349,33 +308,6 @@ fn bounded_ordering_searches_match_unbounded() {
                     } else {
                         assert!(unbounded.latency > cutoff);
                     }
-                }
-            }
-        }
-
-        let unbounded = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 50_000).unwrap();
-        let metrics = PlanMetrics::compute(&app, &graph).unwrap();
-        for factor in [0.5, 1.0, 2.0] {
-            let cutoff = unbounded.period * factor;
-            match oneport_period_search_bounded(
-                &app,
-                &graph,
-                &metrics,
-                OnePortStyle::InOrder,
-                50_000,
-                Exec::serial(),
-                cutoff,
-            )
-            .unwrap()
-            {
-                None => assert!(
-                    unbounded.period > cutoff,
-                    "case {case} x{factor}: pruned although optimum {} <= cutoff {cutoff}",
-                    unbounded.period
-                ),
-                Some(result) => {
-                    assert_eq!(result.period, unbounded.period, "case {case} x{factor}");
-                    assert_eq!(result.orderings, unbounded.orderings);
                 }
             }
         }
@@ -434,15 +366,14 @@ fn canonical_minimize_period_matches_brute_force_on_uniform_weights() {
             let result = minimize_period(&app, model, &budget).unwrap();
             assert!(result.exhaustive, "case {case} {model}");
             let brute = exhaustive_forest_best(&app, |g| {
-                evaluate_period(&app, g, model, &budget).unwrap_or(f64::INFINITY)
+                evaluate_period(&app, g, model).unwrap_or(f64::INFINITY)
             })
             .unwrap();
             assert_eq!(brute.0, result.value, "case {case} {model}: value");
             // The canonical winner is a representative of an optimal orbit:
             // it must achieve the optimum itself (the labelled witness may
             // differ from the raw enumeration's — the documented tie-break).
-            let winner_value =
-                evaluate_period(&app, &result.graph, model, &budget).unwrap_or(f64::INFINITY);
+            let winner_value = evaluate_period(&app, &result.graph, model).unwrap_or(f64::INFINITY);
             assert_eq!(winner_value, result.value, "case {case} {model}: winner");
         }
     }

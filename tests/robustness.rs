@@ -24,11 +24,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{
-    bound_ordered_shape_plan, Application, CommModel, CoreError, ShapeScan, WeightClasses,
-    SHAPE_CODE_MAX_N,
+    bound_ordered_shape_plan, Application, CommModel, CoreError, CoreResult, ExecutionGraph,
+    ShapeScan, WeightClasses, SHAPE_CODE_MAX_N,
 };
 use fsw::sched::engine::CanonicalSpace;
+use fsw::sched::latency::oneport_latency_search;
+use fsw::sched::oneport::{oneport_period_search, OnePortStyle};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
+use fsw::sched::outorder::outorder_period_search;
 use fsw::serve::{
     AdmissionPolicy, AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService,
     RejectReason, ServeOutcome, TenantEvent, TenantSession,
@@ -474,4 +477,20 @@ fn an_application_with_no_services_is_refused_at_every_entry() {
             );
         }
     }
+    // The public ordering searches validate too: a NaN cost on a fork gets
+    // `validate`'s error, not a search over NaN durations.
+    let nan_fork = Application::independent(&[(f64::NAN, 1.0), (4.0, 1.0), (4.0, 1.0)]);
+    let fork = ExecutionGraph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
+    let refused = |result: CoreResult<f64>| match result {
+        Err(CoreError::NonPositiveCost { id, cost }) => id == 0 && cost.is_nan(),
+        _ => false,
+    };
+    for style in [OnePortStyle::InOrder, OnePortStyle::OverlapPorts] {
+        let searched = oneport_period_search(&nan_fork, &fork, style, 5_000);
+        assert!(refused(searched.map(|r| r.period)), "{style:?}");
+    }
+    let searched = outorder_period_search(&nan_fork, &fork, &budget);
+    assert!(refused(searched.map(|r| r.period)), "OUTORDER");
+    let searched = oneport_latency_search(&nan_fork, &fork, 5_000);
+    assert!(refused(searched.map(|r| r.latency)), "latency");
 }

@@ -22,7 +22,6 @@ use rand::SeedableRng;
 
 use fsw::core::{Application, CommModel};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
-use fsw::sched::PeriodEvaluation;
 use fsw::serve::{
     AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService, PlanStore,
     RejectReason, Rejection, ServeOutcome, ServeSource, StoredPlan, TenantEvent, TenantSession,
@@ -185,48 +184,38 @@ fn eviction_respects_the_cost_weighting() {
 }
 
 /// A cold solve that never reads its evaluation cache leaves none behind:
-/// MINPERIOD under OVERLAP (and the default `LowerBound` evaluation) records
-/// no miss, so `eval_cache_stats` stays `None` and the answer is a cold
-/// solve's bits.  MINLATENCY and an orchestrated one-port MINPERIOD record
-/// misses, so their fingerprints keep a cache.
+/// MINPERIOD values every candidate by its structural period bound under
+/// all three models, so it records no miss, `eval_cache_stats` stays
+/// `None` and the answer is a cold solve's bits.  MINLATENCY's DAG phase
+/// records misses, so its fingerprint keeps a cache: the evaluation cache
+/// belongs to MINLATENCY alone.
 #[test]
 fn cold_solves_retain_an_eval_cache_only_once_it_records_a_miss() {
     let mut rng = StdRng::seed_from_u64(0x5e07);
     let app = random_application(&RandomAppConfig::independent(5), &mut rng);
     let budget = SearchBudget::default();
     let service = PlanService::new(budget, 16);
-    let period = PlanRequest::new(app.clone(), CommModel::Overlap, Objective::MinPeriod);
-    let served = service.serve_one(&period).unwrap().expect_exact().clone();
-    assert_eq!(served.source, ServeSource::Cold);
-    let cold = solve(
-        &Problem::new(&app, CommModel::Overlap, Objective::MinPeriod),
-        &budget,
-    )
-    .unwrap();
-    assert_eq!(served.value.to_bits(), cold.value.to_bits());
-    assert_eq!(service.eval_cache_stats(&period), None);
+    for model in CommModel::ALL {
+        let period = PlanRequest::new(app.clone(), model, Objective::MinPeriod);
+        let outcome = service.serve_one(&period).unwrap();
+        let (ServeOutcome::Exact(served)
+        | ServeOutcome::Degraded {
+            response: served, ..
+        }) = &outcome
+        else {
+            panic!("{model}: a small MINPERIOD request is answered, got {outcome:?}");
+        };
+        assert_eq!(served.source, ServeSource::Cold, "{model}");
+        let cold = solve(&Problem::new(&app, model, Objective::MinPeriod), &budget).unwrap();
+        assert_eq!(served.value.to_bits(), cold.value.to_bits(), "{model}");
+        assert_eq!(served.exhaustive, cold.exhaustive, "{model}");
+        assert_eq!(service.eval_cache_stats(&period), None, "{model}");
+    }
 
     let latency = PlanRequest::new(app, CommModel::InOrder, Objective::MinLatency);
     service.serve_one(&latency).unwrap().expect_exact();
     let (_, misses) = service.eval_cache_stats(&latency).expect("retained");
     assert!(misses > 0);
-
-    let orchestrated = PlanService::new(
-        SearchBudget {
-            period_evaluation: PeriodEvaluation::Orchestrated,
-            ..budget
-        },
-        16,
-    );
-    let small = random_application(&RandomAppConfig::independent(4), &mut rng);
-    let inorder = PlanRequest::new(small, CommModel::InOrder, Objective::MinPeriod);
-    orchestrated.serve_one(&inorder).unwrap().expect_exact();
-    assert!(
-        orchestrated
-            .eval_cache_stats(&inorder)
-            .is_some_and(|(_, m)| m > 0),
-        "an orchestrated one-port solve keeps its cache"
-    );
 }
 
 /// Evaluation caches survive plan-store eviction.  With a capacity-1 store
@@ -237,9 +226,8 @@ fn cold_solves_retain_an_eval_cache_only_once_it_records_a_miss() {
 /// must answer from the retained per-fingerprint `EvalCache`: strictly
 /// fewer fresh evaluations than the cold-cache baseline, with memo hits,
 /// and byte-identical to its own first response.  (MINLATENCY routes its
-/// non-forest one-port ordering searches through the cache under the
-/// default budget; MINPERIOD's default lower-bound evaluation never
-/// consults it.)
+/// non-forest one-port ordering searches through the cache; MINPERIOD
+/// never consults it.)
 #[test]
 fn eval_caches_are_retained_across_repeat_cold_misses() {
     let mut rng = StdRng::seed_from_u64(0x5e06);
