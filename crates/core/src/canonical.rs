@@ -118,11 +118,6 @@ impl WeightClasses {
         &self.sizes
     }
 
-    /// The class of every service, indexed by service id.
-    pub fn class_vector(&self) -> &[usize] {
-        &self.class_of
-    }
-
     /// `true` when every service carries the same weights (at most one
     /// class) — the regime in which full relabelling symmetry applies.
     pub fn is_uniform(&self) -> bool {
@@ -142,15 +137,6 @@ impl WeightClasses {
         self.sizes
             .iter()
             .fold(1u128, |acc, &s| acc.saturating_mul(factorial(s)))
-    }
-
-    /// A compact signature of the partition (an order-sensitive FNV-1a hash
-    /// of the class vector): two applications whose services partition
-    /// differently get different signatures with overwhelming probability,
-    /// so caches keyed by graph shape can mix in the partition and never
-    /// collide across applications.
-    pub fn signature(&self) -> u64 {
-        fnv1a(self.class_of.iter().map(|&c| c as u64))
     }
 
     /// Deterministic assignment of concrete services to the positions of a
@@ -1617,8 +1603,7 @@ fn colored_subtree_automorphisms(
     aut.saturating_mul(factorial_u128(run_len))
 }
 
-/// Order-sensitive FNV-1a fold over 64-bit words — the one digest routine
-/// shared by [`WeightClasses::signature`] and
+/// Order-sensitive FNV-1a fold over 64-bit words — the digest routine of
 /// [`crate::fingerprint::AppFingerprint::digest`].
 pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -2547,18 +2532,9 @@ mod tests {
     }
 
     #[test]
-    fn weight_class_signatures_distinguish_partitions() {
+    fn weight_classes_report_sizes_symmetry_and_group_order() {
         let a = WeightClasses::of(&classed_app(&[2, 3]));
-        let b = WeightClasses::of(&classed_app(&[3, 2]));
-        let c = WeightClasses::of(&classed_app(&[5]));
-        assert_ne!(a.signature(), b.signature());
-        assert_ne!(a.signature(), c.signature());
-        assert_eq!(
-            a.signature(),
-            WeightClasses::of(&classed_app(&[2, 3])).signature()
-        );
         assert_eq!(a.sizes(), &[2, 3]);
-        assert_eq!(a.class_vector(), &[0, 0, 1, 1, 1]);
         assert!(a.has_symmetry());
         assert!(!WeightClasses::of(&classed_app(&[1, 1, 1])).has_symmetry());
         assert_eq!(a.group_order(), 2 * 6);

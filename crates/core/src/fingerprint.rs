@@ -15,9 +15,9 @@
 //!   application.  It is *not* a hash: it carries the full canonical weight
 //!   vector and constraint set, so fingerprint equality **is** problem
 //!   equality (a cache keyed by it can never serve a colliding tenant the
-//!   wrong plan).  The weight-class partition signature
-//!   ([`crate::WeightClasses::signature`]) is implied: the canonical weight
-//!   vector determines the partition bit-for-bit;
+//!   wrong plan).  The weight-class partition ([`crate::WeightClasses`])
+//!   is implied: the canonical weight vector determines the partition
+//!   bit-for-bit;
 //! * [`CanonicalApplication`] — the canonical relabelling itself, plus the
 //!   permutation connecting tenant labels to canonical labels, so plans
 //!   solved on the canonical application can be mapped back to each tenant

@@ -21,15 +21,15 @@
 //!   non-strict tie-dominance prune (`tie_dominated`);
 //! * [`EvalCache`] — a concurrent memo of expensive candidate evaluations
 //!   (the one-port latency ordering searches of MINLATENCY's DAG phase)
-//!   keyed by a canonical shape-plus-weights signature, so the members of an
+//!   keyed by a canonical edge-set signature, so the members of an
 //!   equivalence class share a single search;
-//! * [`CanonicalSpace`] / [`Symmetry`] — the symmetry-reduced *enumeration*
-//!   layer: on constraint-free instances the forest searches iterate
-//!   canonical representatives of weight-class orbits instead of the full
-//!   labelled space — full relabelling symmetry on uniform weights,
-//!   **class-preserving** relabelling (the product of per-weight-class
-//!   symmetric groups) on multi-class instances — falling back to the
-//!   bit-identical full enumeration otherwise (the DAG walk of
+//! * [`CanonicalSpace`] — the symmetry-reduced *enumeration* layer: on
+//!   [`CanonicalSpace::class_reducible`] instances the forest search
+//!   iterates canonical representatives of weight-class orbits instead of
+//!   the full labelled space — full relabelling symmetry on uniform
+//!   weights, **class-preserving** relabelling (the product of
+//!   per-weight-class symmetric groups) on multi-class instances — and
+//!   walks the labelled space otherwise (the DAG walk of
 //!   `crate::minperiod` always walks the labelled space);
 //! * [`frontier`] — the one walk of a reduced space: the streamed
 //!   bound-ordered canonical search, which applies the partial bounds before
@@ -42,13 +42,11 @@
 //! Two labelled DAGs are merged only when the merge provably cannot change a
 //! single output bit:
 //!
-//! * every graph is keyed by its exact edge set plus the weight-class
-//!   partition's signature (the DAG walk builds each labelled DAG once, so
-//!   the exact key pays across the solves sharing a cache — the three
-//!   models' MINLATENCY DAG phases in a `solve_all` sweep run the same
-//!   one-port ordering searches — and the partition in the key keeps
-//!   class-reduced and full-path entries from ever colliding should one
-//!   cache serve several applications);
+//! * every graph is keyed by its exact edge set (the DAG walk builds each
+//!   labelled DAG once, so the exact key pays across the solves sharing a
+//!   cache — the three models' MINLATENCY DAG phases in a `solve_all`
+//!   sweep run the same one-port ordering searches).  One cache serves one
+//!   application, so the key carries nothing of the weights;
 //! * when **all services carry identical cost and selectivity**, the key is
 //!   additionally canonicalised over node relabellings (the lexicographically
 //!   smallest edge mask over all permutations).  With uniform weights every
@@ -150,52 +148,6 @@ impl Default for Incumbent {
     }
 }
 
-/// Whether an exhaustive search may enumerate canonical representatives of
-/// weight-class orbits instead of the full labelled space.
-///
-/// The reduction is engaged only when **both** hold:
-///
-/// * the caller passes [`Symmetry::Classes`], asserting that its candidate
-///   evaluation is invariant under class-preserving relabellings;
-///   hill-climbing and backtracking evaluations, whose search trajectory
-///   follows node ids, are not;
-/// * the instance is [`CanonicalSpace::class_reducible`] (some weight class
-///   with at least two members, no constraints; uniform weights are the
-///   one-class case).
-///
-/// Otherwise the search runs the bit-identical full enumeration, so
-/// instances outside the gate keep the exact legacy semantics (value *and*
-/// first-minimum winner).  Under a reduction the value is unchanged but the
-/// winning graph follows the **canonical tie-break**: the first optimum in
-/// canonical enumeration order (see `fsw_core::canonical`).
-///
-/// ### The bit-safety gate
-///
-/// `Classes` requires that every float of the evaluation be a function of
-/// the *class-coloured* structure alone.  This holds bit-exactly for every
-/// forest evaluation whose arithmetic follows the structure — the
-/// structural period bounds (input factors are path-order products since
-/// the metrics rework, single-predecessor volumes involve no multi-term
-/// sums, `Cout` multiplies rather than sums) and the tree-latency recursion
-/// (children combine in value order).  Evaluations whose internal sums
-/// could associate differently across orbit members — the one-port ordering
-/// searches, whose schedule accumulation follows node ids — pass `Full`.
-/// The `tests/partial_symmetry_equivalence.rs` suite guards both
-/// directions.  Only the forest search takes a
-/// `Symmetry`: DAG joins sum their `Cin` in label order, so no DAG
-/// evaluation is relabelling-invariant bit for bit, and the DAG walk
-/// always walks the labelled space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Symmetry {
-    /// Always enumerate the full labelled space.
-    Full,
-    /// Enumerate **class-preserving** canonical representatives when the
-    /// instance is [`CanonicalSpace::class_reducible`] (some weight class
-    /// with two or more members); the caller guarantees its evaluation is
-    /// invariant under class-preserving relabellings.
-    Classes,
-}
-
 /// The symmetry-reduced candidate spaces: which instances admit the orbit
 /// collapse and how large the reduced spaces are.
 pub struct CanonicalSpace;
@@ -277,30 +229,29 @@ impl CanonicalSpace {
     }
 }
 
-/// Which admissible partial-assignment bound the forest walks maintain, and
+/// Which admissible partial-assignment bound the plan walks maintain, and
 /// whether they may prune optimum ties against it.
 ///
-/// Every variant but `Off` prunes a subtree whose bound *strictly* clears
-/// the shared incumbent ([`prune_threshold`]), which tolerates a candidate
-/// value sitting a few ulps below the bound.  Only
+/// `StructuralPeriod` and `Latency` prune a subtree whose bound *strictly*
+/// clears the shared incumbent ([`prune_threshold`]), which tolerates a
+/// candidate value sitting a few ulps below the bound.  Only
 /// [`PartialPrune::StructuralPeriod`] adds the non-strict tie-dominance
 /// prune (`tie_dominated`), because only there is no candidate's value
 /// below its prefix's bound, not even by an ulp.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartialPrune {
-    /// No partial pruning: the enumeration degenerates to the brute force
-    /// (used by the reference solvers the property tests compare against).
+    /// No partial bound: every complete candidate is evaluated, and only
+    /// the cutoff `eval` receives can cut its work short.  The constrained
+    /// MINPERIOD DAG walk of `minimize_period` runs under it (the DAG walk
+    /// keeps a latency floor only), as do the unpruned reference walks the
+    /// equivalence tests compare against.
     Off,
     /// Prune on [`fsw_core::PartialForestMetrics::period_bound`] for the
-    /// given model, by strict clearance only.  Valid whenever the candidate
-    /// evaluation is at least the model's structural period lower bound up
-    /// to rounding (every one-port schedule's period is); a value a few
-    /// ulps below the bound is absorbed by the strict-clearance margin.
-    Period(fsw_core::CommModel),
-    /// [`PartialPrune::Period`] for a candidate evaluation that *is* the
-    /// model's structural period bound (`PlanMetrics::period_lower_bound`)
-    /// bit for bit, as the MINPERIOD plan searches' is.  The partial bound
-    /// is then bit-admissible, so the walks add tie dominance.
+    /// given model, for a candidate evaluation that *is* the model's
+    /// structural period bound (`PlanMetrics::period_lower_bound`) bit for
+    /// bit, as every MINPERIOD plan search's is.  The partial bound is then
+    /// bit-admissible, so the forest walks add tie dominance to strict
+    /// clearance.
     StructuralPeriod(fsw_core::CommModel),
     /// Prune on [`fsw_core::PartialForestMetrics::latency_bound`] in the
     /// forest walks and on the DAG walk's decided-prefix critical-path
@@ -317,9 +268,7 @@ impl PartialPrune {
     pub(crate) fn bound(self, metrics: &mut PartialForestMetrics<'_>) -> Option<f64> {
         match self {
             PartialPrune::Off => None,
-            PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
-                Some(metrics.period_bound(model))
-            }
+            PartialPrune::StructuralPeriod(model) => Some(metrics.period_bound(model)),
             PartialPrune::Latency => Some(metrics.latency_bound()),
         }
     }
@@ -363,22 +312,23 @@ enum CacheEntry {
 }
 
 /// A concurrent memo of bounded candidate evaluations keyed by canonical
-/// shape-plus-weights signatures (see the module docs for the merge rules).
+/// edge-set signatures (see the module docs for the merge rules).
 ///
-/// One instance serves one [`Application`]; `solve_all` shares an instance
-/// across a whole model × objective sweep, the serving layer (`fsw_serve`)
-/// shares one per application fingerprint across a batch's cold solves,
-/// and its online sessions retain one across re-plans (rebuilt on
-/// mutation, since entries depend on the weights).  The cache **owns** a
-/// copy of its application (applications are a few dozen bytes), so
-/// long-lived holders need no self-referential lifetimes.
+/// One instance serves one [`Application`], so its keys are
+/// `(exhaustive, edge mask)` alone; `solve_all` shares an instance across
+/// a whole model × objective sweep, the serving layer (`fsw_serve`) shares
+/// one per application fingerprint across a batch's cold solves, and its
+/// online sessions retain one across re-plans (rebuilt on mutation, since
+/// entries depend on the weights).  `solve_warm_observed` refuses a cache
+/// built for another application.  The cache **owns** a copy of its
+/// application (applications are a few dozen bytes), so long-lived holders
+/// need no self-referential lifetimes.
 ///
-/// Construction copies the application and nothing else: the weight-class
-/// partition, its signature and the relabelling list are built on first
-/// use.  Many solves never read the cache (every MINPERIOD solve, and a
-/// MINLATENCY solve without a DAG phase), and there an eager build would
-/// cost 5 059 allocations and 468 KiB for the relabellings of a uniform
-/// 7-service application alone.
+/// Construction copies the application and nothing else: the relabelling
+/// list is built on first use.  Many solves never read the cache (every
+/// MINPERIOD solve, and a MINLATENCY solve without a DAG phase), and there
+/// an eager build would cost 5 059 allocations and 468 KiB for the
+/// relabellings of a uniform 7-service application alone.
 pub struct EvalCache {
     app: Application,
     /// Node relabellings exhaustive entries may be canonicalised over
@@ -387,14 +337,7 @@ pub struct EvalCache {
     /// is unsound for the label-following searches cached here (see
     /// `EvalCache::relabellings`).  Built on the first exhaustive lookup.
     perms: OnceLock<Vec<Vec<ServiceId>>>,
-    /// The application's weight-class partition and its signature, built
-    /// once per cache on first use.
-    /// The signature is mixed into every key so entries can never collide
-    /// across applications whose services partition differently (e.g. when
-    /// a future service layer shares one cache across a fleet of
-    /// `solve_all` applications).
-    classes: OnceLock<(WeightClasses, u64)>,
-    map: Mutex<HashMap<(bool, u64, u128), CacheEntry>>,
+    map: Mutex<HashMap<(bool, u128), CacheEntry>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -409,7 +352,6 @@ impl EvalCache {
         EvalCache {
             app: app.clone(),
             perms: OnceLock::new(),
-            classes: OnceLock::new(),
             map: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -421,27 +363,19 @@ impl EvalCache {
         &self.app
     }
 
-    fn classes_and_signature(&self) -> &(WeightClasses, u64) {
-        self.classes.get_or_init(|| {
-            let classes = WeightClasses::of(&self.app);
-            let signature = classes.signature();
-            (classes, signature)
-        })
-    }
-
     /// The relabellings exhaustive entries are canonicalised over, built on
     /// first use.
     fn relabellings(&self) -> &[Vec<ServiceId>] {
         self.perms.get_or_init(|| {
             let n = self.app.n();
-            let classes = &self.classes_and_signature().0;
+            let classes = WeightClasses::of(&self.app);
             // Cross-label merging of exhaustive entries is enabled on
             // **uniform** instances only: the exhaustive one-port searches
             // cached here follow node ids internally, and on multi-class
             // instances two class-isomorphic graphs can return values an ulp
             // apart (different summation orders over *different* per-class
-            // terms), so merging them would break the bit-exact
-            // full-enumeration fallback the `Symmetry` gate promises.
+            // terms), so merging them would make a cached value depend on
+            // which orbit member was evaluated first.
             if n > 1 && classes.is_uniform() && classes.group_order() <= MAX_CANONICAL_PERMS as u128
             {
                 let ids: Vec<ServiceId> = (0..n).collect();
@@ -514,11 +448,7 @@ impl EvalCache {
             // DAG enumeration, which is capped well below this).
             return compute(cutoff);
         }
-        let key = (
-            exhaustive,
-            self.classes_and_signature().1,
-            self.signature(graph, exhaustive),
-        );
+        let key = (exhaustive, self.signature(graph, exhaustive));
         {
             let map = self.map.lock().expect("cache poisoned");
             match map.get(&key) {
@@ -592,6 +522,36 @@ mod tests {
         assert!(prune_threshold(10.0) < 10.0 + 1e-6);
         assert!(prune_threshold(f64::INFINITY).is_infinite());
         assert!(prune_threshold(0.0) > 0.0);
+    }
+
+    /// Tie dominance engages only under `StructuralPeriod`, whose candidate
+    /// values never sit below their prefix's bound, and only for a prefix
+    /// whose bound reaches the local best's value and whose completions
+    /// all come after the local best.
+    #[test]
+    fn tie_dominance_engages_only_on_the_structural_period_bound() {
+        let best = Some((4.0, 3u64, ExecutionGraph::new(2)));
+        let ulp_below = f64::from_bits(4.0f64.to_bits() - 1);
+        for model in fsw_core::CommModel::ALL {
+            let prune = PartialPrune::StructuralPeriod(model);
+            assert!(tie_dominated(prune, 4.0, 4, best.as_ref()), "{model}");
+            assert!(tie_dominated(prune, 5.0, 9, best.as_ref()), "{model}");
+            assert!(
+                !tie_dominated(prune, ulp_below, 4, best.as_ref()),
+                "{model}: the bound is below the best value"
+            );
+            for first in [2, 3] {
+                assert!(
+                    !tie_dominated(prune, 4.0, first, best.as_ref()),
+                    "{model}: the prefix does not come later than the best"
+                );
+            }
+            assert!(!tie_dominated(prune, 4.0, 4, None), "{model}: no best");
+        }
+        for prune in [PartialPrune::Latency, PartialPrune::Off] {
+            assert!(!tie_dominated(prune, 4.0, 4, best.as_ref()), "{prune:?}");
+            assert!(!tie_dominated(prune, 5.0, 9, best.as_ref()), "{prune:?}");
+        }
     }
 
     #[test]

@@ -339,9 +339,7 @@ where
 pub fn constructive_plans(app: &Application, prune: PartialPrune) -> Vec<ExecutionGraph> {
     let plans = match prune {
         PartialPrune::Off => Vec::new(),
-        PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
-            crate::minperiod::seed_graphs(app, model)
-        }
+        PartialPrune::StructuralPeriod(model) => crate::minperiod::seed_graphs(app, model),
         PartialPrune::Latency => crate::minlatency::seed_graphs(app),
     };
     plans
@@ -422,9 +420,7 @@ where
     let mut stats = StreamStats::default();
     let objective = match prune {
         PartialPrune::Off => None,
-        PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
-            Some(ShapeObjective::Period(model))
-        }
+        PartialPrune::StructuralPeriod(model) => Some(ShapeObjective::Period(model)),
         PartialPrune::Latency => Some(ShapeObjective::Latency),
     };
     let bounder = objective.map(|o| ShapeBounder::new(app, o));

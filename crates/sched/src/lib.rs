@@ -51,11 +51,10 @@ pub mod par;
 pub mod tree;
 
 pub use chain::{chain_latency, chain_minlatency_order, chain_minperiod_order, chain_period};
-pub use engine::{CanonicalSpace, EvalCache, Incumbent, PartialPrune, Symmetry};
+pub use engine::{CanonicalSpace, EvalCache, Incumbent, PartialPrune};
 pub use latency::{
-    latency_lower_bound, multiport_latency, multiport_proportional_latency,
-    oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,
-    LatencyEvaluator, LatencySearchResult,
+    latency_lower_bound, multiport_proportional_latency, oneport_latency_for_orderings,
+    oneport_latency_search, oneport_latency_search_bounded, LatencyEvaluator, LatencySearchResult,
 };
 pub use minlatency::minimize_latency;
 pub use minperiod::{minimize_period, SearchOutcome};

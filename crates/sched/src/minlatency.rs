@@ -24,7 +24,7 @@ use fsw_core::{Application, CommModel, CoreResult, ExecutionGraph, PlanMetrics};
 
 use crate::chain::{chain_graph, chain_minlatency_order};
 use crate::engine::frontier::StreamProbe;
-use crate::engine::{EvalCache, PartialPrune, Symmetry};
+use crate::engine::{EvalCache, PartialPrune};
 use crate::latency::{
     multiport_proportional_latency, oneport_latency_search, oneport_latency_search_bounded,
     LatencyEvaluator,
@@ -221,14 +221,14 @@ pub(crate) fn minimize_latency_engine(
             evals.fetch_add(1, Ordering::Relaxed);
             tree_latency(app, g).unwrap_or(f64::INFINITY)
         };
+        // Algorithm 1 is exact and purely structural, hence invariant under
+        // class-preserving relabellings, as the orbit reduction of a
+        // class-reducible instance requires.
         best = exhaustive_forest_search(
             app,
             budget.max_graphs,
             exec,
             PartialPrune::Latency,
-            // Algorithm 1 is exact and purely structural, hence invariant
-            // under class-preserving relabellings (the `Classes` gate).
-            Symmetry::Classes,
             incumbent_seed,
             &eval,
             probe,

@@ -35,9 +35,7 @@ use crate::chain::{chain_graph, chain_minperiod_order};
 use crate::engine::frontier::{
     streamed_canonical_search, DagStats, EngineMetrics, StreamProbe, StreamStats,
 };
-use crate::engine::{
-    prune_threshold, tie_dominated, CanonicalSpace, Incumbent, PartialPrune, Symmetry,
-};
+use crate::engine::{prune_threshold, tie_dominated, CanonicalSpace, Incumbent, PartialPrune};
 use crate::orchestrator::SearchBudget;
 use crate::par::{fold_min, par_chunks, Exec};
 
@@ -103,8 +101,7 @@ pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
 /// dominance) — either way the first-minimum winner of the brute-force
 /// enumeration always survives, whatever the thread count.
 ///
-/// Every plan space has exactly one walk.  When `symmetry` is
-/// [`Symmetry::Classes`] and the instance is
+/// Every plan space has exactly one walk.  When the instance is
 /// [`CanonicalSpace::class_reducible`] (no constraints, some weight class
 /// with two or more services: uniform weights are the one-class case), the
 /// search streams the canonical orbit space bound-first
@@ -112,13 +109,25 @@ pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
 /// **shape** count (A000081, 1 842 shapes at `n = 10` versus `10^10`
 /// parent functions), the optimum *value* is unchanged, and the winner is
 /// the canonical tie-break representative, the first optimum in canonical
-/// enumeration order.  Callers passing `Classes` assert that `eval` is
-/// invariant under class-preserving relabellings — see the bit-safety
-/// discussion on [`Symmetry`].  Every other space is walked depth-first
-/// over the `n^n` labelled parent functions.  Either way the
-/// search returns `None` when the space exceeds `cap`, when no feasible
-/// forest exists, or when the deadline expires before any candidate was
-/// examined.
+/// enumeration order.  Every other space is walked depth-first over the
+/// `n^n` labelled parent functions, and its winner is the first minimum of
+/// that enumeration.  Either way the search returns `None` when the space
+/// exceeds `cap`, when no feasible forest exists, or when the deadline
+/// expires before any candidate was examined.
+///
+/// On a class-reducible instance the caller must supply an `eval` that is
+/// invariant under class-preserving relabellings **bit for bit**: a
+/// relabelling that permutes services of one weight class among
+/// themselves must not change a single bit of any value, or the reduced
+/// walk could miss an orbit member valued an ulp lower.  Both production
+/// evaluations meet this: the structural period bounds (input factors are
+/// path-order products, single-predecessor volumes involve no multi-term
+/// sums, `Cout` multiplies rather than sums) and the tree latency of
+/// Algorithm 1 (children combine in value order).  Evaluations whose
+/// internal sums follow service ids do not — the one-port ordering
+/// searches, and every DAG evaluation, since DAG joins sum their `Cin` in
+/// label order — and they never reach this walk: the DAG phase has its own
+/// labelled walk, [`exhaustive_dag_search`].
 ///
 /// `incumbent_seed` pre-loads the shared incumbent with a known upper bound
 /// (the warm-start entry of the serving layer: the value of a previous plan
@@ -140,7 +149,6 @@ pub fn exhaustive_forest_search<F>(
     cap: usize,
     exec: Exec,
     prune: PartialPrune,
-    symmetry: Symmetry,
     incumbent_seed: f64,
     eval: &F,
     probe: Option<&StreamProbe>,
@@ -152,7 +160,7 @@ where
     if n == 0 {
         return None;
     }
-    if symmetry == Symmetry::Classes && CanonicalSpace::class_reducible(app) {
+    if CanonicalSpace::class_reducible(app) {
         // The streamed walk never materialises the coloured space, so its
         // budget gate is the shape count.  Beyond it the labelled space
         // (n^n > A000081(n+1) for n >= 2) is over the cap too.
@@ -902,7 +910,6 @@ pub(crate) fn minimize_period_engine(
             budget.max_graphs,
             exec,
             PartialPrune::StructuralPeriod(model),
-            Symmetry::Classes,
             incumbent_seed,
             &eval,
             probe,
@@ -1031,8 +1038,7 @@ mod tests {
                         &app,
                         2_000_000,
                         Exec::serial(),
-                        PartialPrune::Period(model),
-                        Symmetry::Classes,
+                        PartialPrune::StructuralPeriod(model),
                         f64::INFINITY,
                         &|g, _| eval(g),
                         None,
@@ -1266,6 +1272,8 @@ mod tests {
     #[test]
     fn two_level_split_is_bit_identical_to_serial() {
         let app = Application::independent(&[(2.0, 0.5), (1.0, 2.0), (3.0, 0.8), (1.0, 0.6)]);
+        // Distinct weights: the search walks the labelled space.
+        assert!(!CanonicalSpace::class_reducible(&app));
         let eval = |g: &ExecutionGraph, _c: f64| {
             PlanMetrics::compute(&app, g)
                 .map(|m| m.period_lower_bound(CommModel::InOrder))
@@ -1276,8 +1284,7 @@ mod tests {
                 &app,
                 2_000_000,
                 exec,
-                PartialPrune::Period(CommModel::InOrder),
-                Symmetry::Full,
+                PartialPrune::StructuralPeriod(CommModel::InOrder),
                 f64::INFINITY,
                 &eval,
                 None,

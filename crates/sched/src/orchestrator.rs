@@ -348,11 +348,10 @@ pub fn solve_warm_observed(
     metrics: Option<&std::sync::Arc<fsw_obs::MetricsRegistry>>,
 ) -> CoreResult<(Solution, SolveStats)> {
     problem.app.validate()?;
-    // The cache key carries the weight-class *partition signature*, not the
-    // weight bits themselves (two different applications with the same
-    // partition pattern collide), so a cache built for another application
-    // would silently serve its memoised evaluations here.  Enforce the
-    // pairing the private callers used to guarantee by construction.
+    // The cache key is the candidate's edge set alone, nothing of the
+    // weights, so a cache built for another application would silently
+    // serve its memoised evaluations here.  Enforce the pairing the private
+    // callers used to guarantee by construction.
     if cache.app() != problem.app {
         return Err(fsw_core::CoreError::Unsupported {
             reason: "evaluation cache was built for a different application",

@@ -115,21 +115,6 @@ impl CommOrderings {
         Some((0..space.len()).map(|i| space.get(i)).collect())
     }
 
-    /// A uniformly random ordering.
-    pub fn random<R: FnMut(usize) -> usize>(graph: &ExecutionGraph, mut pick: R) -> Self {
-        let mut ords = CommOrderings::natural(graph);
-        for lists in [&mut ords.incoming, &mut ords.outgoing] {
-            for list in lists.iter_mut() {
-                // Fisher-Yates with the caller-provided index picker.
-                for i in (1..list.len()).rev() {
-                    let j = pick(i + 1);
-                    list.swap(i, j);
-                }
-            }
-        }
-        ords
-    }
-
     /// Swaps two adjacent entries of one server's incoming or outgoing list
     /// (used by local search).  Returns `false` if the position is out of range.
     pub fn swap_adjacent(&mut self, server: ServiceId, outgoing: bool, pos: usize) -> bool {
@@ -411,19 +396,6 @@ mod tests {
             assert_eq!(&space.get(i), ords, "index {i}");
         }
         assert!(OrderingSpace::new(&g, 10).is_none());
-    }
-
-    #[test]
-    fn random_orderings_are_consistent() {
-        let g = fork_join();
-        let mut state = 12345u64;
-        let ords = CommOrderings::random(&g, |m| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize % m
-        });
-        assert!(ords.is_consistent_with(&g));
     }
 
     #[test]

@@ -126,13 +126,16 @@ fn build_ops(
 ///
 /// Returns `Ok(None)` when the backtracking search, limited to
 /// [`SearchBudget::outorder_node_budget`] nodes and the budget's
-/// [`SearchBudget::time_limit`], finds no schedule.
+/// [`SearchBudget::time_limit`], finds no schedule.  An application that
+/// [`Application::validate`] refuses gets its error before any scheduling
+/// work.
 pub fn outorder_schedule_at(
     app: &Application,
     graph: &ExecutionGraph,
     lambda: f64,
     budget: &SearchBudget,
 ) -> CoreResult<Option<OperationList>> {
+    app.validate()?;
     let metrics = PlanMetrics::compute(app, graph)?;
     let ops = build_ops(app, graph, &metrics)?;
     let deadline = budget.exec().deadline;

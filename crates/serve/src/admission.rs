@@ -56,6 +56,10 @@ use fsw_sched::orchestrator::{Objective, SearchBudget};
 /// function of the instance, never of machine load.
 const FLOOR_MAX_N: usize = 10;
 
+/// Wall-clock budget of the coloured-orbit counting pass; past it the
+/// price falls back to the raw `n^n` space, flagged inexact.
+const PRICING_BUDGET: Duration = Duration::from_millis(5);
+
 /// The structural price of one request, computed before any enumeration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimate {
@@ -83,9 +87,8 @@ pub struct CostEstimate {
 pub enum AdmissionDecision {
     /// Cheap enough to solve exactly under the service budget.
     Admit {
-        /// The price, without a floor (`None` from an open policy, which
-        /// never prices).
-        estimate: Option<CostEstimate>,
+        /// The price, without a floor.
+        estimate: CostEstimate,
     },
     /// Too big for an exact promise, small enough to try: solve under
     /// `time_limit` and degrade to the best incumbent if it fires.
@@ -121,40 +124,19 @@ pub struct AdmissionPolicy {
     pub reject_cost: u128,
     /// Deadline armed on solves in the degrade band.
     pub degrade_time_limit: Duration,
-    /// Wall-clock budget of the coloured-orbit counting pass (the value
-    /// floor is bounded structurally instead, so it stays deterministic).
-    pub pricing_budget: Duration,
 }
 
 impl AdmissionPolicy {
     /// The hardened default for `budget`: admit up to the enumeration cap
-    /// the budget could cover exactly (`max_graphs`), allow a 64× overshoot
-    /// band under a 50 ms degrade deadline, and spend at most 5 ms pricing.
+    /// the budget could cover exactly (`max_graphs`) and allow a 64×
+    /// overshoot band under a 50 ms degrade deadline.
     pub fn for_budget(budget: &SearchBudget) -> Self {
         let admit_cost = (budget.max_graphs as u128).max(1);
         AdmissionPolicy {
             admit_cost,
             reject_cost: admit_cost.saturating_mul(64),
             degrade_time_limit: Duration::from_millis(50),
-            pricing_budget: Duration::from_millis(5),
         }
-    }
-
-    /// Admit everything without pricing — the pre-admission behaviour,
-    /// used by [`crate::solve_all`] where the caller owns the fleet and
-    /// wants an answer (possibly degraded) for every member.
-    pub fn open() -> Self {
-        AdmissionPolicy {
-            admit_cost: u128::MAX,
-            reject_cost: u128::MAX,
-            degrade_time_limit: Duration::from_millis(50),
-            pricing_budget: Duration::ZERO,
-        }
-    }
-
-    /// `true` when this policy admits everything (no pricing runs).
-    pub fn is_open(&self) -> bool {
-        self.admit_cost == u128::MAX
     }
 
     /// Prices `app` and decides at baseline thresholds (shed level 0; see
@@ -170,12 +152,12 @@ impl AdmissionPolicy {
     }
 
     /// Prices `app` and decides with both thresholds halved `level` times
-    /// (a serving loop's backpressure; levels above 127 act as 127).
-    /// O(shapes) worst case, bounded by `pricing_budget`; open policies
-    /// admit without pricing at all.  A request over the tightened reject
-    /// threshold is [`Reject`](AdmissionDecision::Reject)ed when it is also
-    /// over the baseline one, and [`Shed`](AdmissionDecision::Shed)
-    /// otherwise.
+    /// (a serving loop's backpressure; levels above 127 act as 127).  Every
+    /// request is priced first, O(shapes) worst case with the orbit count
+    /// bounded by a 5 ms wall-clock budget.  A request over the tightened
+    /// reject threshold is [`Reject`](AdmissionDecision::Reject)ed when it
+    /// is also over the baseline one, and
+    /// [`Shed`](AdmissionDecision::Shed) otherwise.
     pub fn decide_at(
         &self,
         app: &Application,
@@ -184,15 +166,10 @@ impl AdmissionPolicy {
         budget: &SearchBudget,
         level: u32,
     ) -> AdmissionDecision {
-        if self.is_open() {
-            return AdmissionDecision::Admit { estimate: None };
-        }
         let level = level.min(127);
         let mut estimate = self.estimate(app, objective, budget);
         if estimate.cost <= self.admit_cost >> level {
-            return AdmissionDecision::Admit {
-                estimate: Some(estimate),
-            };
+            return AdmissionDecision::Admit { estimate };
         }
         // The floor is only priced when the caller will see it — the
         // degrade band (it becomes the response's certified gap) and the
@@ -235,7 +212,7 @@ impl AdmissionPolicy {
             };
         }
         let classes = WeightClasses::of(app);
-        let pricing_deadline = Instant::now() + self.pricing_budget;
+        let pricing_deadline = Instant::now() + PRICING_BUDGET;
         // Count exactly up to the first quantity that forces a rejection;
         // saturate beyond it (the decision is the same either way).
         let count_cap = self.reject_cost.saturating_add(1);
@@ -330,7 +307,7 @@ mod tests {
             assert!(
                 matches!(
                     policy.decide(&app, model, objective, &budget()),
-                    AdmissionDecision::Admit { estimate: Some(_) }
+                    AdmissionDecision::Admit { .. }
                 ),
                 "{model} {objective}"
             );
@@ -348,9 +325,7 @@ mod tests {
         assert!(estimate.exact);
         assert_eq!(
             policy.decide(&app, CommModel::Overlap, Objective::MinPeriod, &budget()),
-            AdmissionDecision::Admit {
-                estimate: Some(estimate)
-            }
+            AdmissionDecision::Admit { estimate }
         );
     }
 
@@ -415,18 +390,6 @@ mod tests {
             );
             assert!(floor > 0.0, "positive costs imply a positive floor");
         }
-    }
-
-    #[test]
-    fn open_policies_admit_everything_without_pricing() {
-        let specs: Vec<(f64, f64)> = (0..24).map(|k| (1.0 + k as f64, 0.5)).collect();
-        let app = Application::independent(&specs);
-        let policy = AdmissionPolicy::open();
-        assert!(policy.is_open());
-        assert_eq!(
-            policy.decide(&app, CommModel::Overlap, Objective::MinPeriod, &budget()),
-            AdmissionDecision::Admit { estimate: None }
-        );
     }
 
     #[test]

@@ -871,25 +871,19 @@ impl<'r> EventLoop<'r> {
                 self.shed_level,
             )
         };
-        // The latency model: the price in ticks (1 when unpriced).
-        let ticks = |estimate: Option<&CostEstimate>| {
-            estimate.map_or(1, |e| {
-                1 + (e.cost / self.config.cost_per_tick.max(1)).min(u128::from(MAX_LATENCY_TICKS))
-                    as u64
-            })
+        // The latency model: the price in ticks.
+        let ticks = |estimate: &CostEstimate| {
+            1 + (estimate.cost / self.config.cost_per_tick.max(1))
+                .min(u128::from(MAX_LATENCY_TICKS)) as u64
         };
         let (mut time_limit, floor, latency) = match decision {
-            AdmissionDecision::Admit { estimate } => (None, None, ticks(estimate.as_ref())),
+            AdmissionDecision::Admit { estimate } => (None, None, ticks(&estimate)),
             AdmissionDecision::AdmitWithDeadline {
                 time_limit,
                 estimate,
             } => {
                 service.counters.inc(Event::DeadlineAdmit);
-                (
-                    Some(time_limit),
-                    estimate.value_floor,
-                    ticks(Some(&estimate)),
-                )
+                (Some(time_limit), estimate.value_floor, ticks(&estimate))
             }
             AdmissionDecision::Reject { estimate } => {
                 service.counters.inc(Event::AdmissionReject);
@@ -1093,7 +1087,6 @@ impl AsyncFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::AdmissionPolicy;
     use fsw_core::Application;
     use fsw_sched::orchestrator::Objective;
 
@@ -1496,16 +1489,5 @@ mod tests {
         assert_eq!(service.stats().queue_full_sheds, 64);
         assert!(core.queued.is_empty(), "no queued request is left");
         assert!(core.tenant_backlog.is_empty(), "no tenant entry is left");
-    }
-
-    #[test]
-    fn open_admission_skips_pricing_but_still_flows() {
-        let service = Arc::new(
-            PlanService::new(SearchBudget::default(), 16).with_admission(AdmissionPolicy::open()),
-        );
-        let mut frontend = AsyncFrontend::new(service, FrontendConfig::default());
-        frontend.submit(0, small_request(3)).unwrap();
-        let completions = frontend.drain();
-        assert!(completions[0].outcome.is_exact());
     }
 }

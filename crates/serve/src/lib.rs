@@ -90,7 +90,7 @@ pub use admission::{AdmissionDecision, AdmissionPolicy, CostEstimate};
 pub use frontend::{AsyncFrontend, Completion, FrontendConfig, Ticket};
 pub use online::{ReplanOutcome, TenantEvent, TenantSession};
 pub use service::{
-    permutation_collapse_allowed, solve_all, InjectedFault, PlanRequest, PlanResponse, PlanService,
+    permutation_collapse_allowed, InjectedFault, PlanRequest, PlanResponse, PlanService,
     RejectReason, Rejection, ServeOutcome, ServeSource,
 };
 pub use stats::ServeStats;

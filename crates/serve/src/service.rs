@@ -247,7 +247,9 @@ pub enum InjectedFault {
 /// permutations of each other solve to bit-identical values — the gate for
 /// collapsing permuted tenants onto one canonical fingerprint.
 ///
-/// The rules mirror the bit-safety story of `fsw_sched::engine::Symmetry`:
+/// The rules mirror the bit-safety contract of
+/// `fsw_sched::minperiod::exhaustive_forest_search`, whose orbit reduction
+/// needs an evaluation invariant under class-preserving relabellings:
 ///
 /// * constrained applications never collapse (constraints name services);
 /// * MINPERIOD, under every model, values each candidate by its structural
@@ -462,8 +464,8 @@ impl PlanService {
         }
     }
 
-    /// Replaces the admission policy (e.g. [`AdmissionPolicy::open`] to
-    /// admit everything, the pre-admission behaviour).
+    /// Replaces the admission policy, e.g. with thresholds or a degrade
+    /// deadline other than [`AdmissionPolicy::for_budget`]'s.
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
         self
@@ -735,47 +737,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The store-aware batch entry point over a **fleet** of applications: every
-/// `(application, model, objective)` combination becomes one request, the
-/// whole fleet goes through a transient [`PlanService`] batch (so
-/// applications identical after canonicalisation are solved **once**), and
-/// the responses come back grouped per application in request order.
-///
-/// The transient service runs with an **open** admission policy
-/// ([`AdmissionPolicy::open`]): the caller owns the fleet and wants an
-/// answer for every member, so oversized instances come back as their
-/// budget-capped best effort (`exhaustive == false`) instead of being
-/// rejected.
-///
-/// This supersedes looping `fsw_sched::orchestrator::solve_all` over the
-/// fleet, which solved every tenant separately even when all twelve were
-/// the same canonical problem.
-pub fn solve_all(
-    apps: &[Application],
-    requests: &[(CommModel, Objective)],
-    budget: &SearchBudget,
-) -> CoreResult<Vec<Vec<PlanResponse>>> {
-    let service = PlanService::new(*budget, (apps.len() * requests.len()).max(1))
-        .with_admission(AdmissionPolicy::open());
-    let batch: Vec<PlanRequest> = apps
-        .iter()
-        .flat_map(|app| {
-            requests
-                .iter()
-                .map(|&(model, objective)| PlanRequest::new(app.clone(), model, objective))
-        })
-        .collect();
-    let mut responses = service.serve_batch(&batch)?.into_iter().map(|outcome| {
-        outcome
-            .into_response()
-            .expect("open admission answers every validated request")
-    });
-    Ok(apps
-        .iter()
-        .map(|_| responses.by_ref().take(requests.len()).collect())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,29 +940,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcomes[0].expect_exact().source, ServeSource::Cold);
         assert_eq!(outcomes[1].expect_exact().source, ServeSource::Cold);
-    }
-
-    #[test]
-    fn fleet_solve_all_groups_responses_per_application() {
-        let apps = vec![
-            Application::independent(&[(1.0, 0.5), (2.0, 0.8)]),
-            Application::independent(&[(2.0, 0.8), (1.0, 0.5)]), // permutation of the first
-        ];
-        let requests = [
-            (CommModel::Overlap, Objective::MinPeriod),
-            (CommModel::InOrder, Objective::MinPeriod),
-        ];
-        let grouped = solve_all(&apps, &requests, &budget()).unwrap();
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(grouped[0].len(), 2);
-        // The permuted twin is fully deduplicated.
-        assert!(grouped[1].iter().all(|r| r.source == ServeSource::Dedup));
-        for (app, responses) in apps.iter().zip(&grouped) {
-            for (&(model, objective), response) in requests.iter().zip(responses) {
-                let cold = solve(&Problem::new(app, model, objective), &budget()).unwrap();
-                assert_eq!(response.value, cold.value, "{model} {objective}");
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics};
-use fsw::sched::engine::{CanonicalSpace, PartialPrune, Symmetry};
+use fsw::sched::engine::{CanonicalSpace, PartialPrune};
 use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{
     exhaustive_dag_best, exhaustive_dag_search, exhaustive_forest_best, exhaustive_forest_search,
@@ -51,8 +51,7 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
                 &app,
                 2_000_000,
                 Exec::serial(),
-                PartialPrune::Period(model),
-                Symmetry::Classes,
+                PartialPrune::StructuralPeriod(model),
                 f64::INFINITY,
                 &|g, _| eval(g),
                 None,
@@ -70,7 +69,6 @@ fn canonical_forest_values_match_brute_force_on_uniform_weights() {
             2_000_000,
             Exec::serial(),
             PartialPrune::Latency,
-            Symmetry::Classes,
             f64::INFINITY,
             &|g, _| eval(g),
             None,

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand::Rng;
 
 use fsw::core::{CommModel, CoreResult, ExecutionGraph, PlanMetrics};
-use fsw::sched::engine::{PartialPrune, Symmetry};
+use fsw::sched::engine::{CanonicalSpace, PartialPrune};
 use fsw::sched::latency::{
     oneport_latency_for_orderings, oneport_latency_search, oneport_latency_search_bounded,
     LatencyEvaluator,
@@ -162,6 +162,8 @@ fn parallel_searches_equal_serial() {
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
         let graph = random_compatible_graph(&app, 0.6, &mut rng);
+        // Distinct weights: the forest search walks the labelled space.
+        assert!(!CanonicalSpace::class_reducible(&app), "case {case}");
 
         // Forest enumeration, with and without branch-and-bound pruning:
         // every combination must agree bit-for-bit with the serial brute
@@ -176,20 +178,21 @@ fn parallel_searches_equal_serial() {
             2_000_000,
             Exec::serial(),
             PartialPrune::Off,
-            Symmetry::Full,
             f64::INFINITY,
             &eval,
             None,
         )
         .unwrap();
         for threads in [1, 2, 3, 8] {
-            for prune in [PartialPrune::Off, PartialPrune::Period(CommModel::Overlap)] {
+            for prune in [
+                PartialPrune::Off,
+                PartialPrune::StructuralPeriod(CommModel::Overlap),
+            ] {
                 let parallel = exhaustive_forest_search(
                     &app,
                     2_000_000,
                     Exec::threaded(threads), // auto split: two-level (n²) tasks
                     prune,
-                    Symmetry::Full,
                     f64::INFINITY,
                     &eval,
                     None,

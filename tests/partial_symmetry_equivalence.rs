@@ -3,9 +3,9 @@
 //!
 //! * on **multi-weight-class** instances the class-reduced searches must
 //!   return the same optimum *value* as the brute force;
-//! * whenever the bit-safety gate declines (all classes singleton,
-//!   precedence constraints), `Symmetry::Classes` must fall back to the full
-//!   enumeration **bit-for-bit** (identical value *and* witness);
+//! * whenever the orbit reduction declines (all classes singleton,
+//!   precedence constraints), the labelled walk must return the brute
+//!   force's first minimum **bit-for-bit** (identical value *and* winner);
 //! * the streamed walk must return the **first minimum** of a scan over the
 //!   materialised canonical representatives (uniform and classed), value
 //!   and winner, serial and parallel, for the period and the latency bound;
@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use fsw::core::{Application, CommModel, ExecutionGraph, PlanMetrics, WeightClasses};
 use fsw::sched::engine::frontier::{constructive_plans, streamed_canonical_search};
-use fsw::sched::engine::{prune_threshold, CanonicalSpace, PartialPrune, Symmetry};
+use fsw::sched::engine::{prune_threshold, CanonicalSpace, PartialPrune};
 use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{exhaustive_forest_best, exhaustive_forest_search, minimize_period};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
@@ -125,8 +125,7 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
                 &app,
                 2_000_000,
                 Exec::serial(),
-                PartialPrune::Period(model),
-                Symmetry::Classes,
+                PartialPrune::StructuralPeriod(model),
                 f64::INFINITY,
                 &|g, _| eval(g),
                 None,
@@ -144,7 +143,6 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
             2_000_000,
             Exec::serial(),
             PartialPrune::Latency,
-            Symmetry::Classes,
             f64::INFINITY,
             &|g, _| eval(g),
             None,
@@ -155,54 +153,49 @@ fn class_reduced_forest_values_match_brute_force_on_multiclass_instances() {
     }
 }
 
-/// Whenever the gate declines — all classes singleton, or precedence
-/// constraints — `Symmetry::Classes` is the full enumeration bit-for-bit.
+/// A space the orbit reduction declines — every class a singleton, or
+/// precedence constraints — is walked depth-first over its labelled parent
+/// functions, and the walk returns the brute force's first minimum bit for
+/// bit: the same value bits and the same winner.  This is the one check of
+/// the forest walk on a constrained instance.
 #[test]
-fn classes_fall_back_to_full_bit_for_bit_when_the_gate_declines() {
+fn declined_spaces_walk_to_the_brute_force_first_minimum() {
     let mut rng = StdRng::seed_from_u64(0x5002);
+    let check = |app: &Application, label: &str| {
+        assert!(!CanonicalSpace::class_reducible(app), "{label}");
+        let eval = |g: &ExecutionGraph| {
+            PlanMetrics::compute(app, g)
+                .map(|m| m.period_lower_bound(CommModel::InOrder))
+                .unwrap_or(f64::INFINITY)
+        };
+        let brute = exhaustive_forest_best(app, eval).unwrap();
+        let walked = exhaustive_forest_search(
+            app,
+            2_000_000,
+            Exec::serial(),
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
+            f64::INFINITY,
+            &|g, _| eval(g),
+            None,
+        )
+        .unwrap();
+        assert!(walked.exhaustive, "{label}");
+        assert_eq!(brute.0.to_bits(), walked.value.to_bits(), "{label}: value");
+        assert_eq!(
+            graph_edges(&brute.1),
+            graph_edges(&walked.graph),
+            "{label}: winner"
+        );
+    };
     for case in 0..CASES {
         // (a) heterogeneous weights: every class is a singleton.
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
-        assert!(!CanonicalSpace::class_reducible(&app));
-        let run = |app: &Application, symmetry| {
-            let eval = |g: &ExecutionGraph, _c: f64| {
-                PlanMetrics::compute(app, g)
-                    .map(|m| m.period_lower_bound(CommModel::InOrder))
-                    .unwrap_or(f64::INFINITY)
-            };
-            exhaustive_forest_search(
-                app,
-                2_000_000,
-                Exec::serial(),
-                PartialPrune::Period(CommModel::InOrder),
-                symmetry,
-                f64::INFINITY,
-                &eval,
-                None,
-            )
-            .unwrap()
-        };
-        let full = run(&app, Symmetry::Full);
-        let classes = run(&app, Symmetry::Classes);
-        assert_eq!(full.value, classes.value, "case {case}: singleton value");
-        assert_eq!(
-            graph_edges(&full.graph),
-            graph_edges(&classes.graph),
-            "case {case}: singleton witness"
-        );
-        // (b) repeated weights but precedence constraints: the gate declines
-        // regardless of the partition.
+        check(&app, &format!("case {case}: singleton classes"));
+        // (b) repeated weights but precedence constraints: the reduction
+        // declines regardless of the partition.
         let mut constrained = Application::independent(&[(2.0, 0.5); 4]);
         constrained.add_constraint(case % 3, 3).unwrap();
-        assert!(!CanonicalSpace::class_reducible(&constrained));
-        let full = run(&constrained, Symmetry::Full);
-        let classes = run(&constrained, Symmetry::Classes);
-        assert_eq!(full.value, classes.value, "case {case}: constrained value");
-        assert_eq!(
-            graph_edges(&full.graph),
-            graph_edges(&classes.graph),
-            "case {case}: constrained witness"
-        );
+        check(&constrained, &format!("case {case}: constrained"));
     }
 }
 
@@ -232,8 +225,7 @@ fn streamed_walk_equals_the_first_minimum_scan_on_orbit_spaces() {
                     &app,
                     2_000_000,
                     Exec::threaded(threads),
-                    PartialPrune::Period(model),
-                    Symmetry::Classes,
+                    PartialPrune::StructuralPeriod(model),
                     f64::INFINITY,
                     &|g, _| eval(g),
                     None,
@@ -485,7 +477,7 @@ fn streamed_cap_governs_peak_resident_and_keeps_the_winner_bit_identical() {
             &app,
             &classes,
             Exec::threaded(threads),
-            PartialPrune::Period(model),
+            PartialPrune::StructuralPeriod(model),
             f64::INFINITY,
             &|g, _| eval(g),
             None,
@@ -591,7 +583,7 @@ fn uniform_streamed_winner_matches_the_materialised_scan_up_to_n12() {
                     &app,
                     &classes,
                     Exec::threaded(threads),
-                    PartialPrune::Period(model),
+                    PartialPrune::StructuralPeriod(model),
                     f64::INFINITY,
                     &|g, _| eval(g),
                     None,
@@ -781,7 +773,6 @@ fn streamed_tie_dominance_equals_the_first_minimum_scan() {
                     2_000_000,
                     Exec::threaded(threads),
                     PartialPrune::StructuralPeriod(model),
-                    Symmetry::Classes,
                     f64::INFINITY,
                     &|g, _| eval(g),
                     None,
@@ -828,7 +819,7 @@ fn constructive_prelude_cutoff_keeps_the_walk() {
         ),
         (
             tiered_query_optimization(&[4, 3], &mut rng),
-            PartialPrune::Period(CommModel::InOrder),
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
         ),
         (
             tiered_query_optimization(&[3, 3], &mut rng),
@@ -838,7 +829,10 @@ fn constructive_prelude_cutoff_keeps_the_walk() {
             Application::independent(&[(1.5, 0.6); 7]),
             PartialPrune::Latency,
         ),
-        (mixed.clone(), PartialPrune::Period(CommModel::InOrder)),
+        (
+            mixed.clone(),
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
+        ),
         (mixed, PartialPrune::Latency),
     ];
     let (mut tight, mut loose, mut cut_shapes) = (0, 0, 0);
@@ -846,9 +840,7 @@ fn constructive_prelude_cutoff_keeps_the_walk() {
         let classes = WeightClasses::of(app);
         let objective = match *prune {
             PartialPrune::Latency => ShapeObjective::Latency,
-            PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
-                ShapeObjective::Period(model)
-            }
+            PartialPrune::StructuralPeriod(model) => ShapeObjective::Period(model),
             PartialPrune::Off => unreachable!("every case bounds its objective"),
         };
         let eval = |g: &ExecutionGraph| match objective {
@@ -992,15 +984,21 @@ fn streamed_plateau_walk_equals_the_scan_and_the_stored_walk() {
             near_overlap,
             PartialPrune::StructuralPeriod(CommModel::Overlap),
         ),
-        (near_inorder, PartialPrune::Period(CommModel::InOrder)),
-        (near_chain, PartialPrune::Period(CommModel::InOrder)),
+        (
+            near_inorder,
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
+        ),
+        (
+            near_chain,
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
+        ),
         (
             Application::independent(&[(0.5, 0.05); 9]),
             PartialPrune::StructuralPeriod(CommModel::Overlap),
         ),
         (
             Application::independent(&[(2.0, 0.7); 8]),
-            PartialPrune::Period(CommModel::InOrder),
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
         ),
         (
             tiered_query_optimization(&[4, 3], &mut rng),
@@ -1008,7 +1006,7 @@ fn streamed_plateau_walk_equals_the_scan_and_the_stored_walk() {
         ),
         (
             tiered_query_optimization(&[4, 3], &mut rng),
-            PartialPrune::Period(CommModel::InOrder),
+            PartialPrune::StructuralPeriod(CommModel::InOrder),
         ),
         (
             Application::independent(&[(1.5, 0.6); 7]),
@@ -1025,9 +1023,7 @@ fn streamed_plateau_walk_equals_the_scan_and_the_stored_walk() {
         let classes = WeightClasses::of(app);
         let objective = match *prune {
             PartialPrune::Latency => ShapeObjective::Latency,
-            PartialPrune::Period(model) | PartialPrune::StructuralPeriod(model) => {
-                ShapeObjective::Period(model)
-            }
+            PartialPrune::StructuralPeriod(model) => ShapeObjective::Period(model),
             PartialPrune::Off => unreachable!("every case bounds its objective"),
         };
         let eval = |g: &ExecutionGraph| match objective {

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use fsw::core::{CommModel, ExecutionGraph, PlanMetrics};
 use fsw::obs::MetricsRegistry;
 use fsw::sched::engine::frontier::{DagStats, StreamProbe};
-use fsw::sched::engine::{CanonicalSpace, EvalCache, PartialPrune, Symmetry};
+use fsw::sched::engine::{CanonicalSpace, EvalCache, PartialPrune};
 use fsw::sched::latency::{
     oneport_latency_search, oneport_latency_search_bounded, LatencyEvaluator,
 };
@@ -47,6 +47,8 @@ fn pruned_forest_enumeration_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(0xBB01);
     for case in 0..CASES {
         let app = random_application(&RandomAppConfig::independent(4), &mut rng);
+        // Distinct weights: the search walks the labelled space.
+        assert!(!CanonicalSpace::class_reducible(&app), "case {case}");
         for model in CommModel::ALL {
             let eval = |g: &ExecutionGraph| {
                 PlanMetrics::compute(&app, g)
@@ -58,8 +60,7 @@ fn pruned_forest_enumeration_matches_brute_force() {
                 &app,
                 2_000_000,
                 Exec::serial(),
-                PartialPrune::Period(model),
-                Symmetry::Full,
+                PartialPrune::StructuralPeriod(model),
                 f64::INFINITY,
                 &|g, _| eval(g),
                 None,
@@ -80,7 +81,6 @@ fn pruned_forest_enumeration_matches_brute_force() {
             2_000_000,
             Exec::serial(),
             PartialPrune::Latency,
-            Symmetry::Full,
             f64::INFINITY,
             &|g, _| eval(g),
             None,

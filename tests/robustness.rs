@@ -31,7 +31,7 @@ use fsw::sched::engine::CanonicalSpace;
 use fsw::sched::latency::oneport_latency_search;
 use fsw::sched::oneport::{oneport_period_search, OnePortStyle};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
-use fsw::sched::outorder::outorder_period_search;
+use fsw::sched::outorder::{outorder_period_search, outorder_schedule_at};
 use fsw::serve::{
     AdmissionPolicy, AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService,
     RejectReason, ServeOutcome, TenantEvent, TenantSession,
@@ -493,4 +493,17 @@ fn an_application_with_no_services_is_refused_at_every_entry() {
     assert!(refused(searched.map(|r| r.period)), "OUTORDER");
     let searched = oneport_latency_search(&nan_fork, &fork, 5_000);
     assert!(refused(searched.map(|r| r.latency)), "latency");
+    // So does the fixed-period OUTORDER scheduler: a refused application
+    // gets `validate`'s error, not an answer about its schedule.
+    assert!(
+        matches!(
+            outorder_schedule_at(&nan_fork, &fork, 7.0, &budget),
+            Err(CoreError::NonPositiveCost { id: 0, cost }) if cost.is_nan()
+        ),
+        "OUTORDER at a fixed period"
+    );
+    assert_eq!(
+        outorder_schedule_at(&empty, &ExecutionGraph::new(0), 7.0, &budget).map(|_| ()),
+        Err(CoreError::EmptyApplication)
+    );
 }
