@@ -108,11 +108,6 @@ impl WeightClasses {
         self.class_of[k]
     }
 
-    /// Number of services in class `c`.
-    pub fn class_size(&self, c: usize) -> usize {
-        self.sizes[c]
-    }
-
     /// The class sizes, indexed by class.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes
@@ -1777,7 +1772,7 @@ mod tests {
         assert_eq!(classes.class_count(), 3);
         assert_eq!(classes.class_of(0), classes.class_of(2));
         assert_ne!(classes.class_of(0), classes.class_of(1));
-        assert_eq!(classes.class_size(classes.class_of(0)), 2);
+        assert_eq!(classes.sizes()[classes.class_of(0)], 2);
         assert!(!classes.is_uniform());
         let uniform = Application::independent(&[(3.0, 0.7); 5]);
         assert!(WeightClasses::of(&uniform).is_uniform());

@@ -586,6 +586,107 @@ impl ExecutionGraph {
     }
 }
 
+/// An execution graph packed for keeping: `n`, then the two endpoints of
+/// every edge in successor-list order (sources ascending, each source's
+/// targets sorted), every label an LEB128 varint — one byte below 128, a
+/// byte more per further 7 bits.  A graph of `n < 128` services and `m`
+/// edges packs into `1 + 2m` bytes: 11 for a six-service forest, whose
+/// [`ExecutionGraph`] block takes 96.
+///
+/// The code has no random access: it is read whole, and
+/// [`relabelled`](Self::relabelled) decodes it straight into an
+/// [`ExecutionGraph`] in one pass and one allocation.  It can only be
+/// built from an [`ExecutionGraph`] (`PackedGraph::from(&graph)`), so
+/// every code holds a valid graph and decoding checks nothing but the
+/// relabelling's size.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct PackedGraph {
+    code: Box<[u8]>,
+}
+
+impl From<&ExecutionGraph> for PackedGraph {
+    /// Packs `graph` into one exact-size allocation.
+    fn from(graph: &ExecutionGraph) -> Self {
+        let labels = || std::iter::once(graph.n()).chain(graph.edges().flat_map(|(i, j)| [i, j]));
+        let len = labels().map(varint_len).sum();
+        let mut code = Vec::with_capacity(len);
+        for mut label in labels() {
+            while label >= 0x80 {
+                code.push(label as u8 | 0x80);
+                label >>= 7;
+            }
+            code.push(label as u8);
+        }
+        debug_assert_eq!(code.len(), len);
+        PackedGraph {
+            code: code.into_boxed_slice(),
+        }
+    }
+}
+
+impl PackedGraph {
+    /// The packed graph under the node relabelling `perm` (edge `i → j`
+    /// becomes `perm[i] → perm[j]`), decoded in one pass and one
+    /// allocation: equal to `ExecutionGraph::relabelled(&graph, perm)` of
+    /// the graph it was packed from.  Fails with
+    /// [`CoreError::SizeMismatch`] unless `perm` has one entry per
+    /// service; `perm` must be a permutation of `0..n` (debug-asserted).
+    pub fn relabelled(&self, perm: &[ServiceId]) -> CoreResult<ExecutionGraph> {
+        let mut labels = Labels(self.code.iter());
+        let n = labels.next().expect("a packed graph starts with its size");
+        if perm.len() != n {
+            return Err(CoreError::SizeMismatch {
+                expected: n,
+                found: perm.len(),
+            });
+        }
+        debug_assert!(distinct_below(perm, n));
+        // Each label ends on its one byte below 0x80: `n`'s, then two an
+        // edge.
+        let m = (self.code.iter().filter(|&&byte| byte < 0x80).count() - 1) / 2;
+        let edges = EdgeLabels(labels).map(|(i, j)| (perm[i], perm[j]));
+        Ok(ExecutionGraph::build(n, m, edges))
+    }
+}
+
+/// Bytes of `label` as an LEB128 varint.
+fn varint_len(label: usize) -> usize {
+    (usize::BITS - (label | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The labels of a [`PackedGraph`] code, decoded one varint at a time.
+#[derive(Clone)]
+struct Labels<'a>(std::slice::Iter<'a, u8>);
+
+impl Iterator for Labels<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let (mut label, mut shift) = (0, 0);
+        loop {
+            let byte = *self.0.next()?;
+            label |= usize::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Some(label);
+            }
+            shift += 7;
+        }
+    }
+}
+
+/// The edges of a [`PackedGraph`] code: its labels after `n`, two at a
+/// time.
+#[derive(Clone)]
+struct EdgeLabels<'a>(Labels<'a>);
+
+impl Iterator for EdgeLabels<'_> {
+    type Item = (ServiceId, ServiceId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some((self.0.next()?, self.0.next()?))
+    }
+}
+
 /// Words in the block of a graph over `n` services and `m` edges,
 /// `2n + 2 + 2m`.
 ///
@@ -866,6 +967,83 @@ mod tests {
                 found: 2
             })
         );
+    }
+
+    /// Packs `g`, checks the code's length, and requires the code to
+    /// decode to `g` under the identity and to `g.relabelled(perm)` under
+    /// `perm`.
+    fn assert_packs(g: &ExecutionGraph, perm: &[ServiceId], code_len: usize) {
+        let packed = PackedGraph::from(g);
+        assert_eq!(packed.code.len(), code_len, "{g:?}");
+        let identity: Vec<ServiceId> = (0..g.n()).collect();
+        assert_eq!(&packed.relabelled(&identity).unwrap(), g);
+        assert_eq!(
+            packed.relabelled(perm).unwrap(),
+            g.relabelled(perm).unwrap()
+        );
+        assert_eq!(
+            packed.relabelled(&identity[..g.n().saturating_sub(1)]),
+            g.relabelled(&identity[..g.n().saturating_sub(1)])
+        );
+    }
+
+    /// The permutation of `0..n` that reverses the labels and shifts
+    /// them by three.
+    fn shuffle(n: usize) -> Vec<ServiceId> {
+        (0..n).map(|k| (n + 2 - k) % n).collect()
+    }
+
+    #[test]
+    fn edgeless_graphs_pack_into_their_size() {
+        assert_packs(&ExecutionGraph::new(0), &[], 1);
+        assert_packs(&ExecutionGraph::new(1), &[0], 1);
+        assert_packs(&ExecutionGraph::new(5), &[4, 2, 0, 3, 1], 1);
+    }
+
+    #[test]
+    fn forests_pack_one_byte_a_label() {
+        // Six services in two trees, four edges: 1 + 2·4 bytes.
+        let forest =
+            ExecutionGraph::from_parents(&[None, Some(0), Some(0), Some(1), None, Some(4)])
+                .unwrap();
+        assert_eq!(forest.edge_count(), 4);
+        assert_packs(&forest, &[5, 3, 1, 0, 2, 4], 9);
+        let tree =
+            ExecutionGraph::from_parents(&[Some(3), Some(3), Some(0), None, Some(1), Some(2)])
+                .unwrap();
+        assert_packs(&tree, &shuffle(6), 11);
+        let chain = ExecutionGraph::chain_of(7, &[6, 2, 4, 0, 1, 5, 3]).unwrap();
+        assert_packs(&chain, &shuffle(7), 13);
+    }
+
+    #[test]
+    fn dags_with_joins_pack_every_edge() {
+        // Service 3 joins 1 and 2, and 4 joins 0 and 3.
+        let g = diamond();
+        assert_packs(&g, &[3, 0, 2, 1], 9);
+        let dag = ExecutionGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)])
+            .unwrap();
+        assert!(dag.preds(3).len() == 2 && dag.preds(4).len() == 2);
+        assert_packs(&dag, &shuffle(5), 13);
+    }
+
+    #[test]
+    fn labels_from_128_up_take_two_bytes() {
+        // 200 services: `n` and every label from 128 take two bytes.  A
+        // chain over 0..200 has 199 edges, whose 398 endpoints include 143
+        // labels of two bytes (128..=198 as sources, 128..=199 as targets).
+        let n = 200;
+        let order: Vec<ServiceId> = (0..n).collect();
+        let chain = ExecutionGraph::chain_of(n, &order).unwrap();
+        assert_packs(&chain, &shuffle(n), 2 + 398 + 143);
+        // A join at 199 of a label below 128 and one above.
+        let g =
+            ExecutionGraph::from_edges(n, &[(0, 199), (150, 199), (199, 1), (127, 128)]).unwrap();
+        assert_packs(&g, &shuffle(n), 2 + 8 + 5);
+        assert_eq!(varint_len(127), 1);
+        assert_eq!(varint_len(128), 2);
+        assert_eq!(varint_len(1 << 14), 3);
+        assert_eq!(varint_len(u32::MAX as usize), 5);
     }
 
     #[test]

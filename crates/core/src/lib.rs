@@ -54,7 +54,7 @@ pub use canonical::{
 };
 pub use error::{CoreError, CoreResult};
 pub use fingerprint::{AppFingerprint, CanonicalApplication};
-pub use graph::ExecutionGraph;
+pub use graph::{ExecutionGraph, PackedGraph};
 pub use metrics::{in_edges, out_edges, plan_edges, PartialForestMetrics, PlanMetrics};
 pub use model::CommModel;
 pub use oplist::{EdgeRef, Interval, OperationList, Plan};

@@ -174,7 +174,17 @@ impl CanonicalSpace {
     /// weight class holding two or more services.  Uniform instances are
     /// the single-class special case.
     pub fn class_reducible(app: &Application) -> bool {
-        app.n() >= 2 && !app.has_constraints() && WeightClasses::of(app).has_symmetry()
+        CanonicalSpace::reducible_classes(app).is_some()
+    }
+
+    /// `app`'s weight classes when it is
+    /// [`class_reducible`](Self::class_reducible), so the walk that
+    /// reduces it takes the partition the gate built.
+    pub fn reducible_classes(app: &Application) -> Option<WeightClasses> {
+        if app.n() < 2 || app.has_constraints() {
+            return None;
+        }
+        Some(WeightClasses::of(app)).filter(WeightClasses::has_symmetry)
     }
 
     /// `true` when the unconstrained forest plan search provably runs to

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use fsw_core::{
     Application, CommModel, CoreResult, ExecutionGraph, PartialForestMetrics, PlanMetrics,
-    ServiceId, WeightClasses,
+    ServiceId,
 };
 
 use crate::chain::{chain_graph, chain_minperiod_order};
@@ -160,7 +160,7 @@ where
     if n == 0 {
         return None;
     }
-    if CanonicalSpace::class_reducible(app) {
+    if let Some(classes) = CanonicalSpace::reducible_classes(app) {
         // The streamed walk never materialises the coloured space, so its
         // budget gate is the shape count.  Beyond it the labelled space
         // (n^n > A000081(n+1) for n >= 2) is over the cap too.
@@ -174,7 +174,7 @@ where
             .map(|registry| EngineMetrics::new(registry));
         let (outcome, stats) = streamed_canonical_search(
             app,
-            &WeightClasses::of(app),
+            &classes,
             exec,
             prune,
             incumbent_seed,

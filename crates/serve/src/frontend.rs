@@ -86,7 +86,7 @@ use crate::service::{
     RejectReason, Rejection, ServeOutcome, ServeSource,
 };
 use crate::stats::{Event, Instruments, ServeStats};
-use crate::store::{PlanKey, StoredPlan};
+use crate::store::{HeldPlan, PlanKey};
 
 /// Hard cap on the modelled solve latency, in ticks (keeps due ticks from
 /// running away on jumbo estimates; the cap is the degrade band anyway).
@@ -282,7 +282,7 @@ impl WorkItem {
     /// instead of taking the worker down.  An injected panic unwinds
     /// without calling the panic hook, so no backtrace capture can stretch
     /// it past the stall watchdog.
-    fn run(&self) -> Result<StoredPlan, String> {
+    fn run(&self) -> Result<HeldPlan, String> {
         catch_unwind(AssertUnwindSafe(|| {
             match self.fault {
                 Some(InjectedFault::Panic) => std::panic::resume_unwind(Box::new(format!(
@@ -315,7 +315,7 @@ struct PoolQueue {
     /// Heartbeats: when each in-flight job was picked up.
     started: HashMap<u64, Instant>,
     /// Finished solves awaiting the loop.
-    results: HashMap<u64, Result<StoredPlan, String>>,
+    results: HashMap<u64, Result<HeldPlan, String>>,
     shutdown: bool,
 }
 
@@ -393,11 +393,7 @@ impl WorkerPool {
     /// applied when this is called — a job that has not started yet is
     /// about to be picked up by a free worker, never blocked behind
     /// unhandled work.
-    fn wait(
-        &mut self,
-        job: u64,
-        stall_timeout: Duration,
-    ) -> Result<Result<StoredPlan, String>, ()> {
+    fn wait(&mut self, job: u64, stall_timeout: Duration) -> Result<Result<HeldPlan, String>, ()> {
         let mut queue = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(result) = queue.results.remove(&job) {
@@ -640,16 +636,19 @@ impl<'r> EventLoop<'r> {
             .is_some_and(|job| job.due_tick <= self.tick)
         {
             let job = self.pending.pop_front().expect("front checked");
-            let prep = Arc::clone(&job.leader.prep);
-            let key = &prep.key;
-            self.in_flight.remove(key);
+            // The in-flight table's copy of the key is the one the store
+            // keeps, so a cold insert clones no fingerprint.
+            let (key, _) = self
+                .in_flight
+                .remove_entry(&job.leader.prep.key)
+                .expect("a pending job's key is in flight");
             let waited = {
                 let _watchdog = self.instruments.as_ref().map(|m| m.watchdog.start());
                 self.pool.wait(job.job, self.config.stall_timeout)
             };
             let reason = match waited {
                 Ok(Ok(plan)) => {
-                    if service.quarantine.record_success(key) {
+                    if service.quarantine.record_success(&key) {
                         service.counters.inc(Event::Recovered);
                     }
                     service.settle_cache(&key.fingerprint, &job.cache);
@@ -662,7 +661,7 @@ impl<'r> EventLoop<'r> {
                     let floor = if plan.exhaustive {
                         None
                     } else {
-                        service.store().record_attempt_cost(key, plan.solve_micros);
+                        service.store().record_attempt_cost(&key, plan.solve_micros);
                         job.floor.or_else(|| {
                             let r = &job.leader.info.request;
                             service.admission().certified_floor(
@@ -677,9 +676,10 @@ impl<'r> EventLoop<'r> {
                     for joiner in job.joiners {
                         self.respond(service, joiner, &plan, ServeSource::Dedup, floor);
                     }
-                    // The plan moves into the store: nothing is copied.
+                    // The plan and its key move into the store: nothing
+                    // is copied.
                     if plan.exhaustive {
-                        service.store().insert(key.clone(), plan);
+                        service.store().insert_held(key, plan);
                     }
                     continue;
                 }
@@ -696,7 +696,7 @@ impl<'r> EventLoop<'r> {
             // A failed solve quarantines its key and drops its retained
             // cache (the unwound solve may have left it poisoned); the
             // leader and every joiner see the failure — nobody hangs.
-            service.quarantine.record_failure(key);
+            service.quarantine.record_failure(&key);
             service.drop_cache(&key.fingerprint);
             for decided in std::iter::once(job.leader).chain(job.joiners) {
                 self.reject(service, decided.info, reason.clone(), None);
@@ -704,12 +704,13 @@ impl<'r> EventLoop<'r> {
         }
     }
 
-    /// Resolves `decided` with `plan`, relabelled into its tenant's ids.
+    /// Resolves `decided` with `plan`, its graph decoded into the tenant's
+    /// ids.
     fn respond(
         &mut self,
         service: &PlanService,
         decided: Decided<'r>,
-        plan: &StoredPlan,
+        plan: &HeldPlan,
         source: ServeSource,
         floor: Option<f64>,
     ) {

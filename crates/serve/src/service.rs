@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use fsw_core::{
     AppFingerprint, Application, CanonicalApplication, CommModel, CoreResult, ExecutionGraph,
-    ServiceId,
+    PackedGraph, ServiceId,
 };
 use fsw_obs::MetricsRegistry;
 use fsw_sched::engine::EvalCache;
@@ -48,7 +48,7 @@ use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBud
 use crate::admission::{AdmissionPolicy, CostEstimate};
 use crate::frontend::{EventLoop, FrontendConfig};
 use crate::stats::{Counters, Instruments, ServeStats};
-use crate::store::{PlanKey, PlanStore, StoredPlan};
+use crate::store::{HeldPlan, PlanKey, PlanStore, StoredPlan};
 
 /// One tenant request: plan this application under this model/objective.
 #[derive(Clone, Debug)]
@@ -693,7 +693,8 @@ impl PlanService {
     }
 }
 
-/// One cold solve over the canonical application, timed for the store.
+/// One cold solve over the canonical application, timed for the store and
+/// with its graph packed as the store holds it.
 /// With instruments it records a `serve.cold_solve` span and threads the
 /// registry down the solve pipeline (`solve.search`/`solve.orchestrate`
 /// spans, engine stream/expand/certify stages).
@@ -703,7 +704,7 @@ pub(crate) fn cold_solve(
     budget: &SearchBudget,
     cache: &EvalCache,
     instruments: Option<&Instruments>,
-) -> StoredPlan {
+) -> HeldPlan {
     let problem = Problem::new(&prep.app, model, prep.key.objective);
     let started = Instant::now();
     let guard = instruments.map(|m| m.cold_solve.start());
@@ -718,9 +719,9 @@ pub(crate) fn cold_solve(
     .expect("serving requests are validated applications");
     drop(guard);
     let solve_micros = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    StoredPlan {
+    HeldPlan {
         value: solution.value,
-        graph: solution.graph,
+        graph: PackedGraph::from(&solution.graph),
         exhaustive: solution.exhaustive,
         solve_micros,
     }

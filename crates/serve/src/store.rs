@@ -12,20 +12,23 @@
 //! The store is keyed by [`PlanKey`]: the application's canonical
 //! fingerprint ([`fsw_core::AppFingerprint`], content-complete — equal keys
 //! *are* equal problems) plus communication model and objective.  Entries
-//! hold plans over **canonical labels** behind an [`Arc`]: a hit hands out
-//! the shared plan and copies nothing, and the service relabels it once per
-//! tenant on the way out.
+//! hold plans over **canonical labels** behind an [`Arc`], each graph
+//! packed ([`HeldPlan`]): a plan at rest is only ever read whole, once per
+//! hit, so the store keeps the sequential [`PackedGraph`] code instead of
+//! the random-access [`ExecutionGraph`].  A hit hands out the shared plan
+//! and copies nothing, and the service decodes its graph once per tenant on
+//! the way out, straight into the tenant's labels.
 //!
 //! What a stored plan costs: the `Arc` block (two counts plus the
-//! [`StoredPlan`] record, whose graph handle is 16 bytes), the plan's
-//! [`ExecutionGraph`] — one flat block of `2n + 2 + 2m` `u32` words, 96
-//! bytes for a six-service forest — and the key's fingerprint, one slice of
-//! `1 + 2n` `u64` words for an unconstrained application (104 bytes at six
-//! services), plus the table's slot: the 24-byte [`PlanKey`] (the
-//! fingerprint's slice pointer and length, the model and the objective),
-//! the entry's `Arc` and its recency word, and a control byte.  A
-//! six-service forest plan holds about 340 bytes
-//! (`tests/serving_memory_bound.rs`).
+//! [`HeldPlan`] record, whose graph handle is 16 bytes), the plan's
+//! [`PackedGraph`] — `1 + 2m` bytes below 128 services, 11 bytes for a
+//! six-service forest, where its [`ExecutionGraph`] block takes 96 — and
+//! the key's fingerprint, one slice of `1 + 2n` `u64` words for an
+//! unconstrained application (104 bytes at six services), plus the table's
+//! slot: the 24-byte [`PlanKey`] (the fingerprint's slice pointer and
+//! length, the model and the objective), the entry's `Arc` and its recency
+//! word, and a control byte.  A six-service forest plan holds about 255
+//! bytes (`tests/serving_memory_bound.rs`; 340 with the graph's block).
 //!
 //! The store is **one table** behind a reader-writer lock: the hit path
 //! takes the shared lock and bumps recency through an atomic, so
@@ -40,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
-use fsw_core::{AppFingerprint, CommModel, ExecutionGraph};
+use fsw_core::{AppFingerprint, CommModel, ExecutionGraph, PackedGraph};
 use fsw_obs::{Counter, MetricsRegistry};
 use fsw_sched::orchestrator::Objective;
 
@@ -56,7 +59,8 @@ pub struct PlanKey {
     pub objective: Objective,
 }
 
-/// A cached plan, over the canonical labelling of its fingerprint.
+/// A plan to cache, over the canonical labelling of its fingerprint:
+/// [`PlanStore::insert`] packs it into a [`HeldPlan`].
 #[derive(Clone, Debug)]
 pub struct StoredPlan {
     /// The objective value (bit-identical to a cold solve of any
@@ -70,8 +74,22 @@ pub struct StoredPlan {
     pub solve_micros: u64,
 }
 
+/// A cached plan as the store holds it: a [`StoredPlan`] whose graph is
+/// packed ([`PackedGraph`]).
+#[derive(Clone, Debug)]
+pub struct HeldPlan {
+    /// The objective value.
+    pub value: f64,
+    /// The winning execution graph over canonical labels, packed.
+    pub graph: PackedGraph,
+    /// Whether the solve was exhaustive for its budget.
+    pub exhaustive: bool,
+    /// Wall time the solve cost, in microseconds — the eviction weight.
+    pub solve_micros: u64,
+}
+
 struct Entry {
-    plan: Arc<StoredPlan>,
+    plan: Arc<HeldPlan>,
     /// Logical time of the insert or last hit (eviction tie-break); atomic
     /// so the hit path can refresh it under a shared lock.  Every `get`
     /// and `insert` takes its own clock tick, so no two held entries share
@@ -156,7 +174,7 @@ impl PlanStore {
     /// table's shared lock, recency bumped through an atomic — concurrent
     /// hits never wait on each other — and the held plan handed out as a
     /// shared [`Arc`]: a hit allocates and copies nothing.
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<StoredPlan>> {
+    pub fn get(&self, key: &PlanKey) -> Option<Arc<HeldPlan>> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         match self.read().get(key) {
             Some(entry) => {
@@ -205,8 +223,29 @@ impl PlanStore {
     /// stands for.  Any attempt debt recorded for the key
     /// ([`record_attempt_cost`](Self::record_attempt_cost)) is added on
     /// top before the comparison.  The insert and its evictions run under
-    /// one write lock.
-    pub fn insert(&self, key: PlanKey, mut plan: StoredPlan) {
+    /// one write lock.  The store holds the plan as a [`HeldPlan`], its
+    /// graph packed.
+    pub fn insert(&self, key: PlanKey, plan: StoredPlan) {
+        let StoredPlan {
+            value,
+            graph,
+            exhaustive,
+            solve_micros,
+        } = plan;
+        self.insert_held(
+            key,
+            HeldPlan {
+                value,
+                graph: PackedGraph::from(&graph),
+                exhaustive,
+                solve_micros,
+            },
+        );
+    }
+
+    /// [`insert`](Self::insert) for a plan whose graph is already packed:
+    /// the event loop's cold solves arrive packed from the worker.
+    pub(crate) fn insert_held(&self, key: PlanKey, mut plan: HeldPlan) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
             let mut debts = self
@@ -292,7 +331,7 @@ mod tests {
     fn plan(value: f64, micros: u64) -> StoredPlan {
         StoredPlan {
             value,
-            graph: ExecutionGraph::new(2),
+            graph: ExecutionGraph::chain_of(2, &[0, 1]).unwrap(),
             exhaustive: true,
             solve_micros: micros,
         }
@@ -307,6 +346,10 @@ mod tests {
         let hit = store.get(&key).expect("inserted");
         assert_eq!(hit.value, 7.0);
         assert_eq!(hit.solve_micros, 100);
+        assert_eq!(
+            hit.graph.relabelled(&[1, 0]),
+            ExecutionGraph::chain_of(2, &[1, 0])
+        );
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
     }

@@ -520,3 +520,33 @@ fn both_front_doors_decide_identically() {
     assert_eq!(batch_door.stats(), async_door.stats());
     assert_eq!(batch_door.stats().recovered, 1);
 }
+
+/// A store hit decodes the held plan's packed graph into the same DAG the
+/// cold solve served, joins included: a five-service MINLATENCY request
+/// runs the DAG phase, and this instance's optimum joins two branches
+/// twice under every model.
+#[test]
+fn store_hits_serve_the_cold_dag_winner_with_its_joins() {
+    let app = fsw::workloads::query_optimization(5, &mut StdRng::seed_from_u64(1));
+    let budget = SearchBudget::default();
+    assert!(app.n() <= budget.dag_enumeration_max_n);
+    for model in CommModel::ALL {
+        let service = PlanService::new(budget, 8);
+        let request = PlanRequest::new(app.clone(), model, Objective::MinLatency);
+        let cold_outcome = service.serve_one(&request).unwrap();
+        let cold = cold_outcome.expect_exact();
+        assert_eq!(cold.source, ServeSource::Cold);
+        let joins = (0..app.n())
+            .filter(|&k| cold.graph.preds(k).len() >= 2)
+            .count();
+        assert_eq!(joins, 2, "{model}: the cold winner joins twice");
+        let hit_outcome = service.serve_one(&request).unwrap();
+        let hit = hit_outcome.expect_exact();
+        assert_eq!(hit.source, ServeSource::Store, "{model}");
+        assert_eq!(hit.graph, cold.graph, "{model}");
+        assert_eq!(hit.value.to_bits(), cold.value.to_bits(), "{model}");
+        let direct = solve(&Problem::new(&app, model, Objective::MinLatency), &budget).unwrap();
+        assert_eq!(hit.graph, direct.graph, "{model}");
+        assert_eq!(hit.value.to_bits(), direct.value.to_bits(), "{model}");
+    }
+}

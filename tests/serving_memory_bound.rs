@@ -7,9 +7,9 @@
 //! allocates while the window is open.
 //!
 //! A served plan's bound is what the store holds for it: the shared
-//! `StoredPlan` block, its one-block graph of `u32` words, the key's
-//! one-slice fingerprint and a hash-table slot.  No evaluation cache is
-//! retained for a MINPERIOD solve under OVERLAP, which never reads one.
+//! `HeldPlan` block, its packed graph, the key's one-slice fingerprint and
+//! a hash-table slot.  No evaluation cache is retained for a MINPERIOD
+//! solve under OVERLAP, which never reads one.
 
 mod common;
 
@@ -18,7 +18,7 @@ use std::sync::atomic::Ordering;
 use fsw::core::{Application, CanonicalApplication, CommModel};
 use fsw::sched::orchestrator::{Objective, SearchBudget};
 use fsw::serve::{
-    permutation_collapse_allowed, PlanKey, PlanRequest, PlanService, ServeSource, StoredPlan,
+    permutation_collapse_allowed, HeldPlan, PlanKey, PlanRequest, PlanService, ServeSource,
 };
 
 use common::{allocations, CountingAlloc};
@@ -32,17 +32,18 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 const SERVICE_ALLOWANCE: usize = 4 << 10;
 
 /// Bytes a served six-service forest plan may hold in the store: the `Arc`
-/// block (two counts and the `StoredPlan` record), the graph's one block of
-/// `2n + 2 + 2m` `u32` words, the key's fingerprint (one word slice: a
-/// header word, then two `u64` words a service) and a hash-table slot (the
-/// key plus the entry's `Arc` and `u64` recency, and a control byte),
-/// counted twice for the table's spare capacity.  That is 338 bytes, which
-/// a plan of `usize` graph words and a two-`Vec` fingerprint (534 bytes
-/// measured) exceeds by more than the allowance.
+/// block (two counts and the `HeldPlan` record), the packed graph (`n`,
+/// then two labels an edge, one byte each below 128), the key's
+/// fingerprint (one word slice: a header word, then two `u64` words a
+/// service) and a hash-table slot (the key plus the entry's `Arc` and `u64`
+/// recency, and a control byte), counted twice for the table's spare
+/// capacity.  That is 253 bytes, which a plan holding its graph as a block
+/// of `2n + 2 + 2m` `u32` words (338 bytes, 340 measured) exceeds by more
+/// than the allowance.
 fn served_plan_bound() -> usize {
     let (n, m) = (6, 5);
     let slot = std::mem::size_of::<PlanKey>() + 2 * 8 + 1;
-    16 + std::mem::size_of::<StoredPlan>() + 4 * (2 * n + 2 + 2 * m) + 8 * (1 + 2 * n) + 2 * slot
+    16 + std::mem::size_of::<HeldPlan>() + (1 + 2 * m) + 8 * (1 + 2 * n) + 2 * slot
 }
 
 #[test]
