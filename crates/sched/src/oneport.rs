@@ -355,10 +355,10 @@ mod tests {
             Application::independent(&[(1.0, 1.0), (6.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]);
         let g = ExecutionGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
             .unwrap();
-        let mut periods = Vec::new();
-        for ords in CommOrderings::enumerate_all(&g, 1000).unwrap() {
-            periods.push(inorder_period_for_orderings(&app, &g, &ords).unwrap());
-        }
+        let space = OrderingSpace::new(&g, 1000).unwrap();
+        let periods: Vec<f64> = (0..space.len())
+            .map(|i| inorder_period_for_orderings(&app, &g, &space.get(i)).unwrap())
+            .collect();
         let min = periods.iter().copied().fold(f64::INFINITY, f64::min);
         let max = periods.iter().copied().fold(0.0f64, f64::max);
         assert!(max > min + 1e-9, "orderings should matter: {min} vs {max}");

@@ -105,16 +105,6 @@ impl CommOrderings {
         total
     }
 
-    /// Enumerates every distinct ordering of `graph`, up to `limit` of them.
-    ///
-    /// Returns `None` if the search space exceeds `limit` (use a heuristic
-    /// instead in that case).  Prefer [`OrderingSpace`] in hot loops: it
-    /// addresses the same sequence without materialising every element.
-    pub fn enumerate_all(graph: &ExecutionGraph, limit: usize) -> Option<Vec<CommOrderings>> {
-        let space = OrderingSpace::new(graph, limit)?;
-        Some((0..space.len()).map(|i| space.get(i)).collect())
-    }
-
     /// Swaps two adjacent entries of one server's incoming or outgoing list
     /// (used by local search).  Returns `false` if the position is out of range.
     pub fn swap_adjacent(&mut self, server: ServiceId, outgoing: bool, pos: usize) -> bool {
@@ -134,14 +124,12 @@ impl CommOrderings {
 /// The communication-ordering space of an execution graph, addressable by
 /// index without materialising it.
 ///
-/// Index `i` corresponds to the `i`-th element of the sequence produced by
-/// [`CommOrderings::enumerate_all`] (a mixed-radix odometer over per-server
-/// permutation slots, least-significant slot first), so searches that switch
-/// from the materialised vector to this accessor visit candidates in the
-/// exact same order — a prerequisite for bit-identical first-minimum-wins
-/// reductions.  The point of the indirection is allocation: an exhaustive
-/// ordering search over thousands of candidates per graph no longer clones
-/// the whole space up front.
+/// Index `i` is the `i`-th step of a mixed-radix odometer over per-server
+/// permutation slots, least-significant slot first, so every search visits
+/// candidates in one fixed order — a prerequisite for bit-identical
+/// first-minimum-wins reductions.  Nothing materialises the space: an
+/// exhaustive ordering search over thousands of candidates per graph
+/// decodes each one from its index.
 pub struct OrderingSpace {
     n: usize,
     /// `2n` slots: the permutations of every server's incoming edge list,
@@ -372,28 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_all_respects_limit() {
+    fn ordering_space_respects_limit() {
         let g = fork_join();
-        let all = CommOrderings::enumerate_all(&g, 100).unwrap();
-        assert_eq!(all.len(), 36);
+        let space = OrderingSpace::new(&g, 100).unwrap();
+        assert_eq!(space.len(), 36);
+        assert_eq!(space.len(), CommOrderings::search_space_size(&g));
+        let all: Vec<CommOrderings> = (0..space.len()).map(|i| space.get(i)).collect();
         assert!(all.iter().all(|o| o.is_consistent_with(&g)));
-        // All enumerated orderings are distinct.
+        // The space addresses pairwise distinct orderings.
         for i in 0..all.len() {
             for j in (i + 1)..all.len() {
-                assert_ne!(all[i], all[j]);
+                assert_ne!(all[i], all[j], "indices {i} and {j}");
             }
-        }
-        assert!(CommOrderings::enumerate_all(&g, 10).is_none());
-    }
-
-    #[test]
-    fn ordering_space_matches_enumerate_all() {
-        let g = fork_join();
-        let all = CommOrderings::enumerate_all(&g, 100).unwrap();
-        let space = OrderingSpace::new(&g, 100).unwrap();
-        assert_eq!(space.len(), all.len());
-        for (i, ords) in all.iter().enumerate() {
-            assert_eq!(&space.get(i), ords, "index {i}");
         }
         assert!(OrderingSpace::new(&g, 10).is_none());
     }

@@ -78,7 +78,7 @@ use std::time::{Duration, Instant};
 use fsw_core::{CommModel, CoreResult};
 use fsw_obs::MetricsRegistry;
 use fsw_sched::engine::EvalCache;
-use fsw_sched::orchestrator::SearchBudget;
+use fsw_sched::orchestrator::{Objective, SearchBudget};
 
 use crate::admission::{AdmissionDecision, CostEstimate};
 use crate::service::{
@@ -257,9 +257,10 @@ struct PendingJob<'r> {
     due_tick: u64,
     /// Admissible floor priced at admission (degrade band), if any.
     floor: Option<f64>,
-    /// The evaluation cache the solve runs against, settled when it
-    /// completes ([`PlanService::settle_cache`]).
-    cache: Arc<EvalCache>,
+    /// The retained evaluation cache the solve runs against, settled when
+    /// it completes ([`PlanService::settle_cache`]); `None` for a
+    /// MINPERIOD solve, which reads none.
+    cache: Option<Arc<EvalCache>>,
     leader: Decided<'r>,
     joiners: Vec<Decided<'r>>,
 }
@@ -271,7 +272,7 @@ struct WorkItem {
     prep: Arc<Prepared>,
     model: CommModel,
     budget: SearchBudget,
-    cache: Arc<EvalCache>,
+    cache: Option<Arc<EvalCache>>,
     fault: Option<InjectedFault>,
     instruments: Option<Instruments>,
 }
@@ -296,7 +297,7 @@ impl WorkItem {
                 &self.prep,
                 self.model,
                 &self.budget,
-                &self.cache,
+                self.cache.as_deref(),
                 self.instruments.as_ref(),
             )
         }))
@@ -651,7 +652,9 @@ impl<'r> EventLoop<'r> {
                     if service.quarantine.record_success(&key) {
                         service.counters.inc(Event::Recovered);
                     }
-                    service.settle_cache(&key.fingerprint, &job.cache);
+                    if let Some(cache) = &job.cache {
+                        service.settle_cache(&key.fingerprint, cache);
+                    }
                     // Degraded results admitted without a priced floor get
                     // one certified now (the slow path affords it).  A
                     // degraded attempt burnt real wall time but stores
@@ -838,12 +841,12 @@ impl<'r> EventLoop<'r> {
         if let Some(InjectedFault::SlowShard(delay)) = fault {
             std::thread::sleep(delay);
         }
-        if let Some(plan) = service.store().get(&prep.key) {
+        if let Some(record) = service.store().get(&prep.key) {
             service.counters.inc(Event::StoreHit);
             self.respond(
                 service,
                 Decided { info, prep },
-                &plan,
+                &record.plan,
                 ServeSource::Store,
                 None,
             );
@@ -948,14 +951,18 @@ impl<'r> EventLoop<'r> {
         // independent.
         let due_tick = (self.tick + latency).max(self.last_due);
         self.last_due = due_tick;
-        let cache = service.retained_cache(&decided.prep);
+        // Only a MINLATENCY solve reads an evaluation cache (its DAG phase
+        // memoises ordering searches), so only its dispatch retains one; a
+        // MINPERIOD solve builds its own on the worker.
+        let cache = (decided.prep.key.objective == Objective::MinLatency)
+            .then(|| service.retained_cache(&decided.prep));
         self.pool.submit(WorkItem {
             job,
             ordinal: decided.info.ordinal,
             prep: Arc::clone(&decided.prep),
             model: decided.info.request.model,
             budget,
-            cache: Arc::clone(&cache),
+            cache: cache.clone(),
             fault,
             instruments: self.instruments.clone(),
         });

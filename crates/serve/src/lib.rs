@@ -94,4 +94,4 @@ pub use service::{
     RejectReason, Rejection, ServeOutcome, ServeSource,
 };
 pub use stats::ServeStats;
-pub use store::{HeldPlan, PlanKey, PlanStore, StoreStats, StoredPlan};
+pub use store::{HeldPlan, PlanKey, PlanRecord, PlanStore, StoreStats, StoredPlan};

@@ -421,14 +421,15 @@ pub struct PlanService {
     /// one-port latencies of candidate DAGs — so retention is always
     /// value-safe.
     ///
-    /// A cache is created at dispatch and shared by every solve of its
-    /// fingerprint in flight, but kept past them only once a solve has
-    /// recorded a miss in it ([`Self::settle_cache`]): a MINLATENCY solve's
-    /// DAG phase memoises its ordering searches, while a MINPERIOD solve,
-    /// under every model, never reads the cache, so its empty cache goes
-    /// when the solve completes.  A fingerprint whose solve panics has its cache dropped
-    /// defensively (the unwound solve may have left internal locks
-    /// poisoned).
+    /// Only a MINLATENCY solve reads a cache (its DAG phase memoises its
+    /// ordering searches), so only a MINLATENCY dispatch retains one; a
+    /// MINPERIOD solve, under every model, runs against a cache built on
+    /// the worker that goes with the solve, and leaves nothing here.  A
+    /// retained cache is created at dispatch and shared by every solve of
+    /// its fingerprint in flight, but kept past them only once a solve has
+    /// recorded a miss in it ([`Self::settle_cache`]).  A fingerprint whose
+    /// solve panics has its cache dropped defensively (the unwound solve
+    /// may have left internal locks poisoned).
     caches: Mutex<HashMap<AppFingerprint, Arc<EvalCache>>>,
     /// Bound on the number of retained caches; on overflow the map is
     /// cleared wholesale (caches are pure memos, so dropping them costs
@@ -503,9 +504,9 @@ impl PlanService {
 
     /// `(hits, misses)` of the retained evaluation cache that `request`'s
     /// fingerprint resolves to, `None` when no cache is held for it: no
-    /// cold solve has run, or every solve that ran recorded no miss (see
-    /// the `caches` field).  Tests assert cache retention across batches
-    /// with this.
+    /// MINLATENCY cold solve has run, or every one that ran recorded no
+    /// miss (see the `caches` field).  Tests assert cache retention across
+    /// batches with this.
     pub fn eval_cache_stats(&self, request: &PlanRequest) -> Option<(usize, usize)> {
         let key = Prepared::of(request, &self.budget).key;
         self.caches
@@ -694,7 +695,10 @@ impl PlanService {
 }
 
 /// One cold solve over the canonical application, timed for the store and
-/// with its graph packed as the store holds it.
+/// with its graph packed as the store holds it.  It runs against `cache`,
+/// the fingerprint's retained evaluation cache, or without one against a
+/// cache of its own that goes with the solve, as `orchestrator::solve`
+/// does.
 /// With instruments it records a `serve.cold_solve` span and threads the
 /// registry down the solve pipeline (`solve.search`/`solve.orchestrate`
 /// spans, engine stream/expand/certify stages).
@@ -702,9 +706,17 @@ pub(crate) fn cold_solve(
     prep: &Prepared,
     model: CommModel,
     budget: &SearchBudget,
-    cache: &EvalCache,
+    cache: Option<&EvalCache>,
     instruments: Option<&Instruments>,
 ) -> HeldPlan {
+    let own;
+    let cache = match cache {
+        Some(retained) => retained,
+        None => {
+            own = EvalCache::new(&prep.app);
+            &own
+        }
+    };
     let problem = Problem::new(&prep.app, model, prep.key.objective);
     let started = Instant::now();
     let guard = instruments.map(|m| m.cold_solve.start());

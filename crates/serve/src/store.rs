@@ -11,35 +11,45 @@
 //!
 //! The store is keyed by [`PlanKey`]: the application's canonical
 //! fingerprint ([`fsw_core::AppFingerprint`], content-complete — equal keys
-//! *are* equal problems) plus communication model and objective.  Entries
-//! hold plans over **canonical labels** behind an [`Arc`], each graph
-//! packed ([`HeldPlan`]): a plan at rest is only ever read whole, once per
-//! hit, so the store keeps the sequential [`PackedGraph`] code instead of
-//! the random-access [`ExecutionGraph`].  A hit hands out the shared plan
-//! and copies nothing, and the service decodes its graph once per tenant on
-//! the way out, straight into the tenant's labels.
+//! *are* equal problems) plus communication model and objective.  Each
+//! cached plan is one shared [`PlanRecord`]: its key, its recency and the
+//! [`HeldPlan`] over **canonical labels**, whose graph is packed: a plan at
+//! rest is only ever read whole, once per hit, so the store keeps the
+//! sequential [`PackedGraph`] code instead of the random-access
+//! [`ExecutionGraph`].  The table is a set of those records, each slot one
+//! pointer hashed and compared by the record's key, so lookups by a
+//! `&PlanKey` find it.  A hit hands out the shared record and copies
+//! nothing, and the service decodes its graph once per tenant on the way
+//! out, straight into the tenant's labels.
 //!
-//! What a stored plan costs: the `Arc` block (two counts plus the
-//! [`HeldPlan`] record, whose graph handle is 16 bytes), the plan's
-//! [`PackedGraph`] — `1 + 2m` bytes below 128 services, 11 bytes for a
-//! six-service forest, where its [`ExecutionGraph`] block takes 96 — and
-//! the key's fingerprint, one slice of `1 + 2n` `u64` words for an
-//! unconstrained application (104 bytes at six services), plus the table's
-//! slot: the 24-byte [`PlanKey`] (the fingerprint's slice pointer and
-//! length, the model and the objective), the entry's `Arc` and its recency
-//! word, and a control byte.  A six-service forest plan holds about 255
-//! bytes (`tests/serving_memory_bound.rs`; 340 with the graph's block).
+//! What a stored plan costs: the record's `Arc` block (two counts, then
+//! the 24-byte [`PlanKey`] — the fingerprint's slice pointer and length,
+//! the model and the objective — the recency word and the [`HeldPlan`],
+//! whose graph handle is 16 bytes), the plan's [`PackedGraph`] — `1 + 2m`
+//! bytes below 128 services, 11 bytes for a six-service forest, where its
+//! [`ExecutionGraph`] block takes 96 — and the key's fingerprint, one slice
+//! of `1 + 2n` `u64` words for an unconstrained application (104 bytes at
+//! six services), plus the table's slot: the record's pointer and a
+//! control byte, counted twice for the table's spare room.  A six-service
+//! forest plan holds about 221 bytes (`tests/serving_memory_bound.rs`; 255
+//! when each slot held the key and an entry inline, 340 with the graph's
+//! block).
 //!
 //! The store is **one table** behind a reader-writer lock: the hit path
 //! takes the shared lock and bumps recency through an atomic, so
 //! concurrent hits never serialise on each other, while an insert and the
 //! evictions it causes run under one write lock.  One table keeps one
 //! allocation sized for the plans held, where per-shard tables would each
-//! keep the capacity of their fullest moment.  Evictions leave tombstones
-//! in it that use up its spare room; once that is gone, the next new key
-//! rebuilds the table at its size instead of doubling it.
+//! keep the capacity of their fullest moment.  While the store fills, the
+//! table grows by its own doubling.  Once it holds `capacity` plans, every
+//! new key evicts one, and the evictions leave tombstones that use up its
+//! spare room; once that is gone, the next new key rebuilds the table at
+//! its size instead of doubling it, the records' pointers waiting in a
+//! list meanwhile (2 KB at 256 plans).
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
@@ -74,8 +84,8 @@ pub struct StoredPlan {
     pub solve_micros: u64,
 }
 
-/// A cached plan as the store holds it: a [`StoredPlan`] whose graph is
-/// packed ([`PackedGraph`]).
+/// A plan whose graph is packed ([`PackedGraph`]): what a cold solve hands
+/// the store, and what a [`PlanRecord`] holds.
 #[derive(Clone, Debug)]
 pub struct HeldPlan {
     /// The objective value.
@@ -88,14 +98,50 @@ pub struct HeldPlan {
     pub solve_micros: u64,
 }
 
-struct Entry {
-    plan: Arc<HeldPlan>,
+/// One cached plan, in the one shared block the table points at: its key,
+/// its recency and the plan.  [`PlanStore::get`] hands it out.
+#[derive(Debug)]
+pub struct PlanRecord {
+    /// The key the plan is stored under.
+    key: PlanKey,
     /// Logical time of the insert or last hit (eviction tie-break); atomic
     /// so the hit path can refresh it under a shared lock.  Every `get`
-    /// and `insert` takes its own clock tick, so no two held entries share
+    /// and `insert` takes its own clock tick, so no two held records share
     /// it.
     last_used: AtomicU64,
+    /// The plan, its graph packed.
+    pub plan: HeldPlan,
 }
+
+impl PlanRecord {
+    fn last_used(&self) -> u64 {
+        self.last_used.load(Ordering::Relaxed)
+    }
+}
+
+/// A table slot: one pointer to a shared record, hashed and compared by
+/// the record's key, so the table looks records up by `&PlanKey`.
+struct Slot(Arc<PlanRecord>);
+
+impl Borrow<PlanKey> for Slot {
+    fn borrow(&self) -> &PlanKey {
+        &self.0.key
+    }
+}
+
+impl Hash for Slot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key.hash(state);
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key == other.0.key
+    }
+}
+
+impl Eq for Slot {}
 
 /// Counters of one [`PlanStore`]'s lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,7 +160,7 @@ pub struct StoreStats {
 /// docs for the eviction policy and locking).
 pub struct PlanStore {
     capacity: usize,
-    entries: RwLock<HashMap<PlanKey, Entry>>,
+    records: RwLock<HashSet<Slot>>,
     /// Unstored recomputation cost owed per key: wall micros burnt by
     /// degraded (non-exhaustive) attempts that produced no cache entry.
     /// Folded into the eviction weight when the exact re-solve finally
@@ -136,7 +182,7 @@ impl PlanStore {
     pub fn new(capacity: usize) -> Self {
         PlanStore {
             capacity: capacity.max(1),
-            entries: RwLock::new(HashMap::new()),
+            records: RwLock::new(HashSet::new()),
             attempt_debt: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             hits: Arc::default(),
@@ -164,23 +210,23 @@ impl PlanStore {
         }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<PlanKey, Entry>> {
-        self.entries
+    fn read(&self) -> RwLockReadGuard<'_, HashSet<Slot>> {
+        self.records
             .read()
             .unwrap_or_else(|poison| poison.into_inner())
     }
 
     /// Looks `key` up, refreshing its recency on a hit.  Hit path: the
     /// table's shared lock, recency bumped through an atomic — concurrent
-    /// hits never wait on each other — and the held plan handed out as a
+    /// hits never wait on each other — and the record handed out as a
     /// shared [`Arc`]: a hit allocates and copies nothing.
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<HeldPlan>> {
+    pub fn get(&self, key: &PlanKey) -> Option<Arc<PlanRecord>> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         match self.read().get(key) {
-            Some(entry) => {
-                entry.last_used.store(now, Ordering::Relaxed);
+            Some(Slot(record)) => {
+                record.last_used.store(now, Ordering::Relaxed);
                 self.hits.inc();
-                Some(Arc::clone(&entry.plan))
+                Some(Arc::clone(record))
             }
             None => {
                 self.misses.inc();
@@ -214,7 +260,7 @@ impl PlanStore {
 
     /// Inserts (or refreshes) a plan, then evicts down to capacity:
     /// smallest `solve_micros` first, least recently used among equals
-    /// (no two held entries share a recency).  The freshly inserted entry
+    /// (no two held records share a recency).  The freshly inserted record
     /// competes like any other — a cheap plan does not displace an
     /// expensive one even when it is newer.  Refreshing an existing key
     /// keeps the **larger** of the old and new eviction weights: a warm
@@ -244,7 +290,8 @@ impl PlanStore {
     }
 
     /// [`insert`](Self::insert) for a plan whose graph is already packed:
-    /// the event loop's cold solves arrive packed from the worker.
+    /// the event loop's cold solves arrive packed from the worker.  `key`
+    /// moves into the plan's record.
     pub(crate) fn insert_held(&self, key: PlanKey, mut plan: HeldPlan) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
         {
@@ -256,50 +303,48 @@ impl PlanStore {
                 plan.solve_micros = plan.solve_micros.saturating_add(debt);
             }
         }
-        let mut entries = self
-            .entries
+        let mut records = self
+            .records
             .write()
             .unwrap_or_else(|poison| poison.into_inner());
-        if let Some(existing) = entries.get(&key) {
+        if let Some(Slot(existing)) = records.get(&key) {
             plan.solve_micros = plan.solve_micros.max(existing.plan.solve_micros);
-        } else if entries.len() == entries.capacity() {
-            // Evictions leave tombstones that use up the table's spare
-            // room, and a new key in a full table would double it for
-            // good.  Rebuilding it for the held entries clears them; the
-            // entries wait in a list meanwhile, not in a second table.
-            let held: Vec<(PlanKey, Entry)> = entries.drain().collect();
-            entries.shrink_to_fit();
-            entries.reserve(held.len() + 1);
-            entries.extend(held);
+        } else if records.len() >= self.capacity && records.len() == records.capacity() {
+            // A full store evicts a record for every new key, and the
+            // evictions leave tombstones that use up the table's spare
+            // room: a new key would then double the table for good.
+            // Rebuilding it for the held records clears them; their
+            // pointers wait in a list meanwhile, not in a second table.
+            let held: Vec<Slot> = records.drain().collect();
+            records.shrink_to_fit();
+            records.reserve(held.len() + 1);
+            records.extend(held);
         }
-        entries.insert(
+        records.replace(Slot(Arc::new(PlanRecord {
             key,
-            Entry {
-                plan: Arc::new(plan),
-                last_used: AtomicU64::new(now),
-            },
-        );
-        let last_used = |entry: &Entry| entry.last_used.load(Ordering::Relaxed);
-        while entries.len() > self.capacity {
-            let Some((_, victim)) = entries
-                .values()
-                .map(|entry| (entry.plan.solve_micros, last_used(entry)))
+            last_used: AtomicU64::new(now),
+            plan,
+        })));
+        while records.len() > self.capacity {
+            let Some((_, victim)) = records
+                .iter()
+                .map(|Slot(record)| (record.plan.solve_micros, record.last_used()))
                 .min()
             else {
                 break;
             };
-            entries.retain(|_, entry| last_used(entry) != victim);
+            records.retain(|Slot(record)| record.last_used() != victim);
             self.evictions.inc();
         }
     }
 
-    /// Number of held entries whose plan is **not** exhaustive.  The
+    /// Number of held records whose plan is **not** exhaustive.  The
     /// service's store-purity invariant says this is always zero (degraded
     /// plans are never cached); the fault-injection harness asserts it.
     pub fn non_exhaustive_len(&self) -> usize {
         self.read()
-            .values()
-            .filter(|entry| !entry.plan.exhaustive)
+            .iter()
+            .filter(|Slot(record)| !record.plan.exhaustive)
             .count()
     }
 
@@ -344,10 +389,11 @@ mod tests {
         assert!(store.get(&key).is_none());
         store.insert(key.clone(), plan(7.0, 100));
         let hit = store.get(&key).expect("inserted");
-        assert_eq!(hit.value, 7.0);
-        assert_eq!(hit.solve_micros, 100);
+        assert_eq!(hit.key, key);
+        assert_eq!(hit.plan.value, 7.0);
+        assert_eq!(hit.plan.solve_micros, 100);
         assert_eq!(
-            hit.graph.relabelled(&[1, 0]),
+            hit.plan.graph.relabelled(&[1, 0]),
             ExecutionGraph::chain_of(2, &[1, 0])
         );
         let stats = store.stats();
@@ -432,7 +478,7 @@ mod tests {
         store.record_attempt_cost(&upgraded, 150_000);
         // Exact re-solve lands quickly (warm cache): 40 µs of its own.
         store.insert(upgraded.clone(), plan(1.0, 40));
-        let weight = store.get(&upgraded).expect("inserted").solve_micros;
+        let weight = store.get(&upgraded).expect("inserted").plan.solve_micros;
         assert_eq!(weight, 150_040, "attempt debt folded into the weight");
         // The upgraded entry must now survive a stream of mid-cost inserts
         // that would have evicted a 40 µs entry immediately.
@@ -446,7 +492,7 @@ mod tests {
         // The debt is consumed by the first insert, not applied twice.
         store.insert(upgraded.clone(), plan(1.0, 40));
         assert_eq!(
-            store.get(&upgraded).expect("present").solve_micros,
+            store.get(&upgraded).expect("present").plan.solve_micros,
             150_040,
             "debt applies once; refresh keeps the max as before"
         );
@@ -474,12 +520,16 @@ mod tests {
         assert_eq!(debts(), EXTRA as usize);
         store.insert(keys[CAPACITY].clone(), plan(1.0, 40));
         assert_eq!(
-            store.get(&keys[CAPACITY]).expect("inserted").solve_micros,
+            store
+                .get(&keys[CAPACITY])
+                .expect("inserted")
+                .plan
+                .solve_micros,
             1_540
         );
         // A cleared debt is gone: its key's insert carries its own weight.
         store.insert(keys[0].clone(), plan(1.0, 40));
-        assert_eq!(store.get(&keys[0]).expect("inserted").solve_micros, 40);
+        assert_eq!(store.get(&keys[0]).expect("inserted").plan.solve_micros, 40);
     }
 
     /// Churn at capacity leaves tombstones in the table: the store
@@ -488,7 +538,7 @@ mod tests {
     fn churn_at_capacity_never_grows_the_table() {
         const CAPACITY: usize = 64;
         let store = PlanStore::new(CAPACITY);
-        let table = || store.entries.read().unwrap().capacity();
+        let table = || store.records.read().unwrap().capacity();
         for i in 0..CAPACITY as u32 {
             store.insert(key_of(&[(1.0 + f64::from(i), 0.5)]), plan(1.0, 50));
         }
@@ -503,6 +553,12 @@ mod tests {
             );
         }
         assert_eq!(store.stats().len, CAPACITY);
+        // Equal weights evict the least recently used, so the rebuilt table
+        // still finds the last `CAPACITY` keys by their `PlanKey`.
+        for i in 5_000 - CAPACITY as u32..5_000 {
+            let key = key_of(&[(1.0 + f64::from(i), 0.5)]);
+            assert!(store.get(&key).is_some(), "key {i} was lost");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! allocates while the window is open.
 //!
 //! A served plan's bound is what the store holds for it: the shared
-//! `HeldPlan` block, its packed graph, the key's one-slice fingerprint and
-//! a hash-table slot.  No evaluation cache is retained for a MINPERIOD
-//! solve under OVERLAP, which never reads one.
+//! `PlanRecord` block, its packed graph, the key's one-slice fingerprint
+//! and a hash-table slot.  No evaluation cache is retained for a MINPERIOD
+//! solve, which never reads one.
 
 mod common;
 
@@ -18,7 +18,7 @@ use std::sync::atomic::Ordering;
 use fsw::core::{Application, CanonicalApplication, CommModel};
 use fsw::sched::orchestrator::{Objective, SearchBudget};
 use fsw::serve::{
-    permutation_collapse_allowed, HeldPlan, PlanKey, PlanRequest, PlanService, ServeSource,
+    permutation_collapse_allowed, PlanKey, PlanRecord, PlanRequest, PlanService, ServeSource,
 };
 
 use common::{allocations, CountingAlloc};
@@ -26,24 +26,24 @@ use common::{allocations, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Allowance for the service's maps that keep their first allocation once
-/// used (the evaluation-cache map of the first solve, the loop's in-flight
-/// tables), whatever the number of plans.
-const SERVICE_ALLOWANCE: usize = 4 << 10;
+/// Allowance for what the service holds whatever the number of plans,
+/// such as the store table's trailing group of control bytes (16 bytes
+/// measured).
+const SERVICE_ALLOWANCE: usize = 1 << 10;
 
 /// Bytes a served six-service forest plan may hold in the store: the `Arc`
-/// block (two counts and the `HeldPlan` record), the packed graph (`n`,
-/// then two labels an edge, one byte each below 128), the key's
-/// fingerprint (one word slice: a header word, then two `u64` words a
-/// service) and a hash-table slot (the key plus the entry's `Arc` and `u64`
-/// recency, and a control byte), counted twice for the table's spare
-/// capacity.  That is 253 bytes, which a plan holding its graph as a block
-/// of `2n + 2 + 2m` `u32` words (338 bytes, 340 measured) exceeds by more
-/// than the allowance.
+/// block (two counts and the `PlanRecord`: the key, the recency word and
+/// the held plan), the packed graph (`n`, then two labels an edge, one
+/// byte each below 128), the key's fingerprint (one word slice: a header
+/// word, then two `u64` words a service) and a hash-table slot (the
+/// record's pointer and a control byte), counted twice for the table's
+/// spare capacity.  That is 221 bytes, which a table holding the 24-byte
+/// key and a 16-byte entry in every slot (253 bytes, 255 measured) exceeds
+/// by more than the allowance.
 fn served_plan_bound() -> usize {
     let (n, m) = (6, 5);
-    let slot = std::mem::size_of::<PlanKey>() + 2 * 8 + 1;
-    16 + std::mem::size_of::<HeldPlan>() + (1 + 2 * m) + 8 * (1 + 2 * n) + 2 * slot
+    let slot = 8 + 1;
+    16 + std::mem::size_of::<PlanRecord>() + (1 + 2 * m) + 8 * (1 + 2 * n) + 2 * slot
 }
 
 #[test]
