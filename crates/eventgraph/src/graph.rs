@@ -13,6 +13,7 @@
 //! ratio**: the maximum over all directed cycles of (total duration of the
 //! transitions on the cycle) / (total token count of the cycle).
 
+use crate::cycle_ratio::{CycleScratch, Mark, NONE};
 use crate::error::EventGraphError;
 
 /// An arc of a timed event graph.
@@ -28,12 +29,16 @@ pub struct Arc {
 }
 
 /// A timed event graph.
+///
+/// The arcs live in one list, in insertion order; the analyses that walk
+/// them by source transition index that list on the buffers of a
+/// [`CycleScratch`].  So a caller that values many arc sets over the same
+/// transitions can [`clear_arcs`](Self::clear_arcs) and re-add them: once
+/// the list and the scratch have grown, nothing allocates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimedEventGraph {
     durations: Vec<f64>,
     arcs: Vec<Arc>,
-    out_adj: Vec<Vec<usize>>, // indices into `arcs`
-    in_adj: Vec<Vec<usize>>,
 }
 
 impl TimedEventGraph {
@@ -44,20 +49,15 @@ impl TimedEventGraph {
 
     /// Creates a graph with the given transition durations and no arcs.
     pub fn with_durations(durations: Vec<f64>) -> Self {
-        let n = durations.len();
         TimedEventGraph {
             durations,
             arcs: Vec::new(),
-            out_adj: vec![Vec::new(); n],
-            in_adj: vec![Vec::new(); n],
         }
     }
 
     /// Adds a transition with the given firing duration and returns its index.
     pub fn add_transition(&mut self, duration: f64) -> usize {
         self.durations.push(duration);
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
         self.durations.len() - 1
     }
 
@@ -70,11 +70,19 @@ impl TimedEventGraph {
         if to >= n {
             return Err(EventGraphError::InvalidTransition { id: to, n });
         }
-        let idx = self.arcs.len();
         self.arcs.push(Arc { from, to, tokens });
-        self.out_adj[from].push(idx);
-        self.in_adj[to].push(idx);
         Ok(())
+    }
+
+    /// Removes every arc, keeping the transitions and the arc list's
+    /// capacity.
+    pub fn clear_arcs(&mut self) {
+        self.arcs.clear();
+    }
+
+    /// Reserves room for at least `additional` more arcs.
+    pub fn reserve_arcs(&mut self, additional: usize) {
+        self.arcs.reserve_exact(additional);
     }
 
     /// Number of transitions.
@@ -92,19 +100,19 @@ impl TimedEventGraph {
         self.durations[t]
     }
 
-    /// All arcs.
+    /// All arcs, in insertion order.
     pub fn arcs(&self) -> &[Arc] {
         &self.arcs
     }
 
-    /// Arcs leaving a transition.
+    /// Arcs leaving a transition, in insertion order.
     pub fn out_arcs(&self, t: usize) -> impl Iterator<Item = &Arc> + '_ {
-        self.out_adj[t].iter().map(move |&i| &self.arcs[i])
+        self.arcs.iter().filter(move |arc| arc.from == t)
     }
 
-    /// Arcs entering a transition.
+    /// Arcs entering a transition, in insertion order.
     pub fn in_arcs(&self, t: usize) -> impl Iterator<Item = &Arc> + '_ {
-        self.in_adj[t].iter().map(move |&i| &self.arcs[i])
+        self.arcs.iter().filter(move |arc| arc.to == t)
     }
 
     /// Checks that every duration is finite and non-negative.
@@ -129,27 +137,43 @@ impl TimedEventGraph {
     /// Such a cycle makes the period infinite (the operations of one single
     /// iteration depend circularly on each other).
     pub fn find_zero_token_cycle(&self) -> Option<Vec<usize>> {
+        let mut scratch = CycleScratch::new();
+        scratch.index(self);
+        self.zero_token_cycle_in(&mut scratch)
+            .then_some(scratch.critical)
+    }
+
+    /// [`find_zero_token_cycle`](Self::find_zero_token_cycle) on `scratch`,
+    /// which must index this graph's arcs: `true` when such a cycle exists,
+    /// left in `scratch.critical`.
+    pub(crate) fn zero_token_cycle_in(&self, scratch: &mut CycleScratch) -> bool {
         // DFS over the subgraph of zero-token arcs looking for any cycle, then
         // check whether its duration is positive.  Zero-duration cycles are
         // harmless (degenerate simultaneous events) and are ignored.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
+        let CycleScratch {
+            start,
+            by_source,
+            mark,
+            pred: parent,
+            stack,
+            critical,
+            ..
+        } = scratch;
         let n = self.n();
-        let mut mark = vec![Mark::White; n];
-        let mut parent: Vec<Option<usize>> = vec![None; n];
+        mark.clear();
+        mark.resize(n, Mark::White);
+        parent.clear();
+        parent.resize(n, NONE);
         for root in 0..n {
             if mark[root] != Mark::White {
                 continue;
             }
             // Iterative DFS with an explicit stack of (node, next arc index).
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+            stack.clear();
+            stack.push((root, 0));
             mark[root] = Mark::Grey;
             while let Some(&(v, next)) = stack.last() {
-                let arcs = &self.out_adj[v];
+                let arcs = &by_source[start[v]..start[v + 1]];
                 if next >= arcs.len() {
                     mark[v] = Mark::Black;
                     stack.pop();
@@ -164,28 +188,29 @@ impl TimedEventGraph {
                 match mark[w] {
                     Mark::White => {
                         mark[w] = Mark::Grey;
-                        parent[w] = Some(v);
+                        parent[w] = v;
                         stack.push((w, 0));
                     }
                     Mark::Grey => {
                         // Found a cycle w -> ... -> v -> w.
-                        let mut cycle = vec![v];
+                        critical.clear();
+                        critical.push(v);
                         let mut cur = v;
                         while cur != w {
-                            cur = parent[cur].expect("grey chain broken");
-                            cycle.push(cur);
+                            cur = parent[cur];
+                            critical.push(cur);
                         }
-                        cycle.reverse();
-                        let dur: f64 = cycle.iter().map(|&t| self.durations[t]).sum();
+                        critical.reverse();
+                        let dur: f64 = critical.iter().map(|&t| self.durations[t]).sum();
                         if dur > 0.0 {
-                            return Some(cycle);
+                            return true;
                         }
                     }
                     Mark::Black => {}
                 }
             }
         }
-        None
+        false
     }
 }
 

@@ -9,7 +9,10 @@
 //! yield, once the communication orderings of each server are fixed, exactly
 //! this kind of uniform cyclic precedence system; the scheduler crate
 //! (`fsw-sched`) builds the event graph and this crate answers "what period
-//! does that ordering achieve?".
+//! does that ordering achieve?".  An ordering search asks that question for
+//! thousands of orderings of one plan: it keeps one graph per worker, swaps
+//! its arcs per ordering ([`TimedEventGraph::clear_arcs`]) and runs the
+//! analysis on one [`CycleScratch`], so a valuation allocates nothing.
 //!
 //! ```
 //! use fsw_eventgraph::TimedEventGraph;
@@ -31,7 +34,7 @@ pub mod error;
 pub mod graph;
 pub mod selftimed;
 
-pub use cycle_ratio::CycleRatio;
+pub use cycle_ratio::{CycleRatio, CycleScratch, MaxRatio};
 pub use error::EventGraphError;
 pub use graph::{Arc, TimedEventGraph};
 pub use selftimed::SelfTimedRun;

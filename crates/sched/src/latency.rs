@@ -28,12 +28,12 @@
 //! * [`latency_lower_bound`] — the critical-path lower bound valid for every model.
 
 use fsw_core::{
-    in_edges, out_edges, plan_edges, Application, CoreError, CoreResult, EdgeRef, ExecutionGraph,
-    Interval, OperationList, PlanMetrics,
+    in_edges, out_edges, Application, CoreError, CoreResult, EdgeRef, ExecutionGraph, Interval,
+    OperationList, PlanMetrics,
 };
 
 use crate::engine::prune_threshold;
-use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace};
+use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace, PlanOperations, NO_OP};
 use crate::par::Exec;
 
 /// Critical-path lower bound on the latency, valid for every communication model.
@@ -88,31 +88,9 @@ pub(crate) fn latency_lower_bound_with(
 /// the ordering searches run their passes on buffers they keep per worker:
 /// valuing an ordering inside a search allocates nothing.
 pub struct LatencyEvaluator<'a> {
-    graph: &'a ExecutionGraph,
-    /// The plan edges in [`plan_edges`] order: operation `i` is the
-    /// transfer on `edges[i]`, operation `edges.len() + k` the computation
-    /// of service `k`.
-    edges: Vec<EdgeRef>,
-    /// The operation of every plan edge, at its `edge_slot`.
-    edge_op: Vec<usize>,
-    durations: Vec<f64>,
+    ops: PlanOperations<'a>,
     lower_bound: f64,
 }
-
-/// A plan edge's place in [`LatencyEvaluator`]'s dense edge table on `n`
-/// services: input edges first, then output edges, then the `n × n`
-/// service-to-service pairs.
-fn edge_slot(n: usize, edge: EdgeRef) -> usize {
-    match edge {
-        EdgeRef::Input(k) => k,
-        EdgeRef::Output(k) => n + k,
-        EdgeRef::Link(i, j) => 2 * n + i * n + j,
-    }
-}
-
-/// Marks an absent successor in [`LatencyScratch`] and an absent edge in
-/// the evaluator's edge table.
-const NO_OP: usize = usize::MAX;
 
 /// The buffers of a [`LatencyEvaluator`]'s longest-path pass, sized exactly
 /// for its operations.  An ordering search keeps one per worker, so its
@@ -143,22 +121,8 @@ impl<'a> LatencyEvaluator<'a> {
         metrics: &PlanMetrics,
     ) -> CoreResult<Self> {
         let lower_bound = latency_lower_bound_with(app, graph, metrics)?;
-        let n = graph.n();
-        let edges = plan_edges(graph);
-        let mut edge_op = vec![NO_OP; 2 * n + n * n];
-        for (op, &edge) in edges.iter().enumerate() {
-            edge_op[edge_slot(n, edge)] = op;
-        }
-        let durations: Vec<f64> = edges
-            .iter()
-            .map(|&edge| metrics.edge_volume(app, edge))
-            .chain((0..n).map(|k| metrics.c_comp(k)))
-            .collect();
         Ok(LatencyEvaluator {
-            graph,
-            edges,
-            edge_op,
-            durations,
+            ops: PlanOperations::new(app, graph, metrics),
             lower_bound,
         })
     }
@@ -171,20 +135,13 @@ impl<'a> LatencyEvaluator<'a> {
 
     /// Buffers for one worker's longest-path passes.
     pub(crate) fn scratch(&self) -> LatencyScratch {
-        let m = self.durations.len();
+        let m = self.ops.len();
         LatencyScratch {
             succ: vec![[NO_OP; 2]; m],
             indeg: vec![0; m],
             start: vec![0.0; m],
             stack: Vec::with_capacity(m),
         }
-    }
-
-    /// The operation carrying plan edge `edge` of the evaluator's graph.
-    fn op(&self, edge: EdgeRef) -> usize {
-        let op = self.edge_op[edge_slot(self.graph.n(), edge)];
-        debug_assert!(op != NO_OP, "{edge:?} is not a plan edge of the graph");
-        op
     }
 
     /// Longest path over the operation DAG induced by `ords` (Kahn), with
@@ -211,15 +168,9 @@ impl<'a> LatencyEvaluator<'a> {
         indeg.fill(0);
         start.fill(0.0);
         stack.clear();
-        let calc = self.edges.len();
-        for k in 0..self.graph.n() {
-            let sequence = ords.incoming[k]
-                .iter()
-                .map(|&e| self.op(e))
-                .chain(std::iter::once(calc + k))
-                .chain(ords.outgoing[k].iter().map(|&e| self.op(e)));
+        for k in 0..self.ops.graph.n() {
             let mut prev = NO_OP;
-            for op in sequence {
+            for op in self.ops.sequence(ords, k) {
                 if prev != NO_OP {
                     let slot = usize::from(succ[prev][0] != NO_OP);
                     debug_assert!(succ[prev][slot] == NO_OP, "an edge listed twice");
@@ -234,7 +185,7 @@ impl<'a> LatencyEvaluator<'a> {
         let mut makespan = 0.0f64;
         while let Some(i) = stack.pop() {
             visited += 1;
-            let end = start[i] + self.durations[i];
+            let end = start[i] + self.ops.durations[i];
             if end > cutoff {
                 return Ok(None);
             }
@@ -273,14 +224,7 @@ impl<'a> LatencyEvaluator<'a> {
         // the schedule trivially has no cross-data-set conflict (the "fully
         // serialise each data set" strategy of Section 2.2 for the latency).
         let lambda = if makespan > 0.0 { makespan } else { 1.0 };
-        let mut oplist = OperationList::new(self.graph.n(), lambda);
-        let interval = |op: usize| Interval::with_duration(scratch.start[op], self.durations[op]);
-        for (op, &edge) in self.edges.iter().enumerate() {
-            oplist.set_comm(edge, interval(op));
-        }
-        for k in 0..self.graph.n() {
-            oplist.set_calc(k, interval(self.edges.len() + k));
-        }
+        let oplist = self.ops.oplist(lambda, &scratch.start);
         Ok((oplist.latency(), oplist))
     }
 }
@@ -368,7 +312,7 @@ pub fn oneport_latency_search_bounded(
     if evaluator.lower_bound() > prune_threshold(cutoff) {
         return Ok(None);
     }
-    let graph = evaluator.graph;
+    let graph = evaluator.ops.graph;
     let enumerated = OrderingSpace::new(graph, exhaustive_limit).map(|space| {
         // Dead-locked orderings and orderings provably above the bar are
         // both skipped.  Each worker values on its own pass buffers.

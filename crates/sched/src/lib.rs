@@ -60,7 +60,7 @@ pub use minlatency::minimize_latency;
 pub use minperiod::{minimize_period, SearchOutcome};
 pub use oneport::{
     inorder_oplist_for_orderings, inorder_period_for_orderings, oneport_period_search,
-    oneport_period_search_bounded, OnePortStyle, OrderingSearchResult,
+    oneport_period_search_bounded, OnePortStyle, OrderingSearchResult, PeriodEvaluator,
 };
 pub use orchestrator::{solve, solve_all, Objective, Problem, SearchBudget, Solution};
 pub use orderings::{CommOrderings, OrderingSpace};

@@ -119,7 +119,8 @@ fn evaluate_latency_bounded(
     let oneport = if deadline.is_some() {
         search(inner_cutoff)
     } else {
-        let exhaustive = CommOrderings::search_space_size(graph) <= max_orderings;
+        let exhaustive =
+            CommOrderings::search_space_size(graph).is_some_and(|size| size <= max_orderings);
         cache.get_or_compute(graph, exhaustive, inner_cutoff, search)
     };
     fluid.map_or(oneport, |f| f.min(oneport))

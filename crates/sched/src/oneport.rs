@@ -17,19 +17,22 @@
 //! searching over orderings — which Theorem 1 shows is NP-hard, hence the
 //! exhaustive search is capped and complemented by heuristics.  The search
 //! has one entry pair: [`oneport_period_search`] is the serial form, and
-//! [`oneport_period_search_bounded`] takes the caller's plan metrics and
-//! the executor.  Both run the enumerate-and-climb routine the latency
-//! search shares ([`crate::orderings`]).
+//! [`oneport_period_search_bounded`] takes a [`PeriodEvaluator`] and the
+//! executor.  Both run the enumerate-and-climb routine the latency search
+//! shares ([`crate::orderings`]).
+//!
+//! The event graph's transitions — one per plan edge, then one computation
+//! per service — and their durations do not depend on the ordering, so a
+//! [`PeriodEvaluator`] numbers them once per plan graph.  Each search worker
+//! keeps one event graph over those transitions and one set of analysis
+//! buffers: valuing an ordering clears the graph's arcs, re-adds the
+//! ordering's, and runs the cycle-ratio analysis in place, allocating
+//! nothing.  The winner's operation list comes from the same evaluator.
 
-use std::collections::BTreeMap;
+use fsw_core::{Application, CoreError, CoreResult, ExecutionGraph, OperationList, PlanMetrics};
+use fsw_eventgraph::{CycleScratch, MaxRatio, TimedEventGraph};
 
-use fsw_core::{
-    Application, CoreError, CoreResult, EdgeRef, ExecutionGraph, Interval, OperationList,
-    PlanMetrics,
-};
-use fsw_eventgraph::TimedEventGraph;
-
-use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace};
+use crate::orderings::{climb_orderings, CommOrderings, OrderingSpace, PlanOperations};
 use crate::par::Exec;
 
 /// Which serialisation discipline the event graph should encode.
@@ -44,19 +47,168 @@ pub enum OnePortStyle {
     OverlapPorts,
 }
 
-/// Mapping between plan operations and event-graph transitions.
-struct TransitionMap {
-    comm: BTreeMap<EdgeRef, usize>,
-    calc: Vec<usize>,
+/// Pre-computed state for valuing many communication orderings of one
+/// `(application, graph)` pair by the period of their timed event graph
+/// under one [`OnePortStyle`].
+///
+/// The transitions are the plan's operations: the transfer on each plan
+/// edge in `plan_edges` order, then the computation of each service, timed
+/// by the plan metrics.  Only the arcs depend on the
+/// ordering, and their number does not.
+pub struct PeriodEvaluator<'a> {
+    ops: PlanOperations<'a>,
+    style: OnePortStyle,
+    /// Arcs of every ordering's event graph.
+    arcs: usize,
 }
 
-/// Builds the timed event graph encoding an `INORDER` cyclic schedule with
-/// the given communication orderings.
-fn build_event_graph(
+/// One worker's event graph over a [`PeriodEvaluator`]'s transitions and
+/// the buffers of its analysis, reused for every ordering it values.
+pub(crate) struct PeriodScratch {
+    events: TimedEventGraph,
+    cycles: CycleScratch,
+}
+
+impl<'a> PeriodEvaluator<'a> {
+    /// Numbers the transitions of `graph`'s event graphs under `style`,
+    /// timed by the caller's plan metrics.  An application that
+    /// [`Application::validate`] refuses gets its error here, before any
+    /// ordering is valued.
+    pub fn new(
+        app: &Application,
+        graph: &'a ExecutionGraph,
+        metrics: &PlanMetrics,
+        style: OnePortStyle,
+    ) -> CoreResult<Self> {
+        app.validate()?;
+        let n = graph.n();
+        // Every list holds at least one edge (an input or an output edge).
+        let comms: usize = (0..n)
+            .map(|k| graph.preds(k).len().max(1) + graph.succs(k).len().max(1))
+            .sum();
+        let arcs = match style {
+            // One cycle through every communication and the computation.
+            OnePortStyle::InOrder => comms + n,
+            // Two port cycles, the CPU loop and a precedence arc per
+            // communication.
+            OnePortStyle::OverlapPorts => 2 * comms + n,
+        };
+        Ok(PeriodEvaluator {
+            ops: PlanOperations::new(app, graph, metrics),
+            style,
+            arcs,
+        })
+    }
+
+    /// One worker's event graph and analysis buffers.
+    pub(crate) fn scratch(&self) -> PeriodScratch {
+        let mut events = TimedEventGraph::with_durations(self.ops.durations.clone());
+        events.reserve_arcs(self.arcs);
+        PeriodScratch {
+            events,
+            cycles: CycleScratch::new(),
+        }
+    }
+
+    /// Replaces `events`' arcs with those of `ords`, server by server.
+    fn sequence_arcs(&self, ords: &CommOrderings, events: &mut TimedEventGraph) {
+        events.clear_arcs();
+        for k in 0..self.ops.graph.n() {
+            match self.style {
+                // One cycle: in_1 .. in_p, calc, out_1 .. out_q, back to in_1.
+                OnePortStyle::InOrder => serialise(events, self.ops.sequence(ords, k)),
+                OnePortStyle::OverlapPorts => {
+                    let ins = self.ops.receptions(ords, k);
+                    let outs = self.ops.emissions(ords, k);
+                    let calc = self.ops.calc(k);
+                    // Incoming-port, outgoing-port and CPU cycles.
+                    serialise(events, ins.clone());
+                    serialise(events, outs.clone());
+                    serialise(events, std::iter::once(calc));
+                    // Per-data-set precedence: receive everything, compute, send.
+                    for i in ins {
+                        add_arc(events, i, calc, 0);
+                    }
+                    for o in outs {
+                        add_arc(events, calc, o, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Period of `ords` on `scratch`; `Err(CyclicGraph)` when the ordering
+    /// dead-locks (a token-free cycle of positive duration).
+    pub(crate) fn run(&self, ords: &CommOrderings, scratch: &mut PeriodScratch) -> CoreResult<f64> {
+        self.sequence_arcs(ords, &mut scratch.events);
+        match scratch.events.max_cycle_ratio_in(&mut scratch.cycles) {
+            Ok(MaxRatio::Ratio(ratio)) => Ok(ratio),
+            Ok(MaxRatio::Unconstrained) => Ok(0.0),
+            Ok(MaxRatio::ZeroTokenCycle) | Err(_) => Err(CoreError::CyclicGraph),
+        }
+    }
+
+    /// Period of a fixed ordering.  Each call makes its own event graph and
+    /// buffers; the ordering searches reuse one set per worker instead.
+    pub fn period(&self, ords: &CommOrderings) -> CoreResult<f64> {
+        self.run(ords, &mut self.scratch())
+    }
+
+    /// A concrete operation list realising the period of a fixed ordering:
+    /// every operation starts at its earliest time in a cyclic schedule of
+    /// that period (an `INORDER` schedule under [`OnePortStyle::InOrder`]).
+    pub fn oplist(&self, ords: &CommOrderings) -> CoreResult<OperationList> {
+        // The analysis frees its buffers before the schedule is built: the
+        // earliest starts need only the arcs and one distance per
+        // transition.
+        let period = self.period(ords)?;
+        // Guard against degenerate zero-work plans.
+        let period = if period > 0.0 { period } else { 1.0 };
+        let mut scratch = self.scratch();
+        self.sequence_arcs(ords, &mut scratch.events);
+        let PeriodScratch { events, cycles } = &mut scratch;
+        let feasible = events.earliest_schedule_in(period * (1.0 + 1e-12), cycles)
+            || events.earliest_schedule_in(period * (1.0 + 1e-9), cycles);
+        if !feasible {
+            return Err(CoreError::CyclicGraph);
+        }
+        Ok(self.ops.oplist(period, cycles.starts()))
+    }
+}
+
+/// Adds an arc between two of a [`PeriodEvaluator`]'s transitions.
+fn add_arc(events: &mut TimedEventGraph, from: usize, to: usize, tokens: u32) {
+    events
+        .add_arc(from, to, tokens)
+        .expect("the evaluator numbers every transition of the graph");
+}
+
+/// Adds the arcs of one serial resource that runs `ops` in order once per
+/// data set: consecutive operations linked without a token, and the last
+/// one handing a token back to the first.
+fn serialise(events: &mut TimedEventGraph, ops: impl Iterator<Item = usize>) {
+    let mut ends = None;
+    for op in ops {
+        ends = Some(match ends {
+            None => (op, op),
+            Some((first, prev)) => {
+                add_arc(events, prev, op, 0);
+                (first, op)
+            }
+        });
+    }
+    if let Some((first, last)) = ends {
+        add_arc(events, last, first, 1);
+    }
+}
+
+/// The `INORDER` evaluator of `graph` for a fixed ordering, which must be
+/// consistent with it.
+fn inorder_evaluator<'a>(
     app: &Application,
-    graph: &ExecutionGraph,
+    graph: &'a ExecutionGraph,
     ords: &CommOrderings,
-) -> CoreResult<(TimedEventGraph, TransitionMap)> {
+) -> CoreResult<PeriodEvaluator<'a>> {
     if !ords.is_consistent_with(graph) {
         return Err(CoreError::SizeMismatch {
             expected: graph.n(),
@@ -64,82 +216,7 @@ fn build_event_graph(
         });
     }
     let metrics = PlanMetrics::compute(app, graph)?;
-    build_event_graph_with(app, graph, &metrics, ords, OnePortStyle::InOrder)
-}
-
-/// [`build_event_graph`] with pre-computed plan metrics and no consistency
-/// check — the hot path of the exhaustive ordering search, whose candidates
-/// are consistent by construction.
-fn build_event_graph_with(
-    app: &Application,
-    graph: &ExecutionGraph,
-    metrics: &PlanMetrics,
-    ords: &CommOrderings,
-    style: OnePortStyle,
-) -> CoreResult<(TimedEventGraph, TransitionMap)> {
-    let mut eg = TimedEventGraph::new();
-    let mut map = TransitionMap {
-        comm: BTreeMap::new(),
-        calc: vec![usize::MAX; graph.n()],
-    };
-    for edge in fsw_core::plan_edges(graph) {
-        let t = eg.add_transition(metrics.edge_volume(app, edge));
-        map.comm.insert(edge, t);
-    }
-    for k in 0..graph.n() {
-        map.calc[k] = eg.add_transition(metrics.c_comp(k));
-    }
-
-    let arc = |eg: &mut TimedEventGraph, from: usize, to: usize, tokens: u32| {
-        eg.add_arc(from, to, tokens)
-            .expect("transitions created above");
-    };
-
-    for k in 0..graph.n() {
-        let ins: Vec<usize> = ords.incoming[k].iter().map(|e| map.comm[e]).collect();
-        let outs: Vec<usize> = ords.outgoing[k].iter().map(|e| map.comm[e]).collect();
-        let calc = map.calc[k];
-        match style {
-            OnePortStyle::InOrder => {
-                // One cycle: in_1 .. in_p, calc, out_1 .. out_q, back to in_1.
-                let mut seq = ins.clone();
-                seq.push(calc);
-                seq.extend(outs.iter().copied());
-                for w in seq.windows(2) {
-                    arc(&mut eg, w[0], w[1], 0);
-                }
-                let first = *seq.first().expect("sequence contains at least calc");
-                let last = *seq.last().expect("sequence contains at least calc");
-                arc(&mut eg, last, first, 1);
-            }
-            OnePortStyle::OverlapPorts => {
-                // Incoming-port cycle.
-                if !ins.is_empty() {
-                    for w in ins.windows(2) {
-                        arc(&mut eg, w[0], w[1], 0);
-                    }
-                    arc(&mut eg, *ins.last().unwrap(), ins[0], 1);
-                }
-                // Outgoing-port cycle.
-                if !outs.is_empty() {
-                    for w in outs.windows(2) {
-                        arc(&mut eg, w[0], w[1], 0);
-                    }
-                    arc(&mut eg, *outs.last().unwrap(), outs[0], 1);
-                }
-                // CPU cycle.
-                arc(&mut eg, calc, calc, 1);
-                // Per-data-set precedence: receive everything, compute, send.
-                for &i in &ins {
-                    arc(&mut eg, i, calc, 0);
-                }
-                for &o in &outs {
-                    arc(&mut eg, calc, o, 0);
-                }
-            }
-        }
-    }
-    Ok((eg, map))
+    PeriodEvaluator::new(app, graph, &metrics, OnePortStyle::InOrder)
 }
 
 /// Period achieved by a fixed communication ordering under the `INORDER` model.
@@ -148,19 +225,7 @@ pub fn inorder_period_for_orderings(
     graph: &ExecutionGraph,
     ords: &CommOrderings,
 ) -> CoreResult<f64> {
-    let (eg, _) = build_event_graph(app, graph, ords)?;
-    eg.min_period().map_err(|_| CoreError::CyclicGraph)
-}
-
-fn period_for_orderings_with(
-    app: &Application,
-    graph: &ExecutionGraph,
-    metrics: &PlanMetrics,
-    ords: &CommOrderings,
-    style: OnePortStyle,
-) -> CoreResult<f64> {
-    let (eg, _) = build_event_graph_with(app, graph, metrics, ords, style)?;
-    eg.min_period().map_err(|_| CoreError::CyclicGraph)
+    inorder_evaluator(app, graph, ords)?.period(ords)
 }
 
 /// Builds a concrete operation list realising the optimal period of a fixed
@@ -170,28 +235,7 @@ pub fn inorder_oplist_for_orderings(
     graph: &ExecutionGraph,
     ords: &CommOrderings,
 ) -> CoreResult<OperationList> {
-    let (eg, map) = build_event_graph(app, graph, ords)?;
-    let period = eg.min_period().map_err(|_| CoreError::CyclicGraph)?;
-    // Guard against degenerate zero-work plans.
-    let period = if period > 0.0 { period } else { 1.0 };
-    let starts = eg
-        .earliest_schedule(period * (1.0 + 1e-12))
-        .or_else(|| eg.earliest_schedule(period * (1.0 + 1e-9)))
-        .ok_or(CoreError::CyclicGraph)?;
-    let metrics = PlanMetrics::compute(app, graph)?;
-    let mut oplist = OperationList::new(graph.n(), period);
-    for (edge, &t) in &map.comm {
-        let begin = starts[t];
-        oplist.set_comm(
-            *edge,
-            Interval::with_duration(begin, metrics.edge_volume(app, *edge)),
-        );
-    }
-    for k in 0..graph.n() {
-        let begin = starts[map.calc[k]];
-        oplist.set_calc(k, Interval::with_duration(begin, metrics.c_comp(k)));
-    }
-    Ok(oplist)
+    inorder_evaluator(app, graph, ords)?.oplist(ords)
 }
 
 /// Result of an ordering search.
@@ -207,7 +251,9 @@ pub struct OrderingSearchResult {
 }
 
 /// Searches for the communication ordering minimising the period, serially
-/// (see [`oneport_period_search_bounded`]).
+/// (see [`oneport_period_search_bounded`]).  An application that
+/// [`Application::validate`] refuses gets its error before any ordering is
+/// valued.
 pub fn oneport_period_search(
     app: &Application,
     graph: &ExecutionGraph,
@@ -215,18 +261,12 @@ pub fn oneport_period_search(
     exhaustive_limit: usize,
 ) -> CoreResult<OrderingSearchResult> {
     let metrics = PlanMetrics::compute(app, graph)?;
-    oneport_period_search_bounded(
-        app,
-        graph,
-        &metrics,
-        style,
-        exhaustive_limit,
-        Exec::serial(),
-    )
+    let evaluator = PeriodEvaluator::new(app, graph, &metrics, style)?;
+    oneport_period_search_bounded(&evaluator, exhaustive_limit, Exec::serial())
 }
 
-/// Searches for the communication ordering minimising the period of `graph`,
-/// whose plan metrics the caller supplies.
+/// Searches for the communication ordering minimising the period of the
+/// evaluator's graph under its style.
 ///
 /// If the ordering space has at most `exhaustive_limit` elements it is fully
 /// enumerated (optimal result, the first minimum in enumeration order);
@@ -234,24 +274,20 @@ pub fn oneport_period_search(
 /// ordering.  The enumeration is split over `exec` worker threads (chunks in
 /// enumeration order, reduced with the serial tie-breaking rule, so the
 /// result is bit-identical to the serial run) and honours its deadline.
-///
-/// An application that [`Application::validate`] refuses gets its error
-/// before any ordering is valued.
+/// Every worker, and the climb, values its orderings on one event graph
+/// and one set of analysis buffers.
 pub fn oneport_period_search_bounded(
-    app: &Application,
-    graph: &ExecutionGraph,
-    metrics: &PlanMetrics,
-    style: OnePortStyle,
+    evaluator: &PeriodEvaluator<'_>,
     exhaustive_limit: usize,
     exec: Exec,
 ) -> CoreResult<OrderingSearchResult> {
-    app.validate()?;
-    let eval = |ords: &CommOrderings| period_for_orderings_with(app, graph, metrics, ords, style);
+    let graph = evaluator.ops.graph;
     if let Some(space) = OrderingSpace::new(graph, exhaustive_limit) {
         // Orderings whose rendezvous constraints dead-lock are infeasible
         // (token-free cycle): skip them.
         let (best, complete) = space.first_minimum(exec, f64::INFINITY, || {
-            |ords: &CommOrderings, _| eval(ords).ok()
+            let mut scratch = evaluator.scratch();
+            move |ords: &CommOrderings, _| evaluator.run(ords, &mut scratch).ok()
         });
         if let Some((period, orderings)) = best {
             return Ok(OrderingSearchResult {
@@ -268,7 +304,9 @@ pub fn oneport_period_search_bounded(
     }
     // Beyond the limit, or when a deadline expired before the enumeration
     // valued a single ordering.
-    let (period, orderings) = climb_orderings(graph, exec, eval)?;
+    let mut scratch = evaluator.scratch();
+    let (period, orderings) =
+        climb_orderings(graph, exec, |ords| evaluator.run(ords, &mut scratch))?;
     Ok(OrderingSearchResult {
         period,
         orderings,
@@ -365,6 +403,98 @@ mod tests {
         // The search finds the minimum.
         let result = oneport_period_search(&app, &g, OnePortStyle::InOrder, 1000).unwrap();
         assert!((result.period - min).abs() < 1e-9);
+    }
+
+    /// The fork-join of `fork_join_orderings_change_the_period`.
+    fn fork_join() -> (Application, ExecutionGraph) {
+        let app =
+            Application::independent(&[(1.0, 1.0), (6.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]);
+        let g = ExecutionGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+            .unwrap();
+        (app, g)
+    }
+
+    /// A five-service fork-join plus edge (1, 2): 2 304 orderings, 1 666 of
+    /// them dead-locked under `INORDER`.
+    fn wide_fork_join() -> (Application, ExecutionGraph) {
+        let app =
+            Application::independent(&[(1.0, 0.5), (2.0, 0.9), (0.5, 0.7), (3.0, 0.6), (1.5, 1.2)]);
+        let edges = [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (1, 2),
+            (1, 4),
+            (2, 4),
+            (3, 4),
+        ];
+        (app, ExecutionGraph::from_edges(5, &edges).unwrap())
+    }
+
+    /// FNV-1a over 64-bit words: a period's bits, or `u64::MAX` for a
+    /// dead-locked ordering.
+    fn digest(periods: impl Iterator<Item = CoreResult<f64>>) -> u64 {
+        periods
+            .map(|period| period.map_or(u64::MAX, f64::to_bits))
+            .fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+                (hash ^ word).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Every ordering's `INORDER` period, in enumeration order, as the
+    /// per-ordering event graphs and permutation tables valued them.
+    #[test]
+    fn fork_join_periods_keep_their_order_and_values() {
+        let (app, g) = fork_join();
+        let space = OrderingSpace::new(&g, 1000).unwrap();
+        let expected = [
+            8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 10.0, 11.0, 8.0, 8.0, 10.0,
+            8.0, 11.0, 12.0, 10.0, 8.0, 11.0, 8.0, 11.0, 10.0, 10.0, 8.0, 8.0, 8.0, 12.0, 11.0,
+            11.0, 8.0, 10.0, 8.0f64,
+        ];
+        assert_eq!(space.len(), expected.len());
+        for (i, want) in expected.iter().enumerate() {
+            let got = inorder_period_for_orderings(&app, &g, &space.get(i)).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "ordering {i}");
+        }
+    }
+
+    /// The same over 2 304 orderings, dead-locks included, in both styles:
+    /// one digest of the sequence each.
+    #[test]
+    fn wide_fork_join_periods_keep_their_order_and_values() {
+        let (app, g) = wide_fork_join();
+        let space = OrderingSpace::new(&g, 10_000).unwrap();
+        assert_eq!(space.len(), 2_304);
+        let inorder =
+            (0..space.len()).map(|i| inorder_period_for_orderings(&app, &g, &space.get(i)));
+        assert_eq!(digest(inorder), 0xff7f_d445_e49f_545b);
+        let metrics = PlanMetrics::compute(&app, &g).unwrap();
+        let overlap = PeriodEvaluator::new(&app, &g, &metrics, OnePortStyle::OverlapPorts).unwrap();
+        let overlap = (0..space.len()).map(|i| overlap.period(&space.get(i)));
+        assert_eq!(digest(overlap), 0x5899_83d7_ac59_3b13);
+    }
+
+    /// Workers whose ranges start mid-space return the serial winner.
+    #[test]
+    fn period_searches_agree_at_every_worker_count() {
+        for (app, g) in [fork_join(), wide_fork_join()] {
+            let metrics = PlanMetrics::compute(&app, &g).unwrap();
+            for style in [OnePortStyle::InOrder, OnePortStyle::OverlapPorts] {
+                let evaluator = PeriodEvaluator::new(&app, &g, &metrics, style).unwrap();
+                let serial =
+                    oneport_period_search_bounded(&evaluator, 10_000, Exec::serial()).unwrap();
+                assert!(serial.exhaustive);
+                for threads in 2..=4 {
+                    let parallel =
+                        oneport_period_search_bounded(&evaluator, 10_000, Exec::threaded(threads))
+                            .unwrap();
+                    assert_eq!(parallel.period.to_bits(), serial.period.to_bits());
+                    assert_eq!(parallel.orderings, serial.orderings, "{style:?} x{threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::latency::{
 };
 use crate::minlatency::minimize_latency_engine;
 use crate::minperiod::minimize_period_engine;
-use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
+use crate::oneport::{oneport_period_search_bounded, OnePortStyle, PeriodEvaluator};
 use crate::orderings::CommOrderings;
 use crate::outorder::outorder_period_search_bounded;
 use crate::overlap::overlap_period_oplist;
@@ -489,15 +489,9 @@ fn orchestrate_period(
             (oplist.period(), Some(oplist), None, true)
         }
         CommModel::InOrder => {
-            let search = oneport_period_search_bounded(
-                app,
-                graph,
-                &metrics,
-                OnePortStyle::InOrder,
-                budget.max_orderings,
-                exec,
-            )?;
-            let oplist = inorder_oplist_for_orderings(app, graph, &search.orderings)?;
+            let evaluator = PeriodEvaluator::new(app, graph, &metrics, OnePortStyle::InOrder)?;
+            let search = oneport_period_search_bounded(&evaluator, budget.max_orderings, exec)?;
+            let oplist = evaluator.oplist(&search.orderings)?;
             (
                 search.period,
                 Some(oplist),

@@ -49,7 +49,7 @@ use fsw_core::{
     PlanMetrics, ServiceId,
 };
 
-use crate::oneport::{inorder_oplist_for_orderings, oneport_period_search_bounded, OnePortStyle};
+use crate::oneport::{oneport_period_search_bounded, OnePortStyle, PeriodEvaluator};
 use crate::orchestrator::SearchBudget;
 use crate::par::Exec;
 
@@ -483,16 +483,10 @@ pub fn outorder_period_search_bounded(
         });
     }
     // Fallback: the best INORDER schedule found is always OUTORDER-feasible.
-    let inorder = oneport_period_search_bounded(
-        app,
-        graph,
-        &metrics,
-        OnePortStyle::InOrder,
-        budget.max_orderings,
-        exec,
-    )?;
+    let evaluator = PeriodEvaluator::new(app, graph, &metrics, OnePortStyle::InOrder)?;
+    let inorder = oneport_period_search_bounded(&evaluator, budget.max_orderings, exec)?;
     let mut best_period = inorder.period;
-    let mut best_oplist = inorder_oplist_for_orderings(app, graph, &inorder.orderings)?;
+    let mut best_oplist = evaluator.oplist(&inorder.orderings)?;
     // Bisection between the lower bound and the fallback, warm-starting each
     // probe from the best feasibility witness so far.
     let mut warm = warm_hints(&ops, &best_oplist);

@@ -258,8 +258,9 @@ struct PendingJob<'r> {
     /// Admissible floor priced at admission (degrade band), if any.
     floor: Option<f64>,
     /// The retained evaluation cache the solve runs against, settled when
-    /// it completes ([`PlanService::settle_cache`]); `None` for a
-    /// MINPERIOD solve, which reads none.
+    /// it completes ([`PlanService::settle_cache`]); `None` for a solve
+    /// that reads none: MINPERIOD, or MINLATENCY above the DAG phase's
+    /// size.
     cache: Option<Arc<EvalCache>>,
     leader: Decided<'r>,
     joiners: Vec<Decided<'r>>,
@@ -951,11 +952,13 @@ impl<'r> EventLoop<'r> {
         // independent.
         let due_tick = (self.tick + latency).max(self.last_due);
         self.last_due = due_tick;
-        // Only a MINLATENCY solve reads an evaluation cache (its DAG phase
-        // memoises ordering searches), so only its dispatch retains one; a
-        // MINPERIOD solve builds its own on the worker.
-        let cache = (decided.prep.key.objective == Objective::MinLatency)
-            .then(|| service.retained_cache(&decided.prep));
+        // Only MINLATENCY's DAG phase reads an evaluation cache (it memoises
+        // ordering searches), and it runs only up to the budget's
+        // `dag_enumeration_max_n` services, so only such a dispatch retains
+        // one; every other solve builds its own on the worker.
+        let reads_cache = decided.prep.key.objective == Objective::MinLatency
+            && decided.prep.app.n() <= budget.dag_enumeration_max_n;
+        let cache = reads_cache.then(|| service.retained_cache(&decided.prep));
         self.pool.submit(WorkItem {
             job,
             ordinal: decided.info.ordinal,

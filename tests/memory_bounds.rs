@@ -1,7 +1,8 @@
 //! Memory regression bounds: the shape prelude, the evaluation cache, the
-//! DAG phase and its ordering searches, and the flat execution graph (the
-//! plans a serving tier holds are bounded in `serving_memory_bound.rs`,
-//! alone in its binary, since its window is process-wide).
+//! DAG phase, the latency and period ordering searches, and the flat
+//! execution graph (the plans a serving tier holds are bounded in
+//! `serving_memory_bound.rs`, alone in its binary, since its window is
+//! process-wide).
 //!
 //! The binary installs the std-only counting global allocator of
 //! `common/mod.rs`.  Every test holds one lock for its whole body, so no
@@ -32,10 +33,11 @@ use std::sync::{Mutex, MutexGuard};
 
 use fsw::core::{
     bound_ordered_shape_plan, classed_class_count, forest_classes, Application, CommModel,
-    ExecutionGraph, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
+    ExecutionGraph, PlanMetrics, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, WeightClasses,
 };
 use fsw::sched::engine::EvalCache;
 use fsw::sched::latency::{oneport_latency_search_bounded, LatencyEvaluator};
+use fsw::sched::oneport::{oneport_period_search_bounded, OnePortStyle, PeriodEvaluator};
 use fsw::sched::orchestrator::{solve, solve_warm_observed, Objective, Problem, SearchBudget};
 use fsw::sched::{CommOrderings, Exec};
 
@@ -249,30 +251,52 @@ fn the_dag_phase_keeps_no_set_of_visited_dags() {
 }
 
 /// Allocations allowed to one serial exhaustive latency ordering search
-/// over a five-service DAG: its ordering space's per-server permutation
-/// tables, one decoded ordering and one set of pass buffers, and the
-/// winner's schedule, however many orderings it values (searches that
-/// built each ordering and its pass buffers afresh made 19 736, 80 795 and
-/// 331 934 allocations over the three spaces below).
-const ORDERING_SEARCH_ALLOCATIONS: usize = 256;
+/// over a five-service DAG: its ordering space's natural ordering, one
+/// decoded ordering stepped through the space, one set of pass buffers and
+/// the winner's ordering and schedule, however many orderings it values
+/// (searches that built each ordering and its pass buffers afresh made
+/// 19 736, 80 795 and 331 934 allocations over the three spaces below, and
+/// 149–153 while the space materialised every server's permutations).
+const ORDERING_SEARCH_ALLOCATIONS: usize = 96;
 
-#[test]
-fn the_dag_phase_values_each_ordering_without_allocating() {
-    let _serial = serial();
-    let app =
-        Application::independent(&[(1.0, 0.5), (2.0, 0.9), (0.5, 0.7), (3.0, 0.6), (1.5, 1.2)]);
-    // A fork into four services joined again (4! · 4! orderings), then
-    // with extra edges multiplying the space by 4 and by 16.
+/// Allocations allowed to one serial exhaustive period ordering search over
+/// the same spaces, in either one-port style: the ordering space and one
+/// decoded ordering, one event graph with its analysis buffers, and the
+/// winner, however many orderings it values or finds dead-locked (searches
+/// that built an event graph per ordering, and fresh Bellman–Ford buffers
+/// per bisection step, made 85 140 to 948 904).
+const PERIOD_SEARCH_ALLOCATIONS: usize = 128;
+
+/// The five services whose ordering spaces the two searches value.
+fn five_services() -> Application {
+    Application::independent(&[(1.0, 0.5), (2.0, 0.9), (0.5, 0.7), (3.0, 0.6), (1.5, 1.2)])
+}
+
+/// A fork into four services joined again (4! · 4! orderings), then with
+/// extra edges multiplying the space by 4 and by 16, with its size.
+fn fork_join_spaces() -> Vec<(ExecutionGraph, usize)> {
     let fork_join = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)];
     let graphs = [
         fork_join.to_vec(),
         [&fork_join[..], &[(1, 2)]].concat(),
         [&fork_join[..], &[(1, 2), (2, 3)]].concat(),
     ];
-    for edges in graphs {
-        let graph = ExecutionGraph::from_edges(5, &edges).unwrap();
-        let orderings = CommOrderings::search_space_size(&graph);
-        assert!(orderings >= 500, "{orderings} orderings");
+    graphs
+        .iter()
+        .map(|edges| {
+            let graph = ExecutionGraph::from_edges(5, edges).unwrap();
+            let orderings = CommOrderings::search_space_size(&graph).unwrap();
+            assert!(orderings >= 500, "{orderings} orderings");
+            (graph, orderings)
+        })
+        .collect()
+}
+
+#[test]
+fn the_dag_phase_values_each_ordering_without_allocating() {
+    let _serial = serial();
+    let app = five_services();
+    for (graph, orderings) in fork_join_spaces() {
         let evaluator = LatencyEvaluator::new(&app, &graph).unwrap();
         let (made, result) = allocations(|| {
             oneport_latency_search_bounded(&evaluator, orderings, Exec::serial(), f64::INFINITY)
@@ -285,6 +309,27 @@ fn the_dag_phase_values_each_ordering_without_allocating() {
             made <= ORDERING_SEARCH_ALLOCATIONS,
             "{made} allocations over {orderings} orderings"
         );
+    }
+}
+
+#[test]
+fn the_period_search_values_each_ordering_without_allocating() {
+    let _serial = serial();
+    let app = five_services();
+    for (graph, orderings) in fork_join_spaces() {
+        let metrics = PlanMetrics::compute(&app, &graph).unwrap();
+        for style in [OnePortStyle::InOrder, OnePortStyle::OverlapPorts] {
+            let evaluator = PeriodEvaluator::new(&app, &graph, &metrics, style).unwrap();
+            let (made, result) = allocations(|| {
+                oneport_period_search_bounded(&evaluator, orderings, Exec::serial()).unwrap()
+            });
+            assert!(result.exhaustive);
+            println!("{style:?} period search over {orderings} orderings: {made} allocations");
+            assert!(
+                made <= PERIOD_SEARCH_ALLOCATIONS,
+                "{style:?}: {made} allocations over {orderings} orderings"
+            );
+        }
     }
 }
 

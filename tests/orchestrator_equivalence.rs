@@ -22,7 +22,7 @@ use fsw::sched::minlatency::minimize_latency;
 use fsw::sched::minperiod::{exhaustive_forest_search, minimize_period, SearchOutcome};
 use fsw::sched::oneport::{
     inorder_period_for_orderings, oneport_period_search, oneport_period_search_bounded,
-    OnePortStyle,
+    OnePortStyle, PeriodEvaluator,
 };
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::outorder_period_search;
@@ -215,17 +215,11 @@ fn parallel_searches_equal_serial() {
         let serial_p = oneport_period_search(&app, &graph, OnePortStyle::InOrder, 50_000).unwrap();
         let serial_l = oneport_latency_search(&app, &graph, 50_000).unwrap();
         let metrics = PlanMetrics::compute(&app, &graph).unwrap();
+        let periods = PeriodEvaluator::new(&app, &graph, &metrics, OnePortStyle::InOrder).unwrap();
         let evaluator = LatencyEvaluator::new(&app, &graph).unwrap();
         for threads in [2, 5] {
-            let par_p = oneport_period_search_bounded(
-                &app,
-                &graph,
-                &metrics,
-                OnePortStyle::InOrder,
-                50_000,
-                Exec::threaded(threads),
-            )
-            .unwrap();
+            let par_p =
+                oneport_period_search_bounded(&periods, 50_000, Exec::threaded(threads)).unwrap();
             assert_eq!(serial_p.period, par_p.period, "case {case} x{threads}");
             assert_eq!(
                 serial_p.orderings, par_p.orderings,
@@ -304,7 +298,7 @@ fn ordering_search_climbs_match_a_reference_climb() {
         let p = rng.gen_range(0.2..0.8);
         let graph = random_dag_graph(n, p, &mut rng);
         // A one-element space fits the limit of 1 and is enumerated.
-        if CommOrderings::search_space_size(&graph) <= 1 {
+        if CommOrderings::search_space_size(&graph) == Some(1) {
             continue;
         }
         climbed += 1;

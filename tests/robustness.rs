@@ -15,7 +15,10 @@
 //!   refused up front, so an unbounded budget degrades instead of
 //!   streaming without end;
 //! * an application with no services is refused where applications enter,
-//!   instead of panicking the caller's thread.
+//!   instead of panicking the caller's thread;
+//! * an ordering space larger than `usize` is refused by the exhaustive
+//!   ordering searches, whatever the budget, so they climb instead of
+//!   enumerating without end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,6 +35,7 @@ use fsw::sched::latency::oneport_latency_search;
 use fsw::sched::oneport::{oneport_period_search, OnePortStyle};
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::{outorder_period_search, outorder_schedule_at};
+use fsw::sched::CommOrderings;
 use fsw::serve::{
     AdmissionPolicy, AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService,
     RejectReason, ServeOutcome, TenantEvent, TenantSession,
@@ -506,4 +510,37 @@ fn an_application_with_no_services_is_refused_at_every_entry() {
         outorder_schedule_at(&empty, &ExecutionGraph::new(0), 7.0, &budget).map(|_| ()),
         Err(CoreError::EmptyApplication)
     );
+}
+
+/// A 21-way fork has 21! ≈ 5.1·10¹⁹ orderings, more than `usize` holds:
+/// under an unbounded ordering budget the period searches (both styles and
+/// the orchestrated INORDER solve) and the latency search refuse to
+/// enumerate it and return the climb's answer, non-exhaustive, promptly.
+#[test]
+fn ordering_spaces_beyond_usize_are_climbed_not_enumerated() {
+    let mut specs = vec![(2.0, 0.5)];
+    specs.extend((1..=21).map(|k| (1.0 + k as f64 / 8.0, 1.0)));
+    let app = Application::independent(&specs);
+    let edges: Vec<(usize, usize)> = (1..=21).map(|k| (0, k)).collect();
+    let fork = ExecutionGraph::from_edges(22, &edges).unwrap();
+    assert_eq!(CommOrderings::search_space_size(&fork), None);
+    let started = Instant::now();
+    for style in [OnePortStyle::InOrder, OnePortStyle::OverlapPorts] {
+        let searched = oneport_period_search(&app, &fork, style, usize::MAX).unwrap();
+        assert!(!searched.exhaustive, "{style:?}");
+        assert!(searched.period.is_finite(), "{style:?}");
+    }
+    let searched = oneport_latency_search(&app, &fork, usize::MAX).unwrap();
+    assert!(!searched.exhaustive);
+    let budget = SearchBudget {
+        max_orderings: usize::MAX,
+        ..SearchBudget::default()
+    };
+    for objective in [Objective::MinPeriod, Objective::MinLatency] {
+        let problem = Problem::on_graph(&app, CommModel::InOrder, objective, &fork);
+        let solved = solve(&problem, &budget).unwrap();
+        assert!(!solved.exhaustive, "{objective:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(60), "took {elapsed:?}");
 }

@@ -218,6 +218,29 @@ fn cold_solves_retain_an_eval_cache_only_once_it_records_a_miss() {
     assert!(misses > 0);
 }
 
+/// Above `dag_enumeration_max_n` services a MINLATENCY solve skips the DAG
+/// phase, the evaluation cache's only reader, so its dispatch retains no
+/// cache and the cold serve leaves none behind; the answer is a cold
+/// solve's bits.
+#[test]
+fn latency_solves_above_the_dag_phase_retain_no_eval_cache() {
+    let mut rng = StdRng::seed_from_u64(0x5e08);
+    let app = random_application(&RandomAppConfig::independent(7), &mut rng);
+    let budget = SearchBudget::default();
+    assert!(app.n() > budget.dag_enumeration_max_n);
+    let service = PlanService::new(budget, 16);
+    let request = PlanRequest::new(app.clone(), CommModel::InOrder, Objective::MinLatency);
+    let served = service.serve_one(&request).unwrap().expect_exact().clone();
+    assert_eq!(served.source, ServeSource::Cold);
+    let cold = solve(
+        &Problem::new(&app, CommModel::InOrder, Objective::MinLatency),
+        &budget,
+    )
+    .unwrap();
+    assert_eq!(served.value.to_bits(), cold.value.to_bits());
+    assert_eq!(service.eval_cache_stats(&request), None);
+}
+
 /// Evaluation caches survive plan-store eviction.  With a capacity-1 store
 /// and two models on one application, the store can hold only one of the
 /// two plans (eviction is weighed by measured solve wall time, so *which*
