@@ -262,7 +262,7 @@ pub fn forest_graph(
 /// and never takes the single-class fast path that walk has.
 ///
 /// Returns `None` once more than `cap` representatives exist.  The cap is
-/// checked by a **count-only pass first** ([`classed_class_count_within`]):
+/// checked by a **count-only pass first** ([`classed_class_count`]):
 /// the number of coloured classes per shape is computed from memoised
 /// per-shape generating functions without materialising a single
 /// representative, so a space that overflows the cap is rejected in time
@@ -278,11 +278,10 @@ pub fn classed_forest_representatives(
 ) -> Option<Vec<ClassedRepresentative>> {
     let n = classes.n();
     assert!(n >= 1, "classed enumeration needs at least one node");
-    match classed_class_count_within(classes, cap as u128, None) {
-        ClassedCount::ExceedsCap | ClassedCount::DeadlineExpired => return None,
-        // Too many classes for the counting representation: generate under
-        // the cap directly.
-        ClassedCount::Exact(_) | ClassedCount::Intractable => {}
+    // A partition too wide for the counting representation skips the
+    // count and is generated under the cap directly.
+    if countable(classes) && classed_class_count(classes, cap as u128).is_none() {
+        return None;
     }
     let mut collect = Collect {
         parents: Vec::with_capacity(n),
@@ -336,29 +335,14 @@ impl ColoringVisitor for Collect {
     }
 }
 
-/// Outcome of a count-only coloured-class pass ([`classed_class_count_within`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClassedCount {
-    /// The exact number of coloured-forest classes of the partition.
-    Exact(u128),
-    /// The running total exceeded the cap; counting stopped early.
-    ExceedsCap,
-    /// The deadline passed mid-count.
-    DeadlineExpired,
-    /// The partition is too wide for the counting representation (its
-    /// exponent space `Π_c (|class c| + 1)` exceeds [`COUNT_DENSE_LIMIT`],
-    /// or `n` outgrows the byte-packed level slices the memo is keyed by):
-    /// callers fall back to bounded generation.
-    Intractable,
-}
-
 /// Largest exponent space `Π_c (|class c| + 1)` the colour counter accepts
-/// ([`ClassedCount::Intractable`] beyond it).  The space is exponential in
-/// the number of classes, so partitions with many near-singleton classes
-/// (one duplicated weight, the rest distinct) would pay more for counting
-/// than the generation it guards.  1024 covers every symmetric regime worth
-/// collapsing (e.g. four classes of four at `n = 16` is 625) while keeping
-/// the worst polynomial product near a microsecond-millisecond scale.
+/// ([`classed_class_count`] answers `None` beyond it).  The space is
+/// exponential in the number of classes, so partitions with many
+/// near-singleton classes (one duplicated weight, the rest distinct) would
+/// pay more for counting than the generation it guards.  1024 covers every
+/// symmetric regime worth collapsing (e.g. four classes of four at
+/// `n = 16` is 625) while keeping the worst polynomial product near a
+/// microsecond-millisecond scale.
 pub const COUNT_DENSE_LIMIT: usize = 1 << 10;
 
 /// `true` when the colour counter can represent `classes`: an exponent
@@ -375,18 +359,10 @@ fn countable(classes: &WeightClasses) -> bool {
 /// The number of coloured-forest classes of `classes`'s partition — the
 /// length of the [`classed_forest_representatives`] list — without
 /// materialising a single representative.  Returns `None` once the running
-/// total exceeds `cap`.
-pub fn classed_class_count(classes: &WeightClasses, cap: u128) -> Option<u128> {
-    match classed_class_count_within(classes, cap, None) {
-        ClassedCount::Exact(count) => Some(count),
-        ClassedCount::ExceedsCap | ClassedCount::DeadlineExpired | ClassedCount::Intractable => {
-            None
-        }
-    }
-}
-
-/// [`classed_class_count`] with an optional wall-clock deadline, checked
-/// once per shape.
+/// total exceeds `cap`, and for a partition too wide for the counting
+/// representation: its exponent space `Π_c (|class c| + 1)` exceeds
+/// [`COUNT_DENSE_LIMIT`], or `n` outgrows the byte-packed level slices the
+/// memo is keyed by.
 ///
 /// The count is **O(shapes)**, not O(colourings): per canonical shape the
 /// number of canonical colourings is read off the colour counter's graded
@@ -402,29 +378,22 @@ pub fn classed_class_count(classes: &WeightClasses, cap: u128) -> Option<u128> {
 /// alone — one degree slice per distinct subtree of fewer than `n` nodes
 /// (at most `Σ_{m<n} A000081(m)` entries) plus a few dozen multiset runs,
 /// 1.15 MiB for a 7 + 6 partition at `n = 13` — and no shape is stored.
-pub fn classed_class_count_within(
-    classes: &WeightClasses,
-    cap: u128,
-    deadline: Option<std::time::Instant>,
-) -> ClassedCount {
+pub fn classed_class_count(classes: &WeightClasses, cap: u128) -> Option<u128> {
     let n = classes.n();
     assert!(n >= 1, "classed counting needs at least one node");
     if !countable(classes) {
-        return ClassedCount::Intractable;
+        return None;
     }
     let mut counter = ColourCounter::new(classes);
     let mut stream = CanonicalForests::new(n);
     let mut total: u128 = 0;
     while let Some(levels) = stream.next_shape() {
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            return ClassedCount::DeadlineExpired;
-        }
         total = total.saturating_add(counter.forest_colorings(levels));
         if total > cap {
-            return ClassedCount::ExceedsCap;
+            return None;
         }
     }
-    ClassedCount::Exact(total)
+    Some(total)
 }
 
 /// Objective a [`ShapeBounder`] lower-bounds.
@@ -1598,17 +1567,6 @@ fn colored_subtree_automorphisms(
     aut.saturating_mul(factorial_u128(run_len))
 }
 
-/// Order-sensitive FNV-1a fold over 64-bit words — the digest routine of
-/// [`crate::fingerprint::AppFingerprint::digest`].
-pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for word in words {
-        hash ^= word;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 fn factorial(n: usize) -> u128 {
     factorial_u128(n as u128)
 }
@@ -1763,6 +1721,16 @@ pub fn canonical_classed_form(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Order-sensitive FNV-1a fold over 64-bit words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            hash ^= word;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        hash
+    }
 
     #[test]
     fn weight_classes_partition_by_bits() {
@@ -2455,20 +2423,11 @@ mod tests {
     }
 
     #[test]
-    fn count_only_pass_respects_the_cap_and_deadline() {
+    fn count_only_pass_respects_the_cap() {
         let classes = WeightClasses::of(&classed_app(&[2, 3]));
         let exact = classed_class_count(&classes, u128::MAX).unwrap();
         assert_eq!(classed_class_count(&classes, exact), Some(exact));
         assert_eq!(classed_class_count(&classes, exact - 1), None);
-        assert_eq!(
-            classed_class_count_within(&classes, exact - 1, None),
-            ClassedCount::ExceedsCap
-        );
-        let expired = Some(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        assert_eq!(
-            classed_class_count_within(&classes, u128::MAX, expired),
-            ClassedCount::DeadlineExpired
-        );
     }
 
     #[test]
@@ -2484,10 +2443,7 @@ mod tests {
         }
         let classes = WeightClasses::of(&Application::independent(&specs));
         let started = std::time::Instant::now();
-        assert_eq!(
-            classed_class_count_within(&classes, u128::MAX, None),
-            ClassedCount::Intractable
-        );
+        assert_eq!(classed_class_count(&classes, u128::MAX), None);
         assert!(classed_forest_representatives(&classes, 10_000).is_none());
         assert!(
             started.elapsed() < std::time::Duration::from_secs(5),

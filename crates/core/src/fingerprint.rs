@@ -79,15 +79,6 @@ impl AppFingerprint {
     pub fn collapsed(&self) -> bool {
         self.words[0] & 1 == 1
     }
-
-    /// A compact 64-bit digest of the fingerprint (FNV-1a over the content:
-    /// the collapse flag, `n`, then every service and constraint word), for
-    /// display and statistics.  Unlike the fingerprint
-    /// itself this *can* collide; never key a cache by it alone.
-    pub fn digest(&self) -> u64 {
-        let header = [u64::from(self.collapsed()), self.n() as u64];
-        crate::canonical::fnv1a(header.into_iter().chain(self.words[1..].iter().copied()))
-    }
 }
 
 /// An application relabelled into canonical service order, together with the
@@ -198,7 +189,6 @@ mod tests {
         let cb = CanonicalApplication::of(&b);
         assert_eq!(ca.fingerprint, cb.fingerprint);
         assert!(ca.fingerprint.collapsed());
-        assert_eq!(ca.fingerprint.digest(), cb.fingerprint.digest());
         assert_eq!(ca.app, cb.app, "canonical applications coincide");
         // A different weight multiset gets a different fingerprint.
         let c = Application::independent(&[(2.0, 0.8), (2.0, 0.8), (1.0, 0.5)]);
@@ -248,23 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn digests_keep_their_values() {
-        // Digests are shown in reports and statistics, so a new layout of
-        // the words must keep these values.
-        let app = Application::independent(&[(2.0, 0.8), (1.0, 0.5), (1.0, 0.5)]);
-        let collapsed = CanonicalApplication::of(&app).fingerprint;
-        let exact = CanonicalApplication::with_collapse(&app, false).fingerprint;
-        let mut constrained = Application::independent(&[(2.0, 0.8), (1.0, 0.5), (3.0, 0.9)]);
-        constrained.add_constraint(2, 0).unwrap();
-        constrained.add_constraint(0, 1).unwrap();
-        let constrained = CanonicalApplication::of(&constrained).fingerprint;
-        assert_eq!(collapsed.digest(), 0xd1d6_8045_12a7_fbb7);
-        assert_eq!(exact.digest(), 0xc528_aec0_b1dd_f932);
-        assert_eq!(constrained.digest(), 0x9e7b_006a_dabf_4284);
-        assert_eq!((constrained.n(), constrained.collapsed()), (3, false));
-    }
-
-    #[test]
     fn words_never_alias_across_the_services_boundary() {
         // Two services and the constraint 0 → 1 end in the words
         // `…, 0, 1`; a third service of cost bits 0 and selectivity bits 1
@@ -276,7 +249,6 @@ mod tests {
         let b = CanonicalApplication::with_collapse(&three, false).fingerprint;
         assert_eq!(a.words[1..], b.words[1..], "the tails alias");
         assert_ne!(a, b);
-        assert_ne!(a.digest(), b.digest());
         assert_eq!((a.n(), b.n()), (2, 3));
     }
 

@@ -47,10 +47,10 @@ pub mod validate;
 
 pub use canonical::{
     bound_ordered_shape_plan, canonical_classed_form, classed_class_count,
-    classed_class_count_within, classed_forest_representatives, forest_classes, forest_graph,
-    labelled_forests, split_shape_plan, ClassedCount, ClassedRepresentative, ColoringScratch,
-    ColoringVisitor, ShapeBounder, ShapeObjective, ShapePlan, ShapeScan, ShapeStream,
-    WeightClasses, COUNT_DENSE_LIMIT, SHAPE_CODE_MAX_N,
+    classed_forest_representatives, forest_classes, forest_graph, labelled_forests,
+    split_shape_plan, ClassedRepresentative, ColoringScratch, ColoringVisitor, ShapeBounder,
+    ShapeObjective, ShapePlan, ShapeScan, ShapeStream, WeightClasses, COUNT_DENSE_LIMIT,
+    SHAPE_CODE_MAX_N,
 };
 pub use error::{CoreError, CoreResult};
 pub use fingerprint::{AppFingerprint, CanonicalApplication};

@@ -331,7 +331,8 @@ impl TimedEventGraph {
         let dist = &mut scratch.dist;
         dist.clear();
         dist.resize(n, 0.0);
-        let mut changed = true;
+        // With no transitions no pass runs, and every period is feasible.
+        let mut changed = false;
         for _pass in 0..n {
             changed = false;
             for arc in self.arcs() {
@@ -448,6 +449,14 @@ mod tests {
         assert!(g.earliest_schedule(5.9).is_none());
         // A larger period is also feasible.
         assert!(g.earliest_schedule(10.0).is_some());
+    }
+
+    #[test]
+    fn a_graph_with_no_transitions_is_feasible_at_every_period() {
+        let g = TimedEventGraph::new();
+        for lambda in [0.0, 1.0, 1e9] {
+            assert_eq!(g.earliest_schedule(lambda), Some(vec![]));
+        }
     }
 
     #[test]

@@ -187,55 +187,52 @@ impl CanonicalSpace {
         Some(WeightClasses::of(app)).filter(WeightClasses::has_symmetry)
     }
 
-    /// `true` when the unconstrained forest plan search provably runs to
-    /// completion under a `cap`-sized enumeration budget for **every
-    /// labelling** of `app` — the premise behind any claim that two
-    /// permuted applications solve to bit-identical values (beyond the cap
-    /// the engine falls back to label-following local search, and an
-    /// interrupted enumeration depends on the walk order).
+    /// The size of the labelled forest space of `n` services: `n^n` parent
+    /// functions, the space the depth-first labelled walk enumerates (the
+    /// cyclic ones included).  Saturating.
+    pub fn parent_functions(n: usize) -> u128 {
+        (0..n).fold(1u128, |size, _| size.saturating_mul(n as u128))
+    }
+
+    /// The number of candidates the forest walk of an `n`-service instance
+    /// measures against [`SearchBudget::max_graphs`], where `reducible`
+    /// says whether the instance is [`class_reducible`](Self::class_reducible):
+    /// the A000081 shapes ([`fsw_core::forest_classes`]) the streamed walk
+    /// of a reducible instance plans, or the
+    /// [`parent_functions`](Self::parent_functions) of the labelled walk.
+    /// `None` when no walk covers the space: an instance with no services,
+    /// or a reducible one wider than [`fsw_core::SHAPE_CODE_MAX_N`], whose
+    /// shapes the streamed walk cannot key.
     ///
-    /// Sufficient conditions only, each O(n²)-cheap so callers can gate per
-    /// request (the serving layer checks this on its hot path — the exact
-    /// [`fsw_core::classed_class_count`] answer costs milliseconds per
-    /// partition, too slow there): the raw `n^n` space fits, the uniform
-    /// canonical space fits, or a class-coloured space certainly fits
-    /// (`shapes × multinomial(n; sizes)` bounds the coloured class count
-    /// from above, so declining a borderline space is the worst case).
-    pub fn exhaustively_coverable(app: &Application, cap: usize) -> bool {
-        let n = app.n();
-        // Beyond the widest shape key the streamed walk refuses the space
-        // (and `n^n` saturates past any cap), so the search degrades.
-        if n == 0 || n > fsw_core::SHAPE_CODE_MAX_N || app.has_constraints() {
-            return false;
+    /// This is the plan search's one scope decision:
+    /// [`exhaustive_forest_search`] walks a space exactly when this count
+    /// is within its cap, and the serving layer's admission pricing and
+    /// collapse gate read the same count.
+    ///
+    /// [`SearchBudget::max_graphs`]: crate::orchestrator::SearchBudget::max_graphs
+    /// [`exhaustive_forest_search`]: crate::minperiod::exhaustive_forest_search
+    pub fn forest_walk_size(n: usize, reducible: bool) -> Option<u128> {
+        if n == 0 || (reducible && n > fsw_core::SHAPE_CODE_MAX_N) {
+            return None;
         }
-        let cap = cap as u128;
-        let mut raw = 1u128;
-        for _ in 0..n {
-            raw = raw.saturating_mul(n as u128);
-        }
-        if raw <= cap {
-            return true;
-        }
-        let classes = WeightClasses::of(app);
-        if classes.is_uniform() {
-            return fsw_core::forest_classes(n) <= cap;
-        }
-        if classes.has_symmetry() {
-            // Coloured classes <= shapes × colourings-per-shape <= shapes ×
-            // multinomial(n; sizes).  The multinomial is built as
-            // Π_c C(prefix, size_c) (multiply-then-divide keeps every
-            // intermediate an exact integer).
-            let mut multinomial = 1u128;
-            let mut prefix = 0u128;
-            for &size in classes.sizes() {
-                for k in 1..=size as u128 {
-                    prefix += 1;
-                    multinomial = multinomial.saturating_mul(prefix) / k;
-                }
-            }
-            return fsw_core::forest_classes(n).saturating_mul(multinomial) <= cap;
-        }
-        false
+        Some(if reducible {
+            fsw_core::forest_classes(n)
+        } else {
+            CanonicalSpace::parent_functions(n)
+        })
+    }
+
+    /// `true` when the forest walk of `app` covers its whole space within
+    /// `cap` candidates: its [`forest_walk_size`](Self::forest_walk_size)
+    /// is at most `cap`.  No shape count exceeds `n^n`, so when the
+    /// labelled space fits, the answer comes without building `app`'s
+    /// weight classes.
+    pub fn forest_walk_fits(app: &Application, cap: usize) -> bool {
+        let (n, cap) = (app.n(), cap as u128);
+        n > 0
+            && (CanonicalSpace::parent_functions(n) <= cap
+                || CanonicalSpace::forest_walk_size(n, CanonicalSpace::class_reducible(app))
+                    .is_some_and(|size| size <= cap))
     }
 }
 

@@ -235,7 +235,7 @@ pub(crate) fn minimize_latency_engine(
             probe,
         );
     }
-    if app.n() <= budget.dag_enumeration_max_n {
+    if budget.runs_dag_phase(app.n()) {
         // Seed the DAG phase's incumbent with the forest optimum (tightened
         // by the warm-start seed): a DAG only matters when it strictly beats
         // every forest, so candidates whose critical path already clears the

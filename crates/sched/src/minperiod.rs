@@ -73,7 +73,7 @@ pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
     app: &Application,
     mut eval: F,
 ) -> Option<(f64, ExecutionGraph)> {
-    if forest_space_size(app.n())? > 2_000_000 {
+    if CanonicalSpace::forest_walk_size(app.n(), false)? > 2_000_000 {
         return None;
     }
     let mut parents: Vec<Option<ServiceId>> = vec![None; app.n()];
@@ -105,15 +105,18 @@ pub fn exhaustive_forest_best<F: FnMut(&ExecutionGraph) -> f64>(
 /// [`CanonicalSpace::class_reducible`] (no constraints, some weight class
 /// with two or more services: uniform weights are the one-class case), the
 /// search streams the canonical orbit space bound-first
-/// ([`streamed_canonical_search`]): the cap is then measured against the
-/// **shape** count (A000081, 1 842 shapes at `n = 10` versus `10^10`
-/// parent functions), the optimum *value* is unchanged, and the winner is
-/// the canonical tie-break representative, the first optimum in canonical
-/// enumeration order.  Every other space is walked depth-first over the
-/// `n^n` labelled parent functions, and its winner is the first minimum of
-/// that enumeration.  Either way the search returns `None` when the space
-/// exceeds `cap`, when no feasible forest exists, or when the deadline
-/// expires before any candidate was examined.
+/// ([`streamed_canonical_search`]): the optimum *value* is unchanged, and
+/// the winner is the canonical tie-break representative, the first optimum
+/// in canonical enumeration order.  Every other space is walked depth-first
+/// over the `n^n` labelled parent functions, and its winner is the first
+/// minimum of that enumeration.  The cap is measured against
+/// [`CanonicalSpace::forest_walk_size`]: the **shape** count (A000081,
+/// 1 842 shapes at `n = 10` versus `10^10` parent functions) on the
+/// streamed walk, whatever the partition's coloured orbit count, and `n^n`
+/// on the labelled one.  The weight-class partition is built once and
+/// handed to the streamed walk.  Either way the search returns `None` when
+/// that count is unknown or exceeds `cap`, when no feasible forest exists,
+/// or when the deadline expires before any candidate was examined.
 ///
 /// On a class-reducible instance the caller must supply an `eval` that is
 /// invariant under class-preserving relabellings **bit for bit**: a
@@ -157,16 +160,11 @@ where
     F: Fn(&ExecutionGraph, f64) -> f64 + Sync,
 {
     let n = app.n();
-    if n == 0 {
+    let classes = CanonicalSpace::reducible_classes(app);
+    if CanonicalSpace::forest_walk_size(n, classes.is_some())? > cap as u128 {
         return None;
     }
-    if let Some(classes) = CanonicalSpace::reducible_classes(app) {
-        // The streamed walk never materialises the coloured space, so its
-        // budget gate is the shape count.  Beyond it the labelled space
-        // (n^n > A000081(n+1) for n >= 2) is over the cap too.
-        if fsw_core::forest_classes(n) > cap as u128 {
-            return None;
-        }
+    if let Some(classes) = classes {
         // Stage spans resolve once per solve, and only when the probe
         // carries a registry — the plain path pays nothing.
         let engine_obs = probe
@@ -187,10 +185,6 @@ where
         // `None` means the deadline expired before any candidate was
         // examined: the caller degrades to its heuristic fallback.
         return outcome;
-    }
-    let space = forest_space_size(n)?;
-    if space > cap {
-        return None;
     }
     // The labelled walk carries telemetry too (`shapes` stays 0: no shape
     // plan exists on the labelled space).
@@ -334,18 +328,6 @@ where
         }
         true
     }
-}
-
-/// Size of the parent-function space (`n^n`, saturating); `None` for `n == 0`.
-fn forest_space_size(n: usize) -> Option<usize> {
-    if n == 0 {
-        return None;
-    }
-    let mut size = 1usize;
-    for _ in 0..n {
-        size = size.saturating_mul(n);
-    }
-    Some(size)
 }
 
 /// Recursive enumeration of parent functions from level `k`.

@@ -54,7 +54,7 @@ use crate::latency::{
     multiport_proportional_latency, oneport_latency_search_bounded, LatencyEvaluator,
 };
 use crate::minlatency::minimize_latency_engine;
-use crate::minperiod::minimize_period_engine;
+use crate::minperiod::{minimize_period_engine, DAG_ENUMERATION_HARD_MAX_N};
 use crate::oneport::{oneport_period_search_bounded, OnePortStyle, PeriodEvaluator};
 use crate::orderings::CommOrderings;
 use crate::outorder::outorder_period_search_bounded;
@@ -138,12 +138,14 @@ pub struct SearchBudget {
     /// fallback and MINLATENCY's DAG candidates.
     pub max_orderings: usize,
     /// Bound on the execution-graph space enumerated exhaustively; beyond
-    /// it the plan search falls back to seeded local search.  The space it
-    /// measures depends on the walk the search resolves to: parent
-    /// functions on the raw labelled space, and **shapes** (A000081
+    /// it the plan search falls back to seeded local search.  It is
+    /// measured against one count,
+    /// [`CanonicalSpace::forest_walk_size`](crate::engine::CanonicalSpace::forest_walk_size):
+    /// parent functions on the labelled space, and **shapes** (A000081
     /// forest-isomorphism classes — 32 973 at `n = 13`) on the streamed
     /// canonical walk, which never materialises the coloured space and so
-    /// stays exhaustive where the coloured count dwarfs the cap.
+    /// stays exhaustive where the coloured count dwarfs the cap.  The
+    /// serving layer's admission and collapse gate read the same count.
     pub max_graphs: usize,
     /// Optional wall-clock limit.  When it expires, the graph and ordering
     /// enumerations stop and the best candidate found so far is returned with
@@ -159,8 +161,9 @@ pub struct SearchBudget {
     /// Bisection steps of the OUTORDER period refinement.
     pub outorder_refinement_steps: usize,
     /// Instances up to this size also search all DAGs for MINLATENCY (the
-    /// latency optimum may require a join, unlike the period).  Hard-capped
-    /// at [`crate::minperiod::DAG_ENUMERATION_HARD_MAX_N`] by the engine.
+    /// latency optimum may require a join, unlike the period), up to
+    /// [`DAG_ENUMERATION_HARD_MAX_N`] services whatever the value: the
+    /// phase runs exactly where [`SearchBudget::runs_dag_phase`] says.
     pub dag_enumeration_max_n: usize,
 }
 
@@ -199,6 +202,15 @@ impl SearchBudget {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// `true` when MINLATENCY's DAG phase runs on an `n`-service instance
+    /// under this budget: `1 ≤ n ≤ min(dag_enumeration_max_n,`
+    /// [`DAG_ENUMERATION_HARD_MAX_N`]`)`.  The latency engine, admission
+    /// pricing, the collapse gate and the serving loop's cache retention
+    /// all read it.
+    pub fn runs_dag_phase(&self, n: usize) -> bool {
+        (1..=self.dag_enumeration_max_n.min(DAG_ENUMERATION_HARD_MAX_N)).contains(&n)
     }
 
     /// Materialises the execution strategy (resolves the deadline now).

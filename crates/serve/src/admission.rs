@@ -1,21 +1,20 @@
 //! Predictive admission control: price a request **before** enumerating.
 //!
 //! The serving layer must not discover that a request is intractable by
-//! burning its deadline on it.  This module prices every request in
-//! O(shapes) from the structural counts the canonical machinery already
-//! knows how to compute cheaply —
+//! burning its deadline on it.  This module prices every request as a pure
+//! function of the instance, from the counts the plan search itself
+//! measures its budget against —
 //!
 //! * the **estimated cost**, the number of candidate evaluations an
-//!   exhaustive solve would pay: the plan-space size, each plan valued
-//!   once by a structural metric (the period bound for MINPERIOD, exact
-//!   Algorithm 1 for forest-phase MINLATENCY).  That is the exact
-//!   canonical class count for uniform instances
-//!   ([`fsw_core::forest_classes`], closed form), the exact coloured-orbit
-//!   count for partially symmetric ones
-//!   ([`fsw_core::classed_class_count_within`], a counting pass that never
-//!   materialises an orbit), and the raw `n^n` parent-function space where
-//!   no symmetry reduces it.  MINLATENCY's DAG phase is priced by the
-//!   ordering space of the worst single DAG instead;
+//!   exhaustive solve would pay: the size of the space its forest walk
+//!   covers, each plan valued once by a structural metric (the period bound
+//!   for MINPERIOD, exact Algorithm 1 for forest-phase MINLATENCY).  That is
+//!   [`CanonicalSpace::forest_walk_size`], the count the engine holds
+//!   against [`SearchBudget::max_graphs`]: the A000081 shapes of the
+//!   streamed walk on an instance with repeated weights, the `n^n` parent
+//!   functions of the labelled walk otherwise.  A request is therefore
+//!   admitted exactly where the walk covers its space.  MINLATENCY's DAG
+//!   phase is priced by the ordering space of the worst single DAG instead;
 //! * an optional **admissible value floor**: the smallest shape bound
 //!   ([`ShapeBounder::forest_floor`], the head bound of the bound-ordered
 //!   shape plan, streamed without building the plan), shaved by the
@@ -38,12 +37,9 @@
 //! [`Reject`]: AdmissionDecision::Reject
 //! [`Shed`]: AdmissionDecision::Shed
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fsw_core::{
-    classed_class_count_within, Application, ClassedCount, CommModel, ShapeBounder, ShapeObjective,
-    WeightClasses,
-};
+use fsw_core::{Application, CommModel, ShapeBounder, ShapeObjective};
 use fsw_sched::engine::CanonicalSpace;
 use fsw_sched::orchestrator::{Objective, SearchBudget};
 
@@ -56,21 +52,19 @@ use fsw_sched::orchestrator::{Objective, SearchBudget};
 /// function of the instance, never of machine load.
 const FLOOR_MAX_N: usize = 10;
 
-/// Wall-clock budget of the coloured-orbit counting pass; past it the
-/// price falls back to the raw `n^n` space, flagged inexact.
-const PRICING_BUDGET: Duration = Duration::from_millis(5);
-
 /// The structural price of one request, computed before any enumeration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimate {
     /// The estimated number of candidate evaluations an exhaustive solve
-    /// would pay: the plan-space size — canonical classes (uniform),
-    /// coloured orbits (partial symmetry) or raw `n^n` parent functions (no
-    /// symmetry / constrained) — or, for MINLATENCY's DAG phase, the worst
-    /// single DAG's ordering space.  Saturating.
+    /// would pay: the count its forest walk measures against
+    /// [`SearchBudget::max_graphs`]
+    /// ([`CanonicalSpace::forest_walk_size`]: A000081 shapes when weights
+    /// repeat, `n^n` parent functions otherwise), `n^n` where no walk
+    /// covers the space or constraints apply, or, for MINLATENCY's DAG
+    /// phase, the worst single DAG's ordering space.  Saturating.
     pub cost: u128,
     /// Whether `cost` is the exact size of the space an exhaustive solve
-    /// enumerates (`false` when counting was capped, timed out, or
+    /// walks (`false` when no forest walk covers the space, when
     /// constraints prune an unknown amount of the raw space, and for the
     /// DAG phase's stand-in).
     pub exact: bool,
@@ -153,8 +147,9 @@ impl AdmissionPolicy {
 
     /// Prices `app` and decides with both thresholds halved `level` times
     /// (a serving loop's backpressure; levels above 127 act as 127).  Every
-    /// request is priced first, O(shapes) worst case with the orbit count
-    /// bounded by a 5 ms wall-clock budget.  A request over the tightened
+    /// request is priced first, from closed-form counts; only the degrade,
+    /// shed and reject bands also stream the value floor, O(shapes) for at
+    /// most 2 000 shapes.  A request over the tightened
     /// reject threshold is [`Reject`](AdmissionDecision::Reject)ed when it
     /// is also over the baseline one, and
     /// [`Shed`](AdmissionDecision::Shed) otherwise.
@@ -200,41 +195,23 @@ impl AdmissionPolicy {
         budget: &SearchBudget,
     ) -> CostEstimate {
         let n = app.n();
-        // MINLATENCY's DAG phase (n within `dag_enumeration_max_n`) is
-        // priced by the ordering space of the worst single DAG on n
-        // services (the complete DAG): a stand-in for the walk's size
-        // rather than a count of its candidates, hence `exact: false`.
-        if objective == Objective::MinLatency && n <= budget.dag_enumeration_max_n {
+        // MINLATENCY's DAG phase is priced by the ordering space of the
+        // worst single DAG on n services (the complete DAG): a stand-in
+        // for the walk's size rather than a count of its candidates, hence
+        // `exact: false`.
+        if objective == Objective::MinLatency && budget.runs_dag_phase(n) {
             return CostEstimate {
                 cost: (CanonicalSpace::max_dag_ordering_space(n) as u128).max(1),
                 exact: false,
                 value_floor: None,
             };
         }
-        let classes = WeightClasses::of(app);
-        let pricing_deadline = Instant::now() + PRICING_BUDGET;
-        // Count exactly up to the first quantity that forces a rejection;
-        // saturate beyond it (the decision is the same either way).
-        let count_cap = self.reject_cost.saturating_add(1);
-        let raw = raw_parent_functions(n);
-        let (cost, exact) = if app.has_constraints() {
-            // Constraints prune an unknown amount of the raw space and
-            // disable every symmetry reduction.
-            (raw, false)
-        } else if classes.is_uniform() {
-            (fsw_core::forest_classes(n), true)
-        } else if classes.has_symmetry() {
-            match classed_class_count_within(&classes, count_cap, Some(pricing_deadline)) {
-                ClassedCount::Exact(count) => (count, true),
-                ClassedCount::ExceedsCap => (count_cap, false),
-                ClassedCount::DeadlineExpired | ClassedCount::Intractable => (raw, false),
-            }
-        } else {
-            (raw, true)
-        };
+        // Constraints prune an unknown amount of the labelled space.
+        let walked = CanonicalSpace::forest_walk_size(n, CanonicalSpace::class_reducible(app))
+            .filter(|_| !app.has_constraints());
         CostEstimate {
-            cost,
-            exact,
+            cost: walked.unwrap_or_else(|| CanonicalSpace::parent_functions(n)),
+            exact: walked.is_some(),
             // Attached by `decide` on the degrade/reject bands (and by the
             // service's degraded-response path) via `certified_floor`; the
             // plain estimate stays O(cheap counts).
@@ -267,8 +244,8 @@ impl AdmissionPolicy {
         let n = app.n();
         let shape_objective = match objective {
             Objective::MinPeriod => ShapeObjective::Period(model),
-            Objective::MinLatency if n > budget.dag_enumeration_max_n => ShapeObjective::Latency,
-            Objective::MinLatency => return None,
+            Objective::MinLatency if budget.runs_dag_phase(n) => return None,
+            Objective::MinLatency => ShapeObjective::Latency,
         };
         if n == 0 || n > FLOOR_MAX_N {
             return None;
@@ -277,18 +254,12 @@ impl AdmissionPolicy {
     }
 }
 
-/// Raw parent-function space `n^n`, saturating — what an unreduced
-/// exhaustive enumeration walks.
-fn raw_parent_functions(n: usize) -> u128 {
-    let mut raw = 1u128;
-    for _ in 0..n {
-        raw = raw.saturating_mul(n.max(1) as u128);
-    }
-    raw
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
+    use fsw_core::WeightClasses;
+
     use super::*;
 
     fn budget() -> SearchBudget {

@@ -953,11 +953,10 @@ impl<'r> EventLoop<'r> {
         let due_tick = (self.tick + latency).max(self.last_due);
         self.last_due = due_tick;
         // Only MINLATENCY's DAG phase reads an evaluation cache (it memoises
-        // ordering searches), and it runs only up to the budget's
-        // `dag_enumeration_max_n` services, so only such a dispatch retains
-        // one; every other solve builds its own on the worker.
+        // ordering searches), so only a dispatch that runs it retains one;
+        // every other solve builds its own on the worker.
         let reads_cache = decided.prep.key.objective == Objective::MinLatency
-            && decided.prep.app.n() <= budget.dag_enumeration_max_n;
+            && budget.runs_dag_phase(decided.prep.app.n());
         let cache = reads_cache.then(|| service.retained_cache(&decided.prep));
         self.pool.submit(WorkItem {
             job,

@@ -54,7 +54,7 @@
 //!        ▼ miss
 //!   quarantine ──backoff/permanent──► Rejected{Quarantined}
 //!        ▼ clear
-//!   admission @ thresholds >> shed_level       O(shapes), backlog feedback
+//!   admission @ thresholds >> shed_level       walk's own count, backlog feedback
 //!        │   ├─over reject_cost──► Rejected{AdmissionCost, estimate}
 //!        │   └─over scaled reject──► Rejected{Shed{level}, estimate}
 //!        ▼ admit / degrade band / predicted deadline miss

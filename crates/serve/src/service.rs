@@ -10,8 +10,9 @@
 //! whose key is already being solved shares that solve's outcome,
 //! failures included — [`ServeSource::Dedup`]), **store** (the store only
 //! holds exhaustive plans, so a hit is always `Exact` —
-//! [`ServeSource::Store`]), **quarantine**, **admission** (priced in
-//! O(shapes) before any enumeration, [`crate::admission`]) and
+//! [`ServeSource::Store`]), **quarantine**, **admission** (priced before
+//! any enumeration by the count the plan search measures its budget
+//! against, [`crate::admission`]) and
 //! **dispatch** to the worker pool ([`ServeSource::Cold`]), where a
 //! panicking solve is caught and quarantined, exhaustive results enter the
 //! store, and interrupted ones come back
@@ -42,7 +43,7 @@ use fsw_core::{
     PackedGraph, ServiceId,
 };
 use fsw_obs::MetricsRegistry;
-use fsw_sched::engine::EvalCache;
+use fsw_sched::engine::{CanonicalSpace, EvalCache};
 use fsw_sched::orchestrator::{solve_warm_observed, Objective, Problem, SearchBudget};
 
 use crate::admission::{AdmissionPolicy, CostEstimate};
@@ -160,8 +161,9 @@ pub enum ServeOutcome {
     Degraded {
         /// The best incumbent found, relabelled per tenant.
         response: PlanResponse,
-        /// Admissible lower bound on the instance optimum (`0.0` when no
-        /// nontrivial floor was certified within the pricing budget).
+        /// Admissible lower bound on the instance optimum (`0.0` when
+        /// admission certifies no floor,
+        /// [`AdmissionPolicy::certified_floor`]).
         lower_bound: f64,
         /// Relative optimality gap `(value - lower_bound) / lower_bound`
         /// (`∞` when the floor is trivial).
@@ -256,38 +258,40 @@ pub enum InjectedFault {
 ///   period bound, a pure function of the weighted plan structure — the
 ///   plan search is over forests, whose metrics are path-order products
 ///   with no cross-label sums — so `model` never changes the answer;
-/// * MINLATENCY on the forest-only path (`n > dag_enumeration_max_n`) is
-///   exact Algorithm 1, again purely structural;
+/// * MINLATENCY where the DAG phase does not run
+///   ([`SearchBudget::runs_dag_phase`]) is exact Algorithm 1 over forests,
+///   again purely structural;
 /// * the MINLATENCY DAG phase runs ordering searches whose accumulation
 ///   order follows service ids and may drift by an ulp across
 ///   relabellings — those requests key by their **exact** labelling
 ///   instead (identical tenants still share; permuted ones do not);
 /// * the invariance claim covers the **exhaustive** searches only, so the
 ///   collapse additionally requires that the solve provably stays
-///   exhaustive: the forest space must fit the enumeration budget
-///   ([`CanonicalSpace::exhaustively_coverable`], owned by the engine next
-///   to the gating it mirrors — the over-cap fallback is label-following
-///   hill climbing) and no `time_limit` may be set (an interrupted
-///   enumeration returns a best-so-far that depends on the walk order,
-///   hence on labels, and on the wall clock).
+///   exhaustive: the forest walk must cover its space within
+///   [`SearchBudget::max_graphs`] ([`CanonicalSpace::forest_walk_fits`],
+///   the engine's own walk gate — the over-cap fallback is
+///   label-following hill climbing) and no `time_limit` may be set (an
+///   interrupted enumeration returns a best-so-far that depends on the
+///   walk order, hence on labels, and on the wall clock).
 ///
-/// [`CanonicalSpace::exhaustively_coverable`]: fsw_sched::engine::CanonicalSpace::exhaustively_coverable
+/// Every request passes this gate, store hits included, so it answers
+/// without building a weight-class partition whenever the labelled space
+/// already fits the cap.
 pub fn permutation_collapse_allowed(
     app: &Application,
     _model: CommModel,
     objective: Objective,
     budget: &SearchBudget,
 ) -> bool {
-    use fsw_sched::engine::CanonicalSpace;
     if app.has_constraints()
         || budget.time_limit.is_some()
-        || !CanonicalSpace::exhaustively_coverable(app, budget.max_graphs)
+        || !CanonicalSpace::forest_walk_fits(app, budget.max_graphs)
     {
         return false;
     }
     match objective {
         Objective::MinPeriod => true,
-        Objective::MinLatency => app.n() > budget.dag_enumeration_max_n,
+        Objective::MinLatency => !budget.runs_dag_phase(app.n()),
     }
 }
 

@@ -72,14 +72,21 @@ fn main() {
     let outcomes = service.serve_batch(&batch).expect("valid tenants");
     let cold_ms = started.elapsed().as_secs_f64() * 1e3;
     let responses: Vec<_> = outcomes.iter().map(|o| o.expect_exact()).collect();
+    // Tenants sharing a canonical fingerprint share a number.
+    let mut fingerprints = Vec::new();
     for (i, r) in responses.iter().enumerate() {
+        let fingerprint = fsw::core::CanonicalApplication::of(&tenants[i]).fingerprint;
+        let number = fingerprints
+            .iter()
+            .position(|f| *f == fingerprint)
+            .unwrap_or_else(|| {
+                fingerprints.push(fingerprint);
+                fingerprints.len() - 1
+            });
         println!(
-            "  tenant-{i:02} [{}] period {:>8.4}  (fingerprint {:016x})",
+            "  tenant-{i:02} [{}] period {:>8.4}  (fingerprint #{number})",
             source_tag(r.source),
             r.value,
-            fsw::core::CanonicalApplication::of(&tenants[i])
-                .fingerprint
-                .digest(),
         );
     }
     let stats = service.stats();

@@ -232,10 +232,7 @@ fn the_dag_phase_keeps_no_set_of_visited_dags() {
         threads: 1,
         ..SearchBudget::default()
     };
-    assert!(
-        app.n() <= budget.dag_enumeration_max_n,
-        "the DAG phase runs"
-    );
+    assert!(budget.runs_dag_phase(app.n()), "the DAG phase runs");
     let problem = Problem::new(&app, CommModel::Overlap, Objective::MinLatency);
     let (peak, (made, solution)) = peak_bytes(|| allocations(|| solve(&problem, &budget).unwrap()));
     assert!(solution.exhaustive);

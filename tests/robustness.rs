@@ -13,7 +13,8 @@
 //!   exponential backoff, and recovers once the fault clears;
 //! * a plan space whose shapes are wider than the 64-bit shape key is
 //!   refused up front, so an unbounded budget degrades instead of
-//!   streaming without end;
+//!   streaming without end, and requests at that limit are priced and
+//!   rejected without a solve;
 //! * an application with no services is refused where applications enter,
 //!   instead of panicking the caller's thread;
 //! * an ordering space larger than `usize` is refused by the exhaustive
@@ -27,8 +28,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fsw::core::{
-    bound_ordered_shape_plan, Application, CommModel, CoreError, CoreResult, ExecutionGraph,
-    ShapeScan, WeightClasses, SHAPE_CODE_MAX_N,
+    bound_ordered_shape_plan, forest_classes, Application, CommModel, CoreError, CoreResult,
+    ExecutionGraph, ShapeScan, WeightClasses, SHAPE_CODE_MAX_N,
 };
 use fsw::sched::engine::CanonicalSpace;
 use fsw::sched::latency::oneport_latency_search;
@@ -37,8 +38,9 @@ use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::sched::outorder::{outorder_period_search, outorder_schedule_at};
 use fsw::sched::CommOrderings;
 use fsw::serve::{
-    AdmissionPolicy, AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService,
-    RejectReason, ServeOutcome, TenantEvent, TenantSession,
+    permutation_collapse_allowed, AdmissionDecision, AdmissionPolicy, AsyncFrontend,
+    FrontendConfig, InjectedFault, PlanRequest, PlanService, RejectReason, ServeOutcome,
+    TenantEvent, TenantSession,
 };
 use fsw::sim::{replay_trace, Disposition, FaultPlan, ServeReplayConfig, TraceReport};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
@@ -89,15 +91,17 @@ fn minlatency_dag_phase_honours_a_short_deadline() {
 #[test]
 fn shapes_wider_than_the_key_degrade_instead_of_streaming_without_end() {
     // n = 33 has about 2.2e13 forest shapes, far beyond any budget, yet an
-    // unbounded `max_graphs` admits the shape count and no deadline stops
-    // the scan: only the key-width refusal keeps the solve finite.
+    // unbounded `max_graphs` would admit the shape count and no deadline
+    // stops the scan: only the key-width refusal keeps the solve finite.
+    // The walk's scope count refuses the space, and so does the shape scan.
     let n = SHAPE_CODE_MAX_N + 1;
     let app = Application::independent(&vec![(2.0, 0.7); n]);
     assert!(matches!(
         bound_ordered_shape_plan(&WeightClasses::of(&app), None, f64::INFINITY, None),
         ShapeScan::TooWide
     ));
-    assert!(!CanonicalSpace::exhaustively_coverable(&app, usize::MAX));
+    assert_eq!(CanonicalSpace::forest_walk_size(n, true), None);
+    assert!(!CanonicalSpace::forest_walk_fits(&app, usize::MAX));
     let budget = SearchBudget {
         max_graphs: usize::MAX,
         time_limit: None,
@@ -113,6 +117,58 @@ fn shapes_wider_than_the_key_degrade_instead_of_streaming_without_end() {
         "a refused shape scan must not claim exhaustiveness"
     );
     assert!(solution.value.is_finite(), "the fallback is still a plan");
+}
+
+/// Uniform and two-class applications at the shape key's width and one
+/// past it are priced, gated and rejected, never solved: a 32-service walk
+/// would stream about 8·10¹² shapes.  At `SHAPE_CODE_MAX_N` the price is
+/// the walk's exact shape count; one service more, no walk covers the
+/// space and the price is the labelled space, flagged inexact.
+#[test]
+fn requests_at_the_shape_key_width_are_priced_and_rejected_without_a_solve() {
+    let budget = SearchBudget::default();
+    let policy = AdmissionPolicy::for_budget(&budget);
+    for n in [SHAPE_CODE_MAX_N, SHAPE_CODE_MAX_N + 1] {
+        let uniform = vec![(2.0, 0.7); n];
+        let two_class: Vec<(f64, f64)> = (0..n)
+            .map(|k| if k < n / 2 { (0.3, 0.2) } else { (12.0, 0.9) })
+            .collect();
+        for specs in [uniform, two_class] {
+            let app = Application::independent(&specs);
+            assert!(CanonicalSpace::class_reducible(&app));
+            let scope = CanonicalSpace::forest_walk_size(n, true);
+            assert_eq!(scope, (n == SHAPE_CODE_MAX_N).then(|| forest_classes(n)));
+            for objective in [Objective::MinPeriod, Objective::MinLatency] {
+                let decision = policy.decide(&app, CommModel::Overlap, objective, &budget);
+                let AdmissionDecision::Reject { estimate } = decision else {
+                    panic!("n = {n} {objective}: {decision:?}");
+                };
+                assert!(estimate.cost > policy.reject_cost);
+                assert_eq!(estimate.exact, scope.is_some(), "n = {n} {objective}");
+                if let Some(shapes) = scope {
+                    assert_eq!(estimate.cost, shapes);
+                }
+                assert!(!permutation_collapse_allowed(
+                    &app,
+                    CommModel::Overlap,
+                    objective,
+                    &budget
+                ));
+                let service = PlanService::new(budget, 8);
+                let outcome = service
+                    .serve_one(&PlanRequest::new(
+                        app.clone(),
+                        CommModel::Overlap,
+                        objective,
+                    ))
+                    .unwrap();
+                let rejection = outcome.rejection().expect("admission rejects");
+                assert_eq!(rejection.reason, RejectReason::AdmissionCost);
+                assert_eq!(service.stats().dispatches, 0);
+            }
+        }
+    }
+    assert_eq!(forest_classes(SHAPE_CODE_MAX_N), 7_929_819_784_355);
 }
 
 #[test]

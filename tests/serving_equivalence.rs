@@ -13,22 +13,30 @@
 //!   its memoised ordering searches, strictly cheaper than the first cold
 //!   solve and byte-identical to it;
 //! * the batch door and the async door run one decision pipeline: the
-//!   same script decides every request identically through both.
+//!   same script decides every request identically through both;
+//! * admission and the permutation-collapse gate read the plan search's
+//!   own scope: a request is admitted, and permuted tenants share its
+//!   solve, exactly where the forest walk covers its space.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fsw::core::{Application, CommModel};
+use fsw::core::{forest_classes, Application, CommModel};
+use fsw::sched::minperiod::minimize_period;
 use fsw::sched::orchestrator::{solve, Objective, Problem, SearchBudget};
 use fsw::serve::{
-    AsyncFrontend, FrontendConfig, InjectedFault, PlanRequest, PlanService, PlanStore,
-    RejectReason, Rejection, ServeOutcome, ServeSource, StoredPlan, TenantEvent, TenantSession,
+    permutation_collapse_allowed, AdmissionDecision, AdmissionPolicy, AsyncFrontend, CostEstimate,
+    FrontendConfig, InjectedFault, PlanRequest, PlanService, PlanStore, RejectReason, Rejection,
+    ServeOutcome, ServeSource, StoredPlan, TenantEvent, TenantSession,
 };
 use fsw::sim::{replay_trace, RequestPath, ServeReplayConfig};
 use fsw::workloads::streaming::{serving_trace, TraceConfig};
-use fsw::workloads::{random_application, RandomAppConfig};
+use fsw::workloads::{
+    query_optimization, random_application, tiered_query_optimization, uniform_query_optimization,
+    RandomAppConfig,
+};
 
 fn graph_edges(graph: &fsw::core::ExecutionGraph) -> Vec<(usize, usize)> {
     graph.edges().collect()
@@ -227,7 +235,7 @@ fn latency_solves_above_the_dag_phase_retain_no_eval_cache() {
     let mut rng = StdRng::seed_from_u64(0x5e08);
     let app = random_application(&RandomAppConfig::independent(7), &mut rng);
     let budget = SearchBudget::default();
-    assert!(app.n() > budget.dag_enumeration_max_n);
+    assert!(!budget.runs_dag_phase(app.n()));
     let service = PlanService::new(budget, 16);
     let request = PlanRequest::new(app.clone(), CommModel::InOrder, Objective::MinLatency);
     let served = service.serve_one(&request).unwrap().expect_exact().clone();
@@ -552,7 +560,7 @@ fn both_front_doors_decide_identically() {
 fn store_hits_serve_the_cold_dag_winner_with_its_joins() {
     let app = fsw::workloads::query_optimization(5, &mut StdRng::seed_from_u64(1));
     let budget = SearchBudget::default();
-    assert!(app.n() <= budget.dag_enumeration_max_n);
+    assert!(budget.runs_dag_phase(app.n()));
     for model in CommModel::ALL {
         let service = PlanService::new(budget, 8);
         let request = PlanRequest::new(app.clone(), model, Objective::MinLatency);
@@ -572,4 +580,184 @@ fn store_hits_serve_the_cold_dag_winner_with_its_joins() {
         assert_eq!(hit.graph, direct.graph, "{model}");
         assert_eq!(hit.value.to_bits(), direct.value.to_bits(), "{model}");
     }
+}
+
+/// Admission and the collapse gate agree with the plan search on its own
+/// scope: under the default budget a MINPERIOD request is admitted exactly
+/// when `minimize_period` walks its whole space, and permuted tenants
+/// collapse onto one fingerprint exactly then.  The sweep covers spaces
+/// the walk reduces to shapes whatever their coloured orbit count (tiered
+/// and one-duplicate instances, up to 10^10 orbits), uniform ones, and
+/// labelled ones on both sides of the cap.  `exhaustive` is read from the
+/// plan search, not from `solve`, whose INORDER ordering search has a cap
+/// of its own.
+#[test]
+fn admission_and_the_collapse_gate_admit_exactly_what_the_walk_covers() {
+    let mut rng = StdRng::seed_from_u64(0x5e08);
+    let budget = SearchBudget::default();
+    let policy = AdmissionPolicy::for_budget(&budget);
+    let mut apps = Vec::new();
+    for sizes in [
+        vec![4, 4],
+        vec![3, 3, 3],
+        vec![5, 5],
+        vec![6, 5],
+        vec![6, 6],
+        vec![7, 6],
+        vec![2; 6],
+        vec![3; 4],
+    ] {
+        apps.push(tiered_query_optimization(&sizes, &mut rng));
+    }
+    for n in 9..=12 {
+        // Distinct weights but one duplicate: a single class of two.
+        let distinct = query_optimization(n, &mut rng);
+        let mut specs: Vec<(f64, f64)> = (0..n)
+            .map(|k| (distinct.cost(k), distinct.selectivity(k)))
+            .collect();
+        specs[n - 1] = specs[0];
+        apps.push(Application::independent(&specs));
+    }
+    for n in [8, 13] {
+        apps.push(uniform_query_optimization(n, &mut rng));
+    }
+    for n in [7, 8] {
+        apps.push(query_optimization(n, &mut rng));
+    }
+    let (mut admitted, mut declined) = (0, 0);
+    for app in &apps {
+        let n = app.n();
+        let searched = minimize_period(app, CommModel::Overlap, &budget).unwrap();
+        let decision = policy.decide(app, CommModel::Overlap, Objective::MinPeriod, &budget);
+        let admit = matches!(decision, AdmissionDecision::Admit { .. });
+        assert_eq!(
+            admit, searched.exhaustive,
+            "n = {n}: admission {decision:?} against exhaustive {}",
+            searched.exhaustive
+        );
+        assert_eq!(
+            permutation_collapse_allowed(app, CommModel::Overlap, Objective::MinPeriod, &budget),
+            searched.exhaustive,
+            "n = {n}: the collapse gate"
+        );
+        if admit {
+            admitted += 1;
+        } else {
+            declined += 1;
+        }
+    }
+    // Everything but the eight-service distinct instance is covered.
+    assert_eq!((admitted, declined), (apps.len() - 1, 1));
+}
+
+/// The 7 + 6 tiered application of the exact-solve benchmark is served
+/// exhaustively, priced at its 32 973 shapes.
+#[test]
+fn a_tiered_thirteen_service_request_is_served_exactly() {
+    let app = tiered_query_optimization(&[7, 6], &mut StdRng::seed_from_u64(0x5e09));
+    let budget = SearchBudget::default();
+    let estimate =
+        AdmissionPolicy::for_budget(&budget).estimate(&app, Objective::MinPeriod, &budget);
+    assert_eq!(
+        estimate,
+        CostEstimate {
+            cost: forest_classes(13),
+            exact: true,
+            value_floor: None,
+        }
+    );
+    assert_eq!(estimate.cost, 32_973);
+    let service = PlanService::new(budget, 8);
+    let request = PlanRequest::new(app.clone(), CommModel::Overlap, Objective::MinPeriod);
+    let outcome = service.serve_one(&request).unwrap();
+    let served = outcome.expect_exact();
+    assert_eq!(served.source, ServeSource::Cold);
+    let direct = solve(
+        &Problem::new(&app, CommModel::Overlap, Objective::MinPeriod),
+        &budget,
+    )
+    .unwrap();
+    assert!(direct.exhaustive);
+    assert_eq!(served.value.to_bits(), direct.value.to_bits());
+}
+
+/// Two label permutations of a 6 + 5 tiered application share one solve:
+/// its 4 766 shapes fit the cap, so the collapse gate keys both by one
+/// fingerprint and the second joins the first's solve.
+#[test]
+fn permuted_tiered_tenants_share_one_exhaustive_solve() {
+    let app = tiered_query_optimization(&[6, 5], &mut StdRng::seed_from_u64(0x5e0a));
+    let n = app.n();
+    let reversed = Application::independent(
+        &(0..n)
+            .rev()
+            .map(|k| (app.cost(k), app.selectivity(k)))
+            .collect::<Vec<_>>(),
+    );
+    let budget = SearchBudget::default();
+    let service = PlanService::new(budget, 8);
+    let tenants = [app, reversed];
+    let outcomes = service
+        .serve_batch(
+            &tenants
+                .iter()
+                .map(|a| PlanRequest::new(a.clone(), CommModel::Overlap, Objective::MinPeriod))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+    let sources: Vec<ServeSource> = outcomes.iter().map(|o| o.expect_exact().source).collect();
+    assert_eq!(sources, [ServeSource::Cold, ServeSource::Dedup]);
+    for (tenant, outcome) in tenants.iter().zip(&outcomes) {
+        let direct = solve(
+            &Problem::new(tenant, CommModel::Overlap, Objective::MinPeriod),
+            &budget,
+        )
+        .unwrap();
+        assert!(direct.exhaustive);
+        assert_eq!(
+            outcome.expect_exact().value.to_bits(),
+            direct.value.to_bits()
+        );
+    }
+    assert_eq!(service.stats().dispatches, 1);
+}
+
+/// A DAG limit above the DAG phase's hard cap prices no stand-in for a
+/// phase that never runs: a uniform twelve-service MINLATENCY request is a
+/// forest walk over 12 486 shapes, admitted and served exactly.
+#[test]
+fn a_dag_limit_above_the_hard_cap_serves_the_forest_walk() {
+    let budget = SearchBudget {
+        dag_enumeration_max_n: 12,
+        ..SearchBudget::default()
+    };
+    assert!(!budget.runs_dag_phase(12));
+    let app = uniform_query_optimization(12, &mut StdRng::seed_from_u64(0x5e0b));
+    let decision = AdmissionPolicy::for_budget(&budget).decide(
+        &app,
+        CommModel::Overlap,
+        Objective::MinLatency,
+        &budget,
+    );
+    assert_eq!(
+        decision,
+        AdmissionDecision::Admit {
+            estimate: CostEstimate {
+                cost: forest_classes(12),
+                exact: true,
+                value_floor: None,
+            }
+        }
+    );
+    let service = PlanService::new(budget, 8);
+    let request = PlanRequest::new(app.clone(), CommModel::Overlap, Objective::MinLatency);
+    let outcome = service.serve_one(&request).unwrap();
+    let served = outcome.expect_exact();
+    let direct = solve(
+        &Problem::new(&app, CommModel::Overlap, Objective::MinLatency),
+        &budget,
+    )
+    .unwrap();
+    assert!(direct.exhaustive);
+    assert_eq!(served.value.to_bits(), direct.value.to_bits());
 }
